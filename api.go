@@ -6,11 +6,9 @@ import (
 
 	"repro/internal/assembly"
 	"repro/internal/campaign"
-	"repro/internal/components"
 	"repro/internal/harness"
 	"repro/internal/mpi"
 	"repro/internal/obs"
-	"repro/internal/perfmodel"
 	"repro/internal/results"
 	"repro/internal/results/serve"
 	"repro/internal/results/store"
@@ -33,108 +31,44 @@ type (
 	ComponentModel = harness.ComponentModel
 	// Kernel selects one of the three measured components.
 	Kernel = harness.Kernel
-	// AppConfig assembles the component application.
-	AppConfig = components.AppConfig
 	// WorldConfig describes the simulated parallel machine.
 	WorldConfig = mpi.WorldConfig
-	// Model is a fitted performance model (polynomial or power law).
-	Model = perfmodel.Model
 	// Dual is the application's composite-model graph (Fig. 10).
 	Dual = assembly.Dual
 	// Optimizer selects among component implementations by predicted cost
 	// under a Quality-of-Service floor.
 	Optimizer = assembly.Optimizer
 
-	// CampaignJob is one schedulable experiment (a self-contained
-	// simulated-machine run) in a campaign's job graph.
-	CampaignJob = campaign.Job
 	// CampaignConfig tunes campaign execution: worker count, fail-fast,
 	// progress reporting. Worker count never changes results.
 	CampaignConfig = campaign.Config
-	// CampaignResult is one job's outcome, in submission order.
-	CampaignResult = campaign.Result
 	// CampaignEvent is one serialized progress report.
 	CampaignEvent = campaign.Event
 	// Grid cross-products first-class axes (Dimension values) times seed
 	// replications into scenario sets.
 	Grid = campaign.Grid
 	// Dimension is one first-class grid axis: a stable name plus an
-	// ordered value list. Build them with RankAxis, NetAxis, CacheAxis,
-	// CPUAxis, MeshAxis, FluxAxis — or literally, for custom parameters.
+	// ordered value list. Build them with CacheAxis, CPUClockAxis,
+	// SchedAxis — or literally, for any other parameter.
 	Dimension = campaign.Dimension
 	// DimValue is one value along a Dimension: a stable key token, a
 	// payload, and an optional world mutation.
 	DimValue = campaign.DimValue
-	// Coord locates a scenario along one grid axis.
-	Coord = campaign.Coord
-	// Scenario is one expanded grid point with its derived seed and its
-	// coordinate on every axis.
-	Scenario = campaign.Scenario
-	// NamedNet labels an interconnect model for scenario keys.
-	NamedNet = campaign.NamedNet
-	// MeshSize is one app-level base-mesh dimension choice of a Grid.
-	MeshSize = campaign.MeshSize
-	// CPUTune scales the simulated CPU model (clock, hit/miss penalties);
-	// the zero value leaves calibrated timings bit-for-bit unchanged.
-	CPUTune = mpi.CPUTune
-	// SchedulerMode selects how a simulated world schedules its ranks: the
-	// zero value is the serial token scheduler; ConservativeParallel runs
-	// rank compute concurrently; OptimisticParallel speculates past
-	// order-sensitive communication with rollback. All modes produce
-	// bit-for-bit identical results.
-	SchedulerMode = mpi.SchedulerMode
-	// SpecStats is the optimistic scheduler's speculation telemetry
-	// (published sends, pipelined ops, conflicts, rollbacks, re-executed
-	// virtual time, adaptive-window range and speculative-collective
-	// hits/rollbacks).
-	SpecStats = mpi.SpecStats
 	// SchedChoice is one value of the scheduler grid axis: a mode plus its
 	// parallel-rank cap and optimistic speculation-window bounds.
 	SchedChoice = campaign.SchedChoice
-	// GridSweep is one grid scenario's sweep result and fitted model.
-	GridSweep = harness.GridSweep
 	// GridPoint is one streamed grid scenario's distilled outcome
 	// (coordinates, kernel, fitted model — no buffered sweep).
 	GridPoint = harness.GridPoint
-	// CachePoint is one cache-size sample of the Section 6 study.
-	CachePoint = harness.CachePoint
 
-	// Row is one streamed result record: an ordered list of named fields.
-	Row = results.Row
-	// Field is one named value of a Row.
-	Field = results.Field
-	// Sink consumes result rows emitted by campaign jobs.
-	Sink = results.Sink
-	// MemorySink buffers rows per key in memory.
-	MemorySink = results.MemorySink
-	// AggSink folds rows into running per-key statistics, never retaining
-	// the rows themselves.
-	AggSink = results.AggSink
-	// CSVShardSink writes one CSV shard file per result key.
-	CSVShardSink = results.CSVShardSink
-	// BinShardSink writes one binary row shard per result key — the
-	// compact, byte-deterministic sibling of the CSV shards, preferred by
-	// the results service.
-	BinShardSink = results.BinShardSink
-	// ResultsService answers performance-model queries (predict, trend,
-	// scenario lookup) over a finished campaign's rows directory through a
-	// read-through model cache. cmd/resultsd is this type behind a listener.
-	ResultsService = serve.Service
-	// ResultsServiceOptions tunes a ResultsService (cache capacity,
+	// ResultsServiceOptions tunes NewResultsService (cache capacity,
 	// observer).
 	ResultsServiceOptions = serve.Options
-	// Stat is a running aggregate of one numeric field under one key.
-	Stat = results.Stat
 	// CheckpointStore persists finished campaign-job payloads keyed by
 	// (job key, config hash) under a cache directory.
 	CheckpointStore = store.Store
-	// Claimer arbitrates job ownership among independent campaign
-	// processes partitioning one grid over a shared store.
-	Claimer = campaign.Claimer
-	// ClaimState is a Claimer's verdict on one job: busy, run here, or
-	// completed elsewhere.
-	ClaimState = campaign.ClaimState
-	// LeaseManager is the file-based Claimer: per-job lease files under the
+	// LeaseManager arbitrates job ownership among independent campaign
+	// processes partitioning one grid: per-job lease files under the
 	// shared store directory, with heartbeats and stale-lease stealing, so
 	// N processes split a grid with zero duplicated executions and no
 	// coordinator.
@@ -143,51 +77,22 @@ type (
 	// interval).
 	LeaseOptions = lease.Options
 
-	// Observer bundles the span tracer and the metrics registry the
-	// instrumented layers (campaign, store, lease, mpi) record into.
-	Observer = obs.Observer
 	// ObserverOptions configures NewObserver (per-track ring capacity).
 	ObserverOptions = obs.Options
-	// Tracer records spans and instants onto named tracks and exports
-	// Chrome trace-event JSON.
-	Tracer = obs.Tracer
-	// TraceTrack is one trace lane (a ring buffer under its own mutex);
-	// a nil track records nothing.
-	TraceTrack = obs.Track
-	// TraceFile is a parsed or exported Chrome trace-event document.
-	TraceFile = obs.TraceFile
-	// MetricsRegistry holds named counters, gauges and fixed-bucket
-	// histograms with text exposition.
-	MetricsRegistry = obs.Registry
-	// MetricsServer is the live /metrics + /trace HTTP endpoint started
-	// by Observer.Serve.
-	MetricsServer = obs.MetricsServer
 	// OwnerExec is one completed job execution attributed to a lease
 	// owner, recovered from the store's audit log.
 	OwnerExec = obs.OwnerExec
-	// OwnerStat is one fleet member's row in the throughput report.
-	OwnerStat = obs.OwnerStat
-	// LeaseAuditEntry is one parsed line of an owner's audit log.
-	LeaseAuditEntry = lease.AuditEntry
 
-	// TrendReport is one kernel's coefficient-vs-axis analysis.
-	TrendReport = harness.TrendReport
 	// TrendAxis selects the numeric grid dimension trend reports fit model
 	// coefficients against.
 	TrendAxis = harness.TrendAxis
-	// TrendPoint is one axis value's averaged model coefficients.
-	TrendPoint = harness.TrendPoint
-	// TrendFit is one coefficient's fitted trend against the axis.
-	TrendFit = harness.TrendFit
 )
 
 // Built-in trend axes for BuildTrends: cache size in kB (the original
-// Section 6 study), CPU clock scale, rank count and base-mesh cell count.
+// Section 6 study) and CPU clock scale.
 var (
-	TrendCacheKB   = harness.TrendCacheKB
-	TrendCPUClock  = harness.TrendCPUClock
-	TrendRanks     = harness.TrendRanks
-	TrendMeshCells = harness.TrendMeshCells
+	TrendCacheKB  = harness.TrendCacheKB
+	TrendCPUClock = harness.TrendCPUClock
 )
 
 // Measured kernels.
@@ -245,48 +150,10 @@ func FluxSlot(vertex string, godunov, efm *ComponentModel) assembly.Slot {
 	return harness.FluxSlot(vertex, godunov, efm)
 }
 
-// RunCampaign executes a job graph on a worker pool and returns results in
-// submission order; results are byte-identical for any worker count.
-func RunCampaign(ctx context.Context, cfg CampaignConfig, jobs []CampaignJob) ([]CampaignResult, error) {
-	return campaign.Run(ctx, cfg, jobs)
-}
-
-// DeriveSeed maps a campaign base seed and a stable job key to that job's
-// machine seed, independent of scheduling.
-func DeriveSeed(base int64, key string) int64 { return campaign.DeriveSeed(base, key) }
-
-// SweepJob wraps RunSweep as a checkpointable campaign job that streams
-// its telemetry rows to the campaign sink.
-func SweepJob(key string, cfg SweepConfig) CampaignJob { return harness.SweepJob(key, cfg) }
-
-// CaseStudyJob wraps RunCaseStudy as a checkpointable campaign job that
-// streams its FUNCTION SUMMARY rows to the campaign sink.
-func CaseStudyJob(key string, cfg CaseStudyConfig) CampaignJob {
-	return harness.CaseStudyJob(key, cfg)
-}
-
-// ModelJob fits Eq. 1/2 models to the sweep job named sweepKey (cfg is
-// that sweep's config, which makes the fit checkpointable).
-func ModelJob(key, sweepKey string, cfg SweepConfig) CampaignJob {
-	return harness.ModelJob(key, sweepKey, cfg)
-}
-
-// RunSweeps measures several kernels concurrently as one campaign.
-func RunSweeps(ctx context.Context, cc CampaignConfig, cfgs []SweepConfig) ([]*SweepResult, error) {
-	return harness.RunSweeps(ctx, cc, cfgs)
-}
-
 // RunCacheStudy refits a kernel's model under each cache size (in kB),
-// one parallel campaign job per size.
-func RunCacheStudy(ctx context.Context, cc CampaignConfig, base SweepConfig, cacheKBs []int) ([]CachePoint, error) {
-	return harness.RunCacheStudyCampaign(ctx, cc, base, cacheKBs)
-}
-
-// RunSweepGrid expands a scenario grid into sweep-and-fit jobs and runs
-// them as one campaign, buffering every scenario's full SweepResult. For
-// grids too large for that, use StreamSweepGrid.
-func RunSweepGrid(ctx context.Context, cc CampaignConfig, base SweepConfig, g Grid) ([]GridSweep, error) {
-	return harness.RunSweepGrid(ctx, cc, base, g)
+// one parallel campaign job per size (the paper's Section 6 outlook).
+func RunCacheStudy(ctx context.Context, cc CampaignConfig, base SweepConfig, cacheKBs []int) ([]GridPoint, error) {
+	return harness.RunCacheStudy(ctx, cc, base, cacheKBs)
 }
 
 // StreamSweepGrid runs a scenario grid with streaming results: telemetry
@@ -300,22 +167,6 @@ func StreamSweepGrid(ctx context.Context, cc CampaignConfig, base SweepConfig, g
 // OpenStore opens (creating if needed) a checkpoint store directory for
 // CampaignConfig.Store.
 func OpenStore(dir string) (*CheckpointStore, error) { return store.Open(dir) }
-
-// Claim states a Claimer reports: held by another live process (retry
-// later), granted to the caller (run, then Release), or completed
-// elsewhere (the store holds the payload).
-const (
-	ClaimBusy = campaign.ClaimBusy
-	ClaimRun  = campaign.ClaimRun
-	ClaimDone = campaign.ClaimDone
-)
-
-// OpenLeaseManager attaches a lease-protocol Claimer for the given worker
-// identity to a shared store; set it as CampaignConfig.Claimer alongside
-// the store and Close it after the campaign returns.
-func OpenLeaseManager(st *CheckpointStore, owner string, opts LeaseOptions) (*LeaseManager, error) {
-	return lease.Open(st, owner, opts)
-}
 
 // DistributedCampaignConfig equips a campaign config for coordinator-free
 // multi-process execution against the shared store directory: each job
@@ -336,128 +187,92 @@ func ReadLeaseAudit(st *CheckpointStore) (map[string][]string, error) {
 // ReadLeaseAuditEntries is ReadLeaseAudit with the full per-execution
 // detail (owner, key, elapsed time, end timestamp) — the input to the
 // per-owner throughput report.
-func ReadLeaseAuditEntries(st *CheckpointStore) ([]LeaseAuditEntry, error) {
+func ReadLeaseAuditEntries(st *CheckpointStore) ([]lease.AuditEntry, error) {
 	return lease.ReadAuditEntries(st)
 }
 
 // NewObserver builds an observer with a fresh tracer and registry.
-func NewObserver(opts ObserverOptions) *Observer { return obs.New(opts) }
+func NewObserver(opts ObserverOptions) *obs.Observer { return obs.New(opts) }
 
 // EnableObserver installs the process-global observer picked up by the
 // campaign engine, the MPI world, the checkpoint store and the lease
 // manager. Those layers capture their instruments at construction time,
-// so enable before OpenStore/OpenLeaseManager/RunCampaign. Observation
-// is write-only: an observed run's outputs, scenario keys, checkpoint
-// hashes and seeds are byte-identical to an unobserved run's.
-func EnableObserver(o *Observer) { obs.Enable(o) }
+// so enable before OpenStore/DistributedCampaignConfig and before running
+// a campaign. Observation is write-only: an observed run's outputs,
+// scenario keys, checkpoint hashes and seeds are byte-identical to an
+// unobserved run's.
+func EnableObserver(o *obs.Observer) { obs.Enable(o) }
 
 // DisableObserver removes the process-global observer.
 func DisableObserver() { obs.Disable() }
 
-// ActiveObserver returns the process-global observer, or nil.
-func ActiveObserver() *Observer { return obs.Active() }
-
 // WriteOwnerReport renders the per-owner throughput table from lease
-// audit executions (convert LeaseAuditEntry values via OwnerExec).
+// audit executions (convert ReadLeaseAuditEntries' values via OwnerExec).
 func WriteOwnerReport(w io.Writer, execs []OwnerExec) error {
 	return obs.WriteOwnerReport(w, execs)
 }
 
 // WriteTrackReport renders the per-track (worker/rank/owner) summary of
 // a parsed trace.
-func WriteTrackReport(w io.Writer, tf *TraceFile) error {
+func WriteTrackReport(w io.Writer, tf *obs.TraceFile) error {
 	return obs.WriteTrackReport(w, tf)
 }
 
 // ParseTrace reads a Chrome trace-event JSON document; ValidateTrace
 // checks it against the structural rules chrome://tracing relies on.
-func ParseTrace(data []byte) (*TraceFile, error) { return obs.ParseTrace(data) }
-func ValidateTrace(tf *TraceFile) error          { return obs.ValidateTrace(tf) }
-
-// NewMemorySink returns a Sink buffering rows per key in memory.
-func NewMemorySink() *MemorySink { return results.NewMemorySink() }
+func ParseTrace(data []byte) (*obs.TraceFile, error) { return obs.ParseTrace(data) }
+func ValidateTrace(tf *obs.TraceFile) error          { return obs.ValidateTrace(tf) }
 
 // NewAggSink returns a Sink aggregating numeric fields on the fly.
-func NewAggSink() *AggSink { return results.NewAggSink() }
+func NewAggSink() *results.AggSink { return results.NewAggSink() }
 
 // NewCSVShardSink returns a Sink writing one CSV shard file per key under
 // dir.
-func NewCSVShardSink(dir string) (*CSVShardSink, error) { return results.NewCSVShardSink(dir) }
+func NewCSVShardSink(dir string) (*results.CSVShardSink, error) {
+	return results.NewCSVShardSink(dir)
+}
 
 // NewBinShardSink returns a Sink writing one binary row shard per key
 // under dir. Tee it with a CSV sink to get both formats as siblings.
-func NewBinShardSink(dir string) (*BinShardSink, error) { return results.NewBinShardSink(dir) }
-
-// ReadRowsFile reads one shard file back into rows, dispatching on the
-// extension: ".bin" is the binary row format, anything else CSV.
-func ReadRowsFile(path string) ([]Row, error) { return results.ReadRowsFile(path) }
+func NewBinShardSink(dir string) (*results.BinShardSink, error) {
+	return results.NewBinShardSink(dir)
+}
 
 // NewResultsService opens a campaign rows directory (or a campaign
 // output directory containing rows/) as a query service; its Handler
 // serves the resultsd HTTP API documented in docs/resultsd-api.md.
-func NewResultsService(dir string, opts ResultsServiceOptions) (*ResultsService, error) {
+func NewResultsService(dir string, opts ResultsServiceOptions) (*serve.Service, error) {
 	return serve.New(dir, opts)
 }
 
 // NewTee returns a Sink fanning every row out to all the given sinks.
-func NewTee(sinks ...Sink) Sink { return results.NewTee(sinks...) }
+func NewTee(sinks ...results.Sink) results.Sink { return results.NewTee(sinks...) }
 
-// EmitRow streams a row from inside a campaign job to the campaign's
-// configured sink (a no-op when the campaign has none).
-func EmitRow(ctx context.Context, key string, row Row) error {
-	return campaign.Emit(ctx, key, row)
-}
+// Axis constructors for Grid.Axes: the per-rank cache capacity in kB and
+// the CPU clock scale, both mutating the scenario's machine.
+func CacheAxis(kbs ...int) Dimension      { return campaign.CacheAxis(kbs...) }
+func CPUClockAxis(s ...float64) Dimension { return campaign.CPUClockAxis(s...) }
 
-// Axis constructors for Grid.Axes. RankAxis, NetAxis, CacheAxis, CPUAxis
-// and CPUClockAxis mutate the scenario's machine; MeshAxis and FluxAxis
-// are app-level axes the harness maps onto its configs.
-func RankAxis(procs ...int) Dimension       { return campaign.RankAxis(procs...) }
-func NetAxis(nets ...NamedNet) Dimension    { return campaign.NetAxis(nets...) }
-func CacheAxis(kbs ...int) Dimension        { return campaign.CacheAxis(kbs...) }
-func CPUAxis(tunes ...CPUTune) Dimension    { return campaign.CPUAxis(tunes...) }
-func CPUClockAxis(s ...float64) Dimension   { return campaign.CPUClockAxis(s...) }
-func MeshAxis(meshes ...MeshSize) Dimension { return campaign.MeshAxis(meshes...) }
-func FluxAxis(fluxes ...string) Dimension   { return campaign.FluxAxis(fluxes...) }
-
-// SchedAxis and SchedModeAxis sweep the rank scheduler (serial,
-// conservative parallel, optimistic parallel). The axis is seed-inert:
-// scenarios differing only in scheduler share a derived seed, so a grid
-// can verify at scale that the parallel schedulers reproduce serial
-// results bit for bit.
+// SchedAxis sweeps the rank scheduler (serial, conservative parallel,
+// optimistic parallel). The axis is seed-inert: scenarios differing only
+// in scheduler share a derived seed, so a grid can verify at scale that
+// the parallel schedulers reproduce serial results bit for bit.
 func SchedAxis(choices ...SchedChoice) Dimension { return campaign.SchedAxis(choices...) }
-func SchedModeAxis(modes ...SchedulerMode) Dimension {
-	return campaign.SchedModeAxis(modes...)
-}
-
-// ParseSpecWindow parses a -specwindow style flag value into
-// WorldConfig.SpecWindowMin/Max bounds for the optimistic scheduler:
-// "min:max" adapts between the bounds, a single positive integer pins a
-// fixed window, and "" or "0" keeps the default fixed 4096-event window.
-func ParseSpecWindow(s string) (min, max int, err error) {
-	return mpi.ParseSpecWindow(s)
-}
-
-// TrendByAxis builds a trend selector for any numeric user-defined grid
-// dimension; TrendAxisNamed resolves a flag-style axis name.
-func TrendByAxis(axis string) TrendAxis { return harness.TrendByAxis(axis) }
-func TrendAxisNamed(name string) (TrendAxis, error) {
-	return harness.TrendAxisNamed(name)
-}
 
 // BuildTrends fits model coefficients against the chosen swept dimension
 // over streamed grid points, one report per measured kernel (the paper's
 // Section 6 "coefficients parameterized by processor speed and a cache
 // model").
-func BuildTrends(points []GridPoint, axis TrendAxis) ([]*TrendReport, error) {
+func BuildTrends(points []GridPoint, axis TrendAxis) ([]*harness.TrendReport, error) {
 	return harness.BuildTrends(points, axis)
 }
 
 // WriteTrendCSV writes trend reports as one long-format CSV.
-func WriteTrendCSV(w io.Writer, reports []*TrendReport) error {
+func WriteTrendCSV(w io.Writer, reports []*harness.TrendReport) error {
 	return harness.WriteTrendCSV(w, reports)
 }
 
 // WriteTrendReport prints the human-readable trend analysis.
-func WriteTrendReport(w io.Writer, reports []*TrendReport) error {
+func WriteTrendReport(w io.Writer, reports []*harness.TrendReport) error {
 	return harness.WriteTrendReport(w, reports)
 }

@@ -8,6 +8,7 @@ package repro
 // microseconds on the simulated platform.
 
 import (
+	"context"
 	"fmt"
 	"strings"
 	"sync"
@@ -768,7 +769,7 @@ func BenchmarkExtCacheStudy(b *testing.B) {
 	var ratio float64
 	for i := 0; i < b.N; i++ {
 		base := benchSweepConfig(KernelStates)
-		pts, err := harness.RunCacheStudy(base, []int{128, 1024})
+		pts, err := RunCacheStudy(context.Background(), CampaignConfig{}, base, []int{128, 1024})
 		if err != nil {
 			b.Fatal(err)
 		}

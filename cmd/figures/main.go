@@ -328,9 +328,9 @@ func (g *generator) applySched(w *mpi.WorldConfig) {
 	*w = w.WithScheduler(g.sched, g.rankpar).WithSpecWindow(g.specMin, g.specMax)
 }
 
-// figVersion salts figure-job checkpoint hashes; bump when rendering
-// changes so stale store entries stop matching.
-const figVersion = "figures-v1"
+// figVersion salts figure-job checkpoint hashes; bump when rendering or
+// the hashed flag set changes so stale store entries stop matching.
+const figVersion = "figures-v2"
 
 // figFile is one rendered output file of a figure job.
 type figFile struct {
@@ -526,16 +526,10 @@ func render(out *[]figFile, name string, fn func(io.Writer) error) error {
 func (g *generator) figJob(key string, after []string, renderFn func(deps map[string]any, out *[]figFile) error) campaign.Job {
 	parts := []any{figVersion, key, g.procs, g.seed, g.reps}
 	if key == "trend" {
-		// Only the trend job depends on the grid flags, and only on the
-		// active axis's value list: folding the rest into the hash would
-		// needlessly invalidate checkpoints when an unrelated flag moves.
-		// The default cache axis keeps its pre--axis-flag hash so existing
-		// stores stay warm.
-		if g.trendAxis != "" && g.trendAxis != "cache_kb" {
-			parts = append(parts, g.trendAxis, g.trendClocks, g.trendReps)
-		} else {
-			parts = append(parts, g.trendCaches, g.trendReps)
-		}
+		// Only the trend job depends on the grid flags. It re-renders from
+		// its scenario jobs' results in milliseconds, so it hashes all of
+		// them, not just the active axis's value list.
+		parts = append(parts, g.trendAxis, g.trendCaches, g.trendClocks, g.trendReps)
 	}
 	hash := store.Hash(parts...)
 	return campaign.Job{

@@ -157,29 +157,21 @@ func main() {
 		scfg.World.Seed = *seed
 		applySched(&scfg.World)
 		scfg.Reps = 2
-		// The refit runs and the cache-aware base sweep are independent
-		// simulated machines: one campaign, parallel workers.
-		sizes := []int{128, 512, 1024}
-		jobs := make([]campaign.Job, 0, len(sizes)+1)
-		for _, kb := range sizes {
-			jobs = append(jobs, harness.CachePointJob(fmt.Sprintf("cache/%dkB", kb), scfg, kb))
-		}
-		jobs = append(jobs, harness.SweepJob("sweep/aware", scfg))
-		res, err := campaign.Run(context.Background(), cc, jobs)
+		pts, err := harness.RunCacheStudy(context.Background(), cc, scfg, []int{128, 512, 1024})
 		if err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)
-		}
-		pts := make([]harness.CachePoint, len(sizes))
-		for i := range pts {
-			pts[i] = res[i].Value.(harness.CachePoint)
 		}
 		if err := harness.WriteCacheStudy(os.Stdout, harness.KernelStates, pts); err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)
 		}
-		sw := res[len(sizes)].Value.(*harness.SweepResult)
-		ml, r2Aware, r2Plain, err := harness.CacheAwareFit(sw)
+		res, err := campaign.Run(context.Background(), cc, []campaign.Job{harness.SweepJob("sweep/aware", scfg)})
+		if err != nil {
+			fmt.Fprintln(os.Stderr, err)
+			os.Exit(1)
+		}
+		ml, r2Aware, r2Plain, err := harness.CacheAwareFit(res[0].Value.(*harness.SweepResult))
 		if err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)
@@ -250,20 +242,21 @@ func main() {
 	if *models {
 		fmt.Println()
 		kernels := []harness.Kernel{harness.KernelStates, harness.KernelGodunov, harness.KernelEFM}
-		cfgs := make([]harness.SweepConfig, len(kernels))
+		jobs := make([]campaign.Job, len(kernels))
 		for i, k := range kernels {
-			cfgs[i] = harness.DefaultSweep(k)
-			cfgs[i].World.Procs = *procs
-			cfgs[i].World.Seed = *seed
-			applySched(&cfgs[i].World)
+			cfg := harness.DefaultSweep(k)
+			cfg.World.Procs = *procs
+			cfg.World.Seed = *seed
+			applySched(&cfg.World)
+			jobs[i] = harness.SweepJob("sweep/"+string(k), cfg)
 		}
-		sweeps, err := harness.RunSweeps(context.Background(), cc, cfgs)
+		res, err := campaign.Run(context.Background(), cc, jobs)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)
 		}
-		for _, sw := range sweeps {
-			cm, err := harness.FitModels(sw)
+		for _, r := range res {
+			cm, err := harness.FitModels(r.Value.(*harness.SweepResult))
 			if err != nil {
 				fmt.Fprintln(os.Stderr, err)
 				os.Exit(1)

@@ -1,6 +1,6 @@
 // Command repolint runs the repository's determinism analyzers — the
 // static counterpart of the golden byte-identity tests. It loads the
-// named packages (default ./...), runs the six-analyzer suite from
+// named packages (default ./...), runs the five-analyzer suite from
 // internal/lint, and prints one line per finding:
 //
 //	internal/foo/foo.go:12:9: [wallclock] time.Now reads wall clock ...

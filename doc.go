@@ -33,8 +33,8 @@
 // self-contained simulated machine. The campaign engine executes such runs
 // concurrently with deterministic results:
 //
-//   - a job graph (CampaignJob, with After dependencies) is submitted via
-//     RunCampaign and executed by CampaignConfig.Workers workers;
+//   - a job graph (campaign.Job, with After dependencies) is submitted
+//     via campaign.Run and executed by CampaignConfig.Workers workers;
 //   - every job's machine draws its randomness from its own config seed,
 //     never from scheduling, so output is byte-identical for any worker
 //     count;
@@ -88,8 +88,7 @@
 //     start at the max, halve on every rollback and creep back up after
 //     batches of clean commits, so conflict-prone ranks throttle
 //     themselves while clean ones run deep. The default keeps the fixed
-//     4096-event window (and with it every existing scenario key and
-//     checkpoint hash); a rank past its window parks until the automaton
+//     4096-event window; a rank past its window parks until the automaton
 //     catches up, which also guarantees quiescence for deadlock
 //     detection. Telemetry — published sends, pipelined ops, speculated
 //     ops, conflicts, rollbacks, re-executed virtual time, window stalls,
@@ -102,9 +101,8 @@
 // produce identical profiles, virtual clocks, message orders and
 // rendered CSV/report bytes (see TestGoldenGridParallelEquivalence,
 // TestPropertySchedulerEquivalence and the forced-conflict rollback
-// tests), so the zero-value config keeps checkpoint hashes, scenario keys
-// and seeds byte-identical, and a non-default scheduler hashes
-// distinctly.
+// tests). The scheduler is part of a job's checkpoint hash like every
+// other config field, so each mode checkpoints separately.
 //
 // When does parallel-rank pay off? The conservative mode parallelizes
 // compute inside one world, so it wins on compute-dominated bodies with
@@ -125,11 +123,10 @@
 // (worlds x ranks); prefer campaign workers when the grid has many
 // scenarios, and add parallel ranks ("-rankmode"/"-rankpar" on
 // cmd/figures and cmd/pmmcase, or a SchedAxis grid dimension) when
-// individual worlds are
-// large or few. The SchedAxis/SchedModeAxis grid dimension is seed-inert
-// — scenarios differing only in scheduler share a derived seed — so a
-// grid can sweep serial vs the parallel modes and verify their
-// equivalence at scale (see examples/campaign).
+// individual worlds are large or few. The SchedAxis grid dimension is
+// seed-inert — scenarios differing only in scheduler share a derived
+// seed — so a grid can sweep serial vs the parallel modes and verify
+// their equivalence at scale (see examples/campaign).
 //
 // # Grids and dimensions
 //
@@ -139,7 +136,8 @@
 // of the scenario key) and an optional mutation of the scenario's
 // simulated machine:
 //
-//   - built-in machine axes: RankAxis (world size), NetAxis
+//   - built-in machine axes (internal/campaign; the facade re-exports
+//     the ones the examples use): RankAxis (world size), NetAxis
 //     (interconnect), CacheAxis (per-rank cache kB), and CPUAxis /
 //     CPUClockAxis (CPUTune: clock scale, cache hit/miss penalty
 //     multipliers — the Section 6 "parameterized by processor speed"
@@ -151,17 +149,18 @@
 //     Apply hooks — with no library change (see examples/campaign, which
 //     sweeps network load noise);
 //   - expansion (Grid.Scenarios) is deterministic, derives each
-//     scenario's seed via DeriveSeed(base, key) so replications draw
-//     independent streams, and rejects duplicate axis names or value keys,
-//     which would silently alias scenario keys and checkpoint entries;
+//     scenario's seed via campaign.DeriveSeed(base, key) so replications
+//     draw independent streams, and rejects duplicate axis names or value
+//     keys, which would silently alias scenario keys and checkpoint
+//     entries;
 //   - unswept rank/net/cache axes contribute implicit single-valued
 //     defaults (key segments "p3", "base", "c512kB"), and any other
-//     unswept axis contributes nothing, so scenario keys, seeds and
-//     checkpoint hashes are stable as the axis library grows.
+//     unswept axis contributes nothing, so scenario keys and seeds are
+//     stable as the axis library grows.
 //
 // A Scenario carries its coordinate on every axis ([]Coord) rather than
-// one struct field per dimension, so consumers — RunSweepGrid,
-// StreamSweepGrid, trend reports — handle any axis generically.
+// one struct field per dimension, so the one grid driver —
+// StreamSweepGrid — and the trend reports handle any axis generically.
 //
 // See examples/campaign for a grid study and cmd/figures for the full
 // figure-regeneration graph.
@@ -174,27 +173,33 @@
 // thousand-scenario grid runs in bounded memory:
 //
 //   - a Row is an ordered list of named, typed fields; jobs emit rows
-//     under their campaign key via EmitRow;
+//     under their campaign key via campaign.Emit;
 //   - sinks are concurrency-safe and deterministic (rows keep per-key
 //     order): NewCSVShardSink writes one CSV file per key, NewBinShardSink
 //     writes the same rows in the length-prefixed binary shard format
 //     (see "Results service" below), NewAggSink keeps running
 //     mean/min/max/stddev per (key, field) and drops the rows,
-//     NewMemorySink buffers for tests, NewTee fans out to several sinks
-//     at once; ReadRowsFile decodes either shard format back into rows;
+//     results.NewMemorySink buffers for tests, NewTee fans out to several
+//     sinks at once; results.ReadRowsFile decodes either shard format
+//     back into rows;
 //   - every harness job is checkpointable: with CampaignConfig.Store set
 //     (OpenStore), finished payloads persist content-addressed by
 //     (job key, config hash), so an interrupted campaign — a killed
 //     cmd/figures run, a canceled grid — resumes re-running zero
 //     completed jobs and produces byte-identical output, with cached
-//     jobs replaying their rows into the sink;
+//     jobs replaying their rows into the sink. The hash is SHA-256 over
+//     the %#v rendering of the job's plain-value config structs plus a
+//     checkpoint version, so hashes are stable within a version and
+//     distinct for distinct configs. Changing a config struct or a
+//     payload format means bumping the version and refilling the store;
+//     entries under an older version are never read;
 //   - the cross-scenario trend report (BuildTrends, WriteTrendCSV,
 //     WriteTrendReport) fits every model coefficient against any swept
 //     numeric dimension, selected by a TrendAxis (TrendCacheKB,
-//     TrendCPUClock, TrendRanks, TrendMeshCells, or TrendByAxis for a
-//     custom dimension) — the paper's Section 6 "coefficients
-//     parameterized by processor speed and a cache model" — and is
-//     emitted by "cmd/figures -fig trend [-axis cpu_clock]" and
+//     TrendCPUClock, and in internal/harness TrendRanks, TrendMeshCells,
+//     or TrendByAxis for a custom dimension) — the paper's Section 6
+//     "coefficients parameterized by processor speed and a cache model"
+//     — and is emitted by "cmd/figures -fig trend [-axis cpu_clock]" and
 //     "cmd/pmmcase -report [-axis cpu_clock]".
 //
 // # Distributed campaigns
@@ -203,7 +208,7 @@
 // can share one store directory over a network filesystem — and the lease
 // protocol (results/store/lease, re-exported as LeaseManager) lets N
 // independent processes partition one grid through it with no
-// coordinator. Set CampaignConfig.Claimer (OpenLeaseManager, or
+// coordinator. Set CampaignConfig.Claimer (lease.Open, or
 // DistributedCampaignConfig to wire store and claimer together) and point
 // every process at the same store:
 //
@@ -244,18 +249,17 @@
 // # Results service
 //
 // A finished campaign's rows directory is itself a queryable performance
-// model: cmd/resultsd (internal/results/serve, re-exported here as
-// ResultsService / NewResultsService) serves it over HTTP without
-// re-running a single simulation. Point it at a rows directory — or a
-// campaign output directory containing rows/ — and it fits the paper's
-// regression models on demand:
+// model: cmd/resultsd (internal/results/serve, opened here with
+// NewResultsService) serves it over HTTP without re-running a single
+// simulation. Point it at a rows directory — or a campaign output
+// directory containing rows/ — and it fits the paper's regression models
+// on demand:
 //
 //	resultsd -dir campaign-out -addr 127.0.0.1:9190
 //
 // Endpoints (GET only; JSON):
 //
-//   - /          service summary: rows dir, scenarios, axes, backends,
-//     endpoints;
+//   - /          service summary: scenarios, axes, backends, endpoints;
 //   - /healthz   liveness;
 //   - /metrics   obs registry text exposition;
 //   - /scenarios catalog metadata (no shard decoded); optional ?name=;
@@ -310,10 +314,11 @@
 //
 // # Observability
 //
-// The stack observes itself (internal/obs, re-exported here as Observer,
-// EnableObserver and friends): a span tracer and a metrics registry that
-// the campaign engine, the lease protocol, the checkpoint store and the
-// simulated MPI world record into. The design holds two invariants:
+// The stack observes itself (internal/obs, re-exported here as
+// NewObserver, EnableObserver and friends): a span tracer and a metrics
+// registry that the campaign engine, the lease protocol, the checkpoint
+// store and the simulated MPI world record into. The design holds two
+// invariants:
 //
 //   - Determinism: observation is write-only. Nothing recorded feeds
 //     back into scheduling, scenario keys, checkpoint hashes or seeds,
@@ -323,8 +328,8 @@
 //     receiver. Layers capture possibly-nil instrument handles when they
 //     are constructed, so disabled observability costs one nil check per
 //     event. Because capture happens at construction, EnableObserver
-//     must run before OpenStore / OpenLeaseManager / NewWorld /
-//     RunCampaign.
+//     must run before OpenStore / DistributedCampaignConfig / NewWorld /
+//     campaign.Run.
 //
 // The tracer keeps one track — a fixed-size ring buffer under its own
 // mutex, oldest events overwritten and the drop count exported — per
@@ -363,7 +368,7 @@
 // # Static analysis
 //
 // The determinism and responsiveness invariants above are enforced
-// statically, not just by golden tests: internal/lint implements six
+// statically, not just by golden tests: internal/lint implements five
 // repository-specific analyzers in the go/analysis style (self-contained
 // on the standard library — packages load via "go list -export" and the
 // gc export-data importer, so the suite runs offline), and cmd/repolint
@@ -374,9 +379,6 @@
 //     packages — values must derive from config and seeds;
 //   - mapiter: map iteration whose order leaks into an io.Writer, a
 //     results Sink or a returned slice without sorting first;
-//   - gostringpin: %#v-pinned structs (checkpoint config hashing) whose
-//     GoString shim fails to handle a declared field, which would
-//     silently change stored hashes when the field is first set;
 //   - lockio: file/network I/O or blocking channel operations while a
 //     mutex acquired in the same function is held — the lease-heartbeat
 //     starvation bug class;
@@ -400,11 +402,9 @@
 // fingerprints) and every I/O-under-lock design decision is annotated
 // with its justification.
 //
-// Benchmark trajectory: cmd/benchlog records the benchmark suite into
-// the checked-in BENCH_*.json log and gates pull requests at +25% ns/op
-// against the newest baseline from a comparable host class. The gate
-// arms per host class via "benchlog -out BENCH_0006.json -ifnew" on
-// pushes to main (see cmd/benchlog's doc for the CI wiring).
+// Benchmark: bench/ with BENCHMARK.json is the basis for every speed
+// claim — five named workloads, end-to-end metrics with bounds and a
+// per-layer budget; see bench/README.md.
 //
 // This package is the facade: it re-exports the experiment harness and the
 // campaign engine that regenerate every figure of the paper's evaluation.

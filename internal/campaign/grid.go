@@ -34,10 +34,8 @@ func (m MeshSize) String() string { return fmt.Sprintf("%dx%d", m.Nx, m.Ny) }
 // carried: rank count, interconnect and cache size. Expansion slots them
 // into the canonical leading key positions — the swept axis when the grid
 // lists one, otherwise a single-valued default derived from Base (key
-// segments "p3", "base", "c512kB") — so keys, and hence derived seeds and
-// checkpoint hashes, are stable whether or not those axes are swept, and
-// grids written against the pre-Dimension API expand byte-identically no
-// matter which subset of machine axes they swept. Other unswept axes
+// segments "p3", "base", "c512kB") — so keys, and hence derived seeds,
+// are the same whether or not those axes are swept. Other unswept axes
 // simply do not appear, so adding a dimension to the library never
 // perturbs existing grids.
 type Grid struct {
@@ -103,55 +101,6 @@ func (sc Scenario) Num(axis string) (float64, bool) {
 		return v, true
 	}
 	return 0, false
-}
-
-// legacyScenario mirrors Scenario's pre-Dimension field set; see GoString.
-type legacyScenario struct {
-	Key         string
-	World       mpi.WorldConfig
-	Net         string
-	CacheKB     int
-	Mesh        MeshSize
-	Flux        string
-	Replication int
-}
-
-// GoString implements fmt.GoStringer (%#v). Checkpoint hashes are SHA-256
-// digests of a scenario's %#v rendering, so scenarios whose coordinates
-// all lie on the pre-Dimension axes (rank, net, cache, mesh, flux — the
-// rank/net/cache values are already visible through World) render exactly
-// as the old named-field struct did, keeping stored campaign payloads
-// addressable across the API redesign. Coordinates on any other axis are
-// appended, so new-axis scenarios hash distinctly.
-func (sc Scenario) GoString() string {
-	legacy := legacyScenario{
-		Key: sc.Key, World: sc.World,
-		Net: sc.Label(AxisNet), Flux: sc.Label(AxisFlux),
-		Replication: sc.Replication,
-	}
-	if c, ok := sc.Coord(AxisCache); ok {
-		if kb, isInt := c.Value.(int); isInt {
-			legacy.CacheKB = kb
-		}
-	}
-	if c, ok := sc.Coord(AxisMesh); ok {
-		if m, isMesh := c.Value.(MeshSize); isMesh {
-			legacy.Mesh = m
-		}
-	}
-	s := "campaign.Scenario" + strings.TrimPrefix(fmt.Sprintf("%#v", legacy), "campaign.legacyScenario")
-	var extra []Coord
-	for _, c := range sc.Coords {
-		switch c.Axis {
-		case AxisRank, AxisNet, AxisCache, AxisMesh, AxisFlux:
-		default:
-			extra = append(extra, c)
-		}
-	}
-	if len(extra) > 0 {
-		s = strings.TrimSuffix(s, "}") + fmt.Sprintf(", Coords:%#v}", extra)
-	}
-	return s
 }
 
 // defaultAxis builds the single-valued implicit axis for an unswept
@@ -244,7 +193,7 @@ func validate(axes []Dimension) error {
 // value's key token becomes one segment of the scenario key
 // ("p3/eth/c512kB/m96x24/efm/r0"); unswept axes other than the implicit
 // rank/net/cache defaults contribute nothing, keeping existing grids' keys
-// — and hence their derived seeds and checkpoint hashes — stable.
+// — and hence their derived seeds — stable.
 // Seed-inert axes (SchedAxis) keep their key segment but are excluded from
 // seed derivation, so scenarios differing only on such an axis share a
 // seed and must produce identical results. It returns an error for

@@ -26,31 +26,29 @@ import (
 //     multivariate model T(Q, DCM), which explains the mode split a
 //     Q-only model has to average over.
 
-// CachePoint is one cache-size sample of the study.
-type CachePoint struct {
-	// CacheKB is the simulated cache capacity.
-	CacheKB int
-	// Model is the kernel model fitted under that cache.
-	Model *ComponentModel
-}
-
-// RunCacheStudy refits the kernel under each cache size (in kB). The base
-// sweep's other parameters are kept. Each cache size is an independent
-// simulated-machine run, so the study executes as a parallel campaign (one
-// worker per CPU); the points come back in cacheKBs order and are
-// byte-identical to a serial loop.
-func RunCacheStudy(base SweepConfig, cacheKBs []int) ([]CachePoint, error) {
-	return RunCacheStudyCampaign(context.Background(), campaign.Config{}, base, cacheKBs)
+// RunCacheStudy refits the kernel under each cache size (in kB), one
+// stream job per size on cc's workers; the points come back in cacheKBs
+// order. Every other parameter of the base sweep is kept — the seed
+// included, which is why the scenarios are built here and not expanded
+// from a Grid with a CacheAxis: expansion derives a seed per scenario key.
+func RunCacheStudy(ctx context.Context, cc campaign.Config, base SweepConfig, cacheKBs []int) ([]GridPoint, error) {
+	jobs := make([]campaign.Job, len(cacheKBs))
+	for i, kb := range cacheKBs {
+		w := base.World
+		w.Cache.SizeBytes = kb * 1024
+		jobs[i] = StreamJob(base, campaign.Scenario{Key: fmt.Sprintf("cache/%dkB", kb), World: w})
+	}
+	return runStreamJobs(ctx, cc, jobs)
 }
 
 // WriteCacheStudy prints the per-cache-size model comparison.
-func WriteCacheStudy(w io.Writer, kernel Kernel, pts []CachePoint) error {
+func WriteCacheStudy(w io.Writer, kernel Kernel, pts []GridPoint) error {
 	if _, err := fmt.Fprintf(w, "cache-size study for %s (functional form fixed, coefficients move):\n",
 		kernel.RecordName()); err != nil {
 		return err
 	}
 	for _, p := range pts {
-		fmt.Fprintf(w, "  %5d kB: T = %s\n", p.CacheKB, p.Model.Mean)
+		fmt.Fprintf(w, "  %5d kB: T = %s\n", p.Scenario.World.Cache.SizeBytes/1024, p.Model.Mean)
 	}
 	return nil
 }

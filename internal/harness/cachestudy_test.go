@@ -1,9 +1,11 @@
 package harness
 
 import (
+	"context"
 	"strings"
 	"testing"
 
+	"repro/internal/campaign"
 	"repro/internal/perfmodel"
 )
 
@@ -46,7 +48,7 @@ func TestRunCacheStudyCoefficientsMove(t *testing.T) {
 	t.Parallel()
 	base := fastSweep(KernelStates)
 	base.Sizes = LogSizes(4_000, 100_000, 4)
-	pts, err := RunCacheStudy(base, []int{128, 1024})
+	pts, err := RunCacheStudy(context.Background(), campaign.Config{}, base, []int{128, 1024})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -43,20 +43,6 @@ func replayRows(ctx context.Context, key string, rows []results.Row) error {
 	return nil
 }
 
-// specKind salts a sweep job's checkpoint-hash kind when its world runs a
-// non-serial scheduler. Those jobs emit (and must replay) a
-// speculation-telemetry row under SpecKey whose column set defines the
-// salt generation — "+spec2" added the adaptive-window and
-// speculative-collective columns — so payloads stored under an older row
-// schema re-run once; serial jobs keep their byte-stable hashes, and the
-// golden grid fingerprints with them.
-func specKind(kind string, w mpi.WorldConfig) string {
-	if w.Sched != mpi.Serial {
-		return kind + "+spec2"
-	}
-	return kind
-}
-
 // emitSpecRow streams the sweep's scheduler-telemetry row under the job's
 // spec key. Serial sweeps emit nothing: their telemetry is identically
 // zero and the row would perturb the byte-compared serial shard set.
@@ -82,7 +68,7 @@ func replaySpecRow(ctx context.Context, jobKey string, sw *SweepResult) error {
 func SweepJob(key string, cfg SweepConfig) campaign.Job {
 	return campaign.Job{
 		Key:    key,
-		Hash:   jobHash(specKind("sweep", cfg.World), cfg),
+		Hash:   jobHash("sweep", cfg),
 		Encode: encodeGob,
 		Decode: func(ctx context.Context, data []byte) (any, error) {
 			sw, err := decodeGob[*SweepResult](data)
@@ -146,69 +132,6 @@ func ModelJob(key, sweepKey string, cfg SweepConfig) campaign.Job {
 		}}
 }
 
-// RunSweeps measures several kernels concurrently, one campaign job per
-// sweep. Results come back in input order and are byte-identical to
-// looping RunSweep serially.
-func RunSweeps(ctx context.Context, cc campaign.Config, cfgs []SweepConfig) ([]*SweepResult, error) {
-	jobs := make([]campaign.Job, len(cfgs))
-	for i, cfg := range cfgs {
-		jobs[i] = SweepJob(fmt.Sprintf("sweep/%d/%s", i, cfg.Kernel), cfg)
-	}
-	res, err := campaign.Run(ctx, cc, jobs)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]*SweepResult, len(res))
-	for i, r := range res {
-		out[i] = r.Value.(*SweepResult)
-	}
-	return out, nil
-}
-
-// CachePointJob runs the base sweep under one cache size and fits the
-// kernel model — one point of the Section 6 cache study.
-func CachePointJob(key string, base SweepConfig, cacheKB int) campaign.Job {
-	return campaign.Job{
-		Key:    key,
-		Hash:   jobHash("cachepoint", base, cacheKB),
-		Encode: encodeGob,
-		Decode: func(_ context.Context, data []byte) (any, error) {
-			return decodeGob[CachePoint](data)
-		},
-		Run: func(context.Context, map[string]any) (any, error) {
-			cfg := base
-			cfg.World.Cache.SizeBytes = cacheKB * 1024
-			sw, err := RunSweep(cfg)
-			if err != nil {
-				return nil, fmt.Errorf("harness: cache study at %d kB: %w", cacheKB, err)
-			}
-			cm, err := FitModels(sw)
-			if err != nil {
-				return nil, fmt.Errorf("harness: cache study fit at %d kB: %w", cacheKB, err)
-			}
-			return CachePoint{CacheKB: cacheKB, Model: cm}, nil
-		}}
-}
-
-// RunCacheStudyCampaign is RunCacheStudy on the campaign engine: one job
-// per cache size, executed by cc.Workers workers. Points come back in
-// cacheKBs order regardless of which finishes first.
-func RunCacheStudyCampaign(ctx context.Context, cc campaign.Config, base SweepConfig, cacheKBs []int) ([]CachePoint, error) {
-	jobs := make([]campaign.Job, len(cacheKBs))
-	for i, kb := range cacheKBs {
-		jobs[i] = CachePointJob(fmt.Sprintf("cache/%dkB", kb), base, kb)
-	}
-	res, err := campaign.Run(ctx, cc, jobs)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]CachePoint, len(res))
-	for i, r := range res {
-		out[i] = r.Value.(CachePoint)
-	}
-	return out, nil
-}
-
 // scenarioSweepConfig specializes the base sweep to one grid scenario: the
 // scenario's world, plus its flux-axis coordinate, which selects the
 // measured kernel ("godunov", "efm", "states"; an absent axis keeps the
@@ -254,87 +177,4 @@ func CaseScenarioConfig(base CaseStudyConfig, sc campaign.Scenario) (CaseStudyCo
 		return cfg, fmt.Errorf("harness: unknown flux dimension %q in scenario %q", flux, sc.Key)
 	}
 	return cfg, nil
-}
-
-// CaseGridJob runs the case study under one grid scenario (world, mesh and
-// flux dimensions applied) as a checkpointable campaign job.
-func CaseGridJob(base CaseStudyConfig, sc campaign.Scenario) (campaign.Job, error) {
-	cfg, err := CaseScenarioConfig(base, sc)
-	if err != nil {
-		return campaign.Job{}, err
-	}
-	return CaseStudyJob(sc.Key, cfg), nil
-}
-
-// GridSweep is one grid scenario's measured and fitted outcome.
-type GridSweep struct {
-	// Scenario locates the point in the grid.
-	Scenario campaign.Scenario
-	// Result is the scenario's sweep.
-	Result *SweepResult
-	// Model is the Eq. 1/2 fit of that sweep.
-	Model *ComponentModel
-}
-
-// RunSweepGrid expands a scenario grid into sweep-and-fit jobs for the
-// base config's kernel (the flux dimension, when swept, overrides the
-// kernel per scenario) and runs them as one campaign. The i-th returned
-// point corresponds to the i-th expanded scenario. Each GridSweep buffers
-// its whole SweepResult; for grids too large for that, use StreamSweepGrid.
-func RunSweepGrid(ctx context.Context, cc campaign.Config, base SweepConfig, g campaign.Grid) ([]GridSweep, error) {
-	scs, err := g.Scenarios()
-	if err != nil {
-		return nil, err
-	}
-	jobs := make([]campaign.Job, len(scs))
-	for i, sc := range scs {
-		sc := sc
-		jobs[i] = campaign.Job{
-			Key:    sc.Key,
-			Hash:   jobHash(specKind("gridsweep", sc.World), base, sc),
-			Encode: encodeGob,
-			Decode: func(ctx context.Context, data []byte) (any, error) {
-				gs, err := decodeGob[GridSweep](data)
-				if err != nil {
-					return nil, err
-				}
-				// Trust the current expansion for the coordinates; stored
-				// payloads may predate the Dimension redesign.
-				gs.Scenario = sc
-				if err := replayRows(ctx, sc.Key, gs.Result.Rows()); err != nil {
-					return gs, err
-				}
-				return gs, replaySpecRow(ctx, sc.Key, gs.Result)
-			},
-			Run: func(ctx context.Context, _ map[string]any) (any, error) {
-				cfg, err := scenarioSweepConfig(base, sc)
-				if err != nil {
-					return nil, err
-				}
-				sw, err := RunSweep(cfg)
-				if err != nil {
-					return nil, err
-				}
-				if err := emitRows(ctx, sc.Key, sw.Rows()); err != nil {
-					return nil, err
-				}
-				if err := emitSpecRow(ctx, sc.Key, sw); err != nil {
-					return nil, err
-				}
-				cm, err := FitModels(sw)
-				if err != nil {
-					return nil, err
-				}
-				return GridSweep{Scenario: sc, Result: sw, Model: cm}, nil
-			}}
-	}
-	res, err := campaign.Run(ctx, cc, jobs)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]GridSweep, len(res))
-	for i, r := range res {
-		out[i] = r.Value.(GridSweep)
-	}
-	return out, nil
 }

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"repro/internal/campaign"
+	"repro/internal/results"
 )
 
 // tinySweep is the smallest sweep that still exercises both modes and the
@@ -28,11 +29,11 @@ func TestCampaignWorkerCountInvariance(t *testing.T) {
 	base := tinySweep(KernelStates)
 	kbs := []int{128, 512}
 
-	serial, err := RunCacheStudyCampaign(context.Background(), campaign.Config{Workers: 1}, base, kbs)
+	serial, err := RunCacheStudy(context.Background(), campaign.Config{Workers: 1}, base, kbs)
 	if err != nil {
 		t.Fatal(err)
 	}
-	parallel, err := RunCacheStudyCampaign(context.Background(), campaign.Config{Workers: 4}, base, kbs)
+	parallel, err := RunCacheStudy(context.Background(), campaign.Config{Workers: 4}, base, kbs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -49,17 +50,18 @@ func TestCampaignWorkerCountInvariance(t *testing.T) {
 	if s1.String() != s4.String() {
 		t.Errorf("cache study report not byte-identical:\n%s\nvs\n%s", s1.String(), s4.String())
 	}
-	if serial[0].CacheKB != 128 || serial[1].CacheKB != 512 {
-		t.Errorf("points out of submission order: %d, %d", serial[0].CacheKB, serial[1].CacheKB)
+	if serial[0].Scenario.Key != "cache/128kB" || serial[1].Scenario.Key != "cache/512kB" {
+		t.Errorf("points out of submission order: %s, %s", serial[0].Scenario.Key, serial[1].Scenario.Key)
 	}
 }
 
-// TestRunSweepsMatchesSerial checks the parallel multi-kernel driver
+// TestRunSweepsMatchesSerial checks a parallel campaign of SweepJobs
 // against direct serial RunSweep calls.
 func TestRunSweepsMatchesSerial(t *testing.T) {
 	t.Parallel()
 	cfgs := []SweepConfig{tinySweep(KernelStates), tinySweep(KernelEFM)}
-	got, err := RunSweeps(context.Background(), campaign.Config{Workers: 2}, cfgs)
+	jobs := []campaign.Job{SweepJob("sweep/states", cfgs[0]), SweepJob("sweep/efm", cfgs[1])}
+	got, err := campaign.Run(context.Background(), campaign.Config{Workers: 2}, jobs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -68,16 +70,17 @@ func TestRunSweepsMatchesSerial(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !reflect.DeepEqual(got[i], want) {
+		if !reflect.DeepEqual(got[i].Value, want) {
 			t.Errorf("sweep %d (%s) differs from serial run", i, cfg.Kernel)
 		}
 	}
 }
 
-// TestRunSweepGrid covers the scenario cross product: per-scenario seeds
-// must make replications statistically independent while the whole grid
-// stays deterministic across worker counts.
-func TestRunSweepGrid(t *testing.T) {
+// TestStreamSweepGridWorkerCountInvariance covers the scenario cross
+// product: per-scenario seeds must make replications statistically
+// independent while the whole grid — points and streamed rows — stays
+// deterministic across worker counts.
+func TestStreamSweepGridWorkerCountInvariance(t *testing.T) {
 	t.Parallel()
 	base := tinySweep(KernelStates)
 	g := campaign.Grid{
@@ -86,20 +89,24 @@ func TestRunSweepGrid(t *testing.T) {
 		Replications: 2,
 		BaseSeed:     7,
 	}
-	run := func(workers int) []GridSweep {
-		pts, err := RunSweepGrid(context.Background(), campaign.Config{Workers: workers}, base, g)
+	run := func(workers int) ([]GridPoint, *results.MemorySink) {
+		sink := results.NewMemorySink()
+		pts, err := StreamSweepGrid(context.Background(), campaign.Config{Workers: workers, Sink: sink}, base, g)
 		if err != nil {
 			t.Fatal(err)
 		}
-		return pts
+		return pts, sink
 	}
-	one := run(1)
-	many := run(4)
+	one, oneRows := run(1)
+	many, manyRows := run(4)
 	if len(one) != 4 {
 		t.Fatalf("%d grid points, want 4", len(one))
 	}
 	if !reflect.DeepEqual(one, many) {
-		t.Error("grid study differs between 1 and 4 workers")
+		t.Error("grid points differ between 1 and 4 workers")
+	}
+	if !reflect.DeepEqual(sinkRows(oneRows), sinkRows(manyRows)) {
+		t.Error("streamed rows differ between 1 and 4 workers")
 	}
 	scs, err := g.Scenarios()
 	if err != nil {
@@ -109,7 +116,7 @@ func TestRunSweepGrid(t *testing.T) {
 		if p.Scenario.Key != scs[i].Key {
 			t.Errorf("point %d key %s, want %s", i, p.Scenario.Key, scs[i].Key)
 		}
-		if p.Model == nil || len(p.Result.Points) == 0 {
+		if p.Model == nil || len(oneRows.Rows(p.Scenario.Key)) == 0 {
 			t.Errorf("point %d empty", i)
 		}
 	}
@@ -158,7 +165,8 @@ func TestCaseStudySeedSensitivity(t *testing.T) {
 // reports it.
 func TestCampaignJobFailurePropagates(t *testing.T) {
 	t.Parallel()
-	if _, err := RunSweeps(context.Background(), campaign.Config{}, []SweepConfig{{Kernel: KernelStates}}); err == nil {
+	jobs := []campaign.Job{SweepJob("sweep/empty", SweepConfig{Kernel: KernelStates})}
+	if _, err := campaign.Run(context.Background(), campaign.Config{}, jobs); err == nil {
 		t.Fatal("empty sweep config accepted")
 	}
 }

@@ -16,9 +16,11 @@ import (
 // float64 bits verbatim and tau.Profile implements GobEncoder — so a
 // resumed figure regeneration is byte-identical to an uninterrupted one.
 
-// checkpointVersion salts every job hash; bump it when a payload's wire
-// format changes so stale store entries stop matching.
-const checkpointVersion = "harness-ckpt-v1"
+// checkpointVersion salts every job hash. Hashes are stable within a
+// version and distinct for distinct configs; bump it when a config struct
+// or a payload's wire format changes, so stale store entries stop matching
+// and the store refills.
+const checkpointVersion = "harness-ckpt-v2"
 
 func init() {
 	// Concrete types that travel inside interface-typed fields:

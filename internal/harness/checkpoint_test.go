@@ -117,6 +117,44 @@ func readShards(t *testing.T, dir string) map[string]string {
 	return out
 }
 
+// runGridJobs runs the grid's stream jobs on one worker against the given
+// store and sink and returns the points and the settle events. With
+// interrupt set the second scenario dies mid-run, as if the process were
+// killed after the first checkpointed: it cancels the campaign and
+// produces nothing.
+func runGridJobs(t *testing.T, base SweepConfig, grid campaign.Grid, st campaign.Store, sink results.Sink, interrupt bool) ([]GridPoint, []campaign.Event, error) {
+	t.Helper()
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	jobs, err := StreamJobs(base, grid)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if interrupt {
+		jobs[1].Run = func(ctx context.Context, _ map[string]any) (any, error) {
+			cancel()
+			return nil, ctx.Err()
+		}
+	}
+	var events []campaign.Event
+	pts, err := runStreamJobs(ctx, campaign.Config{
+		Workers: 1, Store: st, Sink: sink,
+		OnProgress: func(e campaign.Event) { events = append(events, e) },
+	}, jobs)
+	return pts, events, err
+}
+
+// cachedCount counts the jobs a campaign satisfied from its store.
+func cachedCount(events []campaign.Event) int {
+	n := 0
+	for _, e := range events {
+		if e.Cached {
+			n++
+		}
+	}
+	return n
+}
+
 // TestStreamGridInterruptResumeByteIdentical is the end-to-end resume
 // guarantee: a streamed grid campaign killed mid-run (context cancel) and
 // resumed against the same store re-executes zero completed scenarios and
@@ -136,34 +174,7 @@ func TestStreamGridInterruptResumeByteIdentical(t *testing.T) {
 			t.Fatal(err)
 		}
 		defer sink.Close()
-		ctx, cancel := context.WithCancel(context.Background())
-		defer cancel()
-		jobs, err := StreamJobs(base, grid)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if interrupt {
-			// The second scenario dies mid-run, as if the process were
-			// killed after the first checkpointed: it cancels the campaign
-			// and produces nothing.
-			jobs[1].Run = func(ctx context.Context, _ map[string]any) (any, error) {
-				cancel()
-				return nil, ctx.Err()
-			}
-		}
-		var events []campaign.Event
-		res, err := campaign.Run(ctx, campaign.Config{
-			Workers: 1, Store: st, Sink: sink,
-			OnProgress: func(e campaign.Event) { events = append(events, e) },
-		}, jobs)
-		if err != nil {
-			return nil, events, err
-		}
-		pts := make([]GridPoint, len(res))
-		for i, r := range res {
-			pts[i] = r.Value.(GridPoint)
-		}
-		return pts, events, nil
+		return runGridJobs(t, base, grid, st, sink, interrupt)
 	}
 
 	// Reference: an uninterrupted run.
@@ -196,16 +207,8 @@ func TestStreamGridInterruptResumeByteIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var cached, executed int
-	for _, e := range events {
-		if e.Cached {
-			cached++
-		} else {
-			executed++
-		}
-	}
-	if cached != 1 || executed != 1 {
-		t.Errorf("resume: %d cached / %d executed, want 1/1", cached, executed)
+	if cached := cachedCount(events); cached != 1 || len(events) != 2 {
+		t.Errorf("resume: %d cached of %d settled, want 1 of 2", cached, len(events))
 	}
 
 	// The resumed run's streamed shards and grid points match the
@@ -383,31 +386,7 @@ func TestCPUGridInterruptResume(t *testing.T) {
 	}
 
 	run := func(st campaign.Store, interrupt bool) ([]GridPoint, []campaign.Event, error) {
-		ctx, cancel := context.WithCancel(context.Background())
-		defer cancel()
-		jobs, err := StreamJobs(base, grid)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if interrupt {
-			jobs[1].Run = func(ctx context.Context, _ map[string]any) (any, error) {
-				cancel()
-				return nil, ctx.Err()
-			}
-		}
-		var events []campaign.Event
-		res, err := campaign.Run(ctx, campaign.Config{
-			Workers: 1, Store: st,
-			OnProgress: func(e campaign.Event) { events = append(events, e) },
-		}, jobs)
-		if err != nil {
-			return nil, events, err
-		}
-		pts := make([]GridPoint, len(res))
-		for i, r := range res {
-			pts[i] = r.Value.(GridPoint)
-		}
-		return pts, events, nil
+		return runGridJobs(t, base, grid, st, nil, interrupt)
 	}
 
 	refStore, err := store.Open(t.TempDir())
@@ -437,16 +416,71 @@ func TestCPUGridInterruptResume(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var cached int
-	for _, e := range events {
-		if e.Cached {
-			cached++
-		}
-	}
-	if cached != 1 {
+	if cached := cachedCount(events); cached != 1 {
 		t.Errorf("resume replayed %d checkpoints, want 1", cached)
 	}
 	if !reflect.DeepEqual(refPts, resumePts) {
 		t.Error("resumed CPU grid points differ from uninterrupted run")
+	}
+}
+
+// spyStore records the hashes the campaign asks a store for.
+type spyStore struct {
+	campaign.Store
+	asked map[string]bool
+}
+
+func (s *spyStore) Get(key, hash string) ([]byte, bool, error) {
+	s.asked[hash] = true
+	return s.Store.Get(key, hash)
+}
+
+// TestStaleStoreEntriesAreInert is the version bump's contract: to a new
+// binary, a store filled under an older checkpoint version holds entries at
+// hashes no current job computes. They must never be read — the grid
+// re-runs in full, with no decode error and the right output — and the
+// refilled store must then serve a second run completely.
+func TestStaleStoreEntriesAreInert(t *testing.T) {
+	t.Parallel()
+	base := tinySweep(KernelStates)
+	grid := campaign.Grid{
+		Base:     base.World,
+		Axes:     []campaign.Dimension{campaign.CacheAxis(128, 512)},
+		BaseSeed: 1,
+	}
+	scs, err := grid.Scenarios()
+	if err != nil {
+		t.Fatal(err)
+	}
+	disk, err := store.Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	staleHash := store.Hash("harness-ckpt-v1", "gridpoint", base, scs[0])
+	if err := disk.Put(scs[0].Key, staleHash, []byte("not a gob payload")); err != nil {
+		t.Fatal(err)
+	}
+	st := &spyStore{Store: disk, asked: map[string]bool{}}
+
+	run := func(st campaign.Store) ([]GridPoint, map[string]string, int) {
+		sink := results.NewMemorySink()
+		pts, events, err := runGridJobs(t, base, grid, st, sink, false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return pts, sinkRows(sink), cachedCount(events)
+	}
+	wantPts, wantRows, _ := run(nil)
+	for pass, wantCached := range []int{0, len(scs)} {
+		pts, rows, cached := run(st)
+		if cached != wantCached {
+			t.Errorf("pass %d over the stale store replayed %d job(s), want %d", pass, cached, wantCached)
+		}
+		if !reflect.DeepEqual(pts, wantPts) || !reflect.DeepEqual(rows, wantRows) {
+			t.Errorf("pass %d over the stale store differs from a store-less run", pass)
+		}
+	}
+	if st.asked[staleHash] {
+		t.Error("the stale entry's hash was looked up")
 	}
 }

@@ -1,11 +1,10 @@
 package harness
 
 import (
-	"bufio"
+	"bytes"
 	"fmt"
 	"os"
-	"strconv"
-	"strings"
+	"reflect"
 	"testing"
 
 	"repro/internal/campaign"
@@ -13,21 +12,19 @@ import (
 	"repro/internal/netmodel"
 )
 
-// TestGridStabilityGolden is the redesign's compatibility proof: the
-// golden file was generated by the pre-Dimension code (struct-field Grid,
-// named-field Scenario) and pins, for three representative grids, every
-// scenario key, derived seed and checkpoint job hash, plus the %#v
-// renderings the hashes digest. The axis-based grids below must reproduce
-// all of it byte for byte — otherwise every payload in a PR 2
-// content-addressed store would silently stop being addressable.
+// TestGridStabilityGolden pins, for three representative grids, every
+// scenario key and derived seed in expansion order, byte for byte. Keys
+// name row shards and seeds drive every simulated machine, so a drift here
+// moves rendered output; store addresses are not pinned — they are stable
+// within a checkpoint version only.
 func TestGridStabilityGolden(t *testing.T) {
 	t.Parallel()
-	base := DefaultSweep(KernelStates)
-	base.World.Procs = 2
-	base.World.Seed = 1
+	base := DefaultSweep(KernelStates).World
+	base.Procs = 2
+	base.Seed = 1
 
 	wide := campaign.Grid{
-		Base: base.World,
+		Base: base,
 		Axes: []campaign.Dimension{
 			campaign.RankAxis(2, 3),
 			campaign.NetAxis(
@@ -45,159 +42,159 @@ func TestGridStabilityGolden(t *testing.T) {
 	odd := mpi.DefaultConfig()
 	odd.Cache.SizeBytes = 98_816
 
-	trendBase := DefaultSweep(KernelStates)
-	trendBase.World.Procs = 3
-	trendBase.World.Seed = 1
+	trendBase := DefaultSweep(KernelStates).World
+	trendBase.Procs = 3
+	trendBase.Seed = 1
 
-	grids := map[string]struct {
-		base SweepConfig
+	var got bytes.Buffer
+	for _, tc := range []struct {
+		id   string
 		grid campaign.Grid
 	}{
-		"wide":    {base, wide},
-		"unswept": {base, campaign.Grid{Base: odd}},
-		"trend": {trendBase, campaign.Grid{
-			Base:         trendBase.World,
+		{"wide", wide},
+		{"unswept", campaign.Grid{Base: odd}},
+		{"trend", campaign.Grid{
+			Base:         trendBase,
 			Axes:         []campaign.Dimension{campaign.CacheAxis(128, 256, 512, 1024)},
 			Replications: 2,
 			BaseSeed:     1,
 		}},
-	}
-	type ident struct {
-		seed                 int64
-		hashPoint, hashSweep string
-	}
-	got := map[string]map[string]ident{} // grid id -> key -> identity
-	order := map[string][]string{}
-	for id, tc := range grids {
+	} {
 		scs, err := tc.grid.Scenarios()
 		if err != nil {
-			t.Fatalf("%s: %v", id, err)
+			t.Fatalf("%s: %v", tc.id, err)
 		}
-		got[id] = map[string]ident{}
 		for _, sc := range scs {
-			got[id][sc.Key] = ident{
-				seed:      sc.World.Seed,
-				hashPoint: jobHash("gridpoint", tc.base, sc),
-				hashSweep: jobHash("gridsweep", tc.base, sc),
-			}
-			order[id] = append(order[id], sc.Key)
+			fmt.Fprintf(&got, "scenario\t%s\t%s\t%d\n", tc.id, sc.Key, sc.World.Seed)
 		}
 	}
-
-	f, err := os.Open("testdata/grid_stability_golden.tsv")
+	want, err := os.ReadFile("testdata/grid_stability_golden.tsv")
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer f.Close()
-	seen := map[string]int{}
-	scan := bufio.NewScanner(f)
-	scan.Buffer(make([]byte, 1<<20), 1<<20)
-	line := 0
-	for scan.Scan() {
-		line++
-		parts := strings.Split(scan.Text(), "\t")
-		switch parts[0] {
-		case "scenario":
-			id, key := parts[1], parts[2]
-			wantSeed, err := strconv.ParseInt(parts[3], 10, 64)
-			if err != nil {
-				t.Fatalf("line %d: %v", line, err)
-			}
-			g, ok := got[id][key]
-			if !ok {
-				t.Errorf("%s: scenario %q missing from axis-based expansion", id, key)
-				continue
-			}
-			if keys := order[id]; keys[seen[id]] != key {
-				t.Errorf("%s: scenario %d is %q, golden order says %q", id, seen[id], keys[seen[id]], key)
-			}
-			seen[id]++
-			if g.seed != wantSeed {
-				t.Errorf("%s %s: seed %d, golden %d", id, key, g.seed, wantSeed)
-			}
-			if g.hashPoint != parts[4] {
-				t.Errorf("%s %s: gridpoint hash drifted\n got %s\nwant %s", id, key, g.hashPoint, parts[4])
-			}
-			if g.hashSweep != parts[5] {
-				t.Errorf("%s %s: gridsweep hash drifted\n got %s\nwant %s", id, key, g.hashSweep, parts[5])
-			}
-		case "config":
-			var h string
-			switch parts[1] {
-			case "sweep":
-				h = jobHash("sweep", base)
-			case "case":
-				ccfg := DefaultCaseStudy()
-				ccfg.World.Procs = 2
-				ccfg.World.Seed = 5
-				h = jobHash("case", ccfg)
-			default:
-				t.Fatalf("line %d: unknown config id %q", line, parts[1])
-			}
-			if h != parts[2] {
-				t.Errorf("config %s: hash drifted\n got %s\nwant %s", parts[1], h, parts[2])
-			}
-		case "gostring":
-			var s string
-			switch parts[1] {
-			case "world":
-				s = fmt.Sprintf("%#v", base.World)
-			case "scenario":
-				scs, err := wide.Scenarios()
-				if err != nil {
-					t.Fatal(err)
-				}
-				s = fmt.Sprintf("%#v", scs[0])
-			default:
-				t.Fatalf("line %d: unknown gostring id %q", line, parts[1])
-			}
-			if s != parts[2] {
-				t.Errorf("%s rendering drifted\n got %s\nwant %s", parts[1], s, parts[2])
-			}
-		default:
-			t.Fatalf("line %d: unknown record %q", line, parts[0])
-		}
-	}
-	if err := scan.Err(); err != nil {
-		t.Fatal(err)
-	}
-	for id, keys := range order {
-		if seen[id] != len(keys) {
-			t.Errorf("%s: expansion has %d scenarios, golden has %d", id, len(keys), seen[id])
-		}
+	if !bytes.Equal(got.Bytes(), want) {
+		t.Errorf("grid keys or seeds drifted\n got:\n%s\nwant:\n%s", got.Bytes(), want)
 	}
 }
 
-// TestCPUAxisHashesDistinct is the other half of the stability contract:
-// scenarios that do use the new axis must NOT collide with legacy hashes —
-// a tuned machine is a different experiment.
+// TestCPUAxisHashesDistinct is the fingerprint's distinctness contract:
+// every field a job's result or execution depends on moves its checkpoint
+// hash, so a store never answers one experiment with another's payload.
 func TestCPUAxisHashesDistinct(t *testing.T) {
 	t.Parallel()
 	base := DefaultSweep(KernelStates)
-	identity := campaign.Grid{Base: base.World}
-	tuned := campaign.Grid{
+	scs, err := campaign.Grid{Base: base.World}.Scenarios()
+	if err != nil {
+		t.Fatal(err)
+	}
+	plain := scs[0]
+
+	ref := StreamJob(base, plain).Hash
+	for _, tc := range []struct {
+		name string
+		flip func(*mpi.WorldConfig)
+	}{
+		{"Tune", func(w *mpi.WorldConfig) { w.Tune = mpi.CPUTune{ClockScale: 2} }},
+		{"Sched", func(w *mpi.WorldConfig) { w.Sched = mpi.ConservativeParallel }},
+		{"MaxParallelRanks", func(w *mpi.WorldConfig) { w.MaxParallelRanks = 4 }},
+		{"SpecWindowMin/Max", func(w *mpi.WorldConfig) { w.SpecWindowMin, w.SpecWindowMax = 8, 128 }},
+		{"Cache.SizeBytes", func(w *mpi.WorldConfig) { w.Cache.SizeBytes *= 2 }},
+		{"Seed", func(w *mpi.WorldConfig) { w.Seed++ }},
+	} {
+		sc := plain
+		tc.flip(&sc.World)
+		if StreamJob(base, sc).Hash == ref {
+			t.Errorf("flipping %s leaves the stream job's hash unchanged", tc.name)
+		}
+		// SweepJob and CaseStudyJob hash configs, not scenarios: the world
+		// alone must carry the difference.
+		b := base
+		b.World = sc.World
+		if SweepJob("k", b).Hash == SweepJob("k", base).Hash {
+			t.Errorf("flipping %s leaves the sweep job's hash unchanged", tc.name)
+		}
+	}
+	efm := base
+	efm.Kernel = KernelEFM
+	if StreamJob(efm, plain).Hash == ref {
+		t.Error("changing the kernel leaves the stream job's hash unchanged")
+	}
+	custom := plain
+	custom.Coords = append(append([]campaign.Coord(nil), plain.Coords...),
+		campaign.Coord{Axis: "latency", Key: "lat10", Value: 10.0})
+	if StreamJob(base, custom).Hash == ref {
+		t.Error("a custom coordinate leaves the stream job's hash unchanged")
+	}
+
+	// A seed-inert axis: same seed (the results must be identical), but
+	// separate checkpoint entries per scheduler.
+	scs, err = campaign.Grid{
 		Base: base.World,
-		Axes: []campaign.Dimension{campaign.CPUAxis(mpi.CPUTune{ClockScale: 2})},
-	}
-	plain, err := identity.Scenarios()
+		Axes: []campaign.Dimension{campaign.SchedModeAxis(mpi.Serial, mpi.ConservativeParallel)},
+	}.Scenarios()
 	if err != nil {
 		t.Fatal(err)
 	}
-	hot, err := tuned.Scenarios()
-	if err != nil {
-		t.Fatal(err)
+	if scs[0].World.Seed != scs[1].World.Seed {
+		t.Error("scenarios differing only on the sched axis derive different seeds")
 	}
-	if h1, h2 := jobHash("gridpoint", base, plain[0]), jobHash("gridpoint", base, hot[0]); h1 == h2 {
-		t.Error("tuned and untuned scenarios share a checkpoint hash")
+	if StreamJob(base, scs[0]).Hash == StreamJob(base, scs[1]).Hash {
+		t.Error("scenarios differing only on the sched axis share a checkpoint hash")
 	}
-	// The world rendering alone must also distinguish them (SweepJob and
-	// CaseStudyJob hash configs, not scenarios).
-	if fmt.Sprintf("%#v", plain[0].World) == fmt.Sprintf("%#v", hot[0].World) {
-		t.Error("tuned world renders identically to untuned")
+}
+
+// TestHashedConfigsArePlainValues guards the one way %#v stops being a
+// deterministic fingerprint: a pointer, map, func, chan or unsafe.Pointer
+// inside a hashed config renders as an address (or, for a map, invites
+// one). It walks everything jobHash is handed: the config structs, the
+// scenario, and every coordinate value the library's axes put on one.
+func TestHashedConfigsArePlainValues(t *testing.T) {
+	t.Parallel()
+	var walk func(path string, typ reflect.Type)
+	walk = func(path string, typ reflect.Type) {
+		switch typ.Kind() {
+		case reflect.Interface:
+			// An interface hides its dynamic type from this walk; the one
+			// hashed interface field is walked value by value below.
+			if path != "Scenario.Coords[].Value" {
+				t.Errorf("%s is an interface: its dynamic type escapes this check", path)
+			}
+		case reflect.Ptr, reflect.Map, reflect.Func, reflect.Chan, reflect.UnsafePointer:
+			t.Errorf("%s is a %s: %%#v of it is not a stable fingerprint", path, typ.Kind())
+		case reflect.Slice, reflect.Array:
+			walk(path+"[]", typ.Elem())
+		case reflect.Struct:
+			for i := 0; i < typ.NumField(); i++ {
+				walk(path+"."+typ.Field(i).Name, typ.Field(i).Type)
+			}
+		}
 	}
-	// And an identity-valued tune field must not leak into legacy worlds:
-	// the zero tune renders invisibly.
-	if s := fmt.Sprintf("%#v", plain[0].World); strings.Contains(s, "Tune") {
-		t.Errorf("zero tune visible in rendering: %s", s)
+	walk("SweepConfig", reflect.TypeOf(SweepConfig{}))
+	walk("CaseStudyConfig", reflect.TypeOf(CaseStudyConfig{}))
+	walk("Scenario", reflect.TypeOf(campaign.Scenario{}))
+
+	base := mpi.DefaultConfig()
+	for _, axes := range [][]campaign.Dimension{
+		{
+			campaign.RankAxis(2),
+			campaign.NetAxis(campaign.NamedNet{Name: "eth", Model: netmodel.FastEthernet()}),
+			campaign.CacheAxis(128),
+			campaign.MeshAxis(campaign.MeshSize{Nx: 96, Ny: 24}),
+			campaign.FluxAxis("efm"),
+			campaign.CPUAxis(mpi.CPUTune{ClockScale: 2, HitScale: 0.5}),
+			campaign.SchedAxis(campaign.SchedChoice{Mode: mpi.OptimisticParallel, MaxParallelRanks: 2, SpecWindowMin: 8, SpecWindowMax: 128}),
+		},
+		// The two constructors that share an axis name with one above.
+		{campaign.CPUClockAxis(0.5), campaign.SchedModeAxis(mpi.ConservativeParallel)},
+	} {
+		scs, err := campaign.Grid{Base: base, Axes: axes}.Scenarios()
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, sc := range scs {
+			for _, c := range sc.Coords {
+				walk("Coord["+c.Axis+"].Value", reflect.TypeOf(c.Value))
+			}
+		}
 	}
 }

@@ -11,6 +11,7 @@ import (
 
 	"repro/internal/campaign"
 	"repro/internal/mpi"
+	"repro/internal/results"
 )
 
 // This file is the tentpole's headline proof at the harness layer: for
@@ -204,11 +205,12 @@ func TestSchedGridEquivalenceAtScale(t *testing.T) {
 		},
 		Replications: 2,
 	}
-	points, err := RunSweepGrid(context.Background(), campaign.Config{}, base, g)
+	sink := results.NewMemorySink()
+	points, err := StreamSweepGrid(context.Background(), campaign.Config{Sink: sink}, base, g)
 	if err != nil {
 		t.Fatal(err)
 	}
-	byExperiment := map[string][]GridSweep{}
+	byExperiment := map[string][]GridPoint{}
 	for _, p := range points {
 		sched := p.Scenario.Label(campaign.AxisSched)
 		exp := strings.Replace(p.Scenario.Key, "/"+sched, "", 1)
@@ -221,12 +223,16 @@ func TestSchedGridEquivalenceAtScale(t *testing.T) {
 		if len(group) != 3 {
 			t.Fatalf("experiment %s has %d scheduler variants, want 3", exp, len(group))
 		}
+		rows := sink.Rows(group[0].Scenario.Key)
+		if len(rows) == 0 {
+			t.Errorf("experiment %s: no rows streamed", exp)
+		}
 		for _, p := range group[1:] {
 			if group[0].Scenario.World.Seed != p.Scenario.World.Seed {
 				t.Errorf("experiment %s: seeds differ across the seed-inert sched axis", exp)
 			}
-			if !reflect.DeepEqual(group[0].Result.Points, p.Result.Points) {
-				t.Errorf("experiment %s: sweep points differ between schedulers", exp)
+			if !reflect.DeepEqual(rows, sink.Rows(p.Scenario.Key)) {
+				t.Errorf("experiment %s: streamed rows differ between schedulers", exp)
 			}
 			if !reflect.DeepEqual(group[0].Model, p.Model) {
 				t.Errorf("experiment %s: fitted models differ between schedulers", exp)

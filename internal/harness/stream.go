@@ -8,12 +8,12 @@ import (
 	"repro/internal/results"
 )
 
-// This file is the bounded-memory grid path: where RunSweepGrid buffers
-// every scenario's whole SweepResult, StreamSweepGrid emits each sweep's
-// telemetry rows into the campaign sink and keeps only a GridPoint — the
-// scenario coordinates and the fitted model — per scenario. A
-// thousand-scenario grid therefore streams through a CSV-shard sink with
-// memory bounded by the scenarios in flight, not by the grid size.
+// This file is the grid path. It never buffers a scenario's SweepResult:
+// StreamSweepGrid emits each sweep's telemetry rows into the campaign sink
+// and keeps only a GridPoint — the scenario coordinates and the fitted
+// model — per scenario. A thousand-scenario grid therefore streams through
+// a CSV-shard sink with memory bounded by the scenarios in flight, not by
+// the grid size.
 
 // GridPoint is one scenario's distilled outcome in a streaming grid run:
 // the coordinates, the kernel that was measured (after the flux dimension
@@ -28,8 +28,7 @@ type GridPoint struct {
 // gridCheckpoint is a stream job's stored payload: the point plus the rows
 // it emitted, so a resumed campaign replays the exact same stream. Spec
 // carries the sweep's scheduler telemetry so non-serial points replay
-// their spec row too (gob tolerates its absence in older payloads, but
-// those are invalidated by the "+spec1" hash salt anyway).
+// their spec row too.
 type gridCheckpoint struct {
 	Point GridPoint
 	Rows  []results.Row
@@ -47,7 +46,7 @@ func StreamJob(base SweepConfig, sc campaign.Scenario) campaign.Job {
 	var spec mpi.SpecStats
 	return campaign.Job{
 		Key:  sc.Key,
-		Hash: jobHash(specKind("gridpoint", sc.World), base, sc),
+		Hash: jobHash("gridpoint", base, sc),
 		Encode: func(v any) ([]byte, error) {
 			data, err := encodeGob(gridCheckpoint{Point: v.(GridPoint), Rows: rows, Spec: spec})
 			rows = nil
@@ -58,11 +57,6 @@ func StreamJob(base SweepConfig, sc campaign.Scenario) campaign.Job {
 			if err != nil {
 				return nil, err
 			}
-			// The scenario comes from the current expansion, not the stored
-			// payload: the store matched on (key, hash), so it is the same
-			// point, and payloads written before the Dimension redesign
-			// carry scenarios without coordinates.
-			ck.Point.Scenario = sc
 			if err := replayRows(ctx, sc.Key, ck.Rows); err != nil {
 				return ck.Point, err
 			}
@@ -119,6 +113,12 @@ func StreamSweepGrid(ctx context.Context, cc campaign.Config, base SweepConfig, 
 	if err != nil {
 		return nil, err
 	}
+	return runStreamJobs(ctx, cc, jobs)
+}
+
+// runStreamJobs runs stream jobs as one campaign and collects their
+// GridPoints in submission order.
+func runStreamJobs(ctx context.Context, cc campaign.Config, jobs []campaign.Job) ([]GridPoint, error) {
 	res, err := campaign.Run(ctx, cc, jobs)
 	if err != nil {
 		return nil, err

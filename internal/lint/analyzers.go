@@ -2,5 +2,5 @@ package lint
 
 // All returns the repolint analyzer suite in reporting order.
 func All() []*Analyzer {
-	return []*Analyzer{Gostringpin, Lockio, Mapiter, Obscapture, Pkgdoc, Wallclock}
+	return []*Analyzer{Lockio, Mapiter, Obscapture, Pkgdoc, Wallclock}
 }

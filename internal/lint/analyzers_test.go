@@ -24,14 +24,6 @@ func TestMapiterClean(t *testing.T) {
 	runFixture(t, Mapiter, filepath.Join("mapiter", "clean"))
 }
 
-func TestGostringpinFixture(t *testing.T) {
-	runFixture(t, Gostringpin, filepath.Join("gostringpin", "a"))
-}
-
-func TestGostringpinClean(t *testing.T) {
-	runFixture(t, Gostringpin, filepath.Join("gostringpin", "clean"))
-}
-
 func TestLockioFixture(t *testing.T) {
 	diags := runFixture(t, Lockio, filepath.Join("lockio", "a"))
 	if got := countSuppressed(diags); got < 1 {

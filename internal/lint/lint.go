@@ -1,4 +1,4 @@
-// Package lint is repolint's static-analysis engine: six custom
+// Package lint is repolint's static-analysis engine: five custom
 // analyzers that enforce, at build time, the determinism invariants the
 // rest of the repository proves at run time with golden tests.
 //
@@ -6,13 +6,11 @@
 // worker counts, resumed checkpoints, scheduler modes and distributed
 // owners — rests on hygiene rules (no wall clocks or global RNG in
 // deterministic paths, no unsorted map iteration feeding sinks or
-// hashes, %#v-pinned structs whose GoString shims cover every field, no
-// mutex held across lease I/O, obs instruments captured at
+// hashes, no mutex held across lease I/O, obs instruments captured at
 // construction, a package doc comment on every package so the written
 // API contract stays anchored in the source). Violations used to
-// surface only when a golden test
-// caught changed bytes; the analyzers here catch them before the code
-// runs.
+// surface only when a golden test caught changed bytes; the analyzers
+// here catch them before the code runs.
 //
 // The engine is deliberately self-contained: it is a small reimplementation
 // of the golang.org/x/tools/go/analysis shape (Analyzer, Pass, Diagnostic,

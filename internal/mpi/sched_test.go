@@ -303,25 +303,6 @@ func TestValidateRejectsInvalidConfig(t *testing.T) {
 	}
 }
 
-// TestSchedGoStringStability: the zero-value scheduler fields must render
-// invisibly (checkpoint hashes digest %#v), and non-default ones must show.
-func TestSchedGoStringStability(t *testing.T) {
-	t.Parallel()
-	plain := fmt.Sprintf("%#v", testConfig(3))
-	if strings.Contains(plain, "Sched") || strings.Contains(plain, "MaxParallelRanks") {
-		t.Errorf("zero scheduler config visible in rendering: %s", plain)
-	}
-	cfg := parConfig(3)
-	cfg.MaxParallelRanks = 4
-	par := fmt.Sprintf("%#v", cfg)
-	if !strings.Contains(par, "Sched:1") || !strings.Contains(par, "MaxParallelRanks:4") {
-		t.Errorf("non-default scheduler config not rendered: %s", par)
-	}
-	if !strings.HasPrefix(par, strings.TrimSuffix(plain, "}")) {
-		t.Errorf("scheduler fields must append to the legacy rendering:\nplain: %s\npar:   %s", plain, par)
-	}
-}
-
 // TestParallelBodyPanicPropagates: a rank panic aborts the world and
 // surfaces as an error under both parallel schedulers too.
 func TestParallelBodyPanicPropagates(t *testing.T) {

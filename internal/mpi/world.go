@@ -183,52 +183,11 @@ type WorldConfig struct {
 	// per-rank adaptive speculation window: each rank's window starts at
 	// SpecWindowMax, halves (never below SpecWindowMin) whenever the rank
 	// rolls back, and grows back additively after clean commit batches.
-	// Both zero (the default) keeps the fixed 4096-event window, so
-	// existing scenario keys and checkpoint hashes stay byte-identical;
-	// set both (0 < min <= max) to enable adaptation. min == max pins a
-	// fixed window of that size. Ignored outside OptimisticParallel.
+	// Both zero (the default) keeps the fixed 4096-event window; set both
+	// (0 < min <= max) to enable adaptation. min == max pins a fixed
+	// window of that size. Ignored outside OptimisticParallel.
 	SpecWindowMin int
 	SpecWindowMax int
-}
-
-// legacyWorldConfig mirrors WorldConfig's pre-Tune field set. GoString
-// renders through it so configurations that do not use the CPU tune or the
-// parallel scheduler keep the exact %#v bytes they had before those fields
-// existed — campaign checkpoint hashes are SHA-256 digests of that
-// rendering, and stored payloads from earlier runs must stay addressable.
-type legacyWorldConfig struct {
-	Procs      int
-	CPU        platform.CPUModel
-	Cache      cache.Config
-	Net        netmodel.Model
-	Seed       int64
-	InitUS     float64
-	FinalizeUS float64
-}
-
-// GoString implements fmt.GoStringer (%#v). A zero Tune/Sched renders
-// exactly like the pre-Tune WorldConfig; non-default fields are appended,
-// so tuned machines and non-default schedulers hash distinctly while
-// untouched configs keep byte-identical checkpoint hashes and seeds.
-func (c WorldConfig) GoString() string {
-	legacy := legacyWorldConfig{
-		Procs: c.Procs, CPU: c.CPU, Cache: c.Cache, Net: c.Net,
-		Seed: c.Seed, InitUS: c.InitUS, FinalizeUS: c.FinalizeUS,
-	}
-	s := "mpi.WorldConfig" + strings.TrimPrefix(fmt.Sprintf("%#v", legacy), "mpi.legacyWorldConfig")
-	if !c.Tune.IsZero() {
-		s = strings.TrimSuffix(s, "}") + fmt.Sprintf(", Tune:%#v}", c.Tune)
-	}
-	if c.Sched != Serial {
-		s = strings.TrimSuffix(s, "}") + fmt.Sprintf(", Sched:%d}", int(c.Sched))
-	}
-	if c.MaxParallelRanks != 0 {
-		s = strings.TrimSuffix(s, "}") + fmt.Sprintf(", MaxParallelRanks:%d}", c.MaxParallelRanks)
-	}
-	if c.SpecWindowMin != 0 || c.SpecWindowMax != 0 {
-		s = strings.TrimSuffix(s, "}") + fmt.Sprintf(", SpecWindowMin:%d, SpecWindowMax:%d}", c.SpecWindowMin, c.SpecWindowMax)
-	}
-	return s
 }
 
 // Validate reports whether the configuration describes a runnable machine.
@@ -292,9 +251,8 @@ func (c WorldConfig) WithScheduler(mode SchedulerMode, n int) WorldConfig {
 // adaptive speculation window bounded to [min, max] recorded events per
 // rank, the shape the -specwindow command-line flag uses. min == max pins
 // a fixed window of that size; 0, 0 restores the default fixed
-// 4096-event window. The window only changes wall-clock behavior —
-// results stay bit-identical — but a non-default window salts the
-// checkpoint hash like the other non-serial knobs.
+// 4096-event window. The window only changes wall-clock behavior;
+// results stay bit-identical.
 func (c WorldConfig) WithSpecWindow(min, max int) WorldConfig {
 	c.SpecWindowMin, c.SpecWindowMax = min, max
 	return c

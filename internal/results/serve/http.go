@@ -212,7 +212,6 @@ func (s *Service) parseFilter(v url.Values) (Filter, error) {
 // indexResponse is the "/" body: what is being served and how to ask.
 type indexResponse struct {
 	Service   string   `json:"service"`
-	RowsDir   string   `json:"rows_dir"`
 	Scenarios int      `json:"scenarios"`
 	Axes      []string `json:"axes"`
 	Backends  []string `json:"backends"`
@@ -228,7 +227,6 @@ func (s *Service) handleIndex(r *http.Request) (any, error) {
 	}
 	return indexResponse{
 		Service:   "resultsd",
-		RowsDir:   s.catalog.Dir(),
 		Scenarios: len(s.catalog.Scenarios()),
 		Axes:      s.catalog.Axes(),
 		Backends:  backendNames,

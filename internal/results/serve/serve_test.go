@@ -188,13 +188,45 @@ func TestHandlersGolden(t *testing.T) {
 	}
 }
 
+// copyFixture copies a rows directory's files, minus those with the
+// skipped extension, into a fresh directory.
+func copyFixture(t *testing.T, src, skipExt string) string {
+	t.Helper()
+	dst := t.TempDir()
+	entries, err := os.ReadDir(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range entries {
+		if filepath.Ext(e.Name()) == skipExt {
+			continue
+		}
+		data, err := os.ReadFile(filepath.Join(src, e.Name()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(dst, e.Name()), data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return dst
+}
+
 func TestResponsesByteIdenticalAcrossInstances(t *testing.T) {
-	// Two independent services over two independently written (but
-	// identical) fixtures must serve identical bytes: the determinism
-	// contract the API document leans on.
-	s1, _ := newTestService(t, 0)
-	s2, _ := newTestService(t, 0)
+	// Two independent services, the second over a copy of the first's
+	// rows directory at another path, must serve identical bytes: the
+	// determinism contract the API document leans on.
+	dir := fixtureDir(t)
+	s1, err := New(dir, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s2, err := New(copyFixture(t, dir, ""), Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
 	targets := []string{
+		"/",
 		"/predict?scenario=p2_base_c256kB_cpu1x_quiet_opt_r0&measure=mean_us&q=5000",
 		"/trend?axis=cache_kb&sched=opt",
 		"/scenario?name=p8_base_c128kB_cpu1x_loaded_serial_r0",
@@ -218,23 +250,7 @@ func TestBinAndCSVShardsServeIdenticalModels(t *testing.T) {
 	// over a copy of the fixture with the .bin files removed serves the
 	// same scenario from CSV. Fitted coefficients must agree exactly.
 	dir := fixtureDir(t)
-	csvOnly := t.TempDir()
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, e := range entries {
-		if filepath.Ext(e.Name()) == ".bin" {
-			continue
-		}
-		data, err := os.ReadFile(filepath.Join(dir, e.Name()))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(filepath.Join(csvOnly, e.Name()), data, 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
+	csvOnly := copyFixture(t, dir, ".bin")
 	sBin, err := New(dir, Options{})
 	if err != nil {
 		t.Fatal(err)

@@ -193,9 +193,15 @@ func (s *Store) Len() (int, error) {
 }
 
 // Hash fingerprints a job configuration: each part is rendered with %#v
-// (deterministic for the plain config structs this repository uses) and
-// folded into one SHA-256 digest. Callers should include a format-version
-// salt so stored payloads are invalidated when their encoding changes.
+// and folded into one SHA-256 digest. %#v covers every field, so distinct
+// configs hash distinctly; it is deterministic across processes only for
+// plain value types — numbers, strings, bools, and arrays, slices and
+// structs of those. A pointer, func or chan anywhere in a part renders as
+// an address that differs from run to run, so a part must not contain one
+// (nor a map: no config needs one, and excluding it keeps the rule a
+// simple reflection walk). Callers should include a format-version salt so
+// stored payloads are invalidated when a config struct or its payload
+// encoding changes.
 func Hash(parts ...any) string {
 	h := sha256.New()
 	for _, p := range parts {
