@@ -81,9 +81,15 @@ func main() {
 		traceOut = flag.String("trace", "", "write a Chrome trace-event JSON of the run to this file (load in chrome://tracing or Perfetto)")
 		metrics  = flag.String("metrics", "", "serve live /metrics and /trace on this HTTP address while the run executes (e.g. localhost:9090)")
 		metDump  = flag.String("metricsdump", "", "write the final metrics registry in text exposition format to this file")
+		cpuProf  = flag.String("cpuprofile", "", "write a CPU profile of the run to this file (go tool pprof); output bytes are unchanged")
+		memProf  = flag.String("memprofile", "", "write an allocation profile to this file when the run ends (go tool pprof -sample_index=alloc_space); output bytes are unchanged")
 	)
 	flag.Parse()
 	if err := os.MkdirAll(*outDir, 0o755); err != nil {
+		fatal(err)
+	}
+	stopProfiles, err := obs.StartProfiles(*cpuProf, *memProf)
+	if err != nil {
 		fatal(err)
 	}
 	trendCaches, err := parseInts(*caches)
@@ -225,6 +231,9 @@ func main() {
 		if cerr := msrv.Close(); err == nil {
 			err = cerr
 		}
+	}
+	if perr := stopProfiles(); err == nil {
+		err = perr
 	}
 	if err != nil {
 		fatal(err)

@@ -45,8 +45,15 @@ func main() {
 		ttl      = flag.Duration("leasettl", 0, "lease heartbeat expiry for -distributed; a crashed worker's jobs are stolen after this (0 = 30s default)")
 		traceOut = flag.String("trace", "", "write a Chrome trace-event JSON of the run to this file (load in chrome://tracing or Perfetto); output bytes are unchanged")
 		metDump  = flag.String("metricsdump", "", "write the final metrics registry in text exposition format to this file")
+		cpuProf  = flag.String("cpuprofile", "", "write a CPU profile of the run to this file (go tool pprof); output bytes are unchanged")
+		memProf  = flag.String("memprofile", "", "write an allocation profile to this file when the run ends (go tool pprof -sample_index=alloc_space); output bytes are unchanged")
 	)
 	flag.Parse()
+	stopProfiles, err := obs.StartProfiles(*cpuProf, *memProf)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(2)
+	}
 
 	// Observation is write-only: everything printed below is byte-identical
 	// with or without these flags. The observer must be live before any
@@ -294,5 +301,9 @@ func main() {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)
 		}
+	}
+	if err := stopProfiles(); err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(1)
 	}
 }

@@ -353,7 +353,10 @@
 // From the command line, "cmd/figures -trace run.json" writes the trace,
 // "-metrics localhost:9090" serves live /metrics and /trace endpoints
 // while the campaign executes, and "-metricsdump metrics.txt" writes the
-// final registry for CI. "cmd/obsreport -store <shared dir> -trace
+// final registry for CI; "-cpuprofile cpu.prof" and "-memprofile mem.prof"
+// (also on cmd/pmmcase) write runtime/pprof profiles of the run for "go
+// tool pprof", so the answer to "where does the simulator spend its host
+// time" needs no benchmark wrapper. "cmd/obsreport -store <shared dir> -trace
 // run.json" turns a finished distributed run's lease audit and trace
 // into per-owner and per-track throughput tables, and validates the
 // trace schema (-require campaign,lease,mpi) so CI fails when an

@@ -6,6 +6,18 @@
 // the simulator, which accounts hits and misses; the platform's CPU model
 // converts those counts into virtual time. The default configuration mirrors
 // the paper's testbed (dual 2.8 GHz Pentium Xeon, 512 kB L2, 64 B lines).
+//
+// The simulator is the hottest code in the repository (every simulated
+// memory access of every kernel goes through AccessRange), and it is
+// optimised under one rule: no simulated statistic may move. The
+// implementation it replaced — one directory lookup per element, a separate
+// valid bit per way, memmove for the LRU shift — is kept, verbatim, in
+// reference_test.go, and differential_test.go drives both with seeded random
+// traces over many geometries (and a fuzz target with free-form ones),
+// requiring identical per-call results, counters, directory contents and
+// residency after every call. The reference lives in a test file so that it
+// can never be selected at run time: there is one cache model, and a slower
+// copy of it that only judges.
 package cache
 
 import "fmt"
@@ -77,11 +89,13 @@ type Cache struct {
 	cfg       Config
 	lineShift uint
 	setMask   uint64
-	// ways holds, per set, the resident line IDs in LRU order
-	// (index 0 = most recently used). A zero entry means "empty" and is
-	// disambiguated by the valid bitmask.
-	ways  []uint64
-	valid []bool
+	// tags holds, per set, the resident lines in LRU order (index 0 = most
+	// recently used) as line ID + 1; a zero entry is an empty way. Ways fill
+	// from the MRU end and only ever shift towards the LRU end, so the empty
+	// ways of a set are always a suffix of it. (The +1 cannot wrap for any
+	// line size above one byte; byte-granular lines are a degenerate
+	// geometry in which the single address 2^64-1 is not representable.)
+	tags  []uint64
 	assoc int
 	stats Stats
 }
@@ -102,8 +116,7 @@ func New(cfg Config) *Cache {
 		cfg:       cfg,
 		lineShift: shift,
 		setMask:   uint64(sets - 1),
-		ways:      make([]uint64, sets*cfg.Assoc),
-		valid:     make([]bool, sets*cfg.Assoc),
+		tags:      make([]uint64, sets*cfg.Assoc),
 		assoc:     cfg.Assoc,
 	}
 }
@@ -123,25 +136,19 @@ func (c *Cache) ResetStats() { c.stats = Stats{} }
 func (c *Cache) RestoreStats(s Stats) { c.stats = s }
 
 // State is a deep snapshot of a cache's full mutable state: resident lines,
-// LRU order, valid bits and counters. It is opaque; use Checkpoint/Restore.
+// LRU order and counters. It is opaque; use Checkpoint/Restore.
 type State struct {
-	ways  []uint64
-	valid []bool
+	tags  []uint64
 	stats Stats
 }
 
 // Checkpoint captures the complete cache state (lines, LRU order, counters)
-// for a later Restore. The copy is proportional to the cache's line count
-// (~8k entries for the 512 kB testbed cache), so callers on hot paths that
-// know their region performs no accesses should checkpoint Stats alone.
+// for a later Restore. The copy is one 8-byte tag per line (8,192 tags,
+// 64 kB, for the 512 kB testbed cache), so callers on hot paths that know
+// their region performs no accesses should checkpoint Stats alone.
 func (c *Cache) Checkpoint() State {
-	s := State{
-		ways:  make([]uint64, len(c.ways)),
-		valid: make([]bool, len(c.valid)),
-		stats: c.stats,
-	}
-	copy(s.ways, c.ways)
-	copy(s.valid, c.valid)
+	s := State{tags: make([]uint64, len(c.tags)), stats: c.stats}
+	copy(s.tags, c.tags)
 	return s
 }
 
@@ -149,21 +156,16 @@ func (c *Cache) Checkpoint() State {
 // must come from a cache of the same geometry; restoring a snapshot from a
 // differently shaped cache panics.
 func (c *Cache) Restore(s State) {
-	if len(s.ways) != len(c.ways) || len(s.valid) != len(c.valid) {
-		panic(fmt.Sprintf("cache: checkpoint geometry mismatch: %d/%d lines vs %d/%d",
-			len(s.ways), len(s.valid), len(c.ways), len(c.valid)))
+	if len(s.tags) != len(c.tags) {
+		panic(fmt.Sprintf("cache: checkpoint geometry mismatch: %d lines vs %d",
+			len(s.tags), len(c.tags)))
 	}
-	copy(c.ways, s.ways)
-	copy(c.valid, s.valid)
+	copy(c.tags, s.tags)
 	c.stats = s.stats
 }
 
 // Flush invalidates every line and leaves the counters untouched.
-func (c *Cache) Flush() {
-	for i := range c.valid {
-		c.valid[i] = false
-	}
-}
+func (c *Cache) Flush() { clear(c.tags) }
 
 // LineBytes returns the line size in bytes.
 func (c *Cache) LineBytes() int { return c.cfg.LineBytes }
@@ -171,22 +173,23 @@ func (c *Cache) LineBytes() int { return c.cfg.LineBytes }
 // accessLine looks up (and on miss, fills) the given line ID,
 // maintaining LRU order. It reports whether the access hit.
 func (c *Cache) accessLine(line uint64) bool {
+	tag := line + 1
 	set := int(line&c.setMask) * c.assoc
-	ways := c.ways[set : set+c.assoc]
-	valid := c.valid[set : set+c.assoc]
-	for i := 0; i < c.assoc; i++ {
-		if valid[i] && ways[i] == line {
+	ways := c.tags[set : set+c.assoc]
+	if ways[0] == tag {
+		return true
+	}
+	for i := 1; i < len(ways); i++ {
+		if ways[i] == tag {
 			// Move to MRU position.
-			copy(ways[1:i+1], ways[0:i])
-			ways[0] = line
+			copy(ways[1:i+1], ways[:i])
+			ways[0] = tag
 			return true
 		}
 	}
 	// Miss: evict LRU (last way), shift, insert at MRU.
-	copy(ways[1:], ways[:c.assoc-1])
-	copy(valid[1:], valid[:c.assoc-1])
-	ways[0] = line
-	valid[0] = true
+	copy(ways[1:], ways[:len(ways)-1])
+	ways[0] = tag
 	return false
 }
 
@@ -204,33 +207,101 @@ func (c *Cache) Access(addr uint64) bool {
 
 // AccessRange simulates n accesses starting at base with the given byte
 // stride between consecutive accesses, and returns the hit and miss counts
-// for this stream. Consecutive accesses that fall on the same line as the
-// previous access are counted as hits without a directory lookup, which is
-// exact for monotone streams.
+// for this stream.
+//
+// An access that falls on the same line as the one before it hits that
+// set's MRU way and changes nothing. So for 0 < strideBytes <= LineBytes
+// (and a stream that does not wrap the address space), where the stream
+// visits every line from its first to its last in order, the directory is
+// walked once per line instead of once per element: the misses are the
+// lines that miss and the hits are everything else. Every other stride
+// (zero, negative, longer than a line) falls through to one lookup per
+// element.
 func (c *Cache) AccessRange(base uint64, n, strideBytes int) (hits, misses uint64) {
 	if n <= 0 {
 		return 0, 0
 	}
-	lastLine := ^uint64(0)
-	addr := base
-	for i := 0; i < n; i++ {
-		line := addr >> c.lineShift
-		if line == lastLine {
-			hits++
-		} else {
-			lastLine = line
-			if c.accessLine(line) {
-				hits++
-			} else {
-				misses++
-			}
-		}
-		addr += uint64(strideBytes)
+	end := base + uint64(n-1)*uint64(strideBytes)
+	if strideBytes > 0 && strideBytes <= c.cfg.LineBytes && end >= base {
+		first, last := base>>c.lineShift, end>>c.lineShift
+		misses = c.walk(first<<c.lineShift, int(last-first)+1, uint64(c.cfg.LineBytes))
+	} else {
+		misses = c.walk(base, n, uint64(strideBytes))
 	}
+	hits = uint64(n) - misses
 	c.stats.Accesses += uint64(n)
 	c.stats.Hits += hits
 	c.stats.Misses += misses
 	return hits, misses
+}
+
+// walk performs accessLine on the lines of n addresses, stride bytes apart
+// (modulo 2^64) from addr on, and returns how many missed.
+//
+// The testbed's 8-way sets get a fixed-width body, as a streaming workload
+// mostly misses or hits deep in the LRU order: the ways are compared from
+// the MRU end while being carried in registers, so the LRU shift after a hit
+// at way i (or a miss) is i+1 (or 8) plain stores, with no call per line
+// and no memmove.
+func (c *Cache) walk(addr uint64, n int, stride uint64) (misses uint64) {
+	if c.assoc != 8 {
+		for ; n > 0; n-- {
+			if !c.accessLine(addr >> c.lineShift) {
+				misses++
+			}
+			addr += stride
+		}
+		return misses
+	}
+	// lineShift is below 64 by construction; saying so spares the loop the
+	// compiler's guard for wider shifts.
+	tags, shift, mask := c.tags, c.lineShift&63, c.setMask
+	for ; n > 0; n-- {
+		line := addr >> shift
+		addr += stride
+		tag := line + 1
+		set := int(line&mask) * 8
+		if tags[set] == tag {
+			continue
+		}
+		w := (*[8]uint64)(tags[set : set+8])
+		t0 := w[0]
+		t1 := w[1]
+		if t1 == tag {
+			w[0], w[1] = tag, t0
+			continue
+		}
+		t2 := w[2]
+		if t2 == tag {
+			w[0], w[1], w[2] = tag, t0, t1
+			continue
+		}
+		t3 := w[3]
+		if t3 == tag {
+			w[0], w[1], w[2], w[3] = tag, t0, t1, t2
+			continue
+		}
+		t4 := w[4]
+		if t4 == tag {
+			w[0], w[1], w[2], w[3], w[4] = tag, t0, t1, t2, t3
+			continue
+		}
+		t5 := w[5]
+		if t5 == tag {
+			w[0], w[1], w[2], w[3], w[4], w[5] = tag, t0, t1, t2, t3, t4
+			continue
+		}
+		t6 := w[6]
+		if t6 == tag {
+			w[0], w[1], w[2], w[3], w[4], w[5], w[6] = tag, t0, t1, t2, t3, t4, t5
+			continue
+		}
+		if w[7] != tag {
+			misses++
+		}
+		w[0], w[1], w[2], w[3], w[4], w[5], w[6], w[7] = tag, t0, t1, t2, t3, t4, t5, t6
+	}
+	return misses
 }
 
 // Touch loads the [base, base+bytes) range sequentially, warming the cache.
@@ -248,8 +319,8 @@ func (c *Cache) Touch(base uint64, bytes int) {
 func (c *Cache) Resident(addr uint64) bool {
 	line := addr >> c.lineShift
 	set := int(line&c.setMask) * c.assoc
-	for i := 0; i < c.assoc; i++ {
-		if c.valid[set+i] && c.ways[set+i] == line {
+	for _, t := range c.tags[set : set+c.assoc] {
+		if t == line+1 {
 			return true
 		}
 	}

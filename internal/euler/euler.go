@@ -10,6 +10,24 @@
 // given a platform processor, charges that work (FLOPs and memory-access
 // streams) to the simulated machine, so TAU observes virtual times with the
 // paper's cache-driven sequential/strided behaviour.
+//
+// The kernels avoid redoing host work whose result they already hold, under
+// one rule: no output float, iteration count or charged operation may move.
+// The shock-interface fields are piecewise constant over most of a patch, so
+// the flux kernels remember the previous face: GodunovFlux reuses its flux
+// and Newton iteration count when both face states repeat, EFMFlux its two
+// half fluxes independently. The memo is keyed on bit patterns
+// (math.Float64bits), never on ==: -0 equals +0 yet divides and upwinds
+// differently, and a NaN equals nothing, not even the NaN that would have
+// reproduced its result; comparing bits makes "same input" mean what a pure
+// function needs it to mean, so a hit returns exactly the floats a
+// recomputation would. The simulated cost is charged per face, hit or not —
+// the memo makes the simulator cheaper to run, not the simulated kernel.
+// The implementations this replaced (one Block.At stencil per face, no
+// memo, no values shared inside the Riemann solver) are kept in
+// reference_test.go, and identity_test.go holds the production kernels to
+// them bit for bit; they live in test files so that nothing can select them
+// at run time.
 package euler
 
 import (

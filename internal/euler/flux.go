@@ -28,22 +28,17 @@ func checkFaceGeom(qL, qR, flux *EdgeField) {
 	}
 }
 
-// forEachFace visits every face of e in its directional sweep order
-// (rows for X, columns for Y).
-func forEachFace(e *EdgeField, visit func(f, t int)) {
-	if e.Dir == X {
-		for j := 0; j < e.NyCells; j++ {
-			for f := 0; f <= e.NxCells; f++ {
-				visit(f, j)
-			}
-		}
-	} else {
-		for i := 0; i < e.NxCells; i++ {
-			for f := 0; f <= e.NyCells; f++ {
-				visit(f, i)
-			}
+// sameBits reports whether a and b hold the same bit patterns. It is the
+// face memo's key comparison: unlike ==, it tells -0 from +0 (which the
+// kernels can tell apart, through a division or an Erf) and lets a NaN equal
+// only the identical NaN.
+func sameBits(a, b *Cons) bool {
+	for v := 0; v < NVars; v++ {
+		if math.Float64bits(a[v]) != math.Float64bits(b[v]) {
+			return false
 		}
 	}
+	return true
 }
 
 // chargeFluxKernel accounts the memory traffic of a flux kernel: read both
@@ -55,10 +50,7 @@ func chargeFluxKernel(proc *platform.Proc, qL, qR, flux *EdgeField, overlapped b
 	if proc == nil {
 		return
 	}
-	nt := flux.NyCells
-	if flux.Dir == Y {
-		nt = flux.NxCells
-	}
+	nt, _, _, _ := flux.sweepShape()
 	for t := 0; t < nt; t++ {
 		for v := 0; v < NVars; v++ {
 			qL.chargeLineSegment(proc, v, t, overlapped)
@@ -73,20 +65,35 @@ func chargeFluxKernel(proc *platform.Proc, qL, qR, flux *EdgeField, overlapped b
 // is fixed — heavy on transcendentals, light on memory — which is why the
 // paper finds EFMFlux cheaper than GodunovFlux with far smaller variance
 // (Fig. 8), making it the better-performing implementation choice.
+//
+// Each half flux is a pure function of one face state, so the previous
+// face's F⁺ and F⁻ are reused while qL, respectively qR, repeats bit for
+// bit; the charged work is per face regardless.
 func EFMFlux(proc *platform.Proc, qL, qR, flux *EdgeField) {
 	checkFaceGeom(qL, qR, flux)
 	d := flux.Dir
-	forEachFace(flux, func(f, t int) {
-		l := primRot(qL.AtFace(f, t), d)
-		r := primRot(qR.AtFace(f, t), d)
-		fl := kfvsSplit(l, +1)
-		fr := kfvsSplit(r, -1)
-		var out Cons
-		for v := 0; v < NVars; v++ {
-			out[v] = fl[v] + fr[v]
+	var keyL, keyR, fl, fr Cons
+	haveL, haveR := false, false
+	nt, nf, stepT, stepF := flux.sweepShape()
+	for t := 0; t < nt; t++ {
+		k := t * stepT
+		for f := 0; f < nf; f++ {
+			if ul := qL.at(k); !haveL || !sameBits(&ul, &keyL) {
+				keyL, haveL = ul, true
+				fl = kfvsSplit(primRot(ul, d), +1)
+			}
+			if ur := qR.at(k); !haveR || !sameBits(&ur, &keyR) {
+				keyR, haveR = ur, true
+				fr = kfvsSplit(primRot(ur, d), -1)
+			}
+			var out Cons
+			for v := 0; v < NVars; v++ {
+				out[v] = fl[v] + fr[v]
+			}
+			flux.set(k, unrotate(out, d))
+			k += stepF
 		}
-		flux.setFace(f, t, unrotate(out, d))
-	})
+	}
 	chargeFluxKernel(proc, qL, qR, flux, true)
 	if proc != nil {
 		proc.ChargeFlops(efmFlopsPerFace * flux.Len())
@@ -126,17 +133,32 @@ func kfvsSplit(w Prim, sign float64) Cons {
 // GodunovFlux is the more accurate, more expensive alternative to EFMFlux:
 // the paper's Quality-of-Service discussion (Section 5) weighs exactly this
 // substitution.
+//
+// The face flux and its iteration count are a pure function of (qL, qR), so
+// a face whose two states repeat the previous face's bit for bit reuses that
+// face's flux and is counted (and charged) with that face's iterations.
 func GodunovFlux(proc *platform.Proc, qL, qR, flux *EdgeField) int {
 	checkFaceGeom(qL, qR, flux)
 	d := flux.Dir
 	totalIters := 0
-	forEachFace(flux, func(f, t int) {
-		l := primRot(qL.AtFace(f, t), d)
-		r := primRot(qR.AtFace(f, t), d)
-		w, iters := RiemannSample(l, r)
-		totalIters += iters
-		flux.setFace(f, t, unrotate(PhysFlux(w), d))
-	})
+	var keyL, keyR, out Cons
+	iters, have := 0, false
+	nt, nf, stepT, stepF := flux.sweepShape()
+	for t := 0; t < nt; t++ {
+		k := t * stepT
+		for f := 0; f < nf; f++ {
+			ul, ur := qL.at(k), qR.at(k)
+			if !have || !sameBits(&ul, &keyL) || !sameBits(&ur, &keyR) {
+				keyL, keyR, have = ul, ur, true
+				var w Prim
+				w, iters = RiemannSample(primRot(ul, d), primRot(ur, d))
+				out = unrotate(PhysFlux(w), d)
+			}
+			totalIters += iters
+			flux.set(k, out)
+			k += stepF
+		}
+	}
 	chargeFluxKernel(proc, qL, qR, flux, false)
 	if proc != nil {
 		proc.ChargeFlops(godunovBaseFlops*flux.Len() + godunovIterFlops*totalIters)
@@ -151,9 +173,9 @@ const riemannTol = 1e-8
 // guess converges in a handful of steps for all physical inputs.
 const riemannMaxIter = 25
 
-// pressureFn evaluates Toro's f_K(p) and its derivative for one side.
-func pressureFn(p float64, w Prim, g float64) (fk, dfk float64) {
-	a := math.Sqrt(g * w.P / w.Rho)
+// pressureFn evaluates Toro's f_K(p) and its derivative for one side with
+// sound speed a = sqrt(g*w.P/w.Rho).
+func pressureFn(p float64, w Prim, a, g float64) (fk, dfk float64) {
 	if p > w.P { // shock
 		ak := 2 / ((g + 1) * w.Rho)
 		bk := (g - 1) / (g + 1) * w.P
@@ -169,28 +191,72 @@ func pressureFn(p float64, w Prim, g float64) (fk, dfk float64) {
 	return fk, dfk
 }
 
+// pressureVal is pressureFn without the derivative. On the rarefaction
+// branch it also returns pw = (p/w.P)^((g-1)/(2g)), the ratio of star to
+// side sound speed, which sampleSide needs again; pw is 0 on the shock
+// branch.
+func pressureVal(p float64, w Prim, a, g float64) (fk, pw float64) {
+	if p > w.P { // shock
+		ak := 2 / ((g + 1) * w.Rho)
+		bk := (g - 1) / (g + 1) * w.P
+		q := math.Sqrt(ak / (p + bk))
+		return (p - w.P) * q, 0
+	}
+	pw = math.Pow(p/w.P, (g-1)/(2*g))
+	return 2 * a / (g - 1) * (pw - 1), pw
+}
+
+// starState is the star-region solution of one Riemann problem together
+// with the per-side values the sampling step would otherwise recompute.
+type starState struct {
+	p, u   float64
+	iters  int
+	g      float64 // the single gamma the solve used
+	al, ar float64 // side sound speeds at g
+	pl, pr float64 // pressureVal's pw for l and r at the converged p
+}
+
 // RiemannStar solves for the star-region pressure and velocity between
 // states l and r (normal velocity in U), using a Newton iteration on the
 // pressure function with a two-rarefaction initial guess. It returns the
 // star pressure, star velocity and the number of iterations used.
 func RiemannStar(l, r Prim) (pstar, ustar float64, iters int) {
+	s := riemannStar(l, r)
+	return s.p, s.u, s.iters
+}
+
+// riemannStar is RiemannStar keeping its intermediates. The pressure
+// function reads only P and Rho of its side (besides p, g), so when the two
+// sides agree bit for bit in both, one evaluation serves both.
+func riemannStar(l, r Prim) starState {
 	g := 0.5 * (l.Gamma() + r.Gamma()) // single-gamma approximation
 	al := math.Sqrt(g * l.P / l.Rho)
 	ar := math.Sqrt(g * r.P / r.Rho)
 	du := r.U - l.U
+	twin := math.Float64bits(l.P) == math.Float64bits(r.P) &&
+		math.Float64bits(l.Rho) == math.Float64bits(r.Rho)
 
 	// Two-rarefaction initial guess (robust for all pressure ratios).
 	z := (g - 1) / (2 * g)
 	num := al + ar - 0.5*(g-1)*du
-	den := al/math.Pow(l.P, z) + ar/math.Pow(r.P, z)
+	plz := math.Pow(l.P, z)
+	prz := plz
+	if !twin {
+		prz = math.Pow(r.P, z)
+	}
+	den := al/plz + ar/prz
 	p := math.Pow(num/den, 1/z)
 	if p < riemannTol {
 		p = riemannTol
 	}
 
-	for iters = 1; iters <= riemannMaxIter; iters++ {
-		fl, dfl := pressureFn(p, l, g)
-		fr, dfr := pressureFn(p, r, g)
+	iters := 1
+	for ; iters <= riemannMaxIter; iters++ {
+		fl, dfl := pressureFn(p, l, al, g)
+		fr, dfr := fl, dfl
+		if !twin {
+			fr, dfr = pressureFn(p, r, ar, g)
+		}
 		f := fl + fr + du
 		df := dfl + dfr
 		dp := f / df
@@ -204,10 +270,13 @@ func RiemannStar(l, r Prim) (pstar, ustar float64, iters int) {
 		}
 		p = pNew
 	}
-	fl, _ := pressureFn(p, l, g)
-	fr, _ := pressureFn(p, r, g)
-	ustar = 0.5*(l.U+r.U) + 0.5*(fr-fl)
-	return p, ustar, iters
+	fl, pl := pressureVal(p, l, al, g)
+	fr, pr := fl, pl
+	if !twin {
+		fr, pr = pressureVal(p, r, ar, g)
+	}
+	ustar := 0.5*(l.U+r.U) + 0.5*(fr-fl)
+	return starState{p: p, u: ustar, iters: iters, g: g, al: al, ar: ar, pl: pl, pr: pr}
 }
 
 // RiemannSample solves the Riemann problem between l and r and samples the
@@ -215,24 +284,25 @@ func RiemannStar(l, r Prim) (pstar, ustar float64, iters int) {
 // there (with transverse velocity and mass fraction taken from the upwind
 // side) and the Newton iteration count.
 func RiemannSample(l, r Prim) (Prim, int) {
-	g := 0.5 * (l.Gamma() + r.Gamma())
-	pstar, ustar, iters := RiemannStar(l, r)
+	s := riemannStar(l, r)
 
 	var w Prim
-	if ustar >= 0 {
-		w = sampleSide(l, pstar, ustar, g, +1)
+	if s.u >= 0 {
+		w = sampleSide(l, s.p, s.u, s.g, s.al, s.pl, +1)
 		w.V, w.Y = l.V, l.Y
 	} else {
-		w = sampleSide(r, pstar, ustar, g, -1)
+		w = sampleSide(r, s.p, s.u, s.g, s.ar, s.pr, -1)
 		w.V, w.Y = r.V, r.Y
 	}
-	return w, iters
+	return w, s.iters
 }
 
 // sampleSide samples the wave fan on one side of the contact at x/t = 0.
-// side = +1 for the left wave (moving left), -1 for the right wave.
-func sampleSide(k Prim, pstar, ustar, g float64, side float64) Prim {
-	a := math.Sqrt(g * k.P / k.Rho)
+// side = +1 for the left wave (moving left), -1 for the right wave. a is the
+// side's sound speed sqrt(g*k.P/k.Rho) and pw is (pstar/k.P)^((g-1)/(2g)),
+// both as riemannStar computed them (pw is read on the rarefaction branch
+// only).
+func sampleSide(k Prim, pstar, ustar, g, a, pw, side float64) Prim {
 	if pstar > k.P {
 		// Shock on this side.
 		sqrtTerm := math.Sqrt((g+1)/(2*g)*pstar/k.P + (g-1)/(2*g))
@@ -246,7 +316,7 @@ func sampleSide(k Prim, pstar, ustar, g float64, side float64) Prim {
 		return Prim{Rho: rho, U: ustar, V: k.V, P: pstar, Y: k.Y}
 	}
 	// Rarefaction on this side.
-	astar := a * math.Pow(pstar/k.P, (g-1)/(2*g))
+	astar := a * pw
 	sHead := k.U - side*a
 	sTail := ustar - side*astar
 	switch {

@@ -62,27 +62,46 @@ func (pr ShockInterfaceProblem) interfaceAt(y float64) float64 {
 	return pr.InterfaceX + pr.Amplitude*math.Cos(2*math.Pi*float64(pr.Modes)*y/pr.Ly)
 }
 
-// StateAt returns the initial primitive state at physical point (x, y).
-func (pr ShockInterfaceProblem) StateAt(x, y float64) Prim {
+// regionStates returns the three constant states of the initial condition,
+// from left to right: shocked air, quiescent air, Freon.
+func (pr ShockInterfaceProblem) regionStates() [3]Prim {
+	return [3]Prim{PostShockAir(pr.Mach), AheadAir(), {Rho: pr.DensityRatio, U: 0, V: 0, P: 1, Y: 1}}
+}
+
+// region returns the index into regionStates of a point at abscissa x on a
+// height where the interface sits at xi.
+func (pr ShockInterfaceProblem) region(x, xi float64) int {
 	switch {
 	case x < pr.ShockX:
-		return PostShockAir(pr.Mach)
-	case x < pr.interfaceAt(y):
-		return AheadAir()
+		return 0
+	case x < xi:
+		return 1
 	default:
-		return Prim{Rho: pr.DensityRatio, U: 0, V: 0, P: 1, Y: 1}
+		return 2
 	}
+}
+
+// StateAt returns the initial primitive state at physical point (x, y).
+func (pr ShockInterfaceProblem) StateAt(x, y float64) Prim {
+	return pr.regionStates()[pr.region(x, pr.interfaceAt(y))]
 }
 
 // InitBlock fills the block (interior plus ghosts) with the initial
 // condition, given the physical origin (x0, y0) of the first interior cell
-// corner and the cell sizes.
+// corner and the cell sizes. Every cell holds ConsFromPrim(StateAt(x, y))
+// of its centre; the three states are converted once and the interface
+// position once per row rather than once per cell.
 func (pr ShockInterfaceProblem) InitBlock(b *Block, x0, y0, dx, dy float64) {
+	var states [3]Cons
+	for k, w := range pr.regionStates() {
+		states[k] = ConsFromPrim(w)
+	}
 	for j := -b.Ng; j < b.Ny+b.Ng; j++ {
+		y := y0 + (float64(j)+0.5)*dy
+		xi := pr.interfaceAt(y)
 		for i := -b.Ng; i < b.Nx+b.Ng; i++ {
 			x := x0 + (float64(i)+0.5)*dx
-			y := y0 + (float64(j)+0.5)*dy
-			b.SetPrim(i, j, pr.StateAt(x, y))
+			b.Set(i, j, states[pr.region(x, xi)])
 		}
 	}
 }

@@ -19,8 +19,8 @@ type EdgeField struct {
 	// Q holds one plane per conserved variable; X faces have
 	// (Nx+1)*Ny entries, Y faces Nx*(Ny+1).
 	Q [NVars][]float64
-	// Iters optionally counts per-face nonlinear-solver iterations
-	// (Godunov); it shares the faces' layout and is nil otherwise.
+	// addr holds per-plane virtual base addresses for cache accounting
+	// (zero when the field is not bound to a simulated processor).
 	addr [NVars]uint64
 }
 
@@ -59,21 +59,28 @@ func (e *EdgeField) FaceIdx(f, t int) int {
 }
 
 // AtFace returns the state vector stored at face (f, t).
-func (e *EdgeField) AtFace(f, t int) Cons {
-	k := e.FaceIdx(f, t)
-	var u Cons
-	for v := 0; v < NVars; v++ {
-		u[v] = e.Q[v][k]
-	}
-	return u
+func (e *EdgeField) AtFace(f, t int) Cons { return e.at(e.FaceIdx(f, t)) }
+
+// at returns the state vector stored at flat face index k.
+func (e *EdgeField) at(k int) Cons {
+	return Cons{e.Q[0][k], e.Q[1][k], e.Q[2][k], e.Q[3][k], e.Q[4][k]}
 }
 
-// setFace stores a state vector at face (f, t).
-func (e *EdgeField) setFace(f, t int, u Cons) {
-	k := e.FaceIdx(f, t)
+// set stores a state vector at flat face index k.
+func (e *EdgeField) set(k int, u Cons) {
 	for v := 0; v < NVars; v++ {
 		e.Q[v][k] = u[v]
 	}
+}
+
+// sweepShape returns the face walk of e's directional sweep order (rows for
+// X, columns for Y): nt lines of nf faces, where face f of line t lives at
+// flat index t*stepT + f*stepF.
+func (e *EdgeField) sweepShape() (nt, nf, stepT, stepF int) {
+	if e.Dir == X {
+		return e.NyCells, e.NxCells + 1, e.NxCells + 1, 1
+	}
+	return e.NxCells, e.NyCells + 1, 1, e.NxCells
 }
 
 // chargeSweep charges one directional pass over plane v of the face field
@@ -140,24 +147,20 @@ func States(proc *platform.Proc, b *Block, dir Dir, qL, qR *EdgeField) {
 		qR.NxCells != b.Nx || qR.NyCells != b.Ny {
 		panic("euler: States edge-field geometry mismatch")
 	}
-	if dir == X {
-		for j := 0; j < b.Ny; j++ {
-			for f := 0; f <= b.Nx; f++ {
-				reconstructFace(b, dir, f, j, qL, qR)
-			}
-		}
-	} else {
-		for i := 0; i < b.Nx; i++ {
-			for f := 0; f <= b.Ny; f++ {
-				reconstructFace(b, dir, f, i, qL, qR)
-			}
+	for v := 0; v < NVars; v++ {
+		if dir == X {
+			reconstructRows(b, b.U[v], qL.Q[v], qR.Q[v])
+		} else {
+			reconstructCols(b, b.U[v], qL.Q[v], qR.Q[v])
 		}
 	}
-	// Account the work: one read sweep per input plane and one write sweep
-	// per output plane, interleaved per row/column exactly as the stencil
-	// walks them — the interleaving determines whether a strided pass's
-	// working set (all planes of one column) still fits the cache, which
-	// is what separates tall from wide patches in Figs. 4/5.
+	// Account the work as the measured code does it: one read sweep per
+	// input plane and one write sweep per output plane, interleaved per
+	// row/column the way its stencil walks them (the loops above are free
+	// to walk plane by plane; no face depends on another) — the
+	// interleaving determines whether a strided pass's working set (all
+	// planes of one column) still fits the cache, which is what separates
+	// tall from wide patches in Figs. 4/5.
 	chargeStatesPass(proc, b, dir, qL, qR)
 	if proc != nil {
 		proc.ChargeFlops(statesFlops * b.Cells())
@@ -189,22 +192,51 @@ func chargeStatesPass(proc *platform.Proc, b *Block, dir Dir, qL, qR *EdgeField)
 	}
 }
 
-// reconstructFace computes the limited left/right states at face f along
-// dir at transverse index t.
-func reconstructFace(b *Block, dir Dir, f, t int, qL, qR *EdgeField) {
-	var um2, um1, u0, up1 Cons
-	if dir == X {
-		um2, um1 = b.At(f-2, t), b.At(f-1, t)
-		u0, up1 = b.At(f, t), b.At(f+1, t)
-	} else {
-		um2, um1 = b.At(t, f-2), b.At(t, f-1)
-		u0, up1 = b.At(t, f), b.At(t, f+1)
+// reconstructRows computes the limited left/right X-face states of one
+// plane u of b. Face f of row j lies between cells f-1 and f:
+//
+//	l = u[f-1] + 0.5*minmod(u[f-1]-u[f-2], u[f]-u[f-1])
+//	r = u[f]   - 0.5*minmod(u[f]-u[f-1],   u[f+1]-u[f])
+//
+// The stencil slides along the row: each face loads one new cell and takes
+// one new difference and one new limited slope, and inherits the other cell
+// values, difference and slope from the face before it — the same
+// expressions on the same operands, evaluated once instead of twice.
+func reconstructRows(b *Block, u, l, r []float64) {
+	nf := b.Nx + 1
+	for j := 0; j < b.Ny; j++ {
+		row := u[b.Idx(-2, j):][:nf+3] // cells -2 .. Nx+1
+		lj, rj := l[j*nf:][:nf], r[j*nf:][:nf]
+		um1, u0 := row[1], row[2]
+		d0 := u0 - um1
+		m0 := minmod(um1-row[0], d0)
+		for f := range lj {
+			up1 := row[f+3]
+			d1 := up1 - u0
+			m1 := minmod(d0, d1)
+			lj[f] = um1 + 0.5*m0
+			rj[f] = u0 - 0.5*m1
+			um1, u0, d0, m0 = u0, up1, d1, m1
+		}
 	}
-	var l, r Cons
-	for v := 0; v < NVars; v++ {
-		l[v] = um1[v] + 0.5*minmod(um1[v]-um2[v], u0[v]-um1[v])
-		r[v] = u0[v] - 0.5*minmod(u0[v]-um1[v], up1[v]-u0[v])
+}
+
+// reconstructCols is reconstructRows for Y faces, whose stencil runs down a
+// column. It walks row by row instead, so every load and store is
+// sequential: face row f reads cell rows f-2 .. f+1 and writes one row of
+// each output plane.
+func reconstructCols(b *Block, u, l, r []float64) {
+	nx := b.Nx
+	for f := 0; f <= b.Ny; f++ {
+		um2 := u[b.Idx(0, f-2):][:nx]
+		um1 := u[b.Idx(0, f-1):][:nx]
+		u0 := u[b.Idx(0, f):][:nx]
+		up1 := u[b.Idx(0, f+1):][:nx]
+		lf, rf := l[f*nx:][:nx], r[f*nx:][:nx]
+		for i := range lf {
+			d0 := u0[i] - um1[i]
+			lf[i] = um1[i] + 0.5*minmod(um1[i]-um2[i], d0)
+			rf[i] = u0[i] - 0.5*minmod(d0, up1[i]-u0[i])
+		}
 	}
-	qL.setFace(f, t, l)
-	qR.setFace(f, t, r)
 }
