@@ -4,6 +4,7 @@
 // without re-running a single simulation.
 //
 //	resultsd -dir campaign-out [-addr 127.0.0.1:9190] [-cache 256]
+//	         [-cpuprofile cpu.prof] [-memprofile mem.prof]
 //
 // Endpoints (all GET, JSON unless noted):
 //
@@ -26,17 +27,37 @@
 // With -addr 127.0.0.1:0 the kernel picks the port; the chosen address
 // is printed as "resultsd: listening on http://..." so scripts (and the
 // CI serve job) can scrape it.
+//
+// SIGINT or SIGTERM stops the service cleanly: the listener closes,
+// requests in flight get drainTimeout to finish, the profiles named by
+// -cpuprofile/-memprofile (go tool pprof; they observe the process and
+// change no response byte) are written, and the process exits 0. Slow or
+// idle clients are bounded by fixed header-read and keep-alive timeouts.
 package main
 
 import (
+	"context"
+	"errors"
 	"flag"
 	"fmt"
 	"net"
 	"net/http"
 	"os"
+	"os/signal"
+	"syscall"
+	"time"
 
 	"repro/internal/obs"
 	"repro/internal/results/serve"
+)
+
+// Fixed limits, not flags: nothing about a campaign changes how long a
+// client may take to send its headers or hold an idle connection.
+const (
+	readHeaderTimeout = 5 * time.Second
+	idleTimeout       = 2 * time.Minute
+	// drainTimeout is how long in-flight requests get after a stop signal.
+	drainTimeout = 10 * time.Second
 )
 
 func main() {
@@ -44,6 +65,8 @@ func main() {
 		dir      = flag.String("dir", "", "campaign rows directory (or a campaign output directory containing rows/)")
 		addr     = flag.String("addr", "127.0.0.1:9190", "listen address; port 0 picks a free port")
 		cacheCap = flag.Int("cache", serve.DefaultCacheCap, "decoded scenarios kept resident in the read-through cache")
+		cpuProf  = flag.String("cpuprofile", "", "write a CPU profile of the service to this file when it stops (go tool pprof); responses are unchanged")
+		memProf  = flag.String("memprofile", "", "write an allocation profile to this file when the service stops (go tool pprof -sample_index=alloc_space); responses are unchanged")
 	)
 	flag.Parse()
 	if *dir == "" {
@@ -63,11 +86,37 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	fmt.Printf("resultsd: %d scenarios from %s\n", len(svc.Catalog().Scenarios()), svc.Catalog().Dir())
-	fmt.Printf("resultsd: listening on http://%s\n", ln.Addr())
-	if err := http.Serve(ln, svc.Handler()); err != nil {
+	stopProfiles, err := obs.StartProfiles(*cpuProf, *memProf)
+	if err != nil {
 		fatal(err)
 	}
+	fmt.Printf("resultsd: %d scenarios from %s\n", len(svc.Catalog().Scenarios()), svc.Catalog().Dir())
+	fmt.Printf("resultsd: listening on http://%s\n", ln.Addr())
+
+	srv := &http.Server{Handler: svc.Handler(), ReadHeaderTimeout: readHeaderTimeout, IdleTimeout: idleTimeout}
+	served := make(chan error, 1)
+	go func() { served <- srv.Serve(ln) }()
+
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	defer stop()
+	select {
+	case err := <-served:
+		fatal(err) // the listener failed; Serve never returns nil
+	case <-ctx.Done():
+	}
+	drain, cancel := context.WithTimeout(context.Background(), drainTimeout)
+	defer cancel()
+	shutdownErr := srv.Shutdown(drain)
+	if err := <-served; !errors.Is(err, http.ErrServerClosed) {
+		fatal(err)
+	}
+	if err := stopProfiles(); err != nil {
+		fatal(err)
+	}
+	if shutdownErr != nil {
+		fmt.Fprintf(os.Stderr, "resultsd: requests still in flight after %v: %v\n", drainTimeout, shutdownErr)
+	}
+	fmt.Println("resultsd: stopped")
 }
 
 func fatal(err error) {

@@ -181,7 +181,7 @@
 //     mean/min/max/stddev per (key, field) and drops the rows,
 //     results.NewMemorySink buffers for tests, NewTee fans out to several
 //     sinks at once; results.ReadRowsFile decodes either shard format
-//     back into rows;
+//     back into rows, results.ReadColumnsFile into a few numeric columns;
 //   - every harness job is checkpointable: with CampaignConfig.Store set
 //     (OpenStore), finished payloads persist content-addressed by
 //     (job key, config hash), so an interrupted campaign — a killed
@@ -286,12 +286,24 @@
 // view) and answers response_us and utilization from (q, lambda).
 //
 // Scenario shards load through a read-through model cache: first touch
-// decodes the shard and fits every backend, concurrent requests for the
+// reads the shard and fits every backend, concurrent requests for the
 // same scenario share one load (singleflight), and an LRU bound (-cache,
-// default 256 scenarios) evicts the coldest entry. Hits, misses,
+// default 256 scenarios) evicts the coldest entry. A model load never
+// builds rows: the fits need three numbers per row (q, wall_us, l2_dcm),
+// so results.ReadColumnsFile projects those columns straight out of the
+// shard bytes — value plus a present bit per row, "first field of that
+// name, int or float only" — in a handful of allocations whatever the
+// row count. Full row decode (results.ReadRowsFile) remains for
+// "cmd/obsreport -rows" and tooling. Both are consumers of one parser,
+// the allocation-free field cursor in internal/results/binrow.go, which
+// owns every framing check of the format below; CSV shards answer the
+// same projection call through ReadCSVRows. Hits, misses,
 // evictions and load latency are exported as resultsd_cache_* counters
 // and the resultsd_scenario_load_us histogram on /metrics; failed loads
-// are never cached. The determinism contract extends to the service:
+// (a load that panics included: it becomes that query's error and frees
+// the scenario for the next one) are never cached. SIGINT/SIGTERM drains
+// in-flight requests, writes the -cpuprofile/-memprofile files and exits
+// 0. The determinism contract extends to the service:
 // responses carry no timestamps, no absolute paths and no map-ordered
 // JSON, so two resultsd instances over byte-identical stores return
 // byte-identical bodies for every request — CI curls a live instance

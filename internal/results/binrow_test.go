@@ -2,9 +2,11 @@ package results
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 )
@@ -36,7 +38,7 @@ func binTestRows() []Row {
 	return rows
 }
 
-func encodeRows(t *testing.T, enc interface{ Encode(Row) error }, rows []Row) {
+func encodeRows(t testing.TB, enc interface{ Encode(Row) error }, rows []Row) {
 	t.Helper()
 	for _, r := range rows {
 		if err := enc.Encode(r); err != nil {
@@ -77,12 +79,14 @@ func TestBinRoundTripMatchesCSVBytes(t *testing.T) {
 	}
 }
 
-func TestBinReaderRejectsCorruptShards(t *testing.T) {
-	var good bytes.Buffer
-	encodeRows(t, NewBinEncoder(&good), binTestRows())
-	full := good.Bytes()
-
-	cases := []struct {
+// corruptBinShards lists shards every consumer of the cursor must reject:
+// the table of TestBinReaderRejectsCorruptShards and the seed corpus of
+// FuzzBinShard.
+func corruptBinShards(full []byte) []struct {
+	name string
+	data []byte
+} {
+	return []struct {
 		name string
 		data []byte
 	}{
@@ -92,11 +96,25 @@ func TestBinReaderRejectsCorruptShards(t *testing.T) {
 		{"bad version", append([]byte(binMagic+"\x07"), full[5:]...)},
 		{"truncated mid-row", full[:len(full)-3]},
 		{"trailing garbage length", append(append([]byte{}, full...), 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01)},
+		{"length prefix far past the end", binary.AppendUvarint([]byte(binMagic+"\x01"), maxBinRowLen)},
 	}
-	for _, tc := range cases {
+}
+
+func TestBinReaderRejectsCorruptShards(t *testing.T) {
+	var good bytes.Buffer
+	encodeRows(t, NewBinEncoder(&good), binTestRows())
+	full := good.Bytes()
+
+	for _, tc := range corruptBinShards(full) {
 		t.Run(tc.name, func(t *testing.T) {
-			if _, err := ReadBinRows(bytes.NewReader(tc.data)); err == nil {
+			_, rowsErr := ReadBinRows(bytes.NewReader(tc.data))
+			if rowsErr == nil {
 				t.Error("corrupt shard accepted")
+			}
+			// The projection shares the parser, so it fails identically.
+			_, colsErr := readBinColumns(tc.data, []string{"q", "wall_us"})
+			if colsErr == nil || rowsErr == nil || colsErr.Error() != rowsErr.Error() {
+				t.Errorf("projection error %v, row decode error %v", colsErr, rowsErr)
 			}
 		})
 	}
@@ -104,6 +122,31 @@ func TestBinReaderRejectsCorruptShards(t *testing.T) {
 	// A clean shard still reads after all that.
 	if rows, err := ReadBinRows(bytes.NewReader(full)); err != nil || len(rows) != 5 {
 		t.Fatalf("clean shard: rows=%d err=%v", len(rows), err)
+	}
+}
+
+func TestBinLengthPrefixIsCheckedBeforeAnythingIsSizedFromIt(t *testing.T) {
+	// Ten bytes claiming a 64 MiB row: the old streaming reader allocated
+	// the 64 MiB before it found the shard ended. The length is now held
+	// against the bytes that remain first.
+	data := binary.AppendUvarint([]byte(binMagic+"\x01"), maxBinRowLen)
+	for _, consumer := range []struct {
+		name string
+		read func() error
+	}{
+		{"rows", func() error { _, err := readBinRows(data); return err }},
+		{"columns", func() error { _, err := readBinColumns(data, []string{"q"}); return err }},
+	} {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		err := consumer.read()
+		runtime.ReadMemStats(&after)
+		if err == nil || !strings.Contains(err.Error(), "truncated") {
+			t.Errorf("%s: err = %v, want a truncation error", consumer.name, err)
+		}
+		if got := after.TotalAlloc - before.TotalAlloc; got > 1<<16 {
+			t.Errorf("%s: allocated %d bytes to reject a %d-byte shard", consumer.name, got, len(data))
+		}
 	}
 }
 

@@ -2,6 +2,7 @@ package results
 
 import (
 	"bufio"
+	"bytes"
 	"fmt"
 	"io"
 	"os"
@@ -22,19 +23,16 @@ import (
 // ReadRowsFile reads one shard file, dispatching on its extension:
 // ".bin" is the binary row format, anything else is CSV.
 func ReadRowsFile(path string) ([]Row, error) {
-	f, err := os.Open(path)
+	data, err := os.ReadFile(path)
 	if err != nil {
 		return nil, err
 	}
-	defer f.Close()
+	var rows []Row
 	if filepath.Ext(path) == ".bin" {
-		rows, err := ReadBinRows(f)
-		if err != nil {
-			return nil, fmt.Errorf("%s: %w", path, err)
-		}
-		return rows, nil
+		rows, err = readBinRows(data)
+	} else {
+		rows, err = ReadCSVRows(bytes.NewReader(data))
 	}
-	rows, err := ReadCSVRows(f)
 	if err != nil {
 		return nil, fmt.Errorf("%s: %w", path, err)
 	}

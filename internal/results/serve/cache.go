@@ -2,6 +2,7 @@ package serve
 
 import (
 	"container/list"
+	"fmt"
 	"sync"
 	"time"
 
@@ -34,6 +35,9 @@ type entry struct {
 type modelCache struct {
 	cap   int
 	track *obs.Track
+	// load decodes and fits one scenario: loadEntry, except in the test
+	// that makes a load panic.
+	load func(*Scenario) (*entry, error)
 
 	mu       sync.Mutex
 	lru      *list.List // front = most recently used; values are *entry
@@ -61,6 +65,7 @@ func newModelCache(capacity int, o *obs.Observer) *modelCache {
 	reg := o.Metrics()
 	return &modelCache{
 		cap:       capacity,
+		load:      loadEntry,
 		track:     o.Tracer().Track("resultsd", "cache"),
 		lru:       list.New(),
 		byName:    map[string]*list.Element{},
@@ -98,7 +103,7 @@ func (c *modelCache) get(sc *Scenario) (*entry, error) {
 
 	span := c.track.Begin("cache", "load")
 	start := time.Now()
-	fl.e, fl.err = loadEntry(sc)
+	fl.e, fl.err = c.safeLoad(sc)
 	c.loadUS.Observe(float64(time.Since(start).Microseconds()))
 	span.End(obs.Arg{Name: "scenario", Value: sc.Name}, obs.Arg{Name: "ok", Value: fl.err == nil})
 
@@ -118,18 +123,31 @@ func (c *modelCache) get(sc *Scenario) (*entry, error) {
 	return fl.e, fl.err
 }
 
-// loadEntry decodes a scenario's shard (either format) and fits every
-// backend.
+// safeLoad runs the loader and turns a panic into the load's error (not
+// cached, like any failed load). net/http would recover the handler, but
+// the flight would stay in the map with its channel open, and every later
+// query for the scenario would block on it forever.
+func (c *modelCache) safeLoad(sc *Scenario) (e *entry, err error) {
+	defer func() {
+		if r := recover(); r != nil {
+			e, err = nil, fmt.Errorf("serve: loading scenario %s panicked: %v", sc.Name, r)
+		}
+	}()
+	return c.load(sc)
+}
+
+// loadEntry projects the three model columns out of a scenario's shard
+// (either format) and fits every backend.
 func loadEntry(sc *Scenario) (*entry, error) {
-	rows, err := results.ReadRowsFile(sc.File)
+	cols, err := results.ReadColumnsFile(sc.File, fieldQ, fieldWall, fieldDCM)
 	if err != nil {
 		return nil, err
 	}
-	backends, err := buildBackends(sc.Name, rows)
+	backends, err := buildBackends(sc.Name, cols)
 	if err != nil {
 		return nil, err
 	}
-	return &entry{sc: sc, rows: len(rows), backends: backends}, nil
+	return &entry{sc: sc, rows: cols.Rows, backends: backends}, nil
 }
 
 // len returns the resident entry count (test hook).

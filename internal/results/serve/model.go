@@ -84,11 +84,12 @@ type PerformanceModel interface {
 // the default when a query names none.
 var backendNames = []string{"fitted", "queue"}
 
-// buildBackends fits every backend for one decoded scenario. A backend
-// that cannot be built from the rows (too few distinct Q values, say) is
-// reported, not silently dropped: the scenario is unservable.
-func buildBackends(name string, rows []results.Row) (map[string]PerformanceModel, error) {
-	q, wall, dcm, hasDCM := modelSeries(rows)
+// buildBackends fits every backend for one scenario's projected columns
+// (fieldQ, fieldWall, fieldDCM, in that order). A backend that cannot be
+// built from them (too few distinct Q values, say) is reported, not
+// silently dropped: the scenario is unservable.
+func buildBackends(name string, cols *results.Columns) (map[string]PerformanceModel, error) {
+	q, wall, dcm, hasDCM := modelSeries(cols)
 	if len(q) == 0 {
 		return nil, fmt.Errorf("serve: scenario %s has no rows with %q and %q fields", name, fieldQ, fieldWall)
 	}
@@ -106,53 +107,27 @@ func buildBackends(name string, rows []results.Row) (map[string]PerformanceModel
 	}, nil
 }
 
-// modelSeries extracts the modeling series from decoded rows. Rows
-// missing either Q or the wall time are skipped; the cache-miss series is
-// only kept when every used row carries it (a partial counter column
-// cannot feed one regression).
-func modelSeries(rows []results.Row) (q, wall, dcm []float64, hasDCM bool) {
+// modelSeries extracts the modeling series from the projected columns.
+// Rows missing either Q or the wall time are skipped; the cache-miss
+// series is only kept when every used row carries it (a partial counter
+// column cannot feed one regression). The series are the columns
+// themselves, compacted in place over the skipped rows.
+func modelSeries(cols *results.Columns) (q, wall, dcm []float64, hasDCM bool) {
+	q, wall, dcm = cols.Values[0][:0], cols.Values[1][:0], cols.Values[2][:0]
 	hasDCM = true
-	for _, row := range rows {
-		qv, qok := numericField(row, fieldQ)
-		wv, wok := numericField(row, fieldWall)
-		if !qok || !wok {
+	for i := 0; i < cols.Rows; i++ {
+		if !cols.Present[0][i] || !cols.Present[1][i] {
 			continue
 		}
-		q = append(q, qv)
-		wall = append(wall, wv)
-		if dv, ok := numericField(row, fieldDCM); ok {
-			dcm = append(dcm, dv)
-		} else {
-			hasDCM = false
-		}
-	}
-	if len(dcm) != len(q) {
-		hasDCM = false
+		hasDCM = hasDCM && cols.Present[2][i]
+		q = append(q, cols.Values[0][i])
+		wall = append(wall, cols.Values[1][i])
+		dcm = append(dcm, cols.Values[2][i])
 	}
 	if !hasDCM {
 		dcm = nil
 	}
 	return q, wall, dcm, hasDCM
-}
-
-// numericField returns a row field as float64. Decoded shards carry
-// int64 (both formats), float64, and int (in-memory rows).
-func numericField(row results.Row, name string) (float64, bool) {
-	for _, f := range row {
-		if f.Name != name {
-			continue
-		}
-		switch v := f.Value.(type) {
-		case float64:
-			return v, true
-		case int64:
-			return float64(v), true
-		case int:
-			return float64(v), true
-		}
-		return 0, false
-	}
-	return 0, false
 }
 
 // fitCandidates fits the paper's model family on (x, y) and returns the
@@ -214,9 +189,12 @@ func buildFitted(q, wall, dcm []float64, hasDCM bool, stats []perfmodel.GroupSta
 		qMax:    gq[len(gq)-1],
 	}
 	if hasDCM && len(q) >= 3 {
+		// One backing array for every (Q, DCM) feature pair.
+		flat := make([]float64, 2*len(q))
 		feats := make([][]float64, len(q))
 		for i := range q {
-			feats[i] = []float64{q[i], dcm[i]}
+			feats[i] = flat[2*i : 2*i+2 : 2*i+2]
+			feats[i][0], feats[i][1] = q[i], dcm[i]
 		}
 		if ml, err := perfmodel.MultiLinFit([]string{"Q", "DCM"}, feats, wall); err == nil {
 			f.multi = &ml
