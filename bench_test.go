@@ -10,6 +10,7 @@ package repro
 import (
 	"context"
 	"fmt"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -529,6 +530,63 @@ func BenchmarkWorldRun(b *testing.B) {
 			}
 			b.ReportMetric(share*100, "%waitsome")
 		})
+	}
+}
+
+// TestWorldRunAllocationBudget pins what one 16-rank world may allocate,
+// per communication body and scheduler, so that a per-event cost that was
+// removed cannot come back unnoticed: a closure per MPI entry or per blocking
+// call, three vectors per TAU start/stop pair, a reallocated mailbox per
+// match, a cache directory cleared per rank at construction (64 kB x 16) or
+// copied per speculation (the optimistic wildcard world allocated 17.9 MB).
+// Ceilings are about a quarter above the measured values, and each is below
+// what the same world allocated before those costs were removed; a cell is
+// the cheapest of three worlds, so a GC cycle or a late goroutine start in
+// one of them does not fail the test.
+func TestWorldRunAllocationBudget(t *testing.T) {
+	type budget struct{ allocs, bytes uint64 }
+	bodies := []struct {
+		name    string
+		run     func(*mpi.Rank)
+		ceiling map[mpi.SchedulerMode]budget
+	}{
+		{"ghost", benchGhostCommBody, map[mpi.SchedulerMode]budget{
+			mpi.Serial: {7000, 1500 << 10}, mpi.ConservativeParallel: {7000, 1500 << 10}, mpi.OptimisticParallel: {7500, 3500 << 10}}},
+		{"wildcard", benchWildcardBody, map[mpi.SchedulerMode]budget{
+			mpi.Serial: {1600, 400 << 10}, mpi.ConservativeParallel: {1600, 400 << 10}, mpi.OptimisticParallel: {4000, 2000 << 10}}},
+		{"coll", benchCollectiveBody, map[mpi.SchedulerMode]budget{
+			mpi.Serial: {3600, 300 << 10}, mpi.ConservativeParallel: {3600, 300 << 10}, mpi.OptimisticParallel: {4500, 1500 << 10}}},
+	}
+	for _, body := range bodies {
+		got := map[mpi.SchedulerMode]budget{}
+		for mode, ceiling := range body.ceiling {
+			cfg := mpi.DefaultConfig()
+			cfg.Procs = 16
+			cfg.Sched = mode
+			best := budget{^uint64(0), ^uint64(0)}
+			for i := 0; i < 3; i++ {
+				var before, after runtime.MemStats
+				runtime.ReadMemStats(&before)
+				if err := mpi.NewWorld(cfg).Run(body.run); err != nil {
+					t.Fatal(err)
+				}
+				runtime.ReadMemStats(&after)
+				best.allocs = min(best.allocs, after.Mallocs-before.Mallocs)
+				best.bytes = min(best.bytes, after.TotalAlloc-before.TotalAlloc)
+			}
+			got[mode] = best
+			t.Logf("%s/p16/%s: %d allocations, %d bytes per world", body.name, mode, best.allocs, best.bytes)
+			if best.allocs > ceiling.allocs || best.bytes > ceiling.bytes {
+				t.Errorf("%s/p16/%s: %d allocations, %d bytes per world; budget %d and %d",
+					body.name, mode, best.allocs, best.bytes, ceiling.allocs, ceiling.bytes)
+			}
+		}
+		// The optimistic scheduler records an event per MPI call on top of
+		// what the call itself allocates; on the ghost exchange, the body it
+		// exists for, that may cost a quarter more allocations, not a half.
+		if s, o := got[mpi.Serial].allocs, got[mpi.OptimisticParallel].allocs; body.name == "ghost" && 4*o > 5*s {
+			t.Errorf("ghost/p16: opt makes %d allocations per world, serial %d: more than 1.25x", o, s)
+		}
 	}
 }
 

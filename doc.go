@@ -104,20 +104,30 @@
 // tests). The scheduler is part of a job's checkpoint hash like every
 // other config field, so each mode checkpoints separately.
 //
-// When does parallel-rank pay off? The conservative mode parallelizes
-// compute inside one world, so it wins on compute-dominated bodies with
-// many ranks — the BenchmarkWorldRun compute segment — while
-// communication-dominated workloads serialize at their commit points
-// anyway. That serialization is exactly what the optimistic mode attacks:
-// a ghost-exchange loop of specific-source receives never blocks on the
-// commit token (BenchmarkWorldRun's ghost variant), and speculative
-// collectives let collective-heavy bodies run ahead of the commit
-// automaton too (BenchmarkWorldRun's coll variant) — so prefer "opt" over
-// "par" when the body is communication-heavy with mostly specific-source
-// or collective traffic and few wildcards; heavy AnySource traffic with
-// genuine races costs rollbacks (watch SpecStats.Conflicts, and tighten
-// "-specwindow" so conflict-prone ranks throttle themselves), and pure
-// compute gains nothing over the conservative mode. Across-world
+// When does parallel-rank pay off? Measured, not argued: one 16-rank world
+// per body of BenchmarkWorldRun, host milliseconds and heap allocations per
+// world ("bench -workload comm_p16 -trace 1", seed 1, 2 cores, after PR 15
+// made a scheduling point cost what it touches):
+//
+//	          serial            par               opt
+//	compute   140 ms            74 ms             73 ms
+//	ghost     9.8 ms   5 540    9.2 ms   5 570    7.7 ms   5 870
+//	wildcard  0.49 ms  1 140    0.42 ms  1 210    1.03 ms  3 140
+//	coll      1.19 ms  2 860    1.16 ms  2 860    2.26 ms  3 610
+//
+// The compute body is real kernel work and scales with cores under both
+// parallel modes; about half of the ghost row is the body's own
+// arithmetic, which "opt" overlaps because its specific-source receives
+// never wait for the commit token (1 580 pipelined operations, no
+// rollback). On wildcards "opt" pays for 221 rollbacks of 240 speculations
+// and is 2x "serial"; on collectives its 1 152 speculative completions are
+// all correct and it is still 2x "serial" (its parked ranks share one
+// condition variable, so each event wakes them all). So: "par" is never
+// worse than "serial" and wins whenever ranks compute; "opt" wins only when
+// specific-source traffic has compute to overlap, and pure compute gains
+// nothing over the conservative mode (watch SpecStats.Conflicts, and
+// tighten "-specwindow" so conflict-prone ranks throttle themselves,
+// where AnySource traffic with genuine races is unavoidable). Across-world
 // campaign parallelism (CampaignConfig.Workers) is the first lever: whole
 // scenarios are embarrassingly parallel. The two compose multiplicatively
 // (worlds x ranks); prefer campaign workers when the grid has many

@@ -95,6 +95,10 @@ type Cache struct {
 	// ways of a set are always a suffix of it. (The +1 cannot wrap for any
 	// line size above one byte; byte-granular lines are a degenerate
 	// geometry in which the single address 2^64-1 is not representable.)
+	//
+	// tags is nil until the first access: an untouched cache is an empty
+	// directory, and a rank that only communicates never pays for clearing
+	// one (64 kB for the testbed geometry).
 	tags  []uint64
 	assoc int
 	stats Stats
@@ -111,13 +115,23 @@ func New(cfg Config) *Cache {
 	for 1<<shift != cfg.LineBytes {
 		shift++
 	}
-	sets := cfg.Sets()
 	return &Cache{
 		cfg:       cfg,
 		lineShift: shift,
-		setMask:   uint64(sets - 1),
-		tags:      make([]uint64, sets*cfg.Assoc),
+		setMask:   uint64(cfg.Sets() - 1),
 		assoc:     cfg.Assoc,
+	}
+}
+
+// ways returns the number of directory entries (sets x associativity).
+func (c *Cache) ways() int { return int(c.setMask+1) * c.assoc }
+
+// ensureDirectory allocates the empty directory at the first access. Access
+// and AccessRange call it once per call, so that walk and accessLine — the
+// per-line code — never check.
+func (c *Cache) ensureDirectory() {
+	if c.tags == nil {
+		c.tags = make([]uint64, c.ways())
 	}
 }
 
@@ -138,17 +152,24 @@ func (c *Cache) RestoreStats(s Stats) { c.stats = s }
 // State is a deep snapshot of a cache's full mutable state: resident lines,
 // LRU order and counters. It is opaque; use Checkpoint/Restore.
 type State struct {
-	tags  []uint64
+	tags  []uint64 // nil: the directory was untouched (empty) at the checkpoint
+	ways  int
 	stats Stats
 }
 
 // Checkpoint captures the complete cache state (lines, LRU order, counters)
 // for a later Restore. The copy is one 8-byte tag per line (8,192 tags,
-// 64 kB, for the 512 kB testbed cache), so callers on hot paths that know
-// their region performs no accesses should checkpoint Stats alone.
+// 64 kB, for the 512 kB testbed cache; nothing for a cache no access has
+// touched yet). It is for regions that access memory: a caller that knows
+// its region performs no accesses should checkpoint Stats alone and check
+// on the way back that they did not move — package mpi's speculation
+// checkpoints do exactly that, and never call Checkpoint.
 func (c *Cache) Checkpoint() State {
-	s := State{tags: make([]uint64, len(c.tags)), stats: c.stats}
-	copy(s.tags, c.tags)
+	s := State{ways: c.ways(), stats: c.stats}
+	if c.tags != nil {
+		s.tags = make([]uint64, len(c.tags))
+		copy(s.tags, c.tags)
+	}
 	return s
 }
 
@@ -156,11 +177,15 @@ func (c *Cache) Checkpoint() State {
 // must come from a cache of the same geometry; restoring a snapshot from a
 // differently shaped cache panics.
 func (c *Cache) Restore(s State) {
-	if len(s.tags) != len(c.tags) {
-		panic(fmt.Sprintf("cache: checkpoint geometry mismatch: %d lines vs %d",
-			len(s.tags), len(c.tags)))
+	if s.ways != c.ways() {
+		panic(fmt.Sprintf("cache: checkpoint geometry mismatch: %d lines vs %d", s.ways, c.ways()))
 	}
-	copy(c.tags, s.tags)
+	if s.tags == nil {
+		clear(c.tags)
+	} else {
+		c.ensureDirectory()
+		copy(c.tags, s.tags)
+	}
 	c.stats = s.stats
 }
 
@@ -196,6 +221,7 @@ func (c *Cache) accessLine(line uint64) bool {
 // Access simulates a single data access at the given virtual byte address
 // and reports whether it hit.
 func (c *Cache) Access(addr uint64) bool {
+	c.ensureDirectory()
 	c.stats.Accesses++
 	if c.accessLine(addr >> c.lineShift) {
 		c.stats.Hits++
@@ -221,6 +247,7 @@ func (c *Cache) AccessRange(base uint64, n, strideBytes int) (hits, misses uint6
 	if n <= 0 {
 		return 0, 0
 	}
+	c.ensureDirectory()
 	end := base + uint64(n-1)*uint64(strideBytes)
 	if strideBytes > 0 && strideBytes <= c.cfg.LineBytes && end >= base {
 		first, last := base>>c.lineShift, end>>c.lineShift
@@ -317,6 +344,9 @@ func (c *Cache) Touch(base uint64, bytes int) {
 // Resident reports whether the line containing addr is currently cached,
 // without affecting LRU order or counters.
 func (c *Cache) Resident(addr uint64) bool {
+	if c.tags == nil {
+		return false
+	}
 	line := addr >> c.lineShift
 	set := int(line&c.setMask) * c.assoc
 	for _, t := range c.tags[set : set+c.assoc] {

@@ -1,6 +1,9 @@
 package cache
 
-import "testing"
+import (
+	"testing"
+	"unsafe"
+)
 
 // TestCheckpointRestoresLinesAndStats verifies Restore rewinds resident
 // lines, LRU order and counters to the snapshot.
@@ -46,4 +49,30 @@ func TestRestoreRejectsGeometryMismatch(t *testing.T) {
 		}
 	}()
 	b.Restore(a.Checkpoint())
+}
+
+// TestNewAllocatesNoDirectory: the directory (64 kB for the testbed
+// geometry) is allocated at the first access, so constructing a cache that
+// is never accessed costs only the Cache value, and a checkpoint taken
+// before any access restores to an empty directory.
+func TestNewAllocatesNoDirectory(t *testing.T) {
+	var c *Cache
+	if n := testing.AllocsPerRun(10, func() { c = New(XeonL2()) }); n > 1 {
+		t.Errorf("New(XeonL2()) makes %v allocations, want the Cache value alone", n)
+	}
+	if size := unsafe.Sizeof(*c); size >= 1024 {
+		t.Errorf("a Cache value is %d bytes, want < 1 kB", size)
+	}
+	cp := c.Checkpoint()
+	c.AccessRange(0, 64, 64)
+	if !c.Resident(0) {
+		t.Fatal("line 0 should be resident after the sweep")
+	}
+	c.Restore(cp)
+	if c.Resident(0) || c.Stats() != (Stats{}) {
+		t.Errorf("restore to an untouched checkpoint left line 0 resident=%v, stats %+v", c.Resident(0), c.Stats())
+	}
+	if h, m := c.AccessRange(0, 1, 64); h != 0 || m != 1 {
+		t.Errorf("access after restore: %d hits %d misses, want a miss", h, m)
+	}
 }

@@ -62,10 +62,13 @@ func (l *lockstep) check(op string) {
 	if g, w := l.got.Stats(), l.want.Stats(); g != w {
 		l.t.Fatalf("%+v step %d %s: stats %+v, reference %+v", l.cfg, l.step, op, g, w)
 	}
-	for i, tag := range l.got.tags {
-		want := uint64(0)
-		if l.want.valid[i] {
+	for i, valid := range l.want.valid {
+		want, tag := uint64(0), uint64(0)
+		if valid {
 			want = l.want.ways[i] + 1
+		}
+		if l.got.tags != nil { // nil: no access yet, every way empty
+			tag = l.got.tags[i]
 		}
 		if tag != want {
 			l.t.Fatalf("%+v step %d %s: set %d way %d holds tag %#x, reference %#x",
@@ -184,7 +187,16 @@ func runRandomTrace(t testing.TB, cfg Config, seed int64, steps int) *lockstep {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
 	l := newLockstep(t, cfg)
+	// The directory is allocated at the first access: every call that can
+	// come before one must already behave as on an empty directory.
+	l.checkResident("Resident on an untouched cache", uint64(rng.Int63n(int64(4*cfg.SizeBytes))))
 	gotCP, wantCP := l.got.Checkpoint(), l.want.Checkpoint()
+	l.got.Restore(gotCP)
+	l.want.Restore(wantCP)
+	l.check("Restore on an untouched cache")
+	l.got.Flush()
+	l.want.Flush()
+	l.check("Flush on an untouched cache")
 	stats := l.got.Stats()
 	for i := 0; i < steps; i++ {
 		switch k := rng.Intn(40); {

@@ -2,6 +2,7 @@ package mpi
 
 import (
 	"fmt"
+	"strings"
 
 	"repro/internal/netmodel"
 )
@@ -51,24 +52,20 @@ const (
 	collCreate
 )
 
+// collOps names each collective's MPI entry point (constants, so that
+// describing a blocked collective builds no string).
+var collOps = [...]string{
+	collBarrier:   "MPI_Barrier()",
+	collReduce:    "MPI_Reduce()",
+	collAllreduce: "MPI_Allreduce()",
+	collBcast:     "MPI_Bcast()",
+	collAllgather: "MPI_Allgather()",
+	collDup:       "MPI_Comm_dup()",
+	collCreate:    "MPI_Comm_create()",
+}
+
 func (k collKind) String() string {
-	switch k {
-	case collBarrier:
-		return "Barrier"
-	case collReduce:
-		return "Reduce"
-	case collAllreduce:
-		return "Allreduce"
-	case collBcast:
-		return "Bcast"
-	case collAllgather:
-		return "Allgather"
-	case collDup:
-		return "Comm_dup"
-	case collCreate:
-		return "Comm_create"
-	}
-	return "?"
+	return strings.TrimSuffix(strings.TrimPrefix(collOps[k], "MPI_"), "()")
 }
 
 func (k collKind) netKind() netmodel.CollectiveKind {
@@ -152,8 +149,7 @@ func (c *Comm) collectiveLocked(kind collKind, data []float64, root int, op Op) 
 	if cs.arrived == len(c.group) {
 		c.completeCollectiveLocked(cs)
 	} else {
-		w.blockOn(c.r.rank, blockDesc{op: "MPI_" + kind.String() + "()", comm: c.id},
-			func() bool { return cs.gen > myGen })
+		w.blockOn(c.r.rank, blockDesc{op: collOps[kind], comm: c.id, cs: cs, gen: myGen})
 		if w.aborted {
 			panic(abortPanic{})
 		}
@@ -259,16 +255,14 @@ func reduceContrib(contrib [][]float64, op Op) []float64 {
 
 // Barrier blocks until every rank of the communicator has entered it.
 func (c *Comm) Barrier() {
-	stop := c.enter("MPI_Barrier()")
-	defer stop()
+	defer c.enter("MPI_Barrier()").exit()
 	c.collective(collBarrier, nil, 0, OpSum)
 }
 
 // Allreduce reduces data elementwise across all ranks under op and returns
 // the result (identical on every rank).
 func (c *Comm) Allreduce(op Op, data []float64) []float64 {
-	stop := c.enter("MPI_Allreduce()")
-	defer stop()
+	defer c.enter("MPI_Allreduce()").exit()
 	res, _ := c.collective(collAllreduce, data, 0, op)
 	out := make([]float64, len(res))
 	copy(out, res)
@@ -279,8 +273,7 @@ func (c *Comm) Allreduce(op Op, data []float64) []float64 {
 // and nil elsewhere.
 func (c *Comm) Reduce(op Op, root int, data []float64) []float64 {
 	c.checkPeer(root)
-	stop := c.enter("MPI_Reduce()")
-	defer stop()
+	defer c.enter("MPI_Reduce()").exit()
 	res, _ := c.collective(collReduce, data, root, op)
 	if res == nil {
 		return nil
@@ -293,8 +286,7 @@ func (c *Comm) Reduce(op Op, root int, data []float64) []float64 {
 // Bcast broadcasts root's buf into every rank's buf (in place).
 func (c *Comm) Bcast(root int, buf []float64) {
 	c.checkPeer(root)
-	stop := c.enter("MPI_Bcast()")
-	defer stop()
+	defer c.enter("MPI_Bcast()").exit()
 	var contrib []float64
 	if c.rank == root {
 		contrib = buf
@@ -311,8 +303,7 @@ func (c *Comm) Bcast(root int, buf []float64) {
 // Allgather concatenates every rank's equal-length contribution in rank
 // order and returns the concatenation on every rank.
 func (c *Comm) Allgather(data []float64) []float64 {
-	stop := c.enter("MPI_Allgather()")
-	defer stop()
+	defer c.enter("MPI_Allgather()").exit()
 	res, _ := c.collective(collAllgather, data, 0, OpSum)
 	out := make([]float64, len(res))
 	copy(out, res)
@@ -323,8 +314,7 @@ func (c *Comm) Allgather(data []float64) []float64 {
 // the same group but a private message space.
 func (c *Comm) Dup() *Comm {
 	w := c.world
-	stop := c.enter("MPI_Comm_dup()")
-	defer stop()
+	defer c.enter("MPI_Comm_dup()").exit()
 	_, id := c.collective(collDup, nil, 0, OpSum)
 	return &Comm{world: w, id: id, rank: c.rank, group: c.group, r: c.r}
 }
@@ -340,8 +330,7 @@ func (c *Comm) CommCreate(group []int) *Comm {
 		}
 	}
 	w := c.world
-	stop := c.enter("MPI_Comm_create()")
-	defer stop()
+	defer c.enter("MPI_Comm_create()").exit()
 	_, id := c.collective(collCreate, nil, 0, OpSum)
 	myNew := -1
 	worldGroup := make([]int, len(group))

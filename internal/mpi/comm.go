@@ -1,6 +1,10 @@
 package mpi
 
-import "fmt"
+import (
+	"fmt"
+
+	"repro/internal/obs"
+)
 
 // Wildcards for Recv/Irecv matching.
 const (
@@ -43,28 +47,41 @@ func (c *Comm) checkPeer(peer int) {
 	}
 }
 
+// mpiCall is an open MPI entry point, returned by enter and closed by exit.
+// It is a value (not a closure) so that entering costs no allocation.
+type mpiCall struct {
+	r    *Rank
+	name string
+	span obs.SpanHandle
+}
+
 // enter wraps an MPI entry point in its TAU timer (group "MPI") and charges
-// the fixed software overhead. It returns the function that closes the
-// timer. Profile and clock are rank-local, so no lock is needed.
-func (c *Comm) enter(name string) func() {
-	c.r.Prof.Start(name, "MPI")
-	c.r.Proc.Advance(c.world.cfg.Net.SoftwareUS)
-	trk := c.world.rankTrack(c.r.rank)
-	if trk == nil {
-		return func() { c.r.Prof.Stop(name) }
+// the fixed software overhead; callers defer exit on the result. Profile
+// and clock are rank-local, so no lock is needed.
+func (c *Comm) enter(name string) mpiCall {
+	r := c.r
+	r.Prof.Start(name, "MPI")
+	r.Proc.Advance(c.world.cfg.Net.SoftwareUS)
+	e := mpiCall{r: r, name: name}
+	if trk := c.world.rankTrack(r.rank); trk != nil {
+		// Observed: the gap since the previous MPI return is this rank's
+		// compute segment, and the entry itself becomes a span. lastOpEnd is
+		// rank-local (each rank's entry points run on its own goroutine).
+		now := trk.Now()
+		if last := r.lastOpEnd; last != 0 && now > last {
+			trk.Span("compute", "compute", last, now-last)
+		}
+		e.span = trk.Begin("mpi", name)
 	}
-	// Observed: the gap since the previous MPI return is this rank's
-	// compute segment, and the entry itself becomes a span. lastOpEnd is
-	// rank-local (each rank's entry points run on its own goroutine).
-	now := trk.Now()
-	if last := c.r.lastOpEnd; last != 0 && now > last {
-		trk.Span("compute", "compute", last, now-last)
-	}
-	sp := trk.Begin("mpi", name)
-	return func() {
-		c.r.Prof.Stop(name)
-		sp.End()
-		c.r.lastOpEnd = trk.Now()
+	return e
+}
+
+// exit closes the entry point's timer and, when observed, its span.
+func (e mpiCall) exit() {
+	e.r.Prof.Stop(e.name)
+	if trk := e.r.world.rankTrack(e.r.rank); trk != nil {
+		e.span.End()
+		e.r.lastOpEnd = trk.Now()
 	}
 }
 
@@ -144,8 +161,7 @@ const copyBytesPerUS = 1500.0
 // delay. A rank-local operation: it never blocks the sender.
 func (c *Comm) Send(dst, tag int, data []float64) {
 	c.checkPeer(dst)
-	stop := c.enter("MPI_Send()")
-	defer stop()
+	defer c.enter("MPI_Send()").exit()
 	c.r.Proc.Advance(float64(bytesOf(len(data))) / copyBytesPerUS)
 	c.postSend(dst, tag, data)
 }
@@ -156,25 +172,21 @@ func (c *Comm) Recv(src, tag int, buf []float64) int {
 	if src != AnySource {
 		c.checkPeer(src)
 	}
-	stop := c.enter("MPI_Recv()")
-	defer stop()
+	defer c.enter("MPI_Recv()").exit()
 	w := c.world
 	if w.opt {
-		req := &Request{comm: c, isRecv: true, src: src, tag: tag, buf: buf}
-		c.optCompleteRecvs("MPI_Recv()", []*Request{req})
+		// The request of a blocking receive lives on the rank (which is
+		// inside one MPI call at a time), not in a heap object per call.
+		req := &c.r.recvReq
+		*req = Request{comm: c, isRecv: true, src: src, tag: tag, buf: buf}
+		c.r.oneReq[0] = req
+		c.optCompleteRecvs("MPI_Recv()", c.r.oneReq[:])
 		return req.n
 	}
 	w.lockShared(c.r.rank)
 	defer w.mu.Unlock()
-	key := mailKey{comm: c.id, dst: c.group[c.rank]}
-	w.blockOn(c.r.rank, blockDesc{op: "MPI_Recv()", comm: c.id, src: src, tag: tag},
-		func() bool { return w.hasMatchLocked(key, src, tag) })
-	if w.aborted {
-		panic(abortPanic{})
-	}
-	m := w.matchLocked(key, src, tag)
-	req := &Request{comm: c, isRecv: true, src: src, tag: tag, buf: buf}
-	c.consumeLocked(m, req)
+	req := Request{comm: c, isRecv: true, src: src, tag: tag, buf: buf}
+	c.waitLocked("MPI_Recv()", &req)
 	return req.n
 }
 
@@ -183,8 +195,7 @@ func (c *Comm) Recv(src, tag int, buf []float64) int {
 // posts all sends before waiting on receives.
 func (c *Comm) Isend(dst, tag int, data []float64) *Request {
 	c.checkPeer(dst)
-	stop := c.enter("MPI_Isend()")
-	defer stop()
+	defer c.enter("MPI_Isend()").exit()
 	c.postSend(dst, tag, data)
 	return &Request{comm: c, done: true}
 }
@@ -196,8 +207,7 @@ func (c *Comm) Irecv(src, tag int, buf []float64) *Request {
 	if src != AnySource {
 		c.checkPeer(src)
 	}
-	stop := c.enter("MPI_Irecv()")
-	defer stop()
+	defer c.enter("MPI_Irecv()").exit()
 	return &Request{comm: c, isRecv: true, src: src, tag: tag, buf: buf}
 }
 
@@ -211,13 +221,11 @@ func (c *Comm) waitLocked(op string, req *Request) {
 		return
 	}
 	w := c.world
-	key := mailKey{comm: req.comm.id, dst: req.comm.group[req.comm.rank]}
-	w.blockOn(c.r.rank, blockDesc{op: op, comm: req.comm.id, src: req.src, tag: req.tag},
-		func() bool { return w.hasMatchLocked(key, req.src, req.tag) })
+	w.blockOn(c.r.rank, blockDesc{op: op, comm: req.comm.id, src: req.src, tag: req.tag})
 	if w.aborted {
 		panic(abortPanic{})
 	}
-	m := w.matchLocked(key, req.src, req.tag)
+	m := w.matchLocked(mailKey{comm: req.comm.id, dst: c.r.rank}, req.src, req.tag)
 	req.comm.consumeLocked(m, req)
 }
 
@@ -234,8 +242,7 @@ func pendingRecvs(reqs []*Request) int {
 
 // Wait blocks until the request completes.
 func (c *Comm) Wait(req *Request) {
-	stop := c.enter("MPI_Wait()")
-	defer stop()
+	defer c.enter("MPI_Wait()").exit()
 	if req.done || req.canceled || !req.isRecv {
 		if !req.isRecv {
 			req.done = true
@@ -244,7 +251,8 @@ func (c *Comm) Wait(req *Request) {
 	}
 	w := c.world
 	if w.opt {
-		c.optCompleteRecvs("MPI_Wait()", []*Request{req})
+		c.r.oneReq[0] = req
+		c.optCompleteRecvs("MPI_Wait()", c.r.oneReq[:])
 		return
 	}
 	w.lockShared(c.r.rank)
@@ -254,8 +262,7 @@ func (c *Comm) Wait(req *Request) {
 
 // Waitall blocks until every request completes.
 func (c *Comm) Waitall(reqs []*Request) {
-	stop := c.enter("MPI_Waitall()")
-	defer stop()
+	defer c.enter("MPI_Waitall()").exit()
 	if pendingRecvs(reqs) == 0 {
 		// Only sends (already complete at posting) and settled requests:
 		// nothing touches the shared message space.
@@ -290,8 +297,7 @@ func (c *Comm) Waitall(reqs []*Request) {
 // updates and the load-balancing redistribution both post batches of
 // nonblocking receives and drain them with Waitsome.
 func (c *Comm) Waitsome(reqs []*Request) []int {
-	stop := c.enter("MPI_Waitsome()")
-	defer stop()
+	defer c.enter("MPI_Waitsome()").exit()
 
 	// Complete any finished sends without blocking — a rank-local fast
 	// path: send requests are complete at posting and never consult the
@@ -322,18 +328,7 @@ func (c *Comm) Waitsome(reqs []*Request) []int {
 	}
 	w.lockShared(c.r.rank)
 	defer w.mu.Unlock()
-	ready := func() bool {
-		for _, r := range reqs {
-			if r.isRecv && !r.done && !r.canceled {
-				key := mailKey{comm: r.comm.id, dst: r.comm.group[r.comm.rank]}
-				if w.hasMatchLocked(key, r.src, r.tag) {
-					return true
-				}
-			}
-		}
-		return false
-	}
-	w.blockOn(c.r.rank, blockDesc{op: "MPI_Waitsome()", comm: c.id, pending: pendingRecv}, ready)
+	w.blockOn(c.r.rank, blockDesc{op: "MPI_Waitsome()", comm: c.id, pending: pendingRecv, reqs: reqs})
 	if w.aborted {
 		panic(abortPanic{})
 	}
@@ -354,8 +349,7 @@ func (c *Comm) Waitsome(reqs []*Request) []int {
 // Canceling a completed request is a no-op, as in MPI. Rank-local: the
 // request belongs to the calling rank.
 func (c *Comm) Cancel(req *Request) {
-	stop := c.enter("MPI_Cancel()")
-	defer stop()
+	defer c.enter("MPI_Cancel()").exit()
 	if !req.done {
 		req.canceled = true
 	}
@@ -363,24 +357,21 @@ func (c *Comm) Cancel(req *Request) {
 
 // Wtime returns the rank's virtual time in seconds (MPI_Wtime semantics).
 func (c *Comm) Wtime() float64 {
-	stop := c.enter("MPI_Wtime()")
-	defer stop()
+	defer c.enter("MPI_Wtime()").exit()
 	return c.r.Proc.Now() * 1e-6
 }
 
 // Init models MPI_Init: a synchronizing startup with a substantial
 // one-time cost (the Fig. 3 profile shows ~0.66 s per rank).
 func (c *Comm) Init() {
-	stop := c.enter("MPI_Init()")
-	defer stop()
+	defer c.enter("MPI_Init()").exit()
 	c.r.Proc.Advance(c.world.cfg.InitUS)
 	c.collective(collBarrier, nil, 0, OpSum)
 }
 
 // Finalize models MPI_Finalize: a synchronizing teardown.
 func (c *Comm) Finalize() {
-	stop := c.enter("MPI_Finalize()")
-	defer stop()
+	defer c.enter("MPI_Finalize()").exit()
 	c.collective(collBarrier, nil, 0, OpSum)
 	c.r.Proc.Advance(c.world.cfg.FinalizeUS)
 }
@@ -389,8 +380,7 @@ func (c *Comm) Finalize() {
 // (the paper's framework calls it during startup). Id allocation is
 // order-sensitive shared state, so it commits under the token.
 func (c *Comm) KeyvalCreate() int {
-	stop := c.enter("MPI_Keyval_create()")
-	defer stop()
+	defer c.enter("MPI_Keyval_create()").exit()
 	w := c.world
 	if w.opt {
 		return c.optKeyvalCreate()
@@ -403,6 +393,5 @@ func (c *Comm) KeyvalCreate() int {
 
 // ErrhandlerSet models MPI_Errhandler_set: bookkeeping only.
 func (c *Comm) ErrhandlerSet() {
-	stop := c.enter("MPI_Errhandler_set()")
-	defer stop()
+	defer c.enter("MPI_Errhandler_set()").exit()
 }

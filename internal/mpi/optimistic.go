@@ -16,7 +16,7 @@ package mpi
 // and blocks the rank at events whose serial predicate fails — exactly the
 // scheduling points the serial scheduler would take. Speculative outcomes
 // that match the committed truth resolve; mismatches mark the event
-// conflicted, and the owning rank rolls back (processor clock, cache lines,
+// conflicted, and the owning rank rolls back (processor clock and counters,
 // RNG stream, TAU events, request state) and re-executes from the committed
 // truth before its MPI call returns.
 //
@@ -47,8 +47,8 @@ package mpi
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 
-	"repro/internal/cache"
 	"repro/internal/obs"
 	"repro/internal/platform"
 	"repro/internal/tau"
@@ -166,6 +166,10 @@ type recvSlot struct {
 	got      *message
 	byAuto   bool
 	truth    *message
+	// req is the posted request and idx its position in the caller's list;
+	// only the owning rank reads them, never the automaton.
+	req *Request
+	idx int
 }
 
 // specEvent is one recorded MPI operation in a rank's event stream. The
@@ -184,8 +188,11 @@ type specEvent struct {
 	sendKey mailKey
 	msg     *message
 
-	// evRecv / evWaitsome
+	// evRecv / evWaitsome. one is the storage of a single-slot event; wild
+	// marks an AnySource slot.
 	slots      []recvSlot
+	one        [1]recvSlot
+	wild       bool
 	sub        int // next slot the automaton will process (evRecv)
 	specDone   bool
 	conflicted bool
@@ -364,11 +371,13 @@ type reqUndo struct {
 
 // specUndo is the undo log one speculative operation records before
 // tentatively consuming anything: processor state (clock, counters, RNG
-// position), cache lines, TAU events, request state and the published
-// messages it marked taken.
+// position), TAU events, request state and the published messages it marked
+// taken — and no copy of the cache directory: package mpi never accesses the
+// cache, and a speculating rank stays parked inside its MPI call until the
+// verdict, so no line can move before a rollback (which checks exactly that).
+// A rank has one speculation open at a time: the log lives on the Rank.
 type specUndo struct {
 	proc   platform.ProcState
-	cache  cache.State
 	events tau.EventsCheckpoint
 	reqs   []reqUndo
 	taken  []*message
@@ -378,42 +387,68 @@ type specUndo struct {
 	contrib [][]float64
 }
 
-// specCheckpointLocked records the rank's rollback point. Caller holds the
-// world lock (the snapshot itself touches only rank-local state).
-func (r *Rank) specCheckpointLocked(reqs []*Request) *specUndo {
-	u := &specUndo{
-		proc:   r.Proc.Checkpoint(),
-		cache:  r.Proc.Cache().Checkpoint(),
-		events: r.Prof.CheckpointEvents(),
-	}
-	for _, q := range reqs {
-		ru := reqUndo{req: q, done: q.done, n: q.n}
-		if len(q.buf) > 0 {
-			ru.buf = append([]float64(nil), q.buf...)
-		}
-		u.reqs = append(u.reqs, ru)
+// specCheckpointLocked records the rank's rollback point before it completes
+// the receives in slots speculatively. Caller holds the world lock (the
+// snapshot itself touches only rank-local state).
+func (r *Rank) specCheckpointLocked(slots []recvSlot) *specUndo {
+	u := &r.undo
+	u.proc, u.events = r.Proc.Checkpoint(), r.Prof.CheckpointEvents()
+	u.reqs, u.taken, u.contrib = u.reqs[:0], u.taken[:0], nil
+	for i := range slots {
+		q := slots[i].req
+		u.reqs = append(u.reqs, reqUndo{req: q, done: q.done, n: q.n, buf: append([]float64(nil), q.buf...)})
 	}
 	return u
 }
 
 // rollbackLocked rewinds the rank to the undo log's checkpoint: virtual
-// clock, counters, RNG stream position, cache lines, TAU events, request
-// state; tentatively taken messages return to the published pool.
+// clock, counters, RNG stream position, TAU events, request state;
+// tentatively taken messages return to the published pool. The cache
+// directory needs no rewinding while the region accessed nothing, which the
+// cache's counters prove; one that did is a bug, and panics here.
 func (r *Rank) rollbackLocked(u *specUndo) {
+	if got := r.Proc.Cache().Stats(); got != u.proc.CacheStats {
+		panic(fmt.Sprintf("mpi: optimistic scheduler invariant violation: rank %d accessed its cache inside a speculative region (counters %+v at the checkpoint, %+v at rollback), and speculation checkpoints hold no copy of the cache directory",
+			r.rank, u.proc.CacheStats, got))
+	}
 	r.Proc.Restore(u.proc)
-	r.Proc.Cache().Restore(u.cache)
 	r.Prof.RestoreEvents(u.events)
 	for _, ru := range u.reqs {
 		ru.req.done = ru.done
 		ru.req.n = ru.n
-		if ru.buf != nil {
-			copy(ru.req.buf, ru.buf)
-		}
+		copy(ru.req.buf, ru.buf)
 	}
 	for _, m := range u.taken {
 		m.taken = false
 	}
 	u.taken = u.taken[:0]
+}
+
+// newEvent carves an event from the rank's slab: every MPI call records one,
+// and an allocation per 64 of them is cheaper than one each.
+func (r *Rank) newEvent(init specEvent) *specEvent {
+	if len(r.evSlab) == 0 {
+		r.evSlab = make([]specEvent, 64)
+	}
+	ev := &r.evSlab[0]
+	r.evSlab = r.evSlab[1:]
+	*ev = init
+	return ev
+}
+
+// recvEvent starts the event of a receive-completing call, with one slot per
+// pending receive of reqs, in posting order.
+func (c *Comm) recvEvent(kind evKind, op string, reqs []*Request) *specEvent {
+	ev := c.r.newEvent(specEvent{kind: kind, rank: c.r.rank, op: op, comm: c, clock: c.r.Proc.Now()})
+	ev.slots = ev.one[:0]
+	for i, q := range reqs {
+		if q.isRecv && !q.done && !q.canceled {
+			ev.slots = append(ev.slots, recvSlot{key: mailKey{comm: q.comm.id, dst: c.r.rank},
+				src: q.src, tag: q.tag, bufLen: len(q.buf), req: q, idx: i})
+			ev.wild = ev.wild || q.src == AnySource
+		}
+	}
+	return ev
 }
 
 // ---------------------------------------------------------------------------
@@ -454,7 +489,7 @@ func (o *optState) pubRemoveLocked(key mailKey, m *message) {
 	box := o.pub[key]
 	for i, x := range box {
 		if x == m {
-			o.pub[key] = append(box[:i:i], box[i+1:]...)
+			o.pub[key] = slices.Delete(box, i, i+1)
 			return
 		}
 	}
@@ -476,29 +511,61 @@ func (o *optState) windowWaitLocked(rank int) {
 	}
 	o.stats.WindowStalls++
 	o.w.rankTrack(rank).Instant("spec", "window stall")
-	o.w.optParkLocked(rank, blockDesc{op: "speculation window"}, func() bool {
+	o.w.optParkLocked(rank, blockDesc{op: "speculation window"})
+}
+
+// What an optimistic blockDesc's slot names besides a slot of its event.
+const (
+	slotAny     = -1 // any slot of the event (Waitsome)
+	slotVerdict = -2 // nothing short of the automaton's verdict
+)
+
+// readyLocked evaluates what a parked rank waits for: with no event, room in
+// its speculation window (re-read, so an adaptive grow can release it);
+// otherwise the automaton's verdict on the event or, short of that, the
+// collective's speculative completion, or a pick — the automaton's or a
+// published match — for slot d.slot (for any slot under slotAny).
+func (o *optState) readyLocked(rank int, d *blockDesc) bool {
+	ev := d.ev
+	switch {
+	case ev == nil:
 		return len(o.streams[rank])-o.pos[rank] < o.win[rank]
-	})
+	case ev.state != esPending:
+		return true
+	case d.slot == slotVerdict:
+		return false
+	case ev.kind == evColl:
+		return ev.collSpec
+	}
+	lo, hi := d.slot, d.slot+1
+	if d.slot == slotAny {
+		lo, hi = 0, len(ev.slots)
+	}
+	for i := lo; i < hi; i++ {
+		if s := &ev.slots[i]; s.got != nil || o.pubFindLocked(s.key, s.src, s.tag, s.bufLen) != nil {
+			return true
+		}
+	}
+	return false
 }
 
 // ---------------------------------------------------------------------------
 // Parking, helping and deadlock detection.
 
-// optParkLocked parks the rank until ready() holds. While waiting it helps
-// drive the commit automaton (there is no dedicated committer goroutine)
-// and runs the deadlock check: if every other live rank is parked or
-// finished and the automaton cannot progress, the replayed serial order is
-// blocked with every live rank waiting — the exact condition under which
-// the serial scheduler declares deadlock. on describes the awaited
-// communication for the deadlock report. Caller holds w.mu.
-func (w *World) optParkLocked(rank int, on blockDesc, ready func() bool) {
-	if ready() {
+// optParkLocked parks the rank until what on describes has happened
+// (readyLocked). While waiting it helps drive the commit automaton (there is
+// no dedicated committer goroutine) and runs the deadlock check: if every
+// other live rank is parked or finished and the automaton cannot progress,
+// the replayed serial order is blocked with every live rank waiting — the
+// exact condition under which the serial scheduler declares deadlock.
+// Caller holds w.mu.
+func (w *World) optParkLocked(rank int, on blockDesc) {
+	w.blockedOn[rank] = on // the deadlock check re-evaluates parked ranks
+	if w.holdsLocked(rank) {
 		return
 	}
 	o := w.o
 	w.status[rank] = stBlocked
-	w.blockedOn[rank] = on
-	w.blocked[rank] = ready // the deadlock check re-evaluates parked ranks
 	// The compute slot is released once, on first parking, and re-acquired
 	// once the predicate holds — not around every Wait iteration: releasing
 	// broadcasts to slot waiters, and a release per wakeup lets idle parked
@@ -509,7 +576,7 @@ func (w *World) optParkLocked(rank int, on blockDesc, ready func() bool) {
 		if w.aborted {
 			panic(abortPanic{})
 		}
-		if ready() {
+		if w.holdsLocked(rank) {
 			break
 		}
 		if w.autoStepLocked() {
@@ -531,8 +598,6 @@ func (w *World) optParkLocked(rank int, on blockDesc, ready func() bool) {
 		panic(abortPanic{})
 	}
 	w.status[rank] = stRunning
-	w.blockedOn[rank] = blockDesc{}
-	w.blocked[rank] = nil
 }
 
 // allOthersIdleLocked reports whether every rank but self is parked on a
@@ -551,7 +616,7 @@ func (o *optState) allOthersIdleLocked(self int) bool {
 		if !o.parked[r] {
 			return false
 		}
-		if o.w.blocked[r] != nil && o.w.blocked[r]() {
+		if o.w.holdsLocked(r) {
 			return false
 		}
 	}
@@ -922,7 +987,7 @@ func (c *Comm) optPostSend(key mailKey, m *message) {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	o := w.o
-	ev := &specEvent{kind: evSend, rank: c.r.rank, op: "MPI_Send()", comm: c, clock: c.r.Proc.Now(), sendKey: key, msg: m}
+	ev := c.r.newEvent(specEvent{kind: evSend, rank: c.r.rank, op: "MPI_Send()", comm: c, clock: c.r.Proc.Now(), sendKey: key, msg: m})
 	o.appendLocked(c.r.rank, ev)
 	o.pub[key] = append(o.pub[key], m)
 	o.stats.PublishedSends++
@@ -941,39 +1006,23 @@ func (c *Comm) optCompleteRecvs(op string, reqs []*Request) {
 	defer w.mu.Unlock()
 	o := w.o
 
-	var slots []recvSlot
-	var sreqs []*Request
-	spec := false
-	for _, q := range reqs {
-		if !q.isRecv || q.done || q.canceled {
-			continue
-		}
-		key := mailKey{comm: q.comm.id, dst: q.comm.group[q.comm.rank]}
-		slots = append(slots, recvSlot{key: key, src: q.src, tag: q.tag, bufLen: len(q.buf)})
-		sreqs = append(sreqs, q)
-		if q.src == AnySource {
-			spec = true
-		}
-	}
-	if len(slots) == 0 {
+	ev := c.recvEvent(evRecv, op, reqs)
+	if len(ev.slots) == 0 {
 		return
 	}
-	ev := &specEvent{kind: evRecv, rank: rank, op: op, comm: c, clock: c.r.Proc.Now(), slots: slots}
 	o.appendLocked(rank, ev)
 
 	var undo *specUndo
-	if spec {
-		undo = c.r.specCheckpointLocked(sreqs)
+	if ev.wild {
+		undo = c.r.specCheckpointLocked(ev.slots)
 		o.stats.SpeculatedOps++
 		w.rankTrack(rank).Instant("spec", "speculate", obs.Arg{Name: "op", Value: op})
 	}
 
 	for i := range ev.slots {
 		s := &ev.slots[i]
-		q := sreqs[i]
-		w.optParkLocked(rank, blockDesc{op: op, comm: q.comm.id, src: q.src, tag: q.tag}, func() bool {
-			return ev.state == esConflict || s.got != nil || o.pubFindLocked(s.key, s.src, s.tag, s.bufLen) != nil
-		})
+		q := s.req
+		w.optParkLocked(rank, blockDesc{op: op, comm: q.comm.id, src: q.src, tag: q.tag, ev: ev, slot: i})
 		if ev.state == esConflict {
 			break
 		}
@@ -995,8 +1044,7 @@ func (c *Comm) optCompleteRecvs(op string, reqs []*Request) {
 	}
 
 	// Speculated: hold the operation until the automaton validates it.
-	w.optParkLocked(rank, blockDesc{op: op, comm: c.id, src: sreqs[0].src, tag: sreqs[0].tag, pending: len(slots) - 1},
-		func() bool { return ev.state != esPending })
+	w.optParkLocked(rank, blockDesc{op: op, comm: c.id, src: ev.slots[0].src, tag: ev.slots[0].tag, pending: len(ev.slots) - 1, ev: ev, slot: slotVerdict})
 	if ev.state == esResolved {
 		return
 	}
@@ -1011,7 +1059,7 @@ func (c *Comm) optCompleteRecvs(op string, reqs []*Request) {
 	for i := range ev.slots {
 		s := &ev.slots[i]
 		s.truth.taken = true
-		sreqs[i].comm.consumeLocked(s.truth, sreqs[i])
+		s.req.comm.consumeLocked(s.truth, s.req)
 	}
 	ev.state = esResolved
 }
@@ -1028,34 +1076,11 @@ func (c *Comm) optWaitsome(reqs []*Request) []int {
 	defer w.mu.Unlock()
 	o := w.o
 
-	var slots []recvSlot
-	var sreqs []*Request
-	var idxs []int
-	for i, q := range reqs {
-		if !q.isRecv || q.done || q.canceled {
-			continue
-		}
-		key := mailKey{comm: q.comm.id, dst: q.comm.group[q.comm.rank]}
-		slots = append(slots, recvSlot{key: key, src: q.src, tag: q.tag, bufLen: len(q.buf)})
-		sreqs = append(sreqs, q)
-		idxs = append(idxs, i)
-	}
-	ev := &specEvent{kind: evWaitsome, rank: rank, op: "MPI_Waitsome()", comm: c, clock: c.r.Proc.Now(), slots: slots}
+	ev := c.recvEvent(evWaitsome, "MPI_Waitsome()", reqs)
 	o.appendLocked(rank, ev)
-	fast := len(slots) == 1 && slots[0].src != AnySource
-
-	w.optParkLocked(rank, blockDesc{op: "MPI_Waitsome()", comm: c.id, pending: len(slots)}, func() bool {
-		if ev.state != esPending {
-			return true
-		}
-		for i := range ev.slots {
-			s := &ev.slots[i]
-			if s.got != nil || o.pubFindLocked(s.key, s.src, s.tag, s.bufLen) != nil {
-				return true
-			}
-		}
-		return false
-	})
+	fast := len(ev.slots) == 1 && !ev.wild
+	on := blockDesc{op: "MPI_Waitsome()", comm: c.id, pending: len(ev.slots), ev: ev, slot: slotAny}
+	w.optParkLocked(rank, on)
 
 	var out []int
 	if ev.state == esResolved && !ev.specDone {
@@ -1066,15 +1091,15 @@ func (c *Comm) optWaitsome(reqs []*Request) []int {
 			if s.got == nil {
 				continue
 			}
-			sreqs[i].comm.consumeLocked(s.got, sreqs[i])
-			out = append(out, idxs[i])
+			s.req.comm.consumeLocked(s.got, s.req)
+			out = append(out, s.idx)
 		}
 		return out
 	}
 
 	var undo *specUndo
 	if !fast {
-		undo = c.r.specCheckpointLocked(sreqs)
+		undo = c.r.specCheckpointLocked(ev.slots)
 		o.stats.SpeculatedOps++
 		w.rankTrack(rank).Instant("spec", "speculate", obs.Arg{Name: "op", Value: "MPI_Waitsome()"})
 	}
@@ -1092,8 +1117,8 @@ func (c *Comm) optWaitsome(reqs []*Request) []int {
 				undo.taken = append(undo.taken, m)
 			}
 		}
-		sreqs[i].comm.consumeLocked(m, sreqs[i])
-		out = append(out, idxs[i])
+		s.req.comm.consumeLocked(m, s.req)
+		out = append(out, s.idx)
 	}
 	ev.specDone = true
 	if fast {
@@ -1101,8 +1126,8 @@ func (c *Comm) optWaitsome(reqs []*Request) []int {
 		return out
 	}
 
-	w.optParkLocked(rank, blockDesc{op: "MPI_Waitsome()", comm: c.id, pending: len(slots)},
-		func() bool { return ev.state != esPending })
+	on.slot = slotVerdict
+	w.optParkLocked(rank, on)
 	if ev.state == esResolved {
 		return out
 	}
@@ -1119,8 +1144,8 @@ func (c *Comm) optWaitsome(reqs []*Request) []int {
 			continue
 		}
 		s.truth.taken = true
-		sreqs[i].comm.consumeLocked(s.truth, sreqs[i])
-		out = append(out, idxs[i])
+		s.req.comm.consumeLocked(s.truth, s.req)
+		out = append(out, s.idx)
 	}
 	ev.state = esResolved
 	return out
@@ -1145,15 +1170,13 @@ func (c *Comm) optCollective(kind collKind, data []float64, root int, op Op) ([]
 		contrib = make([]float64, len(data))
 		copy(contrib, data)
 	}
-	ev := &specEvent{
-		kind: evColl, rank: rank, op: "MPI_" + kind.String() + "()", comm: c,
+	ev := c.r.newEvent(specEvent{
+		kind: evColl, rank: rank, op: collOps[kind], comm: c,
 		clock: c.r.Proc.Now(), collKind: kind, collRoot: root, collOp: op, contrib: contrib,
-	}
+	})
 	o.specCollArriveLocked(c, ev)
 	o.appendLocked(rank, ev)
-	w.optParkLocked(rank, blockDesc{op: ev.op, comm: c.id}, func() bool {
-		return ev.state == esResolved || ev.collSpec
-	})
+	w.optParkLocked(rank, blockDesc{op: ev.op, comm: c.id, ev: ev})
 	if ev.state == esResolved || ev.collRunAhead {
 		// Committed truth, or an exact speculative completion the rank may
 		// run ahead on without a verdict.
@@ -1179,7 +1202,7 @@ func (c *Comm) optCollective(kind collKind, data []float64, root int, op Op) ([]
 	o.stats.SpeculatedOps++
 	w.rankTrack(rank).Instant("spec", "speculate", obs.Arg{Name: "op", Value: ev.op})
 	c.r.Proc.SyncTo(ev.collLeave)
-	w.optParkLocked(rank, blockDesc{op: ev.op, comm: c.id}, func() bool { return ev.state != esPending })
+	w.optParkLocked(rank, blockDesc{op: ev.op, comm: c.id, ev: ev, slot: slotVerdict})
 	if ev.state == esConflict {
 		reexec := c.r.Proc.Now() - undo.proc.Clock
 		c.r.rollbackLocked(undo)
@@ -1306,8 +1329,8 @@ func (c *Comm) optKeyvalCreate() int {
 	rank := c.r.rank
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	ev := &specEvent{kind: evKeyval, rank: rank, op: "MPI_Keyval_create()", comm: c, clock: c.r.Proc.Now()}
+	ev := c.r.newEvent(specEvent{kind: evKeyval, rank: rank, op: "MPI_Keyval_create()", comm: c, clock: c.r.Proc.Now()})
 	w.o.appendLocked(rank, ev)
-	w.optParkLocked(rank, blockDesc{op: ev.op, comm: c.id}, func() bool { return ev.state == esResolved })
+	w.optParkLocked(rank, blockDesc{op: ev.op, comm: c.id, ev: ev, slot: slotVerdict})
 	return ev.keyvalID
 }

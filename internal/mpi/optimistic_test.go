@@ -5,6 +5,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"repro/internal/platform"
 )
 
 // TestOptimisticForcedConflict manufactures a guaranteed misprediction: the
@@ -71,10 +73,12 @@ func TestOptimisticForcedConflict(t *testing.T) {
 }
 
 // TestRollbackRestoresRankState drives a rank's undo log directly: after a
-// checkpoint, the rank advances its clock, draws from its RNG, touches its
-// cache, triggers TAU events and completes a request; rollback must rewind
-// every one of those exactly, and re-execution must reproduce the
-// discarded RNG draws bit for bit.
+// checkpoint, the rank advances its clock, charges FLOPs, draws from its RNG,
+// triggers TAU events and completes a request; rollback must rewind every one
+// of those exactly, and re-execution must reproduce the discarded RNG draws
+// bit for bit. The region does not touch the cache — no speculative region
+// can, the rank is parked inside its MPI call — so the directory and its
+// counters must come out as they went in, with no copy taken.
 func TestRollbackRestoresRankState(t *testing.T) {
 	t.Parallel()
 	w := NewWorld(optConfig(1))
@@ -90,17 +94,16 @@ func TestRollbackRestoresRankState(t *testing.T) {
 	}
 
 	req := &Request{comm: r.Comm, isRecv: true, src: 0, tag: 1, buf: []float64{1, 2, 3}}
-	undo := r.specCheckpointLocked([]*Request{req})
+	undo := r.specCheckpointLocked([]recvSlot{{req: req}})
 	wantClock := r.Proc.Now()
 	wantCounters := r.Proc.Counters()
 	wantEvent := *r.Prof.Event("Message size received")
 	taken := &message{src: 0, tag: 1, taken: true}
 	undo.taken = append(undo.taken, taken)
 
-	// Speculative damage: clock, FLOPs, cache, RNG, TAU events, request.
+	// Speculative damage: clock, FLOPs, RNG, TAU events, request.
 	r.Proc.Advance(123.5)
 	r.Proc.ChargeFlops(999)
-	r.Proc.ChargeStream(base, 256, 8)
 	var speculativeDraws []float64
 	for i := 0; i < 4; i++ {
 		speculativeDraws = append(speculativeDraws, r.Proc.RNG().NormFloat64())
@@ -119,6 +122,9 @@ func TestRollbackRestoresRankState(t *testing.T) {
 	if r.Proc.Counters() != wantCounters {
 		t.Errorf("counters: got %+v, want %+v", r.Proc.Counters(), wantCounters)
 	}
+	if !r.Proc.Cache().Resident(base) {
+		t.Error("a line resident at the checkpoint is gone after rollback")
+	}
 	if e := *r.Prof.Event("Message size received"); e != wantEvent {
 		t.Errorf("TAU event not rewound: got %+v, want %+v", e, wantEvent)
 	}
@@ -135,6 +141,50 @@ func TestRollbackRestoresRankState(t *testing.T) {
 	for i, want := range speculativeDraws {
 		if got := r.Proc.RNG().NormFloat64(); got != want {
 			t.Fatalf("RNG draw %d after rollback: got %v, want %v", i, got, want)
+		}
+	}
+
+	// The rank's one undo log is reused by the next speculation, request
+	// buffer copy included: it must hold the new state, not the old.
+	req.buf[1] = 5
+	undo = r.specCheckpointLocked([]recvSlot{{req: req}})
+	copy(req.buf, []float64{9, 9, 9})
+	r.rollbackLocked(undo)
+	if len(undo.taken) != 0 || req.buf[0] != 1 || req.buf[1] != 5 || req.buf[2] != 3 {
+		t.Errorf("reused undo log: taken=%d buf=%v, want none and [1 5 3]", len(undo.taken), req.buf)
+	}
+}
+
+// TestRollbackPanicsIfRegionTouchedCache: speculation checkpoints hold no
+// copy of the cache directory, on the invariant that a speculative region
+// never accesses the cache. A region that does — hits or misses alike move
+// the counters — must make rollback panic, naming the invariant, before it
+// rewinds anything to a directory it cannot rewind.
+func TestRollbackPanicsIfRegionTouchedCache(t *testing.T) {
+	t.Parallel()
+	for name, touch := range map[string]func(p *platform.Proc, base uint64){
+		"misses": func(p *platform.Proc, base uint64) { p.ChargeStream(base+1<<20, 256, 8) },
+		"hits":   func(p *platform.Proc, base uint64) { p.ChargeStream(base, 8, 8) },
+	} {
+		w := NewWorld(optConfig(1))
+		r := w.Ranks()[0]
+		base := r.Proc.Alloc(4096)
+		r.Proc.ChargeStream(base, 64, 8)
+		undo := r.specCheckpointLocked(nil)
+		wantClock := r.Proc.Now()
+		r.Proc.Advance(5)
+		touch(r.Proc, base)
+		func() {
+			defer func() {
+				msg := fmt.Sprint(recover())
+				if !strings.Contains(msg, "invariant violation") || !strings.Contains(msg, "cache inside a speculative region") {
+					t.Errorf("%s: rollback of a region that touched the cache: got %q, want a panic naming the invariant", name, msg)
+				}
+			}()
+			r.rollbackLocked(undo)
+		}()
+		if r.Proc.Now() == wantClock {
+			t.Errorf("%s: rollback rewound the clock before refusing the region", name)
 		}
 	}
 }

@@ -36,6 +36,7 @@ import (
 	"math"
 	"math/rand"
 	"runtime/debug"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -325,14 +326,45 @@ type pendingSend struct {
 	msg *message
 }
 
-// blockDesc describes what a blocked rank is waiting on, for deadlock
-// diagnostics. It is a small value stored on every block (the hot path),
-// rendered only if the world deadlocks.
+// blockDesc describes what a blocked rank is waiting on: the deadlock report
+// renders it and the schedulers evaluate it (holdsLocked) to decide when the
+// rank may run again. It is a small value stored on every block (the hot
+// path) — a predicate closure per blocking call would be a heap allocation
+// per call.
 type blockDesc struct {
 	op       string // MPI entry point, e.g. "MPI_Recv()"
 	comm     int
 	src, tag int
 	pending  int // pending receives (Waitall/Waitsome)
+
+	// What ends the wait. Serial and conservative: the collective leaving
+	// generation gen when cs is set, a queued match for any pending receive
+	// of reqs when that is set, else a queued (src, tag) match on comm.
+	// Optimistic: see optState.readyLocked.
+	cs   *collState
+	gen  uint64
+	reqs []*Request
+	ev   *specEvent
+	slot int
+}
+
+// holdsLocked reports whether what blocked rank r is waiting on has happened.
+func (w *World) holdsLocked(r int) bool {
+	d := &w.blockedOn[r]
+	switch {
+	case w.opt:
+		return w.o.readyLocked(r, d)
+	case d.cs != nil:
+		return d.cs.gen > d.gen
+	case d.reqs != nil:
+		for _, q := range d.reqs {
+			if q.isRecv && !q.done && !q.canceled && w.hasMatchLocked(mailKey{q.comm.id, r}, q.src, q.tag) {
+				return true
+			}
+		}
+		return false
+	}
+	return w.hasMatchLocked(mailKey{d.comm, r}, d.src, d.tag)
 }
 
 // String renders the description for the deadlock report.
@@ -371,11 +403,15 @@ type World struct {
 	// per-rank event streams, the commit automaton). Nil unless opt.
 	o *optState
 
-	mu        sync.Mutex
+	mu sync.Mutex
+	// Serial and conservative ranks wait for the token each on their own
+	// turn cond, so a hand-off wakes only the rank it is for; cond is shared
+	// by MaxParallelRanks slot waiters and by every parked optimistic rank
+	// (each a potential helper of the commit automaton).
 	cond      *sync.Cond
+	turn      []sync.Cond
 	ranks     []*Rank
 	status    []int
-	blocked   []func() bool
 	blockedOn []blockDesc
 	current   int
 	aborted   bool
@@ -456,6 +492,14 @@ type Rank struct {
 	// segment, recorded as a span.
 	lastOpEnd int64
 
+	// Optimistic-scheduler storage kept per rank, not allocated per call: a
+	// blocking receive's request and one-element request list, the undo log
+	// of the rank's open speculation, the slab events are carved from.
+	recvReq Request
+	oneReq  [1]*Request
+	undo    specUndo
+	evSlab  []specEvent
+
 	// Comm is the rank's MPI_COMM_WORLD analog.
 	Comm *Comm
 	// Proc is the rank's simulated processor (clock, cache, RNG, heap).
@@ -492,11 +536,16 @@ func NewWorld(cfg WorldConfig) *World {
 		nextCommID: 1,
 		rng:        rand.New(rand.NewSource(cfg.Seed ^ 0x51ca5e)),
 		status:     make([]int, cfg.Procs),
-		blocked:    make([]func() bool, cfg.Procs),
 		blockedOn:  make([]blockDesc, cfg.Procs),
 		panics:     make([]error, cfg.Procs),
 	}
 	w.cond = sync.NewCond(&w.mu)
+	if !w.opt {
+		w.turn = make([]sync.Cond, cfg.Procs)
+		for i := range w.turn {
+			w.turn[i].L = &w.mu
+		}
+	}
 	group := make([]int, cfg.Procs)
 	for i := range group {
 		group[i] = i
@@ -613,7 +662,6 @@ func (w *World) Run(body func(*Rank)) error {
 					w.aborted = true
 				}
 				w.status[rank] = stDone
-				w.blocked[rank] = nil
 				w.releaseSlotLocked(rank)
 				if w.opt {
 					w.o.finished[rank] = true
@@ -702,14 +750,25 @@ func (w *World) Run(body func(*Rank)) error {
 }
 
 // waitForTurnLocked blocks until the scheduler grants this rank the token.
+// A grant that finds the rank still computing signals nobody and is not
+// lost: current is re-read under the lock before every wait.
 func (w *World) waitForTurnLocked(rank int) {
 	for w.current != rank {
 		if w.aborted {
 			panic(abortPanic{})
 		}
-		w.cond.Wait()
+		w.turn[rank].Wait()
 	}
 	w.status[rank] = stRunning
+}
+
+// wakeAllLocked wakes every waiting goroutine, whatever it waits on: the
+// world aborted, and each must see that and unwind.
+func (w *World) wakeAllLocked() {
+	for r := range w.turn {
+		w.turn[r].Signal()
+	}
+	w.cond.Broadcast()
 }
 
 // lockShared acquires the world's shared state for an MPI operation that
@@ -733,7 +792,7 @@ func (w *World) lockShared(rank int) {
 				w.mu.Unlock()
 				panic(abortPanic{})
 			}
-			w.cond.Wait()
+			w.turn[rank].Wait()
 		}
 		if !w.acquireSlotLocked(rank) {
 			w.mu.Unlock()
@@ -809,28 +868,23 @@ func (w *World) schedClockLocked(r int) float64 {
 	return w.ranks[r].Proc.Now()
 }
 
-// blockOn parks the running rank until pred() holds, handing the token to
-// the runnable rank with the smallest virtual clock meanwhile. on
-// describes the awaited communication for deadlock diagnostics.
-// Caller must hold w.mu and be the current rank.
-func (w *World) blockOn(rank int, on blockDesc, pred func() bool) {
-	if pred() {
-		return
-	}
-	if w.par {
-		w.vclock[rank] = w.ranks[rank].Proc.Now()
-		w.releaseSlotLocked(rank)
-	}
-	w.status[rank] = stBlocked
-	w.blocked[rank] = pred
+// blockOn parks the running rank until what on describes has happened,
+// handing the token to the runnable rank with the smallest virtual clock
+// meanwhile. Caller must hold w.mu and be the current rank.
+func (w *World) blockOn(rank int, on blockDesc) {
 	w.blockedOn[rank] = on
-	w.advanceLocked()
-	w.waitForTurnLocked(rank)
-	if w.par && !w.acquireSlotLocked(rank) {
-		panic(abortPanic{})
+	if !w.holdsLocked(rank) {
+		if w.par {
+			w.vclock[rank] = w.ranks[rank].Proc.Now()
+			w.releaseSlotLocked(rank)
+		}
+		w.status[rank] = stBlocked
+		w.advanceLocked()
+		w.waitForTurnLocked(rank)
+		if w.par && !w.acquireSlotLocked(rank) {
+			panic(abortPanic{})
+		}
 	}
-	w.blocked[rank] = nil
-	w.blockedOn[rank] = blockDesc{}
 }
 
 // advanceLocked promotes blocked ranks whose predicates now hold and grants
@@ -841,11 +895,11 @@ func (w *World) blockOn(rank int, on blockDesc, pred func() bool) {
 func (w *World) advanceLocked() {
 	if w.aborted {
 		w.current = -1
-		w.cond.Broadcast()
+		w.wakeAllLocked()
 		return
 	}
 	for r := range w.status {
-		if w.status[r] == stBlocked && w.blocked[r]() {
+		if w.status[r] == stBlocked && w.holdsLocked(r) {
 			w.status[r] = stReady
 		}
 	}
@@ -866,8 +920,8 @@ func (w *World) advanceLocked() {
 	w.current = next
 	if next != -1 {
 		w.met.grants.Inc()
-	}
-	if next == -1 && !allDone {
+		w.turn[next].Signal()
+	} else if !allDone {
 		// Every live rank is blocked: deadlock. Abort the world so the
 		// parked goroutines panic with diagnostics instead of hanging.
 		w.aborted = true
@@ -878,8 +932,8 @@ func (w *World) advanceLocked() {
 					r, w.ranks[r].Proc.Now(), w.blockedOn[r], report)
 			}
 		}
+		w.wakeAllLocked()
 	}
-	w.cond.Broadcast()
 }
 
 // deadlockReportLocked renders the per-rank state dump plus the pending
@@ -980,7 +1034,7 @@ func (w *World) matchLocked(key mailKey, src, tag int) *message {
 	box := w.mailboxes[key]
 	for i, m := range box {
 		if (src == AnySource || m.src == src) && (tag == AnyTag || m.tag == tag) {
-			w.mailboxes[key] = append(box[:i:i], box[i+1:]...)
+			w.mailboxes[key] = slices.Delete(box, i, i+1)
 			return m
 		}
 	}

@@ -146,10 +146,14 @@ func (s *countingSource) rewindTo(n uint64) {
 // ProcState is a checkpoint of a Proc's mutable rank-local state: the
 // virtual clock, the heap cursor, the FLOP counter, the random stream (as a
 // draw count) and the cache counters. Cache *contents* (resident lines and
-// LRU order) are not included — use cache.Cache.Checkpoint alongside when
-// the checkpointed region touches memory. The optimistic rank scheduler
-// checkpoints Procs around speculative MPI operations, which never access
-// the cache, so the cheap state here is exactly what rollback must restore.
+// LRU order) are not included. A region that touches memory needs
+// cache.Cache.Checkpoint alongside (no production caller does today; the
+// benchmark probes time it and the cache's differential tests drive it).
+// The optimistic rank scheduler does not: it checkpoints Procs around
+// speculative MPI operations, which never access the cache — the rank is
+// parked inside its MPI call until the verdict — so this state is all its
+// rollback restores, and it proves the premise on every rollback by
+// requiring Cache().Stats() to still equal CacheStats before Restore.
 type ProcState struct {
 	Clock      Time
 	NextAddr   uint64

@@ -150,7 +150,7 @@ type Profile struct {
 	eventOrder    []*Event
 	stack         []frame
 	disabled      map[string]bool
-	scratch       []float64
+	stopBuf       []float64 // Stop's metric sample, reused across calls
 }
 
 // NewProfile creates a measurement context reading time from now.
@@ -185,9 +185,18 @@ func (p *Profile) MetricNames() []string {
 	return out
 }
 
-// readMetrics samples every metric source into a fresh vector.
-func (p *Profile) readMetrics() []float64 {
-	v := make([]float64, len(p.metricSources))
+// sized returns v with length n, reallocated only if it lacks the capacity.
+func sized(v []float64, n int) []float64 {
+	if cap(v) < n {
+		return make([]float64, n)
+	}
+	return v[:n]
+}
+
+// readMetrics samples every metric source into v, which is reused when it
+// has the capacity (nil gives a fresh vector).
+func (p *Profile) readMetrics(v []float64) []float64 {
+	v = sized(v, len(p.metricSources))
 	for i, src := range p.metricSources {
 		v[i] = src()
 	}
@@ -225,11 +234,20 @@ func (p *Profile) Start(name, group string) {
 	}
 	t.calls++
 	t.depth++
-	p.stack = append(p.stack, frame{
-		t:     t,
-		start: p.readMetrics(),
-		child: make([]float64, len(p.metricSources)),
-	})
+	// A frame popped by Stop stays in the stack's backing array with its two
+	// vectors; pushing over it reuses them, so a warmed Start allocates
+	// nothing.
+	n := len(p.stack)
+	if n < cap(p.stack) {
+		p.stack = p.stack[:n+1]
+	} else {
+		p.stack = append(p.stack, frame{})
+	}
+	f := &p.stack[n]
+	f.t = t
+	f.start = p.readMetrics(f.start)
+	f.child = sized(f.child, len(f.start))
+	clear(f.child)
 }
 
 // Stop ends the most recently started timer. The name must match the top of
@@ -247,7 +265,8 @@ func (p *Profile) Stop(name string) {
 		panic(fmt.Sprintf("tau: Stop(%q) does not match running timer %q", name, top.t.name))
 	}
 	p.stack = p.stack[:len(p.stack)-1]
-	cur := p.readMetrics()
+	p.stopBuf = p.readMetrics(p.stopBuf)
+	cur := p.stopBuf
 	t := top.t
 	t.depth--
 	for i := range cur {
@@ -392,7 +411,7 @@ func (p *Profile) CounterValue(name string) (float64, bool) {
 
 // Snapshot returns the current value of every metric, in metric order
 // (the paper's TAU_GET_FUNCTION_VALUES-style query).
-func (p *Profile) Snapshot() []float64 { return p.readMetrics() }
+func (p *Profile) Snapshot() []float64 { return p.readMetrics(nil) }
 
 // GroupInclusive returns the summed inclusive time (metric 0, microseconds)
 // of all completed invocations of timers in the given group. The paper's

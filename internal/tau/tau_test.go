@@ -462,3 +462,38 @@ func TestPropertyEventMeanBounded(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// TestStartStopAllocatesNothingWarm: once the timers exist and the stack has
+// reached its depth, a Start/Stop pair — nested, and re-entering a running
+// timer — reuses the frame vectors a previous Stop left in the stack's
+// backing array and the profile's stop buffer. Every MPI entry point of every
+// simulated rank pays this pair, so an allocation that comes back here is
+// three per MPI call. The reused vectors must still account exactly.
+func TestStartStopAllocatesNothingWarm(t *testing.T) {
+	p, c := newProfile()
+	p.RegisterMetric("PAPI_FP_OPS", func() float64 { return 2 * c.t })
+	pair := func() {
+		p.Start("outer", "APP")
+		c.tick(1)
+		p.Start("MPI_Recv()", "MPI")
+		c.tick(2)
+		p.Start("outer", "APP") // re-entrant
+		c.tick(4)
+		p.Stop("outer")
+		p.Stop("MPI_Recv()")
+		p.Stop("outer")
+	}
+	pair() // warm: creates the timers and grows the stack to depth 3
+	if n := testing.AllocsPerRun(100, pair); n != 0 {
+		t.Errorf("warmed nested Start/Stop allocates %v times per run, want 0", n)
+	}
+	runs := float64(p.Lookup("MPI_Recv()").Calls())
+	outer, recv := p.Lookup("outer"), p.Lookup("MPI_Recv()")
+	if outer.Inclusive() != 7*runs || outer.Exclusive() != 5*runs || recv.Inclusive() != 6*runs || recv.Exclusive() != 2*runs {
+		t.Errorf("after %v runs: outer incl/excl %g/%g, recv %g/%g; want 7/5 and 6/2 per run",
+			runs, outer.Inclusive(), outer.Exclusive(), recv.Inclusive(), recv.Exclusive())
+	}
+	if got := recv.ExclusiveMetric(1); got != 4*runs {
+		t.Errorf("recv exclusive PAPI_FP_OPS = %g, want %g", got, 4*runs)
+	}
+}
