@@ -55,7 +55,7 @@ type (
 	// payload, and an optional world mutation.
 	DimValue = campaign.DimValue
 	// SchedChoice is one value of the scheduler grid axis: a mode plus its
-	// parallel-rank cap and optimistic speculation-window bounds.
+	// parallel-rank cap.
 	SchedChoice = campaign.SchedChoice
 	// GridPoint is one streamed grid scenario's distilled outcome
 	// (coordinates, kernel, fitted model — no buffered sweep).

@@ -366,8 +366,7 @@ func benchGhostCommBody(r *mpi.Rank) {
 // of wildcard receives from every peer, and under the optimistic scheduler
 // every wildcard match is a speculation the commit automaton must validate
 // against the serial arrival order. Skewed sender clocks make mismatches
-// routine, so this is the body that drives conflicts, rollbacks and the
-// adaptive window's multiplicative shrink.
+// routine, so this is the body that drives conflicts and rollbacks.
 func benchWildcardBody(r *mpi.Rank) {
 	c := r.Comm
 	me, p := c.Rank(), c.Size()
@@ -425,8 +424,8 @@ func benchCollectiveBody(r *mpi.Rank) {
 // additionally favor "opt", whose speculative receive and collective paths
 // pipeline the very communication that serializes "par" behind the commit
 // token. The opt sub-benches report speculation telemetry: pipelined ops
-// and rollbacks (ghost), conflicts plus the adaptive window's observed
-// min/max (wildcard), and speculative-collective hits/rollbacks (coll).
+// and rollbacks (ghost), conflicts and rollbacks (wildcard), and
+// speculative-collective hits/rollbacks (coll).
 func BenchmarkWorldRun(b *testing.B) {
 	modes := []mpi.SchedulerMode{mpi.Serial, mpi.ConservativeParallel, mpi.OptimisticParallel}
 	for _, p := range []int{4, 8, 16} {
@@ -485,8 +484,6 @@ func BenchmarkWorldRun(b *testing.B) {
 				if mode == mpi.OptimisticParallel {
 					b.ReportMetric(float64(spec.Conflicts), "conflicts")
 					b.ReportMetric(float64(spec.Rollbacks), "rollbacks")
-					b.ReportMetric(float64(spec.WindowMin), "window-min")
-					b.ReportMetric(float64(spec.WindowMax), "window-max")
 				}
 			})
 		}
@@ -509,8 +506,6 @@ func BenchmarkWorldRun(b *testing.B) {
 				if mode == mpi.OptimisticParallel {
 					b.ReportMetric(float64(spec.SpecCollHits), "spec-coll-hits")
 					b.ReportMetric(float64(spec.SpecCollRollbacks), "spec-coll-rollbacks")
-					b.ReportMetric(float64(spec.WindowMin), "window-min")
-					b.ReportMetric(float64(spec.WindowMax), "window-max")
 				}
 			})
 		}
@@ -811,7 +806,7 @@ func BenchmarkExtCacheAwareModel(b *testing.B) {
 	var gain float64
 	for i := 0; i < b.N; i++ {
 		s, _ := sharedSweep(b, KernelStates)
-		_, r2Aware, r2Plain, err := harness.CacheAwareFit(s)
+		_, r2Aware, r2Plain, err := harness.CacheAwareFit(s.Rows())
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -73,7 +73,6 @@ func main() {
 		trReps   = flag.Int("trendreps", 2, "seed replications per trend grid point")
 		rankpar  = flag.Int("rankpar", 0, "run each simulated world's ranks concurrently on up to N goroutines (output is bit-identical to serial). 0 = serial scheduler, -1 = parallel with no cap. Non-default values checkpoint separately")
 		rankmode = flag.String("rankmode", "", "rank scheduler: serial | par (conservative) | opt (optimistic/Time Warp). Empty derives the mode from -rankpar (nonzero = par); -rankpar then sets the concurrency cap")
-		specwin  = flag.String("specwindow", "", `optimistic speculation window: "min:max" adapts between the bounds, a single size pins a fixed window, 0 or empty keeps the fixed 4096-event default (only meaningful with -rankmode opt)`)
 		distrib  = flag.Bool("distributed", false, "partition the job set with other -distributed processes sharing the same -cache store via lease files (no coordinator); requires a store")
 		owner    = flag.String("owner", "", "stable worker identity for -distributed lease and audit files (default: host-pid)")
 		ttl      = flag.Duration("leasettl", 0, "lease heartbeat expiry for -distributed; a crashed worker's jobs are stolen after this (0 = 30s default)")
@@ -100,22 +99,13 @@ func main() {
 	if err != nil {
 		fatal(fmt.Errorf("-trendclocks: %w", err))
 	}
-	sched := mpi.Serial
-	if *rankmode != "" {
-		sched, err = mpi.ParseSchedulerMode(*rankmode)
-		if err != nil {
-			fatal(err)
-		}
-	} else if *rankpar != 0 {
-		sched = mpi.ConservativeParallel
-	}
-	swMin, swMax, err := mpi.ParseSpecWindow(*specwin)
+	sched, rankCap, err := mpi.SchedulerFromFlags(*rankmode, *rankpar)
 	if err != nil {
 		fatal(err)
 	}
 	g := &generator{
 		outDir: *outDir, procs: *procs, seed: *seed, reps: *reps,
-		sched: sched, rankpar: *rankpar, specMin: swMin, specMax: swMax,
+		sched: sched, rankCap: rankCap,
 		trendAxis: *axis, trendCaches: trendCaches, trendClocks: trendClocks,
 		trendReps: *trReps,
 	}
@@ -321,9 +311,7 @@ type generator struct {
 	seed    int64
 	reps    int
 	sched   mpi.SchedulerMode
-	rankpar int
-	specMin int
-	specMax int
+	rankCap int
 
 	trendAxis   string
 	trendCaches []int
@@ -331,10 +319,9 @@ type generator struct {
 	trendReps   int
 }
 
-// applySched maps the -rankmode/-rankpar/-specwindow flags onto a world
-// config.
+// applySched maps the -rankmode/-rankpar flags onto a world config.
 func (g *generator) applySched(w *mpi.WorldConfig) {
-	*w = w.WithScheduler(g.sched, g.rankpar).WithSpecWindow(g.specMin, g.specMax)
+	*w = w.WithScheduler(g.sched, g.rankCap)
 }
 
 // figVersion salts figure-job checkpoint hashes; bump when rendering or

@@ -14,13 +14,9 @@
 //     spans, instants, busy time and observed window per (process, track)
 //     — one row per campaign worker, MPI rank and lease owner.
 //
-//   - With -rows, it reads the speculation telemetry shards (spec_*.csv)
-//     a campaign's CSV shard sink left under its rows directory and
-//     prints the per-scenario speculation summary: speculated ops,
-//     conflict and rollback rates, the adaptive window's observed range
-//     and the speculative-collective hit/rollback counts — the Time Warp
-//     scheduler's behavior across a whole grid, recovered without
-//     re-running anything.
+// The optimistic scheduler's speculation telemetry is not a report here:
+// it lives in the metrics registry (mpi_spec_*), which cmd/figures and
+// cmd/pmmcase write with -metricsdump.
 //
 // -require makes validation strict for CI: a comma-separated list of
 // process names (e.g. "campaign,lease,mpi") that must each contribute at
@@ -44,12 +40,11 @@ func main() {
 	var (
 		storeDir = flag.String("store", "", "checkpoint store directory; reads its lease audit logs into a per-owner throughput report")
 		traceIn  = flag.String("trace", "", "Chrome trace-event JSON file; validated and summarized per track")
-		rowsDir  = flag.String("rows", "", "campaign rows directory; reads its spec_*.csv shards into a per-scenario speculation summary")
 		require  = flag.String("require", "", "comma-separated process names the trace must contain (CI gate; implies -trace)")
 	)
 	flag.Parse()
-	if *storeDir == "" && *traceIn == "" && *rowsDir == "" {
-		fatal(fmt.Errorf("nothing to report: pass -store, -trace and/or -rows"))
+	if *storeDir == "" && *traceIn == "" {
+		fatal(fmt.Errorf("nothing to report: pass -store and/or -trace"))
 	}
 	if *require != "" && *traceIn == "" {
 		fatal(fmt.Errorf("-require needs -trace"))
@@ -113,20 +108,6 @@ func main() {
 		}
 		fmt.Printf("trace tracks (%s):\n", *traceIn)
 		if err := obs.WriteTrackReport(os.Stdout, tf); err != nil {
-			fatal(err)
-		}
-	}
-
-	if *rowsDir != "" {
-		scens, err := obs.ReadSpecShards(*rowsDir)
-		if err != nil {
-			fatal(err)
-		}
-		if *storeDir != "" || *traceIn != "" {
-			fmt.Println()
-		}
-		fmt.Printf("speculation by scenario (%s):\n", *rowsDir)
-		if err := obs.WriteSpecReport(os.Stdout, scens); err != nil {
 			fatal(err)
 		}
 	}

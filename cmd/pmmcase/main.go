@@ -38,7 +38,6 @@ func main() {
 		workers  = flag.Int("workers", 0, "campaign workers for -models/-cachestudy (0 = all CPUs)")
 		rankpar  = flag.Int("rankpar", 0, "run each simulated world's ranks concurrently on up to N goroutines (output is bit-identical to serial). 0 = serial, -1 = parallel with no cap")
 		rankmode = flag.String("rankmode", "", "rank scheduler: serial | par (conservative) | opt (optimistic/Time Warp). Empty derives the mode from -rankpar (nonzero = par); -rankpar then sets the concurrency cap")
-		specwin  = flag.String("specwindow", "", `optimistic speculation window: "min:max" adapts between the bounds, a single size pins a fixed window, 0 or empty keeps the fixed 4096-event default (only meaningful with -rankmode opt)`)
 		cache    = flag.String("cache", "", "checkpoint store directory for the campaign subcommands (empty = no store)")
 		distrib  = flag.Bool("distributed", false, "partition campaign jobs with other -distributed processes sharing the same -cache store via lease files (no coordinator)")
 		owner    = flag.String("owner", "", "stable worker identity for -distributed lease and audit files (default: host-pid)")
@@ -65,24 +64,15 @@ func main() {
 		defer obs.Disable()
 	}
 
-	// applySched maps -rankmode/-rankpar/-specwindow onto a world: the
-	// parallel schedulers change wall-clock time only, never results.
-	swMin, swMax, err := mpi.ParseSpecWindow(*specwin)
+	// applySched maps -rankmode/-rankpar onto a world: the parallel
+	// schedulers change wall-clock time only, never results.
+	sched, rankCap, err := mpi.SchedulerFromFlags(*rankmode, *rankpar)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
 	}
 	applySched := func(w *mpi.WorldConfig) {
-		if *rankmode == "" {
-			*w = w.WithRankParallelism(*rankpar).WithSpecWindow(swMin, swMax)
-			return
-		}
-		mode, err := mpi.ParseSchedulerMode(*rankmode)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(2)
-		}
-		*w = w.WithScheduler(mode, *rankpar).WithSpecWindow(swMin, swMax)
+		*w = w.WithScheduler(sched, rankCap)
 	}
 
 	cfg := harness.DefaultCaseStudy()
@@ -164,7 +154,12 @@ func main() {
 		scfg.World.Seed = *seed
 		applySched(&scfg.World)
 		scfg.Reps = 2
-		pts, err := harness.RunCacheStudy(context.Background(), cc, scfg, []int{128, 512, 1024})
+		// The cache-aware fit reads the 512 kB point's rows as the study
+		// streams (or replays) them, instead of simulating that point again.
+		rows := results.NewMemorySink()
+		study := cc
+		study.Sink = rows
+		pts, err := harness.RunCacheStudy(context.Background(), study, scfg, []int{128, 512, 1024})
 		if err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)
@@ -173,12 +168,7 @@ func main() {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)
 		}
-		res, err := campaign.Run(context.Background(), cc, []campaign.Job{harness.SweepJob("sweep/aware", scfg)})
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		ml, r2Aware, r2Plain, err := harness.CacheAwareFit(res[0].Value.(*harness.SweepResult))
+		ml, r2Aware, r2Plain, err := harness.CacheAwareFit(rows.Rows(pts[1].Scenario.Key))
 		if err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)

@@ -83,18 +83,17 @@
 //     full-membership collective whose cost-noise draw index is pinned by
 //     the commit order), and otherwise parking on a checkpointed
 //     tentative result that the commit replay confirms or rolls back.
-//     Speculation depth is bounded by a per-rank adaptive window
-//     (WorldConfig.SpecWindowMin/Max, "-specwindow min:max"): windows
-//     start at the max, halve on every rollback and creep back up after
-//     batches of clean commits, so conflict-prone ranks throttle
-//     themselves while clean ones run deep. The default keeps the fixed
-//     4096-event window; a rank past its window parks until the automaton
-//     catches up, which also guarantees quiescence for deadlock
-//     detection. Telemetry — published sends, pipelined ops, speculated
-//     ops, conflicts, rollbacks, re-executed virtual time, window stalls,
-//     window grows/shrinks and observed min/max, speculative-collective
-//     hits and rollbacks — is exposed via World.SpecStats and printed in
-//     the deadlock dump.
+//     Speculation depth is bounded by a fixed 4096-event window: a rank
+//     whose recorded stream runs that far past the commit frontier parks
+//     until the automaton catches up, which bounds stream memory and
+//     guarantees quiescence for deadlock detection. The scheduler's whole
+//     configuration surface is {mode, MaxParallelRanks}. Telemetry —
+//     published sends, pipelined ops, speculated ops, conflicts,
+//     rollbacks, re-executed virtual time, window stalls,
+//     speculative-collective hits and rollbacks — has one home:
+//     World.SpecStats, folded into the mpi_spec_* metrics at the end of
+//     Run and printed in the deadlock dump. It depends on host timing, so
+//     it never reaches rows/.
 //
 // The determinism guarantee is bit-for-bit, proven by test, not hoped
 // for: for every scenario of the golden grid both parallel schedulers
@@ -125,9 +124,8 @@
 // condition variable, so each event wakes them all). So: "par" is never
 // worse than "serial" and wins whenever ranks compute; "opt" wins only when
 // specific-source traffic has compute to overlap, and pure compute gains
-// nothing over the conservative mode (watch SpecStats.Conflicts, and
-// tighten "-specwindow" so conflict-prone ranks throttle themselves,
-// where AnySource traffic with genuine races is unavoidable). Across-world
+// nothing over the conservative mode (watch SpecStats.Conflicts where
+// AnySource traffic with genuine races is unavoidable). Across-world
 // campaign parallelism (CampaignConfig.Workers) is the first lever: whole
 // scenarios are embarrassingly parallel. The two compose multiplicatively
 // (worlds x ranks); prefer campaign workers when the grid has many
@@ -303,8 +301,8 @@
 // so results.ReadColumnsFile projects those columns straight out of the
 // shard bytes — value plus a present bit per row, "first field of that
 // name, int or float only" — in a handful of allocations whatever the
-// row count. Full row decode (results.ReadRowsFile) remains for
-// "cmd/obsreport -rows" and tooling. Both are consumers of one parser,
+// row count. Full row decode (results.ReadRowsFile) remains for tooling.
+// Both are consumers of one parser,
 // the allocation-free field cursor in internal/results/binrow.go, which
 // owns every framing check of the format below; CSV shards answer the
 // same projection call through ReadCSVRows. Hits, misses,
@@ -329,10 +327,10 @@
 // function of the rows, so equal rows give byte-identical shards, and a
 // binary shard re-encoded as CSV reproduces the sibling CSV shard byte
 // for byte ("cmd/figures -rowformat csv|bin|both" writes either or
-// both; resultsd and "cmd/obsreport -rows" read both, preferring .bin
-// when a stem has both). The full request/response contract — parameter
-// tables, example bodies, error codes (400/404/405/422) and a curl
-// walkthrough — lives in docs/resultsd-api.md.
+// both; resultsd reads both, preferring .bin when a stem has both). The
+// full request/response contract — parameter tables, example bodies,
+// error codes (400/404/405/422) and a curl walkthrough — lives in
+// docs/resultsd-api.md.
 //
 // # Observability
 //
@@ -382,13 +380,11 @@
 // run.json" turns a finished distributed run's lease audit and trace
 // into per-owner and per-track throughput tables, and validates the
 // trace schema (-require campaign,lease,mpi) so CI fails when an
-// instrumentation layer goes silent. Non-serial sweep jobs additionally
-// emit their SpecStats as a "spec/<job key>" row shard — conflict and
-// rollback rates, the adaptive window's grows/shrinks and observed
-// min/max, and speculative-collective hits and rollbacks — so speculation
-// behavior lands in the campaign's CSV output next to the measurements it
-// explains, and "cmd/obsreport -rows <dir>" aggregates those shards into
-// a per-scenario speculation table after the fact.
+// instrumentation layer goes silent. Speculation telemetry is read the
+// same way and no other: World.SpecStats in process, the mpi_spec_*
+// counters in a "-metricsdump" file or on /metrics. It is host-timing
+// data, so no job writes it into rows/ — an output directory is a pure
+// function of the configuration under every scheduler.
 //
 // # Static analysis
 //

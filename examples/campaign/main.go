@@ -15,8 +15,7 @@
 // completed scenarios while producing identical output.
 //
 // The grid also sweeps the rank scheduler (SchedAxis: serial,
-// conservative parallel, optimistic parallel, and an optimistic variant
-// with a tight adaptive speculation window). That axis is seed-inert —
+// conservative parallel, optimistic parallel). That axis is seed-inert —
 // paired scenarios share a derived seed — so the example verifies, from
 // the streamed aggregates alone, that every parallel scenario reproduced
 // its serial twin exactly: rank-level parallelism inside a world composes
@@ -76,10 +75,7 @@ func main() {
 		{Key: "loaded", Value: 0.7, Apply: func(w *repro.WorldConfig) { w.Net.NoiseSigma = 0.7 }},
 	}}
 
-	// The scheduler axis sweeps all three modes plus an optimistic variant
-	// with a tight adaptive speculation window (SchedChoice) — the window
-	// only changes wall-clock behavior, so the equivalence check below
-	// holds for it too.
+	// The scheduler axis sweeps all three modes.
 	g := repro.Grid{
 		Base: base.World,
 		Axes: []repro.Dimension{
@@ -90,7 +86,6 @@ func main() {
 				repro.SchedChoice{Mode: repro.SchedSerial},
 				repro.SchedChoice{Mode: repro.SchedConservativeParallel},
 				repro.SchedChoice{Mode: repro.SchedOptimisticParallel},
-				repro.SchedChoice{Mode: repro.SchedOptimisticParallel, SpecWindowMin: 64, SpecWindowMax: 1024},
 			),
 		},
 		Replications: 2,
@@ -156,9 +151,8 @@ func main() {
 	}
 
 	// Scheduler equivalence at scale: the sched axis is seed-inert, so a
-	// "/par/" or "/opt/" scenario — including the windowed optimistic
-	// variant — is the same experiment as its "/serial/" twin and must have
-	// streamed identical telemetry.
+	// "/par/" or "/opt/" scenario is the same experiment as its "/serial/"
+	// twin and must have streamed identical telemetry.
 	pairs, mismatches := 0, 0
 	for _, key := range agg.Keys() {
 		if !strings.Contains(key, "/serial/") {
@@ -168,7 +162,7 @@ func main() {
 		if !ok1 {
 			log.Fatalf("scenario %s missing from aggregates", key)
 		}
-		for _, mode := range []string{"/par/", "/opt/", "/opt-w64-1024/"} {
+		for _, mode := range []string{"/par/", "/opt/"} {
 			twin := strings.Replace(key, "/serial/", mode, 1)
 			s2, ok2 := agg.Stat(twin, "wall_us")
 			if !ok2 {

@@ -197,33 +197,23 @@ func CPUClockAxis(scales ...float64) Dimension {
 }
 
 // SchedChoice is one value of the scheduler axis: a scheduler mode plus
-// its parallel-rank cap and speculation-window bounds.
+// its parallel-rank cap.
 type SchedChoice struct {
 	Mode mpi.SchedulerMode
 	// MaxParallelRanks caps concurrent ranks under the parallel schedulers
 	// (conservative and optimistic); zero means no cap. Ignored by the
 	// serial scheduler.
 	MaxParallelRanks int
-	// SpecWindowMin and SpecWindowMax bound the optimistic scheduler's
-	// adaptive speculation window; both zero keeps the fixed default.
-	// Ignored outside OptimisticParallel.
-	SpecWindowMin int
-	SpecWindowMax int
 }
 
 // schedKey renders a scheduler choice as a stable key token ("serial",
-// "par", "par4", "opt", "opt8", "opt-w256-8192"). The cap suffix applies
-// to any non-serial mode and the window suffix to any mode that sets the
-// bounds — neither knob means anything under the serial scheduler, so
-// default choices keep the bare tokens (and their byte-stable scenario
-// keys).
+// "par", "par4", "opt", "opt8"). The cap suffix applies to any non-serial
+// mode — the cap means nothing under the serial scheduler — so default
+// choices keep the bare tokens (and their byte-stable scenario keys).
 func (s SchedChoice) schedKey() string {
 	k := s.Mode.String()
 	if s.Mode != mpi.Serial && s.MaxParallelRanks > 0 {
 		k = fmt.Sprintf("%s%d", k, s.MaxParallelRanks)
-	}
-	if s.SpecWindowMin != 0 || s.SpecWindowMax != 0 {
-		k = fmt.Sprintf("%s-w%d-%d", k, s.SpecWindowMin, s.SpecWindowMax)
 	}
 	return k
 }
@@ -244,8 +234,6 @@ func SchedAxis(choices ...SchedChoice) Dimension {
 			Apply: func(w *mpi.WorldConfig) {
 				w.Sched = c.Mode
 				w.MaxParallelRanks = c.MaxParallelRanks
-				w.SpecWindowMin = c.SpecWindowMin
-				w.SpecWindowMax = c.SpecWindowMax
 			},
 		})
 	}

@@ -4,9 +4,11 @@ import (
 	"context"
 	"fmt"
 	"io"
+	"slices"
 
 	"repro/internal/campaign"
 	"repro/internal/perfmodel"
+	"repro/internal/results"
 )
 
 // This file implements the paper's Section 6 outlook: "The models derived
@@ -54,25 +56,31 @@ func WriteCacheStudy(w io.Writer, kernel Kernel, pts []GridPoint) error {
 }
 
 // CacheAwareFit regresses wall time on both the array size and the
-// invocation's recorded cache misses: T = c0 + c1*Q + c2*DCM. It returns
-// the multivariate model, its R², and the R² of the Q-only linear fit on
-// the identical samples for comparison.
-func CacheAwareFit(s *SweepResult) (perfmodel.MultiLin, float64, float64, error) {
-	var rows [][]float64
-	var qOnly, y []float64
-	for _, p := range s.Points {
-		rows = append(rows, []float64{float64(p.Q), p.Misses})
-		qOnly = append(qOnly, float64(p.Q))
-		y = append(y, p.WallUS)
-	}
-	if len(rows) == 0 {
+// invocation's recorded cache misses: T = c0 + c1*Q + c2*DCM, over sweep
+// telemetry rows (SweepResult.Rows, or what a stream job emitted to the
+// campaign sink: columns q, l2_dcm, wall_us). It returns the multivariate
+// model, its R², and the R² of the Q-only linear fit on the identical
+// samples for comparison.
+func CacheAwareFit(rows []results.Row) (perfmodel.MultiLin, float64, float64, error) {
+	cols := results.ProjectRows(rows, "q", "l2_dcm", "wall_us")
+	if cols.Rows == 0 {
 		return perfmodel.MultiLin{}, 0, 0, fmt.Errorf("harness: no samples")
 	}
-	ml, err := perfmodel.MultiLinFit([]string{"Q", "DCM"}, rows, y)
+	for _, present := range cols.Present {
+		if slices.Contains(present, false) {
+			return perfmodel.MultiLin{}, 0, 0, fmt.Errorf("harness: rows lack a numeric q, l2_dcm or wall_us")
+		}
+	}
+	qOnly, dcm, y := cols.Values[0], cols.Values[1], cols.Values[2]
+	x := make([][]float64, cols.Rows)
+	for i := range x {
+		x[i] = []float64{qOnly[i], dcm[i]}
+	}
+	ml, err := perfmodel.MultiLinFit([]string{"Q", "DCM"}, x, y)
 	if err != nil {
 		return perfmodel.MultiLin{}, 0, 0, err
 	}
-	r2 := perfmodel.R2Multi(ml, rows, y)
+	r2 := perfmodel.R2Multi(ml, x, y)
 	plain, err := perfmodel.LinFit(qOnly, y)
 	if err != nil {
 		return perfmodel.MultiLin{}, 0, 0, err

@@ -23,7 +23,7 @@ func TestCacheAwareFitExplainsModeSplit(t *testing.T) {
 	if !sawMisses {
 		t.Fatal("sweep points carry no PAPI_L2_DCM deltas")
 	}
-	ml, r2Aware, r2Plain, err := CacheAwareFit(sw)
+	ml, r2Aware, r2Plain, err := CacheAwareFit(sw.Rows())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,7 +80,7 @@ func TestRunCacheStudyCoefficientsMove(t *testing.T) {
 
 func TestCacheAwareFitEmpty(t *testing.T) {
 	t.Parallel()
-	if _, _, _, err := CacheAwareFit(&SweepResult{}); err == nil {
+	if _, _, _, err := CacheAwareFit(nil); err == nil {
 		t.Fatal("empty sweep accepted")
 	}
 }

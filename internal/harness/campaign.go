@@ -5,8 +5,6 @@ import (
 	"fmt"
 
 	"repro/internal/campaign"
-	"repro/internal/components"
-	"repro/internal/mpi"
 	"repro/internal/results"
 )
 
@@ -43,28 +41,8 @@ func replayRows(ctx context.Context, key string, rows []results.Row) error {
 	return nil
 }
 
-// emitSpecRow streams the sweep's scheduler-telemetry row under the job's
-// spec key. Serial sweeps emit nothing: their telemetry is identically
-// zero and the row would perturb the byte-compared serial shard set.
-func emitSpecRow(ctx context.Context, jobKey string, sw *SweepResult) error {
-	if sw.Config.World.Sched == mpi.Serial {
-		return nil
-	}
-	return campaign.Emit(ctx, SpecKey(jobKey), sw.SpecRow())
-}
-
-// replaySpecRow is emitSpecRow for Decode hooks, wrapping failures with
-// campaign.ErrReplay like replayRows.
-func replaySpecRow(ctx context.Context, jobKey string, sw *SweepResult) error {
-	if err := emitSpecRow(ctx, jobKey, sw); err != nil {
-		return fmt.Errorf("%w: %w", campaign.ErrReplay, err)
-	}
-	return nil
-}
-
 // SweepJob wraps RunSweep as a checkpointable campaign job under the given
-// key, emitting the sweep's telemetry rows to the campaign sink (plus, for
-// non-serial worlds, the speculation-telemetry row under SpecKey).
+// key, emitting the sweep's telemetry rows to the campaign sink.
 func SweepJob(key string, cfg SweepConfig) campaign.Job {
 	return campaign.Job{
 		Key:    key,
@@ -75,20 +53,14 @@ func SweepJob(key string, cfg SweepConfig) campaign.Job {
 			if err != nil {
 				return nil, err
 			}
-			if err := replayRows(ctx, key, sw.Rows()); err != nil {
-				return sw, err
-			}
-			return sw, replaySpecRow(ctx, key, sw)
+			return sw, replayRows(ctx, key, sw.Rows())
 		},
 		Run: func(ctx context.Context, _ map[string]any) (any, error) {
 			sw, err := RunSweep(cfg)
 			if err != nil {
 				return nil, err
 			}
-			if err := emitRows(ctx, key, sw.Rows()); err != nil {
-				return nil, err
-			}
-			return sw, emitSpecRow(ctx, key, sw)
+			return sw, emitRows(ctx, key, sw.Rows())
 		},
 	}
 }
@@ -147,32 +119,6 @@ func scenarioSweepConfig(base SweepConfig, sc campaign.Scenario) (SweepConfig, e
 		cfg.Kernel = KernelEFM
 	case "states":
 		cfg.Kernel = KernelStates
-	default:
-		return cfg, fmt.Errorf("harness: unknown flux dimension %q in scenario %q", flux, sc.Key)
-	}
-	return cfg, nil
-}
-
-// CaseScenarioConfig specializes a case-study config to one grid scenario:
-// the scenario's world plus the app-level axes — the mesh coordinate sets
-// the base grid, the flux coordinate selects the assembly's flux
-// implementation.
-func CaseScenarioConfig(base CaseStudyConfig, sc campaign.Scenario) (CaseStudyConfig, error) {
-	cfg := base
-	cfg.World = sc.World
-	if c, ok := sc.Coord(campaign.AxisMesh); ok {
-		mesh, isMesh := c.Value.(campaign.MeshSize)
-		if !isMesh {
-			return cfg, fmt.Errorf("harness: mesh axis value %T in scenario %q, want campaign.MeshSize", c.Value, sc.Key)
-		}
-		cfg.App.Mesh.BaseNx, cfg.App.Mesh.BaseNy = mesh.Nx, mesh.Ny
-	}
-	switch flux := sc.Label(campaign.AxisFlux); flux {
-	case "":
-	case "godunov":
-		cfg.App.Flux = components.Godunov
-	case "efm":
-		cfg.App.Flux = components.EFM
 	default:
 		return cfg, fmt.Errorf("harness: unknown flux dimension %q in scenario %q", flux, sc.Key)
 	}

@@ -10,7 +10,6 @@ import (
 	"testing"
 
 	"repro/internal/campaign"
-	"repro/internal/components"
 	"repro/internal/results"
 	"repro/internal/results/store"
 )
@@ -323,8 +322,8 @@ func fluxScenario(flux string) campaign.Scenario {
 	}
 }
 
-// TestScenarioConfigMapping checks the app-level grid axes reach the
-// harness configs through their coordinates.
+// TestScenarioConfigMapping checks the flux axis reaches the sweep config
+// through its coordinate.
 func TestScenarioConfigMapping(t *testing.T) {
 	t.Parallel()
 	base := tinySweep(KernelStates)
@@ -343,32 +342,8 @@ func TestScenarioConfigMapping(t *testing.T) {
 	if sw.Kernel != KernelEFM {
 		t.Errorf("flux axis did not select kernel: %s", sw.Kernel)
 	}
-	caseBase := DefaultCaseStudy()
-	cs, err := CaseScenarioConfig(caseBase, sc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cs.App.Mesh.BaseNx != 64 || cs.App.Mesh.BaseNy != 32 {
-		t.Errorf("mesh axis not applied: %+v", cs.App.Mesh)
-	}
-	if cs.App.Flux != components.EFM {
-		t.Errorf("flux axis not applied: %v", cs.App.Flux)
-	}
-
 	if _, err := scenarioSweepConfig(base, fluxScenario("nonsense")); err == nil {
 		t.Error("unknown flux accepted by sweep mapping")
-	}
-	if _, err := CaseScenarioConfig(caseBase, fluxScenario("states")); err == nil {
-		t.Error("states flux accepted by case mapping")
-	}
-
-	// A scenario without app-level coordinates keeps the base config.
-	plain, err := CaseScenarioConfig(caseBase, campaign.Scenario{World: base.World})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if plain.App.Mesh.BaseNx != caseBase.App.Mesh.BaseNx || plain.App.Flux != caseBase.App.Flux {
-		t.Errorf("unswept axes perturbed the config")
 	}
 }
 

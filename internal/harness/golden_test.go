@@ -97,7 +97,6 @@ func TestCPUAxisHashesDistinct(t *testing.T) {
 		{"Tune", func(w *mpi.WorldConfig) { w.Tune = mpi.CPUTune{ClockScale: 2} }},
 		{"Sched", func(w *mpi.WorldConfig) { w.Sched = mpi.ConservativeParallel }},
 		{"MaxParallelRanks", func(w *mpi.WorldConfig) { w.MaxParallelRanks = 4 }},
-		{"SpecWindowMin/Max", func(w *mpi.WorldConfig) { w.SpecWindowMin, w.SpecWindowMax = 8, 128 }},
 		{"Cache.SizeBytes", func(w *mpi.WorldConfig) { w.Cache.SizeBytes *= 2 }},
 		{"Seed", func(w *mpi.WorldConfig) { w.Seed++ }},
 	} {
@@ -182,7 +181,7 @@ func TestHashedConfigsArePlainValues(t *testing.T) {
 			campaign.MeshAxis(campaign.MeshSize{Nx: 96, Ny: 24}),
 			campaign.FluxAxis("efm"),
 			campaign.CPUAxis(mpi.CPUTune{ClockScale: 2, HitScale: 0.5}),
-			campaign.SchedAxis(campaign.SchedChoice{Mode: mpi.OptimisticParallel, MaxParallelRanks: 2, SpecWindowMin: 8, SpecWindowMax: 128}),
+			campaign.SchedAxis(campaign.SchedChoice{Mode: mpi.OptimisticParallel, MaxParallelRanks: 2}),
 		},
 		// The two constructors that share an axis name with one above.
 		{campaign.CPUClockAxis(0.5), campaign.SchedModeAxis(mpi.ConservativeParallel)},

@@ -11,7 +11,6 @@ import (
 	"repro/internal/mpi"
 	"repro/internal/obs"
 	"repro/internal/results"
-	"repro/internal/results/store"
 )
 
 // This file carries the observability layer's hard constraint: enabling
@@ -126,14 +125,12 @@ func TestObservedRunByteIdentical(t *testing.T) {
 		}
 	}
 
-	// Every emitted shard — including the spec/ telemetry shards the
-	// optimistic grid adds — must be byte-identical.
+	// Every emitted shard must be byte-identical.
 	rowsOff := readDirFiles(t, filepath.Join(offDir, "rows"))
 	rowsOn := readDirFiles(t, filepath.Join(onDir, "rows"))
 	if len(rowsOff) == 0 {
 		t.Fatal("no row shards emitted")
 	}
-	specShards := 0
 	for name, off := range rowsOff {
 		on, ok := rowsOn[name]
 		if !ok {
@@ -143,15 +140,9 @@ func TestObservedRunByteIdentical(t *testing.T) {
 		if !bytes.Equal(off, on) {
 			t.Errorf("shard %s differs with observability enabled", name)
 		}
-		if len(name) > 5 && name[:5] == "spec_" {
-			specShards++
-		}
 	}
 	if len(rowsOn) != len(rowsOff) {
 		t.Errorf("observed run emitted %d shards, unobserved %d", len(rowsOn), len(rowsOff))
-	}
-	if specShards == 0 {
-		t.Error("optimistic grid emitted no spec_ telemetry shards")
 	}
 
 	// The observed run must actually have observed something, and its
@@ -175,80 +166,5 @@ func TestObservedRunByteIdentical(t *testing.T) {
 	}
 	if o.Metrics().Counter("mpi_worlds_total").Value() == 0 {
 		t.Error("mpi metrics recorded nothing")
-	}
-}
-
-// TestSpecRowCheckpointReplay proves a resumed campaign replays the
-// spec telemetry row from the checkpoint byte-for-byte instead of
-// dropping it or re-running the sweep.
-func TestSpecRowCheckpointReplay(t *testing.T) {
-	t.Parallel()
-	base, grid := goldenTrendGrid(t)
-	base = withSched(base, mpi.OptimisticParallel)
-	grid.Base = base.World
-	grid.Axes = []campaign.Dimension{campaign.CacheAxis(128)}
-	grid.Replications = 1
-
-	st, err := store.Open(filepath.Join(t.TempDir(), "store"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	run := func(dir string) map[string][]byte {
-		rowsDir := filepath.Join(dir, "rows")
-		sink, err := results.NewCSVShardSink(rowsDir)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := StreamSweepGrid(context.Background(), campaign.Config{Store: st, Sink: sink}, base, grid); err != nil {
-			t.Fatal(err)
-		}
-		if err := sink.Close(); err != nil {
-			t.Fatal(err)
-		}
-		return readDirFiles(t, rowsDir)
-	}
-	fresh := run(t.TempDir())
-	replayed := run(t.TempDir())
-	if len(fresh) != len(replayed) {
-		t.Fatalf("fresh run emitted %d shards, replayed %d", len(fresh), len(replayed))
-	}
-	spec := 0
-	for name, a := range fresh {
-		if !bytes.Equal(a, replayed[name]) {
-			t.Errorf("shard %s differs between fresh and replayed run", name)
-		}
-		if len(name) > 5 && name[:5] == "spec_" {
-			spec++
-		}
-	}
-	if spec == 0 {
-		t.Error("no spec shards to compare")
-	}
-}
-
-// TestSerialSweepEmitsNoSpecRow pins the other half of the contract:
-// serial jobs emit no spec shard, so the byte-compared serial shard set
-// stays what it was.
-func TestSerialSweepEmitsNoSpecRow(t *testing.T) {
-	t.Parallel()
-	base, grid := goldenTrendGrid(t)
-	grid.Axes = []campaign.Dimension{campaign.CacheAxis(128)}
-	grid.Replications = 1
-	dir := t.TempDir()
-	rowsDir := filepath.Join(dir, "rows")
-	sink, err := results.NewCSVShardSink(rowsDir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := StreamSweepGrid(context.Background(), campaign.Config{Sink: sink}, base, grid); err != nil {
-		t.Fatal(err)
-	}
-	if err := sink.Close(); err != nil {
-		t.Fatal(err)
-	}
-	for name := range readDirFiles(t, rowsDir) {
-		if len(name) > 5 && name[:5] == "spec_" {
-			t.Errorf("serial grid emitted spec shard %s", name)
-		}
 	}
 }

@@ -121,6 +121,52 @@ func TestGoldenGridParallelEquivalence(t *testing.T) {
 	}
 }
 
+// TestShardDirIdenticalAcrossSchedulers pins what `diff -r` of two output
+// directories sees: the same grid streamed into a shard sink under each
+// scheduler leaves the same file names holding the same bytes. Host-timing
+// telemetry has no place in rows/.
+func TestShardDirIdenticalAcrossSchedulers(t *testing.T) {
+	t.Parallel()
+	base, grid := goldenTrendGrid(t)
+	grid.Axes = []campaign.Dimension{campaign.CacheAxis(128)}
+	grid.Replications = 1
+	shards := func(mode mpi.SchedulerMode) map[string][]byte {
+		b := withSched(base, mode)
+		g := grid
+		g.Base = b.World
+		dir := t.TempDir()
+		sink, err := results.NewCSVShardSink(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := StreamSweepGrid(context.Background(), campaign.Config{Sink: sink}, b, g); err != nil {
+			t.Fatal(err)
+		}
+		if err := sink.Close(); err != nil {
+			t.Fatal(err)
+		}
+		return readDirFiles(t, dir)
+	}
+	serial := shards(mpi.Serial)
+	if len(serial) == 0 {
+		t.Fatal("no row shards emitted")
+	}
+	for _, mode := range []mpi.SchedulerMode{mpi.ConservativeParallel, mpi.OptimisticParallel} {
+		got := shards(mode)
+		for name, data := range got {
+			want, ok := serial[name]
+			if !ok {
+				t.Errorf("%v: shard %s has no serial counterpart", mode, name)
+			} else if !bytes.Equal(want, data) {
+				t.Errorf("%v: shard %s differs from serial", mode, name)
+			}
+		}
+		if len(got) != len(serial) {
+			t.Errorf("%v emitted %d shards, serial %d", mode, len(got), len(serial))
+		}
+	}
+}
+
 // TestCaseStudyParallelEquivalence runs the Fig. 3 profile workload — the
 // full component application with ghost exchanges, load balancing and the
 // Mastermind interposed — under both schedulers and compares profiles,

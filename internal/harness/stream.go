@@ -4,7 +4,6 @@ import (
 	"context"
 
 	"repro/internal/campaign"
-	"repro/internal/mpi"
 	"repro/internal/results"
 )
 
@@ -26,29 +25,25 @@ type GridPoint struct {
 }
 
 // gridCheckpoint is a stream job's stored payload: the point plus the rows
-// it emitted, so a resumed campaign replays the exact same stream. Spec
-// carries the sweep's scheduler telemetry so non-serial points replay
-// their spec row too.
+// it emitted, so a resumed campaign replays the exact same stream.
 type gridCheckpoint struct {
 	Point GridPoint
 	Rows  []results.Row
-	Spec  mpi.SpecStats
 }
 
 // StreamJob wraps one grid scenario as a bounded-memory campaign job: run
 // the sweep, emit its rows to the campaign sink, fit the model, return
 // only the GridPoint.
 func StreamJob(base SweepConfig, sc campaign.Scenario) campaign.Job {
-	// rows and spec hand the emitted telemetry from Run to Encode (the
-	// campaign calls them sequentially on the same worker) without making
-	// them part of the job's value, which must stay small.
+	// rows hands the emitted telemetry from Run to Encode (the campaign
+	// calls them sequentially on the same worker) without making it part
+	// of the job's value, which must stay small.
 	var rows []results.Row
-	var spec mpi.SpecStats
 	return campaign.Job{
 		Key:  sc.Key,
 		Hash: jobHash("gridpoint", base, sc),
 		Encode: func(v any) ([]byte, error) {
-			data, err := encodeGob(gridCheckpoint{Point: v.(GridPoint), Rows: rows, Spec: spec})
+			data, err := encodeGob(gridCheckpoint{Point: v.(GridPoint), Rows: rows})
 			rows = nil
 			return data, err
 		},
@@ -57,11 +52,7 @@ func StreamJob(base SweepConfig, sc campaign.Scenario) campaign.Job {
 			if err != nil {
 				return nil, err
 			}
-			if err := replayRows(ctx, sc.Key, ck.Rows); err != nil {
-				return ck.Point, err
-			}
-			sw := &SweepResult{Config: SweepConfig{World: sc.World}, Spec: ck.Spec}
-			return ck.Point, replaySpecRow(ctx, sc.Key, sw)
+			return ck.Point, replayRows(ctx, sc.Key, ck.Rows)
 		},
 		Run: func(ctx context.Context, _ map[string]any) (any, error) {
 			cfg, err := scenarioSweepConfig(base, sc)
@@ -73,11 +64,7 @@ func StreamJob(base SweepConfig, sc campaign.Scenario) campaign.Job {
 				return nil, err
 			}
 			rows = sw.Rows()
-			spec = sw.Spec
 			if err := emitRows(ctx, sc.Key, rows); err != nil {
-				return nil, err
-			}
-			if err := emitSpecRow(ctx, sc.Key, sw); err != nil {
 				return nil, err
 			}
 			cm, err := FitModels(sw)

@@ -95,13 +95,6 @@ type SweepPoint struct {
 type SweepResult struct {
 	Config SweepConfig
 	Points []SweepPoint
-	// Spec is the world's speculation telemetry, zero unless the sweep ran
-	// under the optimistic scheduler. It is carried alongside the points
-	// (and through gob checkpoints, which tolerate the added field) but
-	// deliberately kept out of Rows(): per-invocation rows must stay
-	// byte-identical across scheduler modes, while Spec is wall-clock
-	// dependent under opt. SpecRow exposes it as one telemetry row.
-	Spec mpi.SpecStats
 }
 
 // sweepAspects are the patch tallness factors the sweep cycles through:
@@ -221,7 +214,6 @@ func RunSweep(cfg SweepConfig) (*SweepResult, error) {
 	for _, pts := range perRank {
 		res.Points = append(res.Points, pts...)
 	}
-	res.Spec = w.SpecStats()
 	return res, nil
 }
 
@@ -356,45 +348,6 @@ func (s *SweepResult) Rows() []results.Row {
 		}
 	}
 	return rows
-}
-
-// SpecKey returns the shard key under which a sweep job's speculation
-// telemetry row is emitted: a separate key (and therefore CSV shard)
-// from the job's per-invocation rows, so the scheduler-equivalence
-// byte-comparisons over the measurement shards stay untouched.
-func SpecKey(jobKey string) string { return "spec/" + jobKey }
-
-// SpecRow renders the sweep's scheduler telemetry as one results row:
-// the speculation counters plus derived conflict/rollback rates — the
-// visibility the adaptive-speculation-window work needs in CSV shards.
-// Counters are zero under the serial and conservative schedulers.
-func (s *SweepResult) SpecRow() results.Row {
-	rate := func(n uint64) float64 {
-		if s.Spec.SpeculatedOps == 0 {
-			return 0
-		}
-		return float64(n) / float64(s.Spec.SpeculatedOps)
-	}
-	return results.Row{
-		results.F("sched", s.Config.World.Sched.String()),
-		results.F("procs", s.Config.World.Procs),
-		results.F("published_sends", int64(s.Spec.PublishedSends)),
-		results.F("pipelined_ops", int64(s.Spec.PipelinedOps)),
-		results.F("speculated_ops", int64(s.Spec.SpeculatedOps)),
-		results.F("committed_ops", int64(s.Spec.CommittedOps)),
-		results.F("conflicts", int64(s.Spec.Conflicts)),
-		results.F("rollbacks", int64(s.Spec.Rollbacks)),
-		results.F("window_stalls", int64(s.Spec.WindowStalls)),
-		results.F("window_grows", int64(s.Spec.WindowGrows)),
-		results.F("window_shrinks", int64(s.Spec.WindowShrinks)),
-		results.F("window_min", int64(s.Spec.WindowMin)),
-		results.F("window_max", int64(s.Spec.WindowMax)),
-		results.F("spec_coll_hits", int64(s.Spec.SpecCollHits)),
-		results.F("spec_coll_rollbacks", int64(s.Spec.SpecCollRollbacks)),
-		results.F("reexecuted_us", s.Spec.ReexecutedUS),
-		results.F("conflict_rate", rate(s.Spec.Conflicts)),
-		results.F("rollback_rate", rate(s.Spec.Rollbacks)),
-	}
 }
 
 // WriteScatterCSV writes the Fig. 4 scatter.

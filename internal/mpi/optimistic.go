@@ -29,9 +29,7 @@ package mpi
 // MPI operation helps drive the automaton while it waits. The speculation
 // window bounds how far a rank's stream may outrun the commit frontier
 // (guaranteeing quiescence for the deadlock check); it is fixed at
-// specWindow events by default, or adaptive per rank when WorldConfig
-// bounds it — halving on every rollback, growing back additively after
-// clean commit batches (AIMD).
+// specWindow events.
 //
 // Collectives complete speculatively once every member's contribution is
 // published: the last arriver computes the results — a pure function of
@@ -57,17 +55,8 @@ import (
 // specWindow caps how many recorded events a rank's stream may run ahead of
 // the commit frontier before the rank parks. It bounds memory growth and
 // guarantees every rank eventually parks, which the deadlock check relies
-// on. It is the fixed default; WorldConfig.SpecWindowMin/Max replace it
-// with a per-rank adaptive window.
+// on.
 const specWindow = 4096
-
-// Adaptive-window tuning: a rollback halves the rank's window
-// (multiplicative decrease); specGrowBatch consecutive clean commits grow
-// it back by specGrowStep events (additive increase), AIMD-style.
-const (
-	specGrowBatch = 64
-	specGrowStep  = 64
-)
 
 // Automaton view of a rank's scheduling state (mirrors the serial
 // scheduler's stReady/stBlocked/stDone over the replayed order).
@@ -120,17 +109,6 @@ type SpecStats struct {
 	// WindowStalls counts times a rank parked because its event stream ran
 	// a full speculation window ahead of the commit frontier.
 	WindowStalls uint64
-	// WindowGrows and WindowShrinks count adaptive speculation-window
-	// moves: a shrink halves a rank's window after a rollback, a grow adds
-	// specGrowStep back after specGrowBatch clean commits. Both stay zero
-	// when the window is fixed.
-	WindowGrows   uint64
-	WindowShrinks uint64
-	// WindowMin and WindowMax are the smallest and largest per-rank window
-	// sizes observed during the run (both equal the fixed window when
-	// adaptation is off).
-	WindowMin uint64
-	WindowMax uint64
 	// SpecCollHits counts collective arrivals served speculatively — the
 	// result computed from the published contribution set before the
 	// commit turn — and validated by the commit replay.
@@ -246,11 +224,9 @@ type optState struct {
 	finished []bool // rank goroutine returned
 	parked   []bool // rank is waiting inside optParkLocked
 
-	// Adaptive speculation window: per-rank current size, the configured
-	// bounds, and the per-rank clean-commit streak that drives growth.
-	win            []int
-	winMin, winMax int
-	streak         []int
+	// win is the speculation window in recorded events: specWindow, except
+	// where an in-package test tightens it to exercise windowWaitLocked.
+	win int
 
 	// Speculative-collective state. mirror runs every communicator's
 	// collective rendezvous over the published arrival order, ahead of the
@@ -288,10 +264,6 @@ type specCollMirror struct {
 // newOptState sizes the scheduler state for the world's rank count.
 func newOptState(w *World) *optState {
 	n := w.cfg.Procs
-	lo, hi := w.cfg.SpecWindowMin, w.cfg.SpecWindowMax
-	if lo == 0 && hi == 0 {
-		lo, hi = specWindow, specWindow
-	}
 	o := &optState{
 		w:        w,
 		pub:      make(map[mailKey][]*message),
@@ -302,63 +274,14 @@ func newOptState(w *World) *optState {
 		cur:      -1,
 		finished: make([]bool, n),
 		parked:   make([]bool, n),
-		win:      make([]int, n),
-		winMin:   lo,
-		winMax:   hi,
-		streak:   make([]int, n),
+		win:      specWindow,
 		mirror:   make(map[int]*specCollMirror),
 		specRng:  rand.New(rand.NewSource(w.cfg.Seed ^ 0x51ca5e)),
 	}
 	for r := range o.aClock {
 		o.aClock[r] = w.ranks[r].Proc.Now()
-		o.win[r] = hi // windows start wide and shrink on rollbacks
 	}
-	o.stats.WindowMin = uint64(hi)
-	o.stats.WindowMax = uint64(hi)
 	return o
-}
-
-// shrinkWindowLocked halves rank's speculation window after a rollback,
-// bounded below by the configured minimum, and resets its clean-commit
-// streak. A no-op beyond the streak reset when the window is fixed.
-func (o *optState) shrinkWindowLocked(rank int) {
-	o.streak[rank] = 0
-	nw := o.win[rank] / 2
-	if nw < o.winMin {
-		nw = o.winMin
-	}
-	if nw == o.win[rank] {
-		return
-	}
-	o.win[rank] = nw
-	o.stats.WindowShrinks++
-	if uint64(nw) < o.stats.WindowMin {
-		o.stats.WindowMin = uint64(nw)
-	}
-}
-
-// noteCommitLocked advances rank r's clean-commit streak and grows its
-// speculation window additively once a full clean batch has committed.
-// The automaton's progress broadcast re-checks any rank parked on a
-// window stall, so a grow can release it.
-func (o *optState) noteCommitLocked(r int) {
-	o.streak[r]++
-	if o.streak[r] < specGrowBatch {
-		return
-	}
-	o.streak[r] = 0
-	nw := o.win[r] + specGrowStep
-	if nw > o.winMax {
-		nw = o.winMax
-	}
-	if nw == o.win[r] {
-		return
-	}
-	o.win[r] = nw
-	o.stats.WindowGrows++
-	if uint64(nw) > o.stats.WindowMax {
-		o.stats.WindowMax = uint64(nw)
-	}
 }
 
 // reqUndo snapshots the mutable fields of one request for rollback.
@@ -503,10 +426,9 @@ func (o *optState) appendLocked(rank int, ev *specEvent) {
 }
 
 // windowWaitLocked parks the rank while its stream is a full speculation
-// window ahead of the commit frontier. The predicate re-reads the rank's
-// window, so an adaptive grow can release a stalled rank.
+// window ahead of the commit frontier.
 func (o *optState) windowWaitLocked(rank int) {
-	if len(o.streams[rank])-o.pos[rank] < o.win[rank] {
+	if len(o.streams[rank])-o.pos[rank] < o.win {
 		return
 	}
 	o.stats.WindowStalls++
@@ -521,15 +443,15 @@ const (
 )
 
 // readyLocked evaluates what a parked rank waits for: with no event, room in
-// its speculation window (re-read, so an adaptive grow can release it);
-// otherwise the automaton's verdict on the event or, short of that, the
-// collective's speculative completion, or a pick — the automaton's or a
-// published match — for slot d.slot (for any slot under slotAny).
+// its speculation window; otherwise the automaton's verdict on the event
+// or, short of that, the collective's speculative completion, or a pick —
+// the automaton's or a published match — for slot d.slot (for any slot
+// under slotAny).
 func (o *optState) readyLocked(rank int, d *blockDesc) bool {
 	ev := d.ev
 	switch {
 	case ev == nil:
-		return len(o.streams[rank])-o.pos[rank] < o.win[rank]
+		return len(o.streams[rank])-o.pos[rank] < o.win
 	case ev.state != esPending:
 		return true
 	case d.slot == slotVerdict:
@@ -704,15 +626,9 @@ func (o *optState) consumeSegmentLocked(r int) bool {
 			o.cur = -1
 			return progressed
 		}
-		conflicted := ev.state == esConflict
 		o.streams[r][o.pos[r]] = nil // release committed events for GC
 		o.pos[r]++
 		o.stats.CommittedOps++
-		if conflicted {
-			o.streak[r] = 0
-		} else {
-			o.noteCommitLocked(r)
-		}
 		progressed = true
 	}
 	if o.finished[r] {
@@ -1054,7 +970,6 @@ func (c *Comm) optCompleteRecvs(op string, reqs []*Request) {
 	c.r.rollbackLocked(undo)
 	o.stats.Rollbacks++
 	o.stats.ReexecutedUS += reexec
-	o.shrinkWindowLocked(rank)
 	w.rankTrack(rank).Instant("spec", "rollback", obs.Arg{Name: "reexec_us", Value: reexec})
 	for i := range ev.slots {
 		s := &ev.slots[i]
@@ -1135,7 +1050,6 @@ func (c *Comm) optWaitsome(reqs []*Request) []int {
 	c.r.rollbackLocked(undo)
 	o.stats.Rollbacks++
 	o.stats.ReexecutedUS += reexec
-	o.shrinkWindowLocked(rank)
 	w.rankTrack(rank).Instant("spec", "rollback", obs.Arg{Name: "reexec_us", Value: reexec})
 	out = out[:0]
 	for i := range ev.slots {
@@ -1209,7 +1123,6 @@ func (c *Comm) optCollective(kind collKind, data []float64, root int, op Op) ([]
 		o.stats.Rollbacks++
 		o.stats.SpecCollRollbacks++
 		o.stats.ReexecutedUS += reexec
-		o.shrinkWindowLocked(rank)
 		w.rankTrack(rank).Instant("spec", "rollback", obs.Arg{Name: "reexec_us", Value: reexec})
 		// Re-execute from the committed truth: the contribution set in the
 		// undo log re-derives the exact result (only the cost draw could

@@ -37,13 +37,19 @@ type worldTrace struct {
 // slice of strings per rank, appended by the body (rank-local).
 func runTraced(t *testing.T, cfg WorldConfig, body func(r *Rank, log *[]string)) worldTrace {
 	t.Helper()
-	w := NewWorld(cfg)
-	tr := worldTrace{log: make([][]string, cfg.Procs)}
+	return traceWorld(t, NewWorld(cfg), body)
+}
+
+// traceWorld is runTraced over a world the caller built (and may have
+// adjusted through unexported fields).
+func traceWorld(t *testing.T, w *World, body func(r *Rank, log *[]string)) worldTrace {
+	t.Helper()
+	tr := worldTrace{log: make([][]string, w.cfg.Procs)}
 	err := w.Run(func(r *Rank) {
 		body(r, &tr.log[r.Rank()])
 	})
 	if err != nil {
-		t.Fatalf("sched=%v: %v", cfg.Sched, err)
+		t.Fatalf("sched=%v: %v", w.cfg.Sched, err)
 	}
 	for _, r := range w.Ranks() {
 		tr.clocks = append(tr.clocks, r.Proc.Now())
@@ -300,6 +306,35 @@ func TestValidateRejectsInvalidConfig(t *testing.T) {
 	}
 	if err := parConfig(3).Validate(); err != nil {
 		t.Errorf("valid parallel config rejected: %v", err)
+	}
+}
+
+// TestSchedulerFromFlags pins the one -rankmode/-rankpar mapping both
+// commands share.
+func TestSchedulerFromFlags(t *testing.T) {
+	t.Parallel()
+	for _, tc := range []struct {
+		rankmode string
+		rankpar  int
+		mode     SchedulerMode
+		ranks    int
+	}{
+		{"", 0, Serial, 0},
+		{"", -1, ConservativeParallel, 0},
+		{"", 4, ConservativeParallel, 4},
+		{"serial", 4, Serial, 0},
+		{"par", 0, ConservativeParallel, 0},
+		{"opt", -1, OptimisticParallel, 0},
+		{"opt", 8, OptimisticParallel, 8},
+	} {
+		mode, ranks, err := SchedulerFromFlags(tc.rankmode, tc.rankpar)
+		if err != nil || mode != tc.mode || ranks != tc.ranks {
+			t.Errorf("-rankmode %q -rankpar %d: (%v, %d, %v), want (%v, %d)",
+				tc.rankmode, tc.rankpar, mode, ranks, err, tc.mode, tc.ranks)
+		}
+	}
+	if _, _, err := SchedulerFromFlags("optimistic", 0); err == nil {
+		t.Error("unknown -rankmode accepted")
 	}
 }
 

@@ -1,43 +1,20 @@
 package mpi
 
 import (
-	"bytes"
-	"encoding/gob"
 	"fmt"
 	"math/rand"
+	"runtime"
+	"slices"
 	"testing"
 )
 
-// This file is the wildcard rollback stress grid (ROADMAP item d): a
+// This file is the wildcard rollback stress grid: a
 // property-style corpus sweeping rank count x wildcard density under the
-// optimistic scheduler with a deliberately tight adaptive window, so the
-// rollback, re-execution and window-shrink machinery runs constantly
+// optimistic scheduler with a deliberately tight speculation window, so
+// the rollback, re-execution and window-stall machinery runs constantly
 // while byte-identity to the serial scheduler is asserted at every grid
 // point. The grid trims itself under the race detector (raceEnabled);
 // CI's regular test job runs it in full.
-
-// runTracedSpec is runTraced plus the world's speculation telemetry.
-func runTracedSpec(t *testing.T, cfg WorldConfig, body func(r *Rank, log *[]string)) (worldTrace, SpecStats) {
-	t.Helper()
-	w := NewWorld(cfg)
-	tr := worldTrace{log: make([][]string, cfg.Procs)}
-	err := w.Run(func(r *Rank) {
-		body(r, &tr.log[r.Rank()])
-	})
-	if err != nil {
-		t.Fatalf("sched=%v: %v", cfg.Sched, err)
-	}
-	for _, r := range w.Ranks() {
-		tr.clocks = append(tr.clocks, r.Proc.Now())
-		tr.counters = append(tr.counters, fmt.Sprintf("%+v", r.Proc.Counters()))
-		var buf bytes.Buffer
-		if err := gob.NewEncoder(&buf).Encode(r.Prof); err != nil {
-			t.Fatal(err)
-		}
-		tr.profiles = append(tr.profiles, buf.Bytes())
-	}
-	return tr, w.SpecStats()
-}
 
 // wildcardStressBody builds a hub-and-spokes pattern whose wildcard share
 // is tunable: every peer sends `rounds` messages to rank 0, a
@@ -49,7 +26,10 @@ func runTracedSpec(t *testing.T, cfg WorldConfig, body func(r *Rank, log *[]stri
 // and roll back — against serial arrival order. Skewed sender clocks plus
 // network noise make conflicting speculation routine, and a closing
 // Allreduce exercises the speculative-collective path in the same run.
-func wildcardStressBody(seed int64, p int, density float64) func(r *Rank, log *[]string) {
+// hold, when non-nil, runs on rank 0 before its first MPI call: rank 0 is
+// the first grant in serial order, so the commit frontier cannot move
+// while it is held.
+func wildcardStressBody(seed int64, p int, density float64, hold func()) func(r *Rank, log *[]string) {
 	const rounds = 6
 	wc := int(density * rounds)
 	return func(r *Rank, log *[]string) {
@@ -70,6 +50,9 @@ func wildcardStressBody(seed int64, p int, density float64) func(r *Rank, log *[
 				}
 			}
 			rng.Shuffle(len(plan), func(i, j int) { plan[i], plan[j] = plan[j], plan[i] })
+			if hold != nil {
+				hold()
+			}
 			for _, rc := range plan {
 				n := r.Comm.Recv(rc.src, rc.tag, buf)
 				*log = append(*log, fmt.Sprintf("n=%d v=%.6f@%.3f", n, buf[0], r.Proc.Now()))
@@ -96,9 +79,10 @@ func wildcardStressBody(seed int64, p int, density float64) func(r *Rank, log *[
 
 // TestWildcardRollbackStressGrid sweeps rank count x wildcard density and
 // asserts, at every grid point, that the optimistic scheduler under a
-// tight adaptive window reproduces the serial trace bit for bit. The
-// logged conflict and rollback rates document how speculation failure
-// scales with both axes — the data behind ROADMAP item (d).
+// tight window reproduces the serial trace bit for bit and that ranks do
+// park on the window (the only test that fails without windowWaitLocked).
+// The logged conflict and rollback rates document how speculation failure
+// scales with both axes.
 func TestWildcardRollbackStressGrid(t *testing.T) {
 	ranks := []int{2, 4, 8}
 	densities := []float64{0, 0.5, 1}
@@ -116,28 +100,46 @@ func TestWildcardRollbackStressGrid(t *testing.T) {
 			t.Run(fmt.Sprintf("p%d/wc%.0f%%", p, density*100), func(t *testing.T) {
 				t.Parallel()
 				for _, seed := range seeds {
-					body := wildcardStressBody(seed, p, density)
 					cfg := testConfig(p)
 					cfg.Net.NoiseSigma = 0.35
-					serial := runTraced(t, cfg, body)
+					serial := runTraced(t, cfg, wildcardStressBody(seed, p, density, nil))
 
 					opt := cfg
 					opt.Sched = OptimisticParallel
-					// A tight adaptive window keeps the shrink/grow control
-					// loop hot instead of letting speculation run away.
-					opt = opt.WithSpecWindow(8, 128)
-					tr, stats := runTracedSpec(t, opt, body)
+					w := NewWorld(opt)
+					// Far below specWindow, so streams hit the bound instead
+					// of letting speculation run away.
+					w.o.win = 4
+					// Every peer records 7 events, so holding the frontier
+					// until all of them have parked makes each one hit the
+					// window (or, were the bound gone, reach the Allreduce
+					// with no stall counted).
+					peersParked := func() {
+						for {
+							w.mu.Lock()
+							parked := !slices.Contains(w.o.parked[1:], false)
+							w.mu.Unlock()
+							if parked {
+								return
+							}
+							runtime.Gosched()
+						}
+					}
+					tr := traceWorld(t, w, wildcardStressBody(seed, p, density, peersParked))
 					assertTracesEqual(t, serial, tr)
 
+					stats := w.SpecStats()
+					if stats.WindowStalls == 0 {
+						t.Errorf("seed=%d: no rank parked on a %d-event window", seed, w.o.win)
+					}
 					ops := stats.SpeculatedOps + stats.PipelinedOps
 					if ops == 0 {
 						ops = 1
 					}
-					t.Logf("seed=%d p=%d density=%.2f: spec=%d pipelined=%d conflicts=%d (%.1f%%) rollbacks=%d window=[%d,%d] shrinks=%d grows=%d",
+					t.Logf("seed=%d p=%d density=%.2f: spec=%d pipelined=%d conflicts=%d (%.1f%%) rollbacks=%d stalls=%d",
 						seed, p, density, stats.SpeculatedOps, stats.PipelinedOps,
 						stats.Conflicts, float64(stats.Conflicts)/float64(ops)*100,
-						stats.Rollbacks, stats.WindowMin, stats.WindowMax,
-						stats.WindowShrinks, stats.WindowGrows)
+						stats.Rollbacks, stats.WindowStalls)
 				}
 			})
 		}

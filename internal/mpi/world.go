@@ -37,7 +37,6 @@ import (
 	"math/rand"
 	"runtime/debug"
 	"slices"
-	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -100,15 +99,32 @@ func (m SchedulerMode) String() string {
 	return fmt.Sprintf("SchedulerMode(%d)", int(m))
 }
 
-// ParseSchedulerMode maps a stable token ("serial", "par", "opt") back to
-// its SchedulerMode, for command-line flags.
-func ParseSchedulerMode(tok string) (SchedulerMode, error) {
-	for m, t := range schedulerModeTokens {
-		if t == tok {
-			return m, nil
+// SchedulerFromFlags maps the -rankmode/-rankpar command-line pair onto a
+// scheduler mode and parallel-rank cap (0 = no cap), the arguments of
+// WithScheduler. rankmode is a stable token ("serial", "par", "opt"); empty
+// derives the mode from rankpar (nonzero = par). rankpar > 0 is the cap
+// under the parallel modes; anything else means no cap.
+func SchedulerFromFlags(rankmode string, rankpar int) (SchedulerMode, int, error) {
+	mode := Serial
+	if rankmode == "" {
+		if rankpar != 0 {
+			mode = ConservativeParallel
+		}
+	} else {
+		known := false
+		for m, t := range schedulerModeTokens {
+			if t == rankmode {
+				mode, known = m, true
+			}
+		}
+		if !known {
+			return 0, 0, fmt.Errorf("mpi: unknown scheduler mode %q (want serial, par or opt)", rankmode)
 		}
 	}
-	return 0, fmt.Errorf("mpi: unknown scheduler mode %q (want serial, par or opt)", tok)
+	if mode == Serial || rankpar < 0 {
+		rankpar = 0
+	}
+	return mode, rankpar, nil
 }
 
 // CPUTune scales the per-rank CPU model relative to its calibrated base —
@@ -180,15 +196,6 @@ type WorldConfig struct {
 	// parallel schedulers. Zero means no cap (the Go runtime's GOMAXPROCS
 	// governs actual parallelism); it is ignored by the serial scheduler.
 	MaxParallelRanks int
-	// SpecWindowMin and SpecWindowMax bound the optimistic scheduler's
-	// per-rank adaptive speculation window: each rank's window starts at
-	// SpecWindowMax, halves (never below SpecWindowMin) whenever the rank
-	// rolls back, and grows back additively after clean commit batches.
-	// Both zero (the default) keeps the fixed 4096-event window; set both
-	// (0 < min <= max) to enable adaptation. min == max pins a fixed
-	// window of that size. Ignored outside OptimisticParallel.
-	SpecWindowMin int
-	SpecWindowMax int
 }
 
 // Validate reports whether the configuration describes a runnable machine.
@@ -209,28 +216,7 @@ func (c WorldConfig) Validate() error {
 	if c.Tune.ClockScale < 0 || c.Tune.HitScale < 0 || c.Tune.MissScale < 0 {
 		return fmt.Errorf("mpi: invalid world config: negative CPU tune multiplier %+v", c.Tune)
 	}
-	if c.SpecWindowMin < 0 || c.SpecWindowMax < 0 {
-		return fmt.Errorf("mpi: invalid world config: negative speculation window bounds [%d, %d]", c.SpecWindowMin, c.SpecWindowMax)
-	}
-	if (c.SpecWindowMin == 0) != (c.SpecWindowMax == 0) {
-		return fmt.Errorf("mpi: invalid world config: speculation window bounds [%d, %d] (set both or neither)", c.SpecWindowMin, c.SpecWindowMax)
-	}
-	if c.SpecWindowMin > c.SpecWindowMax {
-		return fmt.Errorf("mpi: invalid world config: speculation window bounds [%d, %d] (min must not exceed max)", c.SpecWindowMin, c.SpecWindowMax)
-	}
 	return nil
-}
-
-// WithRankParallelism returns the config with the scheduler set from a
-// single knob, the shape command-line flags (-rankpar) use: 0 keeps the
-// serial scheduler, n > 0 enables ConservativeParallel capped at n
-// concurrent ranks, and a negative n enables it with no cap. Results are
-// bit-identical either way; only wall-clock time changes.
-func (c WorldConfig) WithRankParallelism(n int) WorldConfig {
-	if n == 0 {
-		return c
-	}
-	return c.WithScheduler(ConservativeParallel, n)
 }
 
 // WithScheduler returns the config with the given scheduler mode and
@@ -246,45 +232,6 @@ func (c WorldConfig) WithScheduler(mode SchedulerMode, n int) WorldConfig {
 		c.MaxParallelRanks = 0
 	}
 	return c
-}
-
-// WithSpecWindow returns the config with the optimistic scheduler's
-// adaptive speculation window bounded to [min, max] recorded events per
-// rank, the shape the -specwindow command-line flag uses. min == max pins
-// a fixed window of that size; 0, 0 restores the default fixed
-// 4096-event window. The window only changes wall-clock behavior;
-// results stay bit-identical.
-func (c WorldConfig) WithSpecWindow(min, max int) WorldConfig {
-	c.SpecWindowMin, c.SpecWindowMax = min, max
-	return c
-}
-
-// ParseSpecWindow parses a -specwindow flag value: "min:max" bounds the
-// adaptive window, a single positive integer pins a fixed window of that
-// size, and "" or "0" keeps the default fixed 4096-event window.
-func ParseSpecWindow(s string) (min, max int, err error) {
-	if s == "" {
-		return 0, 0, nil
-	}
-	bad := func() (int, int, error) {
-		return 0, 0, fmt.Errorf("mpi: invalid speculation window %q (want \"min:max\", a fixed size, or 0)", s)
-	}
-	if lo, hi, ok := strings.Cut(s, ":"); ok {
-		min, err1 := strconv.Atoi(lo)
-		max, err2 := strconv.Atoi(hi)
-		if err1 != nil || err2 != nil || min <= 0 || max < min {
-			return bad()
-		}
-		return min, max, nil
-	}
-	v, err := strconv.Atoi(s)
-	if err != nil || v < 0 {
-		return bad()
-	}
-	if v == 0 {
-		return 0, 0, nil
-	}
-	return v, v, nil
 }
 
 // DefaultConfig returns the paper-calibrated 3-rank world.
@@ -456,8 +403,6 @@ type worldMetrics struct {
 	conflicts     *obs.Counter
 	rollbacks     *obs.Counter
 	windowStalls  *obs.Counter
-	windowGrows   *obs.Counter
-	windowShrinks *obs.Counter
 	collHits      *obs.Counter
 	collRollbacks *obs.Counter
 	reexecUS      *obs.Histogram
@@ -590,8 +535,6 @@ func NewWorld(cfg WorldConfig) *World {
 			conflicts:     reg.Counter("mpi_spec_conflicts_total"),
 			rollbacks:     reg.Counter("mpi_spec_rollbacks_total"),
 			windowStalls:  reg.Counter("mpi_spec_window_stalls_total"),
-			windowGrows:   reg.Counter("mpi_spec_window_grows_total"),
-			windowShrinks: reg.Counter("mpi_spec_window_shrinks_total"),
 			collHits:      reg.Counter("mpi_spec_coll_hits_total"),
 			collRollbacks: reg.Counter("mpi_spec_coll_rollbacks_total"),
 			reexecUS:      reg.Histogram("mpi_spec_reexecuted_us", obs.LatencyBucketsUS),
@@ -734,8 +677,6 @@ func (w *World) Run(body func(*Rank)) error {
 			w.met.conflicts.Add(s.Conflicts)
 			w.met.rollbacks.Add(s.Rollbacks)
 			w.met.windowStalls.Add(s.WindowStalls)
-			w.met.windowGrows.Add(s.WindowGrows)
-			w.met.windowShrinks.Add(s.WindowShrinks)
 			w.met.collHits.Add(s.SpecCollHits)
 			w.met.collRollbacks.Add(s.SpecCollRollbacks)
 			w.met.reexecUS.Observe(s.ReexecutedUS)
@@ -965,8 +906,8 @@ func (w *World) deadlockReportLocked() string {
 		s := w.o.stats
 		fmt.Fprintf(&sb, "  optimistic speculation: %d sends published, %d ops pipelined, %d speculated, %d committed, %d conflicts, %d rollbacks, %.3fus re-executed, %d window stalls\n",
 			s.PublishedSends, s.PipelinedOps, s.SpeculatedOps, s.CommittedOps, s.Conflicts, s.Rollbacks, s.ReexecutedUS, s.WindowStalls)
-		fmt.Fprintf(&sb, "  speculation window: %d..%d observed (%d grows, %d shrinks); speculative collectives: %d hits, %d rollbacks\n",
-			s.WindowMin, s.WindowMax, s.WindowGrows, s.WindowShrinks, s.SpecCollHits, s.SpecCollRollbacks)
+		fmt.Fprintf(&sb, "  speculation window: %d events; speculative collectives: %d hits, %d rollbacks\n",
+			w.o.win, s.SpecCollHits, s.SpecCollRollbacks)
 	}
 	return sb.String()
 }

@@ -13,7 +13,7 @@ import (
 
 // The read side of the shard formats: both the CSV shards and their
 // binary siblings decode back into []Row, so consumers (the results
-// service, obsreport -rows, ad-hoc tooling) accept either format through
+// service, ad-hoc tooling) accept either format through
 // one call. Binary shards decode losslessly; CSV shards decode
 // best-effort typed — integers as int64, floats as float64, everything
 // else as string — which is exact for every row this repository's

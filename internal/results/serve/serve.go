@@ -37,8 +37,6 @@ import (
 	"sort"
 	"strconv"
 	"strings"
-
-	"repro/internal/obs"
 )
 
 // Coord is one parsed numeric coordinate of a scenario: a grid axis name
@@ -97,21 +95,24 @@ type Catalog struct {
 // The built-in token recognizers, mirroring the campaign axis key
 // grammar: "p3" (ranks), "c512kB" (cache_kb), "cpu1.5x" (cpu_clock),
 // "m96x24" (mesh_cells), "r0" (replication). Scheduler tokens are
-// "serial", "par[-N]" and "opt[-N][-wMIN-MAX]".
+// "serial", "par[N]" and "opt[N]" (N the parallel-rank cap); rows written
+// by earlier binaries may carry a "-wMIN-MAX" suffix, still read as part
+// of the token.
 var (
 	reRanks = regexp.MustCompile(`^p(\d+)$`)
 	reCache = regexp.MustCompile(`^c(\d+)kB$`)
 	reClock = regexp.MustCompile(`^cpu(\d+(?:\.\d+)?)x$`)
 	reMesh  = regexp.MustCompile(`^m(\d+)x(\d+)$`)
 	reRep   = regexp.MustCompile(`^r(\d+)$`)
-	reSched = regexp.MustCompile(`^(serial|par|opt)(-.*)?$`)
+	reSched = regexp.MustCompile(`^(serial|(par|opt)\d*(-w\d+-\d+)?)$`)
 )
 
 // Open scans a campaign rows directory into a catalog. dir may be the
 // rows directory itself or a campaign output directory containing a
-// "rows" subdirectory. Speculation telemetry shards ("spec_*") are not
-// scenarios and are skipped; when a scenario exists in both formats the
-// binary shard is served (identical logical rows, cheaper decode).
+// "rows" subdirectory. The "spec_*" telemetry shards earlier binaries
+// wrote beside the scenarios are skipped; when a scenario exists in both
+// formats the binary shard is served (identical logical rows, cheaper
+// decode).
 func Open(dir string) (*Catalog, error) {
 	// A "rows" subdirectory with shards always wins: a campaign output
 	// directory's own top-level CSVs (trend.csv, figure tables) are
@@ -135,7 +136,7 @@ func Open(dir string) (*Catalog, error) {
 		if ext != ".csv" && ext != ".bin" {
 			continue
 		}
-		if strings.HasPrefix(name, obs.SpecShardPrefix) {
+		if strings.HasPrefix(name, "spec_") {
 			continue
 		}
 		stem := shardStem(strings.TrimSuffix(name, ext))

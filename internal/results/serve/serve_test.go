@@ -8,6 +8,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -68,8 +69,9 @@ func fixtureDir(t *testing.T) string {
 	if err := binSink.Close(); err != nil {
 		t.Fatal(err)
 	}
-	// A speculation telemetry shard is not a scenario.
-	spec := filepath.Join(dir, obs.SpecShardPrefix+"states_opt_r0-1a2b3c4d.csv")
+	// A speculation telemetry shard left by an earlier binary is not a
+	// scenario.
+	spec := filepath.Join(dir, "spec_states_opt_r0-1a2b3c4d.csv")
 	if err := os.WriteFile(spec, []byte("sched,procs\nopt,4\n"), 0o644); err != nil {
 		t.Fatal(err)
 	}
@@ -123,6 +125,31 @@ func TestCatalogParsesScenarioNames(t *testing.T) {
 	for _, sc := range c.Scenarios() {
 		if strings.HasPrefix(sc.Name, "states") {
 			t.Errorf("speculation shard surfaced as scenario %q", sc.Name)
+		}
+	}
+}
+
+// TestParseScenarioSchedTokens holds the catalog to the grammar
+// campaign.SchedChoice renders: a capped choice is "par4"/"opt8", no dash.
+func TestParseScenarioSchedTokens(t *testing.T) {
+	for _, tc := range []struct {
+		stem, sched string
+		tags        []string
+	}{
+		{"p2_base_serial_r0", "serial", []string{"base"}},
+		{"p2_base_par_r0", "par", []string{"base"}},
+		{"p2_base_opt_r0", "opt", []string{"base"}},
+		{"p4_base_par4_r0", "par4", []string{"base"}},
+		{"p16_base_opt8_r1", "opt8", []string{"base"}},
+		{"p2_base_opt-w64-1024_r0", "opt-w64-1024", []string{"base"}}, // written before the window became a constant
+		{"p2_base_opt2-w8-128_r0", "opt2-w8-128", []string{"base"}},
+		{"p2_serial4_r0", "", []string{"serial4"}},
+		{"p2_parallel_optimal_r0", "", []string{"parallel", "optimal"}},
+		{"p2_opt-fast_r0", "", []string{"opt-fast"}},
+	} {
+		sc := parseScenario(tc.stem)
+		if sc.Sched != tc.sched || !slices.Equal(sc.Tags, tc.tags) {
+			t.Errorf("%s: sched=%q tags=%v, want sched=%q tags=%v", tc.stem, sc.Sched, sc.Tags, tc.sched, tc.tags)
 		}
 	}
 }
