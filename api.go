@@ -39,8 +39,8 @@ type (
 	// under a Quality-of-Service floor.
 	Optimizer = assembly.Optimizer
 
-	// CampaignConfig tunes campaign execution: worker count, fail-fast,
-	// progress reporting. Worker count never changes results.
+	// CampaignConfig tunes campaign execution: worker count, progress
+	// reporting, sink, store and claimer. Worker count never changes results.
 	CampaignConfig = campaign.Config
 	// CampaignEvent is one serialized progress report.
 	CampaignEvent = campaign.Event

@@ -67,12 +67,10 @@ func main() {
 		reps     = flag.Int("reps", 4, "sweep repetitions per size and mode")
 		workers  = flag.Int("workers", 0, "campaign workers (0 = all CPUs)")
 		cache    = flag.String("cache", "auto", `checkpoint store directory ("auto" = <out>/.cache, "off" disables)`)
-		caches   = flag.String("trendcaches", "128,256,512,1024", "comma-separated cache sizes (kB) for -fig trend -axis cache_kb")
-		clocks   = flag.String("trendclocks", "0.5,1,2,4", "comma-separated CPU clock scales for -fig trend -axis cpu_clock")
 		axis     = flag.String("axis", "cache_kb", "trend grid axis for -fig trend: cache_kb | cpu_clock")
+		trValues = flag.String("trendvalues", "", "comma-separated -axis values for -fig trend (cache sizes in kB, or CPU clock scales); empty = the axis's defaults")
 		trReps   = flag.Int("trendreps", 2, "seed replications per trend grid point")
-		rankpar  = flag.Int("rankpar", 0, "run each simulated world's ranks concurrently on up to N goroutines (output is bit-identical to serial). 0 = serial scheduler, -1 = parallel with no cap. Non-default values checkpoint separately")
-		rankmode = flag.String("rankmode", "", "rank scheduler: serial | par (conservative) | opt (optimistic/Time Warp). Empty derives the mode from -rankpar (nonzero = par); -rankpar then sets the concurrency cap")
+		rankmode = flag.String("rankmode", "serial", "rank scheduler: serial | par (conservative) | opt (optimistic/Time Warp); par<N> or opt<N> runs at most N ranks at once. Output is bit-identical under every value; each checkpoints separately")
 		distrib  = flag.Bool("distributed", false, "partition the job set with other -distributed processes sharing the same -cache store via lease files (no coordinator); requires a store")
 		owner    = flag.String("owner", "", "stable worker identity for -distributed lease and audit files (default: host-pid)")
 		ttl      = flag.Duration("leasettl", 0, "lease heartbeat expiry for -distributed; a crashed worker's jobs are stolen after this (0 = 30s default)")
@@ -84,6 +82,26 @@ func main() {
 		memProf  = flag.String("memprofile", "", "write an allocation profile to this file when the run ends (go tool pprof -sample_index=alloc_space); output bytes are unchanged")
 	)
 	flag.Parse()
+	// Every flag is resolved before the first directory is created.
+	trendAxis, err := harness.TrendAxisNamed(*axis)
+	if err != nil {
+		usage(fmt.Errorf("-axis: %w", err))
+	}
+	trendValues, err := parseFloats(*trValues)
+	if err != nil {
+		usage(fmt.Errorf("-trendvalues: %w", err))
+	}
+	if len(trendValues) == 0 {
+		trendValues = trendAxis.Defaults
+	}
+	trendDim, err := trendAxis.Dimension(trendValues)
+	if err != nil {
+		usage(err)
+	}
+	sched, rankCap, err := mpi.ParseSched(*rankmode)
+	if err != nil {
+		usage(fmt.Errorf("-rankmode: %w", err))
+	}
 	if err := os.MkdirAll(*outDir, 0o755); err != nil {
 		fatal(err)
 	}
@@ -91,22 +109,10 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	trendCaches, err := parseInts(*caches)
-	if err != nil {
-		fatal(fmt.Errorf("-trendcaches: %w", err))
-	}
-	trendClocks, err := parseFloats(*clocks)
-	if err != nil {
-		fatal(fmt.Errorf("-trendclocks: %w", err))
-	}
-	sched, rankCap, err := mpi.SchedulerFromFlags(*rankmode, *rankpar)
-	if err != nil {
-		fatal(err)
-	}
 	g := &generator{
 		outDir: *outDir, procs: *procs, seed: *seed, reps: *reps,
 		sched: sched, rankCap: rankCap,
-		trendAxis: *axis, trendCaches: trendCaches, trendClocks: trendClocks,
+		trendAxis: trendAxis, trendValues: trendValues, trendDim: trendDim,
 		trendReps: *trReps,
 	}
 
@@ -271,21 +277,10 @@ func fatal(err error) {
 	os.Exit(1)
 }
 
-// parseInts parses a comma-separated int list.
-func parseInts(s string) ([]int, error) {
-	var out []int
-	for _, part := range strings.Split(s, ",") {
-		part = strings.TrimSpace(part)
-		if part == "" {
-			continue
-		}
-		v, err := strconv.Atoi(part)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, v)
-	}
-	return out, nil
+// usage reports a flag value no run can use and exits with status 2.
+func usage(err error) {
+	fmt.Fprintln(os.Stderr, err)
+	os.Exit(2)
 }
 
 // parseFloats parses a comma-separated float list.
@@ -313,13 +308,13 @@ type generator struct {
 	sched   mpi.SchedulerMode
 	rankCap int
 
-	trendAxis   string
-	trendCaches []int
-	trendClocks []float64
+	trendAxis   harness.TrendAxis
+	trendValues []float64
+	trendDim    campaign.Dimension
 	trendReps   int
 }
 
-// applySched maps the -rankmode/-rankpar flags onto a world config.
+// applySched maps the -rankmode flag onto a world config.
 func (g *generator) applySched(w *mpi.WorldConfig) {
 	*w = w.WithScheduler(g.sched, g.rankCap)
 }
@@ -443,41 +438,18 @@ func (g *generator) sweepConfig(k harness.Kernel) harness.SweepConfig {
 	return cfg
 }
 
-// trendGrid builds the trend study's scenario grid and axis selector for
-// the -axis flag: the cache-size axis (the original Section 6 study) or
-// the CPU clock axis (the "parameterized by processor speed" half).
-func (g *generator) trendGrid(base harness.SweepConfig) (campaign.Grid, harness.TrendAxis, error) {
-	axis, err := harness.TrendAxisNamed(g.trendAxis)
-	if err != nil {
-		return campaign.Grid{}, axis, err
-	}
-	grid := campaign.Grid{
-		Base:         base.World,
-		Replications: g.trendReps,
-		BaseSeed:     g.seed,
-	}
-	switch axis.Name {
-	case harness.TrendCacheKB.Name:
-		grid.Axes = []campaign.Dimension{campaign.CacheAxis(g.trendCaches...)}
-	case harness.TrendCPUClock.Name:
-		grid.Axes = []campaign.Dimension{campaign.CPUClockAxis(g.trendClocks...)}
-	default:
-		return grid, axis, fmt.Errorf("-axis %s: no sweep flags for this axis here (supported: cache_kb, cpu_clock)", axis.Name)
-	}
-	return grid, axis, nil
-}
-
 // trendJobs builds the Section 6 grid study: one streaming scenario job
 // per (axis value, replication) — each emits its rows into the shard sink
 // and keeps only the fitted model — plus the trend job that consumes every
 // grid point and renders the coefficient-vs-axis report.
 func (g *generator) trendJobs() ([]campaign.Job, error) {
 	base := g.sweepConfig(harness.KernelStates)
-	grid, axis, err := g.trendGrid(base)
-	if err != nil {
-		return nil, err
-	}
-	jobs, err := harness.StreamJobs(base, grid)
+	jobs, err := harness.StreamJobs(base, campaign.Grid{
+		Base:         base.World,
+		Axes:         []campaign.Dimension{g.trendDim},
+		Replications: g.trendReps,
+		BaseSeed:     g.seed,
+	})
 	if err != nil {
 		return nil, err
 	}
@@ -490,7 +462,7 @@ func (g *generator) trendJobs() ([]campaign.Job, error) {
 		for i, key := range after {
 			points[i] = deps[key].(harness.GridPoint)
 		}
-		reports, err := harness.BuildTrends(points, axis)
+		reports, err := harness.BuildTrends(points, g.trendAxis)
 		if err != nil {
 			return err
 		}
@@ -522,10 +494,8 @@ func render(out *[]figFile, name string, fn func(io.Writer) error) error {
 func (g *generator) figJob(key string, after []string, renderFn func(deps map[string]any, out *[]figFile) error) campaign.Job {
 	parts := []any{figVersion, key, g.procs, g.seed, g.reps}
 	if key == "trend" {
-		// Only the trend job depends on the grid flags. It re-renders from
-		// its scenario jobs' results in milliseconds, so it hashes all of
-		// them, not just the active axis's value list.
-		parts = append(parts, g.trendAxis, g.trendCaches, g.trendClocks, g.trendReps)
+		// Only the trend job depends on the grid flags.
+		parts = append(parts, g.trendAxis.Name, g.trendValues, g.trendReps)
 	}
 	hash := store.Hash(parts...)
 	return campaign.Job{

@@ -36,8 +36,7 @@ func main() {
 		axis     = flag.String("axis", "cache_kb", "trend axis for -report: cache_kb | cpu_clock")
 		seed     = flag.Int64("seed", 1, "simulation seed")
 		workers  = flag.Int("workers", 0, "campaign workers for -models/-cachestudy (0 = all CPUs)")
-		rankpar  = flag.Int("rankpar", 0, "run each simulated world's ranks concurrently on up to N goroutines (output is bit-identical to serial). 0 = serial, -1 = parallel with no cap")
-		rankmode = flag.String("rankmode", "", "rank scheduler: serial | par (conservative) | opt (optimistic/Time Warp). Empty derives the mode from -rankpar (nonzero = par); -rankpar then sets the concurrency cap")
+		rankmode = flag.String("rankmode", "serial", "rank scheduler: serial | par (conservative) | opt (optimistic/Time Warp); par<N> or opt<N> runs at most N ranks at once. Output is bit-identical under every value")
 		cache    = flag.String("cache", "", "checkpoint store directory for the campaign subcommands (empty = no store)")
 		distrib  = flag.Bool("distributed", false, "partition campaign jobs with other -distributed processes sharing the same -cache store via lease files (no coordinator)")
 		owner    = flag.String("owner", "", "stable worker identity for -distributed lease and audit files (default: host-pid)")
@@ -48,10 +47,30 @@ func main() {
 		memProf  = flag.String("memprofile", "", "write an allocation profile to this file when the run ends (go tool pprof -sample_index=alloc_space); output bytes are unchanged")
 	)
 	flag.Parse()
-	stopProfiles, err := obs.StartProfiles(*cpuProf, *memProf)
-	if err != nil {
+	// Every flag is resolved before the case study runs: a bad value costs
+	// no simulation and prints no profile.
+	usage := func(err error) {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
+	}
+	trendAxis, err := harness.TrendAxisNamed(*axis)
+	if err != nil {
+		usage(fmt.Errorf("-axis: %w", err))
+	}
+	machineAxis, err := trendAxis.Dimension(trendAxis.Defaults)
+	if err != nil {
+		usage(err)
+	}
+	sched, rankCap, err := mpi.ParseSched(*rankmode)
+	if err != nil {
+		usage(fmt.Errorf("-rankmode: %w", err))
+	}
+	if *distrib && *cache == "" {
+		usage(fmt.Errorf("-distributed needs a shared checkpoint store; pass -cache <dir>"))
+	}
+	stopProfiles, err := obs.StartProfiles(*cpuProf, *memProf)
+	if err != nil {
+		usage(err)
 	}
 
 	// Observation is write-only: everything printed below is byte-identical
@@ -64,13 +83,8 @@ func main() {
 		defer obs.Disable()
 	}
 
-	// applySched maps -rankmode/-rankpar onto a world: the parallel
-	// schedulers change wall-clock time only, never results.
-	sched, rankCap, err := mpi.SchedulerFromFlags(*rankmode, *rankpar)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(2)
-	}
+	// applySched maps -rankmode onto a world: the parallel schedulers
+	// change wall-clock time only, never results.
 	applySched := func(w *mpi.WorldConfig) {
 		*w = w.WithScheduler(sched, rankCap)
 	}
@@ -94,8 +108,7 @@ func main() {
 	case "efm":
 		cfg.App.Flux = components.EFM
 	default:
-		fmt.Fprintf(os.Stderr, "unknown -flux %q\n", *flux)
-		os.Exit(2)
+		usage(fmt.Errorf("unknown -flux %q", *flux))
 	}
 
 	res, err := harness.RunCaseStudy(cfg)
@@ -127,9 +140,6 @@ func main() {
 	cc := campaign.Config{Workers: *workers}
 	var mgr *lease.Manager
 	switch {
-	case *distrib && *cache == "":
-		fmt.Fprintln(os.Stderr, "-distributed needs a shared checkpoint store; pass -cache <dir>")
-		os.Exit(2)
 	case *distrib:
 		var err error
 		cc, mgr, err = harness.DistributedConfig(cc, *cache, *owner, lease.Options{TTL: *ttl})
@@ -189,21 +199,6 @@ func main() {
 		applySched(&base.World)
 		base.Sizes = base.Sizes[:8]
 		base.Reps = 2
-		trendAxis, err := harness.TrendAxisNamed(*axis)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(2)
-		}
-		var machineAxis campaign.Dimension
-		switch trendAxis.Name {
-		case harness.TrendCacheKB.Name:
-			machineAxis = campaign.CacheAxis(128, 256, 512, 1024)
-		case harness.TrendCPUClock.Name:
-			machineAxis = campaign.CPUClockAxis(0.5, 1, 2, 4)
-		default:
-			fmt.Fprintf(os.Stderr, "-axis %s: no built-in sweep here (supported: cache_kb, cpu_clock)\n", trendAxis.Name)
-			os.Exit(2)
-		}
 		grid := campaign.Grid{
 			Base:         base.World,
 			Axes:         []campaign.Dimension{machineAxis, campaign.FluxAxis("states", "efm")},

@@ -129,9 +129,10 @@
 // campaign parallelism (CampaignConfig.Workers) is the first lever: whole
 // scenarios are embarrassingly parallel. The two compose multiplicatively
 // (worlds x ranks); prefer campaign workers when the grid has many
-// scenarios, and add parallel ranks ("-rankmode"/"-rankpar" on
-// cmd/figures and cmd/pmmcase, or a SchedAxis grid dimension) when
-// individual worlds are large or few. The SchedAxis grid dimension is
+// scenarios, and add parallel ranks ("-rankmode par", or "-rankmode opt8"
+// to cap concurrency at 8 ranks, on cmd/figures and cmd/pmmcase — the same
+// token scenario keys and resultsd's "sched=" carry — or a SchedAxis grid
+// dimension) when individual worlds are large or few. The SchedAxis grid dimension is
 // seed-inert — scenarios differing only in scheduler share a derived
 // seed — so a grid can sweep serial vs the parallel modes and verify
 // their equivalence at scale (see examples/campaign).
@@ -144,18 +145,17 @@
 // of the scenario key) and an optional mutation of the scenario's
 // simulated machine:
 //
-//   - built-in machine axes (internal/campaign; the facade re-exports
-//     the ones the examples use): RankAxis (world size), NetAxis
-//     (interconnect), CacheAxis (per-rank cache kB), and CPUAxis /
-//     CPUClockAxis (CPUTune: clock scale, cache hit/miss penalty
-//     multipliers — the Section 6 "parameterized by processor speed"
-//     knobs);
-//   - built-in app-level axes: MeshAxis (case-study base grid) and
-//     FluxAxis (godunov/efm/states), mapped onto harness configs through
-//     the scenario's coordinates;
-//   - custom axes are Dimension literals — a user-defined name, keys and
-//     Apply hooks — with no library change (see examples/campaign, which
-//     sweeps network load noise);
+//   - built-in axes (internal/campaign; the facade re-exports the ones
+//     the examples use) are the ones something sweeps: RankAxis (world
+//     size), CacheAxis (per-rank cache kB), CPUAxis / CPUClockAxis
+//     (CPUTune: clock scale, cache hit/miss penalty multipliers — the
+//     Section 6 "parameterized by processor speed" knobs), SchedAxis (the
+//     rank scheduler, seed-inert) and the app-level FluxAxis
+//     (godunov/efm/states), which the harness maps onto the measured
+//     kernel through the scenario's coordinate;
+//   - every other axis is a Dimension literal at its one use — a name,
+//     keys and Apply hooks — with no library change (see
+//     examples/campaign, which sweeps network load noise);
 //   - expansion (Grid.Scenarios) is deterministic, derives each
 //     scenario's seed via campaign.DeriveSeed(base, key) so replications
 //     draw independent streams, and rejects duplicate axis names or value
@@ -202,13 +202,15 @@
 //     payload format means bumping the version and refilling the store;
 //     entries under an older version are never read;
 //   - the cross-scenario trend report (BuildTrends, WriteTrendCSV,
-//     WriteTrendReport) fits every model coefficient against any swept
-//     numeric dimension, selected by a TrendAxis (TrendCacheKB,
-//     TrendCPUClock, and in internal/harness TrendRanks, TrendMeshCells,
-//     or TrendByAxis for a custom dimension) — the paper's Section 6
-//     "coefficients parameterized by processor speed and a cache model"
-//     — and is emitted by "cmd/figures -fig trend [-axis cpu_clock]" and
-//     "cmd/pmmcase -report [-axis cpu_clock]".
+//     WriteTrendReport) fits every model coefficient against a swept
+//     machine axis — the paper's Section 6 "coefficients parameterized by
+//     processor speed and a cache model". The axes are the two rows of
+//     one table in internal/harness (TrendCacheKB, TrendCPUClock): a row
+//     names the axis, builds the grid Dimension that sweeps it and reads
+//     it back off a scenario, so "cmd/figures -fig trend [-axis cpu_clock]
+//     [-trendvalues 1,2,4]" and "cmd/pmmcase -report [-axis cpu_clock]"
+//     accept exactly the table's names and reject anything else before
+//     they run.
 //
 // # Distributed campaigns
 //
@@ -279,10 +281,10 @@
 //
 // The query grammar mirrors the scenario-key grammar: a key like
 // "p4_base_c256kB_cpu1.5x_opt_r0" parses into coordinates on the
-// ranks, cache_kb, cpu_clock (and, when swept, mesh_cells) and rep
-// axes, a scheduler, and free tags (any unrecognized token — "base"
-// above), so /scenario and /trend accept selectors by name ("name="),
-// by scheduler ("sched=serial|par|opt"), by tag ("tag=base") and by
+// ranks, cache_kb, cpu_clock and rep axes, a scheduler, and free tags
+// (any unrecognized token — "base" above, or a custom axis's key), so
+// /scenario and /trend accept selectors by name ("name="), by
+// scheduler ("sched=serial|par|opt|par4"), by tag ("tag=base") and by
 // numeric axis value ("cache_kb=256", "ranks=4", ...). /predict takes scenario, measure
 // (mean_us, sigma_us, throughput, response_us, utilization), model
 // (fitted — the default — or queue), and the evaluation point: q,

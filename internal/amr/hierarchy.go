@@ -158,9 +158,6 @@ func (h *Hierarchy) proc() *platform.Proc {
 	return h.r.Proc
 }
 
-// Config returns the hierarchy configuration.
-func (h *Hierarchy) Config() Config { return h.cfg }
-
 // NumLevels returns the number of levels currently present.
 func (h *Hierarchy) NumLevels() int { return len(h.levels) }
 

@@ -77,13 +77,6 @@ func (d *Dual) AddVertex(v Vertex) {
 // Vertex returns the named vertex, or nil.
 func (d *Dual) Vertex(name string) *Vertex { return d.vertices[name] }
 
-// Vertices returns the vertex names in insertion order.
-func (d *Dual) Vertices() []string {
-	out := make([]string, len(d.order))
-	copy(out, d.order)
-	return out
-}
-
 // AddEdge inserts a weighted call edge; unknown endpoints are created as
 // model-less vertices.
 func (d *Dual) AddEdge(from, to, method string, calls int) {
@@ -163,58 +156,6 @@ func (d *Dual) Cost() float64 {
 		total += c
 	}
 	return total
-}
-
-// Prune returns a copy of the dual without the subgraphs whose total
-// contribution falls below frac of the composite cost — the paper's
-// "identify sub-graphs that do not contribute much to the execution time
-// and thus can be neglected during component assembly optimization". The
-// caller–callee relationship is preserved.
-func (d *Dual) Prune(frac float64) *Dual {
-	total := d.Cost()
-	contrib := d.Contribution()
-	// A vertex survives if it, or any downstream vertex reachable from it,
-	// contributes at least frac*total.
-	adj := map[string][]string{}
-	for _, e := range d.edges {
-		adj[e.From] = append(adj[e.From], e.To)
-	}
-	memo := map[string]float64{}
-	var subtree func(n string, seen map[string]bool) float64
-	subtree = func(n string, seen map[string]bool) float64 {
-		if v, ok := memo[n]; ok {
-			return v
-		}
-		if seen[n] {
-			return 0
-		}
-		seen[n] = true
-		s := contrib[n]
-		for _, m := range adj[n] {
-			s += subtree(m, seen)
-		}
-		delete(seen, n)
-		memo[n] = s
-		return s
-	}
-	keep := map[string]bool{}
-	for _, name := range d.order {
-		if subtree(name, map[string]bool{}) >= frac*total {
-			keep[name] = true
-		}
-	}
-	out := NewDual()
-	for _, name := range d.order {
-		if keep[name] {
-			out.AddVertex(*d.vertices[name])
-		}
-	}
-	for _, e := range d.edges {
-		if keep[e.From] && keep[e.To] {
-			out.AddEdge(e.From, e.To, e.Method, e.Calls)
-		}
-	}
-	return out
 }
 
 // WriteDOT renders the dual as a Graphviz digraph with vertex weights

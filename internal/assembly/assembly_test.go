@@ -75,49 +75,6 @@ func TestFromTraceDeterministic(t *testing.T) {
 	}
 }
 
-func TestPruneDropsInsignificantSubgraphs(t *testing.T) {
-	d := caseDual()
-	// A negligible leaf: a logger invoked by the driver costing ~nothing.
-	d.AddVertex(Vertex{Name: "logger", Compute: lin(0.5, 0), Q: 1})
-	d.AddEdge("driver", "logger", "log", 16)
-	p := d.Prune(0.01)
-	if p.Vertex("logger") != nil {
-		t.Error("negligible leaf survived pruning")
-	}
-	// The driver's subtree is the whole application: it must survive even
-	// though its own contribution is tiny (caller-callee preservation).
-	for _, keep := range []string{"driver", "mesh", "flux", "states", "rk2"} {
-		if p.Vertex(keep) == nil {
-			t.Errorf("%s pruned but significant", keep)
-		}
-	}
-	// Edges touching pruned vertices are gone; others intact.
-	for _, e := range p.Edges() {
-		if e.From == "logger" || e.To == "logger" {
-			t.Errorf("dangling edge %+v", e)
-		}
-	}
-	if len(p.Edges()) != len(d.Edges())-1 {
-		t.Errorf("edges after prune = %d, want %d", len(p.Edges()), len(d.Edges())-1)
-	}
-}
-
-func TestPruneKeepsAncestorsOfSignificantWork(t *testing.T) {
-	// A cheap dispatcher above an expensive worker must survive because its
-	// subtree is significant (caller-callee relationship preserved).
-	d := NewDual()
-	d.AddVertex(Vertex{Name: "dispatch", Compute: lin(0.001, 0), Q: 1})
-	d.AddVertex(Vertex{Name: "worker", Compute: lin(1e6, 0), Q: 1})
-	d.AddEdge("dispatch", "worker", "run", 10)
-	p := d.Prune(0.1)
-	if p.Vertex("dispatch") == nil {
-		t.Error("dispatcher pruned despite expensive subtree")
-	}
-	if len(p.Edges()) != 1 {
-		t.Errorf("edges after prune = %d, want 1", len(p.Edges()))
-	}
-}
-
 func TestWriteDOT(t *testing.T) {
 	var sb strings.Builder
 	if err := caseDual().WriteDOT(&sb, "dual"); err != nil {

@@ -135,9 +135,6 @@ func (c *Cache) ensureDirectory() {
 	}
 }
 
-// Config returns the geometry the cache was built with.
-func (c *Cache) Config() Config { return c.cfg }
-
 // Stats returns the cumulative counters.
 func (c *Cache) Stats() Stats { return c.stats }
 

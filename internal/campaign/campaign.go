@@ -10,8 +10,8 @@
 // (DeriveSeed), never from scheduling order.
 //
 // The executor supports job dependencies (Job.After), context
-// cancellation, fail-fast or run-to-completion error aggregation, and
-// serialized progress reporting.
+// cancellation, run-to-completion error aggregation, and serialized
+// progress reporting.
 //
 // With a Store, completed jobs checkpoint and interrupted campaigns
 // resume; with a Claimer on top (results/store/lease), N independent
@@ -103,9 +103,6 @@ type Config struct {
 	// Workers caps concurrent jobs. Zero or negative means
 	// runtime.NumCPU(). Worker count never changes results, only wall time.
 	Workers int
-	// FailFast cancels the remaining jobs after the first failure. The
-	// default runs every reachable job and aggregates all errors.
-	FailFast bool
 	// OnProgress, when set, receives one Event per settled job. Events are
 	// delivered serially, in settle order, by a dedicated dispatcher
 	// goroutine: a slow callback delays event delivery (and Run's return),
@@ -272,8 +269,6 @@ func Run(ctx context.Context, cfg Config, jobs []Job) ([]Result, error) {
 	if workers > n {
 		workers = n
 	}
-	ctx, cancel := context.WithCancel(ctx)
-	defer cancel()
 	if cfg.Sink != nil {
 		ctx = WithSink(ctx, cfg.Sink)
 	}
@@ -295,7 +290,6 @@ func Run(ctx context.Context, cfg Config, jobs []Job) ([]Result, error) {
 
 	run := &runState{
 		ctx:    ctx,
-		cancel: cancel,
 		cfg:    cfg,
 		tracks: tracks,
 		met:    met,
@@ -382,7 +376,6 @@ func newCampMetrics(reg *obs.Registry) campMetrics {
 // runState is the scheduler shared by a campaign's workers.
 type runState struct {
 	ctx    context.Context
-	cancel context.CancelFunc
 	cfg    Config
 	jobs   []Job
 	states []state
@@ -613,9 +606,6 @@ func (r *runState) settleLocked(i int, v any, err error, elapsed time.Duration, 
 	r.met.jobUS.Observe(float64(elapsed) / 1e3)
 	if err != nil {
 		r.met.failed.Inc()
-		if r.cfg.FailFast {
-			r.cancel()
-		}
 		r.skipDependentsLocked(i)
 	} else {
 		for _, d := range r.states[i].dependents {

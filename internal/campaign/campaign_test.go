@@ -88,33 +88,6 @@ func TestDependencyFailureSkipsTransitively(t *testing.T) {
 	}
 }
 
-func TestFailFastCancelsRemaining(t *testing.T) {
-	t.Parallel()
-	boom := errors.New("boom")
-	started := make(chan struct{})
-	jobs := []Job{
-		{Key: "blocker", Run: func(ctx context.Context, _ map[string]any) (any, error) {
-			close(started)
-			<-ctx.Done()
-			return nil, ctx.Err()
-		}},
-		{Key: "bad", Run: func(context.Context, map[string]any) (any, error) {
-			<-started
-			return nil, boom
-		}},
-	}
-	res, err := Run(context.Background(), Config{Workers: 2, FailFast: true}, jobs)
-	if err == nil {
-		t.Fatal("no aggregate error")
-	}
-	if !errors.Is(res[0].Err, context.Canceled) {
-		t.Errorf("blocker err = %v, want canceled", res[0].Err)
-	}
-	if !errors.Is(res[1].Err, boom) {
-		t.Errorf("bad err = %v", res[1].Err)
-	}
-}
-
 func TestCanceledContextSettlesEverything(t *testing.T) {
 	t.Parallel()
 	ctx, cancel := context.WithCancel(context.Background())

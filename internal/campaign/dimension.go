@@ -12,9 +12,9 @@ import (
 // list — instead of a dedicated struct field on Grid, so adding a machine
 // or application parameter to the sweep space is one Dimension value, not
 // a cross-cutting edit through grid expansion, scenario keys, seed
-// derivation and checkpoint hashing. The constructors below rebuild the
-// historical axes (ranks, interconnect, cache size, mesh, flux) on top of
-// it and add the CPU-model axis the paper's Section 6 calls for.
+// derivation and checkpoint hashing. The constructors below are the axes
+// some command, example or benchmark sweeps (ranks, cache size, flux, CPU
+// model, scheduler); anything else is a Dimension literal at its one use.
 
 // Canonical axis names. Grid expansion and the harness's scenario-to-config
 // mapping recognize these; user-defined dimensions may use any other name.
@@ -22,7 +22,6 @@ const (
 	AxisRank  = "rank"
 	AxisNet   = "net"
 	AxisCache = "cache"
-	AxisMesh  = "mesh"
 	AxisFlux  = "flux"
 	AxisCPU   = "cpu"
 	AxisSched = "sched"
@@ -31,17 +30,17 @@ const (
 // DimValue is one value along a Dimension.
 type DimValue struct {
 	// Key is the value's stable token: it becomes one segment of every
-	// containing scenario's key ("c512kB", "eth", "m96x24"), so it must be
+	// containing scenario's key ("c512kB", "cpu2x", "efm"), so it must be
 	// non-empty and unique within its axis. Changing a token re-keys — and
 	// therefore re-seeds and re-checkpoints — every scenario built from it.
 	Key string
 	// Value is the payload carried onto the scenario's coordinate.
 	// Numeric payloads (int, int64, float64) can feed cross-scenario trend
-	// fits; richer payloads (MeshSize, mpi.CPUTune) are decoded by the
+	// fits; richer payloads (mpi.CPUTune, SchedChoice) are decoded by the
 	// axis's consumers.
 	Value any
 	// Apply mutates the scenario's machine. Nil for app-level axes whose
-	// consumers read the coordinate instead (mesh, flux).
+	// consumers read the coordinate instead (flux).
 	Apply func(*mpi.WorldConfig)
 }
 
@@ -78,7 +77,6 @@ func init() {
 	gob.Register(int64(0))
 	gob.Register(float64(0))
 	gob.Register("")
-	gob.Register(MeshSize{})
 	gob.Register(mpi.CPUTune{})
 	gob.Register(SchedChoice{})
 }
@@ -97,24 +95,6 @@ func RankAxis(procs ...int) Dimension {
 	return d
 }
 
-// NetAxis sweeps the interconnect model. Keys are the nets' names (an
-// empty name reads "base"); values apply WorldConfig.Net.
-func NetAxis(nets ...NamedNet) Dimension {
-	d := Dimension{Name: AxisNet}
-	for _, n := range nets {
-		n := n
-		name := n.Name
-		if name == "" {
-			name = "base"
-		}
-		d.Values = append(d.Values, DimValue{
-			Key: name, Value: name,
-			Apply: func(w *mpi.WorldConfig) { w.Net = n.Model },
-		})
-	}
-	return d
-}
-
 // CacheAxis sweeps the per-rank cache capacity in kB. Keys are "c<n>kB";
 // values apply WorldConfig.Cache.SizeBytes.
 func CacheAxis(kbs ...int) Dimension {
@@ -125,17 +105,6 @@ func CacheAxis(kbs ...int) Dimension {
 			Key: fmt.Sprintf("c%dkB", kb), Value: kb,
 			Apply: func(w *mpi.WorldConfig) { w.Cache.SizeBytes = kb * 1024 },
 		})
-	}
-	return d
-}
-
-// MeshAxis sweeps the app-level base mesh size. Keys are "m<nx>x<ny>"; the
-// world is untouched — consumers read the MeshSize coordinate (the harness
-// maps it onto the case study's base grid).
-func MeshAxis(meshes ...MeshSize) Dimension {
-	d := Dimension{Name: AxisMesh}
-	for _, m := range meshes {
-		d.Values = append(d.Values, DimValue{Key: "m" + m.String(), Value: m})
 	}
 	return d
 }
@@ -206,31 +175,19 @@ type SchedChoice struct {
 	MaxParallelRanks int
 }
 
-// schedKey renders a scheduler choice as a stable key token ("serial",
-// "par", "par4", "opt", "opt8"). The cap suffix applies to any non-serial
-// mode — the cap means nothing under the serial scheduler — so default
-// choices keep the bare tokens (and their byte-stable scenario keys).
-func (s SchedChoice) schedKey() string {
-	k := s.Mode.String()
-	if s.Mode != mpi.Serial && s.MaxParallelRanks > 0 {
-		k = fmt.Sprintf("%s%d", k, s.MaxParallelRanks)
-	}
-	return k
-}
-
 // SchedAxis sweeps the rank scheduler (serial, conservative parallel,
-// optimistic parallel).
-// The axis is seed-inert: scenarios differing only in scheduler share a
-// derived seed, because the scheduler is proven not to change results —
-// sweeping it lets a grid verify that equivalence at scale while keeping
-// distinct scenario keys (and so distinct checkpoint entries and telemetry
-// shards) per mode.
+// optimistic parallel). Keys are mpi.FormatSched tokens ("serial", "par",
+// "opt8"). The axis is seed-inert: scenarios differing only in scheduler
+// share a derived seed, because the scheduler is proven not to change
+// results — sweeping it lets a grid verify that equivalence at scale while
+// keeping distinct scenario keys (and so distinct checkpoint entries and
+// telemetry shards) per mode.
 func SchedAxis(choices ...SchedChoice) Dimension {
 	d := Dimension{Name: AxisSched, SeedInert: true}
 	for _, c := range choices {
 		c := c
 		d.Values = append(d.Values, DimValue{
-			Key: c.schedKey(), Value: c,
+			Key: mpi.FormatSched(c.Mode, c.MaxParallelRanks), Value: c,
 			Apply: func(w *mpi.WorldConfig) {
 				w.Sched = c.Mode
 				w.MaxParallelRanks = c.MaxParallelRanks
@@ -238,15 +195,4 @@ func SchedAxis(choices ...SchedChoice) Dimension {
 		})
 	}
 	return d
-}
-
-// SchedModeAxis is SchedAxis over bare modes with no rank cap:
-// SchedModeAxis(mpi.Serial, mpi.ConservativeParallel) is the
-// equivalence-verification sweep.
-func SchedModeAxis(modes ...mpi.SchedulerMode) Dimension {
-	choices := make([]SchedChoice, len(modes))
-	for i, m := range modes {
-		choices[i] = SchedChoice{Mode: m}
-	}
-	return SchedAxis(choices...)
 }

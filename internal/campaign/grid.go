@@ -5,27 +5,11 @@ import (
 	"strings"
 
 	"repro/internal/mpi"
-	"repro/internal/netmodel"
 )
 
-// NamedNet labels an interconnect model for scenario keys ("eth",
-// "loaded", ...).
-type NamedNet struct {
-	Name  string
-	Model netmodel.Model
-}
-
-// MeshSize is one app-level base-mesh dimension choice (cells in x and y).
-type MeshSize struct {
-	Nx, Ny int
-}
-
-// String renders the mesh the way scenario keys do ("96x24").
-func (m MeshSize) String() string { return fmt.Sprintf("%dx%d", m.Nx, m.Ny) }
-
 // Grid is a scenario specification: the cross product of first-class axes
-// (Dimension values — ranks, interconnect, cache size, CPU model, mesh,
-// flux, or any user-defined machine or application parameter) times seed
+// (Dimension values — ranks, cache size, CPU model, flux, scheduler, or any
+// user-defined machine or application parameter) times seed
 // replications. Expanding a Grid yields one Scenario (and hence one
 // campaign job) per combination, each with a deterministic per-scenario
 // seed derived from the base seed and the scenario key.
@@ -56,7 +40,7 @@ type Grid struct {
 // Scenario is one expanded grid point: a fully specified simulated machine
 // plus the coordinates it came from.
 type Scenario struct {
-	// Key is the stable scenario identifier ("p3/eth/c512kB/r0"), unique
+	// Key is the stable scenario identifier ("p3/base/c512kB/r0"), unique
 	// within the grid and the input to seed derivation.
 	Key string
 	// World is the scenario's machine, seed already derived.
@@ -128,7 +112,7 @@ func defaultAxis(name string, base mpi.WorldConfig) Dimension {
 // axes returns the grid's effective axis list. The three machine-identity
 // axes always occupy the canonical leading positions rank, net, cache —
 // swept or defaulted — because scenario keys have always started with
-// "p3/eth/c512kB" regardless of which of those dimensions a grid sweeps;
+// "p3/base/c512kB" regardless of which of those dimensions a grid sweeps;
 // slotting a swept rank axis anywhere else would re-key (and so re-seed
 // and re-checkpoint) grids that used to spell Ranks as a struct field.
 // The remaining explicit axes follow in the order given.
@@ -191,7 +175,7 @@ func validate(axes []Dimension) error {
 // Scenarios expands the grid in deterministic nested order: the first axis
 // outermost, the last axis innermost, replications innermost of all. Each
 // value's key token becomes one segment of the scenario key
-// ("p3/eth/c512kB/m96x24/efm/r0"); unswept axes other than the implicit
+// ("p3/base/c512kB/cpu2x/efm/r0"); unswept axes other than the implicit
 // rank/net/cache defaults contribute nothing, keeping existing grids' keys
 // — and hence their derived seeds — stable.
 // Seed-inert axes (SchedAxis) keep their key segment but are excluded from

@@ -8,6 +8,17 @@ import (
 	"repro/internal/netmodel"
 )
 
+// netAxis is a Dimension literal on the canonical interconnect axis: two
+// nets keyed "eth" and "quiet".
+func netAxis() Dimension {
+	return Dimension{Name: AxisNet, Values: []DimValue{
+		{Key: "eth", Value: "eth", Apply: func(w *mpi.WorldConfig) { w.Net = netmodel.FastEthernet() }},
+		{Key: "quiet", Value: "quiet", Apply: func(w *mpi.WorldConfig) {
+			w.Net = netmodel.Model{LatencyUS: 10, BytesPerUS: 100}
+		}},
+	}}
+}
+
 // expand fails the test on a grid expansion error.
 func expand(t *testing.T, g Grid) []Scenario {
 	t.Helper()
@@ -24,8 +35,7 @@ func TestGridCrossProduct(t *testing.T) {
 		Base: mpi.DefaultConfig(),
 		Axes: []Dimension{
 			RankAxis(2, 3),
-			NetAxis(NamedNet{Name: "eth", Model: netmodel.FastEthernet()},
-				NamedNet{Name: "quiet", Model: netmodel.Model{LatencyUS: 10, BytesPerUS: 100}}),
+			netAxis(),
 			CacheAxis(128, 512),
 		},
 		Replications: 3,
@@ -93,7 +103,7 @@ func TestGridEmptyDimensionsKeepBase(t *testing.T) {
 	// neither key segments nor coordinates, keeping pre-existing grids'
 	// keys (and seeds) stable.
 	sc = got[0]
-	if _, ok := sc.Coord(AxisMesh); ok {
+	if _, ok := sc.Coord("mesh"); ok {
 		t.Errorf("unswept mesh axis has a coordinate: %+v", sc.Coords)
 	}
 	if sc.Label(AxisFlux) != "" {
@@ -113,7 +123,7 @@ func TestGridAppDimensions(t *testing.T) {
 		Base: mpi.DefaultConfig(),
 		Axes: []Dimension{
 			CacheAxis(128, 512),
-			MeshAxis(MeshSize{96, 24}, MeshSize{192, 48}),
+			{Name: "mesh", Values: []DimValue{{Key: "m96x24", Value: "96x24"}, {Key: "m192x48", Value: "192x48"}}},
 			FluxAxis("godunov", "efm"),
 		},
 		Replications: 2,
@@ -138,8 +148,7 @@ func TestGridAppDimensions(t *testing.T) {
 	}
 	seeds := map[int64]bool{}
 	for _, sc := range scs {
-		mc, ok := sc.Coord(AxisMesh)
-		if !ok || mc.Value.(MeshSize).Nx == 0 || sc.Label(AxisFlux) == "" {
+		if sc.Label("mesh") == "" || sc.Label(AxisFlux) == "" {
 			t.Errorf("%s: app coordinates not populated: %+v", sc.Key, sc.Coords)
 		}
 		if seeds[sc.World.Seed] {
@@ -254,7 +263,7 @@ func TestGridCanonicalMachineAxisOrder(t *testing.T) {
 		want string
 	}{
 		{"rank only", []Dimension{RankAxis(2, 3)}, "p2/base/c512kB/r0"},
-		{"net only", []Dimension{NetAxis(NamedNet{Name: "eth", Model: netmodel.FastEthernet()})}, "p3/eth/c512kB/r0"},
+		{"net only", []Dimension{netAxis()}, "p3/eth/c512kB/r0"},
 		{"cache listed after flux", []Dimension{FluxAxis("efm"), CacheAxis(128)}, "p3/base/c128kB/efm/r0"},
 		{"machine axes in scrambled order", []Dimension{CacheAxis(128), RankAxis(2)}, "p2/base/c128kB/r0"},
 	} {
@@ -297,8 +306,7 @@ func BenchmarkGridScenarios(b *testing.B) {
 		Base: mpi.DefaultConfig(),
 		Axes: []Dimension{
 			RankAxis(1, 2, 3, 4, 6, 8, 12, 16, 24, 32),
-			NetAxis(NamedNet{Name: "eth", Model: netmodel.FastEthernet()},
-				NamedNet{Name: "quiet", Model: netmodel.Model{LatencyUS: 10, BytesPerUS: 100}}),
+			netAxis(),
 			CacheAxis(64, 128, 256, 512, 1024),
 			CPUClockAxis(0.25, 0.5, 0.75, 1, 1.25, 1.5, 2, 2.5, 3, 4),
 			FluxAxis("godunov", "efm"),

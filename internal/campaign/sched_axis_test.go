@@ -72,12 +72,13 @@ func TestSchedAxisExpansion(t *testing.T) {
 // TestSchedModeAxisKeys pins the stable key tokens.
 func TestSchedModeAxisKeys(t *testing.T) {
 	t.Parallel()
-	d := SchedModeAxis(mpi.Serial, mpi.ConservativeParallel)
+	d := SchedAxis(SchedChoice{Mode: mpi.Serial, MaxParallelRanks: 4}, SchedChoice{Mode: mpi.ConservativeParallel},
+		SchedChoice{Mode: mpi.OptimisticParallel, MaxParallelRanks: 8})
 	if d.Name != AxisSched || !d.SeedInert {
-		t.Fatalf("SchedModeAxis = %+v, want seed-inert %q axis", d, AxisSched)
+		t.Fatalf("SchedAxis = %+v, want seed-inert %q axis", d, AxisSched)
 	}
-	if d.Values[0].Key != "serial" || d.Values[1].Key != "par" {
-		t.Fatalf("keys = %q, %q; want serial, par", d.Values[0].Key, d.Values[1].Key)
+	if d.Values[0].Key != "serial" || d.Values[1].Key != "par" || d.Values[2].Key != "opt8" {
+		t.Fatalf("keys = %q, %q, %q; want serial, par, opt8", d.Values[0].Key, d.Values[1].Key, d.Values[2].Key)
 	}
 }
 

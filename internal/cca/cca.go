@@ -15,7 +15,6 @@ package cca
 import (
 	"fmt"
 	"io"
-	"sort"
 	"strings"
 
 	"repro/internal/mpi"
@@ -75,7 +74,6 @@ type usesEntry struct {
 	portType string
 	provider *instance
 	portName string
-	fetched  bool
 }
 
 type instance struct {
@@ -117,16 +115,13 @@ func (s *services) GetPort(name string) (Port, error) {
 	if u.provider == nil {
 		return nil, fmt.Errorf("cca: %s: uses port %q is not connected", s.inst.name, name)
 	}
-	u.fetched = true
 	return u.provider.provides[u.portName].port, nil
 }
 
 func (s *services) ReleasePort(name string) error {
-	u, ok := s.inst.uses[name]
-	if !ok {
+	if _, ok := s.inst.uses[name]; !ok {
 		return fmt.Errorf("cca: %s: unknown uses port %q", s.inst.name, name)
 	}
-	u.fetched = false
 	return nil
 }
 
@@ -167,16 +162,6 @@ func (f *Framework) Rank() *mpi.Rank { return f.rank }
 // RegisterClass adds a component class to the framework's repository.
 func (f *Framework) RegisterClass(class string, factory Factory) {
 	f.classes[class] = factory
-}
-
-// Classes returns the registered class names, sorted.
-func (f *Framework) Classes() []string {
-	out := make([]string, 0, len(f.classes))
-	for c := range f.classes {
-		out = append(out, c)
-	}
-	sort.Strings(out)
-	return out
 }
 
 // Instantiate creates a named instance of a registered class and invokes
@@ -238,56 +223,6 @@ func (f *Framework) Connect(user, usesPort, provider, providesPort string) error
 		Provider: provider, ProvidesPort: providesPort, PortType: ue.portType,
 	})
 	return nil
-}
-
-// Disconnect severs a user's UsesPort wiring (the AbstractFramework
-// surgery Fig. 10 alludes to for dynamic component replacement). The user
-// component must re-fetch the port after a reconnect.
-func (f *Framework) Disconnect(user, usesPort string) error {
-	ui, ok := f.instances[user]
-	if !ok {
-		return fmt.Errorf("cca: unknown instance %q", user)
-	}
-	ue, ok := ui.uses[usesPort]
-	if !ok {
-		return fmt.Errorf("cca: %s has no uses port %q", user, usesPort)
-	}
-	if ue.provider == nil {
-		return fmt.Errorf("cca: %s.%s is not connected", user, usesPort)
-	}
-	ue.provider = nil
-	ue.portName = ""
-	ue.fetched = false
-	for i, c := range f.connections {
-		if c.User == user && c.UsesPort == usesPort {
-			f.connections = append(f.connections[:i], f.connections[i+1:]...)
-			break
-		}
-	}
-	return nil
-}
-
-// Connections returns the wiring diagram in connection order.
-func (f *Framework) Connections() []Connection {
-	out := make([]Connection, len(f.connections))
-	copy(out, f.connections)
-	return out
-}
-
-// Instances returns the instance names in creation order.
-func (f *Framework) Instances() []string {
-	out := make([]string, len(f.order))
-	copy(out, f.order)
-	return out
-}
-
-// ClassOf returns the class of a named instance.
-func (f *Framework) ClassOf(name string) (string, bool) {
-	inst, ok := f.instances[name]
-	if !ok {
-		return "", false
-	}
-	return inst.class, true
 }
 
 // LookupProvides returns the named provides port of an instance, as the

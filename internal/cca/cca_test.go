@@ -185,11 +185,11 @@ go client0 go
 	if c.result != 42 {
 		t.Errorf("script run result = %d, want 42", c.result)
 	}
-	if got := f.Instances(); len(got) != 2 || got[0] != "adder0" {
-		t.Errorf("Instances() = %v", got)
+	if len(f.order) != 2 || f.order[0] != "adder0" {
+		t.Errorf("instances = %v", f.order)
 	}
-	if cls, ok := f.ClassOf("adder0"); !ok || cls != "Adder" {
-		t.Errorf("ClassOf(adder0) = %s/%v", cls, ok)
+	if inst := f.instances["adder0"]; inst == nil || inst.class != "Adder" {
+		t.Errorf("adder0 = %+v, want an Adder", inst)
 	}
 }
 
@@ -214,7 +214,7 @@ func TestConnectionsRecorded(t *testing.T) {
 	_ = f.Instantiate("adder0", "Adder")
 	_ = f.Instantiate("client0", "Client")
 	_ = f.Connect("client0", "adder", "adder0", "sum")
-	conns := f.Connections()
+	conns := f.connections
 	if len(conns) != 1 {
 		t.Fatalf("connections = %d, want 1", len(conns))
 	}
@@ -238,16 +238,6 @@ func TestWriteDOT(t *testing.T) {
 		if !strings.Contains(out, want) {
 			t.Errorf("DOT output missing %q:\n%s", want, out)
 		}
-	}
-}
-
-func TestClassesSorted(t *testing.T) {
-	f := NewFramework(nil)
-	f.RegisterClass("Zeta", func() Component { return &adder{} })
-	f.RegisterClass("Alpha", func() Component { return &adder{} })
-	got := f.Classes()
-	if len(got) != 2 || got[0] != "Alpha" || got[1] != "Zeta" {
-		t.Errorf("Classes() = %v", got)
 	}
 }
 
@@ -292,8 +282,8 @@ func TestSetServicesFailureRollsBack(t *testing.T) {
 	if err := f.Instantiate("b", "Bad"); err == nil {
 		t.Fatal("expected SetServices failure")
 	}
-	if got := f.Instances(); len(got) != 0 {
-		t.Errorf("failed instance left behind: %v", got)
+	if len(f.order) != 0 || len(f.instances) != 0 {
+		t.Errorf("failed instance left behind: %v", f.order)
 	}
 }
 

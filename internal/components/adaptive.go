@@ -34,13 +34,6 @@ type AdaptiveFlux struct {
 	calls      int
 }
 
-// NewAdaptiveFlux returns a factory with the given expectation policy.
-func NewAdaptiveFlux(expect perfmodel.Model, tolerance float64, window int) cca.Factory {
-	return func() cca.Component {
-		return &AdaptiveFlux{Expectation: expect, Tolerance: tolerance, Window: window}
-	}
-}
-
 // SetServices declares the two candidate implementations and registers the
 // provided FluxPort.
 func (a *AdaptiveFlux) SetServices(svc cca.Services) error {

@@ -97,71 +97,6 @@ func TestAdaptiveFluxNoExpectationNeverSwitches(t *testing.T) {
 	}
 }
 
-func TestFrameworkDisconnectAndRewire(t *testing.T) {
-	// The AbstractFramework-style surgery: disconnect inviscidflux's flux
-	// port from the Godunov proxy and rewire it to the EFM component.
-	wcfg := mpi.DefaultConfig()
-	wcfg.Procs = 1
-	w := mpi.NewWorld(wcfg)
-	err := cca.RunSCMD(w, func(f *cca.Framework, r *mpi.Rank) error {
-		app := &App{Framework: f}
-		RegisterClasses(f, DefaultAppConfig(), app)
-		for _, line := range [][2]string{
-			{"GodunovFlux", "god0"}, {"EFMFlux", "efm0"}, {"InviscidFlux", "iv0"}, {"States", "st0"},
-		} {
-			if err := f.Instantiate(line[1], line[0]); err != nil {
-				return err
-			}
-		}
-		if err := f.Connect("iv0", "states", "st0", "states"); err != nil {
-			return err
-		}
-		if err := f.Connect("iv0", "flux", "god0", "flux"); err != nil {
-			return err
-		}
-		if err := f.Disconnect("iv0", "flux"); err != nil {
-			return err
-		}
-		if err := f.Connect("iv0", "flux", "efm0", "flux"); err != nil {
-			return err
-		}
-		conns := f.Connections()
-		found := false
-		for _, c := range conns {
-			if c.User == "iv0" && c.UsesPort == "flux" {
-				if c.Provider != "efm0" {
-					return errTest("flux port still wired to " + c.Provider)
-				}
-				found = true
-			}
-		}
-		if !found {
-			return errTest("rewired connection missing")
-		}
-		// Errors: disconnecting twice, unknown ports.
-		if err := f.Disconnect("iv0", "nonexistent"); err == nil {
-			return errTest("unknown uses port accepted")
-		}
-		if err := f.Disconnect("ghost", "flux"); err == nil {
-			return errTest("unknown instance accepted")
-		}
-		if err := f.Disconnect("iv0", "flux"); err != nil {
-			return err
-		}
-		if err := f.Disconnect("iv0", "flux"); err == nil {
-			return errTest("double disconnect accepted")
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-}
-
-type errTest string
-
-func (e errTest) Error() string { return string(e) }
-
 // recordingMesh records the order of mesh operations to verify the paper's
 // recursive processing sequence. It owns no patches, so RK2's stage loops
 // are empty and only the orchestration order remains.

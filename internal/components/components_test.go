@@ -196,12 +196,12 @@ func TestGhostUpdateRecordsHaveMPITimeAndLevels(t *testing.T) {
 
 func TestCallTraceCapturesWiring(t *testing.T) {
 	apps, _ := runApp(t, smallAppConfig(), 3)
-	edges := apps[0].Core().SortedEdges()
+	edges := apps[0].Core().Edges()
 	if len(edges) < 3 {
 		t.Fatalf("call trace too small: %v", edges)
 	}
 	found := map[string]bool{}
-	for _, e := range edges {
+	for e := range edges {
 		found[e.Caller+"->"+e.Method] = true
 	}
 	for _, want := range []string{"sc_proxy->compute", "g_proxy->compute", "icc_proxy->ghostUpdate"} {

@@ -146,11 +146,6 @@ type ShockDriver struct {
 	balances   int
 }
 
-// NewShockDriver returns a factory producing drivers with the given config.
-func NewShockDriver(cfg DriverConfig) cca.Factory {
-	return func() cca.Component { return &ShockDriver{cfg: cfg} }
-}
-
 // SetServices declares used ports and registers the GoPort.
 func (d *ShockDriver) SetServices(svc cca.Services) error {
 	d.svc = svc

@@ -66,9 +66,6 @@ type Mastermind struct {
 	mm  *core.Mastermind
 }
 
-// NewMastermind constructs the component.
-func NewMastermind() cca.Component { return &Mastermind{} }
-
 // SetServices declares the used measurement port and registers the
 // MonitorPort.
 func (m *Mastermind) SetServices(svc cca.Services) error {

@@ -18,7 +18,6 @@ package core
 import (
 	"fmt"
 	"io"
-	"sort"
 )
 
 // MeasurementPort is the generic performance-measurement interface of the
@@ -103,40 +102,6 @@ type Record struct {
 	MetricNames []string
 	// Invocations holds one row per forwarded call.
 	Invocations []Invocation
-}
-
-// Series extracts (param value, wall-time) pairs for model fitting,
-// skipping invocations that lack the parameter.
-func (r *Record) Series(param string) (x, wallUS []float64) {
-	for i := range r.Invocations {
-		if v, ok := r.Invocations[i].Param(param); ok {
-			x = append(x, v)
-			wallUS = append(wallUS, r.Invocations[i].WallUS)
-		}
-	}
-	return x, wallUS
-}
-
-// ComputeSeries is Series but returning compute (wall − MPI) times.
-func (r *Record) ComputeSeries(param string) (x, computeUS []float64) {
-	for i := range r.Invocations {
-		if v, ok := r.Invocations[i].Param(param); ok {
-			x = append(x, v)
-			computeUS = append(computeUS, r.Invocations[i].ComputeUS)
-		}
-	}
-	return x, computeUS
-}
-
-// MPISeries is Series but returning MPI times.
-func (r *Record) MPISeries(param string) (x, mpiUS []float64) {
-	for i := range r.Invocations {
-		if v, ok := r.Invocations[i].Param(param); ok {
-			x = append(x, v)
-			mpiUS = append(mpiUS, r.Invocations[i].MPIUS)
-		}
-	}
-	return x, mpiUS
 }
 
 // WriteCSV dumps the record rows (what the paper's record objects write to
@@ -282,42 +247,11 @@ func (m *Mastermind) Records() []*Record {
 	return out
 }
 
-// Edges returns the recorded call trace with invocation counts, sorted for
-// determinism.
+// Edges returns a copy of the recorded call trace with invocation counts.
 func (m *Mastermind) Edges() map[CallEdge]int {
 	out := make(map[CallEdge]int, len(m.edges))
 	for e, n := range m.edges {
 		out[e] = n
 	}
 	return out
-}
-
-// SortedEdges returns the call-trace edges in a stable order.
-func (m *Mastermind) SortedEdges() []CallEdge {
-	out := make([]CallEdge, 0, len(m.edges))
-	for e := range m.edges {
-		out = append(out, e)
-	}
-	sort.Slice(out, func(i, j int) bool {
-		a, b := out[i], out[j]
-		if a.Caller != b.Caller {
-			return a.Caller < b.Caller
-		}
-		if a.Callee != b.Callee {
-			return a.Callee < b.Callee
-		}
-		return a.Method < b.Method
-	})
-	return out
-}
-
-// WriteAll dumps every record (the "output to a file" the paper's record
-// objects perform on destruction).
-func (m *Mastermind) WriteAll(w io.Writer) error {
-	for _, rec := range m.Records() {
-		if err := rec.WriteCSV(w); err != nil {
-			return err
-		}
-	}
-	return nil
 }

@@ -139,36 +139,6 @@ func TestNestedMonitoringAttributesMPIInclusively(t *testing.T) {
 	}
 }
 
-func TestSeries(t *testing.T) {
-	meas := newFakeMeas()
-	mm := NewMastermind(meas)
-	for i := 1; i <= 3; i++ {
-		mm.StartMonitoring("k()", []Param{{Name: "Q", Value: float64(i * 100)}})
-		meas.now += float64(i * 10)
-		meas.mpi += float64(i)
-		mm.StopMonitoring("k()")
-	}
-	rec := mm.Record("k()")
-	x, w := rec.Series("Q")
-	if len(x) != 3 || x[0] != 100 || w[2] != 30 {
-		t.Errorf("series = %v / %v", x, w)
-	}
-	_, c := rec.ComputeSeries("Q")
-	if c[0] != 9 || c[1] != 18 || c[2] != 27 {
-		t.Errorf("compute series = %v", c)
-	}
-	_, m := rec.MPISeries("Q")
-	if m[0] != 1 || m[2] != 3 {
-		t.Errorf("mpi series = %v", m)
-	}
-	// A record without the parameter yields empty series.
-	mm.StartMonitoring("other()", nil)
-	mm.StopMonitoring("other()")
-	if x, _ := mm.Record("other()").Series("Q"); len(x) != 0 {
-		t.Errorf("paramless series = %v", x)
-	}
-}
-
 func TestRecordsOrderAndWriteCSV(t *testing.T) {
 	meas := newFakeMeas()
 	mm := NewMastermind(meas)
@@ -182,8 +152,10 @@ func TestRecordsOrderAndWriteCSV(t *testing.T) {
 		t.Fatalf("records order wrong: %v", recs)
 	}
 	var sb strings.Builder
-	if err := mm.WriteAll(&sb); err != nil {
-		t.Fatal(err)
+	for _, rec := range recs {
+		if err := rec.WriteCSV(&sb); err != nil {
+			t.Fatal(err)
+		}
 	}
 	out := sb.String()
 	for _, want := range []string{"method,invocation", "b(),0", ",Q", "wall_us", "d_PAPI_FP_OPS"} {
@@ -202,8 +174,7 @@ func TestCallTrace(t *testing.T) {
 	if edges[CallEdge{Caller: "rk20", Callee: "icc_proxy", Method: "ghostUpdate"}] != 2 {
 		t.Errorf("edges = %v", edges)
 	}
-	sorted := mm.SortedEdges()
-	if len(sorted) != 2 || sorted[0].Caller != "inviscidflux0" {
-		t.Errorf("sorted edges = %v", sorted)
+	if len(edges) != 2 || edges[CallEdge{Caller: "inviscidflux0", Callee: "sc_proxy", Method: "compute"}] != 1 {
+		t.Errorf("edges = %v", edges)
 	}
 }

@@ -73,22 +73,6 @@ func Average(proc *platform.Proc, a, b, out *Block) {
 	}
 }
 
-// FluxKernel is the signature shared by EFMFlux and GodunovFlux: the two
-// interchangeable implementations of the paper's InviscidFlux functionality.
-type FluxKernel func(proc *platform.Proc, qL, qR, flux *EdgeField) int
-
-// EFMKernel adapts EFMFlux to the FluxKernel signature (it has no iteration
-// count; it reports zero).
-func EFMKernel(proc *platform.Proc, qL, qR, flux *EdgeField) int {
-	EFMFlux(proc, qL, qR, flux)
-	return 0
-}
-
-// GodunovKernel adapts GodunovFlux to the FluxKernel signature.
-func GodunovKernel(proc *platform.Proc, qL, qR, flux *EdgeField) int {
-	return GodunovFlux(proc, qL, qR, flux)
-}
-
 // CFLTimeStep returns the stable time step for the given mesh spacing and
 // global maximum wave speed under the given CFL number.
 func CFLTimeStep(cfl, dx, dy, maxSpeed float64) float64 {

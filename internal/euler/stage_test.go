@@ -23,8 +23,13 @@ func sodBlock(nx int) *Block {
 	return b
 }
 
-// advance runs n forward-Euler steps of the full kernel pipeline.
-func advance(b *Block, n int, kernel FluxKernel) {
+// advance runs n forward-Euler steps of the full kernel pipeline under
+// GodunovFlux, or EFMFlux when godunov is false.
+func advance(b *Block, n int, godunov bool) {
+	kernel := func(proc *platform.Proc, qL, qR, flux *EdgeField) { EFMFlux(proc, qL, qR, flux) }
+	if godunov {
+		kernel = func(proc *platform.Proc, qL, qR, flux *EdgeField) { GodunovFlux(proc, qL, qR, flux) }
+	}
 	dx := 1.0 / float64(b.Nx)
 	dy := dx
 	for s := 0; s < n; s++ {
@@ -86,21 +91,21 @@ func checkSodSolution(t *testing.T, b *Block, name string) {
 
 func TestSodEvolutionGodunov(t *testing.T) {
 	b := sodBlock(64)
-	advance(b, 20, GodunovKernel)
+	advance(b, 20, true)
 	checkSodSolution(t, b, "godunov")
 }
 
 func TestSodEvolutionEFM(t *testing.T) {
 	b := sodBlock(64)
-	advance(b, 20, EFMKernel)
+	advance(b, 20, false)
 	checkSodSolution(t, b, "efm")
 }
 
 func TestGodunovAndEFMAgreeQualitatively(t *testing.T) {
 	bg := sodBlock(64)
 	be := sodBlock(64)
-	advance(bg, 15, GodunovKernel)
-	advance(be, 15, EFMKernel)
+	advance(bg, 15, true)
+	advance(be, 15, false)
 	var diff, norm float64
 	for i := 0; i < bg.Nx; i++ {
 		d := bg.PrimAt(i, 1).Rho - be.PrimAt(i, 1).Rho
@@ -127,7 +132,7 @@ func TestConservationOfMassNoBoundaryFlow(t *testing.T) {
 		}
 	}
 	before := totalMass(b)
-	advance(b, 5, GodunovKernel)
+	advance(b, 5, true)
 	// Uniform flow stays uniform (fluxes cancel), so mass is conserved and
 	// the state unchanged.
 	after := totalMass(b)

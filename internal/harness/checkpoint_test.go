@@ -309,7 +309,7 @@ func TestStreamSweepGridEmitsRowsAndTrend(t *testing.T) {
 	if _, err := BuildTrends(pts[:1], TrendCacheKB); err == nil {
 		t.Error("single-cache trend succeeded")
 	}
-	if _, err := BuildTrends(pts, TrendByAxis("nonexistent")); err == nil {
+	if _, err := BuildTrends(pts, TrendCPUClock); err == nil {
 		t.Error("trend against an unswept axis succeeded")
 	}
 }
@@ -331,7 +331,7 @@ func TestScenarioConfigMapping(t *testing.T) {
 		Key: "p2/base/c128kB/m64x32/efm/r0", World: base.World,
 		Coords: []campaign.Coord{
 			{Axis: campaign.AxisCache, Key: "c128kB", Value: 128},
-			{Axis: campaign.AxisMesh, Key: "m64x32", Value: campaign.MeshSize{Nx: 64, Ny: 32}},
+			{Axis: "mesh", Key: "m64x32", Value: "64x32"},
 			{Axis: campaign.AxisFlux, Key: "efm", Value: "efm"},
 		},
 	}

@@ -27,12 +27,14 @@ func TestGridStabilityGolden(t *testing.T) {
 		Base: base,
 		Axes: []campaign.Dimension{
 			campaign.RankAxis(2, 3),
-			campaign.NetAxis(
-				campaign.NamedNet{Name: "eth", Model: netmodel.FastEthernet()},
-				campaign.NamedNet{Name: "quiet", Model: netmodel.Model{LatencyUS: 10, BytesPerUS: 100}},
-			),
+			{Name: campaign.AxisNet, Values: []campaign.DimValue{
+				{Key: "eth", Value: "eth", Apply: func(w *mpi.WorldConfig) { w.Net = netmodel.FastEthernet() }},
+				{Key: "quiet", Value: "quiet", Apply: func(w *mpi.WorldConfig) {
+					w.Net = netmodel.Model{LatencyUS: 10, BytesPerUS: 100}
+				}},
+			}},
 			campaign.CacheAxis(128, 512),
-			campaign.MeshAxis(campaign.MeshSize{Nx: 96, Ny: 24}, campaign.MeshSize{Nx: 192, Ny: 48}),
+			{Name: "mesh", Values: []campaign.DimValue{{Key: "m96x24", Value: "96x24"}, {Key: "m192x48", Value: "192x48"}}},
 			campaign.FluxAxis("godunov", "efm"),
 		},
 		Replications: 2,
@@ -129,7 +131,8 @@ func TestCPUAxisHashesDistinct(t *testing.T) {
 	// separate checkpoint entries per scheduler.
 	scs, err = campaign.Grid{
 		Base: base.World,
-		Axes: []campaign.Dimension{campaign.SchedModeAxis(mpi.Serial, mpi.ConservativeParallel)},
+		Axes: []campaign.Dimension{campaign.SchedAxis(
+			campaign.SchedChoice{Mode: mpi.Serial}, campaign.SchedChoice{Mode: mpi.ConservativeParallel})},
 	}.Scenarios()
 	if err != nil {
 		t.Fatal(err)
@@ -176,15 +179,13 @@ func TestHashedConfigsArePlainValues(t *testing.T) {
 	for _, axes := range [][]campaign.Dimension{
 		{
 			campaign.RankAxis(2),
-			campaign.NetAxis(campaign.NamedNet{Name: "eth", Model: netmodel.FastEthernet()}),
 			campaign.CacheAxis(128),
-			campaign.MeshAxis(campaign.MeshSize{Nx: 96, Ny: 24}),
 			campaign.FluxAxis("efm"),
 			campaign.CPUAxis(mpi.CPUTune{ClockScale: 2, HitScale: 0.5}),
 			campaign.SchedAxis(campaign.SchedChoice{Mode: mpi.OptimisticParallel, MaxParallelRanks: 2}),
 		},
-		// The two constructors that share an axis name with one above.
-		{campaign.CPUClockAxis(0.5), campaign.SchedModeAxis(mpi.ConservativeParallel)},
+		// The constructor that shares an axis name with one above.
+		{campaign.CPUClockAxis(0.5)},
 	} {
 		scs, err := campaign.Grid{Base: base, Axes: axes}.Scenarios()
 		if err != nil {

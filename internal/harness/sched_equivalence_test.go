@@ -247,7 +247,9 @@ func TestSchedGridEquivalenceAtScale(t *testing.T) {
 		Base: base.World,
 		Axes: []campaign.Dimension{
 			campaign.CacheAxis(128, 512),
-			campaign.SchedModeAxis(mpi.Serial, mpi.ConservativeParallel, mpi.OptimisticParallel),
+			campaign.SchedAxis(campaign.SchedChoice{Mode: mpi.Serial},
+				campaign.SchedChoice{Mode: mpi.ConservativeParallel},
+				campaign.SchedChoice{Mode: mpi.OptimisticParallel}),
 		},
 		Replications: 2,
 	}

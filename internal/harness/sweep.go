@@ -8,7 +8,6 @@ import (
 
 	"repro/internal/cca"
 	"repro/internal/components"
-	"repro/internal/core"
 	"repro/internal/euler"
 	"repro/internal/mpi"
 	"repro/internal/results"
@@ -382,20 +381,4 @@ func (s *SweepResult) WriteRatiosCSV(w io.Writer) error {
 		}
 	}
 	return nil
-}
-
-// Record re-derives a core.Record-like view for model fitting.
-func (s *SweepResult) Record() *core.Record {
-	rec := &core.Record{Method: s.Config.Kernel.RecordName()}
-	for _, p := range s.Points {
-		rec.Invocations = append(rec.Invocations, core.Invocation{
-			Params: []core.Param{
-				{Name: "Q", Value: float64(p.Q)},
-				{Name: "mode", Value: float64(p.Mode)},
-			},
-			WallUS:    p.WallUS,
-			ComputeUS: p.WallUS,
-		})
-	}
-	return rec
 }

@@ -16,17 +16,16 @@ import (
 // "Ideally, the coefficients should be parameterized by processor speed
 // and a cache model." A streaming grid run produces one fitted model per
 // scenario; the trend report averages the model coefficients per value of
-// a chosen numeric axis — cache size, CPU clock scale, rank count, mesh
-// cells, or any user-defined numeric dimension — and fits each coefficient
-// against that axis, showing the functional form staying put while the
-// coefficients move, and giving a first-order predictor for machines the
-// sweep never ran on.
+// a swept machine axis — cache size or CPU clock scale — and fits each
+// coefficient against that axis, showing the functional form staying put
+// while the coefficients move, and giving a first-order predictor for
+// machines the sweep never ran on.
 
-// TrendAxis selects the numeric grid dimension a trend report fits model
-// coefficients against.
+// TrendAxis is one sweepable machine axis: how a command names it, how a
+// grid sweeps it, and how a trend report reads it back off a scenario.
 type TrendAxis struct {
 	// Name is the stable axis identifier: the CSV x-column header and the
-	// -axis flag value ("cache_kb", "cpu_clock", "ranks", "mesh_cells").
+	// -axis flag value ("cache_kb", "cpu_clock").
 	Name string
 	// Col is the x column label of the text report ("C_kB").
 	Col string
@@ -38,16 +37,32 @@ type TrendAxis struct {
 	// Value extracts a scenario's numeric x coordinate; ok is false when
 	// the scenario's grid does not carry the axis.
 	Value func(campaign.Scenario) (float64, bool)
+	// Defaults is the value list the commands sweep when -trendvalues is
+	// empty.
+	Defaults []float64
+	// Dimension builds the grid axis sweeping the given values.
+	Dimension func(values []float64) (campaign.Dimension, error)
 }
 
-// The built-in trend axes. TrendCacheKB reproduces the original
-// coefficient-vs-cache-size report byte for byte.
-var (
-	TrendCacheKB = TrendAxis{
+// trendAxes is the axis table: every machine axis a command can sweep and
+// fit trends against is one row here.
+var trendAxes = []TrendAxis{
+	{
 		Name: "cache_kb", Col: "C_kB", Var: "C", Desc: "cache size (C in kB)",
-		Value: func(sc campaign.Scenario) (float64, bool) { return sc.Num(campaign.AxisCache) },
-	}
-	TrendCPUClock = TrendAxis{
+		Value:    func(sc campaign.Scenario) (float64, bool) { return sc.Num(campaign.AxisCache) },
+		Defaults: []float64{128, 256, 512, 1024},
+		Dimension: func(values []float64) (campaign.Dimension, error) {
+			kbs := make([]int, len(values))
+			for i, v := range values {
+				kbs[i] = int(v)
+				if float64(kbs[i]) != v {
+					return campaign.Dimension{}, fmt.Errorf("-trendvalues %g: a cache_kb value is a whole number of kB", v)
+				}
+			}
+			return campaign.CacheAxis(kbs...), nil
+		},
+	},
+	{
 		Name: "cpu_clock", Col: "K", Var: "K", Desc: "CPU clock scale (K x calibrated)",
 		Value: func(sc campaign.Scenario) (float64, bool) {
 			c, ok := sc.Coord(campaign.AxisCPU)
@@ -63,53 +78,35 @@ var (
 			}
 			return t.ClockScale, true
 		},
-	}
-	TrendRanks = TrendAxis{
-		Name: "ranks", Col: "P", Var: "P", Desc: "world size (P ranks)",
-		Value: func(sc campaign.Scenario) (float64, bool) { return sc.Num(campaign.AxisRank) },
-	}
-	TrendMeshCells = TrendAxis{
-		Name: "mesh_cells", Col: "M", Var: "M", Desc: "base mesh size (M cells)",
-		Value: func(sc campaign.Scenario) (float64, bool) {
-			c, ok := sc.Coord(campaign.AxisMesh)
-			if !ok {
-				return 0, false
-			}
-			m, ok := c.Value.(campaign.MeshSize)
-			if !ok {
-				return 0, false
-			}
-			return float64(m.Nx) * float64(m.Ny), true
+		Defaults: []float64{0.5, 1, 2, 4},
+		Dimension: func(values []float64) (campaign.Dimension, error) {
+			return campaign.CPUClockAxis(values...), nil
 		},
-	}
-)
-
-// TrendByAxis builds a selector for any numeric user-defined dimension:
-// the x value is the axis's numeric coordinate payload.
-func TrendByAxis(axis string) TrendAxis {
-	return TrendAxis{
-		Name: axis, Col: axis, Var: "X", Desc: fmt.Sprintf("grid axis %q (X)", axis),
-		Value: func(sc campaign.Scenario) (float64, bool) { return sc.Num(axis) },
-	}
+	},
 }
 
-// TrendAxisNamed resolves a -axis flag value to a trend axis: one of the
-// built-in names, or any other name as a numeric user-defined axis.
+// The table's rows by name, for callers that fit trends over a grid they
+// built themselves. TrendCacheKB is the original Section 6 study.
+var (
+	TrendCacheKB  = trendAxes[0]
+	TrendCPUClock = trendAxes[1]
+)
+
+// TrendAxisNamed resolves a -axis flag value to its table row; the empty
+// name selects the first row. Anything else is rejected here, before a
+// command has run or written anything.
 func TrendAxisNamed(name string) (TrendAxis, error) {
-	switch name {
-	case "", TrendCacheKB.Name:
-		return TrendCacheKB, nil
-	case TrendCPUClock.Name:
-		return TrendCPUClock, nil
-	case TrendRanks.Name:
-		return TrendRanks, nil
-	case TrendMeshCells.Name:
-		return TrendMeshCells, nil
+	if name == "" {
+		return trendAxes[0], nil
 	}
-	if axis, ok := strings.CutPrefix(name, "axis:"); ok {
-		return TrendByAxis(axis), nil
+	names := make([]string, len(trendAxes))
+	for i, a := range trendAxes {
+		if a.Name == name {
+			return a, nil
+		}
+		names[i] = a.Name
 	}
-	return TrendAxis{}, fmt.Errorf("harness: unknown trend axis %q (want cache_kb, cpu_clock, ranks, mesh_cells, or axis:<name> for a numeric user-defined dimension)", name)
+	return TrendAxis{}, fmt.Errorf("unknown trend axis %q (want %s)", name, strings.Join(names, " or "))
 }
 
 // TrendPoint is one axis value's averaged model coefficients.

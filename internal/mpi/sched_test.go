@@ -309,32 +309,39 @@ func TestValidateRejectsInvalidConfig(t *testing.T) {
 	}
 }
 
-// TestSchedulerFromFlags pins the one -rankmode/-rankpar mapping both
-// commands share.
-func TestSchedulerFromFlags(t *testing.T) {
+// TestParseSchedRoundTrip pins the one scheduler token grammar: ParseSched
+// accepts exactly what FormatSched produces.
+func TestParseSchedRoundTrip(t *testing.T) {
 	t.Parallel()
-	for _, tc := range []struct {
-		rankmode string
-		rankpar  int
-		mode     SchedulerMode
-		ranks    int
+	for tok, want := range map[string]struct {
+		mode SchedulerMode
+		cap  int
 	}{
-		{"", 0, Serial, 0},
-		{"", -1, ConservativeParallel, 0},
-		{"", 4, ConservativeParallel, 4},
-		{"serial", 4, Serial, 0},
-		{"par", 0, ConservativeParallel, 0},
-		{"opt", -1, OptimisticParallel, 0},
-		{"opt", 8, OptimisticParallel, 8},
+		"serial": {Serial, 0},
+		"par":    {ConservativeParallel, 0},
+		"par4":   {ConservativeParallel, 4},
+		"opt":    {OptimisticParallel, 0},
+		"opt8":   {OptimisticParallel, 8},
 	} {
-		mode, ranks, err := SchedulerFromFlags(tc.rankmode, tc.rankpar)
-		if err != nil || mode != tc.mode || ranks != tc.ranks {
-			t.Errorf("-rankmode %q -rankpar %d: (%v, %d, %v), want (%v, %d)",
-				tc.rankmode, tc.rankpar, mode, ranks, err, tc.mode, tc.ranks)
+		mode, cap, err := ParseSched(tok)
+		if err != nil || mode != want.mode || cap != want.cap {
+			t.Errorf("ParseSched(%q) = (%v, %d, %v), want (%v, %d)", tok, mode, cap, err, want.mode, want.cap)
+		}
+		if got := FormatSched(mode, cap); got != tok {
+			t.Errorf("FormatSched(ParseSched(%q)) = %q", tok, got)
+		}
+		if cfg := testConfig(3).WithScheduler(mode, cap); cfg.Sched != mode || cfg.MaxParallelRanks != cap {
+			t.Errorf("%q: WithScheduler gave %v/%d", tok, cfg.Sched, cfg.MaxParallelRanks)
 		}
 	}
-	if _, _, err := SchedulerFromFlags("optimistic", 0); err == nil {
-		t.Error("unknown -rankmode accepted")
+	for _, tok := range []string{"", "par0", "par04", "par+4", "serial4", "opt-1", "fast", "optimistic", "Par"} {
+		if mode, cap, err := ParseSched(tok); err == nil {
+			t.Errorf("ParseSched(%q) = (%v, %d), want an error", tok, mode, cap)
+		}
+	}
+	// The serial scheduler has no cap to render.
+	if got := FormatSched(Serial, 4); got != "serial" {
+		t.Errorf("FormatSched(Serial, 4) = %q", got)
 	}
 }
 

@@ -10,7 +10,7 @@
 // rows and the Mastermind's "time in MPI" query come out of the same
 // mechanism the paper used.
 //
-// Scheduling is conservative and fully deterministic in both modes:
+// Scheduling is fully deterministic under all three modes (SchedulerMode):
 //
 //   - Serial (the zero value) is the original token model: exactly one
 //     rank executes at a time, and whenever the running rank blocks inside
@@ -29,6 +29,9 @@
 //     run-ahead and flushed at the rank's next commit turn. The result is
 //     bit-for-bit identical virtual clocks, profiles and message orders —
 //     parallelism is purely a wall-clock optimization.
+//   - OptimisticParallel additionally speculates past order-sensitive
+//     operations under an undo log and rolls a rank back on a mis-match
+//     (optimistic.go); what commits is the serial result, bit for bit.
 package mpi
 
 import (
@@ -37,6 +40,7 @@ import (
 	"math/rand"
 	"runtime/debug"
 	"slices"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -81,7 +85,7 @@ const (
 )
 
 // schedulerModeTokens is the single registry of valid scheduler modes and
-// their stable string tokens. String, Validate and flag parsing all read
+// their stable string tokens. String, Validate and ParseSched all read
 // this table, so adding a mode cannot silently produce "SchedulerMode(n)"
 // scenario keys or pass validation unchecked.
 var schedulerModeTokens = map[SchedulerMode]string{
@@ -90,8 +94,8 @@ var schedulerModeTokens = map[SchedulerMode]string{
 	OptimisticParallel:   "opt",
 }
 
-// String returns the mode's stable token ("serial", "par", "opt"), used by
-// the campaign scheduler axis and command-line flags.
+// String returns the mode's stable token ("serial", "par", "opt"), the
+// stem of FormatSched's tokens.
 func (m SchedulerMode) String() string {
 	if tok, ok := schedulerModeTokens[m]; ok {
 		return tok
@@ -99,32 +103,35 @@ func (m SchedulerMode) String() string {
 	return fmt.Sprintf("SchedulerMode(%d)", int(m))
 }
 
-// SchedulerFromFlags maps the -rankmode/-rankpar command-line pair onto a
-// scheduler mode and parallel-rank cap (0 = no cap), the arguments of
-// WithScheduler. rankmode is a stable token ("serial", "par", "opt"); empty
-// derives the mode from rankpar (nonzero = par). rankpar > 0 is the cap
-// under the parallel modes; anything else means no cap.
-func SchedulerFromFlags(rankmode string, rankpar int) (SchedulerMode, int, error) {
-	mode := Serial
-	if rankmode == "" {
-		if rankpar != 0 {
-			mode = ConservativeParallel
+// FormatSched renders a scheduler choice — a mode and its parallel-rank
+// cap, 0 = no cap — as its stable token: "serial", "par", "par4", "opt",
+// "opt8". It is the scheduler segment of scenario keys, the -rankmode flag
+// value and resultsd's ?sched= selector. The cap means nothing under the
+// serial scheduler, so it never reaches the token.
+func FormatSched(mode SchedulerMode, maxRanks int) string {
+	tok := mode.String()
+	if mode != Serial && maxRanks > 0 {
+		tok += strconv.Itoa(maxRanks)
+	}
+	return tok
+}
+
+// ParseSched is FormatSched's inverse: it accepts exactly the tokens
+// FormatSched produces and returns the arguments of WithScheduler.
+func ParseSched(token string) (SchedulerMode, int, error) {
+	for mode, name := range schedulerModeTokens {
+		suffix, ok := strings.CutPrefix(token, name)
+		if !ok {
+			continue
 		}
-	} else {
-		known := false
-		for m, t := range schedulerModeTokens {
-			if t == rankmode {
-				mode, known = m, true
-			}
+		if suffix == "" {
+			return mode, 0, nil
 		}
-		if !known {
-			return 0, 0, fmt.Errorf("mpi: unknown scheduler mode %q (want serial, par or opt)", rankmode)
+		if n, err := strconv.Atoi(suffix); err == nil && FormatSched(mode, n) == token {
+			return mode, n, nil
 		}
 	}
-	if mode == Serial || rankpar < 0 {
-		rankpar = 0
-	}
-	return mode, rankpar, nil
+	return 0, 0, fmt.Errorf("mpi: bad scheduler token %q (want serial, par or opt, or par<N>/opt<N> to cap concurrent ranks at N >= 1)", token)
 }
 
 // CPUTune scales the per-rank CPU model relative to its calibrated base —
@@ -220,10 +227,10 @@ func (c WorldConfig) Validate() error {
 }
 
 // WithScheduler returns the config with the given scheduler mode and
-// parallel-rank cap, the shape the -rankmode/-rankpar command-line flags
-// use. For the parallel modes, n > 0 caps concurrency at n ranks and n <= 0
-// means no cap; for Serial the cap is cleared. Results are bit-identical in
-// every mode; only wall-clock time changes.
+// parallel-rank cap, the pair ParseSched returns. For the parallel modes,
+// n > 0 caps concurrency at n ranks and n <= 0 means no cap; for Serial the
+// cap is cleared. Results are bit-identical in every mode; only wall-clock
+// time changes.
 func (c WorldConfig) WithScheduler(mode SchedulerMode, n int) WorldConfig {
 	c.Sched = mode
 	if mode != Serial && n > 0 {
@@ -542,12 +549,6 @@ func NewWorld(cfg WorldConfig) *World {
 	}
 	return w
 }
-
-// Size returns the number of ranks.
-func (w *World) Size() int { return w.cfg.Procs }
-
-// Config returns the world's configuration.
-func (w *World) Config() WorldConfig { return w.cfg }
 
 // Ranks returns the per-rank contexts (valid after Run for inspection).
 func (w *World) Ranks() []*Rank { return w.ranks }

@@ -211,9 +211,6 @@ func NewProc(rank int, cpu CPUModel, cacheCfg cache.Config, seed int64) *Proc {
 // Rank returns the SCMD rank this Proc simulates.
 func (p *Proc) Rank() int { return p.rank }
 
-// CPU returns the processor cost model.
-func (p *Proc) CPU() CPUModel { return p.cpu }
-
 // Cache exposes the rank-private cache simulator.
 func (p *Proc) Cache() *cache.Cache { return p.cache }
 

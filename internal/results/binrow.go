@@ -318,12 +318,3 @@ func readBinRows(data []byte) ([]Row, error) {
 		rows = append(rows, row)
 	}
 }
-
-// ReadBinRows reads a whole binary shard into memory.
-func ReadBinRows(r io.Reader) ([]Row, error) {
-	data, err := io.ReadAll(r)
-	if err != nil {
-		return nil, fmt.Errorf("results: binary shard: %w", err)
-	}
-	return readBinRows(data)
-}

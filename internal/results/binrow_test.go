@@ -57,7 +57,7 @@ func TestBinRoundTripMatchesCSVBytes(t *testing.T) {
 	// Binary encode, decode, and re-encode both ways.
 	var bin bytes.Buffer
 	encodeRows(t, NewBinEncoder(&bin), rows)
-	decoded, err := ReadBinRows(bytes.NewReader(bin.Bytes()))
+	decoded, err := readBinRows(bin.Bytes())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -107,7 +107,7 @@ func TestBinReaderRejectsCorruptShards(t *testing.T) {
 
 	for _, tc := range corruptBinShards(full) {
 		t.Run(tc.name, func(t *testing.T) {
-			_, rowsErr := ReadBinRows(bytes.NewReader(tc.data))
+			_, rowsErr := readBinRows(tc.data)
 			if rowsErr == nil {
 				t.Error("corrupt shard accepted")
 			}
@@ -120,7 +120,7 @@ func TestBinReaderRejectsCorruptShards(t *testing.T) {
 	}
 
 	// A clean shard still reads after all that.
-	if rows, err := ReadBinRows(bytes.NewReader(full)); err != nil || len(rows) != 5 {
+	if rows, err := readBinRows(full); err != nil || len(rows) != 5 {
 		t.Fatalf("clean shard: rows=%d err=%v", len(rows), err)
 	}
 }
@@ -160,7 +160,7 @@ func TestBinReaderRejectsUnknownTag(t *testing.T) {
 	// The tag byte of field "v": header(5) + rowlen(1) + nfields(1) +
 	// namelen(1) + name(1) = offset 9.
 	data[9] = 0x7f
-	if _, err := ReadBinRows(bytes.NewReader(data)); err == nil || !strings.Contains(err.Error(), "unknown tag") {
+	if _, err := readBinRows(data); err == nil || !strings.Contains(err.Error(), "unknown tag") {
 		t.Errorf("unknown tag accepted: %v", err)
 	}
 }

@@ -229,7 +229,7 @@ func FuzzBinShard(f *testing.F) {
 
 	names := []string{"q", "wall_us", "l2_dcm", "mode", "q", ""}
 	f.Fuzz(func(t *testing.T, data []byte) {
-		rows, rowsErr := ReadBinRows(bytes.NewReader(data))
+		rows, rowsErr := readBinRows(data)
 		cols, colsErr := readBinColumns(data, names)
 		if (rowsErr == nil) != (colsErr == nil) {
 			t.Fatalf("row decode err = %v, projection err = %v", rowsErr, colsErr)

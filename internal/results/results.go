@@ -20,7 +20,6 @@ package results
 import (
 	"errors"
 	"fmt"
-	"io"
 	"math"
 	"sort"
 	"sync"
@@ -40,15 +39,6 @@ type Row []Field
 
 // F is shorthand for constructing a Field.
 func F(name string, value any) Field { return Field{Name: name, Value: value} }
-
-// Names returns the row's field names in order.
-func (r Row) Names() []string {
-	names := make([]string, len(r))
-	for i, f := range r {
-		names[i] = f.Name
-	}
-	return names
-}
 
 // Float returns the field's value as a float64 when it is numeric.
 func (f Field) Float() (float64, bool) {
@@ -222,19 +212,6 @@ func (s *AggSink) Keys() []string {
 	return keys
 }
 
-// Fields returns a key's numeric field names in first-seen order.
-func (s *AggSink) Fields(key string) []string {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	g := s.groups[key]
-	if g == nil {
-		return nil
-	}
-	out := make([]string, len(g.order))
-	copy(out, g.order)
-	return out
-}
-
 // Stat returns the running aggregate of one field under one key.
 func (s *AggSink) Stat(key, field string) (Stat, bool) {
 	s.mu.Lock()
@@ -248,25 +225,6 @@ func (s *AggSink) Stat(key, field string) (Stat, bool) {
 		return Stat{}, false
 	}
 	return acc.stat(), true
-}
-
-// WriteCSV writes every aggregate as one CSV table (key, field, n, mean,
-// stddev, min, max), keys sorted and fields in first-seen order.
-func (s *AggSink) WriteCSV(w io.Writer) error {
-	enc := NewCSVEncoder(w)
-	for _, key := range s.Keys() {
-		for _, field := range s.Fields(key) {
-			st, _ := s.Stat(key, field)
-			if err := enc.Encode(Row{
-				F("key", key), F("field", field), F("n", st.N),
-				F("mean", st.Mean), F("stddev", st.StdDev),
-				F("min", st.Min), F("max", st.Max),
-			}); err != nil {
-				return err
-			}
-		}
-	}
-	return nil
 }
 
 // tee fans every call out to all wrapped sinks.
@@ -314,16 +272,6 @@ func (t *tee) Close() error {
 	}
 	return errors.Join(errs...)
 }
-
-// Discard is a Sink that drops every row — the nil-safe default when a
-// campaign has no sink configured.
-var Discard Sink = discard{}
-
-type discard struct{}
-
-func (discard) Emit(string, Row) error { return nil }
-func (discard) Flush() error           { return nil }
-func (discard) Close() error           { return nil }
 
 // formatValue renders a field value the way the repository's hand-rolled
 // CSV writers did: ints via %d, floats via %g, strings and Stringers

@@ -114,19 +114,12 @@ func TestAggSinkMatchesDirectStatistics(t *testing.T) {
 	if math.Abs(st.Mean-mean) > 1e-12 || math.Abs(st.StdDev-sd) > 1e-12 {
 		t.Errorf("mean/sd = %g/%g, want %g/%g", st.Mean, st.StdDev, mean, sd)
 	}
-	// Non-numeric fields are ignored; numeric ones keep first-seen order.
-	if fields := s.Fields("k"); len(fields) != 2 || fields[0] != "wall_us" || fields[1] != "rep" {
-		t.Errorf("fields = %v", fields)
+	// Non-numeric fields are ignored; every numeric one is aggregated.
+	if st, ok := s.Stat("k", "rep"); !ok || st.N != len(vals) {
+		t.Errorf("rep stat = %+v, %v", st, ok)
 	}
 	if _, ok := s.Stat("k", "label"); ok {
 		t.Error("string field aggregated")
-	}
-	var sb strings.Builder
-	if err := s.WriteCSV(&sb); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.HasPrefix(sb.String(), "key,field,n,mean,stddev,min,max\n") {
-		t.Errorf("agg CSV header wrong: %q", sb.String())
 	}
 }
 
@@ -232,18 +225,6 @@ func TestCSVShardSinkRejectsEmitAfterClose(t *testing.T) {
 	}
 	if err := s.Emit("k", Row{F("v", 1)}); err == nil {
 		t.Error("emit after close succeeded")
-	}
-}
-
-func TestDiscardSink(t *testing.T) {
-	if err := Discard.Emit("k", Row{F("v", 1)}); err != nil {
-		t.Fatal(err)
-	}
-	if err := Discard.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	if err := Discard.Close(); err != nil {
-		t.Fatal(err)
 	}
 }
 

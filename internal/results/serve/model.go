@@ -66,8 +66,6 @@ type Coefficient struct {
 // are immutable once built — the cache shares one instance across
 // concurrent queries.
 type PerformanceModel interface {
-	// Backend names the implementation ("fitted", "queue").
-	Backend() string
 	// Measures lists what this backend can predict, in a fixed order.
 	Measures() []Measure
 	// Predict evaluates a measure at a point. Unsupported measures and
@@ -204,8 +202,6 @@ func buildFitted(q, wall, dcm []float64, hasDCM bool, stats []perfmodel.GroupSta
 	return f, nil
 }
 
-func (f *fitted) Backend() string { return "fitted" }
-
 func (f *fitted) Measures() []Measure {
 	return []Measure{MeasureMeanUS, MeasureSigmaUS, MeasureThroughput}
 }
@@ -287,8 +283,6 @@ func (qm *queue) service(q float64) float64 {
 	t := (q - lo.Q) / (hi.Q - lo.Q)
 	return lo.Mean + t*(hi.Mean-lo.Mean)
 }
-
-func (qm *queue) Backend() string { return "queue" }
 
 func (qm *queue) Measures() []Measure {
 	return []Measure{MeasureMeanUS, MeasureResponseUS, MeasureUtilization, MeasureThroughput}

@@ -94,15 +94,14 @@ type Catalog struct {
 
 // The built-in token recognizers, mirroring the campaign axis key
 // grammar: "p3" (ranks), "c512kB" (cache_kb), "cpu1.5x" (cpu_clock),
-// "m96x24" (mesh_cells), "r0" (replication). Scheduler tokens are
-// "serial", "par[N]" and "opt[N]" (N the parallel-rank cap); rows written
-// by earlier binaries may carry a "-wMIN-MAX" suffix, still read as part
-// of the token.
+// "r0" (replication). Scheduler tokens are mpi.FormatSched's: "serial",
+// "par[N]" and "opt[N]" (N the parallel-rank cap); rows written by earlier
+// binaries may carry a "-wMIN-MAX" suffix, still read as part of the
+// token.
 var (
 	reRanks = regexp.MustCompile(`^p(\d+)$`)
 	reCache = regexp.MustCompile(`^c(\d+)kB$`)
 	reClock = regexp.MustCompile(`^cpu(\d+(?:\.\d+)?)x$`)
-	reMesh  = regexp.MustCompile(`^m(\d+)x(\d+)$`)
 	reRep   = regexp.MustCompile(`^r(\d+)$`)
 	reSched = regexp.MustCompile(`^(serial|(par|opt)\d*(-w\d+-\d+)?)$`)
 )
@@ -209,11 +208,6 @@ func parseScenario(stem string) *Scenario {
 		case reClock.MatchString(tok):
 			v, _ := strconv.ParseFloat(reClock.FindStringSubmatch(tok)[1], 64)
 			sc.Coords = append(sc.Coords, Coord{Axis: "cpu_clock", Value: v})
-		case reMesh.MatchString(tok):
-			m := reMesh.FindStringSubmatch(tok)
-			nx, _ := strconv.ParseFloat(m[1], 64)
-			ny, _ := strconv.ParseFloat(m[2], 64)
-			sc.Coords = append(sc.Coords, Coord{Axis: "mesh_cells", Value: nx * ny})
 		case reRep.MatchString(tok):
 			v, _ := strconv.ParseFloat(reRep.FindStringSubmatch(tok)[1], 64)
 			sc.Coords = append(sc.Coords, Coord{Axis: "rep", Value: v})
