@@ -45,8 +45,10 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"slices"
 	"strconv"
 	"strings"
+	"time"
 
 	"repro/internal/assembly"
 	"repro/internal/campaign"
@@ -58,84 +60,145 @@ import (
 	"repro/internal/results/store/lease"
 )
 
+// options is one invocation's flags, resolved: by the time resolveFlags
+// returns them every value a run could reject has been checked.
+type options struct {
+	fig, outDir, rowfmt             string
+	procs, reps, workers, trendReps int
+	seed                            int64
+	cache                           string // "off" or the store directory
+	trendAxis                       harness.TrendAxis
+	trendValues                     []float64
+	trendDim                        campaign.Dimension
+	sched                           mpi.SchedulerMode
+	rankCap                         int
+	distrib                         bool
+	owner                           string
+	ttl                             time.Duration
+
+	traceOut, metrics, metDump, cpuProf, memProf string
+}
+
+// figNames are the values -fig takes besides "all".
+var figNames = []string{"1", "2", "3", "4", "5", "6", "7", "8", "9", "10", "trend"}
+
+// rowSinks maps a -rowformat value to the rows-directory sink it builds:
+// CSV shards, binary shards, or both as siblings (same stems, different
+// extensions — the layout resultsd and obsreport read either side of).
+var rowSinks = map[string]func(dir string) (results.Sink, error){
+	"csv": func(dir string) (results.Sink, error) { return results.NewCSVShardSink(dir) },
+	"bin": func(dir string) (results.Sink, error) { return results.NewBinShardSink(dir) },
+	"both": func(dir string) (results.Sink, error) {
+		csvSink, err := results.NewCSVShardSink(dir)
+		if err != nil {
+			return nil, err
+		}
+		binSink, err := results.NewBinShardSink(dir)
+		if err != nil {
+			return nil, err
+		}
+		return results.NewTee(csvSink, binSink), nil
+	},
+}
+
+// resolveFlags parses the command line and resolves every flag value
+// against the others. It touches nothing on disk: a rejected invocation
+// leaves no output directory, clears no rows/ and starts no profile.
+func resolveFlags(args []string) (*options, error) {
+	o := &options{}
+	var axis, trValues, rankmode string
+	fs := flag.NewFlagSet("figures", flag.ExitOnError)
+	fs.StringVar(&o.fig, "fig", "all", "figure to regenerate: 1..10, trend, or all")
+	fs.StringVar(&o.outDir, "out", "figures", "output directory")
+	fs.IntVar(&o.procs, "procs", 3, "simulated ranks")
+	fs.Int64Var(&o.seed, "seed", 1, "simulation seed")
+	fs.IntVar(&o.reps, "reps", 4, "sweep repetitions per size and mode")
+	fs.IntVar(&o.workers, "workers", 0, "campaign workers (0 = all CPUs)")
+	fs.StringVar(&o.cache, "cache", "auto", `checkpoint store directory ("auto" = <out>/.cache, "off" disables)`)
+	fs.StringVar(&axis, "axis", "cache_kb", "trend grid axis for -fig trend: cache_kb | cpu_clock")
+	fs.StringVar(&trValues, "trendvalues", "", "comma-separated -axis values for -fig trend (cache sizes in kB, or CPU clock scales); empty = the axis's defaults")
+	fs.IntVar(&o.trendReps, "trendreps", 2, "seed replications per trend grid point")
+	fs.StringVar(&rankmode, "rankmode", "serial", "rank scheduler: serial | par (conservative) | opt (optimistic/Time Warp); par<N> or opt<N> runs at most N ranks at once. Output is bit-identical under every value; each checkpoints separately")
+	fs.BoolVar(&o.distrib, "distributed", false, "partition the job set with other -distributed processes sharing the same -cache store via lease files (no coordinator); requires a store")
+	fs.StringVar(&o.owner, "owner", "", "stable worker identity for -distributed lease and audit files (default: host-pid)")
+	fs.DurationVar(&o.ttl, "leasettl", 0, "lease heartbeat expiry for -distributed; a crashed worker's jobs are stolen after this (0 = 30s default)")
+	fs.StringVar(&o.rowfmt, "rowformat", "csv", "row shard format under <out>/rows: csv | bin | both (bin is the compact binary format resultsd prefers)")
+	fs.StringVar(&o.traceOut, "trace", "", "write a Chrome trace-event JSON of the run to this file (load in chrome://tracing or Perfetto)")
+	fs.StringVar(&o.metrics, "metrics", "", "serve live /metrics and /trace on this HTTP address while the run executes (e.g. localhost:9090)")
+	fs.StringVar(&o.metDump, "metricsdump", "", "write the final metrics registry in text exposition format to this file")
+	fs.StringVar(&o.cpuProf, "cpuprofile", "", "write a CPU profile of the run to this file (go tool pprof); output bytes are unchanged")
+	fs.StringVar(&o.memProf, "memprofile", "", "write an allocation profile to this file when the run ends (go tool pprof -sample_index=alloc_space); output bytes are unchanged")
+	fs.Parse(args) // ExitOnError: a syntax error has already exited with status 2
+
+	if o.fig != "all" && !slices.Contains(figNames, o.fig) {
+		return nil, fmt.Errorf("-fig %q: want 1..10, trend or all", o.fig)
+	}
+	if rowSinks[o.rowfmt] == nil {
+		return nil, fmt.Errorf("-rowformat %q: want csv, bin or both", o.rowfmt)
+	}
+	var err error
+	if o.trendAxis, err = harness.TrendAxisNamed(axis); err != nil {
+		return nil, fmt.Errorf("-axis: %w", err)
+	}
+	if o.trendValues, err = parseFloats(trValues); err != nil {
+		return nil, fmt.Errorf("-trendvalues: %w", err)
+	}
+	if len(o.trendValues) == 0 {
+		o.trendValues = o.trendAxis.Defaults
+	}
+	if o.trendDim, err = o.trendAxis.Dimension(o.trendValues); err != nil {
+		return nil, err
+	}
+	if o.sched, o.rankCap, err = mpi.ParseSched(rankmode); err != nil {
+		return nil, fmt.Errorf("-rankmode: %w", err)
+	}
+	if o.distrib && (o.cache == "auto" || o.cache == "off") {
+		// The default per-out-directory store would give every process a
+		// private store: each would run the whole grid and no audit would
+		// notice. The shared directory must be named explicitly.
+		return nil, fmt.Errorf("-distributed needs one store shared by every process; pass the same explicit -cache <dir> to all of them")
+	}
+	if o.cache == "auto" {
+		o.cache = filepath.Join(o.outDir, ".cache")
+	}
+	return o, nil
+}
+
 func main() {
-	var (
-		fig      = flag.String("fig", "all", "figure to regenerate: 1..10, trend, or all")
-		outDir   = flag.String("out", "figures", "output directory")
-		procs    = flag.Int("procs", 3, "simulated ranks")
-		seed     = flag.Int64("seed", 1, "simulation seed")
-		reps     = flag.Int("reps", 4, "sweep repetitions per size and mode")
-		workers  = flag.Int("workers", 0, "campaign workers (0 = all CPUs)")
-		cache    = flag.String("cache", "auto", `checkpoint store directory ("auto" = <out>/.cache, "off" disables)`)
-		axis     = flag.String("axis", "cache_kb", "trend grid axis for -fig trend: cache_kb | cpu_clock")
-		trValues = flag.String("trendvalues", "", "comma-separated -axis values for -fig trend (cache sizes in kB, or CPU clock scales); empty = the axis's defaults")
-		trReps   = flag.Int("trendreps", 2, "seed replications per trend grid point")
-		rankmode = flag.String("rankmode", "serial", "rank scheduler: serial | par (conservative) | opt (optimistic/Time Warp); par<N> or opt<N> runs at most N ranks at once. Output is bit-identical under every value; each checkpoints separately")
-		distrib  = flag.Bool("distributed", false, "partition the job set with other -distributed processes sharing the same -cache store via lease files (no coordinator); requires a store")
-		owner    = flag.String("owner", "", "stable worker identity for -distributed lease and audit files (default: host-pid)")
-		ttl      = flag.Duration("leasettl", 0, "lease heartbeat expiry for -distributed; a crashed worker's jobs are stolen after this (0 = 30s default)")
-		rowfmt   = flag.String("rowformat", "csv", "row shard format under <out>/rows: csv | bin | both (bin is the compact binary format resultsd prefers)")
-		traceOut = flag.String("trace", "", "write a Chrome trace-event JSON of the run to this file (load in chrome://tracing or Perfetto)")
-		metrics  = flag.String("metrics", "", "serve live /metrics and /trace on this HTTP address while the run executes (e.g. localhost:9090)")
-		metDump  = flag.String("metricsdump", "", "write the final metrics registry in text exposition format to this file")
-		cpuProf  = flag.String("cpuprofile", "", "write a CPU profile of the run to this file (go tool pprof); output bytes are unchanged")
-		memProf  = flag.String("memprofile", "", "write an allocation profile to this file when the run ends (go tool pprof -sample_index=alloc_space); output bytes are unchanged")
-	)
-	flag.Parse()
-	// Every flag is resolved before the first directory is created.
-	trendAxis, err := harness.TrendAxisNamed(*axis)
+	o, err := resolveFlags(os.Args[1:])
 	if err != nil {
-		usage(fmt.Errorf("-axis: %w", err))
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(2)
 	}
-	trendValues, err := parseFloats(*trValues)
-	if err != nil {
-		usage(fmt.Errorf("-trendvalues: %w", err))
-	}
-	if len(trendValues) == 0 {
-		trendValues = trendAxis.Defaults
-	}
-	trendDim, err := trendAxis.Dimension(trendValues)
-	if err != nil {
-		usage(err)
-	}
-	sched, rankCap, err := mpi.ParseSched(*rankmode)
-	if err != nil {
-		usage(fmt.Errorf("-rankmode: %w", err))
-	}
-	if err := os.MkdirAll(*outDir, 0o755); err != nil {
+	if err := os.MkdirAll(o.outDir, 0o755); err != nil {
 		fatal(err)
 	}
-	stopProfiles, err := obs.StartProfiles(*cpuProf, *memProf)
+	stopProfiles, err := obs.StartProfiles(o.cpuProf, o.memProf)
 	if err != nil {
 		fatal(err)
 	}
-	g := &generator{
-		outDir: *outDir, procs: *procs, seed: *seed, reps: *reps,
-		sched: sched, rankCap: rankCap,
-		trendAxis: trendAxis, trendValues: trendValues, trendDim: trendDim,
-		trendReps: *trReps,
-	}
+	g := &generator{o}
 
 	// Observability must be enabled before the store, leases and worlds are
 	// opened: those layers capture their instruments at construction time.
 	// It is strictly write-only — enabling it changes no rendered byte.
 	var observer *obs.Observer
-	if *traceOut != "" || *metrics != "" || *metDump != "" {
+	if o.traceOut != "" || o.metrics != "" || o.metDump != "" {
 		observer = obs.New(obs.Options{})
 		obs.Enable(observer)
 		defer obs.Disable()
 	}
 	var msrv *obs.MetricsServer
-	if *metrics != "" {
+	if o.metrics != "" {
 		var err error
-		if msrv, err = observer.Serve(*metrics); err != nil {
+		if msrv, err = observer.Serve(o.metrics); err != nil {
 			fatal(err)
 		}
 		fmt.Fprintf(os.Stderr, "metrics: serving on http://%s/metrics\n", msrv.Addr())
 	}
 
 	cfg := campaign.Config{
-		Workers: *workers,
+		Workers: o.workers,
 		OnProgress: func(e campaign.Event) {
 			if (strings.HasPrefix(e.Key, "fig") || e.Key == "trend") && e.Err == nil {
 				note := ""
@@ -147,27 +210,18 @@ func main() {
 		},
 	}
 	var mgr *lease.Manager
-	if *distrib && (*cache == "auto" || *cache == "off") {
-		// The default per-out-directory store would give every process a
-		// private store: each would run the whole grid and no audit would
-		// notice. The shared directory must be named explicitly.
-		fatal(fmt.Errorf("-distributed needs one store shared by every process; pass the same explicit -cache <dir> to all of them"))
-	}
-	if *cache == "auto" {
-		*cache = filepath.Join(*outDir, ".cache")
-	}
 	switch {
-	case *cache == "off":
-	case *distrib:
+	case o.cache == "off":
+	case o.distrib:
 		// Distributed mode: the store is shared with the other processes
 		// and every checkpointable job is arbitrated through a lease.
 		var err error
-		cfg, mgr, err = harness.DistributedConfig(cfg, *cache, *owner, lease.Options{TTL: *ttl})
+		cfg, mgr, err = harness.DistributedConfig(cfg, o.cache, o.owner, lease.Options{TTL: o.ttl})
 		if err != nil {
 			fatal(err)
 		}
 	default:
-		st, err := store.Open(*cache)
+		st, err := store.Open(o.cache)
 		if err != nil {
 			fatal(err)
 		}
@@ -176,23 +230,20 @@ func main() {
 	// The rows directory reflects exactly this invocation: clearing it
 	// first keeps shards from a previous run's configuration (other cache
 	// sizes, other figures) from mixing with fresh telemetry.
-	rowsDir := filepath.Join(*outDir, "rows")
+	rowsDir := filepath.Join(o.outDir, "rows")
 	if err := os.RemoveAll(rowsDir); err != nil {
 		fatal(err)
 	}
-	sink, err := newRowSink(rowsDir, *rowfmt)
+	sink, err := rowSinks[o.rowfmt](rowsDir)
 	if err != nil {
 		fatal(err)
 	}
 	cfg.Sink = sink
 
-	want := func(n string) bool { return *fig == "all" || *fig == n }
+	want := func(n string) bool { return o.fig == "all" || o.fig == n }
 	jobs, err := g.jobs(want)
 	if err != nil {
 		fatal(err)
-	}
-	if len(jobs) == 0 {
-		fatal(fmt.Errorf("nothing to do for -fig %s", *fig))
 	}
 	_, err = campaign.Run(context.Background(), cfg, jobs)
 	if cerr := sink.Close(); err == nil {
@@ -213,13 +264,13 @@ func main() {
 	}
 	// Observability outputs are flushed even when the run failed: a trace
 	// of a broken campaign is exactly what the post-mortem wants.
-	if *traceOut != "" {
-		if werr := writeTrace(observer, *traceOut); err == nil {
+	if o.traceOut != "" {
+		if werr := observer.Tracer().WriteTraceFile(o.traceOut); err == nil {
 			err = werr
 		}
 	}
-	if *metDump != "" {
-		if werr := observer.Metrics().DumpFile(*metDump); err == nil {
+	if o.metDump != "" {
+		if werr := observer.Metrics().DumpFile(o.metDump); err == nil {
 			err = werr
 		}
 	}
@@ -236,51 +287,9 @@ func main() {
 	}
 }
 
-// writeTrace exports the observer's tracer as Chrome trace-event JSON.
-func writeTrace(o *obs.Observer, path string) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := o.Tracer().WriteTrace(f); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
-}
-
-// newRowSink builds the rows-directory sink for -rowformat: CSV shards,
-// binary shards, or both as siblings (same stems, different extensions —
-// the layout resultsd and obsreport read either side of).
-func newRowSink(dir, format string) (results.Sink, error) {
-	switch format {
-	case "csv":
-		return results.NewCSVShardSink(dir)
-	case "bin":
-		return results.NewBinShardSink(dir)
-	case "both":
-		csvSink, err := results.NewCSVShardSink(dir)
-		if err != nil {
-			return nil, err
-		}
-		binSink, err := results.NewBinShardSink(dir)
-		if err != nil {
-			return nil, err
-		}
-		return results.NewTee(csvSink, binSink), nil
-	}
-	return nil, fmt.Errorf("-rowformat %q: want csv, bin or both", format)
-}
-
 func fatal(err error) {
 	fmt.Fprintln(os.Stderr, err)
 	os.Exit(1)
-}
-
-// usage reports a flag value no run can use and exits with status 2.
-func usage(err error) {
-	fmt.Fprintln(os.Stderr, err)
-	os.Exit(2)
 }
 
 // parseFloats parses a comma-separated float list.
@@ -300,19 +309,8 @@ func parseFloats(s string) ([]float64, error) {
 	return out, nil
 }
 
-type generator struct {
-	outDir  string
-	procs   int
-	seed    int64
-	reps    int
-	sched   mpi.SchedulerMode
-	rankCap int
-
-	trendAxis   harness.TrendAxis
-	trendValues []float64
-	trendDim    campaign.Dimension
-	trendReps   int
-}
+// generator builds the campaign graph from the resolved flags.
+type generator struct{ *options }
 
 // applySched maps the -rankmode flag onto a world config.
 func (g *generator) applySched(w *mpi.WorldConfig) {

@@ -10,7 +10,9 @@ import (
 	"context"
 	"flag"
 	"fmt"
+	"io"
 	"os"
+	"time"
 
 	"repro/internal/campaign"
 	"repro/internal/components"
@@ -22,147 +24,191 @@ import (
 	"repro/internal/results/store/lease"
 )
 
+// options is one invocation's flags, resolved.
+type options struct {
+	procs, steps, baseNx, baseNy, workers int
+	seed                                  int64
+	flux                                  components.FluxChoice
+	models, records, cacheStudy, report   bool
+	trendAxis                             harness.TrendAxis
+	machineAxis                           campaign.Dimension
+	sched                                 mpi.SchedulerMode
+	rankCap                               int
+	cache, owner                          string
+	distrib                               bool
+	ttl                                   time.Duration
+	traceOut, metDump, cpuProf, memProf   string
+}
+
+// resolveFlags parses the command line and resolves every flag value
+// before anything starts: a bad value costs no simulation, prints no
+// profile and creates no file.
+func resolveFlags(args []string) (*options, error) {
+	o := &options{}
+	var flux, axis, rankmode string
+	fs := flag.NewFlagSet("pmmcase", flag.ExitOnError)
+	fs.IntVar(&o.procs, "procs", 3, "number of simulated ranks")
+	fs.IntVar(&o.steps, "steps", 0, "coarse time steps (0 = default)")
+	fs.IntVar(&o.baseNx, "nx", 0, "base grid x cells (0 = default)")
+	fs.IntVar(&o.baseNy, "ny", 0, "base grid y cells (0 = default)")
+	fs.StringVar(&flux, "flux", "godunov", "flux implementation: godunov | efm")
+	fs.BoolVar(&o.models, "models", false, "run the kernel sweeps and print Eq. 1/2 fits")
+	fs.BoolVar(&o.records, "records", false, "dump the Mastermind records (CSV)")
+	fs.BoolVar(&o.cacheStudy, "cachestudy", false, "refit the States model under 128kB/512kB/1MB caches and fit the cache-aware T(Q,DCM) model (paper Section 6 outlook)")
+	fs.BoolVar(&o.report, "report", false, "stream a machine-axis x flux grid through an aggregating sink and print the coefficient-vs-axis trend report")
+	fs.StringVar(&axis, "axis", "cache_kb", "trend axis for -report: cache_kb | cpu_clock")
+	fs.Int64Var(&o.seed, "seed", 1, "simulation seed")
+	fs.IntVar(&o.workers, "workers", 0, "campaign workers for -models/-cachestudy (0 = all CPUs)")
+	fs.StringVar(&rankmode, "rankmode", "serial", "rank scheduler: serial | par (conservative) | opt (optimistic/Time Warp); par<N> or opt<N> runs at most N ranks at once. Output is bit-identical under every value")
+	fs.StringVar(&o.cache, "cache", "", "checkpoint store directory for the campaign subcommands (empty = no store)")
+	fs.BoolVar(&o.distrib, "distributed", false, "partition campaign jobs with other -distributed processes sharing the same -cache store via lease files (no coordinator)")
+	fs.StringVar(&o.owner, "owner", "", "stable worker identity for -distributed lease and audit files (default: host-pid)")
+	fs.DurationVar(&o.ttl, "leasettl", 0, "lease heartbeat expiry for -distributed; a crashed worker's jobs are stolen after this (0 = 30s default)")
+	fs.StringVar(&o.traceOut, "trace", "", "write a Chrome trace-event JSON of the run to this file (load in chrome://tracing or Perfetto); output bytes are unchanged")
+	fs.StringVar(&o.metDump, "metricsdump", "", "write the final metrics registry in text exposition format to this file")
+	fs.StringVar(&o.cpuProf, "cpuprofile", "", "write a CPU profile of the run to this file (go tool pprof); output bytes are unchanged")
+	fs.StringVar(&o.memProf, "memprofile", "", "write an allocation profile to this file when the run ends (go tool pprof -sample_index=alloc_space); output bytes are unchanged")
+	fs.Parse(args) // ExitOnError: a syntax error has already exited with status 2
+
+	switch flux {
+	case "godunov":
+		o.flux = components.Godunov
+	case "efm":
+		o.flux = components.EFM
+	default:
+		return nil, fmt.Errorf("unknown -flux %q", flux)
+	}
+	var err error
+	if o.trendAxis, err = harness.TrendAxisNamed(axis); err != nil {
+		return nil, fmt.Errorf("-axis: %w", err)
+	}
+	if o.machineAxis, err = o.trendAxis.Dimension(o.trendAxis.Defaults); err != nil {
+		return nil, err
+	}
+	if o.sched, o.rankCap, err = mpi.ParseSched(rankmode); err != nil {
+		return nil, fmt.Errorf("-rankmode: %w", err)
+	}
+	if o.distrib && o.cache == "" {
+		return nil, fmt.Errorf("-distributed needs a shared checkpoint store; pass -cache <dir>")
+	}
+	return o, nil
+}
+
 func main() {
-	var (
-		procs    = flag.Int("procs", 3, "number of simulated ranks")
-		steps    = flag.Int("steps", 0, "coarse time steps (0 = default)")
-		baseNx   = flag.Int("nx", 0, "base grid x cells (0 = default)")
-		baseNy   = flag.Int("ny", 0, "base grid y cells (0 = default)")
-		flux     = flag.String("flux", "godunov", "flux implementation: godunov | efm")
-		models   = flag.Bool("models", false, "run the kernel sweeps and print Eq. 1/2 fits")
-		records  = flag.Bool("records", false, "dump the Mastermind records (CSV)")
-		cacheSt  = flag.Bool("cachestudy", false, "refit the States model under 128kB/512kB/1MB caches and fit the cache-aware T(Q,DCM) model (paper Section 6 outlook)")
-		report   = flag.Bool("report", false, "stream a machine-axis x flux grid through an aggregating sink and print the coefficient-vs-axis trend report")
-		axis     = flag.String("axis", "cache_kb", "trend axis for -report: cache_kb | cpu_clock")
-		seed     = flag.Int64("seed", 1, "simulation seed")
-		workers  = flag.Int("workers", 0, "campaign workers for -models/-cachestudy (0 = all CPUs)")
-		rankmode = flag.String("rankmode", "serial", "rank scheduler: serial | par (conservative) | opt (optimistic/Time Warp); par<N> or opt<N> runs at most N ranks at once. Output is bit-identical under every value")
-		cache    = flag.String("cache", "", "checkpoint store directory for the campaign subcommands (empty = no store)")
-		distrib  = flag.Bool("distributed", false, "partition campaign jobs with other -distributed processes sharing the same -cache store via lease files (no coordinator)")
-		owner    = flag.String("owner", "", "stable worker identity for -distributed lease and audit files (default: host-pid)")
-		ttl      = flag.Duration("leasettl", 0, "lease heartbeat expiry for -distributed; a crashed worker's jobs are stolen after this (0 = 30s default)")
-		traceOut = flag.String("trace", "", "write a Chrome trace-event JSON of the run to this file (load in chrome://tracing or Perfetto); output bytes are unchanged")
-		metDump  = flag.String("metricsdump", "", "write the final metrics registry in text exposition format to this file")
-		cpuProf  = flag.String("cpuprofile", "", "write a CPU profile of the run to this file (go tool pprof); output bytes are unchanged")
-		memProf  = flag.String("memprofile", "", "write an allocation profile to this file when the run ends (go tool pprof -sample_index=alloc_space); output bytes are unchanged")
-	)
-	flag.Parse()
-	// Every flag is resolved before the case study runs: a bad value costs
-	// no simulation and prints no profile.
-	usage := func(err error) {
+	o, err := resolveFlags(os.Args[1:])
+	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
 	}
-	trendAxis, err := harness.TrendAxisNamed(*axis)
+	if err := run(o, os.Stdout); err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(1)
+	}
+}
+
+// run executes the case study and the requested studies, printing to w.
+// It has one way out: the lease manager is closed and the trace, the
+// metrics dump and the profiles are written whether the run succeeded or
+// failed — a trace of a broken run is exactly what the post-mortem wants.
+func run(o *options, w io.Writer) (err error) {
+	keep := func(e error) {
+		if err == nil {
+			err = e
+		}
+	}
+	stopProfiles, err := obs.StartProfiles(o.cpuProf, o.memProf)
 	if err != nil {
-		usage(fmt.Errorf("-axis: %w", err))
+		return err
 	}
-	machineAxis, err := trendAxis.Dimension(trendAxis.Defaults)
-	if err != nil {
-		usage(err)
-	}
-	sched, rankCap, err := mpi.ParseSched(*rankmode)
-	if err != nil {
-		usage(fmt.Errorf("-rankmode: %w", err))
-	}
-	if *distrib && *cache == "" {
-		usage(fmt.Errorf("-distributed needs a shared checkpoint store; pass -cache <dir>"))
-	}
-	stopProfiles, err := obs.StartProfiles(*cpuProf, *memProf)
-	if err != nil {
-		usage(err)
-	}
+	defer func() { keep(stopProfiles()) }()
 
 	// Observation is write-only: everything printed below is byte-identical
 	// with or without these flags. The observer must be live before any
 	// world, store or lease manager is constructed.
-	var observer *obs.Observer
-	if *traceOut != "" || *metDump != "" {
-		observer = obs.New(obs.Options{})
+	if o.traceOut != "" || o.metDump != "" {
+		observer := obs.New(obs.Options{})
 		obs.Enable(observer)
-		defer obs.Disable()
+		defer func() {
+			if o.traceOut != "" {
+				keep(observer.Tracer().WriteTraceFile(o.traceOut))
+			}
+			if o.metDump != "" {
+				keep(observer.Metrics().DumpFile(o.metDump))
+			}
+			obs.Disable()
+		}()
 	}
 
-	// applySched maps -rankmode onto a world: the parallel schedulers
-	// change wall-clock time only, never results.
-	applySched := func(w *mpi.WorldConfig) {
-		*w = w.WithScheduler(sched, rankCap)
+	// world puts -procs, -seed and -rankmode on a default world, sweep on a
+	// kernel's default sweep; the parallel schedulers change wall-clock
+	// time only, never results.
+	world := func(wc mpi.WorldConfig) mpi.WorldConfig {
+		wc.Procs = o.procs
+		wc.Seed = o.seed
+		return wc.WithScheduler(o.sched, o.rankCap)
+	}
+	sweep := func(k harness.Kernel) harness.SweepConfig {
+		cfg := harness.DefaultSweep(k)
+		cfg.World = world(cfg.World)
+		return cfg
 	}
 
 	cfg := harness.DefaultCaseStudy()
-	cfg.World.Procs = *procs
-	cfg.World.Seed = *seed
-	applySched(&cfg.World)
-	if *steps > 0 {
-		cfg.App.Driver.Steps = *steps
+	cfg.World = world(cfg.World)
+	if o.steps > 0 {
+		cfg.App.Driver.Steps = o.steps
 	}
-	if *baseNx > 0 {
-		cfg.App.Mesh.BaseNx = *baseNx
+	if o.baseNx > 0 {
+		cfg.App.Mesh.BaseNx = o.baseNx
 	}
-	if *baseNy > 0 {
-		cfg.App.Mesh.BaseNy = *baseNy
+	if o.baseNy > 0 {
+		cfg.App.Mesh.BaseNy = o.baseNy
 	}
-	switch *flux {
-	case "godunov":
-		cfg.App.Flux = components.Godunov
-	case "efm":
-		cfg.App.Flux = components.EFM
-	default:
-		usage(fmt.Errorf("unknown -flux %q", *flux))
-	}
+	cfg.App.Flux = o.flux
 
 	res, err := harness.RunCaseStudy(cfg)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
+		return err
 	}
-	fmt.Printf("case study: %d ranks, %d coarse steps, t=%.4f, flux=%s\n",
-		*procs, res.StepsTaken, res.SimTime, cfg.App.Flux)
+	fmt.Fprintf(w, "case study: %d ranks, %d coarse steps, t=%.4f, flux=%s\n",
+		o.procs, res.StepsTaken, res.SimTime, cfg.App.Flux)
 	for lev, st := range res.Stats {
-		fmt.Printf("  level %d: %3d patches, %7d cells\n", lev, st.Patches, st.Cells)
+		fmt.Fprintf(w, "  level %d: %3d patches, %7d cells\n", lev, st.Patches, st.Cells)
 	}
-	fmt.Println()
-	if err := res.WriteProfile(os.Stdout); err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
+	fmt.Fprintln(w)
+	if err := res.WriteProfile(w); err != nil {
+		return err
 	}
 
-	if *records {
-		fmt.Println()
+	if o.records {
+		fmt.Fprintln(w)
 		for _, rec := range res.Records[0] {
-			if err := rec.WriteCSV(os.Stdout); err != nil {
-				fmt.Fprintln(os.Stderr, err)
-				os.Exit(1)
+			if err := rec.WriteCSV(w); err != nil {
+				return err
 			}
 		}
 	}
 
-	cc := campaign.Config{Workers: *workers}
+	cc := campaign.Config{Workers: o.workers}
 	var mgr *lease.Manager
 	switch {
-	case *distrib:
-		var err error
-		cc, mgr, err = harness.DistributedConfig(cc, *cache, *owner, lease.Options{TTL: *ttl})
+	case o.distrib:
+		cc, mgr, err = harness.DistributedConfig(cc, o.cache, o.owner, lease.Options{TTL: o.ttl})
 		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
+			return err
 		}
-		defer mgr.Close()
-	case *cache != "":
-		st, err := store.Open(*cache)
+		defer func() { keep(mgr.Close()) }()
+	case o.cache != "":
+		st, err := store.Open(o.cache)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
+			return err
 		}
 		cc.Store = st
 	}
 
-	if *cacheSt {
-		fmt.Println()
-		scfg := harness.DefaultSweep(harness.KernelStates)
-		scfg.World.Procs = *procs
-		scfg.World.Seed = *seed
-		applySched(&scfg.World)
+	if o.cacheStudy {
+		fmt.Fprintln(w)
+		scfg := sweep(harness.KernelStates)
 		scfg.Reps = 2
 		// The cache-aware fit reads the 512 kB point's rows as the study
 		// streams (or replays) them, instead of simulating that point again.
@@ -171,93 +217,77 @@ func main() {
 		study.Sink = rows
 		pts, err := harness.RunCacheStudy(context.Background(), study, scfg, []int{128, 512, 1024})
 		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
+			return err
 		}
-		if err := harness.WriteCacheStudy(os.Stdout, harness.KernelStates, pts); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
+		if err := harness.WriteCacheStudy(w, harness.KernelStates, pts); err != nil {
+			return err
 		}
 		ml, r2Aware, r2Plain, err := harness.CacheAwareFit(rows.Rows(pts[1].Scenario.Key))
 		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
+			return err
 		}
-		fmt.Printf("cache-aware model (512 kB): T = %s\n", ml)
-		fmt.Printf("  R2 with DCM folded in: %.4f   (Q-only linear: %.4f)\n", r2Aware, r2Plain)
+		fmt.Fprintf(w, "cache-aware model (512 kB): T = %s\n", ml)
+		fmt.Fprintf(w, "  R2 with DCM folded in: %.4f   (Q-only linear: %.4f)\n", r2Aware, r2Plain)
 	}
 
-	if *report {
-		fmt.Println()
+	if o.report {
+		fmt.Fprintln(w)
 		// A reduced States/EFM sweep keeps the grid quick; the campaign
 		// streams every scenario's rows into an aggregating sink, so no
 		// per-scenario SweepResult survives its job. The -axis flag picks
 		// the machine dimension the grid sweeps and the trend fits against.
-		base := harness.DefaultSweep(harness.KernelStates)
-		base.World.Procs = *procs
-		base.World.Seed = *seed
-		applySched(&base.World)
+		base := sweep(harness.KernelStates)
 		base.Sizes = base.Sizes[:8]
 		base.Reps = 2
 		grid := campaign.Grid{
 			Base:         base.World,
-			Axes:         []campaign.Dimension{machineAxis, campaign.FluxAxis("states", "efm")},
+			Axes:         []campaign.Dimension{o.machineAxis, campaign.FluxAxis("states", "efm")},
 			Replications: 2,
-			BaseSeed:     *seed,
+			BaseSeed:     o.seed,
 		}
 		agg := results.NewAggSink()
 		ccr := cc
 		ccr.Sink = agg
 		pts, err := harness.StreamSweepGrid(context.Background(), ccr, base, grid)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
+			return err
 		}
-		reports, err := harness.BuildTrends(pts, trendAxis)
+		reports, err := harness.BuildTrends(pts, o.trendAxis)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
+			return err
 		}
-		if err := harness.WriteTrendReport(os.Stdout, reports); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
+		if err := harness.WriteTrendReport(w, reports); err != nil {
+			return err
 		}
-		fmt.Printf("\nstreamed aggregates over %d scenarios (wall_us per scenario):\n", len(pts))
+		fmt.Fprintf(w, "\nstreamed aggregates over %d scenarios (wall_us per scenario):\n", len(pts))
 		for _, key := range agg.Keys() {
 			if st, ok := agg.Stat(key, "wall_us"); ok {
-				fmt.Printf("  %-28s n=%4d  mean=%10.2f  min=%10.2f  max=%10.2f\n",
+				fmt.Fprintf(w, "  %-28s n=%4d  mean=%10.2f  min=%10.2f  max=%10.2f\n",
 					key, st.N, st.Mean, st.Min, st.Max)
 			}
 		}
 	}
 
-	if *models {
-		fmt.Println()
+	if o.models {
+		fmt.Fprintln(w)
 		kernels := []harness.Kernel{harness.KernelStates, harness.KernelGodunov, harness.KernelEFM}
 		jobs := make([]campaign.Job, len(kernels))
 		for i, k := range kernels {
-			cfg := harness.DefaultSweep(k)
-			cfg.World.Procs = *procs
-			cfg.World.Seed = *seed
-			applySched(&cfg.World)
-			jobs[i] = harness.SweepJob("sweep/"+string(k), cfg)
+			jobs[i] = harness.SweepJob("sweep/"+string(k), sweep(k))
 		}
 		res, err := campaign.Run(context.Background(), cc, jobs)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
+			return err
 		}
 		for _, r := range res {
 			cm, err := harness.FitModels(r.Value.(*harness.SweepResult))
 			if err != nil {
-				fmt.Fprintln(os.Stderr, err)
-				os.Exit(1)
+				return err
 			}
-			if err := harness.WriteModelReport(os.Stdout, cm); err != nil {
-				fmt.Fprintln(os.Stderr, err)
-				os.Exit(1)
+			if err := harness.WriteModelReport(w, cm); err != nil {
+				return err
 			}
-			fmt.Println()
+			fmt.Fprintln(w)
 		}
 	}
 
@@ -265,30 +295,7 @@ func main() {
 		// This process's share of the partitioned campaigns; every other
 		// job was replayed from the shared store, so the report above is
 		// byte-identical to a single-process run.
-		fmt.Printf("\ndistributed: owner %s executed %d job(s)\n", mgr.Owner(), len(mgr.Executed()))
+		fmt.Fprintf(w, "\ndistributed: owner %s executed %d job(s)\n", mgr.Owner(), len(mgr.Executed()))
 	}
-
-	if *traceOut != "" {
-		f, err := os.Create(*traceOut)
-		if err == nil {
-			err = observer.Tracer().WriteTrace(f)
-			if cerr := f.Close(); err == nil {
-				err = cerr
-			}
-		}
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-	}
-	if *metDump != "" {
-		if err := observer.Metrics().DumpFile(*metDump); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-	}
-	if err := stopProfiles(); err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
-	}
+	return nil
 }

@@ -390,40 +390,39 @@
 //
 // # Static analysis
 //
-// The determinism and responsiveness invariants above are enforced
-// statically, not just by golden tests: internal/lint implements five
-// repository-specific analyzers in the go/analysis style (self-contained
-// on the standard library — packages load via "go list -export" and the
-// gc export-data importer, so the suite runs offline), and cmd/repolint
-// is the multichecker driver:
+// The byte-identity invariants above are enforced statically, not just by
+// golden tests — a golden catches a violation only where it looks and,
+// for map order, only with some probability. internal/lint implements
+// two repository-specific analyzers in the go/analysis style
+// (self-contained on the standard library — packages load via "go list
+// -export" and the gc export-data importer, so the suite runs offline):
 //
 //   - wallclock: time.Now/Since/Until, the global math/rand functions and
 //     process identity (os.Getpid, os.Hostname) in deterministic
 //     packages — values must derive from config and seeds;
 //   - mapiter: map iteration whose order leaks into an io.Writer, a
-//     results Sink or a returned slice without sorting first;
-//   - lockio: file/network I/O or blocking channel operations while a
-//     mutex acquired in the same function is held — the lease-heartbeat
-//     starvation bug class;
-//   - obscapture: obs.Active() or instrument lookups inside loops,
-//     violating the capture-at-construction rule above;
-//   - pkgdoc: packages without a package doc comment — the written API
-//     contract (this overview, docs/resultsd-api.md) is anchored in
-//     per-package docs, so an undocumented package fails the lint gate.
+//     results Sink or a returned slice without sorting first.
 //
-// "go run ./cmd/repolint ./..." must exit 0; CI gates on it. Legitimate
-// exceptions are annotated in place:
+// There is one gate and it runs wherever the tests run:
+//
+//	go test ./internal/lint -run TestRepoClean
+//
+// loads every package of the module and fails on any unsuppressed
+// finding. Legitimate exceptions are annotated in place:
 //
 //	//repolint:allow wallclock -- lease heartbeats are wall-clock by protocol
 //
 // The reason after "--" is mandatory and the directive covers its own
 // line, the line below it, or — when placed in a function's doc
 // comment — the whole function. Malformed or unknown-name directives are
-// themselves diagnostics. Suppressed findings stay visible in
-// "repolint -json" output, so the allowlist is auditable: every
-// wall-clock read (lease heartbeats, obs span timestamps, bench
-// fingerprints) and every I/O-under-lock design decision is annotated
-// with its justification.
+// themselves diagnostics. The allowlist is audited by the same test:
+// every suppressed finding must be a wall-clock read (lease heartbeats,
+// obs span timestamps, owner ids, bench fingerprints) and their count is
+// pinned, so a new exception is a deliberate edit. What the analyzers do
+// not police is written down where it applies (lease.Release: lease-file
+// I/O runs under the per-address lock, never the manager lock) or
+// measured (instrument capture at construction: obs.overhead_pct.*,
+// obs.span.ns and the allocation-ceiling tests).
 //
 // Benchmark: bench/ with BENCHMARK.json is the basis for every speed
 // claim — five named workloads, end-to-end metrics with bounds and a

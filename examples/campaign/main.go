@@ -306,14 +306,7 @@ func main() {
 		log.Fatal(err)
 	}
 	tracePath := filepath.Join(outDir, "trace.json")
-	f, err := os.Create(tracePath)
-	if err != nil {
-		log.Fatal(err)
-	}
-	if err := observer.Tracer().WriteTrace(f); err != nil {
-		log.Fatal(err)
-	}
-	if err := f.Close(); err != nil {
+	if err := observer.Tracer().WriteTraceFile(tracePath); err != nil {
 		log.Fatal(err)
 	}
 	data, err := os.ReadFile(tracePath)

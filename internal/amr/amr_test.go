@@ -511,13 +511,6 @@ func TestStatsAndLocalCells(t *testing.T) {
 	if st[0].Cells != 512 {
 		t.Errorf("level-0 cells = %d, want 512", st[0].Cells)
 	}
-	total := 0
-	for _, s := range st {
-		total += s.Cells
-	}
-	if h.LocalCells() != total {
-		t.Errorf("serial LocalCells %d != total %d", h.LocalCells(), total)
-	}
 	if h.Imbalance() != 1 {
 		t.Errorf("serial imbalance = %g, want 1", h.Imbalance())
 	}

@@ -254,20 +254,6 @@ func (h *Hierarchy) Stats() []LevelStats {
 	return out
 }
 
-// LocalCells returns the number of cells owned by this rank across levels,
-// the load-balance weight.
-func (h *Hierarchy) LocalCells() int {
-	n := 0
-	for _, metas := range h.levels {
-		for _, m := range metas {
-			if m.Owner == h.Rank() {
-				n += m.Rect.Area()
-			}
-		}
-	}
-	return n
-}
-
 // DensityImage composes the density field at the finest resolution,
 // coarse levels first so finer data overwrites them (Fig. 1's plotted
 // field). Under MPI the per-level partial images are summed across ranks;

@@ -75,14 +75,6 @@ type Stats struct {
 	Misses uint64
 }
 
-// MissRate returns Misses/Accesses, or 0 for an untouched cache.
-func (s Stats) MissRate() float64 {
-	if s.Accesses == 0 {
-		return 0
-	}
-	return float64(s.Misses) / float64(s.Accesses)
-}
-
 // Cache is a simulated set-associative cache. It is not safe for concurrent
 // use; in the SCMD model each simulated rank owns a private Cache.
 type Cache struct {

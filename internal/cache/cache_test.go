@@ -191,15 +191,6 @@ func TestResetStats(t *testing.T) {
 	}
 }
 
-func TestMissRate(t *testing.T) {
-	if got := (Stats{}).MissRate(); got != 0 {
-		t.Errorf("empty MissRate = %g, want 0", got)
-	}
-	if got := (Stats{Accesses: 10, Misses: 4}).MissRate(); got != 0.4 {
-		t.Errorf("MissRate = %g, want 0.4", got)
-	}
-}
-
 // Property: for any access sequence, accesses == hits + misses, and
 // replaying the identical sequence immediately can only raise the hit count.
 func TestPropertyCountsConsistent(t *testing.T) {

@@ -282,7 +282,7 @@ func Run(ctx context.Context, cfg Config, jobs []Job) ([]Result, error) {
 	if o := obs.Active(); o != nil {
 		tracks = make([]*obs.Track, workers)
 		for w := range tracks {
-			//repolint:allow obscapture -- one Track per worker, resolved once here at campaign construction, then reused for every job
+			// One Track per worker, resolved once here and reused for every job.
 			tracks[w] = o.Tracer().Track("campaign", fmt.Sprintf("worker %02d", w))
 		}
 		met = newCampMetrics(o.Metrics())

@@ -24,38 +24,13 @@ func TestMapiterClean(t *testing.T) {
 	runFixture(t, Mapiter, filepath.Join("mapiter", "clean"))
 }
 
-func TestLockioFixture(t *testing.T) {
-	diags := runFixture(t, Lockio, filepath.Join("lockio", "a"))
-	if got := countSuppressed(diags); got < 1 {
-		t.Errorf("lockio fixture: want at least 1 suppressed diagnostic (the Allowed func), got %d", got)
-	}
-}
-
-func TestLockioClean(t *testing.T) {
-	runFixture(t, Lockio, filepath.Join("lockio", "clean"))
-}
-
-func TestObscaptureFixture(t *testing.T) {
-	diags := runFixture(t, Obscapture, "obscapture")
-	if got := countSuppressed(diags); got < 1 {
-		t.Errorf("obscapture fixture: want at least 1 suppressed diagnostic (ConstructionLoop), got %d", got)
-	}
-}
-
-func TestPkgdocFixture(t *testing.T) {
-	diags := runFixture(t, Pkgdoc, filepath.Join("pkgdoc", "a"))
-	if got := countSuppressed(diags); got < 1 {
-		t.Errorf("pkgdoc fixture: want at least 1 suppressed diagnostic (package sub), got %d", got)
-	}
-}
-
-func TestPkgdocClean(t *testing.T) {
-	runFixture(t, Pkgdoc, filepath.Join("pkgdoc", "clean"))
-}
-
-// TestRepoClean is the gate the CI lint job enforces, as a unit test:
-// the repository itself must carry zero unsuppressed diagnostics from
-// the full suite. Every allowed finding stays visible in -json output.
+// TestRepoClean is the repository's static determinism gate (tier-1 runs
+// it everywhere; there is no second front door): the module itself must
+// carry zero unsuppressed diagnostics from the suite — which also proves
+// every //repolint:allow directive parses and names a live analyzer,
+// bench/clock.go's included. The allowlist is audited here too: every
+// suppressed finding is a wall-clock site, and adding one means changing
+// the count below on purpose.
 func TestRepoClean(t *testing.T) {
 	if testing.Short() {
 		t.Skip("repo-wide load is slow; skipped with -short")
@@ -75,7 +50,13 @@ func TestRepoClean(t *testing.T) {
 	for _, d := range Unsuppressed(diags) {
 		t.Errorf("unsuppressed: %s", d)
 	}
-	if countSuppressed(diags) == 0 {
-		t.Error("expected the documented allowlist (lease heartbeats, obs clocks, bench fingerprints) to register as suppressed diagnostics")
+	const allowedWallclock = 28 // lease heartbeats, obs clocks, owner ids, bench fingerprints
+	for _, d := range diags {
+		if d.Suppressed && d.Analyzer != Wallclock.Name {
+			t.Errorf("suppressed %s finding (only wall-clock sites are allowlisted): %s", d.Analyzer, d)
+		}
+	}
+	if got := countSuppressed(diags); got != allowedWallclock {
+		t.Errorf("allowlist has %d suppressed wallclock findings, want %d", got, allowedWallclock)
 	}
 }

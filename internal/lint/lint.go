@@ -1,16 +1,16 @@
-// Package lint is repolint's static-analysis engine: five custom
-// analyzers that enforce, at build time, the determinism invariants the
+// Package lint is the repository's static determinism gate: two custom
+// analyzers that enforce, at build time, the byte-identity invariants the
 // rest of the repository proves at run time with golden tests.
 //
 // Every guarantee this reproduction makes — byte-identical output across
 // worker counts, resumed checkpoints, scheduler modes and distributed
-// owners — rests on hygiene rules (no wall clocks or global RNG in
-// deterministic paths, no unsorted map iteration feeding sinks or
-// hashes, no mutex held across lease I/O, obs instruments captured at
-// construction, a package doc comment on every package so the written
-// API contract stays anchored in the source). Violations used to
-// surface only when a golden test caught changed bytes; the analyzers
-// here catch them before the code runs.
+// owners — rests on two hygiene rules: no wall clock, global RNG or
+// process identity in deterministic paths (wallclock), and no unsorted
+// map iteration feeding writers, sinks, hashes or returned slices
+// (mapiter). A golden test catches a violation only where a golden looks
+// and, for map order, only with some probability; the analyzers catch it
+// before the code runs. TestRepoClean runs both over the whole module
+// and is the one gate: `go test ./internal/lint -run TestRepoClean`.
 //
 // The engine is deliberately self-contained: it is a small reimplementation
 // of the golang.org/x/tools/go/analysis shape (Analyzer, Pass, Diagnostic,
@@ -27,8 +27,8 @@
 // its own line and the line below it; placed in a function's doc comment
 // it covers the whole function. The reason after " -- " is mandatory —
 // the allowlist doubles as documentation of every site where
-// nondeterminism is intentional. Malformed directives are themselves
-// diagnostics.
+// nondeterminism is intentional. Malformed directives, and directives
+// naming an analyzer that does not exist, are themselves diagnostics.
 package lint
 
 import (
@@ -43,19 +43,19 @@ type Analyzer struct {
 	// Name is the analyzer's identifier, used in diagnostics and in
 	// //repolint:allow directives.
 	Name string
-	// Doc is a one-line description of the invariant enforced.
-	Doc string
 	// Run reports the analyzer's findings on one package through
 	// pass.Reportf.
 	Run func(pass *Pass) error
 }
+
+// All returns the analyzer suite in reporting order.
+func All() []*Analyzer { return []*Analyzer{Mapiter, Wallclock} }
 
 // Pass carries one analyzer's view of one package.
 type Pass struct {
 	Analyzer *Analyzer
 	Fset     *token.FileSet
 	Files    []*ast.File
-	Pkg      *types.Package
 	Info     *types.Info
 
 	report func(Diagnostic)
@@ -74,17 +74,16 @@ func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
 }
 
 // Diagnostic is one finding, suppressed or not. Suppressed findings stay
-// visible (cmd/repolint -json emits them) so the allowlist is auditable.
+// in Run's result so a test can audit the allowlist.
 type Diagnostic struct {
-	Analyzer string `json:"analyzer"`
-	Path     string `json:"path"`
-	Line     int    `json:"line"`
-	Col      int    `json:"col"`
-	Message  string `json:"message"`
+	Analyzer string
+	Path     string
+	Line     int
+	Col      int
+	Message  string
 	// Suppressed marks a diagnostic covered by a //repolint:allow
-	// directive; Reason carries the directive's mandatory justification.
-	Suppressed bool   `json:"suppressed,omitempty"`
-	Reason     string `json:"reason,omitempty"`
+	// directive.
+	Suppressed bool
 }
 
 // String renders the conventional file:line:col prefix form.

@@ -22,10 +22,8 @@ import (
 // analysis.
 type Package struct {
 	PkgPath string
-	Dir     string
 	Fset    *token.FileSet
 	Files   []*ast.File
-	Types   *types.Package
 	Info    *types.Info
 }
 
@@ -131,7 +129,7 @@ func goList(dir string, patterns []string) (roots []listPkg, exports, alias map[
 }
 
 // typeCheck parses one listed package's files and type-checks them with
-// full use/def/selection information.
+// the type, def and use information the analyzers read.
 func typeCheck(fset *token.FileSet, imp types.Importer, lp listPkg) (*Package, error) {
 	var files []*ast.File
 	for _, name := range lp.GoFiles {
@@ -142,11 +140,9 @@ func typeCheck(fset *token.FileSet, imp types.Importer, lp listPkg) (*Package, e
 		files = append(files, f)
 	}
 	info := &types.Info{
-		Types:      map[ast.Expr]types.TypeAndValue{},
-		Defs:       map[*ast.Ident]types.Object{},
-		Uses:       map[*ast.Ident]types.Object{},
-		Selections: map[*ast.SelectorExpr]*types.Selection{},
-		Implicits:  map[ast.Node]types.Object{},
+		Types: map[ast.Expr]types.TypeAndValue{},
+		Defs:  map[*ast.Ident]types.Object{},
+		Uses:  map[*ast.Ident]types.Object{},
 	}
 	var typeErrs []string
 	conf := types.Config{
@@ -155,7 +151,7 @@ func typeCheck(fset *token.FileSet, imp types.Importer, lp listPkg) (*Package, e
 			typeErrs = append(typeErrs, err.Error())
 		},
 	}
-	tpkg, _ := conf.Check(lp.ImportPath, fset, files, info)
+	conf.Check(lp.ImportPath, fset, files, info) // errors arrive through conf.Error
 	if len(typeErrs) > 0 {
 		if n := len(typeErrs); n > 5 {
 			typeErrs = append(typeErrs[:5], fmt.Sprintf("... and %d more", n-5))
@@ -164,10 +160,8 @@ func typeCheck(fset *token.FileSet, imp types.Importer, lp listPkg) (*Package, e
 	}
 	return &Package{
 		PkgPath: lp.ImportPath,
-		Dir:     lp.Dir,
 		Fset:    fset,
 		Files:   files,
-		Types:   tpkg,
 		Info:    info,
 	}, nil
 }

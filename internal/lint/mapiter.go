@@ -16,7 +16,6 @@ import (
 // pattern and is not flagged.
 var Mapiter = &Analyzer{
 	Name: "mapiter",
-	Doc:  "flags map iteration whose order can reach writers, sinks, hashes or returned slices",
 	Run:  runMapiter,
 }
 

@@ -17,9 +17,8 @@ const directivePrefix = "//repolint:allow"
 
 // directive is one parsed allow annotation.
 type directive struct {
-	names  []string
-	reason string
-	line   int
+	names []string
+	line  int
 }
 
 // allows reports whether the directive covers the named analyzer.
@@ -122,7 +121,7 @@ func parseDirective(text string, line int, known map[string]bool) (directive, er
 			return directive{}, fmt.Errorf("%s directive names unknown analyzer %q", directivePrefix, n)
 		}
 	}
-	return directive{names: names, reason: strings.TrimSpace(reason), line: line}, nil
+	return directive{names: names, line: line}, nil
 }
 
 // apply marks the diagnostic suppressed when an allow directive covers
@@ -134,13 +133,13 @@ func (s *suppressor) apply(d *Diagnostic) {
 	}
 	for _, dir := range s.lines[d.Path] {
 		if (dir.line == d.Line || dir.line == d.Line-1) && dir.allows(d.Analyzer) {
-			d.Suppressed, d.Reason = true, dir.reason
+			d.Suppressed = true
 			return
 		}
 	}
 	for _, sp := range s.spans[d.Path] {
 		if sp.from <= d.Line && d.Line <= sp.to && sp.allows(d.Analyzer) {
-			d.Suppressed, d.Reason = true, sp.reason
+			d.Suppressed = true
 			return
 		}
 	}
@@ -163,7 +162,6 @@ func Run(pkgs []*Package, analyzers []*Analyzer) ([]Diagnostic, error) {
 				Analyzer: a,
 				Fset:     p.Fset,
 				Files:    p.Files,
-				Pkg:      p.Types,
 				Info:     p.Info,
 				report: func(d Diagnostic) {
 					sup.apply(&d)

@@ -15,7 +15,6 @@ import (
 // annotations that double as documentation of intent.
 var Wallclock = &Analyzer{
 	Name: "wallclock",
-	Doc:  "flags wall-clock reads, global math/rand and process identity in deterministic paths",
 	Run:  runWallclock,
 }
 

@@ -528,7 +528,7 @@ func NewWorld(cfg WorldConfig) *World {
 		id := worldSeq.Add(1)
 		w.trk = make([]*obs.Track, cfg.Procs)
 		for i := range w.trk {
-			//repolint:allow obscapture -- one Track per rank, resolved once here at world construction, then reused for every scheduler event
+			// One Track per rank, resolved once here and reused for every scheduler event.
 			w.trk[i] = o.Tracer().Track("mpi", fmt.Sprintf("w%d rank %d", id, i))
 		}
 		reg := o.Metrics()

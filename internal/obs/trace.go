@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"os"
 	"sort"
 	"sync"
 	"time"
@@ -310,6 +311,19 @@ func (t *Tracer) WriteTrace(w io.Writer) error {
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", " ")
 	return enc.Encode(t.Export())
+}
+
+// WriteTraceFile writes the trace to path (the -trace flag of the commands).
+func (t *Tracer) WriteTraceFile(path string) error {
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	if err := t.WriteTrace(f); err != nil {
+		f.Close()
+		return err
+	}
+	return f.Close()
 }
 
 // ParseTrace reads a Chrome trace-event JSON document produced by

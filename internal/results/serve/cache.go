@@ -31,7 +31,7 @@ type entry struct {
 // are deduplicated singleflight-style so a shard is decoded once no
 // matter how many queries race for it. Hits, misses, evictions and load
 // latency go to the obs registry; instruments are captured at
-// construction per the obscapture rule.
+// construction, never looked up per request.
 type modelCache struct {
 	cap   int
 	track *obs.Track

@@ -165,9 +165,9 @@ func (s *shardSink) openLocked(sh *shard) error {
 
 // evictLocked flushes and closes one open shard, remembering its encoder
 // state for a later append reopen. Caller holds s.mu; the shard's own
-// lock is taken to wait out any in-flight write.
-//
-//repolint:allow lockio -- eviction must close the file under the shard lock, or a racing writer could append to a closed handle; shard files are local buffered writes, bounded by the FD cap
+// lock is taken to wait out any in-flight write, and the file is closed
+// under it: otherwise a racing writer could append to a closed handle.
+// Shard files are local buffered writes, bounded by the FD cap.
 func (s *shardSink) evictLocked(sh *shard) error {
 	for i, o := range s.open {
 		if o == sh {

@@ -365,7 +365,6 @@ func (m *Manager) tryCreate(path, key, hash string) (created bool, err error) {
 // in Lost.
 //
 //repolint:allow wallclock -- audit hold times and end timestamps are wall-clock measurement by design; they feed the throughput report, never rendered results
-//repolint:allow lockio -- lease-file I/O runs under the per-address lock precisely so it can be slow (NFS) without starving the manager lock that heartbeat renewal needs
 func (m *Manager) Release(key, hash string, completed bool) error {
 	addr := m.st.Addr(key, hash)
 	// Per-address lock, not the manager lock: lease-file I/O can be slow
@@ -480,10 +479,11 @@ func (m *Manager) renew() {
 	}
 }
 
-// renewOne refreshes a single held lease under its address lock.
+// renewOne refreshes a single held lease under its address lock, so a
+// racing Release cannot resurrect a released lease; the manager lock is
+// never held across the rewrite.
 //
 //repolint:allow wallclock -- heartbeat renewal stamps the lease with the current wall clock; that is the protocol's liveness signal
-//repolint:allow lockio -- the rewrite runs under the per-address lock so a racing Release cannot resurrect a released lease; the manager lock is never held here
 func (m *Manager) renewOne(addr string) {
 	al := m.addrLock(addr)
 	al.Lock()
