@@ -40,6 +40,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/gob"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -76,7 +77,10 @@ type options struct {
 	owner                           string
 	ttl                             time.Duration
 
-	traceOut, metrics, metDump, cpuProf, memProf string
+	obs obs.Outputs
+
+	// jobs is the campaign graph the flags describe, fully expanded.
+	jobs []campaign.Job
 }
 
 // figNames are the values -fig takes besides "all".
@@ -101,9 +105,11 @@ var rowSinks = map[string]func(dir string) (results.Sink, error){
 	},
 }
 
-// resolveFlags parses the command line and resolves every flag value
-// against the others. It touches nothing on disk: a rejected invocation
-// leaves no output directory, clears no rows/ and starts no profile.
+// resolveFlags parses the command line, resolves every flag value against
+// the others and expands the campaign graph, trend grid included, so that
+// every simulated machine the run would build has been validated. It
+// touches nothing on disk: a rejected invocation leaves no output
+// directory, clears no rows/ and starts no profile.
 func resolveFlags(args []string) (*options, error) {
 	o := &options{}
 	var axis, trValues, rankmode string
@@ -123,11 +129,11 @@ func resolveFlags(args []string) (*options, error) {
 	fs.StringVar(&o.owner, "owner", "", "stable worker identity for -distributed lease and audit files (default: host-pid)")
 	fs.DurationVar(&o.ttl, "leasettl", 0, "lease heartbeat expiry for -distributed; a crashed worker's jobs are stolen after this (0 = 30s default)")
 	fs.StringVar(&o.rowfmt, "rowformat", "csv", "row shard format under <out>/rows: csv | bin | both (bin is the compact binary format resultsd prefers)")
-	fs.StringVar(&o.traceOut, "trace", "", "write a Chrome trace-event JSON of the run to this file (load in chrome://tracing or Perfetto)")
-	fs.StringVar(&o.metrics, "metrics", "", "serve live /metrics and /trace on this HTTP address while the run executes (e.g. localhost:9090)")
-	fs.StringVar(&o.metDump, "metricsdump", "", "write the final metrics registry in text exposition format to this file")
-	fs.StringVar(&o.cpuProf, "cpuprofile", "", "write a CPU profile of the run to this file (go tool pprof); output bytes are unchanged")
-	fs.StringVar(&o.memProf, "memprofile", "", "write an allocation profile to this file when the run ends (go tool pprof -sample_index=alloc_space); output bytes are unchanged")
+	fs.StringVar(&o.obs.Trace, "trace", "", "write a Chrome trace-event JSON of the run to this file (load in chrome://tracing or Perfetto)")
+	fs.StringVar(&o.obs.MetricsAddr, "metrics", "", "serve live /metrics and /trace on this HTTP address while the run executes (e.g. localhost:9090)")
+	fs.StringVar(&o.obs.MetricsDump, "metricsdump", "", "write the final metrics registry in text exposition format to this file")
+	fs.StringVar(&o.obs.CPUProfile, "cpuprofile", "", "write a CPU profile of the run to this file (go tool pprof); output bytes are unchanged")
+	fs.StringVar(&o.obs.MemProfile, "memprofile", "", "write an allocation profile to this file when the run ends (go tool pprof -sample_index=alloc_space); output bytes are unchanged")
 	fs.Parse(args) // ExitOnError: a syntax error has already exited with status 2
 
 	if o.fig != "all" && !slices.Contains(figNames, o.fig) {
@@ -161,6 +167,21 @@ func resolveFlags(args []string) (*options, error) {
 	if o.cache == "auto" {
 		o.cache = filepath.Join(o.outDir, ".cache")
 	}
+	if o.reps < 1 {
+		return nil, fmt.Errorf("-reps %d: want at least 1", o.reps)
+	}
+	if o.trendReps < 1 {
+		return nil, fmt.Errorf("-trendreps %d: want at least 1", o.trendReps)
+	}
+	g := &generator{o}
+	// Of what Validate checks, -procs is all the flags set on the case-study
+	// and sweep worlds; the trend grid validates its own scenarios.
+	if err := g.world(mpi.DefaultConfig()).Validate(); err != nil {
+		return nil, fmt.Errorf("-procs: %w", err)
+	}
+	if o.jobs, err = g.jobs(); err != nil {
+		return nil, err
+	}
 	return o, nil
 }
 
@@ -170,32 +191,25 @@ func main() {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
 	}
-	if err := os.MkdirAll(o.outDir, 0o755); err != nil {
-		fatal(err)
+	if err := run(o, os.Stdout); err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(1)
 	}
-	stopProfiles, err := obs.StartProfiles(o.cpuProf, o.memProf)
-	if err != nil {
-		fatal(err)
-	}
-	g := &generator{o}
+}
 
-	// Observability must be enabled before the store, leases and worlds are
-	// opened: those layers capture their instruments at construction time.
-	// It is strictly write-only — enabling it changes no rendered byte.
-	var observer *obs.Observer
-	if o.traceOut != "" || o.metrics != "" || o.metDump != "" {
-		observer = obs.New(obs.Options{})
-		obs.Enable(observer)
-		defer obs.Disable()
+// run executes the resolved campaign, reporting progress to w. It has one
+// way out: the row sink and the lease manager are closed and the trace,
+// the metrics dump and the profiles are written whether the campaign
+// succeeded or failed.
+func run(o *options, w io.Writer) (err error) {
+	if err := os.MkdirAll(o.outDir, 0o755); err != nil {
+		return err
 	}
-	var msrv *obs.MetricsServer
-	if o.metrics != "" {
-		var err error
-		if msrv, err = observer.Serve(o.metrics); err != nil {
-			fatal(err)
-		}
-		fmt.Fprintf(os.Stderr, "metrics: serving on http://%s/metrics\n", msrv.Addr())
+	stopObs, err := o.obs.Start()
+	if err != nil {
+		return err
 	}
+	defer func() { err = errors.Join(err, stopObs()) }()
 
 	cfg := campaign.Config{
 		Workers: o.workers,
@@ -205,25 +219,35 @@ func main() {
 				if e.Cached {
 					note = " (from checkpoint)"
 				}
-				fmt.Printf("%s done%s\n", e.Key, note)
+				fmt.Fprintf(w, "%s done%s\n", e.Key, note)
 			}
 		},
 	}
-	var mgr *lease.Manager
 	switch {
 	case o.cache == "off":
 	case o.distrib:
 		// Distributed mode: the store is shared with the other processes
 		// and every checkpointable job is arbitrated through a lease.
-		var err error
+		var mgr *lease.Manager
 		cfg, mgr, err = harness.DistributedConfig(cfg, o.cache, o.owner, lease.Options{TTL: o.ttl})
 		if err != nil {
-			fatal(err)
+			return err
 		}
+		defer func() {
+			// This process's share of the partition; the union across all
+			// owners' audit logs proves every job executed exactly once.
+			note := ""
+			if n := mgr.Lost(); n > 0 {
+				note = fmt.Sprintf(" (%d lease(s) lost to stealers)", n)
+			}
+			fmt.Fprintf(w, "distributed: owner %s executed %d of %d job(s)%s\n",
+				mgr.Owner(), len(mgr.Executed()), len(o.jobs), note)
+			err = errors.Join(err, mgr.Close())
+		}()
 	default:
 		st, err := store.Open(o.cache)
 		if err != nil {
-			fatal(err)
+			return err
 		}
 		cfg.Store = st
 	}
@@ -232,64 +256,17 @@ func main() {
 	// sizes, other figures) from mixing with fresh telemetry.
 	rowsDir := filepath.Join(o.outDir, "rows")
 	if err := os.RemoveAll(rowsDir); err != nil {
-		fatal(err)
+		return err
 	}
 	sink, err := rowSinks[o.rowfmt](rowsDir)
 	if err != nil {
-		fatal(err)
+		return err
 	}
+	defer func() { err = errors.Join(err, sink.Close()) }()
 	cfg.Sink = sink
 
-	want := func(n string) bool { return o.fig == "all" || o.fig == n }
-	jobs, err := g.jobs(want)
-	if err != nil {
-		fatal(err)
-	}
-	_, err = campaign.Run(context.Background(), cfg, jobs)
-	if cerr := sink.Close(); err == nil {
-		err = cerr
-	}
-	if mgr != nil {
-		// This process's share of the partition; the union across all
-		// owners' audit logs proves every job executed exactly once.
-		note := ""
-		if n := mgr.Lost(); n > 0 {
-			note = fmt.Sprintf(" (%d lease(s) lost to stealers)", n)
-		}
-		fmt.Printf("distributed: owner %s executed %d of %d job(s)%s\n",
-			mgr.Owner(), len(mgr.Executed()), len(jobs), note)
-		if cerr := mgr.Close(); err == nil {
-			err = cerr
-		}
-	}
-	// Observability outputs are flushed even when the run failed: a trace
-	// of a broken campaign is exactly what the post-mortem wants.
-	if o.traceOut != "" {
-		if werr := observer.Tracer().WriteTraceFile(o.traceOut); err == nil {
-			err = werr
-		}
-	}
-	if o.metDump != "" {
-		if werr := observer.Metrics().DumpFile(o.metDump); err == nil {
-			err = werr
-		}
-	}
-	if msrv != nil {
-		if cerr := msrv.Close(); err == nil {
-			err = cerr
-		}
-	}
-	if perr := stopProfiles(); err == nil {
-		err = perr
-	}
-	if err != nil {
-		fatal(err)
-	}
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, err)
-	os.Exit(1)
+	_, err = campaign.Run(context.Background(), cfg, o.jobs)
+	return err
 }
 
 // parseFloats parses a comma-separated float list.
@@ -312,9 +289,11 @@ func parseFloats(s string) ([]float64, error) {
 // generator builds the campaign graph from the resolved flags.
 type generator struct{ *options }
 
-// applySched maps the -rankmode flag onto a world config.
-func (g *generator) applySched(w *mpi.WorldConfig) {
-	*w = w.WithScheduler(g.sched, g.rankCap)
+// world puts -procs, -seed and -rankmode on a default world.
+func (g *generator) world(w mpi.WorldConfig) mpi.WorldConfig {
+	w.Procs = g.procs
+	w.Seed = g.seed
+	return w.WithScheduler(g.sched, g.rankCap)
 }
 
 // figVersion salts figure-job checkpoint hashes; bump when rendering or
@@ -330,7 +309,8 @@ type figFile struct {
 // jobs assembles the campaign graph for the wanted figures: measurement
 // jobs (case study, sweeps, trend grid scenarios), fit jobs hanging off
 // the sweeps, and figure jobs hanging off whichever results they render.
-func (g *generator) jobs(want func(string) bool) ([]campaign.Job, error) {
+func (g *generator) jobs() ([]campaign.Job, error) {
+	want := func(n string) bool { return g.fig == "all" || g.fig == n }
 	needCase := want("1") || want("2") || want("3") || want("9") || want("10")
 	needModel := map[harness.Kernel]bool{
 		harness.KernelStates:  want("6") || want("10"),
@@ -348,9 +328,7 @@ func (g *generator) jobs(want func(string) bool) ([]campaign.Job, error) {
 	var jobs []campaign.Job
 	if needCase {
 		cfg := harness.DefaultCaseStudy()
-		cfg.World.Procs = g.procs
-		cfg.World.Seed = g.seed
-		g.applySched(&cfg.World)
+		cfg.World = g.world(cfg.World)
 		jobs = append(jobs, harness.CaseStudyJob("case", cfg))
 	}
 	for _, k := range []harness.Kernel{harness.KernelStates, harness.KernelGodunov, harness.KernelEFM} {
@@ -429,9 +407,7 @@ func (g *generator) jobs(want func(string) bool) ([]campaign.Job, error) {
 // sweepConfig builds the calibrated sweep for one kernel.
 func (g *generator) sweepConfig(k harness.Kernel) harness.SweepConfig {
 	cfg := harness.DefaultSweep(k)
-	cfg.World.Procs = g.procs
-	cfg.World.Seed = g.seed
-	g.applySched(&cfg.World)
+	cfg.World = g.world(cfg.World)
 	cfg.Reps = g.reps
 	return cfg
 }

@@ -8,6 +8,7 @@ package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -37,7 +38,22 @@ type options struct {
 	cache, owner                          string
 	distrib                               bool
 	ttl                                   time.Duration
-	traceOut, metDump, cpuProf, memProf   string
+	obs                                   obs.Outputs
+}
+
+// world puts -procs, -seed and -rankmode on a default world; the parallel
+// schedulers change wall-clock time only, never results.
+func (o *options) world(wc mpi.WorldConfig) mpi.WorldConfig {
+	wc.Procs = o.procs
+	wc.Seed = o.seed
+	return wc.WithScheduler(o.sched, o.rankCap)
+}
+
+// sweep is a kernel's default sweep on that world.
+func (o *options) sweep(k harness.Kernel) harness.SweepConfig {
+	cfg := harness.DefaultSweep(k)
+	cfg.World = o.world(cfg.World)
+	return cfg
 }
 
 // resolveFlags parses the command line and resolves every flag value
@@ -64,10 +80,10 @@ func resolveFlags(args []string) (*options, error) {
 	fs.BoolVar(&o.distrib, "distributed", false, "partition campaign jobs with other -distributed processes sharing the same -cache store via lease files (no coordinator)")
 	fs.StringVar(&o.owner, "owner", "", "stable worker identity for -distributed lease and audit files (default: host-pid)")
 	fs.DurationVar(&o.ttl, "leasettl", 0, "lease heartbeat expiry for -distributed; a crashed worker's jobs are stolen after this (0 = 30s default)")
-	fs.StringVar(&o.traceOut, "trace", "", "write a Chrome trace-event JSON of the run to this file (load in chrome://tracing or Perfetto); output bytes are unchanged")
-	fs.StringVar(&o.metDump, "metricsdump", "", "write the final metrics registry in text exposition format to this file")
-	fs.StringVar(&o.cpuProf, "cpuprofile", "", "write a CPU profile of the run to this file (go tool pprof); output bytes are unchanged")
-	fs.StringVar(&o.memProf, "memprofile", "", "write an allocation profile to this file when the run ends (go tool pprof -sample_index=alloc_space); output bytes are unchanged")
+	fs.StringVar(&o.obs.Trace, "trace", "", "write a Chrome trace-event JSON of the run to this file (load in chrome://tracing or Perfetto); output bytes are unchanged")
+	fs.StringVar(&o.obs.MetricsDump, "metricsdump", "", "write the final metrics registry in text exposition format to this file")
+	fs.StringVar(&o.obs.CPUProfile, "cpuprofile", "", "write a CPU profile of the run to this file (go tool pprof); output bytes are unchanged")
+	fs.StringVar(&o.obs.MemProfile, "memprofile", "", "write an allocation profile to this file when the run ends (go tool pprof -sample_index=alloc_space); output bytes are unchanged")
 	fs.Parse(args) // ExitOnError: a syntax error has already exited with status 2
 
 	switch flux {
@@ -91,6 +107,11 @@ func resolveFlags(args []string) (*options, error) {
 	if o.distrib && o.cache == "" {
 		return nil, fmt.Errorf("-distributed needs a shared checkpoint store; pass -cache <dir>")
 	}
+	// Of what Validate checks, -procs is all the flags set on a world; the
+	// study grids sweep fixed values.
+	if err := o.world(mpi.DefaultConfig()).Validate(); err != nil {
+		return nil, fmt.Errorf("-procs: %w", err)
+	}
 	return o, nil
 }
 
@@ -111,50 +132,14 @@ func main() {
 // metrics dump and the profiles are written whether the run succeeded or
 // failed — a trace of a broken run is exactly what the post-mortem wants.
 func run(o *options, w io.Writer) (err error) {
-	keep := func(e error) {
-		if err == nil {
-			err = e
-		}
-	}
-	stopProfiles, err := obs.StartProfiles(o.cpuProf, o.memProf)
+	stopObs, err := o.obs.Start()
 	if err != nil {
 		return err
 	}
-	defer func() { keep(stopProfiles()) }()
-
-	// Observation is write-only: everything printed below is byte-identical
-	// with or without these flags. The observer must be live before any
-	// world, store or lease manager is constructed.
-	if o.traceOut != "" || o.metDump != "" {
-		observer := obs.New(obs.Options{})
-		obs.Enable(observer)
-		defer func() {
-			if o.traceOut != "" {
-				keep(observer.Tracer().WriteTraceFile(o.traceOut))
-			}
-			if o.metDump != "" {
-				keep(observer.Metrics().DumpFile(o.metDump))
-			}
-			obs.Disable()
-		}()
-	}
-
-	// world puts -procs, -seed and -rankmode on a default world, sweep on a
-	// kernel's default sweep; the parallel schedulers change wall-clock
-	// time only, never results.
-	world := func(wc mpi.WorldConfig) mpi.WorldConfig {
-		wc.Procs = o.procs
-		wc.Seed = o.seed
-		return wc.WithScheduler(o.sched, o.rankCap)
-	}
-	sweep := func(k harness.Kernel) harness.SweepConfig {
-		cfg := harness.DefaultSweep(k)
-		cfg.World = world(cfg.World)
-		return cfg
-	}
+	defer func() { err = errors.Join(err, stopObs()) }()
 
 	cfg := harness.DefaultCaseStudy()
-	cfg.World = world(cfg.World)
+	cfg.World = o.world(cfg.World)
 	if o.steps > 0 {
 		cfg.App.Driver.Steps = o.steps
 	}
@@ -197,7 +182,7 @@ func run(o *options, w io.Writer) (err error) {
 		if err != nil {
 			return err
 		}
-		defer func() { keep(mgr.Close()) }()
+		defer func() { err = errors.Join(err, mgr.Close()) }()
 	case o.cache != "":
 		st, err := store.Open(o.cache)
 		if err != nil {
@@ -208,7 +193,7 @@ func run(o *options, w io.Writer) (err error) {
 
 	if o.cacheStudy {
 		fmt.Fprintln(w)
-		scfg := sweep(harness.KernelStates)
+		scfg := o.sweep(harness.KernelStates)
 		scfg.Reps = 2
 		// The cache-aware fit reads the 512 kB point's rows as the study
 		// streams (or replays) them, instead of simulating that point again.
@@ -236,7 +221,7 @@ func run(o *options, w io.Writer) (err error) {
 		// streams every scenario's rows into an aggregating sink, so no
 		// per-scenario SweepResult survives its job. The -axis flag picks
 		// the machine dimension the grid sweeps and the trend fits against.
-		base := sweep(harness.KernelStates)
+		base := o.sweep(harness.KernelStates)
 		base.Sizes = base.Sizes[:8]
 		base.Reps = 2
 		grid := campaign.Grid{
@@ -273,7 +258,7 @@ func run(o *options, w io.Writer) (err error) {
 		kernels := []harness.Kernel{harness.KernelStates, harness.KernelGodunov, harness.KernelEFM}
 		jobs := make([]campaign.Job, len(kernels))
 		for i, k := range kernels {
-			jobs[i] = harness.SweepJob("sweep/"+string(k), sweep(k))
+			jobs[i] = harness.SweepJob("sweep/"+string(k), o.sweep(k))
 		}
 		res, err := campaign.Run(context.Background(), cc, jobs)
 		if err != nil {

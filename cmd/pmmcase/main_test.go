@@ -42,14 +42,16 @@ func TestFailedRunKeepsItsEvidence(t *testing.T) {
 	}
 }
 
-// TestBadFluxStartsNothing: -flux is rejected with the other flags, before
-// a profile file exists.
-func TestBadFluxStartsNothing(t *testing.T) {
-	dir := t.TempDir()
-	if _, err := resolveFlags([]string{"-flux", "nope", "-cpuprofile", filepath.Join(dir, "x.prof")}); err == nil {
-		t.Fatal("resolveFlags accepted -flux nope")
-	}
-	if entries, _ := os.ReadDir(dir); len(entries) != 0 {
-		t.Errorf("resolveFlags created %s", entries[0].Name())
+// TestBadFlagStartsNothing: a value no run can use is rejected with the
+// other flags, before a profile file exists.
+func TestBadFlagStartsNothing(t *testing.T) {
+	for _, bad := range [][]string{{"-flux", "nope"}, {"-procs", "0"}, {"-procs", "-3"}, {"-axis", "ranks"}, {"-rankmode", "warp"}, {"-distributed"}} {
+		dir := t.TempDir()
+		if _, err := resolveFlags(append(bad, "-cpuprofile", filepath.Join(dir, "x.prof"))); err == nil {
+			t.Errorf("resolveFlags accepted %v", bad)
+		}
+		if entries, _ := os.ReadDir(dir); len(entries) != 0 {
+			t.Errorf("resolveFlags %v created %s", bad, entries[0].Name())
+		}
 	}
 }

@@ -86,7 +86,7 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	stopProfiles, err := obs.StartProfiles(*cpuProf, *memProf)
+	stopProfiles, err := obs.Outputs{CPUProfile: *cpuProf, MemProfile: *memProf}.Start()
 	if err != nil {
 		fatal(err)
 	}

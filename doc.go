@@ -26,6 +26,20 @@
 //     reports — so campaigns scale to thousands of scenarios and resume
 //     after interruption.
 //
+// The way in is the commands; the packages under internal/ are theirs and
+// this root package holds nothing but this comment. A tour:
+//
+//	go run ./cmd/pmmcase -procs 1 -nx 48 -ny 12 -steps 6 -records  # smallest end-to-end run: profile + records
+//	go run ./cmd/figures -fig 1 -out figs   # one figure's subgraph; 1, 2, 3 and 9 are the case study
+//	go run ./cmd/pmmcase -models            # Eqs. 1-2: sweep, fit, paper vs measured (series: figures -fig 6..8)
+//	go run ./cmd/figures -fig 10 -out figs  # composite model; flux choice with and without the QoS floor
+//	go run ./examples/campaign && go run ./cmd/resultsd -dir campaign-out  # a grid campaign, then served
+//
+// examples/campaign is what no command line spells — a custom Dimension
+// literal, a scheduler-twin check, an in-process results service and two
+// in-process lease workers — and examples/adaptive is the Section 6 online
+// implementation switch; go test runs both.
+//
 // # Campaigns
 //
 // The paper's evaluation is a campaign: three kernel sweeps (Figs. 4-8),
@@ -34,23 +48,23 @@
 // concurrently with deterministic results:
 //
 //   - a job graph (campaign.Job, with After dependencies) is submitted
-//     via campaign.Run and executed by CampaignConfig.Workers workers;
+//     via campaign.Run and executed by campaign.Config.Workers workers;
 //   - every job's machine draws its randomness from its own config seed,
 //     never from scheduling, so output is byte-identical for any worker
 //     count;
 //   - errors aggregate across jobs (errors.Join) and progress events
-//     stream serially through CampaignConfig.OnProgress.
+//     stream serially through campaign.Config.OnProgress.
 //
 // # Scheduler modes
 //
 // Every simulated world schedules its ranks under one of three modes
-// (WorldConfig.Sched):
+// (mpi.WorldConfig.Sched):
 //
-//   - SchedSerial (the zero value) is a conservative token scheduler:
+//   - mpi.Serial (the zero value) is a conservative token scheduler:
 //     exactly one rank goroutine executes at a time, and when the running
 //     rank blocks inside MPI the token passes to the runnable rank with
 //     the smallest virtual clock. One world uses one core.
-//   - SchedConservativeParallel is a conservative parallel-discrete-event
+//   - mpi.ConservativeParallel is a conservative parallel-discrete-event
 //     scheduler: rank compute segments — which touch only rank-local
 //     state (virtual clock, cache model, RNG, TAU profile) — run
 //     concurrently on real goroutines, each rank running ahead to its
@@ -63,7 +77,7 @@
 //     total order the serial scheduler produces; sends are buffered
 //     rank-locally during run-ahead and flushed at the sender's commit
 //     turn. MaxParallelRanks caps concurrent ranks (0 = no cap).
-//   - SchedOptimisticParallel is an optimistic (Time Warp) scheduler: on
+//   - mpi.OptimisticParallel is an optimistic (Time Warp) scheduler: on
 //     top of concurrent compute, ranks speculate past order-sensitive
 //     communication instead of waiting for their commit turn. Sends
 //     publish immediately; a receive from a specific source completes the
@@ -104,7 +118,7 @@
 // other config field, so each mode checkpoints separately.
 //
 // When does parallel-rank pay off? Measured, not argued: one 16-rank world
-// per body of BenchmarkWorldRun, host milliseconds and heap allocations per
+// per body of internal/mpi's BenchmarkWorldRun, host milliseconds and heap allocations per
 // world ("bench -workload comm_p16 -trace 1", seed 1, 2 cores, after PR 15
 // made a scheduling point cost what it touches):
 //
@@ -126,27 +140,27 @@
 // specific-source traffic has compute to overlap, and pure compute gains
 // nothing over the conservative mode (watch SpecStats.Conflicts where
 // AnySource traffic with genuine races is unavoidable). Across-world
-// campaign parallelism (CampaignConfig.Workers) is the first lever: whole
+// campaign parallelism (campaign.Config.Workers) is the first lever: whole
 // scenarios are embarrassingly parallel. The two compose multiplicatively
 // (worlds x ranks); prefer campaign workers when the grid has many
 // scenarios, and add parallel ranks ("-rankmode par", or "-rankmode opt8"
 // to cap concurrency at 8 ranks, on cmd/figures and cmd/pmmcase — the same
-// token scenario keys and resultsd's "sched=" carry — or a SchedAxis grid
-// dimension) when individual worlds are large or few. The SchedAxis grid dimension is
-// seed-inert — scenarios differing only in scheduler share a derived
+// token scenario keys and resultsd's "sched=" carry — or a
+// campaign.SchedAxis grid dimension) when individual worlds are large or
+// few. The SchedAxis grid dimension is seed-inert — scenarios differing only in scheduler share a derived
 // seed — so a grid can sweep serial vs the parallel modes and verify
 // their equivalence at scale (see examples/campaign).
 //
 // # Grids and dimensions
 //
-// A Grid is the cross product of first-class axes times seed
-// replications. Each axis is a Dimension — a stable name plus an ordered
+// A campaign.Grid is the cross product of first-class axes times seed
+// replications. Each axis is a campaign.Dimension — a stable name plus an ordered
 // value list, where every value carries a stable key token (one segment
 // of the scenario key) and an optional mutation of the scenario's
 // simulated machine:
 //
-//   - built-in axes (internal/campaign; the facade re-exports the ones
-//     the examples use) are the ones something sweeps: RankAxis (world
+//   - built-in axes (internal/campaign) are the ones something sweeps:
+//     RankAxis (world
 //     size), CacheAxis (per-rank cache kB), CPUAxis / CPUClockAxis
 //     (CPUTune: clock scale, cache hit/miss penalty multipliers — the
 //     Section 6 "parameterized by processor speed" knobs), SchedAxis (the
@@ -168,7 +182,7 @@
 //
 // A Scenario carries its coordinate on every axis ([]Coord) rather than
 // one struct field per dimension, so the one grid driver —
-// StreamSweepGrid — and the trend reports handle any axis generically.
+// harness.StreamSweepGrid — and the trend reports handle any axis generically.
 //
 // See examples/campaign for a grid study and cmd/figures for the full
 // figure-regeneration graph.
@@ -176,22 +190,22 @@
 // # Results and checkpointing
 //
 // Campaign jobs do not have to buffer whole results in memory: they stream
-// rows into a Sink (CampaignConfig.Sink), and the streaming grid driver
-// (StreamSweepGrid) keeps only a small GridPoint per scenario, so a
+// rows into a results.Sink (campaign.Config.Sink), and the streaming grid
+// driver (harness.StreamSweepGrid) keeps only a small GridPoint per scenario, so a
 // thousand-scenario grid runs in bounded memory:
 //
 //   - a Row is an ordered list of named, typed fields; jobs emit rows
 //     under their campaign key via campaign.Emit;
 //   - sinks are concurrency-safe and deterministic (rows keep per-key
-//     order): NewCSVShardSink writes one CSV file per key, NewBinShardSink
-//     writes the same rows in the length-prefixed binary shard format
-//     (see "Results service" below), NewAggSink keeps running
-//     mean/min/max/stddev per (key, field) and drops the rows,
-//     results.NewMemorySink buffers for tests, NewTee fans out to several
-//     sinks at once; results.ReadRowsFile decodes either shard format
+//     order): results.NewCSVShardSink writes one CSV file per key,
+//     results.NewBinShardSink writes the same rows in the length-prefixed
+//     binary shard format (see "Results service" below), results.NewAggSink
+//     keeps running mean/min/max/stddev per (key, field) and drops the
+//     rows, results.NewMemorySink buffers for tests, results.NewTee fans
+//     out to several sinks at once; results.ReadRowsFile decodes either shard format
 //     back into rows, results.ReadColumnsFile into a few numeric columns;
-//   - every harness job is checkpointable: with CampaignConfig.Store set
-//     (OpenStore), finished payloads persist content-addressed by
+//   - every harness job is checkpointable: with campaign.Config.Store set
+//     (store.Open), finished payloads persist content-addressed by
 //     (job key, config hash), so an interrupted campaign — a killed
 //     cmd/figures run, a canceled grid — resumes re-running zero
 //     completed jobs and produces byte-identical output, with cached
@@ -201,8 +215,8 @@
 //     distinct for distinct configs. Changing a config struct or a
 //     payload format means bumping the version and refilling the store;
 //     entries under an older version are never read;
-//   - the cross-scenario trend report (BuildTrends, WriteTrendCSV,
-//     WriteTrendReport) fits every model coefficient against a swept
+//   - the cross-scenario trend report (harness.BuildTrends,
+//     WriteTrendCSV, WriteTrendReport) fits every model coefficient against a swept
 //     machine axis — the paper's Section 6 "coefficients parameterized by
 //     processor speed and a cache model". The axes are the two rows of
 //     one table in internal/harness (TrendCacheKB, TrendCPUClock): a row
@@ -216,28 +230,27 @@
 //
 // The checkpoint store is content-addressed and atomic, so several hosts
 // can share one store directory over a network filesystem — and the lease
-// protocol (results/store/lease, re-exported as LeaseManager) lets N
-// independent processes partition one grid through it with no
-// coordinator. Set CampaignConfig.Claimer (lease.Open, or
-// DistributedCampaignConfig to wire store and claimer together) and point
-// every process at the same store:
+// protocol (results/store/lease) lets N independent processes partition
+// one grid through it with no coordinator. Set campaign.Config.Claimer
+// (lease.Open, or harness.DistributedConfig to wire store and claimer
+// together) and point every process at the same store:
 //
 //   - lease lifecycle: a worker claims a job by creating its lease file
 //     exclusively (the record is written to a temp file and link(2)ed
 //     into place, so it appears atomically and fully written); a held
 //     lease is rewritten with a fresh heartbeat timestamp every
-//     LeaseOptions.Heartbeat; the claim is released — audit line first,
+//     lease.Options.Heartbeat; the claim is released — audit line first,
 //     then lease removal — after the job's checkpoint is stored, at which
 //     point the payload answers every later claim with "done";
 //   - jobs claimed by another live process are deferred, not blocked on:
 //     workers move to other ready jobs and re-probe every
-//     CampaignConfig.ClaimBackoff, decoding the payload (and replaying
+//     campaign.Config.ClaimBackoff, decoding the payload (and replaying
 //     its rows) once it appears — so each process's sinks and rendered
 //     files stay byte-identical to a single-process run while each
 //     scenario executes exactly once across the fleet, as the per-owner
 //     audit logs under <store>/leases/ prove;
 //   - crashed workers stop heartbeating: once a lease's heartbeat is
-//     older than LeaseOptions.TTL, any claimant steals it (rename-aside
+//     older than lease.Options.TTL, any claimant steals it (rename-aside
 //     with exactly one winner, then an ordinary exclusive re-claim), so
 //     the grid always drains;
 //   - heartbeat/expiry knobs: TTL defaults to 30s and the renewal
@@ -259,8 +272,8 @@
 // # Results service
 //
 // A finished campaign's rows directory is itself a queryable performance
-// model: cmd/resultsd (internal/results/serve, opened here with
-// NewResultsService) serves it over HTTP without re-running a single
+// model: cmd/resultsd (internal/results/serve, opened with serve.New)
+// serves it over HTTP without re-running a single
 // simulation. Point it at a rows directory — or a campaign output
 // directory containing rows/ — and it fits the paper's regression models
 // on demand:
@@ -319,8 +332,8 @@
 // byte-identical bodies for every request — CI curls a live instance
 // and diffs against the documented examples.
 //
-// Binary row shards are the service's preferred input: NewBinShardSink
-// writes one <key>-<hash>.bin file per campaign key (the same naming as
+// Binary row shards are the service's preferred input:
+// results.NewBinShardSink writes one <key>-<hash>.bin file per campaign key (the same naming as
 // the CSV shards) — magic "RRBS", one version byte, then
 // per row a uvarint body length and a body of uvarint-counted fields
 // (uvarint name length + name, a tag byte, then the value: 1 = int as
@@ -336,8 +349,8 @@
 //
 // # Observability
 //
-// The stack observes itself (internal/obs, re-exported here as
-// NewObserver, EnableObserver and friends): a span tracer and a metrics
+// The stack observes itself (internal/obs: obs.New, obs.Enable and
+// friends): a span tracer and a metrics
 // registry that the campaign engine, the lease protocol, the checkpoint
 // store and the simulated MPI world record into. The design holds two
 // invariants:
@@ -349,9 +362,10 @@
 //   - Nil-safety: every tracer and registry method no-ops on a nil
 //     receiver. Layers capture possibly-nil instrument handles when they
 //     are constructed, so disabled observability costs one nil check per
-//     event. Because capture happens at construction, EnableObserver
-//     must run before OpenStore / DistributedCampaignConfig / NewWorld /
-//     campaign.Run.
+//     event. Because capture happens at construction, obs.Enable must
+//     run before store.Open / harness.DistributedConfig / mpi.NewWorld /
+//     campaign.Run; the commands get that order from obs.Outputs.Start,
+//     which also flushes trace, metrics and profiles on every way out.
 //
 // The tracer keeps one track — a fixed-size ring buffer under its own
 // mutex, oldest events overwritten and the drop count exported — per
@@ -428,7 +442,6 @@
 // claim — five named workloads, end-to-end metrics with bounds and a
 // per-layer budget; see bench/README.md.
 //
-// This package is the facade: it re-exports the experiment harness and the
-// campaign engine that regenerate every figure of the paper's evaluation.
-// The underlying packages live in internal/.
+// This package holds no code: the module path is not fetchable, so every
+// importer lives in this tree and imports internal/ directly.
 package repro

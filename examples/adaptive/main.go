@@ -9,7 +9,9 @@ package main
 
 import (
 	"fmt"
+	"io"
 	"log"
+	"os"
 
 	"repro/internal/cca"
 	"repro/internal/components"
@@ -19,10 +21,17 @@ import (
 )
 
 func main() {
+	if err := run(os.Stdout); err != nil {
+		log.Fatal(err)
+	}
+}
+
+// run drives the adaptive assembly through the growing patches, printing
+// one line per patch to w.
+func run(w io.Writer) error {
 	wcfg := mpi.DefaultConfig()
 	wcfg.Procs = 1
-	w := mpi.NewWorld(wcfg)
-	err := cca.RunSCMD(w, func(f *cca.Framework, r *mpi.Rank) error {
+	return cca.RunSCMD(mpi.NewWorld(wcfg), func(f *cca.Framework, r *mpi.Rank) error {
 		// Expectation: Godunov stays near its small-patch cost. Larger
 		// patches exceed this model once the cache overflows.
 		expect := perfmodel.Poly{Coeffs: []float64{0, 0.25}} // 0.25 us/cell
@@ -62,18 +71,15 @@ connect adaptive0 fallback efm0 flux
 			euler.States(proc, b, euler.Y, qL, qR)
 			t0 := proc.Now()
 			fp.Compute(qL, qR, fl)
-			fmt.Printf("patch %3dx%-3d (Q=%6d): %9.1f us  expectation %9.1f us  switched=%v\n",
+			fmt.Fprintf(w, "patch %3dx%-3d (Q=%6d): %9.1f us  expectation %9.1f us  switched=%v\n",
 				side, side, side*side, proc.Now()-t0,
 				expect.Predict(float64(side*side)), adaptor.Switched())
 		}
 		if adaptor.Switched() {
-			fmt.Println("\nexpectation violated for a sustained window: the assembly now runs EFMFlux")
+			fmt.Fprintln(w, "\nexpectation violated for a sustained window: the assembly now runs EFMFlux")
 		} else {
-			fmt.Println("\nexpectation held: the assembly kept GodunovFlux")
+			fmt.Fprintln(w, "\nexpectation held: the assembly kept GodunovFlux")
 		}
 		return nil
 	})
-	if err != nil {
-		log.Fatal(err)
-	}
 }

@@ -5,9 +5,9 @@
 //
 // A Grid is a list of first-class axes (Dimension values) crossed with
 // seed replications. Here the grid sweeps the cache-size axis against the
-// new CPU clock axis, plus a custom user-defined dimension — network load
+// CPU clock axis, plus a custom user-defined dimension — network load
 // noise — to show that adding a machine parameter to the sweep space is
-// one Dimension literal, not an API change. Each scenario streams its
+// one Dimension literal, not a library change. Each scenario streams its
 // telemetry rows into a sink (a CSV-shard sink teed with an on-the-fly
 // aggregator) and checkpoints its fitted model into a content-addressed
 // store, then drops its raw sweep: memory stays bounded as the grid grows,
@@ -23,7 +23,7 @@
 // of output.
 //
 // The example closes with the distributed layer: two coordinator-free
-// workers (DistributedCampaignConfig: a lease manager per worker over one
+// workers (harness.DistributedConfig: a lease manager per worker over one
 // shared store) partition a second grid between themselves — the lease
 // audit shows every scenario executed exactly once, and both workers
 // still produce identical trend reports because each replays the other's
@@ -50,19 +50,34 @@ import (
 	"strings"
 	"sync"
 
-	"repro"
+	"repro/internal/campaign"
+	"repro/internal/harness"
+	"repro/internal/mpi"
+	"repro/internal/obs"
+	"repro/internal/results"
+	"repro/internal/results/serve"
+	"repro/internal/results/store"
+	"repro/internal/results/store/lease"
 )
 
 func main() {
+	if err := run(os.Stdout, "campaign-out"); err != nil {
+		log.Fatal(err)
+	}
+}
+
+// run executes the whole tour, printing to w and writing rows, stores and
+// the trace under outDir.
+func run(w io.Writer, outDir string) error {
 	// Observe the whole run: the campaign engine, lease managers and
 	// simulated worlds capture their instruments at construction, so the
 	// observer goes in before anything else is opened.
-	observer := repro.NewObserver(repro.ObserverOptions{})
-	repro.EnableObserver(observer)
-	defer repro.DisableObserver()
+	observer := obs.New(obs.Options{})
+	obs.Enable(observer)
+	defer obs.Disable()
 
 	// A reduced States sweep keeps the demo quick.
-	base := repro.DefaultSweep(repro.KernelStates)
+	base := harness.DefaultSweep(harness.KernelStates)
 	base.Sizes = base.Sizes[:6]
 	base.Reps = 2
 	base.World.Procs = 2
@@ -70,22 +85,22 @@ func main() {
 	// A custom axis: nobody had to touch the campaign package for this.
 	// Each value names itself (the key token lands in scenario keys and
 	// shard file names) and mutates the scenario's machine.
-	noise := repro.Dimension{Name: "load", Values: []repro.DimValue{
-		{Key: "quiet", Value: 0.0, Apply: func(w *repro.WorldConfig) { w.Net.NoiseSigma = 0 }},
-		{Key: "loaded", Value: 0.7, Apply: func(w *repro.WorldConfig) { w.Net.NoiseSigma = 0.7 }},
+	noise := campaign.Dimension{Name: "load", Values: []campaign.DimValue{
+		{Key: "quiet", Value: 0.0, Apply: func(w *mpi.WorldConfig) { w.Net.NoiseSigma = 0 }},
+		{Key: "loaded", Value: 0.7, Apply: func(w *mpi.WorldConfig) { w.Net.NoiseSigma = 0.7 }},
 	}}
 
 	// The scheduler axis sweeps all three modes.
-	g := repro.Grid{
+	g := campaign.Grid{
 		Base: base.World,
-		Axes: []repro.Dimension{
-			repro.CacheAxis(128, 512),
-			repro.CPUClockAxis(1, 2),
+		Axes: []campaign.Dimension{
+			campaign.CacheAxis(128, 512),
+			campaign.CPUClockAxis(1, 2),
 			noise,
-			repro.SchedAxis(
-				repro.SchedChoice{Mode: repro.SchedSerial},
-				repro.SchedChoice{Mode: repro.SchedConservativeParallel},
-				repro.SchedChoice{Mode: repro.SchedOptimisticParallel},
+			campaign.SchedAxis(
+				campaign.SchedChoice{Mode: mpi.Serial},
+				campaign.SchedChoice{Mode: mpi.ConservativeParallel},
+				campaign.SchedChoice{Mode: mpi.OptimisticParallel},
 			),
 		},
 		Replications: 2,
@@ -93,32 +108,31 @@ func main() {
 	}
 	scs, err := g.Scenarios()
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
-	fmt.Printf("campaign: %d scenarios on %d workers\n", len(scs), runtime.NumCPU())
+	fmt.Fprintf(w, "campaign: %d scenarios on %d workers\n", len(scs), runtime.NumCPU())
 
 	// Streamed results: one CSV shard per scenario — teed with its compact
 	// binary sibling (same rows, same stems, ".bin" extension; the format
 	// resultsd prefers) — plus running aggregates, checkpointed under a
 	// cache directory for cheap re-runs.
-	outDir := "campaign-out"
-	shards, err := repro.NewCSVShardSink(filepath.Join(outDir, "rows"))
+	shards, err := results.NewCSVShardSink(filepath.Join(outDir, "rows"))
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
-	binShards, err := repro.NewBinShardSink(filepath.Join(outDir, "rows"))
+	binShards, err := results.NewBinShardSink(filepath.Join(outDir, "rows"))
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
-	agg := repro.NewAggSink()
-	st, err := repro.OpenStore(filepath.Join(outDir, ".cache"))
+	agg := results.NewAggSink()
+	st, err := store.Open(filepath.Join(outDir, ".cache"))
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
-	cc := repro.CampaignConfig{
+	cc := campaign.Config{
 		Store: st,
-		Sink:  repro.NewTee(shards, binShards, agg),
-		OnProgress: func(e repro.CampaignEvent) {
+		Sink:  results.NewTee(shards, binShards, agg),
+		OnProgress: func(e campaign.Event) {
 			status := "ok"
 			if e.Cached {
 				status = "ok (from checkpoint)"
@@ -126,27 +140,27 @@ func main() {
 			if e.Err != nil {
 				status = e.Err.Error()
 			}
-			fmt.Printf("  [%2d/%2d] %-32s %8.2fs  %s\n",
+			fmt.Fprintf(w, "  [%2d/%2d] %-32s %8.2fs  %s\n",
 				e.Done, e.Total, e.Key, e.Elapsed.Seconds(), status)
 		},
 	}
-	pts, err := repro.StreamSweepGrid(context.Background(), cc, base, g)
+	pts, err := harness.StreamSweepGrid(context.Background(), cc, base, g)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	if err := shards.Close(); err != nil {
-		log.Fatal(err)
+		return err
 	}
 	if err := binShards.Close(); err != nil {
-		log.Fatal(err)
+		return err
 	}
 
 	// The streamed aggregates: per-scenario wall-time statistics computed
 	// on the fly, no raw rows retained.
-	fmt.Println("\nstreamed wall_us aggregates (per scenario):")
+	fmt.Fprintln(w, "\nstreamed wall_us aggregates (per scenario):")
 	for _, key := range agg.Keys() {
 		if s, ok := agg.Stat(key, "wall_us"); ok {
-			fmt.Printf("  %-40s n=%4d  mean=%10.2f  sd=%10.2f\n", key, s.N, s.Mean, s.StdDev)
+			fmt.Fprintf(w, "  %-40s n=%4d  mean=%10.2f  sd=%10.2f\n", key, s.N, s.Mean, s.StdDev)
 		}
 	}
 
@@ -160,75 +174,42 @@ func main() {
 		}
 		s1, ok1 := agg.Stat(key, "wall_us")
 		if !ok1 {
-			log.Fatalf("scenario %s missing from aggregates", key)
+			return fmt.Errorf("scenario %s missing from aggregates", key)
 		}
 		for _, mode := range []string{"/par/", "/opt/"} {
 			twin := strings.Replace(key, "/serial/", mode, 1)
 			s2, ok2 := agg.Stat(twin, "wall_us")
 			if !ok2 {
-				log.Fatalf("scheduler twin %s missing from aggregates", twin)
+				return fmt.Errorf("scheduler twin %s missing from aggregates", twin)
 			}
 			pairs++
 			if s1 != s2 {
 				mismatches++
-				fmt.Printf("  MISMATCH %s: serial %+v != %s %+v\n", key, s1, twin, s2)
+				fmt.Fprintf(w, "  MISMATCH %s: serial %+v != %s %+v\n", key, s1, twin, s2)
 			}
 		}
 	}
-	fmt.Printf("\nscheduler equivalence: %d serial-vs-parallel scenario pairs, %d mismatches\n", pairs, mismatches)
+	fmt.Fprintf(w, "\nscheduler equivalence: %d serial-vs-parallel scenario pairs, %d mismatches\n", pairs, mismatches)
 
 	// The cross-scenario trends: the same grid points fit against either
 	// machine axis. The functional form stays a power law while the
 	// coefficients move with the cache size and the clock scale — and the
 	// trend fit turns that movement into a model of its own.
-	for _, axis := range []repro.TrendAxis{repro.TrendCacheKB, repro.TrendCPUClock} {
-		reports, err := repro.BuildTrends(pts, axis)
+	for _, axis := range []harness.TrendAxis{harness.TrendCacheKB, harness.TrendCPUClock} {
+		reports, err := harness.BuildTrends(pts, axis)
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
-		fmt.Println()
-		if err := repro.WriteTrendReport(os.Stdout, reports); err != nil {
-			log.Fatal(err)
+		fmt.Fprintln(w)
+		if err := harness.WriteTrendReport(w, reports); err != nil {
+			return err
 		}
 	}
-	fmt.Printf("\nscenario rows under %s, checkpoints under %s — re-run me: zero scenarios re-execute\n",
+	fmt.Fprintf(w, "\nscenario rows under %s, checkpoints under %s — re-run me: zero scenarios re-execute\n",
 		filepath.Join(outDir, "rows"), filepath.Join(outDir, ".cache"))
 
-	// Results as a service: the rows directory just written is already a
-	// queryable model server — cmd/resultsd wraps the same service in a
-	// standalone process; here it runs in-process on a loopback port. The
-	// responses are fitted-model evaluations, so they are as deterministic
-	// as the campaign itself: identical rows, identical bytes.
-	svc, err := repro.NewResultsService(outDir, repro.ResultsServiceOptions{})
-	if err != nil {
-		log.Fatal(err)
-	}
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		log.Fatal(err)
-	}
-	srv := &http.Server{Handler: svc.Handler()}
-	go srv.Serve(ln)
-	scenario := svc.Catalog().Scenarios()[0].Name
-	fmt.Printf("\nresultsd over %s (%d scenarios; first: %s):\n",
-		filepath.Join(outDir, "rows"), len(svc.Catalog().Scenarios()), scenario)
-	for _, query := range []string{
-		"/predict?scenario=" + scenario + "&measure=mean_us&q=8000",
-		"/predict?scenario=" + scenario + "&measure=response_us&model=queue&q=8000&lambda=50",
-	} {
-		resp, err := http.Get("http://" + ln.Addr().String() + query)
-		if err != nil {
-			log.Fatal(err)
-		}
-		body, err := io.ReadAll(resp.Body)
-		resp.Body.Close()
-		if err != nil {
-			log.Fatal(err)
-		}
-		fmt.Printf("  GET %s\n%s", query, indent(body, "    "))
-	}
-	if err := srv.Close(); err != nil {
-		log.Fatal(err)
+	if err := queryService(w, outDir); err != nil {
+		return err
 	}
 
 	// Coordinator-free distribution: the same store machinery lets several
@@ -238,44 +219,52 @@ func main() {
 	// against an NFS store) each claim scenarios from a fresh grid; every
 	// scenario runs in exactly one worker and is replayed from the store
 	// by the other, so both workers end with the complete result set.
-	fmt.Println("\ndistributed: two coordinator-free workers, one shared store")
-	dg := repro.Grid{
+	fmt.Fprintln(w, "\ndistributed: two coordinator-free workers, one shared store")
+	dg := campaign.Grid{
 		Base:         base.World,
-		Axes:         []repro.Dimension{repro.CacheAxis(128, 256, 512, 1024)},
+		Axes:         []campaign.Dimension{campaign.CacheAxis(128, 256, 512, 1024)},
 		Replications: 2,
 		BaseSeed:     7,
 	}
 	dstore := filepath.Join(outDir, ".cache-distributed")
 	var wg sync.WaitGroup
 	workers := []string{"w1", "w2"}
-	mgrs := make([]*repro.LeaseManager, len(workers))
-	points := make([][]repro.GridPoint, len(workers))
+	mgrs := make([]*lease.Manager, len(workers))
+	points := make([][]harness.GridPoint, len(workers))
+	errs := make([]error, len(workers))
 	for i, owner := range workers {
-		cc, mgr, err := repro.DistributedCampaignConfig(
-			repro.CampaignConfig{Workers: 2}, dstore, owner, repro.LeaseOptions{})
+		cc, mgr, err := harness.DistributedConfig(
+			campaign.Config{Workers: 2}, dstore, owner, lease.Options{})
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
+		defer mgr.Close()
 		mgrs[i] = mgr
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			pts, err := repro.StreamSweepGrid(context.Background(), cc, base, dg)
-			if err != nil {
-				log.Fatal(err)
-			}
-			points[i] = pts
+			points[i], errs[i] = harness.StreamSweepGrid(context.Background(), cc, base, dg)
 		}()
 	}
 	wg.Wait()
+	trends := make([]string, len(workers))
 	for i, owner := range workers {
-		fmt.Printf("  %s executed %2d scenario(s), observed %d grid points\n",
+		if errs[i] != nil {
+			return fmt.Errorf("worker %s: %w", owner, errs[i])
+		}
+		fmt.Fprintf(w, "  %s executed %2d scenario(s), observed %d grid points\n",
 			owner, len(mgrs[i].Executed()), len(points[i]))
-		mgrs[i].Close()
+		if trends[i], err = trendCSV(points[i]); err != nil {
+			return err
+		}
 	}
-	audit, err := repro.ReadLeaseAudit(st2(dstore))
+	dst, err := store.Open(dstore)
 	if err != nil {
-		log.Fatal(err)
+		return err
+	}
+	audit, err := lease.ReadAudit(dst)
+	if err != nil {
+		return err
 	}
 	dups := 0
 	for _, owners := range audit {
@@ -284,56 +273,86 @@ func main() {
 		}
 	}
 	match := "byte-identical"
-	if trendBytes(points[0]) != trendBytes(points[1]) {
+	if trends[0] != trends[1] {
 		match = "MISMATCHED"
 	}
-	fmt.Printf("  audit: %d scenarios executed, %d duplicates; both workers' trend reports %s\n",
+	fmt.Fprintf(w, "  audit: %d scenarios executed, %d duplicates; both workers' trend reports %s\n",
 		len(audit), dups, match)
 
 	// The observability dividend: the per-owner throughput table from the
 	// lease audit, the per-track summary from the trace, and the trace
 	// itself for chrome://tracing.
-	entries, err := repro.ReadLeaseAuditEntries(st2(dstore))
+	entries, err := lease.ReadAuditEntries(dst)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
-	execs := make([]repro.OwnerExec, len(entries))
+	execs := make([]obs.OwnerExec, len(entries))
 	for i, e := range entries {
-		execs[i] = repro.OwnerExec{Owner: e.Owner, Key: e.Key, ElapsedUS: e.ElapsedUS, EndUnixNS: e.EndUnixNS}
+		execs[i] = obs.OwnerExec{Owner: e.Owner, Key: e.Key, ElapsedUS: e.ElapsedUS, EndUnixNS: e.EndUnixNS}
 	}
-	fmt.Println("\nowner throughput (from the lease audit):")
-	if err := repro.WriteOwnerReport(os.Stdout, execs); err != nil {
-		log.Fatal(err)
+	fmt.Fprintln(w, "\nowner throughput (from the lease audit):")
+	if err := obs.WriteOwnerReport(w, execs); err != nil {
+		return err
 	}
 	tracePath := filepath.Join(outDir, "trace.json")
 	if err := observer.Tracer().WriteTraceFile(tracePath); err != nil {
-		log.Fatal(err)
+		return err
 	}
 	data, err := os.ReadFile(tracePath)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
-	tf, err := repro.ParseTrace(data)
+	tf, err := obs.ParseTrace(data)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
-	if err := repro.ValidateTrace(tf); err != nil {
-		log.Fatal(err)
+	if err := obs.ValidateTrace(tf); err != nil {
+		return err
 	}
-	fmt.Println("\ntrace tracks (campaign workers / MPI ranks / lease owners):")
-	if err := repro.WriteTrackReport(os.Stdout, tf); err != nil {
-		log.Fatal(err)
+	fmt.Fprintln(w, "\ntrace tracks (campaign workers / MPI ranks / lease owners):")
+	if err := obs.WriteTrackReport(w, tf); err != nil {
+		return err
 	}
-	fmt.Printf("\nChrome trace written to %s — open it in chrome://tracing or https://ui.perfetto.dev\n", tracePath)
+	fmt.Fprintf(w, "\nChrome trace written to %s — open it in chrome://tracing or https://ui.perfetto.dev\n", tracePath)
+	return nil
 }
 
-// st2 reopens a store directory for the audit read.
-func st2(dir string) *repro.CheckpointStore {
-	st, err := repro.OpenStore(dir)
+// queryService shows results as a service: the rows directory just written
+// is already a queryable model server — cmd/resultsd wraps the same service
+// in a standalone process; here it runs in-process on a loopback port. The
+// responses are fitted-model evaluations, so they are as deterministic as
+// the campaign itself: identical rows, identical bytes.
+func queryService(w io.Writer, outDir string) error {
+	svc, err := serve.New(outDir, serve.Options{})
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
-	return st
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		return err
+	}
+	srv := &http.Server{Handler: svc.Handler()}
+	go srv.Serve(ln)
+	defer srv.Close()
+	scenario := svc.Catalog().Scenarios()[0].Name
+	fmt.Fprintf(w, "\nresultsd over %s (%d scenarios; first: %s):\n",
+		filepath.Join(outDir, "rows"), len(svc.Catalog().Scenarios()), scenario)
+	for _, query := range []string{
+		"/predict?scenario=" + scenario + "&measure=mean_us&q=8000",
+		"/predict?scenario=" + scenario + "&measure=response_us&model=queue&q=8000&lambda=50",
+	} {
+		resp, err := http.Get("http://" + ln.Addr().String() + query)
+		if err != nil {
+			return err
+		}
+		body, err := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if err != nil {
+			return err
+		}
+		fmt.Fprintf(w, "  GET %s\n%s", query, indent(body, "    "))
+	}
+	return nil
 }
 
 // indent prefixes every line of a response body for the demo printout.
@@ -345,16 +364,14 @@ func indent(body []byte, prefix string) string {
 	return strings.Join(lines, "\n") + "\n"
 }
 
-// trendBytes renders a worker's grid points as the trend CSV, the bytes
+// trendCSV renders a worker's grid points as the trend CSV, the bytes
 // the distributed guarantee compares.
-func trendBytes(pts []repro.GridPoint) string {
-	reports, err := repro.BuildTrends(pts, repro.TrendCacheKB)
+func trendCSV(pts []harness.GridPoint) (string, error) {
+	reports, err := harness.BuildTrends(pts, harness.TrendCacheKB)
 	if err != nil {
-		log.Fatal(err)
+		return "", err
 	}
 	var buf strings.Builder
-	if err := repro.WriteTrendCSV(&buf, reports); err != nil {
-		log.Fatal(err)
-	}
-	return buf.String()
+	err = harness.WriteTrendCSV(&buf, reports)
+	return buf.String(), err
 }

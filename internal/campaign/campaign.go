@@ -26,6 +26,7 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"runtime/debug"
 	"sort"
 	"sync"
 	"time"
@@ -508,6 +509,10 @@ func (r *runState) pollLocked() {
 // the claim, releasing it after the checkpoint save so other processes
 // flip from busy to done without ever re-executing the job.
 //
+// No panic leaves execute: work calls it with the scheduler lock released
+// and a deferred unlock pending, so an escaping panic would die unlocking
+// an unlocked mutex with the original panic buried.
+//
 //repolint:allow wallclock -- job elapsed time is measurement metadata (progress events, obs spans, lease audit); it never reaches rendered output or hashes
 func (r *runState) execute(tr *obs.Track, job Job, deps map[string]any) (v any, elapsed time.Duration, cached, busy bool, err error) {
 	sp := tr.Begin("job", job.Key)
@@ -530,6 +535,23 @@ func (r *runState) execute(tr *obs.Track, job Job, deps map[string]any) (v any, 
 		sp.End(obs.Arg{Name: "status", Value: status})
 	}()
 	start := time.Now()
+	claimed := false
+	// A panic in one of the job's hooks (or in a store or claimer under
+	// them) is that job's error: dependents skip, sibling jobs finish, the
+	// campaign returns, and a held claim goes back unfinished so another
+	// process may take the job.
+	defer func() {
+		if p := recover(); p != nil {
+			v, cached, busy = nil, false, false
+			elapsed = time.Since(start)
+			err = fmt.Errorf("panic: %v\n%s", p, debug.Stack())
+			if claimed {
+				// The job already has its error; a lease that could not be
+				// released goes stale and is stolen.
+				_ = r.cfg.Claimer.Release(job.Key, job.Hash, false)
+			}
+		}
+	}()
 	checkpointed := job.Hash != "" && r.cfg.Store != nil
 	if checkpointed && job.Decode != nil {
 		if data, ok, gerr := r.cfg.Store.Get(job.Key, job.Hash); gerr == nil && ok {
@@ -542,7 +564,6 @@ func (r *runState) execute(tr *obs.Track, job Job, deps map[string]any) (v any, 
 			}
 		}
 	}
-	claimed := false
 	if r.cfg.Claimer != nil && checkpointed && job.Encode != nil && job.Decode != nil {
 		state, cerr := r.cfg.Claimer.TryClaim(job.Key, job.Hash)
 		if cerr != nil {
@@ -563,9 +584,9 @@ func (r *runState) execute(tr *obs.Track, job Job, deps map[string]any) (v any, 
 			}
 			dv, derr := job.Decode(r.ctx, data)
 			if derr != nil {
-				return nil, time.Since(start), true, false, fmt.Errorf("claimed checkpoint decode: %w", derr)
+				dv, derr = nil, fmt.Errorf("claimed checkpoint decode: %w", derr)
 			}
-			return dv, time.Since(start), true, false, nil
+			return dv, time.Since(start), true, false, derr
 		case ClaimRun:
 			claimed = true
 		}
@@ -579,6 +600,7 @@ func (r *runState) execute(tr *obs.Track, job Job, deps map[string]any) (v any, 
 		}
 	}
 	if claimed {
+		claimed = false
 		if rerr := r.cfg.Claimer.Release(job.Key, job.Hash, err == nil); rerr != nil && err == nil {
 			err = fmt.Errorf("claim release: %w", rerr)
 		}

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -268,5 +269,72 @@ func TestDeferredJobsKeepDependentsCorrect(t *testing.T) {
 	}
 	if res[1].Value != "saw value-dep" {
 		t.Fatalf("dependent saw %v", res[1].Value)
+	}
+}
+
+// TestJobPanicIsAJobError: a panic in a job's Run or Decode settles that
+// job with an error carrying the panic value and its stack; dependents
+// skip, sibling jobs finish, nothing is checkpointed for the job and a
+// held claim is given back unfinished. (It used to unwind through the
+// worker's deferred unlock and kill the process with "sync: unlock of
+// unlocked mutex".)
+func TestJobPanicIsAJobError(t *testing.T) {
+	t.Parallel()
+	for _, tc := range []struct {
+		name    string
+		store   bool
+		claimer bool
+		decode  bool // the panic is in Decode of a stored payload, not in Run
+	}{
+		{name: "plain"},
+		{name: "with a Store", store: true},
+		{name: "with a Store, in Decode", store: true, decode: true},
+		{name: "with a Claimer", store: true, claimer: true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var cfg Config
+			st, cl := newMemStore(), newFakeClaimer()
+			if tc.store {
+				cfg.Store = st
+			}
+			if tc.claimer {
+				cfg.Claimer = cl
+			}
+			var runs atomic.Int64
+			boom := countingJob("boom", "h", &runs)
+			if tc.decode {
+				st.Put("boom", "h", []byte(`"stored"`))
+				boom.Decode = func(context.Context, []byte) (any, error) { panic("kaboom") }
+			} else {
+				boom.Run = func(context.Context, map[string]any) (any, error) { panic("kaboom") }
+			}
+			after := countingJob("after", "h", &runs)
+			after.After = []string{"boom"}
+			res, err := Run(context.Background(), cfg, []Job{boom, after, countingJob("sibling", "h", &runs)})
+			if err == nil {
+				t.Fatal("campaign with a panicking job returned no error")
+			}
+			if msg := res[0].Err.Error(); !strings.Contains(msg, "panic: kaboom") || !strings.Contains(msg, "TestJobPanicIsAJobError") {
+				t.Errorf("panicking job's error lacks the panic value or its stack:\n%s", msg)
+			}
+			if res[0].Value != nil {
+				t.Errorf("panicking job settled with value %v", res[0].Value)
+			}
+			if !errors.Is(res[1].Err, ErrDependency) {
+				t.Errorf("dependent settled with %v, want ErrDependency", res[1].Err)
+			}
+			if res[2].Err != nil || res[2].Value != "value-sibling" {
+				t.Errorf("sibling settled with %v, %v", res[2].Value, res[2].Err)
+			}
+			if runs.Load() != 1 {
+				t.Errorf("%d jobs ran, want the sibling alone", runs.Load())
+			}
+			if _, ok, _ := st.Get("boom", "h"); ok != tc.decode {
+				t.Errorf("store holds the panicking job: %v", ok)
+			}
+			if completed, ok := cl.released["boom"]; tc.claimer && (!ok || completed) {
+				t.Errorf("release recorded %v, %v; want completed=false", completed, ok)
+			}
+		})
 	}
 }

@@ -93,7 +93,7 @@ func TestGridEmptyDimensionsKeepBase(t *testing.T) {
 	// An unswept cache dimension must keep the exact byte size even when it
 	// is not kB-aligned.
 	odd := mpi.DefaultConfig()
-	odd.Cache.SizeBytes = 98_816 // 96.5 kB
+	odd.Cache.SizeBytes, odd.Cache.Assoc = 98_816, 193 // 96.5 kB: 8 sets x 193 ways x 64 B
 	got := expand(t, Grid{Base: odd})
 	if got[0].World.Cache.SizeBytes != 98_816 {
 		t.Errorf("unswept cache size rounded: %d bytes", got[0].World.Cache.SizeBytes)

@@ -42,7 +42,7 @@ func TestGridStabilityGolden(t *testing.T) {
 	}
 
 	odd := mpi.DefaultConfig()
-	odd.Cache.SizeBytes = 98_816
+	odd.Cache.SizeBytes, odd.Cache.Assoc = 98_816, 193 // 96.5 kB: 8 sets x 193 ways x 64 B
 
 	trendBase := DefaultSweep(KernelStates).World
 	trendBase.Procs = 3

@@ -124,6 +124,35 @@ func TestFig3ShapeWaitsomeShare(t *testing.T) {
 	}
 }
 
+// TestProxyOverheadIsSmall is the paper's overhead claim as an assertion:
+// interposing the proxies and the Mastermind lengthens the application's
+// virtual run (main's inclusive time) by well under 1% (measured 0.010%).
+func TestProxyOverheadIsSmall(t *testing.T) {
+	t.Parallel()
+	mainUS := func(res *CaseStudyResult) float64 {
+		for _, row := range res.MeanSummary() {
+			if row.Name == "int main(int, char **)" {
+				return row.InclusiveUS
+			}
+		}
+		t.Fatal("no main timer in the profile")
+		return 0
+	}
+	monitored, _, _ := sharedFixtures(t)
+	cfg := fastCaseStudy()
+	cfg.App.Monitor = false
+	bare, err := RunCaseStudy(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	with, without := mainUS(monitored), mainUS(bare)
+	pct := (with - without) / without * 100
+	t.Logf("proxy+Mastermind overhead = %.4f%% of main", pct)
+	if pct < 0 || pct >= 1 {
+		t.Errorf("proxy+Mastermind overhead = %.4f%% of main (%.0f us monitored, %.0f us bare), want in [0, 1)", pct, with, without)
+	}
+}
+
 func TestGhostCommSeriesFig9(t *testing.T) {
 	t.Parallel()
 	res, _, _ := sharedFixtures(t)
@@ -253,6 +282,42 @@ func TestRunSweepStates(t *testing.T) {
 	}
 	if largeAvg <= smallAvg {
 		t.Error("ratio must grow with Q (Fig. 5)")
+	}
+}
+
+// TestModeAveragingCostsFidelity quantifies what the paper's mode-averaged
+// States model gives up: one power law over both access modes must
+// predict worse (higher RMSE) than a power law per mode, the gap Fig. 4
+// shows and Section 6's cache-aware model exists to close.
+func TestModeAveragingCostsFidelity(t *testing.T) {
+	t.Parallel()
+	_, sweeps, models := sharedFixtures(t)
+	sw := sweeps[KernelStates]
+	sumSq := func(m perfmodel.Model, q, wall []float64) float64 {
+		var ss float64
+		for i := range wall {
+			d := wall[i] - m.Predict(q[i])
+			ss += d * d
+		}
+		return ss
+	}
+	qAll, wallAll := sw.AllSeries()
+	averaged := sumSq(models[KernelStates].Mean, qAll, wallAll)
+	var perMode float64
+	for _, mode := range []euler.Dir{euler.X, euler.Y} {
+		q, wall := sw.ModeSeries(mode)
+		fit, err := perfmodel.PowerLawFit(q, wall)
+		if err != nil {
+			t.Fatal(err)
+		}
+		perMode += sumSq(fit, q, wall)
+	}
+	// Same sample count on both sides, so the RMSE ratio is the root of
+	// the ratio of the summed squares.
+	ratio := math.Sqrt(averaged / perMode)
+	t.Logf("mode-averaged / per-mode RMSE = %.2f", ratio)
+	if ratio <= 1 {
+		t.Errorf("mode-averaged / per-mode RMSE = %.3f, want > 1", ratio)
 	}
 }
 

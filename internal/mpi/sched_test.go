@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/gob"
 	"fmt"
+	"math"
 	"math/rand"
 	"strings"
 	"testing"
@@ -283,6 +284,9 @@ func TestValidateRejectsInvalidConfig(t *testing.T) {
 		{"rankcap", func(c *WorldConfig) { c.MaxParallelRanks = -2 }, "MaxParallelRanks -2"},
 		{"mode", func(c *WorldConfig) { c.Sched = SchedulerMode(9) }, "scheduler mode 9"},
 		{"tune", func(c *WorldConfig) { c.Tune.ClockScale = -1 }, "CPU tune"},
+		{"tune NaN", func(c *WorldConfig) { c.Tune.MissScale = math.NaN() }, "CPU tune"},
+		{"no cache", func(c *WorldConfig) { c.Cache.SizeBytes = 0 }, "non-positive geometry"},
+		{"cache sets", func(c *WorldConfig) { c.Cache.SizeBytes = 100 << 10 }, "set count 200 not a power of two"},
 	}
 	for _, tc := range cases {
 		cfg := testConfig(2)

@@ -208,7 +208,7 @@ type WorldConfig struct {
 // Validate reports whether the configuration describes a runnable machine.
 // It catches misconfigurations — a non-positive rank count, a negative
 // parallel-rank cap, an unknown scheduler mode, negative CPU-tune
-// multipliers — with a clear error before any simulation state exists,
+// multipliers, an impossible cache geometry — with a clear error before any simulation state exists,
 // instead of a late panic deep inside a run.
 func (c WorldConfig) Validate() error {
 	if c.Procs <= 0 {
@@ -220,8 +220,12 @@ func (c WorldConfig) Validate() error {
 	if c.MaxParallelRanks < 0 {
 		return fmt.Errorf("mpi: invalid world config: MaxParallelRanks %d (must be >= 0; 0 means no cap)", c.MaxParallelRanks)
 	}
-	if c.Tune.ClockScale < 0 || c.Tune.HitScale < 0 || c.Tune.MissScale < 0 {
-		return fmt.Errorf("mpi: invalid world config: negative CPU tune multiplier %+v", c.Tune)
+	// Written so that a NaN multiplier is rejected with the negative ones.
+	if !(c.Tune.ClockScale >= 0 && c.Tune.HitScale >= 0 && c.Tune.MissScale >= 0) {
+		return fmt.Errorf("mpi: invalid world config: CPU tune multiplier in %+v is not >= 0", c.Tune)
+	}
+	if err := c.Cache.Validate(); err != nil {
+		return fmt.Errorf("mpi: invalid world config: %w", err)
 	}
 	return nil
 }

@@ -224,19 +224,6 @@ func R2(m Model, x, y []float64) float64 {
 	return 1 - ssRes/ssTot
 }
 
-// RMSE returns the root-mean-square prediction error.
-func RMSE(m Model, x, y []float64) float64 {
-	if len(y) == 0 {
-		return 0
-	}
-	var ss float64
-	for i := range y {
-		d := y[i] - m.Predict(x[i])
-		ss += d * d
-	}
-	return math.Sqrt(ss / float64(len(y)))
-}
-
 // AIC returns the Akaike information criterion (Gaussian residuals),
 // lower is better.
 func AIC(m Model, x, y []float64) float64 {

@@ -109,7 +109,7 @@ func TestPowerLawPredictNonPositive(t *testing.T) {
 	}
 }
 
-func TestR2AndRMSEOnNoisyData(t *testing.T) {
+func TestR2OnNoisyData(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	truth := Poly{Coeffs: []float64{10, 2}}
 	var x, y []float64
@@ -123,9 +123,6 @@ func TestR2AndRMSEOnNoisyData(t *testing.T) {
 	}
 	if r2 := R2(fit, x, y); r2 < 0.99 {
 		t.Errorf("R2 = %g on lightly noisy line", r2)
-	}
-	if rmse := RMSE(fit, x, y); rmse > 2 {
-		t.Errorf("RMSE = %g, want ~1", rmse)
 	}
 }
 
