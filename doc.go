@@ -40,6 +40,20 @@
 // in-process lease workers — and examples/adaptive is the Section 6 online
 // implementation switch; go test runs both.
 //
+// # Simulated memory, host memory
+//
+// What a kernel's data costs is decided by virtual addresses, not by where
+// the Go runtime put the floats: platform.Proc.Alloc hands out one address
+// range per plane from an append-only per-rank heap, and the cache model
+// sees only those. So the addresses are part of the simulated machine and
+// never move, while the host memory behind a temporary block or edge field
+// is not and is recycled: each rank's sweep loop, RK2 and InviscidFlux
+// build their temporaries on a euler.Scratch — one slab, handed out plane
+// by plane, taken back whole, never cleared — and still call Alloc once per
+// plane, in the same order. Persistent AMR patches own zeroed storage
+// (euler.NewBlock). The internal/euler package comment has the details and
+// the tests that hold "written before read" and "same addresses" true.
+//
 // # Campaigns
 //
 // The paper's evaluation is a campaign: three kernel sweeps (Figs. 4-8),

@@ -3,6 +3,7 @@ package components
 import (
 	"fmt"
 
+	"repro/internal/amr"
 	"repro/internal/cca"
 	"repro/internal/euler"
 )
@@ -77,6 +78,8 @@ type InviscidFlux struct {
 	svc    cca.Services
 	states StatesPort
 	flux   FluxPort
+	// scratch backs the four state fields of one PatchFluxes call.
+	scratch euler.Scratch
 }
 
 // NewInviscidFlux constructs the component.
@@ -121,12 +124,13 @@ func (v *InviscidFlux) PatchFluxes(b *euler.Block, fx, fy *euler.EdgeField) {
 		panic(fmt.Sprintf("components: InviscidFlux unwired: %v", err))
 	}
 	proc := procOf(v.svc)
-	qLX := euler.NewEdgeField(proc, b.Nx, b.Ny, euler.X)
-	qRX := euler.NewEdgeField(proc, b.Nx, b.Ny, euler.X)
+	v.scratch.Reset(2 * euler.EdgeFieldFloats(b.Nx, b.Ny))
+	qLX := v.scratch.EdgeField(proc, b.Nx, b.Ny, euler.X)
+	qRX := v.scratch.EdgeField(proc, b.Nx, b.Ny, euler.X)
 	states.Compute(b, euler.X, qLX, qRX)
 	flux.Compute(qLX, qRX, fx)
-	qLY := euler.NewEdgeField(proc, b.Nx, b.Ny, euler.Y)
-	qRY := euler.NewEdgeField(proc, b.Nx, b.Ny, euler.Y)
+	qLY := v.scratch.EdgeField(proc, b.Nx, b.Ny, euler.Y)
+	qRY := v.scratch.EdgeField(proc, b.Nx, b.Ny, euler.Y)
 	states.Compute(b, euler.Y, qLY, qRY)
 	flux.Compute(qLY, qRY, fy)
 }
@@ -139,6 +143,10 @@ type RK2 struct {
 	svc  cca.Services
 	mesh MeshPort
 	ivf  InviscidFluxPort
+	// keep backs the u0 copies, which live from stage 1 to the end of stage
+	// 2; tmp backs one patch's fx and fy. Both are dead before Advance
+	// recurses into the finer level, so every level shares them.
+	keep, tmp euler.Scratch
 }
 
 // NewRK2 constructs the component.
@@ -184,23 +192,32 @@ func (r *RK2) Advance(level int, dt float64) {
 	// Stage 1: u1 = u0 + dt L(u0), in place, after a ghost update.
 	mesh.GhostUpdate(level)
 	patches := mesh.LocalPatches(level)
-	u0 := make(map[int]*euler.Block, len(patches))
+	keepRoom := 0
 	for _, p := range patches {
-		u0[p.Meta.ID] = p.Block.Clone(proc)
-		fx := euler.NewEdgeField(proc, p.Block.Nx, p.Block.Ny, euler.X)
-		fy := euler.NewEdgeField(proc, p.Block.Nx, p.Block.Ny, euler.Y)
+		keepRoom += euler.BlockFloats(p.Block.Nx, p.Block.Ny, p.Block.Ng)
+	}
+	r.keep.Reset(keepRoom)
+	// patchFluxes evaluates L(p) into fresh fx, fy and applies it in place.
+	patchFluxes := func(p amr.PatchRef) {
+		nx, ny := p.Block.Nx, p.Block.Ny
+		r.tmp.Reset(euler.EdgeFieldFloats(nx, ny))
+		fx := r.tmp.EdgeField(proc, nx, ny, euler.X)
+		fy := r.tmp.EdgeField(proc, nx, ny, euler.Y)
 		ivf.PatchFluxes(p.Block, fx, fy)
 		euler.ApplyFluxes(proc, p.Block, p.Block, fx, fy, dt, dx, dy)
+	}
+	u0 := make([]*euler.Block, len(patches))
+	for i, p := range patches {
+		u0[i] = r.keep.Block(proc, p.Block.Nx, p.Block.Ny, p.Block.Ng)
+		u0[i].CopyFrom(p.Block)
+		patchFluxes(p)
 	}
 
 	// Stage 2: u = (u0 + u1 + dt L(u1)) / 2, after refreshing ghosts.
 	mesh.GhostUpdate(level)
-	for _, p := range patches {
-		fx := euler.NewEdgeField(proc, p.Block.Nx, p.Block.Ny, euler.X)
-		fy := euler.NewEdgeField(proc, p.Block.Nx, p.Block.Ny, euler.Y)
-		ivf.PatchFluxes(p.Block, fx, fy)
-		euler.ApplyFluxes(proc, p.Block, p.Block, fx, fy, dt, dx, dy)
-		euler.Average(proc, u0[p.Meta.ID], p.Block, p.Block)
+	for i, p := range patches {
+		patchFluxes(p)
+		euler.Average(proc, u0[i], p.Block, p.Block)
 	}
 
 	// Subcycle the finer level (Ratio substeps), then restrict its more

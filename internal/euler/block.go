@@ -1,10 +1,6 @@
 package euler
 
-import (
-	"fmt"
-
-	"repro/internal/platform"
-)
+import "repro/internal/platform"
 
 // Block is a rectangular patch of cells with ghost layers, storing NVars
 // conserved-variable planes in row-major order. It is the "data array"
@@ -25,21 +21,11 @@ type Block struct {
 }
 
 // NewBlock allocates a block of nx-by-ny interior cells with ng ghost
-// layers. If proc is non-nil the planes receive virtual addresses on that
-// rank's heap so kernels can charge their access streams.
+// layers on zeroed storage of its own (the nil-Scratch case: see
+// Scratch.Block). If proc is non-nil the planes receive virtual addresses on
+// that rank's heap so kernels can charge their access streams.
 func NewBlock(proc *platform.Proc, nx, ny, ng int) *Block {
-	if nx <= 0 || ny <= 0 || ng < 0 {
-		panic(fmt.Sprintf("euler: invalid block geometry %dx%d ghost %d", nx, ny, ng))
-	}
-	b := &Block{Nx: nx, Ny: ny, Ng: ng, Stride: nx + 2*ng, rows: ny + 2*ng}
-	n := b.Stride * b.rows
-	for v := 0; v < NVars; v++ {
-		b.U[v] = make([]float64, n)
-		if proc != nil {
-			b.addr[v] = proc.Alloc(8 * n)
-		}
-	}
-	return b
+	return (*Scratch)(nil).Block(proc, nx, ny, ng)
 }
 
 // Cells returns the number of interior cells (the paper's array size Q).
@@ -49,6 +35,11 @@ func (b *Block) Cells() int { return b.Nx * b.Ny }
 // j in [-Ng, Ny+Ng), with (0,0) the first interior cell.
 func (b *Block) Idx(i, j int) int {
 	return (j+b.Ng)*b.Stride + (i + b.Ng)
+}
+
+// row returns the interior cells of row j of plane v.
+func (b *Block) row(v, j int) []float64 {
+	return b.U[v][b.Idx(0, j):][:b.Nx]
 }
 
 // At returns the conserved state of cell (i, j).

@@ -14,20 +14,34 @@
 // The kernels avoid redoing host work whose result they already hold, under
 // one rule: no output float, iteration count or charged operation may move.
 // The shock-interface fields are piecewise constant over most of a patch, so
-// the flux kernels remember the previous face: GodunovFlux reuses its flux
-// and Newton iteration count when both face states repeat, EFMFlux its two
-// half fluxes independently. The memo is keyed on bit patterns
-// (math.Float64bits), never on ==: -0 equals +0 yet divides and upwinds
-// differently, and a NaN equals nothing, not even the NaN that would have
-// reproduced its result; comparing bits makes "same input" mean what a pure
-// function needs it to mean, so a hit returns exactly the floats a
-// recomputation would. The simulated cost is charged per face, hit or not —
-// the memo makes the simulator cheaper to run, not the simulated kernel.
-// The implementations this replaced (one Block.At stencil per face, no
-// memo, no values shared inside the Riemann solver) are kept in
-// reference_test.go, and identity_test.go holds the production kernels to
-// them bit for bit; they live in test files so that nothing can select them
-// at run time.
+// both flux kernels (through one driver, faceFluxes) give a face whose two
+// states repeat those of the face one row up in memory that face's flux, and
+// GodunovFlux its Newton iteration count, instead of evaluating it again;
+// runs of such faces are found and copied a row of one plane at a time.
+// "Repeat" is decided on bit patterns (math.Float64bits), never on ==: -0
+// equals +0 yet divides and upwinds differently, and a NaN equals nothing,
+// not even the NaN that would have reproduced its result; comparing bits
+// makes "same input" mean what a pure function needs it to mean, so a
+// repeated face gets exactly the floats a recomputation would. The simulated
+// cost is charged per face, repeated or not, in the order the simulated
+// kernel walks the faces — the memo makes the simulator cheaper to run, not
+// the simulated kernel. The implementations this replaced (one Block.At
+// stencil per face, no memo, no values shared inside the Riemann solver) are
+// kept in reference_test.go, and identity_test.go holds the production
+// kernels to them bit for bit; they live in test files so that nothing can
+// select them at run time.
+//
+// The same line runs through memory. A plane's virtual address is part of
+// the simulated machine: platform.Proc.Alloc hands one out per plane, the
+// heap is append-only, and the cache model sees nothing else, so the
+// sequence of Alloc calls — how many, in what order, of what size — is
+// fixed by what the simulated code allocates. The host memory behind a
+// plane is not part of it. Persistent data (AMR patches) gets its own
+// zeroed storage from NewBlock; temporaries (a sweep's block and fields per
+// shape, RK2's stage copies and fluxes, InviscidFlux's face states) are
+// built on a per-rank Scratch, which recycles one slab without clearing it:
+// same addresses, same hits, misses and clocks, no allocation and no memclr
+// per temporary.
 package euler
 
 import (

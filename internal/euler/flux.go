@@ -28,17 +28,67 @@ func checkFaceGeom(qL, qR, flux *EdgeField) {
 	}
 }
 
-// sameBits reports whether a and b hold the same bit patterns. It is the
-// face memo's key comparison: unlike ==, it tells -0 from +0 (which the
-// kernels can tell apart, through a division or an Erf) and lets a NaN equal
-// only the identical NaN.
-func sameBits(a, b *Cons) bool {
-	for v := 0; v < NVars; v++ {
-		if math.Float64bits(a[v]) != math.Float64bits(b[v]) {
-			return false
+// rowRepeats returns how many of the n faces from flat index k on repeat,
+// in every plane of q, the face one row (row faces) before them, stopping at
+// the first that does not. "Repeat" means the same bit patterns, never ==:
+// -0 equals +0 yet the kernels tell them apart (through a division or an
+// Erf), and a NaN must equal the identical NaN and no other. It scans plane
+// by plane, each scan one tight loop over two rows, cut where the shortest
+// run so far ends.
+func rowRepeats(q *[NVars][]float64, k, row, n int) int {
+	for v := range q {
+		cur, above := q[v][k:k+n], q[v][k-row:k-row+n]
+		for i, x := range cur {
+			if math.Float64bits(x) != math.Float64bits(above[i]) {
+				n = i
+				break
+			}
 		}
 	}
-	return true
+	return n
+}
+
+// faceFluxes is the driver of both flux kernels: it stores face(qL, qR), a
+// pure function of the two face states, at every face of flux and returns
+// the sum of the iteration counts face reports.
+//
+// The fields are piecewise constant over most of a patch, so a face whose
+// two states repeat those of the face one row up in memory takes that face's
+// flux and iteration count instead of evaluating face again. No face depends
+// on another, so the host is free to walk the planes front to back and to
+// look for the repeat where it is cheapest to find, whatever order the
+// simulated kernel is charged in (per face, repeated or not): runs of
+// repeats are found, and their fluxes copied, a row of one plane at a time,
+// and a repeated face builds no state vector.
+func faceFluxes(qL, qR, flux *EdgeField, face func(ul, ur Cons) (Cons, int)) int {
+	checkFaceGeom(qL, qR, flux)
+	row := flux.NxCells // faces per row of the planes
+	if flux.Dir == X {
+		row++
+	}
+	iters := make([]int, row) // of the face last stored in each column
+	total := 0
+	for k, n := 0, flux.Len(); k < n; {
+		i := k % row
+		if k >= row {
+			run := rowRepeats(&qR.Q, k, row, rowRepeats(&qL.Q, k, row, row-i))
+			for v := range flux.Q {
+				copy(flux.Q[v][k:k+run], flux.Q[v][k-row:])
+			}
+			for _, it := range iters[i : i+run] {
+				total += it
+			}
+			if k, i = k+run, i+run; i == row {
+				continue
+			}
+		}
+		var out Cons
+		out, iters[i] = face(qL.at(k), qR.at(k))
+		flux.set(k, out)
+		total += iters[i]
+		k++
+	}
+	return total
 }
 
 // chargeFluxKernel accounts the memory traffic of a flux kernel: read both
@@ -66,34 +116,18 @@ func chargeFluxKernel(proc *platform.Proc, qL, qR, flux *EdgeField, overlapped b
 // paper finds EFMFlux cheaper than GodunovFlux with far smaller variance
 // (Fig. 8), making it the better-performing implementation choice.
 //
-// Each half flux is a pure function of one face state, so the previous
-// face's F⁺ and F⁻ are reused while qL, respectively qR, repeats bit for
-// bit; the charged work is per face regardless.
+// The charged work is per face; the host evaluates a face whose states
+// repeat only once (see faceFluxes).
 func EFMFlux(proc *platform.Proc, qL, qR, flux *EdgeField) {
-	checkFaceGeom(qL, qR, flux)
 	d := flux.Dir
-	var keyL, keyR, fl, fr Cons
-	haveL, haveR := false, false
-	nt, nf, stepT, stepF := flux.sweepShape()
-	for t := 0; t < nt; t++ {
-		k := t * stepT
-		for f := 0; f < nf; f++ {
-			if ul := qL.at(k); !haveL || !sameBits(&ul, &keyL) {
-				keyL, haveL = ul, true
-				fl = kfvsSplit(primRot(ul, d), +1)
-			}
-			if ur := qR.at(k); !haveR || !sameBits(&ur, &keyR) {
-				keyR, haveR = ur, true
-				fr = kfvsSplit(primRot(ur, d), -1)
-			}
-			var out Cons
-			for v := 0; v < NVars; v++ {
-				out[v] = fl[v] + fr[v]
-			}
-			flux.set(k, unrotate(out, d))
-			k += stepF
+	faceFluxes(qL, qR, flux, func(ul, ur Cons) (Cons, int) {
+		fl, fr := kfvsSplit(primRot(ul, d), +1), kfvsSplit(primRot(ur, d), -1)
+		var out Cons
+		for v := 0; v < NVars; v++ {
+			out[v] = fl[v] + fr[v]
 		}
-	}
+		return unrotate(out, d), 0
+	})
 	chargeFluxKernel(proc, qL, qR, flux, true)
 	if proc != nil {
 		proc.ChargeFlops(efmFlopsPerFace * flux.Len())
@@ -134,31 +168,14 @@ func kfvsSplit(w Prim, sign float64) Cons {
 // the paper's Quality-of-Service discussion (Section 5) weighs exactly this
 // substitution.
 //
-// The face flux and its iteration count are a pure function of (qL, qR), so
-// a face whose two states repeat the previous face's bit for bit reuses that
-// face's flux and is counted (and charged) with that face's iterations.
+// A face whose states repeat (see faceFluxes) is solved once, and counted and
+// charged with the iterations of the face it repeats.
 func GodunovFlux(proc *platform.Proc, qL, qR, flux *EdgeField) int {
-	checkFaceGeom(qL, qR, flux)
 	d := flux.Dir
-	totalIters := 0
-	var keyL, keyR, out Cons
-	iters, have := 0, false
-	nt, nf, stepT, stepF := flux.sweepShape()
-	for t := 0; t < nt; t++ {
-		k := t * stepT
-		for f := 0; f < nf; f++ {
-			ul, ur := qL.at(k), qR.at(k)
-			if !have || !sameBits(&ul, &keyL) || !sameBits(&ur, &keyR) {
-				keyL, keyR, have = ul, ur, true
-				var w Prim
-				w, iters = RiemannSample(primRot(ul, d), primRot(ur, d))
-				out = unrotate(PhysFlux(w), d)
-			}
-			totalIters += iters
-			flux.set(k, out)
-			k += stepF
-		}
-	}
+	totalIters := faceFluxes(qL, qR, flux, func(ul, ur Cons) (Cons, int) {
+		w, iters := RiemannSample(primRot(ul, d), primRot(ur, d))
+		return unrotate(PhysFlux(w), d), iters
+	})
 	chargeFluxKernel(proc, qL, qR, flux, false)
 	if proc != nil {
 		proc.ChargeFlops(godunovBaseFlops*flux.Len() + godunovIterFlops*totalIters)

@@ -127,7 +127,19 @@ func TestKernelsMatchReference(t *testing.T) {
 	}
 }
 
-// TestSameBits pins the memo's key comparison where it differs from ==.
+// sameBits reports whether a and b hold the same bit patterns.
+func sameBits(a, b *Cons) bool {
+	for v := 0; v < NVars; v++ {
+		if math.Float64bits(a[v]) != math.Float64bits(b[v]) {
+			return false
+		}
+	}
+	return true
+}
+
+// TestSameBits pins the memo's comparison where it differs from ==: a
+// one-column Y field holds a on the face above b, and b repeats a only if
+// every plane has the same bits.
 func TestSameBits(t *testing.T) {
 	negZero := math.Copysign(0, -1)
 	nanA := math.Float64frombits(0x7ff8000000000001)
@@ -146,25 +158,32 @@ func TestSameBits(t *testing.T) {
 		{"two NaNs", Cons{1, 0, 0, nanA, 0}, Cons{1, 0, 0, nanB, 0}, false},
 		{"NaN vs number", Cons{1, 0, 0, nanA, 0}, base, false},
 	} {
-		if got := sameBits(&tt.a, &tt.b); got != tt.want {
-			t.Errorf("%s: sameBits = %v, want %v", tt.name, got, tt.want)
+		q := NewEdgeField(nil, 1, 1, Y)
+		q.set(0, tt.a)
+		q.set(1, tt.b)
+		if got := rowRepeats(&q.Q, 1, 1, 1) == 1; got != tt.want {
+			t.Errorf("%s: repeats = %v, want %v", tt.name, got, tt.want)
 		}
 	}
 }
 
-// lineField builds the three X edge fields of a one-row patch whose faces
-// hold the given (qL, qR) pairs, in order.
+// lineField builds the three X edge fields of a one-cell-wide patch whose
+// rows hold the given (qL, qR) pairs, one pair per row on both faces of the
+// row, so that face (f, j) sits right above face (f, j+1): where the memo
+// looks for a repeat.
 func lineField(faces [][2]Cons) (qL, qR, fl *EdgeField) {
-	nx := len(faces) - 1
-	qL, qR, fl = NewEdgeField(nil, nx, 1, X), NewEdgeField(nil, nx, 1, X), NewEdgeField(nil, nx, 1, X)
-	for f, lr := range faces {
-		qL.set(f, lr[0])
-		qR.set(f, lr[1])
+	ny := len(faces)
+	qL, qR, fl = NewEdgeField(nil, 1, ny, X), NewEdgeField(nil, 1, ny, X), NewEdgeField(nil, 1, ny, X)
+	for j, lr := range faces {
+		for f := 0; f <= 1; f++ {
+			qL.setFace(f, j, lr[0])
+			qR.setFace(f, j, lr[1])
+		}
 	}
 	return qL, qR, fl
 }
 
-// TestMemoTellsSignedZerosApart puts two faces next to each other that are
+// TestMemoTellsSignedZerosApart puts two faces one above the other that are
 // equal under == and differ only in the sign of a zero momentum. The sign
 // reaches the flux (the upwinded transverse momentum flux is ±0), so a memo
 // keyed on == would hand the second face the first one's flux.
@@ -185,14 +204,14 @@ func TestMemoTellsSignedZerosApart(t *testing.T) {
 		t.Errorf("GodunovFlux iterations = %d, reference %d", g, w)
 	}
 	sameField(t, "GodunovFlux", fl, rfl)
-	if a, b := fl.Q[IMy][0], fl.Q[IMy][1]; math.Signbit(a) == math.Signbit(b) {
+	if a, b := fl.AtFace(0, 0)[IMy], fl.AtFace(0, 1)[IMy]; math.Signbit(a) == math.Signbit(b) {
 		t.Errorf("Godunov transverse fluxes %v and %v should differ in sign: the case no longer tells a wrong hit", a, b)
 	}
 
 	EFMFlux(nil, qL, qR, fl)
 	refEFMFlux(nil, qL, qR, rfl)
 	sameField(t, "EFMFlux", fl, rfl)
-	if a, b := fl.Q[IMy][0], fl.Q[IMy][1]; math.Signbit(a) == math.Signbit(b) {
+	if a, b := fl.AtFace(0, 0)[IMy], fl.AtFace(0, 1)[IMy]; math.Signbit(a) == math.Signbit(b) {
 		t.Errorf("EFM transverse fluxes %v and %v should differ in sign: the case no longer tells a wrong hit", a, b)
 	}
 }
@@ -217,11 +236,11 @@ func TestMemoWithNaNFaces(t *testing.T) {
 	}
 	sameField(t, "GodunovFlux", fl, rfl)
 	for _, f := range []int{0, 2, 7} {
-		if math.IsNaN(fl.Q[IEner][f]) {
+		if math.IsNaN(fl.AtFace(0, f)[IEner]) {
 			t.Errorf("finite face %d took a NaN neighbour's flux", f)
 		}
 	}
-	if !math.IsNaN(fl.Q[IEner][3]) {
+	if !math.IsNaN(fl.AtFace(0, 3)[IEner]) {
 		t.Error("a NaN face took a finite neighbour's flux")
 	}
 	EFMFlux(nil, qL, qR, fl)

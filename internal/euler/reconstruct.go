@@ -1,10 +1,6 @@
 package euler
 
-import (
-	"fmt"
-
-	"repro/internal/platform"
-)
+import "repro/internal/platform"
 
 // EdgeField stores one value per cell interface for each conserved
 // variable, in the same row-major orientation as the owning Block. X-face
@@ -24,28 +20,21 @@ type EdgeField struct {
 	addr [NVars]uint64
 }
 
-// NewEdgeField allocates the face storage for a block of nx-by-ny cells.
+// NewEdgeField allocates the face storage for a block of nx-by-ny cells on
+// zeroed storage of its own (the nil-Scratch case: see Scratch.EdgeField).
 func NewEdgeField(proc *platform.Proc, nx, ny int, dir Dir) *EdgeField {
-	if nx <= 0 || ny <= 0 {
-		panic(fmt.Sprintf("euler: invalid edge field geometry %dx%d", nx, ny))
-	}
-	e := &EdgeField{Dir: dir, NxCells: nx, NyCells: ny}
-	n := e.Len()
-	for v := 0; v < NVars; v++ {
-		e.Q[v] = make([]float64, n)
-		if proc != nil {
-			e.addr[v] = proc.Alloc(8 * n)
-		}
-	}
-	return e
+	return (*Scratch)(nil).EdgeField(proc, nx, ny, dir)
 }
 
 // Len returns the number of faces.
-func (e *EdgeField) Len() int {
-	if e.Dir == X {
-		return (e.NxCells + 1) * e.NyCells
+func (e *EdgeField) Len() int { return faceCount(e.NxCells, e.NyCells, e.Dir) }
+
+// faceCount returns the number of dir-normal faces of an nx-by-ny block.
+func faceCount(nx, ny int, dir Dir) int {
+	if dir == X {
+		return (nx + 1) * ny
 	}
-	return e.NxCells * (e.NyCells + 1)
+	return nx * (ny + 1)
 }
 
 // FaceIdx returns the flat index of face f along the sweep at transverse

@@ -23,18 +23,21 @@ func ApplyFluxes(proc *platform.Proc, in, out *Block, fx, fy *EdgeField, dt, dx,
 	}
 	lx := dt / dx
 	ly := dt / dy
+	nx := in.Nx
 	for j := 0; j < in.Ny; j++ {
-		for i := 0; i < in.Nx; i++ {
-			u := in.At(i, j)
-			fxm := fx.AtFace(i, j)
-			fxp := fx.AtFace(i+1, j)
-			fym := fy.AtFace(j, i)
-			fyp := fy.AtFace(j+1, i)
-			for v := 0; v < NVars; v++ {
-				u[v] -= lx*(fxp[v]-fxm[v]) + ly*(fyp[v]-fym[v])
+		// One row of every plane, then the row's states checked cell by
+		// cell: the order a non-finite state is reported in is row-major,
+		// as the cells are.
+		for v := 0; v < NVars; v++ {
+			u, o := in.row(v, j), out.row(v, j)
+			fxj := fx.Q[v][j*(nx+1):][:nx+1]
+			fym, fyp := fy.Q[v][j*nx:][:nx], fy.Q[v][(j+1)*nx:][:nx]
+			for i := range o {
+				o[i] = u[i] - (lx*(fxj[i+1]-fxj[i]) + ly*(fyp[i]-fym[i]))
 			}
-			validState(u, "ApplyFluxes")
-			out.Set(i, j, u)
+		}
+		for i := 0; i < nx; i++ {
+			validState(out.At(i, j), "ApplyFluxes")
 		}
 	}
 	for v := 0; v < NVars; v++ {
@@ -55,12 +58,11 @@ func Average(proc *platform.Proc, a, b, out *Block) {
 		panic("euler: Average geometry mismatch")
 	}
 	for j := 0; j < a.Ny; j++ {
-		for i := 0; i < a.Nx; i++ {
-			ua, ub := a.At(i, j), b.At(i, j)
-			for v := 0; v < NVars; v++ {
-				ua[v] = 0.5 * (ua[v] + ub[v])
+		for v := 0; v < NVars; v++ {
+			ra, rb, ro := a.row(v, j), b.row(v, j), out.row(v, j)
+			for i := range ro {
+				ro[i] = 0.5 * (ra[i] + rb[i])
 			}
-			out.Set(i, j, ua)
 		}
 	}
 	for v := 0; v < NVars; v++ {

@@ -238,6 +238,17 @@ func TestLogSizesEdgeCases(t *testing.T) {
 	}
 }
 
+// modeSeries returns the sweep's samples of one access mode.
+func modeSeries(s *SweepResult, mode euler.Dir) (q, wall []float64) {
+	for _, p := range s.Points {
+		if p.Mode == mode {
+			q = append(q, float64(p.Q))
+			wall = append(wall, p.WallUS)
+		}
+	}
+	return q, wall
+}
+
 func TestRunSweepStates(t *testing.T) {
 	t.Parallel()
 	_, sweeps, _ := sharedFixtures(t)
@@ -246,8 +257,8 @@ func TestRunSweepStates(t *testing.T) {
 		t.Fatal("no sweep points")
 	}
 	// Both modes sampled at every size.
-	qx, _ := sw.ModeSeries(euler.X)
-	qy, _ := sw.ModeSeries(euler.Y)
+	qx, _ := modeSeries(sw, euler.X)
+	qy, _ := modeSeries(sw, euler.Y)
 	if len(qx) == 0 || len(qx) != len(qy) {
 		t.Errorf("mode sample counts %d/%d", len(qx), len(qy))
 	}
@@ -305,7 +316,7 @@ func TestModeAveragingCostsFidelity(t *testing.T) {
 	averaged := sumSq(models[KernelStates].Mean, qAll, wallAll)
 	var perMode float64
 	for _, mode := range []euler.Dir{euler.X, euler.Y} {
-		q, wall := sw.ModeSeries(mode)
+		q, wall := modeSeries(sw, mode)
 		fit, err := perfmodel.PowerLawFit(q, wall)
 		if err != nil {
 			t.Fatal(err)
@@ -416,6 +427,77 @@ func TestFitModelsShapes(t *testing.T) {
 	}
 	if !strings.HasPrefix(sb.String(), "q,n,mean_us,sigma_us") {
 		t.Error("mean/sigma CSV header wrong")
+	}
+}
+
+// TestKernelPaperClaims pins, with tolerances, the paper-level claims the
+// three measured kernels carry, so that a change to a kernel or to how its
+// work is charged cannot degrade them behind a regenerated golden: Fig. 5's
+// strided/sequential ratio, the Fig. 7 vs Fig. 8 variability ordering, and
+// the Figs. 6-8 fit families with a floor under each fit's R2.
+func TestKernelPaperClaims(t *testing.T) {
+	t.Parallel()
+	_, sweeps, models := sharedFixtures(t)
+	sizes := fastSweep(KernelStates).Sizes
+	// A size's four aspect shapes differ by a few cells in Q; a sample
+	// belongs to the size its Q is nearest to.
+	atSize := func(q float64, size int) bool { return math.Abs(q/float64(size)-1) < 0.05 }
+	smallest, largest := sizes[0], sizes[len(sizes)-1]
+
+	// Fig. 5: strided never beats sequential once the States working set
+	// (15 planes of 8-byte elements per cell) exceeds the modelled cache,
+	// and the penalty is larger at the largest arrays than at the smallest.
+	capacityCells := sweeps[KernelStates].Config.World.Cache.SizeBytes / (15 * 8)
+	var small, large, ns, nl float64
+	for _, r := range sweeps[KernelStates].StridedRatios() {
+		if r.Q > capacityCells && r.Ratio < 1 {
+			t.Errorf("Fig. 5: strided/sequential = %.3f at Q=%d (rank %d), above the cache's %d cells", r.Ratio, r.Q, r.Rank, capacityCells)
+		}
+		if atSize(float64(r.Q), smallest) {
+			small, ns = small+r.Ratio, ns+1
+		}
+		if atSize(float64(r.Q), largest) {
+			large, nl = large+r.Ratio, nl+1
+		}
+	}
+	if ns == 0 || nl == 0 || large/nl <= small/ns {
+		t.Errorf("Fig. 5: mean strided/sequential %.2f at the largest Q (n=%v), %.2f at the smallest (n=%v): want it larger", large/nl, nl, small/ns, ns)
+	}
+
+	// Figs. 7/8: at the largest arrays EFMFlux's timings scatter less than
+	// GodunovFlux's, whose Newton iteration counts depend on the data.
+	sigmaAt := func(k Kernel) (sum float64) {
+		for _, g := range models[k].Stats {
+			if atSize(g.Q, largest) {
+				sum += g.StdDev
+			}
+		}
+		return sum
+	}
+	if e, g := sigmaAt(KernelEFM), sigmaAt(KernelGodunov); e <= 0 || e >= g {
+		t.Errorf("Figs. 7/8: sigma at the largest Q: EFM %.0f us, Godunov %.0f us; want 0 < EFM < Godunov", e, g)
+	}
+
+	// Figs. 6-8: a power law for States, straight lines for the fluxes.
+	// The floors sit 0.05 under what the test sweep fits today (0.85, 0.95,
+	// 0.97).
+	for _, want := range []struct {
+		kernel  Kernel
+		fig     string
+		isModel func(perfmodel.Model) bool
+		r2      float64
+	}{
+		{KernelStates, "Fig. 6", func(m perfmodel.Model) bool { _, ok := m.(perfmodel.PowerLaw); return ok }, 0.80},
+		{KernelGodunov, "Fig. 7", func(m perfmodel.Model) bool { p, ok := m.(perfmodel.Poly); return ok && len(p.Coeffs) == 2 }, 0.90},
+		{KernelEFM, "Fig. 8", func(m perfmodel.Model) bool { p, ok := m.(perfmodel.Poly); return ok && len(p.Coeffs) == 2 }, 0.92},
+	} {
+		cm := models[want.kernel]
+		if !want.isModel(cm.Mean) {
+			t.Errorf("%s: %s mean model is %T (%v)", want.fig, want.kernel, cm.Mean, cm.Mean)
+		}
+		if cm.MeanR2 < want.r2 {
+			t.Errorf("%s: %s mean fit R2 = %.3f, want at least %.2f", want.fig, want.kernel, cm.MeanR2, want.r2)
+		}
 	}
 }
 

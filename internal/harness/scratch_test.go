@@ -1,0 +1,123 @@
+package harness
+
+import (
+	"reflect"
+	"runtime"
+	"strings"
+	"testing"
+
+	"repro/internal/euler"
+	"repro/internal/mpi"
+)
+
+// benchSweep is one sweep of the benchmark's sweep_cold pass: the sizes of
+// bench/sweep.go, one repetition, one rank.
+func benchSweep(k Kernel) SweepConfig {
+	cfg := DefaultSweep(k)
+	cfg.Sizes = LogSizes(1_000, 60_000, 6)
+	cfg.Reps = 1
+	cfg.World.Procs = 1
+	return cfg
+}
+
+// TestPoisonedScratchSweepAndCaseStudy is the harness end of euler's
+// TestPoisonedScratchMatchesFreshStorage: with every scratch arena refilled
+// with signalling NaNs on each Reset, a sweep's rows and the case study's
+// FUNCTION SUMMARY under every rank scheduler are what they are without —
+// no temporary block or edge field is read before it is written, on any
+// rank, whichever goroutine runs it. Not parallel: the hook is process-wide,
+// and poisoning other tests' arenas, harmless as it must be, would make
+// their failures harder to read.
+func TestPoisonedScratchSweepAndCaseStudy(t *testing.T) {
+	sweep := benchSweep(KernelGodunov)
+	sweep.Sizes = LogSizes(1_000, 12_000, 3)
+	cases := map[mpi.SchedulerMode]CaseStudyConfig{}
+	for _, mode := range []mpi.SchedulerMode{mpi.Serial, mpi.ConservativeParallel, mpi.OptimisticParallel} {
+		cfg := fastCaseStudy()
+		cfg.World.Sched = mode
+		cases[mode] = cfg
+	}
+	run := func() (rows any, profiles map[mpi.SchedulerMode]string) {
+		res, err := RunSweep(sweep)
+		if err != nil {
+			t.Fatal(err)
+		}
+		profiles = map[mpi.SchedulerMode]string{}
+		for mode, cfg := range cases {
+			cs, err := RunCaseStudy(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var sb strings.Builder
+			if err := cs.WriteProfile(&sb); err != nil {
+				t.Fatal(err)
+			}
+			profiles[mode] = sb.String()
+		}
+		return res.Rows(), profiles
+	}
+	rows, profiles := run()
+	undo := euler.PoisonScratchOnReset()
+	poisonedRows, poisonedProfiles := run()
+	undo()
+	if !reflect.DeepEqual(rows, poisonedRows) {
+		t.Error("sweep rows differ over poisoned scratch storage")
+	}
+	for mode, want := range profiles {
+		if got := poisonedProfiles[mode]; got != want {
+			t.Errorf("%v: FUNCTION SUMMARY differs over poisoned scratch storage:\n%s\nwant:\n%s", mode, got, want)
+		}
+		if want != profiles[mpi.Serial] {
+			t.Errorf("%v: FUNCTION SUMMARY differs from serial", mode)
+		}
+	}
+}
+
+// allocatedBy returns the bytes f allocates: the first of up to three runs
+// to stay within budget, else the cheapest, so that a GC cycle or a late
+// goroutine start in one run does not fail the budget.
+func allocatedBy(t *testing.T, budget uint64, f func() error) uint64 {
+	t.Helper()
+	best := ^uint64(0)
+	for i := 0; i < 3 && best > budget; i++ {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		if err := f(); err != nil {
+			t.Fatal(err)
+		}
+		runtime.ReadMemStats(&after)
+		best = min(best, after.TotalAlloc-before.TotalAlloc)
+	}
+	return best
+}
+
+// TestSweepAllocationBudget pins what one sweep of the benchmark's shape may
+// allocate. The planes of its largest shape take 16.2 MB, once; allocating
+// a block and six edge fields afresh per shape took 117.6 MB. Not parallel:
+// TotalAlloc counts every goroutine's allocations.
+func TestSweepAllocationBudget(t *testing.T) {
+	const budget = 24 << 20
+	got := allocatedBy(t, budget, func() error {
+		_, err := RunSweep(benchSweep(KernelEFM))
+		return err
+	})
+	t.Logf("one sweep allocates %.1f MB", float64(got)/(1<<20))
+	if got > budget {
+		t.Errorf("one sweep allocates %d bytes, budget %d", got, budget)
+	}
+}
+
+// TestCaseStudyAllocationBudget is the same for the case study, which
+// allocated about 327 MB when RK2 cloned every patch and built two edge
+// fields per patch and stage, and InviscidFlux four more.
+func TestCaseStudyAllocationBudget(t *testing.T) {
+	const budget = 70 << 20
+	got := allocatedBy(t, budget, func() error {
+		_, err := RunCaseStudy(DefaultCaseStudy())
+		return err
+	})
+	t.Logf("one case study allocates %.1f MB", float64(got)/(1<<20))
+	if got > budget {
+		t.Errorf("one case study allocates %d bytes, budget %d", got, budget)
+	}
+}

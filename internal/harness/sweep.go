@@ -142,19 +142,33 @@ func RunSweep(cfg SweepConfig) (*SweepResult, error) {
 		proc := r.Proc
 		rng := proc.RNG()
 		problem := euler.DefaultShockInterface()
+		dirs := [2]euler.Dir{euler.X, euler.Y}
+		// One block and six edge fields per shape, on this rank's scratch
+		// storage: sized once for the largest shape, recycled per shape.
+		shapeFloats := func(nx, ny int) int {
+			return euler.BlockFloats(nx, ny, 2) + 3*euler.EdgeFieldFloats(nx, ny)
+		}
+		room := 0
+		for _, q := range cfg.Sizes {
+			for _, aspect := range sweepAspects {
+				if n := shapeFloats(blockShape(q, aspect)); n > room {
+					room = n
+				}
+			}
+		}
+		var scratch euler.Scratch
 		for _, q := range cfg.Sizes {
 			for _, aspect := range sweepAspects {
 				nx, ny := blockShape(q, aspect)
-				// Buffers are allocated once per shape and reused across
+				// Buffers are built once per shape and reused across
 				// repetitions, as the application reuses its patch arrays:
 				// only the first invocation sees a cold cache.
-				b := euler.NewBlock(proc, nx, ny, 2)
-				fields := map[euler.Dir][3]*euler.EdgeField{}
-				for _, dir := range []euler.Dir{euler.X, euler.Y} {
-					fields[dir] = [3]*euler.EdgeField{
-						euler.NewEdgeField(proc, nx, ny, dir),
-						euler.NewEdgeField(proc, nx, ny, dir),
-						euler.NewEdgeField(proc, nx, ny, dir),
+				scratch.Reset(room)
+				b := scratch.Block(proc, nx, ny, 2)
+				var fields [2][3]*euler.EdgeField // by dir: qL, qR, flux
+				for _, dir := range dirs {
+					for i := range fields[dir] {
+						fields[dir][i] = scratch.EdgeField(proc, nx, ny, dir)
 					}
 				}
 				for rep := 0; rep < cfg.Reps; rep++ {
@@ -165,7 +179,7 @@ func RunSweep(cfg SweepConfig) (*SweepResult, error) {
 					p.InterfaceX = p.ShockX + p.Lx*(0.1+0.3*rng.Float64())
 					p.InitBlock(b, 0, 0, p.Lx/float64(nx), p.Ly/float64(ny))
 					b.FillBoundary(true, true, true, true)
-					for _, dir := range []euler.Dir{euler.X, euler.Y} {
+					for _, dir := range dirs {
 						qL, qR, fl := fields[dir][0], fields[dir][1], fields[dir][2]
 						if cfg.Kernel == KernelStates {
 							statesPort.Compute(b, dir, qL, qR)
@@ -266,17 +280,6 @@ func sweepPorts(f *cca.Framework, k Kernel) (components.StatesPort, components.F
 		return nil, nil, err
 	}
 	return nil, p.(components.FluxPort), nil
-}
-
-// ModeSeries splits the sweep into per-mode samples.
-func (s *SweepResult) ModeSeries(mode euler.Dir) (q, wall []float64) {
-	for _, p := range s.Points {
-		if p.Mode == mode {
-			q = append(q, float64(p.Q))
-			wall = append(wall, p.WallUS)
-		}
-	}
-	return q, wall
 }
 
 // AllSeries returns every sample regardless of mode (the paper's

@@ -366,3 +366,32 @@ func TestParallelBodyPanicPropagates(t *testing.T) {
 		}
 	}
 }
+
+// FuzzParseSched holds ParseSched and FormatSched to being exact inverses
+// on input nobody chose: a token that parses re-renders as itself, a
+// rendered scheduler choice parses back to what the rendering kept of it,
+// and nothing panics.
+func FuzzParseSched(f *testing.F) {
+	for _, tok := range []string{"serial", "par", "par4", "opt", "opt8", "", "par0", "par04", "par+4", "serial4", "opt-1", "Par", "opt99999999999999999999"} {
+		f.Add(tok, uint8(len(tok)), len(tok)-3)
+	}
+	f.Fuzz(func(t *testing.T, token string, modeByte uint8, maxRanks int) {
+		if mode, n, err := ParseSched(token); err == nil {
+			if _, known := schedulerModeTokens[mode]; !known || n < 0 {
+				t.Fatalf("ParseSched(%q) = (%d, %d)", token, mode, n)
+			}
+			if got := FormatSched(mode, n); got != token {
+				t.Fatalf("FormatSched(ParseSched(%q)) = %q", token, got)
+			}
+		}
+		mode := SchedulerMode(modeByte % 3)
+		tok := FormatSched(mode, maxRanks)
+		wantRanks := maxRanks
+		if mode == Serial || maxRanks < 0 {
+			wantRanks = 0
+		}
+		if m, n, err := ParseSched(tok); err != nil || m != mode || n != wantRanks {
+			t.Fatalf("ParseSched(FormatSched(%v, %d) = %q) = (%v, %d, %v), want (%v, %d)", mode, maxRanks, tok, m, n, err, mode, wantRanks)
+		}
+	})
+}
