@@ -82,8 +82,6 @@ var proxyTemplate = template.Must(template.New("proxy").Funcs(template.FuncMap{
 package {{.Package}}
 
 import (
-	"fmt"
-
 	"repro/internal/cca"
 	"repro/internal/core"
 {{- range .Imports}}
@@ -117,19 +115,10 @@ func (p *{{.Name}}) SetServices(svc cca.Services) error {
 
 // wire lazily resolves the proxy's connections.
 func (p *{{.Name}}) wire() {
-	if p.target != nil {
-		return
+	if p.target == nil {
+		p.target = cca.Use[{{.PortInterface}}](p.svc, "target")
+		p.mon = cca.Use[core.MonitorPort](p.svc, "monitor")
 	}
-	t, err := p.svc.GetPort("target")
-	if err != nil {
-		panic(fmt.Sprintf("%s unwired: %v", p.svc.InstanceName(), err))
-	}
-	p.target = t.({{.PortInterface}})
-	mo, err := p.svc.GetPort("monitor")
-	if err != nil {
-		panic(fmt.Sprintf("%s unwired: %v", p.svc.InstanceName(), err))
-	}
-	p.mon = mo.(core.MonitorPort)
 }
 {{range .Methods}}
 // {{.Name}} forwards to the monitored component.
@@ -142,9 +131,7 @@ func (p *{{$.Name}}) {{.Name}}({{.Signature}}) {{.Results}} {
 {{- end}}
 	}
 	p.mon.StartMonitoring(name, params)
-	if ctx := p.svc.Context(); ctx != nil {
-		ctx.Proc.ChargeCall()
-	}
+	p.svc.Context().Proc.ChargeCall()
 	{{if .Results}}out := {{end}}p.target.{{.Name}}({{.Args}})
 	p.mon.StopMonitoring(name)
 	p.mon.RecordCall(p.svc.InstanceName(), "{{$.ProvidesName}}", "{{lowerFirst .Name}}")

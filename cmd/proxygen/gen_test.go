@@ -28,7 +28,10 @@ func TestGenerateFromExampleSpec(t *testing.T) {
 		"func NewStatesProxy() cca.Component",
 		`svc.AddProvidesPort(p, "states", "StatesPort")`,
 		`{Name: "Q", Value: float64(b.Cells())}`,
+		"p.target = cca.Use[components.StatesPort](p.svc, \"target\")",
+		"p.mon = cca.Use[core.MonitorPort](p.svc, \"monitor\")",
 		"p.mon.StartMonitoring(name, params)",
+		"p.svc.Context().Proc.ChargeCall()",
 		"p.target.Compute(b, dir, qL, qR)",
 		"p.mon.StopMonitoring(name)",
 		"Code generated by proxygen",

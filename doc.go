@@ -391,7 +391,7 @@
 // claim/steal instants). Export produces Chrome trace-event JSON that
 // chrome://tracing and Perfetto load directly.
 //
-// The registry exposes counters, gauges and fixed-bucket histograms in
+// The registry exposes counters and fixed-bucket histograms in
 // a Prometheus-flavoured text format. Metric names follow
 // <layer>_<what>_total for counters and <layer>_<what>_us for latency
 // histograms: campaign_jobs_settled_total, campaign_job_us,

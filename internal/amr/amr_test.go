@@ -101,7 +101,7 @@ func TestPropertyIntersect(t *testing.T) {
 	}
 }
 
-// smallConfig is a fast serial hierarchy for tests.
+// smallConfig is a fast hierarchy for tests.
 func smallConfig() Config {
 	cfg := DefaultConfig()
 	cfg.BaseNx, cfg.BaseNy = 32, 16
@@ -109,51 +109,81 @@ func smallConfig() Config {
 	return cfg
 }
 
-func TestHierarchyConstructionSerial(t *testing.T) {
-	h, err := New(smallConfig(), nil)
+// onOneRank builds cfg's hierarchy on the only rank of a one-rank world and
+// runs body on it there: a Hierarchy is a collective over its rank's world,
+// so a single-process test needs one too. body runs on the rank's goroutine,
+// so it reports with t.Error and returns rather than calling t.Fatal.
+func onOneRank(t *testing.T, cfg Config, body func(h *Hierarchy)) {
+	t.Helper()
+	wcfg := mpi.DefaultConfig()
+	wcfg.Procs = 1
+	err := mpi.NewWorld(wcfg).Run(func(r *mpi.Rank) {
+		h, err := New(cfg, r)
+		if err != nil {
+			panic(err)
+		}
+		body(h)
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if h.NumLevels() != 3 {
-		t.Fatalf("levels = %d, want 3", h.NumLevels())
-	}
-	// Level 0 tiles the base grid exactly.
-	area := 0
-	for _, m := range h.Level(0) {
-		area += m.Rect.Area()
-	}
-	if area != 32*16 {
-		t.Errorf("level-0 area = %d, want 512", area)
-	}
-	// Initial refinement found the shock and interface.
-	if len(h.Level(1)) == 0 {
-		t.Fatal("no level-1 patches; flagging failed")
-	}
-	if len(h.Level(2)) == 0 {
-		t.Fatal("no level-2 patches")
-	}
-	// Every fine patch is nested in its parent.
-	for lev := 1; lev < 3; lev++ {
-		for _, m := range h.Level(lev) {
-			q, ok := h.parentOf(m)
-			if !ok {
-				t.Fatalf("patch %d at level %d has no parent", m.ID, lev)
-			}
-			if !q.Rect.Refine(2).Contains(m.Rect) {
-				t.Errorf("patch %d %v not nested in parent %v", m.ID, m.Rect, q.Rect.Refine(2))
-			}
-			if q.Owner != m.Owner {
-				t.Errorf("patch %d owner %d != parent owner %d (subtree affinity)", m.ID, m.Owner, q.Owner)
+}
+
+func TestHierarchyConstructionSerial(t *testing.T) {
+	onOneRank(t, smallConfig(), func(h *Hierarchy) {
+		if h.NumLevels() != 3 {
+			t.Errorf("levels = %d, want 3", h.NumLevels())
+			return
+		}
+		// Level 0 tiles the base grid exactly.
+		area := 0
+		for _, m := range h.Level(0) {
+			area += m.Rect.Area()
+		}
+		if area != 32*16 {
+			t.Errorf("level-0 area = %d, want 512", area)
+		}
+		// Initial refinement found the shock and interface.
+		if len(h.Level(1)) == 0 {
+			t.Error("no level-1 patches; flagging failed")
+			return
+		}
+		if len(h.Level(2)) == 0 {
+			t.Error("no level-2 patches")
+			return
+		}
+		// Every fine patch is nested in its parent.
+		for lev := 1; lev < 3; lev++ {
+			for _, m := range h.Level(lev) {
+				q, ok := h.parentOf(m)
+				if !ok {
+					t.Errorf("patch %d at level %d has no parent", m.ID, lev)
+					return
+				}
+				if !q.Rect.Refine(2).Contains(m.Rect) {
+					t.Errorf("patch %d %v not nested in parent %v", m.ID, m.Rect, q.Rect.Refine(2))
+				}
+				if q.Owner != m.Owner {
+					t.Errorf("patch %d owner %d != parent owner %d (subtree affinity)", m.ID, m.Owner, q.Owner)
+				}
 			}
 		}
-	}
-	// Serial: every patch local.
-	for lev := 0; lev < 3; lev++ {
-		for _, m := range h.Level(lev) {
-			if h.Block(m.ID) == nil {
-				t.Fatalf("serial hierarchy missing block for patch %d", m.ID)
+		// One rank: every patch local.
+		for lev := 0; lev < 3; lev++ {
+			for _, m := range h.Level(lev) {
+				if h.Block(m.ID) == nil {
+					t.Errorf("one-rank hierarchy missing block for patch %d", m.ID)
+					return
+				}
 			}
 		}
+	})
+}
+
+// TestNewNeedsARank: there is no rankless hierarchy to build.
+func TestNewNeedsARank(t *testing.T) {
+	if _, err := New(smallConfig(), nil); err == nil {
+		t.Fatal("New accepted a nil rank")
 	}
 }
 
@@ -165,47 +195,48 @@ func TestConfigValidate(t *testing.T) {
 		func(c *Config) { c.Ratio = 1 },
 		func(c *Config) { c.Ghost = 1 },
 	}
-	for i, mutate := range bad {
-		cfg := smallConfig()
-		mutate(&cfg)
-		if _, err := New(cfg, nil); err == nil {
-			t.Errorf("case %d: invalid config accepted", i)
+	onOneRank(t, smallConfig(), func(h *Hierarchy) {
+		for i, mutate := range bad {
+			cfg := smallConfig()
+			mutate(&cfg)
+			if _, err := New(cfg, h.r); err == nil {
+				t.Errorf("case %d: invalid config accepted", i)
+			}
 		}
-	}
+	})
 }
 
 func TestSameLevelGhostExchangeSerial(t *testing.T) {
-	h, err := New(smallConfig(), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Stamp each level-0 patch's interior with its ID, then exchange and
-	// verify ghosts carry the neighbor's stamp.
-	for _, p := range h.LocalPatches(0) {
-		for j := 0; j < p.Meta.Rect.Ny(); j++ {
-			for i := 0; i < p.Meta.Rect.Nx(); i++ {
-				u := p.Block.At(i, j)
-				u[euler.IRhoY] = float64(p.Meta.ID + 100)
-				p.Block.Set(i, j, u)
+	onOneRank(t, smallConfig(), func(h *Hierarchy) {
+		// Stamp each level-0 patch's interior with its ID, then exchange and
+		// verify ghosts carry the neighbor's stamp.
+		for _, p := range h.LocalPatches(0) {
+			for j := 0; j < p.Meta.Rect.Ny(); j++ {
+				for i := 0; i < p.Meta.Rect.Nx(); i++ {
+					u := p.Block.At(i, j)
+					u[euler.IRhoY] = float64(p.Meta.ID + 100)
+					p.Block.Set(i, j, u)
+				}
 			}
 		}
-	}
-	h.GhostExchange(0)
-	left := h.LocalPatches(0)[0]  // tile at (0,0)
-	right := h.LocalPatches(0)[1] // tile at (16,0)
-	if left.Meta.Rect.I1 != right.Meta.Rect.I0 {
-		t.Fatalf("unexpected tile layout: %v then %v", left.Meta.Rect, right.Meta.Rect)
-	}
-	// left's right ghost must hold right's stamp.
-	got := left.Block.At(left.Meta.Rect.Nx(), 2)[euler.IRhoY]
-	if got != float64(right.Meta.ID+100) {
-		t.Errorf("ghost = %g, want %g", got, float64(right.Meta.ID+100))
-	}
-	// right's left ghost must hold left's stamp.
-	got = right.Block.At(-1, 2)[euler.IRhoY]
-	if got != float64(left.Meta.ID+100) {
-		t.Errorf("ghost = %g, want %g", got, float64(left.Meta.ID+100))
-	}
+		h.GhostExchange(0)
+		left := h.LocalPatches(0)[0]  // tile at (0,0)
+		right := h.LocalPatches(0)[1] // tile at (16,0)
+		if left.Meta.Rect.I1 != right.Meta.Rect.I0 {
+			t.Errorf("unexpected tile layout: %v then %v", left.Meta.Rect, right.Meta.Rect)
+			return
+		}
+		// left's right ghost must hold right's stamp.
+		got := left.Block.At(left.Meta.Rect.Nx(), 2)[euler.IRhoY]
+		if got != float64(right.Meta.ID+100) {
+			t.Errorf("ghost = %g, want %g", got, float64(right.Meta.ID+100))
+		}
+		// right's left ghost must hold left's stamp.
+		got = right.Block.At(-1, 2)[euler.IRhoY]
+		if got != float64(left.Meta.ID+100) {
+			t.Errorf("ghost = %g, want %g", got, float64(left.Meta.ID+100))
+		}
+	})
 }
 
 func TestClusterFlagsSingleBox(t *testing.T) {
@@ -269,100 +300,97 @@ func TestClusterFlagsSplitsSparse(t *testing.T) {
 func TestProlongRestrictRoundTrip(t *testing.T) {
 	// Conservative pair: restricting a prolonged field returns the coarse
 	// original exactly.
-	h, err := New(smallConfig(), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fines := h.LocalPatches(1)
-	if len(fines) == 0 {
-		t.Fatal("no fine patches")
-	}
-	p := fines[0]
-	q, _ := h.parentOf(p.Meta)
-	parent := h.Block(q.ID)
-	// Snapshot parent's covered region.
-	cr := p.Meta.Rect.Coarsen(2)
-	before := map[[2]int]euler.Cons{}
-	for cj := cr.J0; cj < cr.J1; cj++ {
-		for ci := cr.I0; ci < cr.I1; ci++ {
-			before[[2]int{ci, cj}] = parent.At(ci-q.Rect.I0, cj-q.Rect.J0)
+	onOneRank(t, smallConfig(), func(h *Hierarchy) {
+		fines := h.LocalPatches(1)
+		if len(fines) == 0 {
+			t.Error("no fine patches")
+			return
 		}
-	}
-	h.ProlongInterior(p.Meta, p.Block)
-	h.Restrict(1)
-	for cj := cr.J0; cj < cr.J1; cj++ {
-		for ci := cr.I0; ci < cr.I1; ci++ {
-			after := parent.At(ci-q.Rect.I0, cj-q.Rect.J0)
-			want := before[[2]int{ci, cj}]
-			for v := 0; v < euler.NVars; v++ {
-				if math.Abs(after[v]-want[v]) > 1e-11*(1+math.Abs(want[v])) {
-					t.Fatalf("cell (%d,%d) var %d: %g != %g (not conservative)",
-						ci, cj, v, after[v], want[v])
-				}
+		p := fines[0]
+		q, _ := h.parentOf(p.Meta)
+		parent := h.Block(q.ID)
+		// Snapshot parent's covered region.
+		cr := p.Meta.Rect.Coarsen(2)
+		before := map[[2]int]euler.Cons{}
+		for cj := cr.J0; cj < cr.J1; cj++ {
+			for ci := cr.I0; ci < cr.I1; ci++ {
+				before[[2]int{ci, cj}] = parent.At(ci-q.Rect.I0, cj-q.Rect.J0)
 			}
 		}
-	}
-}
-
-func TestRegridPreservesOverlapData(t *testing.T) {
-	h, err := New(smallConfig(), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Tag level-1 data with a recognizable value in IRhoY, then regrid
-	// without changing level-0 data: overlapping new patches must keep it.
-	marker := 7777.0
-	markedCells := map[[2]int]bool{}
-	for _, p := range h.LocalPatches(1) {
-		for j := 0; j < p.Meta.Rect.Ny(); j++ {
-			for i := 0; i < p.Meta.Rect.Nx(); i++ {
-				u := p.Block.At(i, j)
-				u[euler.IRhoY] = marker
-				p.Block.Set(i, j, u)
-				markedCells[[2]int{p.Meta.Rect.I0 + i, p.Meta.Rect.J0 + j}] = true
-			}
-		}
-	}
-	h.Regrid()
-	found, preserved := 0, 0
-	for _, p := range h.LocalPatches(1) {
-		for j := 0; j < p.Meta.Rect.Ny(); j++ {
-			for i := 0; i < p.Meta.Rect.Nx(); i++ {
-				if markedCells[[2]int{p.Meta.Rect.I0 + i, p.Meta.Rect.J0 + j}] {
-					found++
-					if p.Block.At(i, j)[euler.IRhoY] == marker {
-						preserved++
+		h.ProlongInterior(p.Meta, p.Block)
+		h.Restrict(1)
+		for cj := cr.J0; cj < cr.J1; cj++ {
+			for ci := cr.I0; ci < cr.I1; ci++ {
+				after := parent.At(ci-q.Rect.I0, cj-q.Rect.J0)
+				want := before[[2]int{ci, cj}]
+				for v := 0; v < euler.NVars; v++ {
+					if math.Abs(after[v]-want[v]) > 1e-11*(1+math.Abs(want[v])) {
+						t.Errorf("cell (%d,%d) var %d: %g != %g (not conservative)",
+							ci, cj, v, after[v], want[v])
+						return
 					}
 				}
 			}
 		}
-	}
-	if found == 0 {
-		t.Fatal("regrid dropped all previously refined cells")
-	}
-	if preserved != found {
-		t.Errorf("only %d of %d overlapping cells preserved", preserved, found)
-	}
+	})
+}
+
+func TestRegridPreservesOverlapData(t *testing.T) {
+	onOneRank(t, smallConfig(), func(h *Hierarchy) {
+		// Tag level-1 data with a recognizable value in IRhoY, then regrid
+		// without changing level-0 data: overlapping new patches must keep it.
+		marker := 7777.0
+		markedCells := map[[2]int]bool{}
+		for _, p := range h.LocalPatches(1) {
+			for j := 0; j < p.Meta.Rect.Ny(); j++ {
+				for i := 0; i < p.Meta.Rect.Nx(); i++ {
+					u := p.Block.At(i, j)
+					u[euler.IRhoY] = marker
+					p.Block.Set(i, j, u)
+					markedCells[[2]int{p.Meta.Rect.I0 + i, p.Meta.Rect.J0 + j}] = true
+				}
+			}
+		}
+		h.Regrid()
+		found, preserved := 0, 0
+		for _, p := range h.LocalPatches(1) {
+			for j := 0; j < p.Meta.Rect.Ny(); j++ {
+				for i := 0; i < p.Meta.Rect.Nx(); i++ {
+					if markedCells[[2]int{p.Meta.Rect.I0 + i, p.Meta.Rect.J0 + j}] {
+						found++
+						if p.Block.At(i, j)[euler.IRhoY] == marker {
+							preserved++
+						}
+					}
+				}
+			}
+		}
+		if found == 0 {
+			t.Error("regrid dropped all previously refined cells")
+			return
+		}
+		if preserved != found {
+			t.Errorf("only %d of %d overlapping cells preserved", preserved, found)
+		}
+	})
 }
 
 func TestRegridKeepsNesting(t *testing.T) {
-	h, err := New(smallConfig(), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	h.Regrid()
-	for lev := 1; lev < h.NumLevels(); lev++ {
-		dom := h.levelDomain(lev)
-		for _, m := range h.Level(lev) {
-			q, ok := h.parentOf(m)
-			if !ok || !q.Rect.Refine(2).Contains(m.Rect) {
-				t.Errorf("level %d patch %v not nested (parent ok=%v)", lev, m.Rect, ok)
-			}
-			if !dom.Contains(m.Rect) {
-				t.Errorf("patch %v outside domain %v", m.Rect, dom)
+	onOneRank(t, smallConfig(), func(h *Hierarchy) {
+		h.Regrid()
+		for lev := 1; lev < h.NumLevels(); lev++ {
+			dom := h.levelDomain(lev)
+			for _, m := range h.Level(lev) {
+				q, ok := h.parentOf(m)
+				if !ok || !q.Rect.Refine(2).Contains(m.Rect) {
+					t.Errorf("level %d patch %v not nested (parent ok=%v)", lev, m.Rect, ok)
+				}
+				if !dom.Contains(m.Rect) {
+					t.Errorf("patch %v outside domain %v", m.Rect, dom)
+				}
 			}
 		}
-	}
+	})
 }
 
 // parallelImage builds a P-rank hierarchy, optionally load-balances, and
@@ -395,11 +423,7 @@ func parallelImage(t *testing.T, procs int, balance bool) []float64 {
 }
 
 func TestParallelHierarchyMatchesSerial(t *testing.T) {
-	hs, err := New(smallConfig(), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, _, serialImg := hs.DensityImage()
+	serialImg := parallelImage(t, 1, false)
 	parImg := parallelImage(t, 3, false)
 	if len(serialImg) != len(parImg) {
 		t.Fatalf("image sizes differ: %d vs %d", len(serialImg), len(parImg))
@@ -484,57 +508,93 @@ func TestLoadBalanceImbalanceMetric(t *testing.T) {
 }
 
 func TestTotalMassPositive(t *testing.T) {
-	h, err := New(smallConfig(), nil)
+	onOneRank(t, smallConfig(), func(h *Hierarchy) {
+		m := h.TotalMass()
+		if m <= 0 {
+			t.Errorf("total mass = %g", m)
+			return
+		}
+		// Mass should roughly equal the analytic integral: air region ~1*A1 +
+		// freon ~3*A2 + post-shock ~1.86*A3 over a 4x1 domain.
+		if m < 4 || m > 12 {
+			t.Errorf("total mass %g outside plausible range", m)
+		}
+	})
+}
+
+// TestTotalMassAcrossRanks holds the collective TotalMass to one value
+// however the hierarchy is distributed: one rank and three agree, and a
+// three-rank LoadBalance, which moves patches but no mass, leaves it alone.
+func TestTotalMassAcrossRanks(t *testing.T) {
+	var one float64
+	onOneRank(t, smallConfig(), func(h *Hierarchy) { one = h.TotalMass() })
+	wcfg := mpi.DefaultConfig()
+	wcfg.Procs = 3
+	var before, after [3]float64
+	moved := 0
+	err := mpi.NewWorld(wcfg).Run(func(r *mpi.Rank) {
+		h, err := New(smallConfig(), r)
+		if err != nil {
+			panic(err)
+		}
+		before[r.Rank()] = h.TotalMass()
+		if n := h.LoadBalance(); r.Rank() == 0 {
+			moved = n
+		}
+		after[r.Rank()] = h.TotalMass()
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	m := h.TotalMass()
-	if m <= 0 {
-		t.Fatalf("total mass = %g", m)
+	if moved == 0 {
+		t.Fatal("LoadBalance moved no patch: the conservation check would be vacuous")
 	}
-	// Mass should roughly equal the analytic integral: air region ~1*A1 +
-	// freon ~3*A2 + post-shock ~1.86*A3 over a 4x1 domain.
-	if m < 4 || m > 12 {
-		t.Errorf("total mass %g outside plausible range", m)
+	rel := func(a, b float64) float64 { return math.Abs(a-b) / math.Abs(b) }
+	for rank := range before {
+		if d := rel(before[rank], one); d > 1e-12 {
+			t.Errorf("rank %d: 3-rank mass %.17g vs 1-rank %.17g (rel %g)", rank, before[rank], one, d)
+		}
+		if d := rel(after[rank], before[rank]); d > 1e-12 {
+			t.Errorf("rank %d: mass %.17g after LoadBalance, %.17g before (rel %g)", rank, after[rank], before[rank], d)
+		}
 	}
 }
 
 func TestStatsAndLocalCells(t *testing.T) {
-	h, err := New(smallConfig(), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	st := h.Stats()
-	if len(st) != 3 {
-		t.Fatalf("stats levels = %d", len(st))
-	}
-	if st[0].Cells != 512 {
-		t.Errorf("level-0 cells = %d, want 512", st[0].Cells)
-	}
-	if h.Imbalance() != 1 {
-		t.Errorf("serial imbalance = %g, want 1", h.Imbalance())
-	}
+	onOneRank(t, smallConfig(), func(h *Hierarchy) {
+		st := h.Stats()
+		if len(st) != 3 {
+			t.Errorf("stats levels = %d", len(st))
+			return
+		}
+		if st[0].Cells != 512 {
+			t.Errorf("level-0 cells = %d, want 512", st[0].Cells)
+		}
+		if h.Imbalance() != 1 {
+			t.Errorf("one-rank imbalance = %g, want 1", h.Imbalance())
+		}
+	})
 }
 
 func TestDensityImageCompositesFinest(t *testing.T) {
-	h, err := New(smallConfig(), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	nx, ny, img := h.DensityImage()
-	if nx != 32*4 || ny != 16*4 {
-		t.Fatalf("image %dx%d, want 128x64", nx, ny)
-	}
-	// All pixels positive (density), and both phases present.
-	minV, maxV := math.Inf(1), math.Inf(-1)
-	for _, v := range img {
-		if v <= 0 {
-			t.Fatal("non-positive density pixel")
+	onOneRank(t, smallConfig(), func(h *Hierarchy) {
+		nx, ny, img := h.DensityImage()
+		if nx != 32*4 || ny != 16*4 {
+			t.Errorf("image %dx%d, want 128x64", nx, ny)
+			return
 		}
-		minV = math.Min(minV, v)
-		maxV = math.Max(maxV, v)
-	}
-	if minV > 1.01 || maxV < 2.5 {
-		t.Errorf("image range [%g,%g] does not span air..Freon", minV, maxV)
-	}
+		// All pixels positive (density), and both phases present.
+		minV, maxV := math.Inf(1), math.Inf(-1)
+		for _, v := range img {
+			if v <= 0 {
+				t.Error("non-positive density pixel")
+				return
+			}
+			minV = math.Min(minV, v)
+			maxV = math.Max(maxV, v)
+		}
+		if minV > 1.01 || maxV < 2.5 {
+			t.Errorf("image range [%g,%g] does not span air..Freon", minV, maxV)
+		}
+	})
 }

@@ -88,7 +88,7 @@ func (h *Hierarchy) LoadBalance() int {
 			h.levels[lev][i].Owner = newOwner
 		}
 	}
-	if moved == 0 || h.r == nil {
+	if moved == 0 {
 		return moved
 	}
 
@@ -98,7 +98,7 @@ func (h *Hierarchy) LoadBalance() int {
 	newBlocks := make([]*euler.Block, len(incoming))
 	bufs := make([][]float64, len(incoming))
 	for i, mv := range incoming {
-		b := euler.NewBlock(h.proc(), mv.meta.Rect.Nx(), mv.meta.Rect.Ny(), h.cfg.Ghost)
+		b := euler.NewBlock(h.r.Proc, mv.meta.Rect.Nx(), mv.meta.Rect.Ny(), h.cfg.Ghost)
 		newBlocks[i] = b
 		bufs[i] = make([]float64, euler.NVars*len(b.U[0]))
 		reqs = append(reqs, comm.Irecv(mv.meta.Owner, tagLB+mv.meta.ID, bufs[i]))
@@ -110,9 +110,7 @@ func (h *Hierarchy) LoadBalance() int {
 		for v := 0; v < euler.NVars; v++ {
 			buf = append(buf, b.U[v]...)
 		}
-		if h.proc() != nil {
-			h.proc().Advance(float64(8*len(buf)) / packCopyBytesPerUS)
-		}
+		h.r.Proc.Advance(float64(8*len(buf)) / packCopyBytesPerUS)
 		comm.Isend(mv.newOwner, tagLB+mv.meta.ID, buf)
 		delete(h.blocks, mv.meta.ID)
 	}
@@ -128,9 +126,7 @@ func (h *Hierarchy) LoadBalance() int {
 		for v := 0; v < euler.NVars; v++ {
 			copy(b.U[v], bufs[i][v*n:(v+1)*n])
 		}
-		if h.proc() != nil {
-			h.proc().Advance(float64(8*len(bufs[i])) / packCopyBytesPerUS)
-		}
+		h.r.Proc.Advance(float64(8*len(bufs[i])) / packCopyBytesPerUS)
 		h.blocks[mv.meta.ID] = b
 	}
 	return moved

@@ -76,7 +76,7 @@ func (h *Hierarchy) GhostExchange(level int) {
 	for _, cr := range local {
 		h.copyLocalRegion(cr)
 	}
-	if h.r != nil && (len(sendTo) > 0 || len(recvFrom) > 0) {
+	if len(sendTo) > 0 || len(recvFrom) > 0 {
 		h.exchangeRemote(level, sendTo, recvFrom)
 	}
 
@@ -152,9 +152,7 @@ func (h *Hierarchy) packRegions(regions []copyRegion) []float64 {
 			}
 		}
 	}
-	if h.proc() != nil {
-		h.proc().Advance(float64(8*len(buf)) / packCopyBytesPerUS)
-	}
+	h.r.Proc.Advance(float64(8*len(buf)) / packCopyBytesPerUS)
 	return buf
 }
 
@@ -179,9 +177,7 @@ func (h *Hierarchy) unpackRegions(regions []copyRegion, buf []float64) {
 	if k != len(buf) {
 		panic(fmt.Sprintf("amr: unpack consumed %d of %d values", k, len(buf)))
 	}
-	if h.proc() != nil {
-		h.proc().Advance(float64(8*len(buf)) / packCopyBytesPerUS)
-	}
+	h.r.Proc.Advance(float64(8*len(buf)) / packCopyBytesPerUS)
 }
 
 // copyLocalRegion performs a rank-local ghost fill.
@@ -202,9 +198,7 @@ func (h *Hierarchy) copyLocalRegion(cr copyRegion) {
 			}
 		}
 	}
-	if h.proc() != nil {
-		h.proc().Advance(float64(8*euler.NVars*cr.r.Area()) / packCopyBytesPerUS)
-	}
+	h.r.Proc.Advance(float64(8*euler.NVars*cr.r.Area()) / packCopyBytesPerUS)
 }
 
 // blockAndMeta resolves a local patch's block and metadata.

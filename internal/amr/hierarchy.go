@@ -7,7 +7,6 @@ import (
 
 	"repro/internal/euler"
 	"repro/internal/mpi"
-	"repro/internal/platform"
 )
 
 // PatchMeta is the globally replicated description of one patch. Data for
@@ -82,21 +81,26 @@ func (c Config) Validate() error {
 }
 
 // Hierarchy is the SAMR patch hierarchy of one rank: replicated metadata
-// for every level plus the data blocks this rank owns.
+// for every level plus the data blocks this rank owns. It is a collective
+// over its rank's world: New, GhostExchange, Regrid, LoadBalance,
+// DensityImage and TotalMass are called on every rank together.
 type Hierarchy struct {
 	cfg    Config
-	r      *mpi.Rank // nil in serial use
+	r      *mpi.Rank
 	levels [][]PatchMeta
 	blocks map[int]*euler.Block
 	nextID int
 }
 
-// New builds the hierarchy: level-0 tiling, initial data, and the initial
-// refinement cascade (each level flagged from analytic initial data).
-// rank may be nil for serial (single-process) use.
+// New builds the hierarchy on rank, collectively with every other rank of
+// its world: level-0 tiling, initial data, and the initial refinement
+// cascade (each level flagged from analytic initial data).
 func New(cfg Config, rank *mpi.Rank) (*Hierarchy, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
+	}
+	if rank == nil {
+		return nil, fmt.Errorf("amr: a hierarchy needs a rank")
 	}
 	h := &Hierarchy{
 		cfg:    cfg,
@@ -134,29 +138,11 @@ func New(cfg Config, rank *mpi.Rank) (*Hierarchy, error) {
 	return h, nil
 }
 
-// Rank returns this rank's id (0 in serial use).
-func (h *Hierarchy) Rank() int {
-	if h.r == nil {
-		return 0
-	}
-	return h.r.Rank()
-}
+// Rank returns this rank's id.
+func (h *Hierarchy) Rank() int { return h.r.Rank() }
 
-// Size returns the number of ranks (1 in serial use).
-func (h *Hierarchy) Size() int {
-	if h.r == nil {
-		return 1
-	}
-	return h.r.Comm.Size()
-}
-
-// proc returns the platform processor for cost charging (nil when serial).
-func (h *Hierarchy) proc() *platform.Proc {
-	if h.r == nil {
-		return nil
-	}
-	return h.r.Proc
-}
+// Size returns the number of ranks.
+func (h *Hierarchy) Size() int { return h.r.Comm.Size() }
 
 // NumLevels returns the number of levels currently present.
 func (h *Hierarchy) NumLevels() int { return len(h.levels) }
@@ -213,7 +199,7 @@ func (h *Hierarchy) levelDomain(lev int) Rect {
 // newPatchBlock allocates (and optionally analytically initializes) the
 // data block for a patch this rank owns.
 func (h *Hierarchy) newPatchBlock(m PatchMeta, initData bool) *euler.Block {
-	b := euler.NewBlock(h.proc(), m.Rect.Nx(), m.Rect.Ny(), h.cfg.Ghost)
+	b := euler.NewBlock(h.r.Proc, m.Rect.Nx(), m.Rect.Ny(), h.cfg.Ghost)
 	if initData {
 		dx, dy := h.CellSize(m.Level)
 		h.cfg.Problem.InitBlock(b, float64(m.Rect.I0)*dx, float64(m.Rect.J0)*dy, dx, dy)
@@ -256,8 +242,8 @@ func (h *Hierarchy) Stats() []LevelStats {
 
 // DensityImage composes the density field at the finest resolution,
 // coarse levels first so finer data overwrites them (Fig. 1's plotted
-// field). Under MPI the per-level partial images are summed across ranks;
-// every rank returns the full image.
+// field). The per-level partial images are summed across ranks (a
+// collective); every rank returns the full image.
 func (h *Hierarchy) DensityImage() (nx, ny int, img []float64) {
 	fine := h.levelDomain(len(h.levels) - 1)
 	nx, ny = fine.Nx(), fine.Ny()
@@ -283,10 +269,7 @@ func (h *Hierarchy) DensityImage() (nx, ny int, img []float64) {
 				}
 			}
 		}
-		if h.r != nil {
-			part = h.r.Comm.Allreduce(mpi.OpSum, part)
-		}
-		for k, v := range part {
+		for k, v := range h.r.Comm.Allreduce(mpi.OpSum, part) {
 			if v != 0 {
 				img[k] = v
 			}
@@ -296,12 +279,10 @@ func (h *Hierarchy) DensityImage() (nx, ny int, img []float64) {
 }
 
 // TotalMass integrates density over the hierarchy (each region counted at
-// its finest covering level), a conservation diagnostic. Serial only
-// (used by tests).
+// its finest covering level), a conservation diagnostic. It is a collective:
+// each rank sums its own patches and every rank returns the Allreduce of the
+// sums.
 func (h *Hierarchy) TotalMass() float64 {
-	if h.r != nil {
-		panic("amr: TotalMass is a serial diagnostic")
-	}
 	var mass float64
 	for lev := len(h.levels) - 1; lev >= 0; lev-- {
 		dx, dy := h.CellSize(lev)
@@ -317,7 +298,7 @@ func (h *Hierarchy) TotalMass() float64 {
 			}
 		}
 	}
-	return mass
+	return h.r.Comm.Allreduce(mpi.OpSum, []float64{mass})[0]
 }
 
 // coveredByFiner reports whether cell (gi,gj) at level lev is covered by a

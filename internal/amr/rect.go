@@ -12,6 +12,11 @@
 // and inherit its owner, so inter-level transfers are rank-local and all
 // message passing happens in same-level ghost exchanges and load-balance
 // migrations — matching where the paper's profile finds its MPI time.
+//
+// A Hierarchy is a collective over its rank's world and always has a rank:
+// New refuses a nil one, every patch block lives on the rank's processor,
+// and the work done on it (flagging, transfers, ghost copies, migrations) is
+// charged there. A single-process run is a one-rank world.
 package amr
 
 import "fmt"

@@ -106,9 +106,7 @@ func (h *Hierarchy) copyInterior(src *euler.Block, sm PatchMeta, dst *euler.Bloc
 			}
 		}
 	}
-	if h.proc() != nil {
-		h.proc().Advance(float64(8*euler.NVars*reg.Area()) / packCopyBytesPerUS)
-	}
+	h.r.Proc.Advance(float64(8*euler.NVars*reg.Area()) / packCopyBytesPerUS)
 }
 
 // localProposals flags and clusters every local patch of the level,
@@ -136,9 +134,7 @@ func (h *Hierarchy) flagPatch(p PatchRef) []bool {
 			}
 		}
 	}
-	if h.proc() != nil {
-		h.proc().ChargeFlops(12 * nx * ny)
-	}
+	h.r.Proc.ChargeFlops(12 * nx * ny)
 	if h.cfg.BufferCells <= 0 {
 		return flags
 	}
@@ -214,9 +210,6 @@ func clusterFlags(flags []bool, patch Rect, cfg Config) []Rect {
 // gatherProposals exchanges regrid proposals across ranks (Allgather of a
 // self-describing serialization) and returns the union.
 func (h *Hierarchy) gatherProposals(local []proposal) []proposal {
-	if h.r == nil {
-		return local
-	}
 	ser := make([]float64, 0, 1+5*len(local))
 	ser = append(ser, float64(len(local)))
 	for _, p := range local {

@@ -40,10 +40,8 @@ func (h *Hierarchy) prolongGhosts(p PatchRef) {
 			p.Block.Set(gi-p.Meta.Rect.I0, gj-p.Meta.Rect.J0, u)
 		}
 	}
-	if h.proc() != nil {
-		ring := gz.Area() - p.Meta.Rect.Area()
-		h.proc().ChargeFlops(2 * ring) // index mapping cost
-	}
+	ring := gz.Area() - p.Meta.Rect.Area()
+	h.r.Proc.ChargeFlops(2 * ring) // index mapping cost
 }
 
 // ProlongInterior fills the interior of a fine block from its parent with
@@ -80,9 +78,7 @@ func (h *Hierarchy) ProlongInterior(m PatchMeta, b *euler.Block) {
 			b.Set(fi-m.Rect.I0, fj-m.Rect.J0, u)
 		}
 	}
-	if h.proc() != nil {
-		h.proc().ChargeFlops(prolongFlopsPerCell * m.Rect.Area())
-	}
+	h.r.Proc.ChargeFlops(prolongFlopsPerCell * m.Rect.Area())
 }
 
 // Restrict projects every local patch of fineLevel onto its parent by
@@ -121,9 +117,7 @@ func (h *Hierarchy) Restrict(fineLevel int) {
 				pq.Set(ci-q.Rect.I0, cj-q.Rect.J0, acc)
 			}
 		}
-		if h.proc() != nil {
-			h.proc().ChargeFlops(restrictFlopsPerCell * p.Meta.Rect.Area())
-		}
+		h.r.Proc.ChargeFlops(restrictFlopsPerCell * p.Meta.Rect.Area())
 	}
 }
 

@@ -10,6 +10,10 @@
 // connecting a port is just moving an interface value, and a method call on
 // a UsesPort costs one virtual dispatch (charged to the platform model by
 // the proxies in internal/components).
+//
+// A framework exists only on a rank: RunSCMD is the one way to build one, so
+// every component's Services.Context is its rank's execution context and is
+// never nil.
 package cca
 
 import (
@@ -47,7 +51,7 @@ type Services interface {
 	ReleasePort(name string) error
 	// Context returns the rank's execution context (processor, TAU
 	// profile, communicator) — the framework service that replaces
-	// CCAFFEINE's environment access. It is nil in serial assemblies.
+	// CCAFFEINE's environment access. It is never nil.
 	Context() *mpi.Rank
 	// InstanceName returns the component instance's name in the assembly
 	// (CCAFFEINE's getInstanceName), which proxies use to label their
@@ -129,6 +133,22 @@ func (s *services) Context() *mpi.Rank { return s.inst.fw.rank }
 
 func (s *services) InstanceName() string { return s.inst.name }
 
+// Use returns the port connected to svc's uses port name as a T. Components
+// call it once the assembly is wired, so an unconnected port, or a provider
+// that is not a T, is an assembly bug: Use panics naming the instance and
+// the port.
+func Use[T any](svc Services, name string) T {
+	p, err := svc.GetPort(name)
+	if err != nil {
+		panic(err)
+	}
+	t, ok := p.(T)
+	if !ok {
+		panic(fmt.Sprintf("cca: %s: uses port %q is connected to a %T", svc.InstanceName(), name, p))
+	}
+	return t
+}
+
 // Connection records one port wiring for introspection (the "wiring
 // diagram" the Mastermind combines with the call trace, Fig. 10).
 type Connection struct {
@@ -137,7 +157,7 @@ type Connection struct {
 
 // Framework is one rank's CCAFFEINE instance: a registry of component
 // classes, the set of live instances, and their connections. Under SCMD
-// every rank builds an identical Framework.
+// every rank builds an identical Framework; RunSCMD hands each rank its own.
 type Framework struct {
 	rank        *mpi.Rank
 	classes     map[string]Factory
@@ -146,18 +166,14 @@ type Framework struct {
 	connections []Connection
 }
 
-// NewFramework creates an empty framework bound to a rank context
-// (nil for serial use).
-func NewFramework(rank *mpi.Rank) *Framework {
+// newFramework creates an empty framework bound to rank.
+func newFramework(rank *mpi.Rank) *Framework {
 	return &Framework{
 		rank:      rank,
 		classes:   make(map[string]Factory),
 		instances: make(map[string]*instance),
 	}
 }
-
-// Rank returns the framework's rank context (nil in serial assemblies).
-func (f *Framework) Rank() *mpi.Rank { return f.rank }
 
 // RegisterClass adds a component class to the framework's repository.
 func (f *Framework) RegisterClass(class string, factory Factory) {
@@ -323,7 +339,7 @@ func (f *Framework) WriteDOT(w io.Writer, title string) error {
 // cohort). setup builds and runs the assembly for one rank.
 func RunSCMD(w *mpi.World, setup func(f *Framework, r *mpi.Rank) error) error {
 	return w.Run(func(r *mpi.Rank) {
-		f := NewFramework(r)
+		f := newFramework(r)
 		if err := setup(f, r); err != nil {
 			panic(fmt.Sprintf("cca: rank %d setup: %v", r.Rank(), err))
 		}

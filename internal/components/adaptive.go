@@ -1,8 +1,6 @@
 package components
 
 import (
-	"fmt"
-
 	"repro/internal/cca"
 	"repro/internal/euler"
 	"repro/internal/perfmodel"
@@ -49,19 +47,10 @@ func (a *AdaptiveFlux) SetServices(svc cca.Services) error {
 
 // wire resolves the candidate ports.
 func (a *AdaptiveFlux) wire() {
-	if a.primary != nil {
-		return
+	if a.primary == nil {
+		a.primary = cca.Use[FluxPort](a.svc, "primary")
+		a.fallback = cca.Use[FluxPort](a.svc, "fallback")
 	}
-	p, err := a.svc.GetPort("primary")
-	if err != nil {
-		panic(fmt.Sprintf("components: %s unwired: %v", a.svc.InstanceName(), err))
-	}
-	a.primary = p.(FluxPort)
-	fb, err := a.svc.GetPort("fallback")
-	if err != nil {
-		panic(fmt.Sprintf("components: %s unwired: %v", a.svc.InstanceName(), err))
-	}
-	a.fallback = fb.(FluxPort)
 }
 
 // Switched reports whether the adaptor has replaced the primary.
@@ -81,12 +70,9 @@ func (a *AdaptiveFlux) Compute(qL, qR, flux *euler.EdgeField) int {
 		target = a.fallback
 	}
 	ctx := a.svc.Context()
-	var t0 float64
-	if ctx != nil {
-		t0 = ctx.Proc.Now()
-	}
+	t0 := ctx.Proc.Now()
 	iters := target.Compute(qL, qR, flux)
-	if ctx == nil || a.switched || a.Expectation == nil {
+	if a.switched || a.Expectation == nil {
 		return iters
 	}
 	elapsed := ctx.Proc.Now() - t0

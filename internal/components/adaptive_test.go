@@ -15,10 +15,7 @@ import (
 // of size q cells.
 func runAdaptive(t *testing.T, expect perfmodel.Model, n, qside int) (switched bool, calls int) {
 	t.Helper()
-	wcfg := mpi.DefaultConfig()
-	wcfg.Procs = 1
-	w := mpi.NewWorld(wcfg)
-	err := cca.RunSCMD(w, func(f *cca.Framework, r *mpi.Rank) error {
+	onOneRank(t, func(f *cca.Framework, r *mpi.Rank) error {
 		var adaptor *AdaptiveFlux
 		f.RegisterClass("GodunovFlux", NewGodunovFlux)
 		f.RegisterClass("EFMFlux", NewEFMFlux)
@@ -61,9 +58,6 @@ func runAdaptive(t *testing.T, expect perfmodel.Model, n, qside int) (switched b
 		calls = adaptor.Calls()
 		return nil
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
 	return switched, calls
 }
 
@@ -107,20 +101,18 @@ type recordingMesh struct {
 	restrLog []int
 }
 
-func (m *recordingMesh) Initialize() error                   { return nil }
-func (m *recordingMesh) NumLevels() int                      { return m.levels }
-func (m *recordingMesh) Ratio() int                          { return m.ratio }
-func (m *recordingMesh) LevelPatchCount(int) int             { return 1 }
-func (m *recordingMesh) LocalPatches(int) []amr.PatchRef     { return nil }
-func (m *recordingMesh) CellSize(int) (float64, float64)     { return 0.1, 0.1 }
-func (m *recordingMesh) GhostUpdate(level int)               { m.ghostLog = append(m.ghostLog, level) }
-func (m *recordingMesh) Regrid()                             {}
-func (m *recordingMesh) LoadBalance() int                    { return 0 }
-func (m *recordingMesh) Restrict(lev int)                    { m.restrLog = append(m.restrLog, lev) }
-func (m *recordingMesh) GlobalMaxWaveSpeed() float64         { return 1 }
-func (m *recordingMesh) Imbalance() float64                  { return 1 }
-func (m *recordingMesh) Stats() []amr.LevelStats             { return nil }
-func (m *recordingMesh) DensityImage() (int, int, []float64) { return 0, 0, nil }
+func (m *recordingMesh) Initialize() error               { return nil }
+func (m *recordingMesh) NumLevels() int                  { return m.levels }
+func (m *recordingMesh) Ratio() int                      { return m.ratio }
+func (m *recordingMesh) LevelPatchCount(int) int         { return 1 }
+func (m *recordingMesh) LocalPatches(int) []amr.PatchRef { return nil }
+func (m *recordingMesh) CellSize(int) (float64, float64) { return 0.1, 0.1 }
+func (m *recordingMesh) GhostUpdate(level int)           { m.ghostLog = append(m.ghostLog, level) }
+func (m *recordingMesh) Regrid()                         {}
+func (m *recordingMesh) LoadBalance() int                { return 0 }
+func (m *recordingMesh) Restrict(lev int)                { m.restrLog = append(m.restrLog, lev) }
+func (m *recordingMesh) GlobalMaxWaveSpeed() float64     { return 1 }
+func (m *recordingMesh) Imbalance() float64              { return 1 }
 
 // nopIVF satisfies InviscidFluxPort for orchestration-only tests.
 type nopIVF struct{}
@@ -133,8 +125,15 @@ func TestRK2SubcyclingSequence(t *testing.T) {
 	// per level visit (one per Heun stage), and a restrict after each
 	// subcycle pair, so the expected logs are derivable exactly.
 	mesh := &recordingMesh{levels: 3, ratio: 2}
-	rk := &RK2{mesh: mesh, ivf: nopIVF{}}
-	rk.Advance(0, 0.001)
+	onOneRank(t, func(f *cca.Framework, _ *mpi.Rank) error {
+		rk := &RK2{mesh: mesh, ivf: nopIVF{}}
+		f.RegisterClass("RK2", func() cca.Component { return rk })
+		if err := f.Instantiate("rk20", "RK2"); err != nil {
+			return err
+		}
+		rk.Advance(0, 0.001)
+		return nil
+	})
 
 	wantGhost := []int{0, 0, 1, 1, 2, 2, 2, 2, 1, 1, 2, 2, 2, 2}
 	if len(mesh.ghostLog) != len(wantGhost) {

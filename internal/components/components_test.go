@@ -22,6 +22,18 @@ func smallAppConfig() AppConfig {
 	return cfg
 }
 
+// onOneRank runs setup on the framework of the only rank of a one-rank
+// world: RunSCMD is the only way to get a framework, and every component
+// runs on a rank. An error or a panic in setup fails the test.
+func onOneRank(t *testing.T, setup func(f *cca.Framework, r *mpi.Rank) error) {
+	t.Helper()
+	wcfg := mpi.DefaultConfig()
+	wcfg.Procs = 1
+	if err := cca.RunSCMD(mpi.NewWorld(wcfg), setup); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // runApp assembles and runs the case study on P ranks, returning the
 // per-rank apps and the world.
 func runApp(t *testing.T, cfg AppConfig, procs int) ([]*App, *mpi.World) {
@@ -327,23 +339,13 @@ func TestDensityImageShowsShockProgress(t *testing.T) {
 }
 
 func TestDOTExportContainsProxiesAndMonitorEdges(t *testing.T) {
-	f := cca.NewFramework(nil)
+	// Assemble without running: the script wires the components, and the
+	// DOT export reads the wiring.
 	cfg := smallAppConfig()
-	// Build without running (serial framework): AMRMesh etc. only register
-	// ports at SetServices, which is rank-independent except TauMeasurement.
-	app := &App{Config: cfg, Framework: f}
-	RegisterClasses(f, cfg, app)
-	script := AssemblyScript(cfg)
-	// Drop the TauMeasurement line dependency by replacing context check:
-	// run the script in a 1-rank world instead.
-	wcfg := mpi.DefaultConfig()
-	wcfg.Procs = 1
-	w := mpi.NewWorld(wcfg)
 	var dot string
-	err := cca.RunSCMD(w, func(f *cca.Framework, r *mpi.Rank) error {
-		app := &App{Config: cfg, Framework: f}
-		RegisterClasses(f, cfg, app)
-		if err := f.RunScript(script); err != nil {
+	onOneRank(t, func(f *cca.Framework, _ *mpi.Rank) error {
+		RegisterClasses(f, cfg, &App{Config: cfg, Framework: f})
+		if err := f.RunScript(AssemblyScript(cfg)); err != nil {
 			return err
 		}
 		var sb strings.Builder
@@ -353,9 +355,6 @@ func TestDOTExportContainsProxiesAndMonitorEdges(t *testing.T) {
 		dot = sb.String()
 		return nil
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
 	for _, want := range []string{"sc_proxy", "icc_proxy", "mastermind0", "style=dashed"} {
 		if !strings.Contains(dot, want) {
 			t.Errorf("DOT missing %q", want)
@@ -391,46 +390,50 @@ func TestDeterministicAcrossIdenticalRuns(t *testing.T) {
 	}
 }
 
-// Direct component unit tests (serial framework where possible).
+// Direct component unit tests, each on a one-rank framework.
 
 func TestStatesComponentDelegates(t *testing.T) {
-	f := cca.NewFramework(nil)
-	f.RegisterClass("States", NewStates)
-	if err := f.Instantiate("s", "States"); err != nil {
-		t.Fatal(err)
-	}
-	p, err := f.LookupProvides("s", "states")
-	if err != nil {
-		t.Fatal(err)
-	}
-	sp := p.(StatesPort)
-	b := euler.NewBlock(nil, 8, 8, 2)
-	w := euler.Prim{Rho: 1, U: 0, V: 0, P: 1, Y: 0}
-	for j := -2; j < 10; j++ {
-		for i := -2; i < 10; i++ {
-			b.SetPrim(i, j, w)
+	onOneRank(t, func(f *cca.Framework, r *mpi.Rank) error {
+		f.RegisterClass("States", NewStates)
+		if err := f.Instantiate("s", "States"); err != nil {
+			return err
 		}
-	}
-	qL := euler.NewEdgeField(nil, 8, 8, euler.X)
-	qR := euler.NewEdgeField(nil, 8, 8, euler.X)
-	sp.Compute(b, euler.X, qL, qR)
-	want := euler.ConsFromPrim(w)
-	if qL.Q[euler.IRho][0] != want[euler.IRho] {
-		t.Errorf("States component did not delegate: %g", qL.Q[euler.IRho][0])
-	}
+		p, err := f.LookupProvides("s", "states")
+		if err != nil {
+			return err
+		}
+		sp := p.(StatesPort)
+		b := euler.NewBlock(r.Proc, 8, 8, 2)
+		w := euler.Prim{Rho: 1, U: 0, V: 0, P: 1, Y: 0}
+		for j := -2; j < 10; j++ {
+			for i := -2; i < 10; i++ {
+				b.SetPrim(i, j, w)
+			}
+		}
+		qL := euler.NewEdgeField(r.Proc, 8, 8, euler.X)
+		qR := euler.NewEdgeField(r.Proc, 8, 8, euler.X)
+		sp.Compute(b, euler.X, qL, qR)
+		want := euler.ConsFromPrim(w)
+		if qL.Q[euler.IRho][0] != want[euler.IRho] {
+			t.Errorf("States component did not delegate: %g", qL.Q[euler.IRho][0])
+		}
+		return nil
+	})
 }
 
 func TestAMRMeshBeforeInitializePanics(t *testing.T) {
-	f := cca.NewFramework(nil)
-	f.RegisterClass("AMRMesh", NewAMRMesh(amr.DefaultConfig()))
-	if err := f.Instantiate("m", "AMRMesh"); err != nil {
-		t.Fatal(err)
-	}
-	p, _ := f.LookupProvides("m", "mesh")
-	defer func() {
-		if recover() == nil {
-			t.Fatal("mesh use before Initialize did not panic")
+	onOneRank(t, func(f *cca.Framework, _ *mpi.Rank) error {
+		f.RegisterClass("AMRMesh", func() cca.Component { return &AMRMesh{cfg: amr.DefaultConfig()} })
+		if err := f.Instantiate("m", "AMRMesh"); err != nil {
+			return err
 		}
-	}()
-	p.(MeshPort).NumLevels()
+		p, _ := f.LookupProvides("m", "mesh")
+		defer func() {
+			if recover() == nil {
+				t.Error("mesh use before Initialize did not panic")
+			}
+		}()
+		p.(MeshPort).NumLevels()
+		return nil
+	})
 }

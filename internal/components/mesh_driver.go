@@ -18,11 +18,6 @@ type AMRMesh struct {
 	h   *amr.Hierarchy
 }
 
-// NewAMRMesh returns a factory producing meshes with the given config.
-func NewAMRMesh(cfg amr.Config) cca.Factory {
-	return func() cca.Component { return &AMRMesh{cfg: cfg} }
-}
-
 // SetServices registers the provides port.
 func (m *AMRMesh) SetServices(svc cca.Services) error {
 	m.svc = svc
@@ -34,11 +29,7 @@ func (m *AMRMesh) Hierarchy() *amr.Hierarchy { return m.h }
 
 // Initialize implements MeshPort: collective hierarchy construction.
 func (m *AMRMesh) Initialize() error {
-	var rank *mpi.Rank
-	if ctx := m.svc.Context(); ctx != nil {
-		rank = ctx
-	}
-	h, err := amr.New(m.cfg, rank)
+	h, err := amr.New(m.cfg, m.svc.Context())
 	if err != nil {
 		return err
 	}
@@ -87,20 +78,11 @@ func (m *AMRMesh) Restrict(fineLevel int) { m.ensure().Restrict(fineLevel) }
 // MPI_Allreduce (a Fig. 3 profile row).
 func (m *AMRMesh) GlobalMaxWaveSpeed() float64 {
 	s := m.ensure().MaxWaveSpeed()
-	if comm := commOf(m.svc); comm != nil {
-		return comm.Allreduce(mpi.OpMax, []float64{s})[0]
-	}
-	return s
+	return m.svc.Context().Comm.Allreduce(mpi.OpMax, []float64{s})[0]
 }
 
 // Imbalance implements MeshPort.
 func (m *AMRMesh) Imbalance() float64 { return m.ensure().Imbalance() }
-
-// Stats implements MeshPort.
-func (m *AMRMesh) Stats() []amr.LevelStats { return m.ensure().Stats() }
-
-// DensityImage implements MeshPort.
-func (m *AMRMesh) DensityImage() (int, int, []float64) { return m.ensure().DensityImage() }
 
 // DriverConfig parameterizes the ShockDriver's main loop.
 type DriverConfig struct {
@@ -174,23 +156,19 @@ func (d *ShockDriver) Go() error {
 	integrator := ip.(IntegratorPort)
 	mesh := mp.(MeshPort)
 
-	if ctx != nil {
-		ctx.Prof.Start("int main(int, char **)", "TAU_DEFAULT")
-		defer ctx.Prof.Stop("int main(int, char **)")
-		ctx.Comm.Init()
-		ctx.Comm.ErrhandlerSet()
-		ctx.Comm.KeyvalCreate()
-		// CCAFFEINE duplicates the world communicator per component cohort.
-		for i := 0; i < 3; i++ {
-			ctx.Comm.Dup()
-		}
+	ctx.Prof.Start("int main(int, char **)", "TAU_DEFAULT")
+	defer ctx.Prof.Stop("int main(int, char **)")
+	ctx.Comm.Init()
+	ctx.Comm.ErrhandlerSet()
+	ctx.Comm.KeyvalCreate()
+	// CCAFFEINE duplicates the world communicator per component cohort.
+	for i := 0; i < 3; i++ {
+		ctx.Comm.Dup()
 	}
 	if err := mesh.Initialize(); err != nil {
 		return fmt.Errorf("components: mesh initialization: %w", err)
 	}
-	if ctx != nil {
-		ctx.Comm.Barrier()
-	}
+	ctx.Comm.Barrier()
 
 	dx, dy := mesh.CellSize(0)
 	dtEvery := d.cfg.DtInterval
@@ -214,14 +192,10 @@ func (d *ShockDriver) Go() error {
 				d.balances++
 			}
 		}
-		if ctx != nil {
-			ctx.Comm.Wtime()
-		}
+		ctx.Comm.Wtime()
 	}
 
-	if ctx != nil {
-		ctx.Comm.Barrier()
-		ctx.Comm.Finalize()
-	}
+	ctx.Comm.Barrier()
+	ctx.Comm.Finalize()
 	return nil
 }

@@ -1,8 +1,6 @@
 package components
 
 import (
-	"fmt"
-
 	"repro/internal/amr"
 	"repro/internal/cca"
 	"repro/internal/euler"
@@ -26,7 +24,7 @@ func (s *States) SetServices(svc cca.Services) error {
 
 // Compute implements StatesPort.
 func (s *States) Compute(b *euler.Block, dir euler.Dir, qL, qR *euler.EdgeField) {
-	euler.States(procOf(s.svc), b, dir, qL, qR)
+	euler.States(s.svc.Context().Proc, b, dir, qL, qR)
 }
 
 // EFMFlux is the kinetic (Equilibrium Flux Method) flux component: cheap,
@@ -46,7 +44,7 @@ func (e *EFMFlux) SetServices(svc cca.Services) error {
 
 // Compute implements FluxPort.
 func (e *EFMFlux) Compute(qL, qR, flux *euler.EdgeField) int {
-	euler.EFMFlux(procOf(e.svc), qL, qR, flux)
+	euler.EFMFlux(e.svc.Context().Proc, qL, qR, flux)
 	return 0
 }
 
@@ -68,7 +66,7 @@ func (g *GodunovFlux) SetServices(svc cca.Services) error {
 
 // Compute implements FluxPort.
 func (g *GodunovFlux) Compute(qL, qR, flux *euler.EdgeField) int {
-	return euler.GodunovFlux(procOf(g.svc), qL, qR, flux)
+	return euler.GodunovFlux(g.svc.Context().Proc, qL, qR, flux)
 }
 
 // InviscidFlux composes a patch's flux evaluation: States then Flux for
@@ -98,32 +96,19 @@ func (v *InviscidFlux) SetServices(svc cca.Services) error {
 }
 
 // ports lazily fetches the connected ports.
-func (v *InviscidFlux) ports() (StatesPort, FluxPort, error) {
+func (v *InviscidFlux) ports() (StatesPort, FluxPort) {
 	if v.states == nil {
-		p, err := v.svc.GetPort("states")
-		if err != nil {
-			return nil, nil, err
-		}
-		v.states = p.(StatesPort)
+		v.states = cca.Use[StatesPort](v.svc, "states")
+		v.flux = cca.Use[FluxPort](v.svc, "flux")
 	}
-	if v.flux == nil {
-		p, err := v.svc.GetPort("flux")
-		if err != nil {
-			return nil, nil, err
-		}
-		v.flux = p.(FluxPort)
-	}
-	return v.states, v.flux, nil
+	return v.states, v.flux
 }
 
 // PatchFluxes implements InviscidFluxPort: one X sweep (sequential access)
 // and one Y sweep (strided access) through States and the flux component.
 func (v *InviscidFlux) PatchFluxes(b *euler.Block, fx, fy *euler.EdgeField) {
-	states, flux, err := v.ports()
-	if err != nil {
-		panic(fmt.Sprintf("components: InviscidFlux unwired: %v", err))
-	}
-	proc := procOf(v.svc)
+	states, flux := v.ports()
+	proc := v.svc.Context().Proc
 	v.scratch.Reset(2 * euler.EdgeFieldFloats(b.Nx, b.Ny))
 	qLX := v.scratch.EdgeField(proc, b.Nx, b.Ny, euler.X)
 	qRX := v.scratch.EdgeField(proc, b.Nx, b.Ny, euler.X)
@@ -167,18 +152,8 @@ func (r *RK2) SetServices(svc cca.Services) error {
 // ports lazily fetches the connected ports.
 func (r *RK2) ports() (MeshPort, InviscidFluxPort) {
 	if r.mesh == nil {
-		p, err := r.svc.GetPort("mesh")
-		if err != nil {
-			panic(fmt.Sprintf("components: RK2 unwired: %v", err))
-		}
-		r.mesh = p.(MeshPort)
-	}
-	if r.ivf == nil {
-		p, err := r.svc.GetPort("inviscidflux")
-		if err != nil {
-			panic(fmt.Sprintf("components: RK2 unwired: %v", err))
-		}
-		r.ivf = p.(InviscidFluxPort)
+		r.mesh = cca.Use[MeshPort](r.svc, "mesh")
+		r.ivf = cca.Use[InviscidFluxPort](r.svc, "inviscidflux")
 	}
 	return r.mesh, r.ivf
 }
@@ -186,7 +161,7 @@ func (r *RK2) ports() (MeshPort, InviscidFluxPort) {
 // Advance implements IntegratorPort.
 func (r *RK2) Advance(level int, dt float64) {
 	mesh, ivf := r.ports()
-	proc := procOf(r.svc)
+	proc := r.svc.Context().Proc
 	dx, dy := mesh.CellSize(level)
 
 	// Stage 1: u1 = u0 + dt L(u0), in place, after a ghost update.

@@ -1,8 +1,6 @@
 package components
 
 import (
-	"fmt"
-
 	"repro/internal/amr"
 	"repro/internal/cca"
 	"repro/internal/core"
@@ -21,9 +19,6 @@ func NewTauMeasurement() cca.Component { return &TauMeasurement{} }
 // SetServices registers the provides port.
 func (t *TauMeasurement) SetServices(svc cca.Services) error {
 	t.svc = svc
-	if svc.Context() == nil {
-		return fmt.Errorf("components: TauMeasurement needs a rank context (run under SCMD)")
-	}
 	return svc.AddProvidesPort(t, "measurement", TypeMeasurementPort)
 }
 
@@ -79,11 +74,7 @@ func (m *Mastermind) SetServices(svc cca.Services) error {
 // Core returns the underlying Mastermind, initializing it on first use.
 func (m *Mastermind) Core() *core.Mastermind {
 	if m.mm == nil {
-		p, err := m.svc.GetPort("measurement")
-		if err != nil {
-			panic(fmt.Sprintf("components: Mastermind unwired: %v", err))
-		}
-		m.mm = core.NewMastermind(p.(core.MeasurementPort))
+		m.mm = core.NewMastermind(cca.Use[core.MeasurementPort](m.svc, "measurement"))
 	}
 	return m.mm
 }
@@ -131,16 +122,8 @@ func (p *StatesProxy) SetServices(svc cca.Services) error {
 // wire lazily resolves the proxy's connections.
 func (p *StatesProxy) wire() {
 	if p.target == nil {
-		t, err := p.svc.GetPort("target")
-		if err != nil {
-			panic(fmt.Sprintf("components: %s unwired: %v", p.svc.InstanceName(), err))
-		}
-		p.target = t.(StatesPort)
-		mo, err := p.svc.GetPort("monitor")
-		if err != nil {
-			panic(fmt.Sprintf("components: %s unwired: %v", p.svc.InstanceName(), err))
-		}
-		p.mon = mo.(core.MonitorPort)
+		p.target = cca.Use[StatesPort](p.svc, "target")
+		p.mon = cca.Use[core.MonitorPort](p.svc, "monitor")
 	}
 }
 
@@ -155,9 +138,7 @@ func (p *StatesProxy) Compute(b *euler.Block, dir euler.Dir, qL, qR *euler.EdgeF
 		{Name: "mode", Value: float64(dir)},
 	}
 	p.mon.StartMonitoring(name, params)
-	if proc := procOf(p.svc); proc != nil {
-		proc.ChargeCall() // the forwarded virtual invocation
-	}
+	p.svc.Context().Proc.ChargeCall() // the forwarded virtual invocation
 	p.target.Compute(b, dir, qL, qR)
 	p.mon.StopMonitoring(name)
 	p.mon.RecordCall(p.svc.InstanceName(), "states", "compute")
@@ -188,16 +169,8 @@ func (p *FluxProxy) SetServices(svc cca.Services) error {
 
 func (p *FluxProxy) wire() {
 	if p.target == nil {
-		t, err := p.svc.GetPort("target")
-		if err != nil {
-			panic(fmt.Sprintf("components: %s unwired: %v", p.svc.InstanceName(), err))
-		}
-		p.target = t.(FluxPort)
-		mo, err := p.svc.GetPort("monitor")
-		if err != nil {
-			panic(fmt.Sprintf("components: %s unwired: %v", p.svc.InstanceName(), err))
-		}
-		p.mon = mo.(core.MonitorPort)
+		p.target = cca.Use[FluxPort](p.svc, "target")
+		p.mon = cca.Use[core.MonitorPort](p.svc, "monitor")
 	}
 }
 
@@ -211,9 +184,7 @@ func (p *FluxProxy) Compute(qL, qR, flux *euler.EdgeField) int {
 		{Name: "mode", Value: float64(flux.Dir)},
 	}
 	p.mon.StartMonitoring(name, params)
-	if proc := procOf(p.svc); proc != nil {
-		proc.ChargeCall()
-	}
+	p.svc.Context().Proc.ChargeCall()
 	iters := p.target.Compute(qL, qR, flux)
 	p.mon.StopMonitoring(name)
 	p.mon.RecordCall(p.svc.InstanceName(), "flux", "compute")
@@ -247,29 +218,18 @@ func (p *MeshProxy) SetServices(svc cca.Services) error {
 
 func (p *MeshProxy) wire() (MeshPort, core.MonitorPort) {
 	if p.target == nil {
-		t, err := p.svc.GetPort("target")
-		if err != nil {
-			panic(fmt.Sprintf("components: %s unwired: %v", p.svc.InstanceName(), err))
-		}
-		p.target = t.(MeshPort)
-		mo, err := p.svc.GetPort("monitor")
-		if err != nil {
-			panic(fmt.Sprintf("components: %s unwired: %v", p.svc.InstanceName(), err))
-		}
-		p.mon = mo.(core.MonitorPort)
+		p.target = cca.Use[MeshPort](p.svc, "target")
+		p.mon = cca.Use[core.MonitorPort](p.svc, "monitor")
 	}
 	return p.target, p.mon
 }
 
 // monitored wraps a forwarded call in a monitoring window.
 func (p *MeshProxy) monitored(method string, params []core.Param, call func()) {
-	target, mon := p.wire()
-	_ = target
+	_, mon := p.wire()
 	name := p.svc.InstanceName() + "::" + method + "()"
 	mon.StartMonitoring(name, params)
-	if proc := procOf(p.svc); proc != nil {
-		proc.ChargeCall()
-	}
+	p.svc.Context().Proc.ChargeCall()
 	call()
 	mon.StopMonitoring(name)
 	mon.RecordCall(p.svc.InstanceName(), "mesh", method)
@@ -344,12 +304,3 @@ func (p *MeshProxy) GlobalMaxWaveSpeed() float64 {
 
 // Imbalance implements MeshPort.
 func (p *MeshProxy) Imbalance() float64 { t, _ := p.wire(); return t.Imbalance() }
-
-// Stats implements MeshPort.
-func (p *MeshProxy) Stats() []amr.LevelStats { t, _ := p.wire(); return t.Stats() }
-
-// DensityImage implements MeshPort.
-func (p *MeshProxy) DensityImage() (int, int, []float64) {
-	t, _ := p.wire()
-	return t.DensityImage()
-}

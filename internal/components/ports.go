@@ -6,14 +6,17 @@
 // PMM components — TauMeasurement, Mastermind, and the proxies (sc_proxy,
 // g_proxy / efm_proxy, icc_proxy) interposed between InviscidFlux/RK2 and
 // the components they monitor.
+//
+// Every component runs inside a framework that RunSCMD built on one rank, so
+// svc.Context() is that rank: the kernels are charged to its processor, the
+// proxies' dispatches to its clock, the mesh's messages to its communicator
+// and the measurements to its TAU profile. No component has a second,
+// rankless way to run.
 package components
 
 import (
 	"repro/internal/amr"
-	"repro/internal/cca"
 	"repro/internal/euler"
-	"repro/internal/mpi"
-	"repro/internal/platform"
 )
 
 // Port type identifiers used by the assembly's type checking.
@@ -75,37 +78,10 @@ type MeshPort interface {
 	GlobalMaxWaveSpeed() float64
 	// Imbalance is max/mean per-rank load (1 = balanced).
 	Imbalance() float64
-	// Stats returns per-level patch/cell counts.
-	Stats() []amr.LevelStats
-	// DensityImage composes the density field at finest resolution.
-	DensityImage() (nx, ny int, img []float64)
 }
 
 // IntegratorPort advances one level (and, recursively, its finer levels)
 // by dt — the RK2 component.
 type IntegratorPort interface {
 	Advance(level int, dt float64)
-}
-
-// procOf returns the platform processor behind a component's services, or
-// nil in serial assemblies (or unit tests that bypass the framework).
-func procOf(svc cca.Services) *platform.Proc {
-	if svc == nil {
-		return nil
-	}
-	if ctx := svc.Context(); ctx != nil {
-		return ctx.Proc
-	}
-	return nil
-}
-
-// commOf returns the component's world communicator, or nil.
-func commOf(svc cca.Services) *mpi.Comm {
-	if svc == nil {
-		return nil
-	}
-	if ctx := svc.Context(); ctx != nil {
-		return ctx.Comm
-	}
-	return nil
 }

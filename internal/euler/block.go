@@ -15,15 +15,14 @@ type Block struct {
 	rows int
 	// U holds one plane per conserved variable.
 	U [NVars][]float64
-	// addr holds per-plane virtual base addresses for cache accounting
-	// (zero when the block is not bound to a simulated processor).
+	// addr holds per-plane virtual base addresses for cache accounting.
 	addr [NVars]uint64
 }
 
 // NewBlock allocates a block of nx-by-ny interior cells with ng ghost
 // layers on zeroed storage of its own (the nil-Scratch case: see
-// Scratch.Block). If proc is non-nil the planes receive virtual addresses on
-// that rank's heap so kernels can charge their access streams.
+// Scratch.Block). The planes receive virtual addresses on proc's heap so
+// kernels can charge their access streams.
 func NewBlock(proc *platform.Proc, nx, ny, ng int) *Block {
 	return (*Scratch)(nil).Block(proc, nx, ny, ng)
 }
@@ -77,47 +76,24 @@ func (b *Block) CopyFrom(src *Block) {
 	}
 }
 
-// Clone allocates a new block (bound to proc if non-nil) with the same
-// geometry and contents.
-func (b *Block) Clone(proc *platform.Proc) *Block {
-	nb := NewBlock(proc, b.Nx, b.Ny, b.Ng)
-	nb.CopyFrom(b)
-	return nb
-}
-
-// planeAddr returns the virtual address of element k of plane v, or 0 when
-// the block is unbound.
-func (b *Block) planeAddr(v, k int) uint64 {
-	if b.addr[v] == 0 {
-		return 0
-	}
-	return b.addr[v] + uint64(8*k)
-}
+// planeAddr returns the virtual address of element k of plane v.
+func (b *Block) planeAddr(v, k int) uint64 { return b.addr[v] + uint64(8*k) }
 
 // chargeRowSegment charges a sequential sweep over n cells of plane v
 // starting at cell (i, j).
 func (b *Block) chargeRowSegment(proc *platform.Proc, v, i, j, n int) {
-	if proc == nil || b.addr[v] == 0 {
-		return
-	}
 	proc.ChargeStream(b.planeAddr(v, b.Idx(i, j)), n, 8)
 }
 
 // chargeColSegment charges a strided sweep over n cells of plane v starting
 // at cell (i, j), striding one full padded row per element.
 func (b *Block) chargeColSegment(proc *platform.Proc, v, i, j, n int) {
-	if proc == nil || b.addr[v] == 0 {
-		return
-	}
 	proc.ChargeStream(b.planeAddr(v, b.Idx(i, j)), n, 8*b.Stride)
 }
 
 // chargeSweep charges one directional pass over the interior of plane v
 // (plus the reconstruction halo), in the access pattern of dir.
 func (b *Block) chargeSweep(proc *platform.Proc, v int, dir Dir) {
-	if proc == nil || b.addr[v] == 0 {
-		return
-	}
 	if dir == X {
 		for j := 0; j < b.Ny; j++ {
 			b.chargeRowSegment(proc, v, -1, j, b.Nx+2)

@@ -6,10 +6,12 @@
 // ("RK2"). These are the numerical bodies of the CCA components measured in
 // the paper's Section 5.
 //
-// Every kernel does its real floating-point work on real Go slices and, when
-// given a platform processor, charges that work (FLOPs and memory-access
-// streams) to the simulated machine, so TAU observes virtual times with the
-// paper's cache-driven sequential/strided behaviour.
+// Every kernel does its real floating-point work on real Go slices and
+// charges that work (FLOPs and memory-access streams) to the rank's platform
+// processor, so TAU observes virtual times with the paper's cache-driven
+// sequential/strided behaviour. There is no uncharged way to run a kernel:
+// every block and edge field is built on a processor, and every plane has a
+// virtual address on its heap.
 //
 // The kernels avoid redoing host work whose result they already hold, under
 // one rule: no output float, iteration count or charged operation may move.

@@ -265,7 +265,7 @@ func TestMinmod(t *testing.T) {
 }
 
 func TestBlockIndexingAndAccessors(t *testing.T) {
-	b := NewBlock(nil, 4, 3, 2)
+	b := NewBlock(testProc(), 4, 3, 2)
 	if b.Stride != 8 || b.Cells() != 12 {
 		t.Fatalf("block geometry stride=%d cells=%d", b.Stride, b.Cells())
 	}
@@ -284,17 +284,19 @@ func TestBlockInvalidGeometryPanics(t *testing.T) {
 			t.Fatal("NewBlock(0,..) did not panic")
 		}
 	}()
-	NewBlock(nil, 0, 3, 2)
+	NewBlock(testProc(), 0, 3, 2)
 }
 
 func TestCopyFromAndClone(t *testing.T) {
-	a := NewBlock(nil, 3, 3, 2)
+	p := testProc()
+	a := NewBlock(p, 3, 3, 2)
 	a.SetPrim(1, 1, Prim{Rho: 9, U: 0, V: 0, P: 9, Y: 0})
-	b := a.Clone(nil)
+	b := NewBlock(p, 3, 3, 2)
+	b.CopyFrom(a)
 	if got := b.PrimAt(1, 1); !almostEq(got.Rho, 9, 1e-12) {
 		t.Errorf("clone content %+v", got)
 	}
-	c := NewBlock(nil, 4, 3, 2)
+	c := NewBlock(p, 4, 3, 2)
 	defer func() {
 		if recover() == nil {
 			t.Fatal("CopyFrom with mismatched geometry did not panic")
@@ -304,7 +306,7 @@ func TestCopyFromAndClone(t *testing.T) {
 }
 
 func TestFillBoundaryReflection(t *testing.T) {
-	b := NewBlock(nil, 4, 4, 2)
+	b := NewBlock(testProc(), 4, 4, 2)
 	pr := DefaultShockInterface()
 	pr.InitBlock(b, 0, 0, pr.Lx/4, pr.Ly/4)
 	// Inject vertical momentum near the bottom wall.
@@ -329,7 +331,8 @@ func TestFillBoundaryReflection(t *testing.T) {
 
 func TestStatesReconstructionConstantField(t *testing.T) {
 	// A constant field must reconstruct to exactly itself on every face.
-	b := NewBlock(nil, 8, 6, 2)
+	p := testProc()
+	b := NewBlock(p, 8, 6, 2)
 	w := Prim{Rho: 1.5, U: 0.2, V: -0.1, P: 2, Y: 0.3}
 	for j := -2; j < b.Ny+2; j++ {
 		for i := -2; i < b.Nx+2; i++ {
@@ -337,9 +340,9 @@ func TestStatesReconstructionConstantField(t *testing.T) {
 		}
 	}
 	for _, dir := range []Dir{X, Y} {
-		qL := NewEdgeField(nil, b.Nx, b.Ny, dir)
-		qR := NewEdgeField(nil, b.Nx, b.Ny, dir)
-		States(nil, b, dir, qL, qR)
+		qL := NewEdgeField(p, b.Nx, b.Ny, dir)
+		qR := NewEdgeField(p, b.Nx, b.Ny, dir)
+		States(p, b, dir, qL, qR)
 		want := ConsFromPrim(w)
 		for k := 0; k < qL.Len(); k++ {
 			for v := 0; v < NVars; v++ {
@@ -355,16 +358,17 @@ func TestStatesReconstructionConstantField(t *testing.T) {
 func TestStatesLinearFieldExactInX(t *testing.T) {
 	// Minmod reproduces linear data exactly away from extrema: face states
 	// from both sides must agree on a linear profile.
-	b := NewBlock(nil, 8, 4, 2)
+	p := testProc()
+	b := NewBlock(p, 8, 4, 2)
 	for j := -2; j < b.Ny+2; j++ {
 		for i := -2; i < b.Nx+2; i++ {
 			val := 2 + 0.1*float64(i)
 			b.Set(i, j, Cons{val, 0, 0, 10 + val, 0})
 		}
 	}
-	qL := NewEdgeField(nil, b.Nx, b.Ny, X)
-	qR := NewEdgeField(nil, b.Nx, b.Ny, X)
-	States(nil, b, X, qL, qR)
+	qL := NewEdgeField(p, b.Nx, b.Ny, X)
+	qR := NewEdgeField(p, b.Nx, b.Ny, X)
+	States(p, b, X, qL, qR)
 	for j := 0; j < b.Ny; j++ {
 		for f := 0; f <= b.Nx; f++ {
 			k := qL.FaceIdx(f, j)
@@ -382,11 +386,12 @@ func TestStatesLinearFieldExactInX(t *testing.T) {
 // Property: minmod reconstruction never creates values outside the range of
 // the two adjacent cells (a TVD-type bound).
 func TestPropertyStatesBounded(t *testing.T) {
+	p := testProc()
 	f := func(vals []float64) bool {
 		if len(vals) < 4 {
 			return true
 		}
-		b := NewBlock(nil, 6, 1, 2)
+		b := NewBlock(p, 6, 1, 2)
 		for i := -2; i < 8; i++ {
 			v := vals[(i+2)%len(vals)]
 			if math.IsNaN(v) || math.IsInf(v, 0) {
@@ -395,9 +400,9 @@ func TestPropertyStatesBounded(t *testing.T) {
 			v = math.Mod(v, 1000)
 			b.Set(i, 0, Cons{v, 0, 0, 1, 0})
 		}
-		qL := NewEdgeField(nil, 6, 1, X)
-		qR := NewEdgeField(nil, 6, 1, X)
-		States(nil, b, X, qL, qR)
+		qL := NewEdgeField(p, 6, 1, X)
+		qR := NewEdgeField(p, 6, 1, X)
+		States(p, b, X, qL, qR)
 		for fc := 0; fc <= 6; fc++ {
 			k := qL.FaceIdx(fc, 0)
 			lo := math.Min(b.At(fc-1, 0)[IRho], b.At(fc, 0)[IRho])
@@ -417,24 +422,26 @@ func TestPropertyStatesBounded(t *testing.T) {
 }
 
 func TestStatesNeedsGhostsPanics(t *testing.T) {
-	b := NewBlock(nil, 4, 4, 1)
+	p := testProc()
+	b := NewBlock(p, 4, 4, 1)
 	defer func() {
 		if recover() == nil {
 			t.Fatal("States with 1 ghost layer did not panic")
 		}
 	}()
-	States(nil, b, X, NewEdgeField(nil, 4, 4, X), NewEdgeField(nil, 4, 4, X))
+	States(p, b, X, NewEdgeField(p, 4, 4, X), NewEdgeField(p, 4, 4, X))
 }
 
 func TestEdgeFieldLayoutStrides(t *testing.T) {
-	ex := NewEdgeField(nil, 4, 3, X)
+	p := testProc()
+	ex := NewEdgeField(p, 4, 3, X)
 	if ex.Len() != 15 {
 		t.Errorf("X faces = %d, want (4+1)*3", ex.Len())
 	}
 	if ex.FaceIdx(1, 0)-ex.FaceIdx(0, 0) != 1 {
 		t.Error("X faces must be contiguous along the sweep")
 	}
-	ey := NewEdgeField(nil, 4, 3, Y)
+	ey := NewEdgeField(p, 4, 3, Y)
 	if ey.Len() != 16 {
 		t.Errorf("Y faces = %d, want 4*(3+1)", ey.Len())
 	}

@@ -97,9 +97,6 @@ func faceFluxes(qL, qR, flux *EdgeField, face func(ul, ur Cons) (Cons, int)) int
 // arithmetic hides strided-miss latency (EFM, per Fig. 8's
 // near-mode-independent timings).
 func chargeFluxKernel(proc *platform.Proc, qL, qR, flux *EdgeField, overlapped bool) {
-	if proc == nil {
-		return
-	}
 	nt, _, _, _ := flux.sweepShape()
 	for t := 0; t < nt; t++ {
 		for v := 0; v < NVars; v++ {
@@ -129,9 +126,7 @@ func EFMFlux(proc *platform.Proc, qL, qR, flux *EdgeField) {
 		return unrotate(out, d), 0
 	})
 	chargeFluxKernel(proc, qL, qR, flux, true)
-	if proc != nil {
-		proc.ChargeFlops(efmFlopsPerFace * flux.Len())
-	}
+	proc.ChargeFlops(efmFlopsPerFace * flux.Len())
 }
 
 // primRot converts a conserved face state to primitives with the sweep
@@ -177,9 +172,7 @@ func GodunovFlux(proc *platform.Proc, qL, qR, flux *EdgeField) int {
 		return unrotate(PhysFlux(w), d), iters
 	})
 	chargeFluxKernel(proc, qL, qR, flux, false)
-	if proc != nil {
-		proc.ChargeFlops(godunovBaseFlops*flux.Len() + godunovIterFlops*totalIters)
-	}
+	proc.ChargeFlops(godunovBaseFlops*flux.Len() + godunovIterFlops*totalIters)
 	return totalIters
 }
 

@@ -122,20 +122,21 @@ func TestGodunovIterationCountGrowsNearShocks(t *testing.T) {
 
 func TestEFMFluxMatchesGodunovOnUniformFlow(t *testing.T) {
 	// On a uniform field both kernels must return the exact physical flux.
+	p := testProc()
 	w := Prim{Rho: 1.7, U: 0.6, V: -0.2, P: 2.2, Y: 0.4}
-	b := NewBlock(nil, 8, 4, 2)
+	b := NewBlock(p, 8, 4, 2)
 	for j := -2; j < 6; j++ {
 		for i := -2; i < 10; i++ {
 			b.SetPrim(i, j, w)
 		}
 	}
-	qL := NewEdgeField(nil, 8, 4, X)
-	qR := NewEdgeField(nil, 8, 4, X)
-	States(nil, b, X, qL, qR)
-	fe := NewEdgeField(nil, 8, 4, X)
-	EFMFlux(nil, qL, qR, fe)
-	fg := NewEdgeField(nil, 8, 4, X)
-	GodunovFlux(nil, qL, qR, fg)
+	qL := NewEdgeField(p, 8, 4, X)
+	qR := NewEdgeField(p, 8, 4, X)
+	States(p, b, X, qL, qR)
+	fe := NewEdgeField(p, 8, 4, X)
+	EFMFlux(p, qL, qR, fe)
+	fg := NewEdgeField(p, 8, 4, X)
+	GodunovFlux(p, qL, qR, fg)
 	exact := PhysFlux(w)
 	for v := 0; v < NVars; v++ {
 		k := fe.FaceIdx(3, 1)

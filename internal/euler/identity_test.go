@@ -14,7 +14,10 @@ import (
 // implementations in reference_test.go: same bits in every output float,
 // same Newton iteration counts, same work charged to the simulated machine.
 
-func identityProc() *platform.Proc {
+// testProc returns a fresh simulated processor. Every block, edge field and
+// kernel in this package's tests runs on one, as in production: there is no
+// uncharged way to build or run them.
+func testProc() *platform.Proc {
 	return platform.NewProc(0, platform.XeonModel(), cache.XeonL2(), 7)
 }
 
@@ -95,11 +98,12 @@ func TestKernelsMatchReference(t *testing.T) {
 			for _, dir := range []Dir{X, Y} {
 				nx, ny := shape[0], shape[1]
 				t.Run(fmt.Sprintf("%s/%dx%d/%v", name, nx, ny, dir), func(t *testing.T) {
-					got, want := identityProc(), identityProc()
+					got, want := testProc(), testProc()
 					rng := rand.New(rand.NewSource(int64(nx*1000 + ny)))
 					b := NewBlock(got, nx, ny, 2)
 					fill(b, rng)
-					rb := b.Clone(want)
+					rb := NewBlock(want, nx, ny, 2)
+					rb.CopyFrom(b)
 
 					qL, qR := NewEdgeField(got, nx, ny, dir), NewEdgeField(got, nx, ny, dir)
 					rL, rR := NewEdgeField(want, nx, ny, dir), NewEdgeField(want, nx, ny, dir)
@@ -158,7 +162,7 @@ func TestSameBits(t *testing.T) {
 		{"two NaNs", Cons{1, 0, 0, nanA, 0}, Cons{1, 0, 0, nanB, 0}, false},
 		{"NaN vs number", Cons{1, 0, 0, nanA, 0}, base, false},
 	} {
-		q := NewEdgeField(nil, 1, 1, Y)
+		q := NewEdgeField(testProc(), 1, 1, Y)
 		q.set(0, tt.a)
 		q.set(1, tt.b)
 		if got := rowRepeats(&q.Q, 1, 1, 1) == 1; got != tt.want {
@@ -172,8 +176,9 @@ func TestSameBits(t *testing.T) {
 // row, so that face (f, j) sits right above face (f, j+1): where the memo
 // looks for a repeat.
 func lineField(faces [][2]Cons) (qL, qR, fl *EdgeField) {
+	p := testProc()
 	ny := len(faces)
-	qL, qR, fl = NewEdgeField(nil, 1, ny, X), NewEdgeField(nil, 1, ny, X), NewEdgeField(nil, 1, ny, X)
+	qL, qR, fl = NewEdgeField(p, 1, ny, X), NewEdgeField(p, 1, ny, X), NewEdgeField(p, 1, ny, X)
 	for j, lr := range faces {
 		for f := 0; f <= 1; f++ {
 			qL.setFace(f, j, lr[0])
@@ -188,6 +193,7 @@ func lineField(faces [][2]Cons) (qL, qR, fl *EdgeField) {
 // reaches the flux (the upwinded transverse momentum flux is ±0), so a memo
 // keyed on == would hand the second face the first one's flux.
 func TestMemoTellsSignedZerosApart(t *testing.T) {
+	p := testProc()
 	negZero := math.Copysign(0, -1)
 	right := ConsFromPrim(Prim{Rho: 1, U: 0.5, V: 0, P: 1, Y: 0})
 	left := ConsFromPrim(Prim{Rho: 1.2, U: 0.5, V: 0, P: 1.1, Y: 0})
@@ -200,7 +206,7 @@ func TestMemoTellsSignedZerosApart(t *testing.T) {
 
 	qL, qR, fl := lineField(faces)
 	_, _, rfl := lineField(faces)
-	if g, w := GodunovFlux(nil, qL, qR, fl), refGodunovFlux(nil, qL, qR, rfl); g != w {
+	if g, w := GodunovFlux(p, qL, qR, fl), refGodunovFlux(p, qL, qR, rfl); g != w {
 		t.Errorf("GodunovFlux iterations = %d, reference %d", g, w)
 	}
 	sameField(t, "GodunovFlux", fl, rfl)
@@ -208,8 +214,8 @@ func TestMemoTellsSignedZerosApart(t *testing.T) {
 		t.Errorf("Godunov transverse fluxes %v and %v should differ in sign: the case no longer tells a wrong hit", a, b)
 	}
 
-	EFMFlux(nil, qL, qR, fl)
-	refEFMFlux(nil, qL, qR, rfl)
+	EFMFlux(p, qL, qR, fl)
+	refEFMFlux(p, qL, qR, rfl)
 	sameField(t, "EFMFlux", fl, rfl)
 	if a, b := fl.AtFace(0, 0)[IMy], fl.AtFace(0, 1)[IMy]; math.Signbit(a) == math.Signbit(b) {
 		t.Errorf("EFM transverse fluxes %v and %v should differ in sign: the case no longer tells a wrong hit", a, b)
@@ -220,6 +226,7 @@ func TestMemoTellsSignedZerosApart(t *testing.T) {
 // next to finite faces that agree with them in every other plane) through
 // both kernels: each face must come out as the reference computes it.
 func TestMemoWithNaNFaces(t *testing.T) {
+	p := testProc()
 	nanA := math.Float64frombits(0x7ff8000000000001)
 	nanB := math.Float64frombits(0x7ff8000000000002)
 	l := ConsFromPrim(Prim{Rho: 1.2, U: 0.3, V: 0.1, P: 1.1, Y: 0.2})
@@ -231,7 +238,7 @@ func TestMemoWithNaNFaces(t *testing.T) {
 	}
 	qL, qR, fl := lineField(faces)
 	_, _, rfl := lineField(faces)
-	if g, w := GodunovFlux(nil, qL, qR, fl), refGodunovFlux(nil, qL, qR, rfl); g != w {
+	if g, w := GodunovFlux(p, qL, qR, fl), refGodunovFlux(p, qL, qR, rfl); g != w {
 		t.Errorf("GodunovFlux iterations = %d, reference %d", g, w)
 	}
 	sameField(t, "GodunovFlux", fl, rfl)
@@ -243,8 +250,8 @@ func TestMemoWithNaNFaces(t *testing.T) {
 	if !math.IsNaN(fl.AtFace(0, 3)[IEner]) {
 		t.Error("a NaN face took a finite neighbour's flux")
 	}
-	EFMFlux(nil, qL, qR, fl)
-	refEFMFlux(nil, qL, qR, rfl)
+	EFMFlux(p, qL, qR, fl)
+	refEFMFlux(p, qL, qR, rfl)
 	sameField(t, "EFMFlux", fl, rfl)
 }
 
@@ -318,7 +325,7 @@ func TestInitBlockMatchesStateAt(t *testing.T) {
 		p := DefaultShockInterface()
 		p.ShockX = p.Lx * (0.15 + 0.5*rng.Float64())
 		p.InterfaceX = p.ShockX + p.Lx*(0.1+0.3*rng.Float64())
-		b := NewBlock(nil, shape[0], shape[1], 2)
+		b := NewBlock(testProc(), shape[0], shape[1], 2)
 		x0, y0 := 0.25*rng.Float64(), 0.1*rng.Float64()
 		dx, dy := p.Lx/float64(b.Nx), p.Ly/float64(b.Ny)
 		p.InitBlock(b, x0, y0, dx, dy)

@@ -15,8 +15,7 @@ type EdgeField struct {
 	// Q holds one plane per conserved variable; X faces have
 	// (Nx+1)*Ny entries, Y faces Nx*(Ny+1).
 	Q [NVars][]float64
-	// addr holds per-plane virtual base addresses for cache accounting
-	// (zero when the field is not bound to a simulated processor).
+	// addr holds per-plane virtual base addresses for cache accounting.
 	addr [NVars]uint64
 }
 
@@ -75,9 +74,6 @@ func (e *EdgeField) sweepShape() (nt, nf, stepT, stepF int) {
 // chargeSweep charges one directional pass over plane v of the face field
 // (plane-major; used where interleaving does not matter).
 func (e *EdgeField) chargeSweep(proc *platform.Proc, v int) {
-	if proc == nil || e.addr[v] == 0 {
-		return
-	}
 	if e.Dir == X {
 		for j := 0; j < e.NyCells; j++ {
 			e.chargeLineSegment(proc, v, j, false)
@@ -92,9 +88,6 @@ func (e *EdgeField) chargeSweep(proc *platform.Proc, v int) {
 // chargeLineSegment charges one row (X fields) or one column (Y fields) of
 // plane v at transverse index t.
 func (e *EdgeField) chargeLineSegment(proc *platform.Proc, v, t int, overlapped bool) {
-	if proc == nil || e.addr[v] == 0 {
-		return
-	}
 	if e.Dir == X {
 		proc.ChargeStreamHinted(e.addr[v]+uint64(8*e.FaceIdx(0, t)), e.NxCells+1, 8, overlapped)
 		return
@@ -151,17 +144,12 @@ func States(proc *platform.Proc, b *Block, dir Dir, qL, qR *EdgeField) {
 	// planes of one column) still fits the cache, which is what separates
 	// tall from wide patches in Figs. 4/5.
 	chargeStatesPass(proc, b, dir, qL, qR)
-	if proc != nil {
-		proc.ChargeFlops(statesFlops * b.Cells())
-	}
+	proc.ChargeFlops(statesFlops * b.Cells())
 }
 
 // chargeStatesPass charges the memory traffic of one States sweep with
 // per-line (row or column) interleaving across all planes.
 func chargeStatesPass(proc *platform.Proc, b *Block, dir Dir, qL, qR *EdgeField) {
-	if proc == nil {
-		return
-	}
 	if dir == X {
 		for j := 0; j < b.Ny; j++ {
 			for v := 0; v < NVars; v++ {

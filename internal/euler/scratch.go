@@ -87,8 +87,8 @@ func BlockFloats(nx, ny, ng int) int { return NVars * (nx + 2*ng) * (ny + 2*ng) 
 func EdgeFieldFloats(nx, ny int) int { return NVars * (faceCount(nx, ny, X) + faceCount(nx, ny, Y)) }
 
 // Block builds a block of nx-by-ny interior cells with ng ghost layers on
-// s's storage. If proc is non-nil the planes receive virtual addresses on
-// that rank's heap so kernels can charge their access streams.
+// s's storage. The planes receive virtual addresses on proc's heap so kernels
+// can charge their access streams.
 func (s *Scratch) Block(proc *platform.Proc, nx, ny, ng int) *Block {
 	if nx <= 0 || ny <= 0 || ng < 0 {
 		panic(fmt.Sprintf("euler: invalid block geometry %dx%d ghost %d", nx, ny, ng))
@@ -97,15 +97,13 @@ func (s *Scratch) Block(proc *platform.Proc, nx, ny, ng int) *Block {
 	n := b.Stride * b.rows
 	for v := 0; v < NVars; v++ {
 		b.U[v] = s.plane(n)
-		if proc != nil {
-			b.addr[v] = proc.Alloc(8 * n)
-		}
+		b.addr[v] = proc.Alloc(8 * n)
 	}
 	return b
 }
 
 // EdgeField builds the face storage for a block of nx-by-ny cells on s's
-// storage, bound to proc like Block.
+// storage, with virtual addresses on proc's heap like Block.
 func (s *Scratch) EdgeField(proc *platform.Proc, nx, ny int, dir Dir) *EdgeField {
 	if nx <= 0 || ny <= 0 {
 		panic(fmt.Sprintf("euler: invalid edge field geometry %dx%d", nx, ny))
@@ -114,9 +112,7 @@ func (s *Scratch) EdgeField(proc *platform.Proc, nx, ny int, dir Dir) *EdgeField
 	n := e.Len()
 	for v := 0; v < NVars; v++ {
 		e.Q[v] = s.plane(n)
-		if proc != nil {
-			e.addr[v] = proc.Alloc(8 * n)
-		}
+		e.addr[v] = proc.Alloc(8 * n)
 	}
 	return e
 }

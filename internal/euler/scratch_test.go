@@ -22,7 +22,7 @@ func shapeFloats(nx, ny int) int {
 // NewBlock/NewEdgeField, every plane gets the same virtual address, and the
 // processor's heap cursor ends in the same place.
 func TestScratchKeepsVirtualAddresses(t *testing.T) {
-	got, want := identityProc(), identityProc()
+	got, want := testProc(), testProc()
 	var s Scratch
 	for _, shape := range scratchShapes {
 		nx, ny := shape[0], shape[1]
@@ -47,11 +47,12 @@ func TestScratchKeepsVirtualAddresses(t *testing.T) {
 // appending to one plane, or reslicing it to its capacity, cannot reach the
 // next, and taking more than Reset made room for panics.
 func TestScratchPlanesDoNotOverlap(t *testing.T) {
+	p := testProc()
 	var s Scratch
 	s.Reset(BlockFloats(3, 2, 1) + EdgeFieldFloats(3, 2))
-	b := s.Block(nil, 3, 2, 1)
-	e := s.EdgeField(nil, 3, 2, X)
-	s.EdgeField(nil, 3, 2, Y)
+	b := s.Block(p, 3, 2, 1)
+	e := s.EdgeField(p, 3, 2, X)
+	s.EdgeField(p, 3, 2, Y)
 	for v := 0; v < NVars; v++ {
 		if cap(b.U[v]) != len(b.U[v]) || cap(e.Q[v]) != len(e.Q[v]) {
 			t.Fatalf("plane %d: capacity beyond length", v)
@@ -72,7 +73,7 @@ func TestScratchPlanesDoNotOverlap(t *testing.T) {
 			t.Error("a plane past the reserved room did not panic")
 		}
 	}()
-	s.EdgeField(nil, 3, 2, Y)
+	s.EdgeField(p, 3, 2, Y)
 }
 
 // sameBlock fails unless two blocks hold the same bit patterns, ghosts
@@ -96,7 +97,7 @@ func sameBlock(t *testing.T, what string, got, want *Block) {
 // not written would compute a NaN here.
 func TestPoisonedScratchMatchesFreshStorage(t *testing.T) {
 	defer PoisonScratchOnReset()()
-	got, want := identityProc(), identityProc()
+	got, want := testProc(), testProc()
 	fill := identityBlocks()["shock-interface"]
 	var s Scratch
 	for n, shape := range scratchShapes {
@@ -154,6 +155,7 @@ func TestPoisonedScratchMatchesFreshStorage(t *testing.T) {
 // in every direction, and some are a Newton iteration or two apart so that
 // a wrongly copied iteration count shows.
 func TestMemoRowLayouts(t *testing.T) {
+	p := testProc()
 	rng := rand.New(rand.NewSource(23))
 	palette := make([]Cons, 5)
 	for i := range palette {
@@ -169,7 +171,7 @@ func TestMemoRowLayouts(t *testing.T) {
 	iterSums := map[int]bool{}
 	for _, sh := range shapes {
 		for trial := 0; trial < 40; trial++ {
-			qL, qR := NewEdgeField(nil, sh.nx, sh.ny, sh.dir), NewEdgeField(nil, sh.nx, sh.ny, sh.dir)
+			qL, qR := NewEdgeField(p, sh.nx, sh.ny, sh.dir), NewEdgeField(p, sh.nx, sh.ny, sh.dir)
 			row := sh.nx
 			if sh.dir == X {
 				row++
@@ -188,16 +190,16 @@ func TestMemoRowLayouts(t *testing.T) {
 					}
 				}
 			}
-			fl, rfl := NewEdgeField(nil, sh.nx, sh.ny, sh.dir), NewEdgeField(nil, sh.nx, sh.ny, sh.dir)
+			fl, rfl := NewEdgeField(p, sh.nx, sh.ny, sh.dir), NewEdgeField(p, sh.nx, sh.ny, sh.dir)
 			what := fmt.Sprintf("%dx%d %v trial %d", sh.nx, sh.ny, sh.dir, trial)
-			g, w := GodunovFlux(nil, qL, qR, fl), refGodunovFlux(nil, qL, qR, rfl)
+			g, w := GodunovFlux(p, qL, qR, fl), refGodunovFlux(p, qL, qR, rfl)
 			if g != w {
 				t.Fatalf("%s: GodunovFlux iterations = %d, reference %d", what, g, w)
 			}
 			iterSums[w-fl.Len()] = true
 			sameField(t, what+" GodunovFlux", fl, rfl)
-			EFMFlux(nil, qL, qR, fl)
-			refEFMFlux(nil, qL, qR, rfl)
+			EFMFlux(p, qL, qR, fl)
+			refEFMFlux(p, qL, qR, rfl)
 			sameField(t, what+" EFMFlux", fl, rfl)
 		}
 	}

@@ -46,9 +46,7 @@ func ApplyFluxes(proc *platform.Proc, in, out *Block, fx, fy *EdgeField, dt, dx,
 		fx.chargeSweep(proc, v)
 		fy.chargeSweep(proc, v)
 	}
-	if proc != nil {
-		proc.ChargeFlops(applyFlops * in.Cells())
-	}
+	proc.ChargeFlops(applyFlops * in.Cells())
 }
 
 // Average writes out = (a + b) / 2 over the interior: the combination step
@@ -70,9 +68,7 @@ func Average(proc *platform.Proc, a, b, out *Block) {
 		b.chargeSweep(proc, v, X)
 		out.chargeSweep(proc, v, X)
 	}
-	if proc != nil {
-		proc.ChargeFlops(2 * NVars * a.Cells())
-	}
+	proc.ChargeFlops(2 * NVars * a.Cells())
 }
 
 // CFLTimeStep returns the stable time step for the given mesh spacing and

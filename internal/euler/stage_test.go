@@ -10,7 +10,7 @@ import (
 
 // sodBlock builds a 1D-ish Sod shock tube along x.
 func sodBlock(nx int) *Block {
-	b := NewBlock(nil, nx, 4, 2)
+	b := NewBlock(testProc(), nx, 4, 2)
 	for j := -2; j < b.Ny+2; j++ {
 		for i := -2; i < b.Nx+2; i++ {
 			if i < nx/2 {
@@ -26,6 +26,7 @@ func sodBlock(nx int) *Block {
 // advance runs n forward-Euler steps of the full kernel pipeline under
 // GodunovFlux, or EFMFlux when godunov is false.
 func advance(b *Block, n int, godunov bool) {
+	p := testProc()
 	kernel := func(proc *platform.Proc, qL, qR, flux *EdgeField) { EFMFlux(proc, qL, qR, flux) }
 	if godunov {
 		kernel = func(proc *platform.Proc, qL, qR, flux *EdgeField) { GodunovFlux(proc, qL, qR, flux) }
@@ -35,17 +36,17 @@ func advance(b *Block, n int, godunov bool) {
 	for s := 0; s < n; s++ {
 		b.FillBoundary(true, true, true, true)
 		dt := CFLTimeStep(0.4, dx, dy, b.MaxWaveSpeed())
-		qLX := NewEdgeField(nil, b.Nx, b.Ny, X)
-		qRX := NewEdgeField(nil, b.Nx, b.Ny, X)
-		States(nil, b, X, qLX, qRX)
-		fx := NewEdgeField(nil, b.Nx, b.Ny, X)
-		kernel(nil, qLX, qRX, fx)
-		qLY := NewEdgeField(nil, b.Nx, b.Ny, Y)
-		qRY := NewEdgeField(nil, b.Nx, b.Ny, Y)
-		States(nil, b, Y, qLY, qRY)
-		fy := NewEdgeField(nil, b.Nx, b.Ny, Y)
-		kernel(nil, qLY, qRY, fy)
-		ApplyFluxes(nil, b, b, fx, fy, dt, dx, dy)
+		qLX := NewEdgeField(p, b.Nx, b.Ny, X)
+		qRX := NewEdgeField(p, b.Nx, b.Ny, X)
+		States(p, b, X, qLX, qRX)
+		fx := NewEdgeField(p, b.Nx, b.Ny, X)
+		kernel(p, qLX, qRX, fx)
+		qLY := NewEdgeField(p, b.Nx, b.Ny, Y)
+		qRY := NewEdgeField(p, b.Nx, b.Ny, Y)
+		States(p, b, Y, qLY, qRY)
+		fy := NewEdgeField(p, b.Nx, b.Ny, Y)
+		kernel(p, qLY, qRY, fy)
+		ApplyFluxes(p, b, b, fx, fy, dt, dx, dy)
 	}
 }
 
@@ -124,7 +125,7 @@ func TestGodunovAndEFMAgreeQualitatively(t *testing.T) {
 func TestConservationOfMassNoBoundaryFlow(t *testing.T) {
 	// Uniform axial flow (no wall-normal velocity, so the reflecting walls
 	// are no-ops): zero divergence, mass constant, state untouched.
-	b := NewBlock(nil, 16, 8, 2)
+	b := NewBlock(testProc(), 16, 8, 2)
 	w := Prim{Rho: 1.3, U: 0.4, V: 0, P: 1.1, Y: 0.5}
 	for j := -2; j < b.Ny+2; j++ {
 		for i := -2; i < b.Nx+2; i++ {
@@ -159,7 +160,7 @@ func TestXYSymmetry(t *testing.T) {
 	// A Sod tube along y must evolve exactly like one along x, transposed.
 	nx := 32
 	bx := sodBlock(nx)
-	by := NewBlock(nil, 4, nx, 2)
+	by := NewBlock(testProc(), 4, nx, 2)
 	for j := -2; j < by.Ny+2; j++ {
 		for i := -2; i < by.Nx+2; i++ {
 			if j < nx/2 {
@@ -192,17 +193,18 @@ func TestXYSymmetry(t *testing.T) {
 }
 
 func stepOnce(b *Block, dt, dx float64) {
-	qLX := NewEdgeField(nil, b.Nx, b.Ny, X)
-	qRX := NewEdgeField(nil, b.Nx, b.Ny, X)
-	States(nil, b, X, qLX, qRX)
-	fx := NewEdgeField(nil, b.Nx, b.Ny, X)
-	GodunovFlux(nil, qLX, qRX, fx)
-	qLY := NewEdgeField(nil, b.Nx, b.Ny, Y)
-	qRY := NewEdgeField(nil, b.Nx, b.Ny, Y)
-	States(nil, b, Y, qLY, qRY)
-	fy := NewEdgeField(nil, b.Nx, b.Ny, Y)
-	GodunovFlux(nil, qLY, qRY, fy)
-	ApplyFluxes(nil, b, b, fx, fy, dt, dx, dx)
+	p := testProc()
+	qLX := NewEdgeField(p, b.Nx, b.Ny, X)
+	qRX := NewEdgeField(p, b.Nx, b.Ny, X)
+	States(p, b, X, qLX, qRX)
+	fx := NewEdgeField(p, b.Nx, b.Ny, X)
+	GodunovFlux(p, qLX, qRX, fx)
+	qLY := NewEdgeField(p, b.Nx, b.Ny, Y)
+	qRY := NewEdgeField(p, b.Nx, b.Ny, Y)
+	States(p, b, Y, qLY, qRY)
+	fy := NewEdgeField(p, b.Nx, b.Ny, Y)
+	GodunovFlux(p, qLY, qRY, fy)
+	ApplyFluxes(p, b, b, fx, fy, dt, dx, dx)
 }
 
 func TestCFLTimeStep(t *testing.T) {
@@ -215,7 +217,7 @@ func TestCFLTimeStep(t *testing.T) {
 }
 
 func TestMaxWaveSpeedQuiescent(t *testing.T) {
-	b := NewBlock(nil, 4, 4, 2)
+	b := NewBlock(testProc(), 4, 4, 2)
 	for j := -2; j < 6; j++ {
 		for i := -2; i < 6; i++ {
 			b.SetPrim(i, j, AheadAir())
@@ -229,7 +231,7 @@ func TestMaxWaveSpeedQuiescent(t *testing.T) {
 
 func TestShockInterfaceInit(t *testing.T) {
 	pr := DefaultShockInterface()
-	b := NewBlock(nil, 64, 16, 2)
+	b := NewBlock(testProc(), 64, 16, 2)
 	pr.InitBlock(b, 0, 0, pr.Lx/64, pr.Ly/16)
 	// Left of shock: post-shock air moving right.
 	w := b.PrimAt(2, 8)
@@ -255,7 +257,7 @@ func TestShockInterfaceInit(t *testing.T) {
 
 func TestGradientIndicatorFlagsInterface(t *testing.T) {
 	pr := DefaultShockInterface()
-	b := NewBlock(nil, 64, 16, 2)
+	b := NewBlock(testProc(), 64, 16, 2)
 	pr.InitBlock(b, 0, 0, pr.Lx/64, pr.Ly/16)
 	// Quiescent mid-air region: indicator ~ 0.
 	if ind := GradientIndicator(b, 20, 8); ind > 1e-12 {
@@ -277,7 +279,7 @@ func TestGradientIndicatorFlagsInterface(t *testing.T) {
 func TestShockInterfaceEvolves(t *testing.T) {
 	pr := DefaultShockInterface()
 	nx, ny := 64, 16
-	b := NewBlock(nil, nx, ny, 2)
+	b := NewBlock(testProc(), nx, ny, 2)
 	pr.InitBlock(b, 0, 0, pr.Lx/float64(nx), pr.Ly/float64(ny))
 	dx := pr.Lx / float64(nx)
 	dy := pr.Ly / float64(ny)
@@ -387,12 +389,13 @@ func TestGodunovCostsMoreThanEFM(t *testing.T) {
 }
 
 func TestAverageBlendsStates(t *testing.T) {
-	a := NewBlock(nil, 4, 4, 2)
-	b := NewBlock(nil, 4, 4, 2)
-	out := NewBlock(nil, 4, 4, 2)
+	p := testProc()
+	a := NewBlock(p, 4, 4, 2)
+	b := NewBlock(p, 4, 4, 2)
+	out := NewBlock(p, 4, 4, 2)
 	a.Set(1, 1, Cons{2, 0, 0, 4, 0})
 	b.Set(1, 1, Cons{4, 0, 0, 8, 0})
-	Average(nil, a, b, out)
+	Average(p, a, b, out)
 	got := out.At(1, 1)
 	if got[IRho] != 3 || got[IEner] != 6 {
 		t.Errorf("Average = %v, want rho 3 E 6", got)
@@ -400,13 +403,14 @@ func TestAverageBlendsStates(t *testing.T) {
 }
 
 func TestApplyFluxesGeometryPanics(t *testing.T) {
-	b := NewBlock(nil, 4, 4, 2)
-	fx := NewEdgeField(nil, 4, 4, X)
-	fyWrong := NewEdgeField(nil, 4, 4, X) // wrong direction
+	p := testProc()
+	b := NewBlock(p, 4, 4, 2)
+	fx := NewEdgeField(p, 4, 4, X)
+	fyWrong := NewEdgeField(p, 4, 4, X) // wrong direction
 	defer func() {
 		if recover() == nil {
 			t.Fatal("ApplyFluxes with two X fields did not panic")
 		}
 	}()
-	ApplyFluxes(nil, b, b, fx, fyWrong, 0.1, 1, 1)
+	ApplyFluxes(p, b, b, fx, fyWrong, 0.1, 1, 1)
 }

@@ -100,7 +100,7 @@ func RunCaseStudy(cfg CaseStudyConfig) (*CaseStudyResult, error) {
 			if app.Core() != nil {
 				res.Edges = app.Core().Edges()
 			}
-			res.Stats = app.Mesh.Stats()
+			res.Stats = app.Mesh.Hierarchy().Stats()
 			res.StepsTaken = app.Driver.StepsTaken
 			res.SimTime = app.Driver.SimTime
 			var sb strings.Builder

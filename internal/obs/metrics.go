@@ -11,7 +11,7 @@ import (
 	"sync/atomic"
 )
 
-// Registry holds named counters, gauges and fixed-bucket histograms.
+// Registry holds named counters and fixed-bucket histograms.
 // Lookup takes a read lock; the returned instruments are lock-free
 // atomics, so hot paths cache the handle once and update it freely. A
 // nil *Registry hands out nil instruments, and every instrument method
@@ -19,7 +19,6 @@ import (
 type Registry struct {
 	mu       sync.RWMutex
 	counters map[string]*Counter
-	gauges   map[string]*Gauge
 	hists    map[string]*Histogram
 }
 
@@ -27,7 +26,6 @@ type Registry struct {
 func NewRegistry() *Registry {
 	return &Registry{
 		counters: map[string]*Counter{},
-		gauges:   map[string]*Gauge{},
 		hists:    map[string]*Histogram{},
 	}
 }
@@ -55,24 +53,6 @@ func (c *Counter) Value() uint64 {
 		return 0
 	}
 	return c.v.Load()
-}
-
-// Gauge is a settable float64.
-type Gauge struct{ bits atomic.Uint64 }
-
-// Set replaces the gauge value.
-func (g *Gauge) Set(v float64) {
-	if g != nil {
-		g.bits.Store(math.Float64bits(v))
-	}
-}
-
-// Value returns the current value (0 on nil).
-func (g *Gauge) Value() float64 {
-	if g == nil {
-		return 0
-	}
-	return math.Float64frombits(g.bits.Load())
 }
 
 // Histogram counts observations into fixed buckets. bounds are
@@ -143,27 +123,6 @@ func (r *Registry) Counter(name string) *Counter {
 	return c
 }
 
-// Gauge returns the named gauge, creating it on first use. Nil
-// registry returns nil.
-func (r *Registry) Gauge(name string) *Gauge {
-	if r == nil {
-		return nil
-	}
-	r.mu.RLock()
-	g := r.gauges[name]
-	r.mu.RUnlock()
-	if g != nil {
-		return g
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if g = r.gauges[name]; g == nil {
-		g = &Gauge{}
-		r.gauges[name] = g
-	}
-	return g
-}
-
 // Histogram returns the named histogram, creating it with bounds on
 // first use (later callers get the original regardless of bounds). Nil
 // registry returns nil.
@@ -191,7 +150,7 @@ func (r *Registry) Histogram(name string, bounds []float64) *Histogram {
 func formatFloat(v float64) string { return strconv.FormatFloat(v, 'g', -1, 64) }
 
 // WriteText writes the registry in a Prometheus-flavoured text format:
-// one "name value" line per counter and gauge, and per histogram the
+// one "name value" line per counter, and per histogram the
 // cumulative "name_bucket{le=...}" series plus "name_sum" and
 // "name_count". Lines are sorted by name so equal registries expose
 // equal bytes.
@@ -205,27 +164,18 @@ func (r *Registry) WriteText(w io.Writer) error {
 	// though the instruments themselves are lock-free.
 	r.mu.RLock()
 	defer r.mu.RUnlock()
-	names := make([]string, 0, len(r.counters)+len(r.gauges)+len(r.hists))
+	names := make([]string, 0, len(r.counters)+len(r.hists))
 	for n := range r.counters {
-		names = append(names, n)
-	}
-	for n := range r.gauges {
 		names = append(names, n)
 	}
 	for n := range r.hists {
 		names = append(names, n)
 	}
-	counters, gauges, hists := r.counters, r.gauges, r.hists
+	counters, hists := r.counters, r.hists
 	sort.Strings(names)
 	for _, n := range names {
 		if c, ok := counters[n]; ok {
 			if _, err := fmt.Fprintf(w, "%s %d\n", n, c.Value()); err != nil {
-				return err
-			}
-			continue
-		}
-		if g, ok := gauges[n]; ok {
-			if _, err := fmt.Fprintf(w, "%s %s\n", n, formatFloat(g.Value())); err != nil {
 				return err
 			}
 			continue

@@ -24,12 +24,6 @@ func TestRegistryInstruments(t *testing.T) {
 		t.Error("counter lookup not idempotent")
 	}
 
-	g := r.Gauge("depth")
-	g.Set(2.5)
-	if got := g.Value(); got != 2.5 {
-		t.Errorf("gauge = %g, want 2.5", got)
-	}
-
 	h := r.Histogram("lat_us", []float64{10, 100})
 	for _, v := range []float64{5, 10, 11, 1000} {
 		h.Observe(v)
@@ -50,7 +44,7 @@ func TestRegistryInstruments(t *testing.T) {
 func TestWriteTextGolden(t *testing.T) {
 	r := NewRegistry()
 	r.Counter("b_total").Add(3)
-	r.Gauge("a_depth").Set(1.5)
+	r.Counter("a_total").Inc()
 	h := r.Histogram("c_us", []float64{10, 100})
 	for _, v := range []float64{5, 10, 11, 1000} {
 		h.Observe(v)
@@ -59,7 +53,7 @@ func TestWriteTextGolden(t *testing.T) {
 	if err := r.WriteText(&buf); err != nil {
 		t.Fatal(err)
 	}
-	want := `a_depth 1.5
+	want := `a_total 1
 b_total 3
 c_us_bucket{le="10"} 2
 c_us_bucket{le="100"} 3
@@ -82,11 +76,6 @@ func TestRegistryNilSafety(t *testing.T) {
 	c.Add(2)
 	if c.Value() != 0 {
 		t.Error("nil counter value != 0")
-	}
-	g := r.Gauge("x")
-	g.Set(1)
-	if g.Value() != 0 {
-		t.Error("nil gauge value != 0")
 	}
 	h := r.Histogram("x", LatencyBucketsUS)
 	h.Observe(1)
@@ -117,7 +106,6 @@ func TestRegistryConcurrent(t *testing.T) {
 			for i := 0; i < iters; i++ {
 				r.Counter("shared_total").Inc()
 				r.Counter(fmt.Sprintf("own_%d_total", g)).Inc()
-				r.Gauge("depth").Set(float64(i))
 				r.Histogram("lat_us", LatencyBucketsUS).Observe(float64(i))
 			}
 		}(g)

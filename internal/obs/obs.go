@@ -10,7 +10,7 @@
 //     checkpoint hashes, or seeds; instrumented layers consult the
 //     observer only to record, never to decide.
 //   - Nil-safety: every method on Observer, Tracer, Track, Span,
-//     Registry, Counter, Gauge and Histogram is safe on a nil receiver
+//     Registry, Counter and Histogram is safe on a nil receiver
 //     and does nothing. Hot paths hold possibly-nil handles and call
 //     through unconditionally, so the disabled cost is a nil check.
 //

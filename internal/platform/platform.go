@@ -190,8 +190,10 @@ func (p *Proc) Restore(s ProcState) {
 // keeps stream simulation exact.
 const lineAlign = 64
 
-// baseAddr is where the virtual heap starts; nonzero so that address 0 can
-// mean "no allocation".
+// baseAddr is where the virtual heap starts. No address is reserved to mean
+// "no allocation" (every plane of every block has one); the value stays
+// because every virtual address, and with it every simulated hit, miss and
+// cache golden, is laid out from it.
 const baseAddr = 1 << 20
 
 // NewProc creates the execution context for one rank.
