@@ -34,7 +34,8 @@ func TestResolveFlags(t *testing.T) {
 		{"trendreps", []string{"-trendreps", "-1"}, "-trendreps -1"},
 		{"trendvalues no cache", []string{"-fig", "trend", "-trendvalues", "0"}, `scenario "p3/base/c0kB/r0"`},
 		{"trendvalues impossible cache", []string{"-fig", "trend", "-trendvalues", "100"}, "set count 200 not a power of two"},
-		{"trendvalues bad clock", []string{"-fig", "trend", "-axis", "cpu_clock", "-trendvalues", "NaN,-1"}, "CPU tune"},
+		{"trendvalues bad clock", []string{"-fig", "trend", "-axis", "cpu_clock", "-trendvalues", "NaN,-1"}, `scenario "p3/base/c512kB/cpuNaNx/r0": mpi: invalid world config: CPU.ClockGHz NaN`},
+		{"trendvalues no clock", []string{"-fig", "trend", "-axis", "cpu_clock", "-trendvalues", "0"}, `scenario "p3/base/c512kB/cpu0x/r0": mpi: invalid world config: CPU.ClockGHz 0`},
 		{"accepted", []string{"-fig", "trend", "-axis", "cpu_clock", "-trendvalues", "1,2", "-rankmode", "par8", "-rowformat", "both", "-distributed", "-cache", "shared-store"}, ""},
 	} {
 		t.Run(tc.name, func(t *testing.T) {

@@ -55,18 +55,9 @@ func main() {
 		if err != nil {
 			fatal(err)
 		}
-		entries, err := lease.ReadAuditEntries(st)
+		execs, err := lease.ReadAuditEntries(st)
 		if err != nil {
 			fatal(err)
-		}
-		execs := make([]obs.OwnerExec, len(entries))
-		for i, e := range entries {
-			execs[i] = obs.OwnerExec{
-				Owner:     e.Owner,
-				Key:       e.Key,
-				ElapsedUS: e.ElapsedUS,
-				EndUnixNS: e.EndUnixNS,
-			}
 		}
 		fmt.Printf("owner throughput (%s):\n", *storeDir)
 		if err := obs.WriteOwnerReport(os.Stdout, execs); err != nil {

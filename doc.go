@@ -175,9 +175,9 @@
 //
 //   - built-in axes (internal/campaign) are the ones something sweeps:
 //     RankAxis (world
-//     size), CacheAxis (per-rank cache kB), CPUAxis / CPUClockAxis
-//     (CPUTune: clock scale, cache hit/miss penalty multipliers — the
-//     Section 6 "parameterized by processor speed" knobs), SchedAxis (the
+//     size), CacheAxis (per-rank cache kB), CPUClockAxis (a scale on the
+//     CPU model's clock — the Section 6 "parameterized by processor
+//     speed" knob; cache and clock are the two machine axes), SchedAxis (the
 //     rank scheduler, seed-inert) and the app-level FluxAxis
 //     (godunov/efm/states), which the harness maps onto the measured
 //     kernel through the scenario's coordinate;

@@ -262,13 +262,14 @@ func run(w io.Writer, outDir string) error {
 	if err != nil {
 		return err
 	}
-	audit, err := lease.ReadAudit(dst)
+	execs, err := lease.ReadAuditEntries(dst)
 	if err != nil {
 		return err
 	}
-	dups := 0
-	for _, owners := range audit {
-		if len(owners) > 1 {
+	runs, dups := map[string]int{}, 0
+	for _, e := range execs {
+		runs[e.Key]++
+		if runs[e.Key] == 2 {
 			dups++
 		}
 	}
@@ -277,19 +278,11 @@ func run(w io.Writer, outDir string) error {
 		match = "MISMATCHED"
 	}
 	fmt.Fprintf(w, "  audit: %d scenarios executed, %d duplicates; both workers' trend reports %s\n",
-		len(audit), dups, match)
+		len(runs), dups, match)
 
 	// The observability dividend: the per-owner throughput table from the
 	// lease audit, the per-track summary from the trace, and the trace
 	// itself for chrome://tracing.
-	entries, err := lease.ReadAuditEntries(dst)
-	if err != nil {
-		return err
-	}
-	execs := make([]obs.OwnerExec, len(entries))
-	for i, e := range entries {
-		execs[i] = obs.OwnerExec{Owner: e.Owner, Key: e.Key, ElapsedUS: e.ElapsedUS, EndUnixNS: e.EndUnixNS}
-	}
 	fmt.Fprintln(w, "\nowner throughput (from the lease audit):")
 	if err := obs.WriteOwnerReport(w, execs); err != nil {
 		return err

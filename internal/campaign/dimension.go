@@ -34,10 +34,10 @@ type DimValue struct {
 	// non-empty and unique within its axis. Changing a token re-keys — and
 	// therefore re-seeds and re-checkpoints — every scenario built from it.
 	Key string
-	// Value is the payload carried onto the scenario's coordinate.
-	// Numeric payloads (int, int64, float64) can feed cross-scenario trend
-	// fits; richer payloads (mpi.CPUTune, SchedChoice) are decoded by the
-	// axis's consumers.
+	// Value is the payload carried onto the scenario's coordinate. The
+	// machine axes carry numbers (int kB for the cache, float64 clock scale
+	// for the CPU), which Scenario.Num reads back for cross-scenario trend
+	// fits; SchedChoice is decoded by the scheduler axis's consumers.
 	Value any
 	// Apply mutates the scenario's machine. Nil for app-level axes whose
 	// consumers read the coordinate instead (flux).
@@ -77,7 +77,6 @@ func init() {
 	gob.Register(int64(0))
 	gob.Register(float64(0))
 	gob.Register("")
-	gob.Register(mpi.CPUTune{})
 	gob.Register(SchedChoice{})
 }
 
@@ -121,48 +120,19 @@ func FluxAxis(fluxes ...string) Dimension {
 	return d
 }
 
-// cpuKey renders a CPU tune as a stable key token: the clock scale always
-// ("cpu1.5x"), hit/miss penalty scales only when set ("cpu1x-h2-m0.5").
-func cpuKey(t mpi.CPUTune) string {
-	scale := func(v float64) float64 {
-		if v == 0 {
-			return 1
-		}
-		return v
-	}
-	s := fmt.Sprintf("cpu%gx", scale(t.ClockScale))
-	if h := scale(t.HitScale); h != 1 {
-		s += fmt.Sprintf("-h%g", h)
-	}
-	if m := scale(t.MissScale); m != 1 {
-		s += fmt.Sprintf("-m%g", m)
-	}
-	return s
-}
-
-// CPUAxis sweeps the processor model — clock scale and cache hit/miss
-// penalty multipliers — through WorldConfig.Tune: the Section 6
-// "parameterized by processor speed" machine axis.
-func CPUAxis(tunes ...mpi.CPUTune) Dimension {
+// CPUClockAxis sweeps the Section 6 "parameterized by processor speed"
+// axis: keys are "cpu<s>x", values the float64 s, which scales CPU.ClockGHz.
+// CPUClockAxis(0.5, 1, 2) sweeps half, calibrated and double clock speed.
+func CPUClockAxis(scales ...float64) Dimension {
 	d := Dimension{Name: AxisCPU}
-	for _, t := range tunes {
-		t := t
+	for _, s := range scales {
+		s := s
 		d.Values = append(d.Values, DimValue{
-			Key: cpuKey(t), Value: t,
-			Apply: func(w *mpi.WorldConfig) { w.Tune = t },
+			Key: fmt.Sprintf("cpu%gx", s), Value: s,
+			Apply: func(w *mpi.WorldConfig) { w.CPU.ClockGHz *= s },
 		})
 	}
 	return d
-}
-
-// CPUClockAxis is CPUAxis over clock scales alone: CPUClockAxis(0.5, 1, 2)
-// sweeps machines at half, calibrated and double clock speed.
-func CPUClockAxis(scales ...float64) Dimension {
-	tunes := make([]mpi.CPUTune, len(scales))
-	for i, s := range scales {
-		tunes[i] = mpi.CPUTune{ClockScale: s}
-	}
-	return CPUAxis(tunes...)
 }
 
 // SchedChoice is one value of the scheduler axis: a scheduler mode plus

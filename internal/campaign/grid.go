@@ -183,7 +183,7 @@ func validate(axes []Dimension) error {
 // seed and must produce identical results. It returns an error for
 // duplicate axis names, duplicate value keys within an axis (either would
 // silently alias scenario keys), or a scenario whose expanded world fails
-// mpi validation — a bad tune or scheduler config surfaces here with the
+// mpi validation — a bad clock or scheduler config surfaces here with the
 // offending scenario key instead of panicking mid-campaign.
 func (g Grid) Scenarios() ([]Scenario, error) {
 	axes := g.axes()

@@ -167,41 +167,36 @@ func TestGridAppDimensions(t *testing.T) {
 	}
 }
 
-// TestGridCPUAxis checks the new machine axis end to end: key tokens,
-// coordinates, and the world tune that scenarios carry.
+// TestGridCPUAxis checks the clock axis end to end: key tokens, float64
+// coordinates, and the clock the scenarios' worlds carry.
 func TestGridCPUAxis(t *testing.T) {
 	t.Parallel()
-	g := Grid{
-		Base: mpi.DefaultConfig(),
-		Axes: []Dimension{CPUAxis(
-			mpi.CPUTune{ClockScale: 0.5},
-			mpi.CPUTune{},
-			mpi.CPUTune{ClockScale: 2, MissScale: 1.5},
-		)},
-	}
-	scs := expand(t, g)
+	base := mpi.DefaultConfig()
+	scs := expand(t, Grid{Base: base, Axes: []Dimension{CPUClockAxis(0.5, 1, 2)}})
 	if len(scs) != 3 {
 		t.Fatalf("%d scenarios, want 3", len(scs))
 	}
-	wantKeys := []string{
-		"p3/base/c512kB/cpu0.5x/r0",
-		"p3/base/c512kB/cpu1x/r0",
-		"p3/base/c512kB/cpu2x-m1.5/r0",
-	}
-	for i, want := range wantKeys {
-		if scs[i].Key != want {
-			t.Errorf("key[%d] = %s, want %s", i, scs[i].Key, want)
+	for i, want := range []struct {
+		key   string
+		scale float64
+	}{
+		{"p3/base/c512kB/cpu0.5x/r0", 0.5},
+		{"p3/base/c512kB/cpu1x/r0", 1},
+		{"p3/base/c512kB/cpu2x/r0", 2},
+	} {
+		sc := scs[i]
+		if sc.Key != want.key {
+			t.Errorf("key[%d] = %s, want %s", i, sc.Key, want.key)
+		}
+		if v, ok := sc.Num(AxisCPU); !ok || v != want.scale {
+			t.Errorf("%s: cpu coordinate = %v (ok=%v), want %v", sc.Key, v, ok, want.scale)
+		}
+		if got := sc.World.CPU.ClockGHz; got != base.CPU.ClockGHz*want.scale {
+			t.Errorf("%s: ClockGHz = %v, want %v", sc.Key, got, base.CPU.ClockGHz*want.scale)
 		}
 	}
-	if scs[0].World.Tune != (mpi.CPUTune{ClockScale: 0.5}) {
-		t.Errorf("tune not applied: %+v", scs[0].World.Tune)
-	}
-	if !scs[1].World.Tune.IsZero() {
-		t.Errorf("identity tune perturbed the world: %+v", scs[1].World.Tune)
-	}
-	c, ok := scs[2].Coord(AxisCPU)
-	if !ok || c.Value.(mpi.CPUTune).MissScale != 1.5 {
-		t.Errorf("cpu coordinate = %+v", c)
+	if scs[1].World.CPU != base.CPU {
+		t.Errorf("identity scale perturbed the CPU model: %+v", scs[1].World.CPU)
 	}
 }
 

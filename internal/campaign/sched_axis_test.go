@@ -1,6 +1,7 @@
 package campaign
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -82,7 +83,7 @@ func TestSchedModeAxisKeys(t *testing.T) {
 	}
 }
 
-// TestScenariosRejectsInvalidWorld: an invalid tune or scheduler config is
+// TestScenariosRejectsInvalidWorld: an invalid clock or scheduler config is
 // rejected at expansion with the offending scenario key, instead of a late
 // NewWorld panic inside a campaign worker.
 func TestScenariosRejectsInvalidWorld(t *testing.T) {
@@ -94,15 +95,13 @@ func TestScenariosRejectsInvalidWorld(t *testing.T) {
 		t.Errorf("negative MaxParallelRanks accepted: %v", err)
 	}
 
-	tuned := Grid{
-		Base: mpi.DefaultConfig(),
-		Axes: []Dimension{CPUAxis(mpi.CPUTune{ClockScale: -2})},
-	}
-	_, err := tuned.Scenarios()
-	if err == nil || !strings.Contains(err.Error(), "CPU tune") {
-		t.Errorf("negative clock scale accepted: %v", err)
-	}
-	if err != nil && !strings.Contains(err.Error(), "scenario") {
-		t.Errorf("error does not name the scenario: %v", err)
+	for _, scale := range []float64{-2, 0} {
+		_, err := Grid{Base: mpi.DefaultConfig(), Axes: []Dimension{CPUClockAxis(scale)}}.Scenarios()
+		if err == nil || !strings.Contains(err.Error(), "CPU.ClockGHz") {
+			t.Errorf("clock scale %g accepted: %v", scale, err)
+		}
+		if err != nil && !strings.Contains(err.Error(), fmt.Sprintf("scenario \"p3/base/c512kB/cpu%gx/r0\"", scale)) {
+			t.Errorf("error does not name the scenario: %v", err)
+		}
 	}
 }

@@ -20,7 +20,7 @@ import (
 // version and distinct for distinct configs; bump it when a config struct
 // or a payload's wire format changes, so stale store entries stop matching
 // and the store refills.
-const checkpointVersion = "harness-ckpt-v3"
+const checkpointVersion = "harness-ckpt-v4"
 
 func init() {
 	// Concrete types that travel inside interface-typed fields:

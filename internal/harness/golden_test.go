@@ -96,7 +96,7 @@ func TestCPUAxisHashesDistinct(t *testing.T) {
 		name string
 		flip func(*mpi.WorldConfig)
 	}{
-		{"Tune", func(w *mpi.WorldConfig) { w.Tune = mpi.CPUTune{ClockScale: 2} }},
+		{"CPU.ClockGHz", func(w *mpi.WorldConfig) { w.CPU.ClockGHz *= 2 }},
 		{"Sched", func(w *mpi.WorldConfig) { w.Sched = mpi.ConservativeParallel }},
 		{"MaxParallelRanks", func(w *mpi.WorldConfig) { w.MaxParallelRanks = 4 }},
 		{"Cache.SizeBytes", func(w *mpi.WorldConfig) { w.Cache.SizeBytes *= 2 }},
@@ -181,11 +181,9 @@ func TestHashedConfigsArePlainValues(t *testing.T) {
 			campaign.RankAxis(2),
 			campaign.CacheAxis(128),
 			campaign.FluxAxis("efm"),
-			campaign.CPUAxis(mpi.CPUTune{ClockScale: 2, HitScale: 0.5}),
+			campaign.CPUClockAxis(2),
 			campaign.SchedAxis(campaign.SchedChoice{Mode: mpi.OptimisticParallel, MaxParallelRanks: 2}),
 		},
-		// The constructor that shares an axis name with one above.
-		{campaign.CPUClockAxis(0.5)},
 	} {
 		scs, err := campaign.Grid{Base: base, Axes: axes}.Scenarios()
 		if err != nil {

@@ -7,7 +7,6 @@ import (
 	"strings"
 
 	"repro/internal/campaign"
-	"repro/internal/mpi"
 	"repro/internal/perfmodel"
 	"repro/internal/results"
 )
@@ -64,20 +63,7 @@ var trendAxes = []TrendAxis{
 	},
 	{
 		Name: "cpu_clock", Col: "K", Var: "K", Desc: "CPU clock scale (K x calibrated)",
-		Value: func(sc campaign.Scenario) (float64, bool) {
-			c, ok := sc.Coord(campaign.AxisCPU)
-			if !ok {
-				return 0, false
-			}
-			t, ok := c.Value.(mpi.CPUTune)
-			if !ok {
-				return 0, false
-			}
-			if t.ClockScale == 0 {
-				return 1, true
-			}
-			return t.ClockScale, true
-		},
+		Value:    func(sc campaign.Scenario) (float64, bool) { return sc.Num(campaign.AxisCPU) },
 		Defaults: []float64{0.5, 1, 2, 4},
 		Dimension: func(values []float64) (campaign.Dimension, error) {
 			return campaign.CPUClockAxis(values...), nil

@@ -283,8 +283,9 @@ func TestValidateRejectsInvalidConfig(t *testing.T) {
 		{"procs", func(c *WorldConfig) { c.Procs = 0 }, "Procs 0"},
 		{"rankcap", func(c *WorldConfig) { c.MaxParallelRanks = -2 }, "MaxParallelRanks -2"},
 		{"mode", func(c *WorldConfig) { c.Sched = SchedulerMode(9) }, "scheduler mode 9"},
-		{"tune", func(c *WorldConfig) { c.Tune.ClockScale = -1 }, "CPU tune"},
-		{"tune NaN", func(c *WorldConfig) { c.Tune.MissScale = math.NaN() }, "CPU tune"},
+		{"zero clock", func(c *WorldConfig) { c.CPU.ClockGHz = 0 }, "CPU.ClockGHz 0"},
+		{"negative clock", func(c *WorldConfig) { c.CPU.ClockGHz = -2.8 }, "CPU.ClockGHz -2.8"},
+		{"NaN clock", func(c *WorldConfig) { c.CPU.ClockGHz = math.NaN() }, "CPU.ClockGHz NaN"},
 		{"no cache", func(c *WorldConfig) { c.Cache.SizeBytes = 0 }, "non-positive geometry"},
 		{"cache sets", func(c *WorldConfig) { c.Cache.SizeBytes = 100 << 10 }, "set count 200 not a power of two"},
 	}

@@ -134,48 +134,9 @@ func ParseSched(token string) (SchedulerMode, int, error) {
 	return 0, 0, fmt.Errorf("mpi: bad scheduler token %q (want serial, par or opt, or par<N>/opt<N> to cap concurrent ranks at N >= 1)", token)
 }
 
-// CPUTune scales the per-rank CPU model relative to its calibrated base —
-// the paper's Section 6 "parameterized by processor speed and a cache
-// model" machine knobs, exposed as campaign grid dimensions. Every field
-// is a multiplier; the zero value (and 1.0) leaves the calibrated model
-// bit-for-bit unchanged.
-type CPUTune struct {
-	// ClockScale multiplies the core clock (2.0 simulates a CPU twice as
-	// fast as the paper's 2.8 GHz Xeon). Zero means 1.
-	ClockScale float64
-	// HitScale multiplies the cache-hit cycle cost. Zero means 1.
-	HitScale float64
-	// MissScale multiplies the cache-miss (memory) penalty — a crude DRAM
-	// speed knob. Zero means 1.
-	MissScale float64
-}
-
-// IsZero reports whether the tune leaves the CPU model untouched.
-func (t CPUTune) IsZero() bool { return t == CPUTune{} }
-
-// orOne maps the zero value of a multiplier knob to 1.
-func orOne(v float64) float64 {
-	if v == 0 {
-		return 1
-	}
-	return v
-}
-
-// Apply returns the CPU model with the tune's scales applied. A zero tune
-// returns m unchanged (no arithmetic at all, so calibrated timings stay
-// bit-for-bit identical).
-func (t CPUTune) Apply(m platform.CPUModel) platform.CPUModel {
-	if t.IsZero() {
-		return m
-	}
-	m.ClockGHz *= orOne(t.ClockScale)
-	m.HitCycles *= orOne(t.HitScale)
-	m.MissCycles *= orOne(t.MissScale)
-	return m
-}
-
 // WorldConfig assembles the simulated machine: P ranks, each with the given
-// CPU and cache, connected by the given network.
+// CPU and cache, connected by the given network. NewWorld builds exactly
+// this machine and fills in no defaults; DefaultConfig is the calibrated one.
 type WorldConfig struct {
 	// Procs is the number of SCMD ranks (the paper used 3).
 	Procs int
@@ -188,13 +149,10 @@ type WorldConfig struct {
 	// Seed makes all random streams (network noise) reproducible.
 	Seed int64
 	// InitUS and FinalizeUS are the one-time costs charged by MPI_Init and
-	// MPI_Finalize (startup/teardown of the parallel machine). Zero values
-	// get defaults matching the Fig. 3 magnitudes.
+	// MPI_Finalize (startup/teardown of the parallel machine). DefaultConfig
+	// sets the Fig. 3 magnitudes.
 	InitUS     float64
 	FinalizeUS float64
-	// Tune scales the CPU model (clock, hit/miss penalties) relative to
-	// its calibrated base. The zero value changes nothing.
-	Tune CPUTune
 	// Sched selects the rank scheduler. The zero value is the serial token
 	// scheduler; ConservativeParallel and OptimisticParallel run rank
 	// compute concurrently with bit-for-bit identical results.
@@ -207,9 +165,9 @@ type WorldConfig struct {
 
 // Validate reports whether the configuration describes a runnable machine.
 // It catches misconfigurations — a non-positive rank count, a negative
-// parallel-rank cap, an unknown scheduler mode, negative CPU-tune
-// multipliers, an impossible cache geometry — with a clear error before any simulation state exists,
-// instead of a late panic deep inside a run.
+// parallel-rank cap, an unknown scheduler mode, a clock that is not
+// positive, an impossible cache geometry — with a clear error before any
+// simulation state exists, instead of a late panic deep inside a run.
 func (c WorldConfig) Validate() error {
 	if c.Procs <= 0 {
 		return fmt.Errorf("mpi: invalid world config: Procs %d (world size must be positive)", c.Procs)
@@ -220,9 +178,9 @@ func (c WorldConfig) Validate() error {
 	if c.MaxParallelRanks < 0 {
 		return fmt.Errorf("mpi: invalid world config: MaxParallelRanks %d (must be >= 0; 0 means no cap)", c.MaxParallelRanks)
 	}
-	// Written so that a NaN multiplier is rejected with the negative ones.
-	if !(c.Tune.ClockScale >= 0 && c.Tune.HitScale >= 0 && c.Tune.MissScale >= 0) {
-		return fmt.Errorf("mpi: invalid world config: CPU tune multiplier in %+v is not >= 0", c.Tune)
+	// Written so that a NaN clock is rejected with the non-positive ones.
+	if !(c.CPU.ClockGHz > 0) {
+		return fmt.Errorf("mpi: invalid world config: CPU.ClockGHz %g (must be > 0)", c.CPU.ClockGHz)
 	}
 	if err := c.Cache.Validate(); err != nil {
 		return fmt.Errorf("mpi: invalid world config: %w", err)
@@ -248,11 +206,13 @@ func (c WorldConfig) WithScheduler(mode SchedulerMode, n int) WorldConfig {
 // DefaultConfig returns the paper-calibrated 3-rank world.
 func DefaultConfig() WorldConfig {
 	return WorldConfig{
-		Procs: 3,
-		CPU:   platform.XeonModel(),
-		Cache: cache.XeonL2(),
-		Net:   netmodel.FastEthernet(),
-		Seed:  1,
+		Procs:      3,
+		CPU:        platform.XeonModel(),
+		Cache:      cache.XeonL2(),
+		Net:        netmodel.FastEthernet(),
+		Seed:       1,
+		InitUS:     600_000,
+		FinalizeUS: 140_000,
 	}
 }
 
@@ -476,12 +436,6 @@ func NewWorld(cfg WorldConfig) *World {
 	if err := cfg.Validate(); err != nil {
 		panic(err.Error())
 	}
-	if cfg.InitUS == 0 {
-		cfg.InitUS = 600_000
-	}
-	if cfg.FinalizeUS == 0 {
-		cfg.FinalizeUS = 140_000
-	}
 	w := &World{
 		cfg:        cfg,
 		par:        cfg.Sched == ConservativeParallel,
@@ -506,9 +460,8 @@ func NewWorld(cfg WorldConfig) *World {
 	for i := range group {
 		group[i] = i
 	}
-	cpu := cfg.Tune.Apply(cfg.CPU)
 	for i := 0; i < cfg.Procs; i++ {
-		proc := platform.NewProc(i, cpu, cfg.Cache, cfg.Seed)
+		proc := platform.NewProc(i, cfg.CPU, cfg.Cache, cfg.Seed)
 		prof := tau.NewProfile(proc.Now)
 		prof.RegisterMetric("PAPI_L2_DCM", func() float64 { return float64(proc.Counters().L2DCM) })
 		prof.RegisterMetric("PAPI_FP_OPS", func() float64 { return float64(proc.Counters().FPOps) })

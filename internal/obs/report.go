@@ -80,8 +80,7 @@ func TraceStats(tf *TraceFile) []TrackStat {
 }
 
 // OwnerExec is one completed job execution attributed to a lease
-// owner, as recovered from the store's lease audit log. ElapsedUS and
-// EndUnixNS are zero for audit lines written before they were recorded.
+// owner, as recovered from the store's lease audit log.
 type OwnerExec struct {
 	Owner     string
 	Key       string

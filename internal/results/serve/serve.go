@@ -92,26 +92,28 @@ type Catalog struct {
 	byName    map[string]*Scenario
 }
 
-// The built-in token recognizers, mirroring the campaign axis key
-// grammar: "p3" (ranks), "c512kB" (cache_kb), "cpu1.5x" (cpu_clock),
-// "r0" (replication). Scheduler tokens are mpi.FormatSched's: "serial",
-// "par[N]" and "opt[N]" (N the parallel-rank cap); rows written by earlier
-// binaries may carry a "-wMIN-MAX" suffix, still read as part of the
-// token.
-var (
-	reRanks = regexp.MustCompile(`^p(\d+)$`)
-	reCache = regexp.MustCompile(`^c(\d+)kB$`)
-	reClock = regexp.MustCompile(`^cpu(\d+(?:\.\d+)?)x$`)
-	reRep   = regexp.MustCompile(`^r(\d+)$`)
-	reSched = regexp.MustCompile(`^(serial|(par|opt)\d*(-w\d+-\d+)?)$`)
-)
+// coordTokens mirror the campaign axis keys "p3" (ranks), "c512kB"
+// (cache_kb), "cpu1.5x" (cpu_clock) and "r0" (replication), each number
+// spelled as the axis prints it (%d for counts, %g for the clock scale).
+var coordTokens = []struct {
+	axis string
+	re   *regexp.Regexp
+	fmt  byte // strconv.AppendFloat format that spells the number back
+}{
+	{"ranks", regexp.MustCompile(`^p(\d+)$`), 'f'},
+	{"cache_kb", regexp.MustCompile(`^c(\d+)kB$`), 'f'},
+	{"cpu_clock", regexp.MustCompile(`^cpu(\d+(?:\.\d+)?)x$`), 'g'},
+	{"rep", regexp.MustCompile(`^r(\d+)$`), 'f'},
+}
+
+// reSched matches the tokens mpi.FormatSched produces: "serial", "par" and
+// "opt", the last two with an optional cap N >= 1 short enough for an int.
+var reSched = regexp.MustCompile(`^(serial|(par|opt)([1-9]\d{0,17})?)$`)
 
 // Open scans a campaign rows directory into a catalog. dir may be the
 // rows directory itself or a campaign output directory containing a
-// "rows" subdirectory. The "spec_*" telemetry shards earlier binaries
-// wrote beside the scenarios are skipped; when a scenario exists in both
-// formats the binary shard is served (identical logical rows, cheaper
-// decode).
+// "rows" subdirectory. When a scenario exists in both formats the binary
+// shard is served (identical logical rows, cheaper decode).
 func Open(dir string) (*Catalog, error) {
 	// A "rows" subdirectory with shards always wins: a campaign output
 	// directory's own top-level CSVs (trend.csv, figure tables) are
@@ -133,9 +135,6 @@ func Open(dir string) (*Catalog, error) {
 		name := e.Name()
 		ext := filepath.Ext(name)
 		if ext != ".csv" && ext != ".bin" {
-			continue
-		}
-		if strings.HasPrefix(name, "spec_") {
 			continue
 		}
 		stem := shardStem(strings.TrimSuffix(name, ext))
@@ -198,27 +197,29 @@ func shardStem(stem string) string {
 func parseScenario(stem string) *Scenario {
 	sc := &Scenario{Name: stem}
 	for _, tok := range strings.Split(stem, "_") {
-		switch {
-		case reRanks.MatchString(tok):
-			v, _ := strconv.ParseFloat(reRanks.FindStringSubmatch(tok)[1], 64)
-			sc.Coords = append(sc.Coords, Coord{Axis: "ranks", Value: v})
-		case reCache.MatchString(tok):
-			v, _ := strconv.ParseFloat(reCache.FindStringSubmatch(tok)[1], 64)
-			sc.Coords = append(sc.Coords, Coord{Axis: "cache_kb", Value: v})
-		case reClock.MatchString(tok):
-			v, _ := strconv.ParseFloat(reClock.FindStringSubmatch(tok)[1], 64)
-			sc.Coords = append(sc.Coords, Coord{Axis: "cpu_clock", Value: v})
-		case reRep.MatchString(tok):
-			v, _ := strconv.ParseFloat(reRep.FindStringSubmatch(tok)[1], 64)
-			sc.Coords = append(sc.Coords, Coord{Axis: "rep", Value: v})
-		case reSched.MatchString(tok):
+		if axis, v, ok := parseCoord(tok); ok {
+			sc.Coords = append(sc.Coords, Coord{Axis: axis, Value: v})
+		} else if reSched.MatchString(tok) {
 			sc.Sched = tok
-		default:
+		} else {
 			sc.Tags = append(sc.Tags, tok)
 		}
 	}
 	sort.Slice(sc.Coords, func(i, j int) bool { return sc.Coords[i].Axis < sc.Coords[j].Axis })
 	return sc
+}
+
+// parseCoord reads a coordinate token. A number in any other spelling than
+// the axis's is not a coordinate, so it never reads as a different value.
+func parseCoord(tok string) (axis string, v float64, ok bool) {
+	for _, ct := range coordTokens {
+		if m := ct.re.FindStringSubmatch(tok); m != nil {
+			var buf [32]byte // spells v back without allocating
+			v, err := strconv.ParseFloat(m[1], 64)
+			return ct.axis, v, err == nil && string(strconv.AppendFloat(buf[:0], v, ct.fmt, -1, 64)) == m[1]
+		}
+	}
+	return "", 0, false
 }
 
 // Dir returns the catalog's rows directory.

@@ -9,10 +9,13 @@ import (
 	"os"
 	"path/filepath"
 	"slices"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
 
+	"repro/internal/campaign"
+	"repro/internal/mpi"
 	"repro/internal/obs"
 	"repro/internal/results"
 )
@@ -21,8 +24,7 @@ var update = flag.Bool("update", false, "rewrite the golden response files")
 
 // fixtureDir builds a deterministic mini-campaign rows directory with
 // the real shard sinks: three cache sizes under one sweep (CSV), one
-// scenario in both formats, one binary-only scenario, and a speculation
-// shard that must be skipped.
+// scenario in both formats, and one binary-only scenario.
 func fixtureDir(t *testing.T) string {
 	t.Helper()
 	dir := t.TempDir()
@@ -67,12 +69,6 @@ func fixtureDir(t *testing.T) string {
 		t.Fatal(err)
 	}
 	if err := binSink.Close(); err != nil {
-		t.Fatal(err)
-	}
-	// A speculation telemetry shard left by an earlier binary is not a
-	// scenario.
-	spec := filepath.Join(dir, "spec_states_opt_r0-1a2b3c4d.csv")
-	if err := os.WriteFile(spec, []byte("sched,procs\nopt,4\n"), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	return dir
@@ -121,16 +117,11 @@ func TestCatalogParsesScenarioNames(t *testing.T) {
 	if axes := c.Axes(); strings.Join(axes, ",") != "cache_kb,cpu_clock,ranks,rep" {
 		t.Errorf("axes = %v", axes)
 	}
-	// Spec shards are skipped.
-	for _, sc := range c.Scenarios() {
-		if strings.HasPrefix(sc.Name, "states") {
-			t.Errorf("speculation shard surfaced as scenario %q", sc.Name)
-		}
-	}
 }
 
 // TestParseScenarioSchedTokens holds the catalog to the grammar
-// campaign.SchedChoice renders: a capped choice is "par4"/"opt8", no dash.
+// mpi.FormatSched renders: a capped choice is "par4"/"opt8", no dash, and
+// no other spelling is a scheduler.
 func TestParseScenarioSchedTokens(t *testing.T) {
 	for _, tc := range []struct {
 		stem, sched string
@@ -141,8 +132,10 @@ func TestParseScenarioSchedTokens(t *testing.T) {
 		{"p2_base_opt_r0", "opt", []string{"base"}},
 		{"p4_base_par4_r0", "par4", []string{"base"}},
 		{"p16_base_opt8_r1", "opt8", []string{"base"}},
-		{"p2_base_opt-w64-1024_r0", "opt-w64-1024", []string{"base"}}, // written before the window became a constant
-		{"p2_base_opt2-w8-128_r0", "opt2-w8-128", []string{"base"}},
+		{"p2_base_opt-w64-1024_r0", "", []string{"base", "opt-w64-1024"}},
+		{"p2_base_opt2-w8-128_r0", "", []string{"base", "opt2-w8-128"}},
+		{"p2_par0_r0", "", []string{"par0"}},
+		{"p2_opt08_r0", "", []string{"opt08"}},
 		{"p2_serial4_r0", "", []string{"serial4"}},
 		{"p2_parallel_optimal_r0", "", []string{"parallel", "optimal"}},
 		{"p2_opt-fast_r0", "", []string{"opt-fast"}},
@@ -503,4 +496,93 @@ func TestOpenRejectsEmptyDir(t *testing.T) {
 	if _, err := New(filepath.Join(t.TempDir(), "missing"), Options{}); err == nil {
 		t.Error("missing dir opened")
 	}
+}
+
+// checkTokens holds parseScenario to its contract on any stem: every
+// "_"-separated token is accounted for exactly once, as a coordinate that
+// spells back to that token, a tag, or a scheduler token mpi.ParseSched
+// accepts (the last one wins Sched). No token reads as a wrong number.
+func checkTokens(t *testing.T, stem string, sc *Scenario) {
+	t.Helper()
+	left := map[string]int{}
+	for _, tok := range strings.Split(stem, "_") {
+		left[tok]++
+	}
+	take := func(tok, as string) {
+		if left[tok] == 0 {
+			t.Errorf("%q: %s %q is not one of its tokens", stem, as, tok)
+		}
+		left[tok]--
+	}
+	spell := map[string]func(float64) string{
+		"ranks":     func(v float64) string { return "p" + strconv.FormatFloat(v, 'f', -1, 64) },
+		"cache_kb":  func(v float64) string { return "c" + strconv.FormatFloat(v, 'f', -1, 64) + "kB" },
+		"cpu_clock": func(v float64) string { return fmt.Sprintf("cpu%gx", v) },
+		"rep":       func(v float64) string { return "r" + strconv.FormatFloat(v, 'f', -1, 64) },
+	}
+	for _, c := range sc.Coords {
+		take(spell[c.Axis](c.Value), c.Axis+" coordinate")
+	}
+	for _, tag := range sc.Tags {
+		take(tag, "tag")
+	}
+	last := ""
+	for _, tok := range strings.Split(stem, "_") {
+		if left[tok] == 0 {
+			continue
+		}
+		left[tok]--
+		if _, _, err := mpi.ParseSched(tok); err != nil {
+			t.Errorf("%q: token %q is neither a coordinate, a tag nor a scheduler", stem, tok)
+		}
+		last = tok
+	}
+	if sc.Sched != last {
+		t.Errorf("%q: sched = %q, want %q", stem, sc.Sched, last)
+	}
+}
+
+// FuzzParseScenario drives the catalog's scenario-name parser two ways.
+// A stem built from the campaign axis constructors and mpi.FormatSched,
+// named by the shard sink, parses back to the coordinates and scheduler
+// that built it whenever %g prints the clock scale without an exponent.
+// Any stem, built or arbitrary, satisfies checkTokens, and nothing panics.
+func FuzzParseScenario(f *testing.F) {
+	sink, err := results.NewCSVShardSink(f.TempDir())
+	if err != nil {
+		f.Fatal(err)
+	}
+	fluxes := []string{"godunov", "efm", "states"}
+	modes := []mpi.SchedulerMode{mpi.Serial, mpi.ConservativeParallel, mpi.OptimisticParallel}
+	// Seeds: the fixture's scenarios, and the stems of
+	// TestParseScenarioSchedTokens.
+	f.Add(uint16(2), uint32(128), 1.0, uint8(1), uint8(2), uint16(0), uint8(0), "p2_base_c128kB_cpu1x_quiet_opt_r0")
+	f.Add(uint16(4), uint32(128), 1.0, uint8(0), uint8(1), uint16(0), uint8(0), "p4_base_c128kB_cpu1x_loaded_par_r0")
+	f.Add(uint16(8), uint32(128), 0.5, uint8(2), uint8(0), uint16(0), uint8(0), "p8_base_c128kB_cpu1x_loaded_serial_r0")
+	f.Add(uint16(16), uint32(1024), 2.5, uint8(0), uint8(2), uint16(8), uint8(1), "p16_base_opt8_r1")
+	f.Add(uint16(2), uint32(512), 1e-05, uint8(1), uint8(2), uint16(2), uint8(0), "p2_base_opt2-w8-128_r0")
+	f.Add(uint16(2), uint32(512), 4.0, uint8(1), uint8(1), uint16(4), uint8(3), "p2_parallel_optimal_r0")
+	f.Add(uint16(2), uint32(512), 4.0, uint8(1), uint8(1), uint16(0), uint8(3), "p2_serial4_par0_opt08_p007_cpu1.50x_r1e3")
+	f.Fuzz(func(t *testing.T, procs uint16, kb uint32, scale float64, flux, mode uint8, maxRanks uint16, rep uint8, raw string) {
+		sched := mpi.FormatSched(modes[int(mode)%len(modes)], int(maxRanks))
+		key := strings.Join([]string{
+			campaign.RankAxis(int(procs)).Values[0].Key,
+			"base",
+			campaign.CacheAxis(int(kb)).Values[0].Key,
+			campaign.CPUClockAxis(scale).Values[0].Key,
+			campaign.FluxAxis(fluxes[int(flux)%len(fluxes)]).Values[0].Key,
+			sched,
+			fmt.Sprintf("r%d", rep),
+		}, "/")
+		stem := shardStem(strings.TrimSuffix(filepath.Base(sink.ShardPath(key)), ".csv"))
+		sc := parseScenario(stem)
+		checkTokens(t, stem, sc)
+		if strings.Trim(fmt.Sprintf("%g", scale), "0123456789.") == "" {
+			want := []Coord{{"cache_kb", float64(kb)}, {"cpu_clock", scale}, {"ranks", float64(procs)}, {"rep", float64(rep)}}
+			if !slices.Equal(sc.Coords, want) || sc.Sched != sched {
+				t.Errorf("%s -> %q: coords %v sched %q, want %v and %q", key, stem, sc.Coords, sc.Sched, want, sched)
+			}
+		}
+		checkTokens(t, raw, parseScenario(raw))
+	})
 }

@@ -534,11 +534,10 @@ func (m *Manager) renewOne(addr string) {
 }
 
 // appendAudit records one completed execution in this owner's audit log
-// as "key<TAB>elapsed_us<TAB>end_unix_ns". The key is always the first
-// tab-separated field, so field-unaware consumers (`cut -f1`, older
-// parsers) keep working; the trailing fields feed the per-owner
-// throughput report. O_APPEND writes of one short line are atomic, so
-// concurrent releases need no extra lock here.
+// as "key<TAB>elapsed_us<TAB>end_unix_ns", the line ReadAuditEntries
+// parses; the timings feed the per-owner throughput report. O_APPEND
+// writes of one short line are atomic, so concurrent releases need no
+// extra lock here.
 func (m *Manager) appendAudit(key string, elapsed time.Duration, end time.Time) error {
 	f, err := os.OpenFile(filepath.Join(m.dir, "audit-"+m.owner+".log"),
 		os.O_APPEND|os.O_CREATE|os.O_WRONLY, 0o644)
@@ -568,19 +567,29 @@ func formatLease(r record) string {
 // callers must never steal or abandon a lease on evidence that weak.
 var errMalformed = errors.New("lease: malformed lease file")
 
-// readLease parses a lease file. fs.ErrNotExist passes through so callers
-// can distinguish a vacant slot, and parse failures wrap errMalformed so
-// wreckage is distinguishable from a transient read error.
+// readLease reads and parses a lease file. fs.ErrNotExist passes through
+// so callers can distinguish a vacant slot, and parse failures wrap
+// errMalformed so wreckage is distinguishable from a transient read error.
 func readLease(path string) (record, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
 		return record{}, err
 	}
+	r, err := parseLease(data)
+	if err != nil {
+		return record{}, fmt.Errorf("%w in %s", err, filepath.Base(path))
+	}
+	return r, nil
+}
+
+// parseLease is formatLease's inverse. Every error it returns wraps
+// errMalformed.
+func parseLease(data []byte) (record, error) {
 	var r record
 	for _, line := range strings.Split(strings.TrimRight(string(data), "\n"), "\n") {
 		name, value, ok := strings.Cut(line, "\t")
 		if !ok {
-			return record{}, fmt.Errorf("%w: line %q in %s", errMalformed, line, filepath.Base(path))
+			return record{}, fmt.Errorf("%w: line %q", errMalformed, line)
 		}
 		switch name {
 		case "owner":
@@ -592,33 +601,23 @@ func readLease(path string) (record, error) {
 		case "beat":
 			ns, err := strconv.ParseInt(value, 10, 64)
 			if err != nil {
-				return record{}, fmt.Errorf("%w: bad beat in %s: %v", errMalformed, filepath.Base(path), err)
+				return record{}, fmt.Errorf("%w: bad beat: %v", errMalformed, err)
 			}
 			r.Beat = time.Unix(0, ns)
 		}
 	}
 	if r.Owner == "" {
-		return record{}, fmt.Errorf("%w: no owner in %s", errMalformed, filepath.Base(path))
+		return record{}, fmt.Errorf("%w: no owner", errMalformed)
 	}
 	return r, nil
 }
 
-// AuditEntry is one completed execution recovered from an owner's audit
-// log. ElapsedUS and EndUnixNS are zero for lines written before the
-// audit recorded timings.
-type AuditEntry struct {
-	Owner     string
-	Key       string
-	ElapsedUS float64
-	EndUnixNS int64
-}
-
 // ReadAuditEntries collects every owner's audit log under the store's
-// lease directory into typed entries, owners in sorted order and lines
-// in file order within each owner. Lines are parsed tolerantly: the
-// first tab-separated field is the job key, the optional trailing
-// fields are the execution's elapsed microseconds and end timestamp.
-func ReadAuditEntries(st *store.Store) ([]AuditEntry, error) {
+// lease directory, owners in sorted order and lines in file order within
+// each owner. appendAudit writes each line whole, in one O_APPEND write, as
+// exactly "key<TAB>elapsed_us<TAB>end_unix_ns<NL>"; any other line is an
+// error naming the file and line, never an execution with zero timings.
+func ReadAuditEntries(st *store.Store) ([]obs.OwnerExec, error) {
 	dir := filepath.Join(st.Dir(), dirName)
 	entries, err := os.ReadDir(dir)
 	if err != nil {
@@ -635,29 +634,39 @@ func ReadAuditEntries(st *store.Store) ([]AuditEntry, error) {
 		}
 	}
 	sort.Strings(names)
-	var out []AuditEntry
+	var out []obs.OwnerExec
 	for _, n := range names {
 		owner := strings.TrimSuffix(strings.TrimPrefix(n, "audit-"), ".log")
 		data, err := os.ReadFile(filepath.Join(dir, n))
 		if err != nil {
 			return nil, fmt.Errorf("lease: audit: %w", err)
 		}
-		for _, line := range strings.Split(strings.TrimRight(string(data), "\n"), "\n") {
+		for i, line := range strings.SplitAfter(string(data), "\n") {
 			if line == "" {
-				continue
+				continue // after the final newline
 			}
-			fields := strings.Split(line, "\t")
-			ae := AuditEntry{Owner: owner, Key: fields[0]}
-			if len(fields) > 1 {
-				ae.ElapsedUS, _ = strconv.ParseFloat(fields[1], 64)
+			e, err := parseAuditLine(line)
+			if err != nil {
+				return nil, fmt.Errorf("lease: audit %s line %d: %w", n, i+1, err)
 			}
-			if len(fields) > 2 {
-				ae.EndUnixNS, _ = strconv.ParseInt(fields[2], 10, 64)
-			}
-			out = append(out, ae)
+			e.Owner = owner
+			out = append(out, e)
 		}
 	}
 	return out, nil
+}
+
+// parseAuditLine parses one newline-terminated audit line.
+func parseAuditLine(line string) (e obs.OwnerExec, err error) {
+	f := strings.Split(strings.TrimSuffix(line, "\n"), "\t")
+	if len(f) != 3 || !strings.HasSuffix(line, "\n") {
+		return e, fmt.Errorf("want key<TAB>elapsed_us<TAB>end_unix_ns<NL>, got %q", line)
+	}
+	e.Key = f[0]
+	if e.ElapsedUS, err = strconv.ParseFloat(f[1], 64); err == nil {
+		e.EndUnixNS, err = strconv.ParseInt(f[2], 10, 64)
+	}
+	return e, err
 }
 
 // ReadAudit collects every owner's audit log under the store's lease

@@ -3,6 +3,7 @@ package lease
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -14,6 +15,7 @@ import (
 	"time"
 
 	"repro/internal/campaign"
+	"repro/internal/obs"
 	"repro/internal/results"
 	"repro/internal/results/store"
 )
@@ -454,4 +456,80 @@ func TestLeaseFilesLiveUnderStoreDir(t *testing.T) {
 			t.Errorf("leftover temp file %s", e.Name())
 		}
 	}
+}
+
+// TestReadAuditEntriesRejectsTornLines: every audit line is written whole,
+// so a short line, a line cut before its newline or a timing that does not
+// parse is damage, reported with the file and line instead of read as an
+// execution with zero timings.
+func TestReadAuditEntriesRejectsTornLines(t *testing.T) {
+	t.Parallel()
+	const good = "job/1\t1500.000\t2000000\n"
+	for _, tc := range []struct{ name, log, want string }{
+		{"short line", good + "job/2\t1500.000\n", "audit-w1.log line 2"},
+		{"key only", "job/2\n" + good, "audit-w1.log line 1"},
+		{"no newline", good + "job/2\t1500.000\t20", "audit-w1.log line 2"},
+		{"bad elapsed", good + good + "job/3\tx\t2000000\n", "audit-w1.log line 3: strconv.ParseFloat"},
+		{"bad end", "job/3\t1.5\t2e6\n", "audit-w1.log line 1: strconv.ParseInt"},
+		{"extra field", "job/3\t1.5\t2000000\tz\n", "audit-w1.log line 1"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			st := openStore(t)
+			dir := filepath.Join(st.Dir(), dirName)
+			if err := os.MkdirAll(dir, 0o755); err != nil {
+				t.Fatal(err)
+			}
+			if err := os.WriteFile(filepath.Join(dir, "audit-w1.log"), []byte(tc.log), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			execs, err := ReadAuditEntries(st)
+			if err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("ReadAuditEntries = %+v, %v; want an error containing %q", execs, err, tc.want)
+			}
+			if _, err := ReadAudit(st); err == nil {
+				t.Error("ReadAudit accepted the torn log")
+			}
+		})
+	}
+
+	st := openStore(t)
+	dir := filepath.Join(st.Dir(), dirName)
+	if err := os.MkdirAll(dir, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(dir, "audit-w1.log"), []byte(good), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	execs, err := ReadAuditEntries(st)
+	want := []obs.OwnerExec{{Owner: "w1", Key: "job/1", ElapsedUS: 1500, EndUnixNS: 2_000_000}}
+	if err != nil || !reflect.DeepEqual(execs, want) {
+		t.Errorf("ReadAuditEntries = %+v, %v; want %+v", execs, err, want)
+	}
+}
+
+// FuzzLeaseRecord holds parseLease to two properties: it is formatLease's
+// exact inverse on every record formatLease can write (a non-empty owner,
+// no newline in any field), and on arbitrary bytes it either parses or
+// returns an error wrapping errMalformed, never panicking.
+func FuzzLeaseRecord(f *testing.F) {
+	// Seeds: the records the tests above write, and the wreckage one.
+	f.Add("w", "job/wreck", "h", int64(1_700_000_000_000_000_000), []byte("not a lease"))
+	f.Add("survivor", "job/1", "h", int64(0), []byte(formatLease(record{Owner: "a", Key: "job/hb", Hash: "h", Beat: time.Unix(0, 42)})))
+	f.Add("b", "job/s", "", int64(-1), []byte("owner\tb\nbeat\tx\n"))
+	f.Fuzz(func(t *testing.T, owner, key, hash string, beat int64, raw []byte) {
+		if owner != "" && !strings.Contains(owner+key+hash, "\n") {
+			r := record{Owner: owner, Key: key, Hash: hash, Beat: time.Unix(0, beat)}
+			got, err := parseLease([]byte(formatLease(r)))
+			if err != nil || got != r {
+				t.Errorf("parseLease(formatLease(%+v)) = %+v, %v", r, got, err)
+			}
+		}
+		r, err := parseLease(raw)
+		switch {
+		case err != nil && !errors.Is(err, errMalformed):
+			t.Errorf("parseLease(%q) error %v does not wrap errMalformed", raw, err)
+		case err == nil && r.Owner == "":
+			t.Errorf("parseLease(%q) accepted a record with no owner", raw)
+		}
+	})
 }
