@@ -31,8 +31,9 @@
 // SIGINT or SIGTERM stops the service cleanly: the listener closes,
 // requests in flight get drainTimeout to finish, the profiles named by
 // -cpuprofile/-memprofile (go tool pprof; they observe the process and
-// change no response byte) are written, and the process exits 0. Slow or
-// idle clients are bounded by fixed header-read and keep-alive timeouts.
+// change no response byte) are written, and the process exits 0. Slow,
+// idle or oversized clients are bounded by fixed header-read, write and
+// keep-alive timeouts and a header-size limit (431 beyond it).
 package main
 
 import (
@@ -52,10 +53,16 @@ import (
 )
 
 // Fixed limits, not flags: nothing about a campaign changes how long a
-// client may take to send its headers or hold an idle connection.
+// client may take to send its headers, read its reply or hold an idle
+// connection, nor how large a query's headers may be.
 const (
 	readHeaderTimeout = 5 * time.Second
-	idleTimeout       = 2 * time.Minute
+	// writeTimeout runs from the end of the request headers to the end of
+	// the reply, so it also bounds a /scenario or /trend that decodes many
+	// cold shards.
+	writeTimeout   = time.Minute
+	idleTimeout    = 2 * time.Minute
+	maxHeaderBytes = 64 << 10
 	// drainTimeout is how long in-flight requests get after a stop signal.
 	drainTimeout = 10 * time.Second
 )
@@ -93,7 +100,7 @@ func main() {
 	fmt.Printf("resultsd: %d scenarios from %s\n", len(svc.Catalog().Scenarios()), svc.Catalog().Dir())
 	fmt.Printf("resultsd: listening on http://%s\n", ln.Addr())
 
-	srv := &http.Server{Handler: svc.Handler(), ReadHeaderTimeout: readHeaderTimeout, IdleTimeout: idleTimeout}
+	srv := newServer(svc.Handler())
 	served := make(chan error, 1)
 	go func() { served <- srv.Serve(ln) }()
 
@@ -117,6 +124,17 @@ func main() {
 		fmt.Fprintf(os.Stderr, "resultsd: requests still in flight after %v: %v\n", drainTimeout, shutdownErr)
 	}
 	fmt.Println("resultsd: stopped")
+}
+
+// newServer is the HTTP server resultsd runs its handler behind.
+func newServer(h http.Handler) *http.Server {
+	return &http.Server{
+		Handler:           h,
+		ReadHeaderTimeout: readHeaderTimeout,
+		WriteTimeout:      writeTimeout,
+		IdleTimeout:       idleTimeout,
+		MaxHeaderBytes:    maxHeaderBytes,
+	}
 }
 
 func fatal(err error) {

@@ -346,6 +346,21 @@
 // byte-identical bodies for every request — CI curls a live instance
 // and diffs against the documented examples.
 //
+// What cannot change is rendered once. The catalog is fixed at Open, so
+// its axis list and each scenario's /scenarios list element are rendered
+// there, and a /scenarios body is assembled from those elements. A
+// resident model's Describe text and coefficients are rendered on the
+// first query that needs them and kept with the cache entry. Every other
+// body is encoded into a pooled buffer (json.Encoder with the same
+// indentation, so the same bytes as MarshalIndent plus a newline) and sent
+// in one write with its Content-Length. TestScenarioListMatchesEncoder and
+// FuzzServeQuery hold the assembled bodies to the encoder's rendering,
+// and TestHotQueryAllocations bounds what a hot query allocates. The
+// fuzz target also holds every answer to a documented status: a NaN or
+// infinite parameter is a 400, and a prediction that is not finite is a
+// 422, never a 500. cmd/resultsd caps request headers at 64 KiB (431
+// beyond) and bounds the time to write a reply.
+//
 // Binary row shards are the service's preferred input:
 // results.NewBinShardSink writes one <key>-<hash>.bin file per campaign key (the same naming as
 // the CSV shards) — magic "RRBS", one version byte, then

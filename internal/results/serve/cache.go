@@ -18,12 +18,30 @@ import (
 const DefaultCacheCap = 256
 
 // entry is one cached scenario: the decoded row count and every fitted
-// backend. Entries are immutable after load; concurrent queries share
-// them freely.
+// backend, in backendNames order. Entries are immutable after load but for
+// each backend's text, rendered once; concurrent queries share them
+// freely.
 type entry struct {
 	sc       *Scenario
 	rows     int
-	backends map[string]PerformanceModel
+	backends [len(backendNames)]backend
+}
+
+// backend is one fitted model and its Describe and Coefficients, which
+// are a pure function of the immutable model: rendered on the first query
+// that needs them, not at load, so a model that is loaded and evicted
+// without one never pays for them.
+type backend struct {
+	model    PerformanceModel
+	once     sync.Once
+	describe string
+	coeffs   []Coefficient
+}
+
+// text returns the model's Describe and Coefficients.
+func (b *backend) text() (string, []Coefficient) {
+	b.once.Do(func() { b.describe, b.coeffs = b.model.Describe(), b.model.Coefficients() })
+	return b.describe, b.coeffs
 }
 
 // modelCache is the read-through cache in front of shard decoding and
@@ -143,11 +161,15 @@ func loadEntry(sc *Scenario) (*entry, error) {
 	if err != nil {
 		return nil, err
 	}
-	backends, err := buildBackends(sc.Name, cols)
+	models, err := buildBackends(sc.Name, cols)
 	if err != nil {
 		return nil, err
 	}
-	return &entry{sc: sc, rows: cols.Rows, backends: backends}, nil
+	e := &entry{sc: sc, rows: cols.Rows}
+	for i, m := range models {
+		e.backends[i].model = m
+	}
+	return e, nil
 }
 
 // len returns the resident entry count (test hook).

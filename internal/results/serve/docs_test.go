@@ -29,7 +29,7 @@ type docExample struct {
 }
 
 // parseDocExamples extracts every verify marker and its JSON fence.
-func parseDocExamples(t *testing.T) []docExample {
+func parseDocExamples(t testing.TB) []docExample {
 	t.Helper()
 	data, err := os.ReadFile(docPath)
 	if err != nil {

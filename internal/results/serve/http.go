@@ -1,12 +1,18 @@
 package serve
 
 import (
+	"bytes"
+	"cmp"
 	"encoding/json"
 	"fmt"
+	"math"
 	"net/http"
 	"net/url"
+	"slices"
 	"sort"
 	"strconv"
+	"strings"
+	"sync"
 	"time"
 
 	"repro/internal/obs"
@@ -30,7 +36,11 @@ type Service struct {
 	cache   *modelCache
 	reg     *obs.Registry
 	track   *obs.Track
-	axisSet map[string]bool
+	// The parameters the scenario-selecting endpoints accept: their own,
+	// then "sched", repeatable "tag" and one per catalog axis ("ranks",
+	// "cache_kb", ...).
+	scenarioParams []string
+	trendParams    []string
 
 	requests *obs.Counter
 	errors   *obs.Counter
@@ -54,14 +64,13 @@ func New(dir string, opts Options) (*Service, error) {
 		cache:    newModelCache(opts.CacheCap, o),
 		reg:      reg,
 		track:    o.Tracer().Track("resultsd", "http"),
-		axisSet:  map[string]bool{},
 		requests: reg.Counter("resultsd_http_requests_total"),
 		errors:   reg.Counter("resultsd_http_errors_total"),
 		queryUS:  reg.Histogram("resultsd_query_us", obs.LatencyBucketsUS),
 	}
-	for _, a := range catalog.Axes() {
-		s.axisSet[a] = true
-	}
+	filter := append([]string{"sched", "tag"}, catalog.Axes()...)
+	s.scenarioParams = append([]string{"name"}, filter...)
+	s.trendParams = append([]string{"axis", "model"}, filter...)
 	return s, nil
 }
 
@@ -106,6 +115,9 @@ func errUnprocessable(err error) error {
 	return &httpError{status: http.StatusUnprocessableEntity, msg: err.Error()}
 }
 
+// errGetOnly answers every method but GET.
+var errGetOnly error = &httpError{status: http.StatusMethodNotAllowed, msg: "GET only"}
+
 // wrap adapts a handler to the common envelope: GET-only, request
 // counting, a span and a latency sample per query, JSON rendering with
 // sorted struct fields, and the {"error": ...} error shape.
@@ -118,7 +130,7 @@ func (s *Service) wrap(name string, h func(*http.Request) (any, error)) http.Han
 		start := time.Now()
 		var status int
 		var body any
-		err := error(&httpError{status: http.StatusMethodNotAllowed, msg: "GET only"})
+		err := errGetOnly
 		if r.Method == http.MethodGet {
 			body, err = h(r)
 		}
@@ -136,33 +148,70 @@ func (s *Service) wrap(name string, h func(*http.Request) (any, error)) http.Han
 			writeJSON(w, status, body)
 		}
 		s.queryUS.Observe(float64(time.Since(start).Microseconds()))
-		span.End(obs.Arg{Name: "status", Value: status})
+		args := okSpanArgs
+		if status != http.StatusOK {
+			args = []obs.Arg{{Name: "status", Value: status}}
+		}
+		span.End(args...)
 	}
 }
 
+// okSpanArgs annotates the span of every successful query. The tracer only
+// reads an event's args, so one slice serves them all.
+var okSpanArgs = []obs.Arg{{Name: "status", Value: http.StatusOK}}
+
+// jsonBuffer is a response body and an indenting encoder writing into it.
+// Both keep their storage between requests.
+type jsonBuffer struct {
+	bytes.Buffer
+	enc *json.Encoder
+}
+
+// jsonContentType is every JSON reply's Content-Type header value. net/http
+// only reads it, so one slice serves them all.
+var jsonContentType = []string{"application/json"}
+
+var jsonBuffers = sync.Pool{New: func() any {
+	b := new(jsonBuffer)
+	b.enc = json.NewEncoder(&b.Buffer)
+	b.enc.SetIndent("", "  ")
+	return b
+}}
+
+// preRendered is a body assembled from bytes rendered before the request,
+// which writeJSON copies instead of encoding.
+type preRendered interface{ render(*bytes.Buffer) }
+
 // writeJSON renders v indented with a trailing newline — the exact bytes
-// the API document's examples carry.
+// the API document's examples carry, json.MarshalIndent(v, "", "  ") plus
+// "\n", which is what Encoder.Encode prints — and sends them in one write
+// with their Content-Length.
 func writeJSON(w http.ResponseWriter, status int, v any) {
-	data, err := json.MarshalIndent(v, "", "  ")
-	if err != nil {
+	b := jsonBuffers.Get().(*jsonBuffer)
+	defer jsonBuffers.Put(b)
+	b.Reset()
+	if p, ok := v.(preRendered); ok {
+		p.render(&b.Buffer)
+	} else if err := b.enc.Encode(v); err != nil {
 		http.Error(w, err.Error(), http.StatusInternalServerError)
 		return
 	}
-	w.Header().Set("Content-Type", "application/json")
+	h := w.Header()
+	h["Content-Type"] = jsonContentType
+	h["Content-Length"] = []string{strconv.Itoa(b.Len())}
 	w.WriteHeader(status)
-	w.Write(append(data, '\n'))
+	w.Write(b.Bytes())
 }
+
+// predictParams are the parameters /predict accepts.
+var predictParams = []string{"scenario", "measure", "model", "q", "lambda", "dcm"}
 
 // checkParams rejects query parameters outside the allowed set, so typos
 // fail loudly instead of silently matching everything.
-func checkParams(v url.Values, allowed ...string) error {
-	ok := map[string]bool{}
-	for _, a := range allowed {
-		ok[a] = true
-	}
+func checkParams(v url.Values, allowed []string) error {
 	var unknown []string
 	for k := range v {
-		if !ok[k] {
+		if !slices.Contains(allowed, k) {
 			unknown = append(unknown, k)
 		}
 	}
@@ -173,7 +222,8 @@ func checkParams(v url.Values, allowed ...string) error {
 	return nil
 }
 
-// floatParam parses an optional float query parameter.
+// floatParam parses an optional float query parameter. NaN and the
+// infinities are refused: no coordinate or model input takes them.
 func floatParam(v url.Values, name string) (float64, bool, error) {
 	raw := v.Get(name)
 	if raw == "" {
@@ -183,15 +233,10 @@ func floatParam(v url.Values, name string) (float64, bool, error) {
 	if err != nil {
 		return 0, false, errBadRequest("parameter %q: %q is not a number", name, raw)
 	}
+	if math.IsNaN(f) || math.IsInf(f, 0) {
+		return 0, false, errBadRequest("parameter %q: %q is not a finite number", name, raw)
+	}
 	return f, true, nil
-}
-
-// filterParams is the parameter set shared by the scenario-selecting
-// endpoints: "sched", repeatable "tag", and one parameter per catalog
-// axis ("ranks", "cache_kb", ...).
-func (s *Service) filterParams() []string {
-	params := append([]string{"sched", "tag"}, s.catalog.Axes()...)
-	return params
 }
 
 // parseFilter builds a Filter from query parameters.
@@ -222,20 +267,20 @@ func (s *Service) handleIndex(r *http.Request) (any, error) {
 	if r.URL.Path != "/" {
 		return nil, errNotFound("no such endpoint %q", r.URL.Path)
 	}
-	if err := checkParams(r.URL.Query()); err != nil {
+	if err := checkParams(r.URL.Query(), nil); err != nil {
 		return nil, err
 	}
 	return indexResponse{
 		Service:   "resultsd",
 		Scenarios: len(s.catalog.Scenarios()),
 		Axes:      s.catalog.Axes(),
-		Backends:  backendNames,
+		Backends:  backendNames[:],
 		Endpoints: []string{"/healthz", "/metrics", "/predict", "/scenario", "/scenarios", "/trend"},
 	}, nil
 }
 
 func (s *Service) handleHealthz(r *http.Request) (any, error) {
-	if err := checkParams(r.URL.Query()); err != nil {
+	if err := checkParams(r.URL.Query(), nil); err != nil {
 		return nil, err
 	}
 	return struct {
@@ -256,16 +301,33 @@ func (s *Service) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	s.reg.WriteText(w)
 }
 
-// scenariosResponse lists matching scenarios, catalog metadata only — no
-// shard is decoded.
-type scenariosResponse struct {
-	Count     int         `json:"count"`
-	Scenarios []*Scenario `json:"scenarios"`
+// scenarioList is a /scenarios body: matching scenarios, catalog metadata
+// only — no shard is decoded. It renders as json.MarshalIndent renders
+// {"count": len, "scenarios": list}, assembled from the elements Open
+// rendered; an empty match is a nil list, so "scenarios" is null.
+type scenarioList []*Scenario
+
+func (l scenarioList) render(b *bytes.Buffer) {
+	b.WriteString("{\n  \"count\": ")
+	b.Write(strconv.AppendInt(b.AvailableBuffer(), int64(len(l)), 10))
+	if len(l) == 0 {
+		b.WriteString(",\n  \"scenarios\": null\n}\n")
+		return
+	}
+	b.WriteString(",\n  \"scenarios\": [")
+	for i, sc := range l {
+		if i > 0 {
+			b.WriteByte(',')
+		}
+		b.WriteString("\n    ")
+		b.Write(sc.listed)
+	}
+	b.WriteString("\n  ]\n}\n")
 }
 
 func (s *Service) handleScenarios(r *http.Request) (any, error) {
 	v := r.URL.Query()
-	if err := checkParams(v, append([]string{"name"}, s.filterParams()...)...); err != nil {
+	if err := checkParams(v, s.scenarioParams); err != nil {
 		return nil, err
 	}
 	f, err := s.parseFilter(v)
@@ -273,8 +335,7 @@ func (s *Service) handleScenarios(r *http.Request) (any, error) {
 		return nil, err
 	}
 	f.Name = v.Get("name")
-	matched := s.catalog.Match(f)
-	return scenariosResponse{Count: len(matched), Scenarios: matched}, nil
+	return scenarioList(s.catalog.Match(f)), nil
 }
 
 // backendDetail is one fitted backend in a scenario response.
@@ -300,7 +361,7 @@ type scenarioResponse struct {
 
 func (s *Service) handleScenario(r *http.Request) (any, error) {
 	v := r.URL.Query()
-	if err := checkParams(v, append([]string{"name"}, s.filterParams()...)...); err != nil {
+	if err := checkParams(v, s.scenarioParams); err != nil {
 		return nil, err
 	}
 	if len(v) == 0 {
@@ -322,13 +383,14 @@ func (s *Service) handleScenario(r *http.Request) (any, error) {
 			return nil, errUnprocessable(err)
 		}
 		d := scenarioDetail{Scenario: sc, Rows: e.rows}
-		for _, b := range backendNames {
-			m := e.backends[b]
+		for i := range e.backends {
+			b := &e.backends[i]
+			describe, coeffs := b.text()
 			d.Backends = append(d.Backends, backendDetail{
-				Backend:      b,
-				Measures:     m.Measures(),
-				Describe:     m.Describe(),
-				Coefficients: m.Coefficients(),
+				Backend:      backendNames[i],
+				Measures:     b.model.Measures(),
+				Describe:     describe,
+				Coefficients: coeffs,
 			})
 		}
 		resp.Scenarios = append(resp.Scenarios, d)
@@ -355,7 +417,7 @@ type predictResponse struct {
 
 func (s *Service) handlePredict(r *http.Request) (any, error) {
 	v := r.URL.Query()
-	if err := checkParams(v, "scenario", "measure", "model", "q", "lambda", "dcm"); err != nil {
+	if err := checkParams(v, predictParams); err != nil {
 		return nil, err
 	}
 	name := v.Get("scenario")
@@ -393,26 +455,32 @@ func (s *Service) handlePredict(r *http.Request) (any, error) {
 	if err != nil {
 		return nil, errUnprocessable(err)
 	}
-	m, ok := e.backends[backend]
+	i, ok := backendIndex(backend)
 	if !ok {
 		return nil, errBadRequest("unknown model backend %q (have %v)", backend, backendNames)
 	}
+	b := &e.backends[i]
 	at := Point{Q: q, Lambda: lambda, DCM: dcm, HasDCM: hasDCM}
-	value, err := m.Predict(measure, at)
+	value, err := b.model.Predict(measure, at)
 	if err != nil {
 		return nil, errUnprocessable(err)
 	}
+	if math.IsNaN(value) || math.IsInf(value, 0) {
+		return nil, errUnprocessable(fmt.Errorf("serve: %s at Q=%g is %g, not a finite number", measure, q, value))
+	}
+	describe, _ := b.text()
 	resp := predictResponse{
 		Scenario: sc.Name,
 		Backend:  backend,
 		Measure:  measure,
 		At:       predictAt{Q: q, Lambda: lambda},
 		Value:    value,
-		Model:    m.Describe(),
+		Model:    describe,
 		Rows:     e.rows,
 	}
 	if hasDCM {
-		resp.At.DCM = &dcm
+		d := dcm
+		resp.At.DCM = &d
 	}
 	return resp, nil
 }
@@ -441,14 +509,14 @@ type trendResponse struct {
 
 func (s *Service) handleTrend(r *http.Request) (any, error) {
 	v := r.URL.Query()
-	if err := checkParams(v, append([]string{"axis", "model"}, s.filterParams()...)...); err != nil {
+	if err := checkParams(v, s.trendParams); err != nil {
 		return nil, err
 	}
 	axis := v.Get("axis")
 	if axis == "" {
 		return nil, errBadRequest("parameter \"axis\" required (one of %v)", s.catalog.Axes())
 	}
-	if !s.axisSet[axis] {
+	if !slices.Contains(s.catalog.Axes(), axis) {
 		return nil, errNotFound("axis %q not present in this campaign (have %v)", axis, s.catalog.Axes())
 	}
 	backend := v.Get("model")
@@ -459,55 +527,42 @@ func (s *Service) handleTrend(r *http.Request) (any, error) {
 	if err != nil {
 		return nil, err
 	}
-	var scens []*Scenario
-	for _, sc := range s.catalog.Match(f) {
-		if _, ok := sc.Coord(axis); ok {
-			scens = append(scens, sc)
-		}
-	}
+	// Match returns a fresh slice, so it is filtered in place.
+	scens := slices.DeleteFunc(s.catalog.Match(f), func(sc *Scenario) bool {
+		_, ok := sc.Coord(axis)
+		return !ok
+	})
 	if len(scens) == 0 {
 		return nil, errNotFound("no scenario matches the query on axis %q", axis)
 	}
-	type seriesKey struct{ model, name string }
-	series := map[seriesKey]*trendSeries{}
-	var order []seriesKey
+	bi, known := backendIndex(backend)
+	var series []trendSeries
 	for _, sc := range scens {
 		x, _ := sc.Coord(axis)
 		e, err := s.cache.get(sc)
 		if err != nil {
 			return nil, errUnprocessable(err)
 		}
-		m, ok := e.backends[backend]
-		if !ok {
+		if !known {
 			return nil, errBadRequest("unknown model backend %q (have %v)", backend, backendNames)
 		}
-		for _, c := range m.Coefficients() {
-			k := seriesKey{c.Model, c.Name}
-			ts := series[k]
-			if ts == nil {
-				ts = &trendSeries{Model: c.Model, Coefficient: c.Name}
-				series[k] = ts
-				order = append(order, k)
+		_, coeffs := e.backends[bi].text()
+		for _, c := range coeffs {
+			j := slices.IndexFunc(series, func(ts trendSeries) bool { return ts.Model == c.Model && ts.Coefficient == c.Name })
+			if j < 0 {
+				j = len(series)
+				series = append(series, trendSeries{Model: c.Model, Coefficient: c.Name, Points: make([]trendPoint, 0, len(scens))})
 			}
-			ts.Points = append(ts.Points, trendPoint{X: x, Scenario: sc.Name, Value: c.Value})
+			series[j].Points = append(series[j].Points, trendPoint{X: x, Scenario: sc.Name, Value: c.Value})
 		}
 	}
-	sort.Slice(order, func(i, j int) bool {
-		if order[i].model != order[j].model {
-			return order[i].model < order[j].model
-		}
-		return order[i].name < order[j].name
+	slices.SortFunc(series, func(a, b trendSeries) int {
+		return cmp.Or(strings.Compare(a.Model, b.Model), strings.Compare(a.Coefficient, b.Coefficient))
 	})
-	resp := trendResponse{Axis: axis, Backend: backend, Scenarios: len(scens)}
-	for _, k := range order {
-		ts := series[k]
-		sort.Slice(ts.Points, func(i, j int) bool {
-			if ts.Points[i].X != ts.Points[j].X {
-				return ts.Points[i].X < ts.Points[j].X
-			}
-			return ts.Points[i].Scenario < ts.Points[j].Scenario
+	for _, ts := range series {
+		slices.SortFunc(ts.Points, func(a, b trendPoint) int {
+			return cmp.Or(cmp.Compare(a.X, b.X), strings.Compare(a.Scenario, b.Scenario))
 		})
-		resp.Series = append(resp.Series, *ts)
 	}
-	return resp, nil
+	return trendResponse{Axis: axis, Backend: backend, Scenarios: len(scens), Series: series}, nil
 }

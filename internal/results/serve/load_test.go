@@ -65,10 +65,10 @@ func TestPartialMissColumnDropsMultiModel(t *testing.T) {
 	if full.rows != 96 || partial.rows != 96 {
 		t.Errorf("rows = %d and %d, want 96", full.rows, partial.rows)
 	}
-	if d := full.backends["fitted"].Describe(); !strings.Contains(d, "multi:") {
+	if d := full.backends[0].model.Describe(); !strings.Contains(d, "multi:") {
 		t.Errorf("complete miss column fitted no multilinear model: %s", d)
 	}
-	if d := partial.backends["fitted"].Describe(); strings.Contains(d, "multi:") || !strings.Contains(d, "fit over 96 rows") {
+	if d := partial.backends[0].model.Describe(); strings.Contains(d, "multi:") || !strings.Contains(d, "fit over 96 rows") {
 		t.Errorf("partial miss column: %s", d)
 	}
 }

@@ -3,6 +3,7 @@ package serve
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"repro/internal/perfmodel"
@@ -80,29 +81,33 @@ type PerformanceModel interface {
 
 // backendNames lists the built-in backends in serving order; "fitted" is
 // the default when a query names none.
-var backendNames = []string{"fitted", "queue"}
+var backendNames = [...]string{"fitted", "queue"}
+
+// backendIndex returns a backend's position in backendNames.
+func backendIndex(name string) (int, bool) {
+	i := slices.Index(backendNames[:], name)
+	return i, i >= 0
+}
 
 // buildBackends fits every backend for one scenario's projected columns
 // (fieldQ, fieldWall, fieldDCM, in that order). A backend that cannot be
 // built from them (too few distinct Q values, say) is reported, not
-// silently dropped: the scenario is unservable.
-func buildBackends(name string, cols *results.Columns) (map[string]PerformanceModel, error) {
+// silently dropped: the scenario is unservable. The models are in
+// backendNames order.
+func buildBackends(name string, cols *results.Columns) (models [len(backendNames)]PerformanceModel, err error) {
 	q, wall, dcm, hasDCM := modelSeries(cols)
 	if len(q) == 0 {
-		return nil, fmt.Errorf("serve: scenario %s has no rows with %q and %q fields", name, fieldQ, fieldWall)
+		return models, fmt.Errorf("serve: scenario %s has no rows with %q and %q fields", name, fieldQ, fieldWall)
 	}
 	stats := perfmodel.GroupStats(q, wall)
 	if len(stats) < 2 {
-		return nil, fmt.Errorf("serve: scenario %s has %d distinct %s value(s); need at least 2 to fit", name, len(stats), fieldQ)
+		return models, fmt.Errorf("serve: scenario %s has %d distinct %s value(s); need at least 2 to fit", name, len(stats), fieldQ)
 	}
 	f, err := buildFitted(q, wall, dcm, hasDCM, stats)
 	if err != nil {
-		return nil, fmt.Errorf("serve: scenario %s: %w", name, err)
+		return models, fmt.Errorf("serve: scenario %s: %w", name, err)
 	}
-	return map[string]PerformanceModel{
-		"fitted": f,
-		"queue":  buildQueue(stats),
-	}, nil
+	return [...]PerformanceModel{f, buildQueue(stats)}, nil
 }
 
 // modelSeries extracts the modeling series from the projected columns.

@@ -30,6 +30,7 @@
 package serve
 
 import (
+	"encoding/json"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -63,6 +64,9 @@ type Scenario struct {
 	Coords []Coord  `json:"coords"`
 	Sched  string   `json:"sched,omitempty"`
 	Tags   []string `json:"tags,omitempty"`
+	// listed is the scenario's element of a /scenarios body, rendered
+	// once by Open: the catalog cannot change after it is opened.
+	listed []byte
 }
 
 // Coord returns the scenario's value on an axis.
@@ -90,6 +94,7 @@ type Catalog struct {
 	dir       string
 	scenarios []*Scenario
 	byName    map[string]*Scenario
+	axes      []string
 }
 
 // coordTokens mirror the campaign axis keys "p3" (ranks), "c512kB"
@@ -156,6 +161,22 @@ func Open(dir string) (*Catalog, error) {
 		return nil, fmt.Errorf("serve: no row shards under %s", dir)
 	}
 	sort.Slice(c.scenarios, func(i, j int) bool { return c.scenarios[i].Name < c.scenarios[j].Name })
+	seen := map[string]bool{}
+	for _, sc := range c.scenarios {
+		for _, co := range sc.Coords {
+			if !seen[co.Axis] {
+				seen[co.Axis] = true
+				c.axes = append(c.axes, co.Axis)
+			}
+		}
+		// The indentation a list element sits at in the body (see
+		// scenarioList), so the assembled body is what one MarshalIndent of
+		// the whole response would print.
+		if sc.listed, err = json.MarshalIndent(sc, "    ", "  "); err != nil {
+			return nil, fmt.Errorf("serve: %w", err)
+		}
+	}
+	sort.Strings(c.axes)
 	return c, nil
 }
 
@@ -234,21 +255,9 @@ func (c *Catalog) Lookup(name string) (*Scenario, bool) {
 	return sc, ok
 }
 
-// Axes returns the sorted union of coordinate axes across scenarios.
-func (c *Catalog) Axes() []string {
-	seen := map[string]bool{}
-	var axes []string
-	for _, sc := range c.scenarios {
-		for _, co := range sc.Coords {
-			if !seen[co.Axis] {
-				seen[co.Axis] = true
-				axes = append(axes, co.Axis)
-			}
-		}
-	}
-	sort.Strings(axes)
-	return axes
-}
+// Axes returns the sorted union of coordinate axes across scenarios. The
+// slice is the catalog's own; callers must not modify it.
+func (c *Catalog) Axes() []string { return c.axes }
 
 // Filter is a conjunctive scenario predicate: every set field must match.
 type Filter struct {

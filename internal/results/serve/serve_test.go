@@ -25,7 +25,7 @@ var update = flag.Bool("update", false, "rewrite the golden response files")
 // fixtureDir builds a deterministic mini-campaign rows directory with
 // the real shard sinks: three cache sizes under one sweep (CSV), one
 // scenario in both formats, and one binary-only scenario.
-func fixtureDir(t *testing.T) string {
+func fixtureDir(t testing.TB) string {
 	t.Helper()
 	dir := t.TempDir()
 	csvSink, err := results.NewCSVShardSink(dir)
@@ -399,10 +399,11 @@ func TestIndexAndBackendsAgree(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, b := range idx.Backends {
-		m := e.backends[b]
-		if m == nil {
+		i, ok := backendIndex(b)
+		if !ok || e.backends[i].model == nil {
 			t.Fatalf("backend %q advertised but not built", b)
 		}
+		m := e.backends[i].model
 		for _, meas := range m.Measures() {
 			if _, err := m.Predict(meas, Point{Q: 2000, Lambda: 10}); err != nil {
 				t.Errorf("%s/%s: %v", b, meas, err)
