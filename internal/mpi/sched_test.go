@@ -6,7 +6,9 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"runtime"
 	"strings"
+	"sync/atomic"
 	"testing"
 )
 
@@ -209,6 +211,55 @@ func TestParallelMaxParallelRanks(t *testing.T) {
 			cfg := testConfig(5).WithScheduler(mode, cap)
 			assertTracesEqual(t, serial, runTraced(t, cfg, body))
 		}
+	}
+}
+
+// TestMaxParallelRanksBoundsComputeSegments pins doc.go's "one world uses
+// one core": between two MPI calls a rank's body runs outside the
+// scheduler, and at most one rank at a time may be there under Serial, at
+// most N under a cap of N.
+func TestMaxParallelRanksBoundsComputeSegments(t *testing.T) {
+	for _, tok := range []string{"serial", "par1", "par2", "par3", "opt1", "opt2"} {
+		t.Run(tok, func(t *testing.T) {
+			t.Parallel()
+			mode, n, err := ParseSched(tok)
+			if err != nil {
+				t.Fatal(err)
+			}
+			limit := int32(max(n, 1))
+			var computing, peak atomic.Int32
+			compute := func() {
+				now := computing.Add(1)
+				for old := peak.Load(); now > old && !peak.CompareAndSwap(old, now); old = peak.Load() {
+				}
+				for i := 0; i < 10; i++ {
+					runtime.Gosched()
+				}
+				computing.Add(-1)
+			}
+			err = NewWorld(testConfig(16).WithScheduler(mode, n)).Run(func(r *Rank) {
+				c := r.Comm
+				me, p := c.Rank(), c.Size()
+				buf := make([]float64, 1)
+				for step := 0; step < 8; step++ {
+					compute()
+					c.Isend((me+1)%p, step, []float64{float64(me)})
+					compute()
+					c.Recv((me+p-1)%p, step, buf)
+					if step%4 == 3 {
+						compute()
+						c.Allreduce(OpSum, buf)
+					}
+				}
+				compute()
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := peak.Load(); got > limit {
+				t.Errorf("%d ranks computed at once, want at most %d", got, limit)
+			}
+		})
 	}
 }
 

@@ -72,7 +72,10 @@ func blockedRanks(w *World) int {
 // TestRankPanicWakesEveryParkedRank: the last rank panics once every other
 // rank is parked in a receive that will never match. Each parked goroutine
 // must be woken to unwind (Run returns only when all have), and Run must
-// return the original panic, not a deadlock or the abort sentinel.
+// return the original panic, not a deadlock or the abort sentinel. The last
+// rank waits inside MPI, with a round trip to itself: a rank spinning in a
+// compute segment would keep a one-slot world's only slot, and the others
+// could never reach their receives.
 func TestRankPanicWakesEveryParkedRank(t *testing.T) {
 	forEachWakeConfig(t, func(t *testing.T, cfg WorldConfig) {
 		w := NewWorld(cfg)
@@ -83,7 +86,8 @@ func TestRankPanicWakesEveryParkedRank(t *testing.T) {
 				return
 			}
 			for blockedRanks(w) < last {
-				runtime.Gosched()
+				r.Comm.Send(last, 1, []float64{0})
+				r.Comm.Recv(last, 1, make([]float64, 1))
 			}
 			panic("application failure")
 		})
