@@ -72,12 +72,8 @@
 // # Scheduler modes
 //
 // Every simulated world schedules its ranks under one of three modes
-// (mpi.WorldConfig.Sched):
+// (mpi.WorldConfig.Sched), which share two mechanisms:
 //
-//   - mpi.Serial (the zero value) is a conservative token scheduler:
-//     exactly one rank goroutine executes at a time, and when the running
-//     rank blocks inside MPI the token passes to the runnable rank with
-//     the smallest virtual clock. One world uses one core.
 //   - mpi.ConservativeParallel is a conservative parallel-discrete-event
 //     scheduler: rank compute segments — which touch only rank-local
 //     state (virtual clock, cache model, RNG, TAU profile) — run
@@ -87,10 +83,15 @@
 //     pending message arrivals and the network model's minimum latency).
 //     Every operation on order-sensitive shared state (mailbox matching,
 //     collective completion, communicator-id allocation, collective-cost
-//     noise draws) commits under the same token discipline in the same
-//     total order the serial scheduler produces; sends are buffered
-//     rank-locally during run-ahead and flushed at the sender's commit
-//     turn. MaxParallelRanks caps concurrent ranks (0 = no cap).
+//     noise draws) commits under a token, in one total order: when the
+//     token holder blocks inside MPI the token passes to the runnable rank
+//     with the smallest virtual clock. Sends are buffered rank-locally
+//     during run-ahead and flushed at the sender's commit turn.
+//     MaxParallelRanks caps concurrent ranks (0 = no cap).
+//   - mpi.Serial (the zero value) is the same scheduler with one compute
+//     slot: exactly one rank goroutine executes at a time, so one world
+//     uses one core. Its order is "the serial order" the other modes
+//     reproduce.
 //   - mpi.OptimisticParallel is an optimistic (Time Warp) scheduler: on
 //     top of concurrent compute, ranks speculate past order-sensitive
 //     communication instead of waiting for their commit turn. Sends
@@ -132,25 +133,28 @@
 // other config field, so each mode checkpoints separately.
 //
 // When does parallel-rank pay off? Measured, not argued: one 16-rank world
-// per body of internal/mpi's BenchmarkWorldRun, host milliseconds and heap allocations per
-// world ("bench -workload comm_p16 -trace 1", seed 1, 2 cores, after PR 15
-// made a scheduling point cost what it touches):
+// per body of internal/mpi's BenchmarkWorldRun, host milliseconds and heap
+// allocations per world on 2 cores. The par and opt columns come from
+// "bench -workload comm_p16 -trace 1" (seed 1); the serial column, taken
+// once serial had become the one-slot conservative scheduler, is the median
+// of three "go test -bench WorldRun -benchtime 20x" runs, in which par read
+// 60, 8.5, 0.55 and 1.6 ms:
 //
 //	          serial            par               opt
-//	compute   140 ms            74 ms             73 ms
-//	ghost     9.8 ms   5 540    9.2 ms   5 570    7.7 ms   5 870
-//	wildcard  0.49 ms  1 140    0.42 ms  1 210    1.03 ms  3 140
-//	coll      1.19 ms  2 860    1.16 ms  2 860    2.26 ms  3 610
+//	compute   120 ms            74 ms             73 ms
+//	ghost     8.9 ms   5 570    9.2 ms   5 570    7.7 ms   5 870
+//	wildcard  0.71 ms  1 210    0.42 ms  1 210    1.03 ms  3 140
+//	coll      1.55 ms  2 860    1.16 ms  2 860    2.26 ms  3 610
 //
 // The compute body is real kernel work and scales with cores under both
 // parallel modes; about half of the ghost row is the body's own
 // arithmetic, which "opt" overlaps because its specific-source receives
 // never wait for the commit token (1 580 pipelined operations, no
 // rollback). On wildcards "opt" pays for 221 rollbacks of 240 speculations
-// and is 2x "serial"; on collectives its 1 152 speculative completions are
-// all correct and it is still 2x "serial" (its parked ranks share one
-// condition variable, so each event wakes them all). So: "par" is never
-// worse than "serial" and wins whenever ranks compute; "opt" wins only when
+// and is 2.5x "par"; on collectives its 1 152 speculative completions are
+// all correct and it is still 2x "par" (its parked ranks share one
+// condition variable, so each event wakes them all). So: "par" ties or
+// beats "serial" and wins whenever ranks compute; "opt" wins only when
 // specific-source traffic has compute to overlap, and pure compute gains
 // nothing over the conservative mode (watch SpecStats.Conflicts where
 // AnySource traffic with genuine races is unavoidable). Across-world

@@ -140,8 +140,8 @@ func CPUClockAxis(scales ...float64) Dimension {
 type SchedChoice struct {
 	Mode mpi.SchedulerMode
 	// MaxParallelRanks caps concurrent ranks under the parallel schedulers
-	// (conservative and optimistic); zero means no cap. Ignored by the
-	// serial scheduler.
+	// (conservative and optimistic); zero means no cap. The serial
+	// scheduler is a cap of one whatever this holds.
 	MaxParallelRanks int
 }
 

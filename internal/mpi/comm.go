@@ -20,7 +20,7 @@ const (
 //
 // Entry points fall in two classes. Rank-local operations (Send, Isend,
 // Irecv, Cancel, Wtime, ErrhandlerSet) touch only the calling rank's clock,
-// profile and request objects, so under ConservativeParallel they run
+// profile and request objects, so under the conservative scheduler they run
 // without any synchronization — this is the run-ahead that buys wall-clock
 // parallelism (sends buffer their fully computed message for the rank's
 // next commit turn). Shared operations (Recv, Wait*, all collectives,
@@ -109,27 +109,22 @@ func (r *Request) Canceled() bool { return r.canceled }
 // Count returns the number of float64 values received (0 for sends).
 func (r *Request) Count() int { return r.n }
 
-// postSend computes the virtual arrival time and delivers the message: in
-// serial mode it enqueues directly (under the world lock); in parallel
-// mode it buffers the fully computed message rank-locally, to be flushed
-// in program order at the rank's next commit turn. Arrival time and noise
-// draw use only the sender's clock and RNG, so the buffered message is
-// bit-identical to the one the serial scheduler would enqueue.
+// postSend computes the virtual arrival time and delivers the message: the
+// optimistic scheduler publishes it at once; the conservative scheduler
+// buffers it rank-locally, to be flushed in program order at the rank's
+// next commit turn. Arrival time and noise draw use only the sender's
+// clock and RNG, so the message is the same whichever rank holds the token
+// when it is computed.
 func (c *Comm) postSend(dst, tag int, data []float64) {
 	cp := make([]float64, len(data))
 	copy(cp, data)
 	arrive := c.r.Proc.Now() + c.world.cfg.Net.PointToPoint(bytesOf(len(data)), c.r.Proc.RNG())
 	m := &message{src: c.rank, tag: tag, data: cp, arrive: arrive}
 	key := mailKey{comm: c.id, dst: c.group[dst]}
-	w := c.world
-	if w.opt {
+	if c.world.opt {
 		c.optPostSend(key, m)
-	} else if w.par {
-		c.r.pending = append(c.r.pending, pendingSend{key: key, msg: m})
 	} else {
-		w.mu.Lock()
-		w.enqueueLocked(key, m)
-		w.mu.Unlock()
+		c.r.pending = append(c.r.pending, pendingSend{key: key, msg: m})
 	}
 	c.r.Prof.TriggerEvent("Message size sent", float64(bytesOf(len(data))))
 }

@@ -8,12 +8,12 @@ import (
 	"time"
 )
 
-// Wake-up tests. Serial and conservative ranks wait for the token each on
-// their own cond and a hand-off signals one rank, MaxParallelRanks slot
-// waiters and parked optimistic ranks share another: a wake-up sent to the
-// wrong queue, or to one rank where all must wake, is a hang, not a wrong
-// number. Every world here runs under a watchdog, at 16 and 64 ranks, with
-// and without a cap of 2 (which puts turn waiters and slot waiters on
+// Wake-up tests. Conservative ranks wait for the token each on their own
+// cond and a hand-off signals one rank, compute-slot waiters and parked
+// optimistic ranks share another: a wake-up sent to the wrong queue, or to
+// one rank where all must wake, is a hang, not a wrong number. Every world
+// here runs under a watchdog, at 16 and 64 ranks, with one slot (Serial),
+// a cap of 2 and no cap (a cap puts turn waiters and slot waiters on
 // different queues at once). CI runs them under -race at GOMAXPROCS 1, 2, 4.
 
 // wakeConfigs returns every scheduler configuration at p ranks.

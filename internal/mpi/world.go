@@ -10,28 +10,29 @@
 // rows and the Mastermind's "time in MPI" query come out of the same
 // mechanism the paper used.
 //
-// Scheduling is fully deterministic under all three modes (SchedulerMode):
+// Scheduling is fully deterministic under two mechanisms, selected by
+// SchedulerMode:
 //
-//   - Serial (the zero value) is the original token model: exactly one
-//     rank executes at a time, and whenever the running rank blocks inside
-//     MPI, the token passes to the runnable rank with the smallest virtual
-//     clock. Message arrival times are computed from the sender's clock
-//     plus the network model, so "time spent waiting in MPI" is the
-//     difference between virtual arrival and the receiver's entry time —
-//     deterministic run to run.
-//   - ConservativeParallel runs rank goroutines concurrently between
+//   - The conservative scheduler runs rank goroutines concurrently between
 //     communication events: compute segments (which touch only rank-local
-//     state — clock, cache, RNG, profile) execute in parallel on real
-//     cores, while every operation on order-sensitive shared state
-//     (mailboxes, collectives, communicator ids, the collective-cost RNG)
-//     commits under the same token discipline the serial scheduler uses,
-//     in the same total order. Sends are buffered rank-locally during
-//     run-ahead and flushed at the rank's next commit turn. The result is
-//     bit-for-bit identical virtual clocks, profiles and message orders —
-//     parallelism is purely a wall-clock optimization.
+//     state — clock, cache, RNG, profile) execute on real cores, at most
+//     MaxParallelRanks at a time, while every operation on order-sensitive
+//     shared state (mailboxes, collectives, communicator ids, the
+//     collective-cost RNG) commits under a token: whenever the token holder
+//     blocks inside MPI, the token passes to the runnable rank with the
+//     smallest virtual clock. Sends are buffered rank-locally during
+//     run-ahead and flushed at the rank's next commit turn. Message arrival
+//     times are computed from the sender's clock plus the network model, so
+//     "time spent waiting in MPI" is the difference between virtual arrival
+//     and the receiver's entry time — deterministic run to run. Serial (the
+//     zero value) is this scheduler with one compute slot, so a world uses
+//     one core; ConservativeParallel is it with MaxParallelRanks slots.
 //   - OptimisticParallel additionally speculates past order-sensitive
 //     operations under an undo log and rolls a rank back on a mis-match
 //     (optimistic.go); what commits is the serial result, bit for bit.
+//
+// Every mode yields the same virtual clocks, profiles and message orders,
+// bit for bit: parallelism is purely a wall-clock optimization.
 package mpi
 
 import (
@@ -66,13 +67,15 @@ const (
 type SchedulerMode int
 
 const (
-	// Serial is the original token scheduler: exactly one rank goroutine
-	// executes at a time, so a world uses one core regardless of size.
+	// Serial is the conservative scheduler with one compute slot: exactly
+	// one rank goroutine executes at a time, so a world uses one core
+	// regardless of size.
 	Serial SchedulerMode = iota
 	// ConservativeParallel executes rank compute segments concurrently,
 	// synchronizing only at communication events: each rank runs ahead to
 	// its next interaction (its lookahead horizon) on its own goroutine,
 	// and shared-state commits replay the serial token order exactly.
+	// MaxParallelRanks caps its compute slots.
 	ConservativeParallel
 	// OptimisticParallel speculates past order-sensitive operations in the
 	// Time Warp style: ranks run ahead publishing sends immediately, match
@@ -106,8 +109,8 @@ func (m SchedulerMode) String() string {
 // FormatSched renders a scheduler choice — a mode and its parallel-rank
 // cap, 0 = no cap — as its stable token: "serial", "par", "par4", "opt",
 // "opt8". It is the scheduler segment of scenario keys, the -rankmode flag
-// value and resultsd's ?sched= selector. The cap means nothing under the
-// serial scheduler, so it never reaches the token.
+// value and resultsd's ?sched= selector. The serial scheduler's cap is
+// always one, so it never reaches the token.
 func FormatSched(mode SchedulerMode, maxRanks int) string {
 	tok := mode.String()
 	if mode != Serial && maxRanks > 0 {
@@ -153,13 +156,15 @@ type WorldConfig struct {
 	// sets the Fig. 3 magnitudes.
 	InitUS     float64
 	FinalizeUS float64
-	// Sched selects the rank scheduler. The zero value is the serial token
-	// scheduler; ConservativeParallel and OptimisticParallel run rank
-	// compute concurrently with bit-for-bit identical results.
+	// Sched selects the rank scheduler. The zero value, Serial, is the
+	// conservative scheduler with one compute slot; ConservativeParallel and
+	// OptimisticParallel run rank compute concurrently with bit-for-bit
+	// identical results.
 	Sched SchedulerMode
 	// MaxParallelRanks caps how many ranks compute concurrently under the
 	// parallel schedulers. Zero means no cap (the Go runtime's GOMAXPROCS
-	// governs actual parallelism); it is ignored by the serial scheduler.
+	// governs actual parallelism). Serial is a cap of one whatever this
+	// holds.
 	MaxParallelRanks int
 }
 
@@ -190,9 +195,9 @@ func (c WorldConfig) Validate() error {
 
 // WithScheduler returns the config with the given scheduler mode and
 // parallel-rank cap, the pair ParseSched returns. For the parallel modes,
-// n > 0 caps concurrency at n ranks and n <= 0 means no cap; for Serial the
-// cap is cleared. Results are bit-identical in every mode; only wall-clock
-// time changes.
+// n > 0 caps concurrency at n ranks and n <= 0 means no cap; Serial's cap
+// is always one, so the field is cleared. Results are bit-identical in
+// every mode; only wall-clock time changes.
 func (c WorldConfig) WithScheduler(mode SchedulerMode, n int) WorldConfig {
 	c.Sched = mode
 	if mode != Serial && n > 0 {
@@ -234,11 +239,11 @@ type message struct {
 	taken bool
 }
 
-// pendingSend is a send buffered during parallel run-ahead: the message is
-// fully computed (payload copy, arrival time from the sender's clock and
-// RNG) but not yet visible to receivers. It lands in the world mailbox at
-// the sender's next commit turn, in program order, so the mailbox evolves
-// exactly as under the serial scheduler.
+// pendingSend is a send buffered during conservative run-ahead: the
+// message is fully computed (payload copy, arrival time from the sender's
+// clock and RNG) but not yet visible to receivers. It lands in the world
+// mailbox at the sender's next commit turn, in program order, so the
+// mailbox evolves exactly as in the serial order.
 type pendingSend struct {
 	key mailKey
 	msg *message
@@ -255,7 +260,7 @@ type blockDesc struct {
 	src, tag int
 	pending  int // pending receives (Waitall/Waitsome)
 
-	// What ends the wait. Serial and conservative: the collective leaving
+	// What ends the wait. Conservative: the collective leaving
 	// generation gen when cs is set, a queued match for any pending receive
 	// of reqs when that is set, else a queued (src, tag) match on comm.
 	// Optimistic: see optState.readyLocked.
@@ -314,7 +319,6 @@ func (d blockDesc) String() string {
 // from within the body, on the goroutine Run started for that rank.
 type World struct {
 	cfg WorldConfig
-	par bool // cfg.Sched == ConservativeParallel
 	opt bool // cfg.Sched == OptimisticParallel
 
 	// o holds the optimistic scheduler's shared state (published messages,
@@ -322,10 +326,10 @@ type World struct {
 	o *optState
 
 	mu sync.Mutex
-	// Serial and conservative ranks wait for the token each on their own
-	// turn cond, so a hand-off wakes only the rank it is for; cond is shared
-	// by MaxParallelRanks slot waiters and by every parked optimistic rank
-	// (each a potential helper of the commit automaton).
+	// Conservative ranks wait for the token each on their own turn cond, so
+	// a hand-off wakes only the rank it is for; cond is shared by compute
+	// slot waiters and by every parked optimistic rank (each a potential
+	// helper of the commit automaton).
 	cond      *sync.Cond
 	turn      []sync.Cond
 	ranks     []*Rank
@@ -334,11 +338,12 @@ type World struct {
 	current   int
 	aborted   bool
 
-	// Parallel-scheduler state. vclock is each rank's clock as committed at
-	// its last scheduling point: while a rank computes ahead its real clock
-	// advances without the lock, so the scheduler must never read it —
-	// vclock is the serial-replay value the token discipline needs. The
-	// slot fields implement the MaxParallelRanks cap.
+	// vclock is each conservative rank's clock as committed at its last
+	// scheduling point: while a rank computes ahead its real clock advances
+	// without the lock, so the scheduler must never read it — vclock is the
+	// serial-replay value the token discipline needs. The slot fields bound
+	// concurrent compute: one slot under Serial, MaxParallelRanks (0 = no
+	// bound) otherwise.
 	vclock   []float64
 	slots    int
 	active   int
@@ -398,7 +403,7 @@ type Rank struct {
 	world *World
 	rank  int
 
-	// pending buffers sends during parallel run-ahead (owner-rank access
+	// pending buffers sends during conservative run-ahead (owner-rank access
 	// only; flushed under the world lock at the rank's commit turns).
 	pending []pendingSend
 
@@ -438,7 +443,6 @@ func NewWorld(cfg WorldConfig) *World {
 	}
 	w := &World{
 		cfg:        cfg,
-		par:        cfg.Sched == ConservativeParallel,
 		opt:        cfg.Sched == OptimisticParallel,
 		current:    -1,
 		mailboxes:  make(map[mailKey][]*message),
@@ -448,14 +452,13 @@ func NewWorld(cfg WorldConfig) *World {
 		status:     make([]int, cfg.Procs),
 		blockedOn:  make([]blockDesc, cfg.Procs),
 		panics:     make([]error, cfg.Procs),
+		slots:      cfg.MaxParallelRanks,
+		slotHeld:   make([]bool, cfg.Procs),
+	}
+	if cfg.Sched == Serial {
+		w.slots = 1
 	}
 	w.cond = sync.NewCond(&w.mu)
-	if !w.opt {
-		w.turn = make([]sync.Cond, cfg.Procs)
-		for i := range w.turn {
-			w.turn[i].L = &w.mu
-		}
-	}
 	group := make([]int, cfg.Procs)
 	for i := range group {
 		group[i] = i
@@ -470,16 +473,15 @@ func NewWorld(cfg WorldConfig) *World {
 		w.ranks = append(w.ranks, r)
 		w.status[i] = stReady
 	}
-	if w.par || w.opt {
-		w.slots = cfg.MaxParallelRanks
-		w.slotHeld = make([]bool, cfg.Procs)
-		w.vclock = make([]float64, cfg.Procs)
-		for i, r := range w.ranks {
-			w.vclock[i] = r.Proc.Now()
-		}
-	}
 	if w.opt {
 		w.o = newOptState(w)
+	} else {
+		w.turn = make([]sync.Cond, cfg.Procs)
+		w.vclock = make([]float64, cfg.Procs)
+		for i, r := range w.ranks {
+			w.turn[i].L = &w.mu
+			w.vclock[i] = r.Proc.Now()
+		}
 	}
 	if o := obs.Active(); o != nil {
 		id := worldSeq.Add(1)
@@ -538,17 +540,16 @@ type abortPanic struct{}
 // error if all live ranks blocked on unsatisfiable conditions. A World can
 // only be Run once.
 //
-// Under the serial scheduler each goroutine waits for the execution token
-// before entering body. Under ConservativeParallel every goroutine starts
-// immediately (subject to the MaxParallelRanks cap) and synchronizes with
-// the replayed token order only at communication events; a finishing rank
-// commits its buffered sends at its token turn before going Done, exactly
-// where the serial schedule would have placed them. Under
-// OptimisticParallel goroutines also start immediately, publish sends as
-// they happen, and speculate past order-sensitive receives; the commit
-// automaton validates the recorded event streams against the serial order
-// and finishing ranks simply mark their streams complete — the automaton
-// commits their tails in serial order.
+// Every goroutine enters body as soon as it holds a compute slot. Under the
+// conservative scheduler (Serial and ConservativeParallel) it synchronizes
+// with the replayed token order only at communication events; a finishing
+// rank commits its buffered sends at its token turn before going Done,
+// exactly where the serial schedule would have placed them. Under
+// OptimisticParallel goroutines publish sends as they happen and
+// speculate past order-sensitive receives; the commit automaton validates
+// the recorded event streams against the serial order and finishing ranks
+// simply mark their streams complete — the automaton commits their tails
+// in serial order.
 func (w *World) Run(body func(*Rank)) error {
 	var wg sync.WaitGroup
 	for i := 0; i < w.cfg.Procs; i++ {
@@ -573,35 +574,18 @@ func (w *World) Run(body func(*Rank)) error {
 				}
 				w.mu.Unlock()
 			}()
-			if w.opt {
-				func() {
-					w.mu.Lock()
-					defer w.mu.Unlock()
-					if !w.acquireSlotLocked(rank) {
-						panic(abortPanic{})
-					}
-				}()
-				body(w.ranks[rank])
-			} else if w.par {
-				func() {
-					w.mu.Lock()
-					defer w.mu.Unlock()
-					if !w.acquireSlotLocked(rank) {
-						panic(abortPanic{})
-					}
-				}()
-				body(w.ranks[rank])
+			w.mu.Lock()
+			started := w.acquireSlotLocked(rank)
+			w.mu.Unlock()
+			if !started {
+				panic(abortPanic{})
+			}
+			body(w.ranks[rank])
+			if !w.opt {
 				// Ordered completion: wait for the commit token and flush
 				// any still-buffered sends before the deferred Done.
 				w.lockShared(rank)
 				w.mu.Unlock()
-			} else {
-				func() {
-					w.mu.Lock()
-					defer w.mu.Unlock()
-					w.waitForTurnLocked(rank)
-				}()
-				body(w.ranks[rank])
 			}
 		}(i)
 	}
@@ -648,19 +632,6 @@ func (w *World) Run(body func(*Rank)) error {
 	return nil
 }
 
-// waitForTurnLocked blocks until the scheduler grants this rank the token.
-// A grant that finds the rank still computing signals nobody and is not
-// lost: current is re-read under the lock before every wait.
-func (w *World) waitForTurnLocked(rank int) {
-	for w.current != rank {
-		if w.aborted {
-			panic(abortPanic{})
-		}
-		w.turn[rank].Wait()
-	}
-	w.status[rank] = stRunning
-}
-
 // wakeAllLocked wakes every waiting goroutine, whatever it waits on: the
 // world aborted, and each must see that and unwind.
 func (w *World) wakeAllLocked() {
@@ -670,41 +641,47 @@ func (w *World) wakeAllLocked() {
 	w.cond.Broadcast()
 }
 
-// lockShared acquires the world's shared state for an MPI operation that
-// reads or writes order-sensitive global state (mailboxes, collectives,
-// communicator ids, the collective-cost RNG). In serial mode the calling
-// rank already holds the execution token, so this is just the mutex. In
-// ConservativeParallel mode the rank additionally waits for the commit
-// token — its turn in the replayed serial order — and flushes its buffered
-// sends, so every shared mutation happens in exactly the order the serial
-// scheduler would produce. Callers must pair it with a deferred
-// w.mu.Unlock immediately after it returns.
+// lockShared acquires the world's shared state for a conservative rank's
+// MPI operation that reads or writes order-sensitive global state
+// (mailboxes, collectives, communicator ids, the collective-cost RNG): the
+// mutex, then the commit token — the rank's turn in the replayed serial
+// order — and then it flushes the rank's buffered sends, so every shared
+// mutation happens in exactly the serial order. Callers must pair it with
+// a deferred w.mu.Unlock immediately after it returns.
 func (w *World) lockShared(rank int) {
 	w.mu.Lock()
-	if !w.par {
-		return
+	if !w.awaitTurnLocked(rank) {
+		w.mu.Unlock()
+		panic(abortPanic{})
 	}
+	w.flushSendsLocked(rank)
+}
+
+// awaitTurnLocked returns once the scheduler has granted rank the commit
+// token and the rank holds a compute slot. A rank that must wait gives its
+// slot up meanwhile, so no waiting rank keeps the token holder from one.
+// A grant that finds the rank still computing signals nobody and is not
+// lost: current is re-read under the lock before every wait. It reports
+// false when the world aborted.
+func (w *World) awaitTurnLocked(rank int) bool {
 	if w.current != rank {
 		w.releaseSlotLocked(rank)
 		for w.current != rank {
 			if w.aborted {
-				w.mu.Unlock()
-				panic(abortPanic{})
+				return false
 			}
 			w.turn[rank].Wait()
 		}
 		if !w.acquireSlotLocked(rank) {
-			w.mu.Unlock()
-			panic(abortPanic{})
+			return false
 		}
 	}
 	w.status[rank] = stRunning
-	w.flushSendsLocked(rank)
+	return true
 }
 
 // flushSendsLocked commits the rank's buffered sends to the world
-// mailboxes in program order. Caller must hold w.mu and, in parallel mode,
-// the commit token.
+// mailboxes in program order. Caller must hold w.mu and the commit token.
 func (w *World) flushSendsLocked(rank int) {
 	r := w.ranks[rank]
 	for _, ps := range r.pending {
@@ -713,12 +690,11 @@ func (w *World) flushSendsLocked(rank int) {
 	r.pending = r.pending[:0]
 }
 
-// acquireSlotLocked claims a compute slot under the MaxParallelRanks cap,
-// waiting while the cap is saturated. It reports false when the world
-// aborted while waiting. A no-op (true) in serial mode or when the rank
-// already holds a slot.
+// acquireSlotLocked claims a compute slot, waiting while all are taken. It
+// reports false when the world aborted while waiting. A no-op (true) when
+// the rank already holds a slot.
 func (w *World) acquireSlotLocked(rank int) bool {
-	if !(w.par || w.opt) || w.slotHeld[rank] {
+	if w.slotHeld[rank] {
 		return !w.aborted
 	}
 	for w.slots > 0 && w.active >= w.slots {
@@ -737,7 +713,7 @@ func (w *World) acquireSlotLocked(rank int) bool {
 
 // releaseSlotLocked returns the rank's compute slot, waking slot waiters.
 func (w *World) releaseSlotLocked(rank int) {
-	if !(w.par || w.opt) || !w.slotHeld[rank] {
+	if !w.slotHeld[rank] {
 		return
 	}
 	w.active--
@@ -746,25 +722,17 @@ func (w *World) releaseSlotLocked(rank int) {
 }
 
 // schedClockLocked returns rank r's virtual clock as the scheduler may
-// safely observe it. In parallel mode a rank that is neither blocked nor
-// done may be advancing its clock concurrently without the lock, so the
+// safely observe it. A conservative rank that is neither blocked nor done
+// may be advancing its clock concurrently without the lock, so the
 // scheduler reads the value committed at the rank's last scheduling point
-// instead — which is exactly the clock the serial scheduler would see.
+// instead — which is exactly the clock the serial order needs. Optimistic
+// clocks are only consulted for diagnostics (deadlock report, lookahead
+// horizon), when every live rank is parked and its Proc is quiescent.
 func (w *World) schedClockLocked(r int) float64 {
-	if w.opt {
-		// Only consulted for diagnostics (deadlock report, lookahead
-		// horizon): at that point every live rank is parked, so its Proc is
-		// quiescent and safe to read under the lock.
+	if w.opt || w.status[r] == stBlocked || w.status[r] == stDone {
 		return w.ranks[r].Proc.Now()
 	}
-	if w.par {
-		switch w.status[r] {
-		case stBlocked, stDone:
-			return w.ranks[r].Proc.Now()
-		}
-		return w.vclock[r]
-	}
-	return w.ranks[r].Proc.Now()
+	return w.vclock[r]
 }
 
 // blockOn parks the running rank until what on describes has happened,
@@ -773,14 +741,10 @@ func (w *World) schedClockLocked(r int) float64 {
 func (w *World) blockOn(rank int, on blockDesc) {
 	w.blockedOn[rank] = on
 	if !w.holdsLocked(rank) {
-		if w.par {
-			w.vclock[rank] = w.ranks[rank].Proc.Now()
-			w.releaseSlotLocked(rank)
-		}
+		w.vclock[rank] = w.ranks[rank].Proc.Now()
 		w.status[rank] = stBlocked
 		w.advanceLocked()
-		w.waitForTurnLocked(rank)
-		if w.par && !w.acquireSlotLocked(rank) {
+		if !w.awaitTurnLocked(rank) {
 			panic(abortPanic{})
 		}
 	}
