@@ -14,32 +14,35 @@
 //	trend coefficient-vs-cache-size grid study (Section 6)   -> trend.csv trend.txt
 //
 // The whole regeneration is submitted as one campaign: the case study, the
-// kernel sweeps, the cache-size grid scenarios and the model fits are
-// independent simulated-machine jobs wired into a dependency graph and
-// executed by a worker pool (-workers). Output files are byte-identical
-// for a fixed seed regardless of worker count.
+// kernel sweeps and the cache-size grid scenarios are independent
+// simulated-machine jobs, and the figure jobs that fit and render their
+// results hang off them in a dependency graph executed by a worker pool
+// (-workers). Output files are byte-identical for a fixed seed regardless
+// of worker count.
 //
 // Two streaming facilities ride on the campaign: every measurement job
 // emits its telemetry rows into a CSV-shard sink under <out>/rows/, and
-// every job checkpoints its payload into a content-addressed store
-// (-cache, default <out>/.cache), so an interrupted regeneration resumed
-// with the same flags re-runs zero completed jobs and still produces
-// byte-identical output.
+// checkpoints what it measured into a content-addressed store (-cache,
+// default <out>/.cache), so an interrupted regeneration resumed with the
+// same flags re-runs zero completed measurements and still produces
+// byte-identical output. Fitted models and rendered figures are never
+// stored: every run derives them afresh from the measurements, so a
+// store cannot hand back a figure the current code would not draw.
 //
 // With -distributed, several such processes pointed at one shared -cache
-// directory (typically over a network filesystem) partition the job set
-// among themselves with no coordinator: each job is claimed through a
-// lease file, executed by exactly one process, and replayed from the
-// store by the rest, so every process still renders the complete,
-// byte-identical output set into its own -out directory. Give each
-// process a distinct stable -owner id; a process that dies mid-run stops
-// heartbeating and its jobs are stolen by the survivors after -leasettl.
+// directory (typically over a network filesystem) partition the
+// measurement jobs among themselves with no coordinator: each is claimed
+// through a lease file, executed by exactly one process, and replayed
+// from the store by the rest, so every process still renders the
+// complete, byte-identical output set into its own -out directory. Give
+// each process a distinct stable -owner id; a process that dies mid-run
+// stops heartbeating and its jobs are stolen by the survivors after
+// -leasettl.
 package main
 
 import (
 	"bytes"
 	"context"
-	"encoding/gob"
 	"errors"
 	"flag"
 	"fmt"
@@ -215,11 +218,7 @@ func run(o *options, w io.Writer) (err error) {
 		Workers: o.workers,
 		OnProgress: func(e campaign.Event) {
 			if (strings.HasPrefix(e.Key, "fig") || e.Key == "trend") && e.Err == nil {
-				note := ""
-				if e.Cached {
-					note = " (from checkpoint)"
-				}
-				fmt.Fprintf(w, "%s done%s\n", e.Key, note)
+				fmt.Fprintf(w, "%s done\n", e.Key)
 			}
 		},
 	}
@@ -296,34 +295,18 @@ func (g *generator) world(w mpi.WorldConfig) mpi.WorldConfig {
 	return w.WithScheduler(g.sched, g.rankCap)
 }
 
-// figVersion salts figure-job checkpoint hashes; bump when rendering or
-// the hashed flag set changes so stale store entries stop matching.
-const figVersion = "figures-v2"
-
-// figFile is one rendered output file of a figure job.
-type figFile struct {
-	Name string
-	Data []byte
-}
-
 // jobs assembles the campaign graph for the wanted figures: measurement
-// jobs (case study, sweeps, trend grid scenarios), fit jobs hanging off
-// the sweeps, and figure jobs hanging off whichever results they render.
+// jobs (case study, sweeps, trend grid scenarios) and figure jobs hanging
+// off whichever measurements they fit and render.
 func (g *generator) jobs() ([]campaign.Job, error) {
 	want := func(n string) bool { return g.fig == "all" || g.fig == n }
 	needCase := want("1") || want("2") || want("3") || want("9") || want("10")
-	needModel := map[harness.Kernel]bool{
-		harness.KernelStates:  want("6") || want("10"),
+	needSweep := map[harness.Kernel]bool{
+		harness.KernelStates:  want("4") || want("5") || want("6") || want("10"),
 		harness.KernelGodunov: want("7") || want("10"),
 		harness.KernelEFM:     want("8") || want("10"),
 	}
-	needSweep := map[harness.Kernel]bool{
-		harness.KernelStates:  want("4") || want("5") || needModel[harness.KernelStates],
-		harness.KernelGodunov: needModel[harness.KernelGodunov],
-		harness.KernelEFM:     needModel[harness.KernelEFM],
-	}
 	sweepKey := func(k harness.Kernel) string { return "sweep/" + string(k) }
-	modelKey := func(k harness.Kernel) string { return "model/" + string(k) }
 
 	var jobs []campaign.Job
 	if needCase {
@@ -332,44 +315,40 @@ func (g *generator) jobs() ([]campaign.Job, error) {
 		jobs = append(jobs, harness.CaseStudyJob("case", cfg))
 	}
 	for _, k := range []harness.Kernel{harness.KernelStates, harness.KernelGodunov, harness.KernelEFM} {
-		if !needSweep[k] {
-			continue
-		}
-		cfg := g.sweepConfig(k)
-		jobs = append(jobs, harness.SweepJob(sweepKey(k), cfg))
-		if needModel[k] {
-			jobs = append(jobs, harness.ModelJob(modelKey(k), sweepKey(k), cfg))
+		if needSweep[k] {
+			jobs = append(jobs, harness.SweepJob(sweepKey(k), g.sweepConfig(k)))
 		}
 	}
 
 	caseOf := func(deps map[string]any) *harness.CaseStudyResult {
 		return deps["case"].(*harness.CaseStudyResult)
 	}
-	add := func(n string, after []string, render func(deps map[string]any, out *[]figFile) error) {
+	sweepOf := func(deps map[string]any, k harness.Kernel) *harness.SweepResult {
+		return deps[sweepKey(k)].(*harness.SweepResult)
+	}
+	add := func(n string, after []string, render func(deps map[string]any) error) {
 		if want(n) {
-			jobs = append(jobs, g.figJob("fig"+n, after, render))
+			jobs = append(jobs, figJob("fig"+n, after, render))
 		}
 	}
 
-	add("1", []string{"case"}, func(deps map[string]any, out *[]figFile) error {
-		return render(out, "fig1.pgm", caseOf(deps).WritePGM)
+	add("1", []string{"case"}, func(deps map[string]any) error {
+		return g.write("fig1.pgm", caseOf(deps).WritePGM)
 	})
-	add("2", []string{"case"}, func(deps map[string]any, out *[]figFile) error {
-		return render(out, "fig2.dot", func(f io.Writer) error {
+	add("2", []string{"case"}, func(deps map[string]any) error {
+		return g.write("fig2.dot", func(f io.Writer) error {
 			_, err := io.WriteString(f, caseOf(deps).AssemblyDOT)
 			return err
 		})
 	})
-	add("3", []string{"case"}, func(deps map[string]any, out *[]figFile) error {
-		return render(out, "fig3.txt", caseOf(deps).WriteProfile)
+	add("3", []string{"case"}, func(deps map[string]any) error {
+		return g.write("fig3.txt", caseOf(deps).WriteProfile)
 	})
-	add("4", []string{sweepKey(harness.KernelStates)}, func(deps map[string]any, out *[]figFile) error {
-		s := deps[sweepKey(harness.KernelStates)].(*harness.SweepResult)
-		return render(out, "fig4.csv", s.WriteScatterCSV)
+	add("4", []string{sweepKey(harness.KernelStates)}, func(deps map[string]any) error {
+		return g.write("fig4.csv", sweepOf(deps, harness.KernelStates).WriteScatterCSV)
 	})
-	add("5", []string{sweepKey(harness.KernelStates)}, func(deps map[string]any, out *[]figFile) error {
-		s := deps[sweepKey(harness.KernelStates)].(*harness.SweepResult)
-		return render(out, "fig5.csv", s.WriteRatiosCSV)
+	add("5", []string{sweepKey(harness.KernelStates)}, func(deps map[string]any) error {
+		return g.write("fig5.csv", sweepOf(deps, harness.KernelStates).WriteRatiosCSV)
 	})
 	for _, fk := range []struct {
 		n string
@@ -378,20 +357,28 @@ func (g *generator) jobs() ([]campaign.Job, error) {
 		{"6", harness.KernelStates}, {"7", harness.KernelGodunov}, {"8", harness.KernelEFM},
 	} {
 		n, k := fk.n, fk.k
-		add(n, []string{modelKey(k)}, func(deps map[string]any, out *[]figFile) error {
-			return g.figModel(deps[modelKey(k)].(*harness.ComponentModel), "fig"+n, out)
+		add(n, []string{sweepKey(k)}, func(deps map[string]any) error {
+			m, err := harness.FitModels(sweepOf(deps, k))
+			if err != nil {
+				return err
+			}
+			return g.figModel(m, "fig"+n)
 		})
 	}
-	add("9", []string{"case"}, func(deps map[string]any, out *[]figFile) error {
-		return render(out, "fig9.csv", caseOf(deps).WriteGhostCommCSV)
+	add("9", []string{"case"}, func(deps map[string]any) error {
+		return g.write("fig9.csv", caseOf(deps).WriteGhostCommCSV)
 	})
-	add("10", []string{"case", modelKey(harness.KernelStates), modelKey(harness.KernelGodunov), modelKey(harness.KernelEFM)},
-		func(deps map[string]any, out *[]figFile) error {
+	add("10", []string{"case", sweepKey(harness.KernelStates), sweepKey(harness.KernelGodunov), sweepKey(harness.KernelEFM)},
+		func(deps map[string]any) error {
 			models := map[harness.Kernel]*harness.ComponentModel{}
 			for _, k := range []harness.Kernel{harness.KernelStates, harness.KernelGodunov, harness.KernelEFM} {
-				models[k] = deps[modelKey(k)].(*harness.ComponentModel)
+				m, err := harness.FitModels(sweepOf(deps, k))
+				if err != nil {
+					return err
+				}
+				models[k] = m
 			}
-			return g.fig10(caseOf(deps), models, out)
+			return g.fig10(caseOf(deps), models)
 		})
 
 	if want("trend") {
@@ -431,7 +418,7 @@ func (g *generator) trendJobs() ([]campaign.Job, error) {
 	for i, j := range jobs {
 		after[i] = j.Key
 	}
-	trend := g.figJob("trend", after, func(deps map[string]any, out *[]figFile) error {
+	trend := figJob("trend", after, func(deps map[string]any) error {
 		points := make([]harness.GridPoint, len(after))
 		for i, key := range after {
 			points[i] = deps[key].(harness.GridPoint)
@@ -440,95 +427,57 @@ func (g *generator) trendJobs() ([]campaign.Job, error) {
 		if err != nil {
 			return err
 		}
-		if err := render(out, "trend.csv", func(w io.Writer) error {
+		if err := g.write("trend.csv", func(w io.Writer) error {
 			return harness.WriteTrendCSV(w, reports)
 		}); err != nil {
 			return err
 		}
-		return render(out, "trend.txt", func(w io.Writer) error {
+		return g.write("trend.txt", func(w io.Writer) error {
 			return harness.WriteTrendReport(w, reports)
 		})
 	})
 	return append(jobs, trend), nil
 }
 
-// render runs a writer into a buffer and records the named output file.
-func render(out *[]figFile, name string, fn func(io.Writer) error) error {
+// figJob wraps a figure renderer as a campaign job. It carries no
+// checkpoint hash: rendering is cheap once its dependencies are decoded,
+// so every run derives the figure afresh.
+func figJob(key string, after []string, render func(deps map[string]any) error) campaign.Job {
+	return campaign.Job{Key: key, After: after, Run: func(_ context.Context, deps map[string]any) (any, error) {
+		return nil, render(deps)
+	}}
+}
+
+// write renders fn into a buffer and writes it to the named output file.
+func (g *generator) write(name string, fn func(io.Writer) error) error {
 	var buf bytes.Buffer
 	if err := fn(&buf); err != nil {
 		return err
 	}
-	*out = append(*out, figFile{Name: name, Data: buf.Bytes()})
-	return nil
+	return os.WriteFile(filepath.Join(g.outDir, name), buf.Bytes(), 0o644)
 }
 
-// figJob wraps a figure renderer as a checkpointable campaign job: Run
-// renders the output files, writes them and returns them as the job's
-// payload; a checkpoint hit rewrites the same bytes without re-rendering.
-func (g *generator) figJob(key string, after []string, renderFn func(deps map[string]any, out *[]figFile) error) campaign.Job {
-	parts := []any{figVersion, key, g.procs, g.seed, g.reps}
-	if key == "trend" {
-		// Only the trend job depends on the grid flags.
-		parts = append(parts, g.trendAxis.Name, g.trendValues, g.trendReps)
-	}
-	hash := store.Hash(parts...)
-	return campaign.Job{
-		Key:   key,
-		After: after,
-		Hash:  hash,
-		Encode: func(v any) ([]byte, error) {
-			var buf bytes.Buffer
-			err := gob.NewEncoder(&buf).Encode(v.([]figFile))
-			return buf.Bytes(), err
-		},
-		Decode: func(_ context.Context, data []byte) (any, error) {
-			var files []figFile
-			if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&files); err != nil {
-				return nil, err
-			}
-			return files, g.writeFiles(files)
-		},
-		Run: func(_ context.Context, deps map[string]any) (any, error) {
-			var files []figFile
-			if err := renderFn(deps, &files); err != nil {
-				return nil, err
-			}
-			return files, g.writeFiles(files)
-		},
-	}
-}
-
-// writeFiles persists a figure job's rendered outputs.
-func (g *generator) writeFiles(files []figFile) error {
-	for _, f := range files {
-		if err := os.WriteFile(filepath.Join(g.outDir, f.Name), f.Data, 0o644); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-func (g *generator) figModel(m *harness.ComponentModel, name string, out *[]figFile) error {
-	if err := render(out, name+".csv", func(f io.Writer) error {
+func (g *generator) figModel(m *harness.ComponentModel, name string) error {
+	if err := g.write(name+".csv", func(f io.Writer) error {
 		return harness.WriteMeanSigmaCSV(f, m)
 	}); err != nil {
 		return err
 	}
-	return render(out, name+"_model.txt", func(f io.Writer) error {
+	return g.write(name+"_model.txt", func(f io.Writer) error {
 		return harness.WriteModelReport(f, m)
 	})
 }
 
-func (g *generator) fig10(caseRes *harness.CaseStudyResult, models map[harness.Kernel]*harness.ComponentModel, out *[]figFile) error {
+func (g *generator) fig10(caseRes *harness.CaseStudyResult, models map[harness.Kernel]*harness.ComponentModel) error {
 	god := models[harness.KernelGodunov]
 	efm := models[harness.KernelEFM]
 	dual := harness.BuildDual(caseRes, models)
-	if err := render(out, "fig10.dot", func(f io.Writer) error {
+	if err := g.write("fig10.dot", func(f io.Writer) error {
 		return dual.WriteDOT(f, "application-dual")
 	}); err != nil {
 		return err
 	}
-	return render(out, "fig10.txt", func(f io.Writer) error {
+	return g.write("fig10.txt", func(f io.Writer) error {
 		var sb strings.Builder
 		fmt.Fprintf(&sb, "composite model cost: %.0f us\n\n", dual.Cost())
 		opt := &assembly.Optimizer{

@@ -2,12 +2,15 @@ package main
 
 import (
 	"io"
+	"io/fs"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 
 	"repro/internal/obs"
+	"repro/internal/results/store"
 )
 
 // TestResolveFlags pins the contract main's first line relies on: a flag
@@ -112,5 +115,73 @@ func TestFailedRunKeepsItsEvidence(t *testing.T) {
 		t.Error(err)
 	} else if st.Size() == 0 {
 		t.Error("CPU profile of the failed run is empty")
+	}
+}
+
+// readTree returns every file under dir as relative path -> content.
+func readTree(t *testing.T, dir string) map[string]string {
+	t.Helper()
+	out := map[string]string{}
+	err := filepath.WalkDir(dir, func(path string, d fs.DirEntry, err error) error {
+		if err != nil || d.IsDir() {
+			return err
+		}
+		data, err := os.ReadFile(path)
+		rel, _ := filepath.Rel(dir, path)
+		out[rel] = string(data)
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return out
+}
+
+// TestWarmStoreMatchesCold is the checkpoint contract end to end: a run
+// over a store another run filled writes the same output directory, rows/
+// included, as that run and as a run with no store at all. The store holds
+// only what the simulator measured — Fig. 6's one sweep, not its fit or
+// its rendered files — and the warm run takes that sweep from it.
+func TestWarmStoreMatchesCold(t *testing.T) {
+	dir := t.TempDir()
+	storeDir := filepath.Join(dir, "store")
+	figure := func(out, cache string, extra ...string) map[string]string {
+		t.Helper()
+		args := append([]string{"-fig", "6", "-reps", "1", "-procs", "1", "-out", filepath.Join(dir, out), "-cache", cache}, extra...)
+		o, err := resolveFlags(args)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := run(o, io.Discard); err != nil {
+			t.Fatal(err)
+		}
+		return readTree(t, filepath.Join(dir, out))
+	}
+	cold := figure("cold", "off")
+	first := figure("first", storeDir)
+	metrics := filepath.Join(dir, "metrics.txt")
+	warm := figure("warm", storeDir, "-metricsdump", metrics)
+
+	if len(cold) < 3 || cold["fig6.csv"] == "" {
+		t.Fatalf("cold run wrote %d files, no fig6.csv", len(cold))
+	}
+	for name, got := range map[string]map[string]string{"first": first, "warm": warm} {
+		if !reflect.DeepEqual(got, cold) {
+			t.Errorf("%s run's output directory differs from the run without a store", name)
+		}
+	}
+	st, err := store.Open(storeDir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n, err := st.Len(); err != nil || n != 1 {
+		t.Errorf("store holds %d entries (err %v), want 1: the sweep", n, err)
+	}
+	dump, err := os.ReadFile(metrics)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(string(dump), "campaign_jobs_cached_total 1\n") {
+		t.Errorf("warm run did not take the sweep from the store:\n%s", dump)
 	}
 }

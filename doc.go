@@ -19,8 +19,9 @@
 //   - regression-based performance models (Eqs. 1-2) and the composite-model
 //     dual graph with implementation-choice optimization (Fig. 10);
 //   - a campaign engine (internal/campaign) that runs the evaluation as a
-//     parallel job graph: every sweep, case study and model fit is an
-//     independent simulated-machine job executed by a worker pool;
+//     parallel job graph: every sweep and case study is an independent
+//     simulated-machine job executed by a worker pool, and the fits and
+//     figures derived from them are jobs that depend on them;
 //   - a streaming result subsystem (internal/results) — row sinks,
 //     a content-addressed checkpoint store, and cross-scenario trend
 //     reports — so campaigns scale to thousands of scenarios and resume
@@ -222,17 +223,24 @@
 //     rows, results.NewMemorySink buffers for tests, results.NewTee fans
 //     out to several sinks at once; results.ReadRowsFile decodes either shard format
 //     back into rows, results.ReadColumnsFile into a few numeric columns;
-//   - every harness job is checkpointable: with campaign.Config.Store set
-//     (store.Open), finished payloads persist content-addressed by
-//     (job key, config hash), so an interrupted campaign — a killed
-//     cmd/figures run, a canceled grid — resumes re-running zero
-//     completed jobs and produces byte-identical output, with cached
-//     jobs replaying their rows into the sink. The hash is SHA-256 over
+//   - the store keeps what the simulator measured and nothing derived
+//     from it: every harness job (SweepJob, CaseStudyJob, StreamJob) is
+//     a measurement job, and with campaign.Config.Store set (store.Open)
+//     its finished *SweepResult or *CaseStudyResult persists
+//     content-addressed by (job key, config hash), so an interrupted
+//     campaign — a killed cmd/figures run, a canceled grid — resumes
+//     re-running zero completed measurements and produces byte-identical
+//     output, with cached jobs replaying their rows into the sink. Fitted
+//     models (a grid point's included) and rendered figures are derived
+//     from the measurements on every run, cached or not, so no store
+//     entry can outlive the code that drew it. The hash is SHA-256 over
 //     the %#v rendering of the job's plain-value config structs plus a
 //     checkpoint version, so hashes are stable within a version and
 //     distinct for distinct configs. Changing a config struct or a
-//     payload format means bumping the version and refilling the store;
-//     entries under an older version are never read;
+//     payload type means bumping the version and refilling the store
+//     (a harness test pins the payload types' gob-visible tree to the
+//     version); entries under an older version are never read. Payloads
+//     encode to the same bytes every time: they hold slices, never maps;
 //   - the cross-scenario trend report (harness.BuildTrends,
 //     WriteTrendCSV, WriteTrendReport) fits every model coefficient against a swept
 //     machine axis — the paper's Section 6 "coefficients parameterized by
@@ -249,7 +257,9 @@
 // The checkpoint store is content-addressed and atomic, so several hosts
 // can share one store directory over a network filesystem — and the lease
 // protocol (results/store/lease) lets N independent processes partition
-// one grid through it with no coordinator. Set campaign.Config.Claimer
+// one grid's measurement jobs through it with no coordinator; jobs
+// without a checkpoint hash (a figure render) are not claimed, and every
+// process runs them over the measurements it ran or replayed. Set campaign.Config.Claimer
 // (lease.Open, or harness.DistributedConfig to wire store and claimer
 // together) and point every process at the same store:
 //

@@ -35,9 +35,9 @@ import (
 	"repro/internal/results"
 )
 
-// Job is one schedulable unit of a campaign: typically a full
-// simulated-machine run (a sweep, a case study, a model fit) identified by
-// a stable key.
+// Job is one schedulable unit of a campaign, identified by a stable key:
+// typically a full simulated-machine run (a sweep, a case study) or work
+// derived from such runs (a figure render).
 type Job struct {
 	// Key identifies the job within its campaign. Keys must be unique and
 	// non-empty; they name results, seed derivation and progress events.
@@ -184,10 +184,8 @@ type Store interface {
 // sinkKey carries the campaign sink through job contexts.
 type sinkKey struct{}
 
-// WithSink returns a context through which Emit reaches the given sink.
-// Run installs the Config.Sink automatically; this is exported for tests
-// and for running job closures outside a campaign.
-func WithSink(ctx context.Context, s results.Sink) context.Context {
+// withSink returns a context through which Emit reaches the given sink.
+func withSink(ctx context.Context, s results.Sink) context.Context {
 	return context.WithValue(ctx, sinkKey{}, s)
 }
 
@@ -271,7 +269,7 @@ func Run(ctx context.Context, cfg Config, jobs []Job) ([]Result, error) {
 		workers = n
 	}
 	if cfg.Sink != nil {
-		ctx = WithSink(ctx, cfg.Sink)
+		ctx = withSink(ctx, cfg.Sink)
 	}
 
 	// Observability (when globally enabled) records one trace track per

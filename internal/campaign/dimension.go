@@ -1,7 +1,6 @@
 package campaign
 
 import (
-	"encoding/gob"
 	"fmt"
 
 	"repro/internal/mpi"
@@ -67,17 +66,6 @@ type Coord struct {
 	Axis  string
 	Key   string
 	Value any
-}
-
-func init() {
-	// Coord.Value travels as an interface inside gob-encoded checkpoint
-	// payloads (GridPoint carries a Scenario); register the payload types
-	// the built-in axes use.
-	gob.Register(int(0))
-	gob.Register(int64(0))
-	gob.Register(float64(0))
-	gob.Register("")
-	gob.Register(SchedChoice{})
 }
 
 // RankAxis sweeps the world size. Keys are "p<n>"; values apply

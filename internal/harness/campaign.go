@@ -9,17 +9,24 @@ import (
 )
 
 // This file adapts the experiment drivers to the campaign engine: every
-// sweep, case study and model fit becomes a campaign.Job owning its own
-// simulated machine, so the paper's whole evaluation — three kernel
-// sweeps, the case study, the cache study — runs as one parallel job
-// graph. Worker count never changes results: each job's world draws its
-// randomness from its own config seed.
+// sweep and case study becomes a campaign.Job owning its own simulated
+// machine, so the paper's whole evaluation — three kernel sweeps, the case
+// study, the cache study — runs as one parallel job graph. Worker count
+// never changes results: each job's world draws its randomness from its
+// own config seed.
 //
-// Every job carries a checkpoint hash plus encode/decode hooks, so a
-// campaign.Config with a Store resumes an interrupted run without
-// re-executing finished jobs; and measurement jobs stream their telemetry
-// rows to the campaign sink (campaign.Emit), both live and when replayed
-// from the store.
+// Every job is a measurement job (measureJob): the checkpoint store keeps
+// what the simulator measured — a *SweepResult or a *CaseStudyResult —
+// and nothing derived from it. Fitted models and rendered figures are
+// recomputed from the measurement on every run, so they can never be
+// stale. Measurement jobs stream their telemetry rows to the campaign sink
+// (campaign.Emit), both live and when replayed from the store.
+
+// measurement is a simulator result the store keeps: it flattens to the
+// telemetry rows its job emits.
+type measurement interface {
+	Rows() []results.Row
+}
 
 // emitRows streams rows to the ambient campaign sink under key.
 func emitRows(ctx context.Context, key string, rows []results.Row) error {
@@ -31,77 +38,73 @@ func emitRows(ctx context.Context, key string, rows []results.Row) error {
 	return nil
 }
 
-// replayRows is emitRows for Decode hooks: a failure is wrapped with
-// campaign.ErrReplay so the campaign fails the job loudly instead of
-// re-running it and duplicating the rows already replayed into the sink.
-func replayRows(ctx context.Context, key string, rows []results.Row) error {
-	if err := emitRows(ctx, key, rows); err != nil {
-		return fmt.Errorf("%w: %w", campaign.ErrReplay, err)
+// measureJob is the one checkpointable job shape: Run measures, derives
+// the job's value and emits the measurement's rows; the store keeps the
+// measurement itself, and a hit decodes it, derives the value and replays
+// the rows. The value is derived before any row is emitted, so a failed
+// derivation over a stored measurement is a plain cache miss; a replay
+// that fails partway is wrapped with campaign.ErrReplay, failing the job
+// rather than re-running it into rows already replayed.
+func measureJob[M measurement](key, hash string, measure func() (M, error), value func(M) (any, error)) campaign.Job {
+	// measured hands the measurement from Run to Encode (the campaign
+	// calls them in turn on one worker) without making it the job's value.
+	var measured M
+	return campaign.Job{
+		Key:  key,
+		Hash: hash,
+		Encode: func(any) ([]byte, error) {
+			data, err := encodeGob(measured)
+			var zero M
+			measured = zero
+			return data, err
+		},
+		Decode: func(ctx context.Context, data []byte) (any, error) {
+			m, err := decodeGob[M](data)
+			if err != nil {
+				return nil, err
+			}
+			v, err := value(m)
+			if err != nil {
+				return nil, err
+			}
+			if err := emitRows(ctx, key, m.Rows()); err != nil {
+				return nil, fmt.Errorf("%w: %w", campaign.ErrReplay, err)
+			}
+			return v, nil
+		},
+		Run: func(ctx context.Context, _ map[string]any) (any, error) {
+			m, err := measure()
+			if err != nil {
+				return nil, err
+			}
+			v, err := value(m)
+			if err != nil {
+				return nil, err
+			}
+			if err := emitRows(ctx, key, m.Rows()); err != nil {
+				return nil, err
+			}
+			measured = m
+			return v, nil
+		},
 	}
-	return nil
 }
+
+// itself is the value of a job whose value is its measurement.
+func itself[M measurement](m M) (any, error) { return m, nil }
 
 // SweepJob wraps RunSweep as a checkpointable campaign job under the given
 // key, emitting the sweep's telemetry rows to the campaign sink.
 func SweepJob(key string, cfg SweepConfig) campaign.Job {
-	return campaign.Job{
-		Key:    key,
-		Hash:   jobHash("sweep", cfg),
-		Encode: encodeGob,
-		Decode: func(ctx context.Context, data []byte) (any, error) {
-			sw, err := decodeGob[*SweepResult](data)
-			if err != nil {
-				return nil, err
-			}
-			return sw, replayRows(ctx, key, sw.Rows())
-		},
-		Run: func(ctx context.Context, _ map[string]any) (any, error) {
-			sw, err := RunSweep(cfg)
-			if err != nil {
-				return nil, err
-			}
-			return sw, emitRows(ctx, key, sw.Rows())
-		},
-	}
+	return measureJob(key, jobHash("sweep", cfg),
+		func() (*SweepResult, error) { return RunSweep(cfg) }, itself[*SweepResult])
 }
 
 // CaseStudyJob wraps RunCaseStudy as a checkpointable campaign job under
 // the given key, emitting the FUNCTION SUMMARY rows to the campaign sink.
 func CaseStudyJob(key string, cfg CaseStudyConfig) campaign.Job {
-	return campaign.Job{
-		Key:    key,
-		Hash:   jobHash("case", cfg),
-		Encode: encodeGob,
-		Decode: func(ctx context.Context, data []byte) (any, error) {
-			res, err := decodeGob[*CaseStudyResult](data)
-			if err != nil {
-				return nil, err
-			}
-			return res, replayRows(ctx, key, res.Rows())
-		},
-		Run: func(ctx context.Context, _ map[string]any) (any, error) {
-			res, err := RunCaseStudy(cfg)
-			if err != nil {
-				return nil, err
-			}
-			return res, emitRows(ctx, key, res.Rows())
-		},
-	}
-}
-
-// ModelJob fits Eq. 1/2 models to the sweep produced by the job named
-// sweepKey. The sweep's config makes the fit checkpointable: the fit is a
-// pure function of the sweep, which is itself a pure function of cfg.
-func ModelJob(key, sweepKey string, cfg SweepConfig) campaign.Job {
-	return campaign.Job{Key: key, After: []string{sweepKey},
-		Hash:   jobHash("model", cfg),
-		Encode: encodeGob,
-		Decode: func(_ context.Context, data []byte) (any, error) {
-			return decodeGob[*ComponentModel](data)
-		},
-		Run: func(_ context.Context, deps map[string]any) (any, error) {
-			return FitModels(deps[sweepKey].(*SweepResult))
-		}}
+	return measureJob(key, jobHash("case", cfg),
+		func() (*CaseStudyResult, error) { return RunCaseStudy(cfg) }, itself[*CaseStudyResult])
 }
 
 // scenarioSweepConfig specializes the base sweep to one grid scenario: the

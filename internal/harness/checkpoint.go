@@ -4,36 +4,24 @@ import (
 	"bytes"
 	"encoding/gob"
 
-	"repro/internal/euler"
-	"repro/internal/perfmodel"
 	"repro/internal/results/store"
 )
 
 // This file is the harness's checkpoint codec: every campaign job the
-// harness builds carries a configuration hash plus gob encode/decode hooks,
-// so a campaign.Config with a Store resumes interrupted runs without
+// harness builds carries a configuration hash plus gob encode/decode hooks
+// for its measurement (a *SweepResult or a *CaseStudyResult), so a
+// campaign.Config with a Store resumes interrupted runs without
 // re-executing finished jobs. Payloads round-trip exactly — gob writes
-// float64 bits verbatim and tau.Profile implements GobEncoder — so a
-// resumed figure regeneration is byte-identical to an uninterrupted one.
+// float64 bits verbatim and tau.Profile implements GobEncoder — and hold
+// no map and no interface, so one measurement always encodes to the same
+// bytes and no concrete type needs registering with gob.
 
 // checkpointVersion salts every job hash. Hashes are stable within a
 // version and distinct for distinct configs; bump it when a config struct
-// or a payload's wire format changes, so stale store entries stop matching
-// and the store refills.
-const checkpointVersion = "harness-ckpt-v4"
-
-func init() {
-	// Concrete types that travel inside interface-typed fields:
-	// perfmodel.Model in ComponentModel, and results.Field values in
-	// checkpointed row replays.
-	gob.Register(perfmodel.Poly{})
-	gob.Register(perfmodel.PowerLaw{})
-	gob.Register(euler.X)
-	gob.Register(int(0))
-	gob.Register(int64(0))
-	gob.Register(float64(0))
-	gob.Register("")
-}
+// or a payload type changes (testdata/payload_schema.txt pins the payload
+// types to it), so stale store entries stop matching and the store
+// refills.
+const checkpointVersion = "harness-ckpt-v5"
 
 // jobHash fingerprints a job kind plus its full configuration.
 func jobHash(kind string, cfgs ...any) string {

@@ -3,7 +3,10 @@ package harness
 import (
 	"bytes"
 	"context"
+	"encoding/gob"
+	"flag"
 	"fmt"
+	"io"
 	"os"
 	"reflect"
 	"strings"
@@ -19,7 +22,7 @@ import (
 // figure byte-for-byte like the live value.
 func TestCheckpointRoundTripPreservesOutputBytes(t *testing.T) {
 	t.Parallel()
-	caseRes, sweeps, models := sharedFixtures(t)
+	caseRes, sweeps, _ := sharedFixtures(t)
 
 	sw := sweeps[KernelStates]
 	data, err := encodeGob(sw)
@@ -73,29 +76,125 @@ func TestCheckpointRoundTripPreservesOutputBytes(t *testing.T) {
 			t.Errorf("case-study %s drifted through checkpoint", name)
 		}
 	}
-	if case2.AssemblyDOT != caseRes.AssemblyDOT || len(case2.Edges) != len(caseRes.Edges) {
+	if case2.AssemblyDOT != caseRes.AssemblyDOT || !reflect.DeepEqual(case2.Edges, caseRes.Edges) {
 		t.Error("case-study DOT or trace drifted through checkpoint")
 	}
+}
 
-	cm := models[KernelStates]
-	cmData, err := encodeGob(cm)
+// TestCheckpointPayloadBytesDeterministic backs the store's promise that
+// one (key, hash) is only ever written with one payload: encoding a
+// measurement again gives the same bytes. A map anywhere in a payload
+// breaks it (gob writes map entries in iteration order), so each payload
+// is encoded several times.
+func TestCheckpointPayloadBytesDeterministic(t *testing.T) {
+	t.Parallel()
+	caseRes, sweeps, _ := sharedFixtures(t)
+	for name, payload := range map[string]any{"sweep": sweeps[KernelStates], "case": caseRes} {
+		first, err := encodeGob(payload)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < 8; i++ {
+			again, err := encodeGob(payload)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(first, again) {
+				t.Fatalf("%s payload encodes to different bytes on encode %d", name, i+2)
+			}
+		}
+	}
+}
+
+var update = flag.Bool("update", false, "rewrite testdata/payload_schema.txt from the payload types")
+
+// TestPayloadSchemaPinnedToVersion fails when a checkpoint payload type
+// changes while checkpointVersion does not. Gob matches fields by name,
+// zero-fills the ones a payload lacks and drops the ones a type lost, so
+// an old store entry would decode silently wrong; the version bump is
+// what makes it unreachable. After bumping, rerun with -update.
+func TestPayloadSchemaPinnedToVersion(t *testing.T) {
+	t.Parallel()
+	var sb strings.Builder
+	fmt.Fprintf(&sb, "# checkpointVersion %s\n", checkpointVersion)
+	if err := writeSchema(&sb, reflect.TypeOf(&SweepResult{}), reflect.TypeOf(&CaseStudyResult{})); err != nil {
+		t.Fatal(err)
+	}
+	const path = "testdata/payload_schema.txt"
+	if *update {
+		if err := os.WriteFile(path, []byte(sb.String()), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cm2, err := decodeGob[*ComponentModel](cmData)
-	if err != nil {
-		t.Fatal(err)
+	if got := sb.String(); got != string(want) {
+		header, _, _ := strings.Cut(got, "\n")
+		if strings.HasPrefix(string(want), header+"\n") {
+			t.Fatalf("checkpoint payload types changed under %s: bump checkpointVersion, then rerun with -update\n got:\n%s\nwant:\n%s", checkpointVersion, got, want)
+		}
+		t.Fatalf("%s does not pin %s: rerun with -update", path, checkpointVersion)
 	}
-	var want, got bytes.Buffer
-	if err := WriteMeanSigmaCSV(&want, cm); err != nil {
-		t.Fatal(err)
+}
+
+// writeSchema renders the gob-visible type tree under roots: every named
+// type but the predeclared ones, once, in first-reached order, with the
+// exported fields gob encodes. A type that encodes itself (GobEncoder) is
+// a leaf. An interface fails: gob could only encode it through
+// gob.Register.
+func writeSchema(w io.Writer, roots ...reflect.Type) error {
+	gobEncoder := reflect.TypeOf((*gob.GobEncoder)(nil)).Elem()
+	seen := map[reflect.Type]bool{}
+	var visit func(t reflect.Type, path string) error
+	visit = func(t reflect.Type, path string) error {
+		for t.Kind() == reflect.Pointer || t.Kind() == reflect.Slice || t.Kind() == reflect.Array {
+			t = t.Elem()
+		}
+		if t.Kind() == reflect.Map {
+			if err := visit(t.Key(), path+"[key]"); err != nil {
+				return err
+			}
+			return visit(t.Elem(), path+"[elem]")
+		}
+		if t.Kind() == reflect.Interface {
+			return fmt.Errorf("payload field %s is an interface (%s)", path, t)
+		}
+		if (t.Name() != "" && t.PkgPath() == "") || seen[t] {
+			return nil
+		}
+		seen[t] = true
+		if reflect.PointerTo(t).Implements(gobEncoder) {
+			fmt.Fprintf(w, "%s GobEncoder\n", t)
+			return nil
+		}
+		if t.Kind() != reflect.Struct {
+			fmt.Fprintf(w, "%s %s\n", t, t.Kind())
+			return nil
+		}
+		fmt.Fprintf(w, "%s struct\n", t)
+		var fields []reflect.StructField
+		for i := 0; i < t.NumField(); i++ {
+			f := t.Field(i)
+			if f.IsExported() && f.Type.Kind() != reflect.Func && f.Type.Kind() != reflect.Chan {
+				fmt.Fprintf(w, "\t%s %s\n", f.Name, f.Type)
+				fields = append(fields, f)
+			}
+		}
+		for _, f := range fields {
+			if err := visit(f.Type, t.String()+"."+f.Name); err != nil {
+				return err
+			}
+		}
+		return nil
 	}
-	if err := WriteMeanSigmaCSV(&got, cm2); err != nil {
-		t.Fatal(err)
+	for _, t := range roots {
+		if err := visit(t, t.String()); err != nil {
+			return err
+		}
 	}
-	if !bytes.Equal(want.Bytes(), got.Bytes()) {
-		t.Error("model CSV drifted through checkpoint")
-	}
+	return nil
 }
 
 // readShards returns a shard directory's files as name -> content.
@@ -431,7 +530,7 @@ func TestStaleStoreEntriesAreInert(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	staleHash := store.Hash("harness-ckpt-v1", "gridpoint", base, scs[0])
+	staleHash := store.Hash("harness-ckpt-v4", "gridpoint", base, scs[0])
 	if err := disk.Put(scs[0].Key, staleHash, []byte("not a gob payload")); err != nil {
 		t.Fatal(err)
 	}

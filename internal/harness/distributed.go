@@ -24,7 +24,7 @@ import (
 // process's lifetime, distinct across a fleet.
 func DistributedConfig(cc campaign.Config, dir, owner string, opts lease.Options) (campaign.Config, *lease.Manager, error) {
 	if owner == "" {
-		owner = DefaultOwner()
+		owner = defaultOwner()
 	}
 	st, err := store.Open(dir)
 	if err != nil {
@@ -39,12 +39,12 @@ func DistributedConfig(cc campaign.Config, dir, owner string, opts lease.Options
 	return cc, mgr, nil
 }
 
-// DefaultOwner derives a worker identity from the host name and process
+// defaultOwner derives a worker identity from the host name and process
 // id — unique across a fleet of simultaneously live workers, which is all
 // the lease protocol needs.
 //
 //repolint:allow wallclock -- the owner id is process identity by design; it names lease and audit files, never simulated state
-func DefaultOwner() string {
+func defaultOwner() string {
 	host, err := os.Hostname()
 	if err != nil || host == "" {
 		host = "worker"

@@ -11,6 +11,7 @@ import (
 	"strings"
 
 	"repro/internal/amr"
+	"repro/internal/assembly"
 	"repro/internal/cca"
 	"repro/internal/components"
 	"repro/internal/core"
@@ -57,8 +58,11 @@ type CaseStudyResult struct {
 	Profiles []*tau.Profile
 	// Records holds each rank's Mastermind records (nil if unmonitored).
 	Records [][]*core.Record
-	// Edges is rank 0's recorded call trace.
-	Edges map[core.CallEdge]int
+	// Edges is rank 0's recorded call trace, one weighted edge per
+	// caller→callee method in caller, callee, method order (a slice, not
+	// the Mastermind's map, so a checkpoint encodes to the same bytes every
+	// time).
+	Edges []assembly.Edge
 	// ImageNx, ImageNy, Image hold the final density field at finest
 	// resolution (Fig. 1).
 	ImageNx, ImageNy int
@@ -98,7 +102,7 @@ func RunCaseStudy(cfg CaseStudyConfig) (*CaseStudyResult, error) {
 		if r.Rank() == 0 {
 			res.ImageNx, res.ImageNy, res.Image = nx, ny, img
 			if app.Core() != nil {
-				res.Edges = app.Core().Edges()
+				res.Edges = assembly.FromTrace(app.Core().Edges()).Edges()
 			}
 			res.Stats = app.Mesh.Hierarchy().Stats()
 			res.StepsTaken = app.Driver.StepsTaken

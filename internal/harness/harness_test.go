@@ -32,11 +32,10 @@ func fastSweep(k Kernel) SweepConfig {
 	return cfg
 }
 
-// shared memoizes the fast case study plus the three fast sweeps and their
-// fits, produced once per test binary by a single parallel campaign. Every
-// run is deterministic for its config, so sharing changes nothing but wall
-// time — and the fixture itself exercises the campaign job graph (sweep ->
-// model dependencies, case study alongside).
+// shared memoizes the fast case study plus the three fast sweeps, produced
+// once per test binary by a single parallel campaign, and the sweeps' fits.
+// Every run is deterministic for its config, so sharing changes nothing but
+// wall time.
 var shared struct {
 	once    sync.Once
 	caseRes *CaseStudyResult
@@ -51,9 +50,7 @@ func sharedFixtures(t *testing.T) (*CaseStudyResult, map[Kernel]*SweepResult, ma
 		kernels := []Kernel{KernelStates, KernelGodunov, KernelEFM}
 		jobs := []campaign.Job{CaseStudyJob("case", fastCaseStudy())}
 		for _, k := range kernels {
-			jobs = append(jobs,
-				SweepJob("sweep/"+string(k), fastSweep(k)),
-				ModelJob("model/"+string(k), "sweep/"+string(k), fastSweep(k)))
+			jobs = append(jobs, SweepJob("sweep/"+string(k), fastSweep(k)))
 		}
 		res, err := campaign.Run(context.Background(), campaign.Config{}, jobs)
 		if err != nil {
@@ -64,8 +61,10 @@ func sharedFixtures(t *testing.T) (*CaseStudyResult, map[Kernel]*SweepResult, ma
 		shared.sweeps = map[Kernel]*SweepResult{}
 		shared.models = map[Kernel]*ComponentModel{}
 		for i, k := range kernels {
-			shared.sweeps[k] = res[1+2*i].Value.(*SweepResult)
-			shared.models[k] = res[2+2*i].Value.(*ComponentModel)
+			shared.sweeps[k] = res[1+i].Value.(*SweepResult)
+			if shared.models[k], shared.err = FitModels(shared.sweeps[k]); shared.err != nil {
+				return
+			}
 		}
 	})
 	if shared.err != nil {

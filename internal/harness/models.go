@@ -147,7 +147,10 @@ func WriteMeanSigmaCSV(w io.Writer, cm *ComponentModel) error {
 // call trace and the fitted component models. Q values come from the mean
 // recorded array sizes.
 func BuildDual(res *CaseStudyResult, models map[Kernel]*ComponentModel) *assembly.Dual {
-	d := assembly.FromTrace(res.Edges)
+	d := assembly.NewDual()
+	for _, e := range res.Edges {
+		d.AddEdge(e.From, e.To, e.Method, e.Calls)
+	}
 	attach := func(vertex string, k Kernel) {
 		cm, ok := models[k]
 		if !ok || d.Vertex(vertex) == nil {

@@ -4,7 +4,6 @@ import (
 	"context"
 
 	"repro/internal/campaign"
-	"repro/internal/results"
 )
 
 // This file is the grid path. It never buffers a scenario's SweepResult:
@@ -24,56 +23,25 @@ type GridPoint struct {
 	Model    *ComponentModel
 }
 
-// gridCheckpoint is a stream job's stored payload: the point plus the rows
-// it emitted, so a resumed campaign replays the exact same stream.
-type gridCheckpoint struct {
-	Point GridPoint
-	Rows  []results.Row
-}
-
 // StreamJob wraps one grid scenario as a bounded-memory campaign job: run
 // the sweep, emit its rows to the campaign sink, fit the model, return
-// only the GridPoint.
+// only the GridPoint. The store keeps the sweep, and a hit refits it.
 func StreamJob(base SweepConfig, sc campaign.Scenario) campaign.Job {
-	// rows hands the emitted telemetry from Run to Encode (the campaign
-	// calls them sequentially on the same worker) without making it part
-	// of the job's value, which must stay small.
-	var rows []results.Row
-	return campaign.Job{
-		Key:  sc.Key,
-		Hash: jobHash("gridpoint", base, sc),
-		Encode: func(v any) ([]byte, error) {
-			data, err := encodeGob(gridCheckpoint{Point: v.(GridPoint), Rows: rows})
-			rows = nil
-			return data, err
-		},
-		Decode: func(ctx context.Context, data []byte) (any, error) {
-			ck, err := decodeGob[gridCheckpoint](data)
-			if err != nil {
-				return nil, err
-			}
-			return ck.Point, replayRows(ctx, sc.Key, ck.Rows)
-		},
-		Run: func(ctx context.Context, _ map[string]any) (any, error) {
+	return measureJob(sc.Key, jobHash("gridpoint", base, sc),
+		func() (*SweepResult, error) {
 			cfg, err := scenarioSweepConfig(base, sc)
 			if err != nil {
 				return nil, err
 			}
-			sw, err := RunSweep(cfg)
-			if err != nil {
-				return nil, err
-			}
-			rows = sw.Rows()
-			if err := emitRows(ctx, sc.Key, rows); err != nil {
-				return nil, err
-			}
+			return RunSweep(cfg)
+		},
+		func(sw *SweepResult) (any, error) {
 			cm, err := FitModels(sw)
 			if err != nil {
 				return nil, err
 			}
-			return GridPoint{Scenario: sc, Kernel: cfg.Kernel, Model: cm}, nil
-		},
-	}
+			return GridPoint{Scenario: sc, Kernel: sw.Config.Kernel, Model: cm}, nil
+		})
 }
 
 // StreamJobs expands a grid into one StreamJob per scenario.
