@@ -330,9 +330,10 @@
 // (mean_us, sigma_us, throughput, response_us, utilization), model
 // (fitted — the default — or queue), and the evaluation point: q,
 // optional lambda (arrival rate, 1/s) and dcm (L2 data-cache misses).
-// The fitted backend serves the AIC-selected regression (linear,
-// quadratic or power-law; Eqs. 1-2, plus the multivariate fit over
-// (Q, DCM) when cache counters are present); the queue backend treats
+// The fitted backend serves the paper's form when the scenario names its
+// kernel, else AIC-best of linear, quadratic and power law (Eqs. 1-2;
+// perfmodel.FitComponent), plus the multivariate fit over (Q, DCM) when
+// cache counters are present; the queue backend treats
 // the measured service demand as an M/M/1 server (Section 5's queueing
 // view) and answers response_us and utilization from (q, lambda).
 //

@@ -14,82 +14,22 @@ import (
 // goodness-of-fit.
 type ComponentModel struct {
 	Kernel Kernel
-	// Mean is the fitted mean-time model T(Q) in microseconds.
-	Mean perfmodel.Model
-	// Sigma is the fitted standard-deviation model sigma(Q).
-	Sigma perfmodel.Model
-	// MeanR2 is the coefficient of determination of the mean fit over the
-	// grouped means.
-	MeanR2 float64
-	// Stats holds the grouped per-Q statistics the fits came from.
-	Stats []perfmodel.GroupStat
+	perfmodel.Component
 }
 
 // FitModels reproduces the paper's Section 5 regression analysis on a
 // sweep: group the mode-mixed samples by Q, then fit the functional forms
-// the paper reports — a power law for States' mean, linear fits for the
-// flux kernels' means, linear sigma for Godunov, quartic sigma for EFM, and
-// a power-law sigma for States.
+// the paper reports for the kernel (perfmodel.FitComponent).
 func FitModels(s *SweepResult) (*ComponentModel, error) {
 	q, wall := s.AllSeries()
 	if len(q) == 0 {
 		return nil, fmt.Errorf("harness: no samples to fit")
 	}
-	stats := perfmodel.GroupStats(q, wall)
-	qm, mean := perfmodel.MeanSeries(stats)
-	qs, sd := perfmodel.StdDevSeries(stats)
-
-	cm := &ComponentModel{Kernel: s.Config.Kernel, Stats: stats}
-	var err error
-	switch s.Config.Kernel {
-	case KernelStates:
-		var m perfmodel.PowerLaw
-		if m, err = perfmodel.PowerLawFit(qm, mean); err != nil {
-			return nil, err
-		}
-		cm.Mean = m
-		var sm perfmodel.PowerLaw
-		if sm, err = perfmodel.PowerLawFit(qs, sd); err != nil {
-			return nil, err
-		}
-		cm.Sigma = sm
-	case KernelGodunov:
-		var m perfmodel.Poly
-		if m, err = perfmodel.LinFit(qm, mean); err != nil {
-			return nil, err
-		}
-		cm.Mean = m
-		var sm perfmodel.Poly
-		if sm, err = perfmodel.LinFit(qs, sd); err != nil {
-			return nil, err
-		}
-		cm.Sigma = sm
-	case KernelEFM:
-		var m perfmodel.Poly
-		if m, err = perfmodel.LinFit(qm, mean); err != nil {
-			return nil, err
-		}
-		cm.Mean = m
-		// The paper's quartic sigma needs enough grouped sizes to be more
-		// than an (oscillating) interpolant; sparse sweeps fall back to a
-		// low-order fit.
-		deg := 4
-		if len(qs) < 10 {
-			deg = 2
-		}
-		if len(qs) <= deg {
-			deg = len(qs) - 1
-		}
-		var sm perfmodel.Poly
-		if sm, err = perfmodel.PolyFit(qs, sd, deg); err != nil {
-			return nil, err
-		}
-		cm.Sigma = sm
-	default:
-		return nil, fmt.Errorf("harness: unknown kernel %q", s.Config.Kernel)
+	c, err := perfmodel.FitComponent(perfmodel.GroupStats(q, wall), string(s.Config.Kernel))
+	if err != nil {
+		return nil, fmt.Errorf("harness: %s: %w", s.Config.Kernel, err)
 	}
-	cm.MeanR2 = perfmodel.R2(cm.Mean, qm, mean)
-	return cm, nil
+	return &ComponentModel{Kernel: s.Config.Kernel, Component: c}, nil
 }
 
 // paperEquation returns the paper's published Eq. 1/Eq. 2 expressions for

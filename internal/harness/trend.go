@@ -158,6 +158,10 @@ func BuildTrends(points []GridPoint, axis TrendAxis) ([]*TrendReport, error) {
 	return reports, nil
 }
 
+// trendForm fits one coefficient against the axis: the AIC-best of a line
+// and (when the values admit one) a power law.
+var trendForm = perfmodel.Best(perfmodel.Linear, perfmodel.Power)
+
 // buildTrend is BuildTrends for one kernel's points.
 func buildTrend(kernel Kernel, axis TrendAxis, points []GridPoint) (*TrendReport, error) {
 	report := &TrendReport{Kernel: kernel, Axis: axis}
@@ -221,16 +225,9 @@ func buildTrend(kernel Kernel, axis TrendAxis, points []GridPoint) (*TrendReport
 		for i, p := range report.Points {
 			y[i] = p.Coeffs[ci]
 		}
-		var cands []perfmodel.Model
-		if lin, err := perfmodel.LinFit(x, y); err == nil {
-			cands = append(cands, lin)
-		}
-		if pl, err := perfmodel.PowerLawFit(x, y); err == nil {
-			cands = append(cands, pl)
-		}
-		best := perfmodel.SelectBest(cands, x, y)
-		if best == nil {
-			return nil, fmt.Errorf("harness: trend: no fit for %s coefficient %s", kernel, name)
+		best, err := trendForm(x, y)
+		if err != nil {
+			return nil, fmt.Errorf("harness: trend: %s coefficient %s: %w", kernel, name, err)
 		}
 		report.Fits = append(report.Fits, TrendFit{
 			Coeff: name, Model: best, R2: perfmodel.R2(best, x, y),

@@ -335,12 +335,3 @@ func MeanSeries(stats []GroupStat) (q, mean []float64) {
 	}
 	return q, mean
 }
-
-// StdDevSeries extracts (Q, sigma) from grouped stats.
-func StdDevSeries(stats []GroupStat) (q, sd []float64) {
-	for _, s := range stats {
-		q = append(q, s.Q)
-		sd = append(sd, s.StdDev)
-	}
-	return q, sd
-}

@@ -1,8 +1,10 @@
 package perfmodel
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
+	"reflect"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -195,10 +197,6 @@ func TestGroupStats(t *testing.T) {
 	if len(q) != 2 || q[0] != 100 || mean[1] != 10 {
 		t.Errorf("mean series = %v/%v", q, mean)
 	}
-	q2, sd := StdDevSeries(gs)
-	if len(q2) != 2 || sd[1] <= 0 {
-		t.Errorf("sd series = %v/%v", q2, sd)
-	}
 }
 
 // Property: PolyFit on exactly-polynomial data reproduces predictions.
@@ -262,5 +260,63 @@ func TestModelStrings(t *testing.T) {
 	q := Poly{Coeffs: []float64{1, 2, 3}}
 	if s := q.String(); !strings.Contains(s, "Q^2") {
 		t.Errorf("quadratic string = %q", s)
+	}
+}
+
+func TestFitComponentForms(t *testing.T) {
+	t.Parallel()
+	stats := func(n int) []GroupStat {
+		var x, y []float64
+		for i := 1; i <= n; i++ {
+			q := float64(1000 * i * i)
+			x = append(x, q, q, q)
+			y = append(y, 0.3*q, 0.3*q+0.01*q, 0.3*q+0.03*q)
+		}
+		return GroupStats(x, y)
+	}
+	form := func(m Model) string {
+		if p, ok := m.(Poly); ok {
+			return fmt.Sprintf("poly%d", len(p.Coeffs)-1)
+		}
+		return fmt.Sprintf("%T", m)
+	}
+	for _, tc := range []struct {
+		kernel      string
+		sizes       int
+		mean, sigma string
+	}{
+		{"states", 6, "perfmodel.PowerLaw", "perfmodel.PowerLaw"},
+		{"godunov", 6, "poly1", "poly1"},
+		{"efm", 6, "poly1", "poly2"},
+		{"efm", 10, "poly1", "poly4"},
+		{"efm", 2, "poly1", "poly1"},
+	} {
+		c, err := FitComponent(stats(tc.sizes), tc.kernel)
+		if err != nil {
+			t.Fatalf("%s over %d sizes: %v", tc.kernel, tc.sizes, err)
+		}
+		if form(c.Mean) != tc.mean || form(c.Sigma) != tc.sigma {
+			t.Errorf("%s over %d sizes: mean %s sigma %s, want %s and %s", tc.kernel, tc.sizes, form(c.Mean), form(c.Sigma), tc.mean, tc.sigma)
+		}
+	}
+	// No kernel: each model is the AIC-best of a line, a quadratic and a
+	// power law.
+	st := stats(6)
+	c, err := FitComponent(st, "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	q, mean := MeanSeries(st)
+	lin, _ := LinFit(q, mean)
+	quad, _ := PolyFit(q, mean, 2)
+	pl, _ := PowerLawFit(q, mean)
+	if want := SelectBest([]Model{lin, quad, pl}, q, mean); !reflect.DeepEqual(c.Mean, want) {
+		t.Errorf("AIC mean = %v, want %v", c.Mean, want)
+	}
+	if _, err := FitComponent(st, "roe"); err == nil || !strings.Contains(err.Error(), "unknown kernel") {
+		t.Errorf("unknown kernel: err = %v", err)
+	}
+	if _, err := Best(Power)([]float64{1, 2}, []float64{0, 0}); err == nil {
+		t.Error("Best with no form that fits returned no error")
 	}
 }

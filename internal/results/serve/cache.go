@@ -161,7 +161,7 @@ func loadEntry(sc *Scenario) (*entry, error) {
 	if err != nil {
 		return nil, err
 	}
-	models, err := buildBackends(sc.Name, cols)
+	models, err := buildBackends(sc, cols)
 	if err != nil {
 		return nil, err
 	}

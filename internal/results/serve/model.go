@@ -94,18 +94,18 @@ func backendIndex(name string) (int, bool) {
 // built from them (too few distinct Q values, say) is reported, not
 // silently dropped: the scenario is unservable. The models are in
 // backendNames order.
-func buildBackends(name string, cols *results.Columns) (models [len(backendNames)]PerformanceModel, err error) {
+func buildBackends(sc *Scenario, cols *results.Columns) (models [len(backendNames)]PerformanceModel, err error) {
 	q, wall, dcm, hasDCM := modelSeries(cols)
 	if len(q) == 0 {
-		return models, fmt.Errorf("serve: scenario %s has no rows with %q and %q fields", name, fieldQ, fieldWall)
+		return models, fmt.Errorf("serve: scenario %s has no rows with %q and %q fields", sc.Name, fieldQ, fieldWall)
 	}
 	stats := perfmodel.GroupStats(q, wall)
 	if len(stats) < 2 {
-		return models, fmt.Errorf("serve: scenario %s has %d distinct %s value(s); need at least 2 to fit", name, len(stats), fieldQ)
+		return models, fmt.Errorf("serve: scenario %s has %d distinct %s value(s); need at least 2 to fit", sc.Name, len(stats), fieldQ)
 	}
-	f, err := buildFitted(q, wall, dcm, hasDCM, stats)
+	f, err := buildFitted(sc.kernel, q, wall, dcm, hasDCM, stats)
 	if err != nil {
-		return models, fmt.Errorf("serve: scenario %s: %w", name, err)
+		return models, fmt.Errorf("serve: scenario %s: %w", sc.Name, err)
 	}
 	return [...]PerformanceModel{f, buildQueue(stats)}, nil
 }
@@ -133,64 +133,23 @@ func modelSeries(cols *results.Columns) (q, wall, dcm []float64, hasDCM bool) {
 	return q, wall, dcm, hasDCM
 }
 
-// fitCandidates fits the paper's model family on (x, y) and returns the
-// AIC-best: degree-1 and degree-2 polynomials and the power law (Eqs.
-// 1-2). At least the linear fit always succeeds given 2+ distinct points.
-func fitCandidates(x, y []float64) (perfmodel.Model, error) {
-	var cands []perfmodel.Model
-	if lin, err := perfmodel.LinFit(x, y); err == nil {
-		cands = append(cands, lin)
-	}
-	if len(x) >= 3 {
-		if p2, err := perfmodel.PolyFit(x, y, 2); err == nil {
-			cands = append(cands, p2)
-		}
-	}
-	if pl, err := perfmodel.PowerLawFit(x, y); err == nil {
-		cands = append(cands, pl)
-	}
-	best := perfmodel.SelectBest(cands, x, y)
-	if best == nil {
-		return nil, fmt.Errorf("no model candidate fits %d grouped points", len(x))
-	}
-	return best, nil
-}
-
-// fitted is the regression backend: the AIC-best univariate mean and
-// sigma models over grouped statistics, plus a multilinear model over
-// (Q, DCM) when the cache-miss telemetry is present in every row.
+// fitted is the regression backend: the scenario's component model
+// (perfmodel.FitComponent: the paper's form when the scenario names its
+// kernel, else the AIC-best), plus a multilinear model over (Q, DCM) when
+// the cache-miss telemetry is present in every row.
 type fitted struct {
-	mean    perfmodel.Model
-	sigma   perfmodel.Model
-	meanR2  float64
-	sigmaR2 float64
+	perfmodel.Component
 	multi   *perfmodel.MultiLin
 	multiR2 float64
 	n       int
-	qMin    float64
-	qMax    float64
 }
 
-func buildFitted(q, wall, dcm []float64, hasDCM bool, stats []perfmodel.GroupStat) (*fitted, error) {
-	gq, gmean := perfmodel.MeanSeries(stats)
-	_, gsd := perfmodel.StdDevSeries(stats)
-	mean, err := fitCandidates(gq, gmean)
+func buildFitted(kernel string, q, wall, dcm []float64, hasDCM bool, stats []perfmodel.GroupStat) (*fitted, error) {
+	c, err := perfmodel.FitComponent(stats, kernel)
 	if err != nil {
-		return nil, fmt.Errorf("mean fit: %w", err)
+		return nil, err
 	}
-	sigma, err := fitCandidates(gq, gsd)
-	if err != nil {
-		return nil, fmt.Errorf("sigma fit: %w", err)
-	}
-	f := &fitted{
-		mean:    mean,
-		sigma:   sigma,
-		meanR2:  perfmodel.R2(mean, gq, gmean),
-		sigmaR2: perfmodel.R2(sigma, gq, gsd),
-		n:       len(q),
-		qMin:    gq[0],
-		qMax:    gq[len(gq)-1],
-	}
+	f := &fitted{Component: c, n: len(q)}
 	if hasDCM && len(q) >= 3 {
 		// One backing array for every (Q, DCM) feature pair.
 		flat := make([]float64, 2*len(q))
@@ -217,9 +176,9 @@ func (f *fitted) Predict(m Measure, at Point) (float64, error) {
 		if at.HasDCM && f.multi != nil {
 			return f.multi.PredictVec([]float64{at.Q, at.DCM}), nil
 		}
-		return f.mean.Predict(at.Q), nil
+		return f.Mean.Predict(at.Q), nil
 	case MeasureSigmaUS:
-		return f.sigma.Predict(at.Q), nil
+		return f.Sigma.Predict(at.Q), nil
 	case MeasureThroughput:
 		mean, err := f.Predict(MeasureMeanUS, at)
 		if err != nil {
@@ -235,11 +194,11 @@ func (f *fitted) Predict(m Measure, at Point) (float64, error) {
 
 func (f *fitted) Coefficients() []Coefficient {
 	var out []Coefficient
-	names, values := perfmodel.Coefficients(f.mean)
+	names, values := perfmodel.Coefficients(f.Mean)
 	for i := range names {
 		out = append(out, Coefficient{Model: "mean", Name: names[i], Value: values[i]})
 	}
-	names, values = perfmodel.Coefficients(f.sigma)
+	names, values = perfmodel.Coefficients(f.Sigma)
 	for i := range names {
 		out = append(out, Coefficient{Model: "sigma", Name: names[i], Value: values[i]})
 	}
@@ -254,11 +213,11 @@ func (f *fitted) Coefficients() []Coefficient {
 
 func (f *fitted) Describe() string {
 	s := fmt.Sprintf("mean_us = %s (R2=%.4g); sigma_us = %s (R2=%.4g)",
-		f.mean.String(), f.meanR2, f.sigma.String(), f.sigmaR2)
+		f.Mean.String(), f.MeanR2, f.Sigma.String(), f.SigmaR2)
 	if f.multi != nil {
 		s += fmt.Sprintf("; multi: wall_us = %s (R2=%.4g)", f.multi.String(), f.multiR2)
 	}
-	return s + fmt.Sprintf("; fit over %d rows, Q in [%g, %g]", f.n, f.qMin, f.qMax)
+	return s + fmt.Sprintf("; fit over %d rows, Q in [%g, %g]", f.n, f.Stats[0].Q, f.Stats[len(f.Stats)-1].Q)
 }
 
 // queue is the closed-form backend: the scenario's grouped mean wall

@@ -21,8 +21,9 @@
 //
 // Two interchangeable PerformanceModel backends answer predictions (the
 // dcs-eesim shape: measures by category, backends swappable per query):
-// "fitted" evaluates the regression models (AIC-best univariate mean and
-// sigma fits, plus a multilinear fit over array size and cache misses
+// "fitted" evaluates the regression models (univariate mean and sigma
+// fits in the paper's form when the scenario names its kernel, else
+// AIC-best, plus a multilinear fit over array size and cache misses
 // when the telemetry carries them), "queue" treats the measured kernel as
 // an M/M/1 server and answers open-system response time, utilization and
 // throughput from the interpolated service demand. See doc.go "Results
@@ -38,6 +39,8 @@ import (
 	"sort"
 	"strconv"
 	"strings"
+
+	"repro/internal/perfmodel"
 )
 
 // Coord is one parsed numeric coordinate of a scenario: a grid axis name
@@ -64,6 +67,9 @@ type Scenario struct {
 	Coords []Coord  `json:"coords"`
 	Sched  string   `json:"sched,omitempty"`
 	Tags   []string `json:"tags,omitempty"`
+	// kernel is the one tag that names a kernel perfmodel fits the paper's
+	// model forms for, or "" when no tag or more than one does.
+	kernel string
 	// listed is the scenario's element of a /scenarios body, rendered
 	// once by Open: the catalog cannot change after it is opened.
 	listed []byte
@@ -227,6 +233,15 @@ func parseScenario(stem string) *Scenario {
 		}
 	}
 	sort.Slice(sc.Coords, func(i, j int) bool { return sc.Coords[i].Axis < sc.Coords[j].Axis })
+	for _, tag := range sc.Tags {
+		if perfmodel.IsKernel(tag) {
+			if sc.kernel != "" {
+				sc.kernel = ""
+				break
+			}
+			sc.kernel = tag
+		}
+	}
 	return sc
 }
 

@@ -17,6 +17,7 @@ import (
 	"repro/internal/campaign"
 	"repro/internal/mpi"
 	"repro/internal/obs"
+	"repro/internal/perfmodel"
 	"repro/internal/results"
 )
 
@@ -143,6 +144,28 @@ func TestParseScenarioSchedTokens(t *testing.T) {
 		sc := parseScenario(tc.stem)
 		if sc.Sched != tc.sched || !slices.Equal(sc.Tags, tc.tags) {
 			t.Errorf("%s: sched=%q tags=%v, want sched=%q tags=%v", tc.stem, sc.Sched, sc.Tags, tc.sched, tc.tags)
+		}
+	}
+}
+
+// TestParseScenarioKernel reads the kernel a scenario is fitted as: its
+// one tag that names a kernel, else none.
+func TestParseScenarioKernel(t *testing.T) {
+	for _, tc := range []struct{ stem, kernel string }{
+		{"sweep_states", "states"},
+		{"sweep_godunov", "godunov"},
+		{"sweep_efm", "efm"},
+		{"p1_base_c128kB_efm_r0", "efm"},
+		{"p2_base_c128kB_godunov_par_r0", "godunov"},
+		{"case", ""},
+		{"p3_base_c128kB_r0", ""},
+		{"sweep_efm_godunov", ""},
+		{"sweep_efm_efm", ""},
+		{"sweep_EFM", ""},
+		{"sweep_efmflux", ""},
+	} {
+		if got := parseScenario(tc.stem).kernel; got != tc.kernel {
+			t.Errorf("%s: kernel %q, want %q", tc.stem, got, tc.kernel)
 		}
 	}
 }
@@ -451,6 +474,39 @@ func TestUnservableShardIs422(t *testing.T) {
 	}
 }
 
+func TestKernelFormFailureIsNotFallback(t *testing.T) {
+	// One sample per q has no spread: a zero sigma has no logarithm, so
+	// States' power-law sigma cannot be fitted. The scenario that names
+	// the kernel is unservable with that error; the same rows under a key
+	// naming no kernel get the AIC-best fit.
+	dir := t.TempDir()
+	sink, err := results.NewCSVShardSink(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, key := range []string{"sweep/states", "sweep/plain"} {
+		for _, q := range []int{1000, 2000, 4000} {
+			if err := sink.Emit(key, results.Row{results.F("q", q), results.F("wall_us", 0.5*float64(q))}); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if err := sink.Close(); err != nil {
+		t.Fatal(err)
+	}
+	s, err := New(dir, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	status, body := get(t, s.Handler(), "/predict?scenario=sweep_states&measure=mean_us&q=1000")
+	if status != http.StatusUnprocessableEntity || !strings.Contains(body, "sigma fit") || !strings.Contains(body, "power law") {
+		t.Errorf("sweep_states: status = %d, body = %s", status, body)
+	}
+	if status, body = get(t, s.Handler(), "/predict?scenario=sweep_plain&measure=mean_us&q=1000"); status != http.StatusOK {
+		t.Errorf("sweep_plain: status = %d, body = %s", status, body)
+	}
+}
+
 func TestOpenPrefersRowsSubdirOverReportCSVs(t *testing.T) {
 	// A figures output directory holds rendered reports (trend.csv) next
 	// to rows/; the shards under rows/ are the catalog, not the reports.
@@ -541,13 +597,28 @@ func checkTokens(t *testing.T, stem string, sc *Scenario) {
 	if sc.Sched != last {
 		t.Errorf("%q: sched = %q, want %q", stem, sc.Sched, last)
 	}
+	var kernels []string
+	for _, tag := range sc.Tags {
+		if perfmodel.IsKernel(tag) {
+			kernels = append(kernels, tag)
+		}
+	}
+	want := ""
+	if len(kernels) == 1 {
+		want = kernels[0]
+	}
+	if sc.kernel != want {
+		t.Errorf("%q: kernel = %q from kernel tags %v, want %q", stem, sc.kernel, kernels, want)
+	}
 }
 
 // FuzzParseScenario drives the catalog's scenario-name parser two ways.
 // A stem built from the campaign axis constructors and mpi.FormatSched,
 // named by the shard sink, parses back to the coordinates and scheduler
-// that built it whenever %g prints the clock scale without an exponent.
-// Any stem, built or arbitrary, satisfies checkTokens, and nothing panics.
+// that built it whenever %g prints the clock scale without an exponent,
+// and to the kernel its flux key names. Any stem, built or arbitrary,
+// satisfies checkTokens (which holds the kernel to the one tag naming a
+// known kernel, or none), and nothing panics.
 func FuzzParseScenario(f *testing.F) {
 	sink, err := results.NewCSVShardSink(f.TempDir())
 	if err != nil {
@@ -564,20 +635,26 @@ func FuzzParseScenario(f *testing.F) {
 	f.Add(uint16(2), uint32(512), 1e-05, uint8(1), uint8(2), uint16(2), uint8(0), "p2_base_opt2-w8-128_r0")
 	f.Add(uint16(2), uint32(512), 4.0, uint8(1), uint8(1), uint16(4), uint8(3), "p2_parallel_optimal_r0")
 	f.Add(uint16(2), uint32(512), 4.0, uint8(1), uint8(1), uint16(0), uint8(3), "p2_serial4_par0_opt08_p007_cpu1.50x_r1e3")
+	f.Add(uint16(1), uint32(128), 1.0, uint8(1), uint8(0), uint16(0), uint8(0), "sweep_efm")
+	f.Add(uint16(3), uint32(256), 2.0, uint8(2), uint8(1), uint16(0), uint8(1), "sweep_efm_godunov_states_efm")
 	f.Fuzz(func(t *testing.T, procs uint16, kb uint32, scale float64, flux, mode uint8, maxRanks uint16, rep uint8, raw string) {
 		sched := mpi.FormatSched(modes[int(mode)%len(modes)], int(maxRanks))
+		fluxKey := campaign.FluxAxis(fluxes[int(flux)%len(fluxes)]).Values[0].Key
 		key := strings.Join([]string{
 			campaign.RankAxis(int(procs)).Values[0].Key,
 			"base",
 			campaign.CacheAxis(int(kb)).Values[0].Key,
 			campaign.CPUClockAxis(scale).Values[0].Key,
-			campaign.FluxAxis(fluxes[int(flux)%len(fluxes)]).Values[0].Key,
+			fluxKey,
 			sched,
 			fmt.Sprintf("r%d", rep),
 		}, "/")
 		stem := shardStem(strings.TrimSuffix(filepath.Base(sink.ShardPath(key)), ".csv"))
 		sc := parseScenario(stem)
 		checkTokens(t, stem, sc)
+		if sc.kernel != fluxKey {
+			t.Errorf("%s -> %q: kernel %q, want %q", key, stem, sc.kernel, fluxKey)
+		}
 		if strings.Trim(fmt.Sprintf("%g", scale), "0123456789.") == "" {
 			want := []Coord{{"cache_kb", float64(kb)}, {"cpu_clock", scale}, {"ranks", float64(procs)}, {"rep", float64(rep)}}
 			if !slices.Equal(sc.Coords, want) || sc.Sched != sched {
