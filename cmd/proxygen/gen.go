@@ -1,154 +1,232 @@
 package main
 
 import (
+	"bytes"
 	"fmt"
+	"go/ast"
+	"go/format"
+	"go/parser"
+	"go/printer"
+	"go/token"
+	"path"
+	"path/filepath"
+	"regexp"
+	"slices"
+	"strconv"
 	"strings"
-	"text/template"
+	"unicode"
+	"unicode/utf8"
 )
 
-// Spec describes one proxy component to generate.
-type Spec struct {
-	// Package is the target Go package name.
-	Package string `json:"package"`
-	// Name is the proxy type name (e.g. "StatesProxy").
-	Name string `json:"name"`
-	// PortType is the CCA port type identifier used in type checking.
-	PortType string `json:"portType"`
-	// PortInterface is the Go interface the proxy forwards to
-	// (qualified, e.g. "components.StatesPort").
-	PortInterface string `json:"portInterface"`
-	// ProvidesName is the name the proxy provides its port under.
-	ProvidesName string `json:"providesName"`
-	// Imports are extra import paths the signatures need.
-	Imports []string `json:"imports"`
-	// Methods are the forwarded methods.
-	Methods []MethodSpec `json:"methods"`
+// directive marks a port method as monitored.
+const directive = "//pmm:monitor"
+
+// proxyHead renders a proxy's type, constructor, SetServices and wire:
+// %[1]s is the port interface, %[2]s the proxy, %[3]q its provides name.
+const proxyHead = `
+// %[2]s is the generated proxy component for %[1]s (paper §4.2).
+// Its monitored methods report to the Mastermind; the others only forward.
+type %[2]s struct {
+	svc    cca.Services
+	target %[1]s
+	mon    core.MonitorPort
 }
 
-// MethodSpec is one forwarded method with its performance mark-up.
-type MethodSpec struct {
-	// Name is the method name.
-	Name string `json:"name"`
-	// Signature is the parameter list (names and types, no parens).
-	Signature string `json:"signature"`
-	// Args forwards the parameters (comma-separated names).
-	Args string `json:"args"`
-	// Results is the result list ("" for none, e.g. "int").
-	Results string `json:"results"`
-	// Params is the paper's mark-up: the performance-relevant inputs to
-	// extract and hand to the Mastermind before forwarding.
-	Params []ParamSpec `json:"params"`
-}
+var _ %[1]s = (*%[2]s)(nil)
 
-// ParamSpec maps a recorded parameter name to the Go expression that
-// extracts it from the method's arguments.
-type ParamSpec struct {
-	Name string `json:"name"`
-	Expr string `json:"expr"`
-}
+// New%[2]s constructs the proxy.
+func New%[2]s() cca.Component { return &%[2]s{} }
 
-// Validate checks the specification for the mistakes a generator cannot
-// paper over.
-func (s *Spec) Validate() error {
-	switch {
-	case s.Package == "":
-		return fmt.Errorf("proxygen: spec needs a package name")
-	case s.Name == "":
-		return fmt.Errorf("proxygen: spec needs a proxy name")
-	case s.PortType == "" || s.PortInterface == "" || s.ProvidesName == "":
-		return fmt.Errorf("proxygen: spec needs portType, portInterface and providesName")
-	case len(s.Methods) == 0:
-		return fmt.Errorf("proxygen: spec needs at least one method")
+// SetServices uses the target's port and the monitor port, and provides
+// the target's port as %[3]q.
+func (p *%[2]s) SetServices(svc cca.Services) error {
+	p.svc = svc
+	if err := svc.RegisterUsesPort("target", Type%[1]s); err != nil {
+		return err
 	}
-	for i, m := range s.Methods {
-		if m.Name == "" {
-			return fmt.Errorf("proxygen: method %d has no name", i)
+	if err := svc.RegisterUsesPort("monitor", TypeMonitorPort); err != nil {
+		return err
+	}
+	return svc.AddProvidesPort(p, %[3]q, Type%[1]s)
+}
+
+// wire resolves the proxy's connections on first use; it returns the target.
+func (p *%[2]s) wire() %[1]s {
+	if p.target == nil {
+		p.target = cca.Use[%[1]s](p.svc, "target")
+		p.mon = cca.Use[core.MonitorPort](p.svc, "monitor")
+	}
+	return p.target
+}
+`
+
+// monitoredMethod renders a monitored forward from the proxy, method,
+// signature, record name, parameters, forward, provides name and return.
+// The parameters are evaluated before StartMonitoring starts the timers:
+// proxy work stays outside the measured region (paper §5).
+const monitoredMethod = `
+func (p *%[1]s) %[2]s%[3]s {
+	p.wire()
+	name := p.svc.InstanceName() + "::%[4]s()"
+	p.mon.StartMonitoring(name, %[5]s)
+	p.svc.Context().Proc.ChargeCall()
+	%[6]s
+	p.mon.StopMonitoring(name)
+	p.mon.RecordCall(p.svc.InstanceName(), %[7]q, %[4]q)%[8]s
+}
+`
+
+type generator struct {
+	fset *token.FileSet
+	body bytes.Buffer
+}
+
+func (g *generator) errorf(pos token.Pos, format string, args ...any) error {
+	return fmt.Errorf("%s: %s", g.fset.Position(pos), fmt.Sprintf(format, args...))
+}
+
+// print renders n as Go source.
+func (g *generator) print(n ast.Node) string {
+	var b strings.Builder
+	printer.Fprint(&b, g.fset, n) // a strings.Builder never fails a write
+	return b.String()
+}
+
+// Generate returns the gofmt-formatted proxies for the port interfaces in
+// src, the contents of the file filename. An interface gets a proxy when a
+// method of it carries a //pmm:monitor directive. Every error in the
+// mark-up is reported at its position in filename.
+func Generate(filename string, src []byte) ([]byte, error) {
+	g := &generator{fset: token.NewFileSet()}
+	f, err := parser.ParseFile(g.fset, filename, src, parser.ParseComments|parser.SkipObjectResolution)
+	if err != nil {
+		return nil, err
+	}
+	for _, d := range f.Decls {
+		if gd, ok := d.(*ast.GenDecl); ok && gd.Tok == token.TYPE {
+			for _, s := range gd.Specs {
+				if err := g.proxy(s.(*ast.TypeSpec)); err != nil {
+					return nil, err
+				}
+			}
+		}
+	}
+	if g.body.Len() == 0 {
+		return nil, fmt.Errorf("%s: no %s directive on an interface method", filename, directive)
+	}
+	var out bytes.Buffer
+	fmt.Fprintf(&out, "// Code generated by proxygen from %s. DO NOT EDIT.\n\npackage %s\n\n", filepath.Base(filename), f.Name.Name)
+	out.WriteString("import (\n\t\"repro/internal/cca\"\n\t\"repro/internal/core\"\n")
+	for _, imp := range f.Imports { // those the proxies name
+		if p, _ := strconv.Unquote(imp.Path.Value); regexp.MustCompile(`\b` + regexp.QuoteMeta(path.Base(p)) + `\.`).Match(g.body.Bytes()) {
+			fmt.Fprintf(&out, "\t%s\n", imp.Path.Value)
+		}
+	}
+	out.WriteString(")\n")
+	out.Write(g.body.Bytes())
+	return format.Source(out.Bytes()) // sorts the imports and drops a repeated one
+}
+
+// monitorDirective returns the //pmm:monitor line of m's doc comment, or nil.
+func monitorDirective(m *ast.Field) *ast.Comment {
+	if m.Doc != nil {
+		for _, c := range m.Doc.List {
+			if f := strings.Fields(c.Text); len(f) > 0 && f[0] == directive {
+				return c
+			}
 		}
 	}
 	return nil
 }
 
-// proxyTemplate renders the proxy in the same shape as the repository's
-// handwritten proxies (internal/components/pmm.go).
-var proxyTemplate = template.Must(template.New("proxy").Funcs(template.FuncMap{
-	"lowerFirst": func(s string) string {
-		if s == "" {
-			return s
+// proxy renders XProxy, providing "x", for an interface XPort with a
+// monitored method; any other type spec renders nothing.
+func (g *generator) proxy(ts *ast.TypeSpec) error {
+	it, ok := ts.Type.(*ast.InterfaceType)
+	if !ok || !slices.ContainsFunc(it.Methods.List, func(m *ast.Field) bool { return monitorDirective(m) != nil }) {
+		return nil
+	}
+	stem, ok := strings.CutSuffix(ts.Name.Name, "Port")
+	if !ok || stem == "" || ts.TypeParams != nil {
+		return g.errorf(ts.Pos(), "monitored interface %s is not a non-generic <X>Port", ts.Name.Name)
+	}
+	fmt.Fprintf(&g.body, proxyHead, ts.Name.Name, stem+"Proxy", lowerFirst(stem))
+	for _, m := range it.Methods.List {
+		if len(m.Names) == 0 {
+			return g.errorf(m.Pos(), "embedded interface in monitored %s: list its methods", ts.Name.Name)
 		}
-		return strings.ToLower(s[:1]) + s[1:]
-	},
-}).Parse(`// Code generated by proxygen. DO NOT EDIT.
-
-package {{.Package}}
-
-import (
-	"repro/internal/cca"
-	"repro/internal/core"
-{{- range .Imports}}
-	"{{.}}"
-{{- end}}
-)
-
-// {{.Name}} intercepts {{.PortType}} invocations: it extracts the
-// performance-relevant parameters, notifies the Mastermind, and forwards
-// the call to the real component.
-type {{.Name}} struct {
-	svc    cca.Services
-	target {{.PortInterface}}
-	mon    core.MonitorPort
+		if err := g.method(stem+"Proxy", lowerFirst(stem), m); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
-// New{{.Name}} constructs the proxy.
-func New{{.Name}}() cca.Component { return &{{.Name}}{} }
+// names joins the names a field list declares, all of which must be named.
+func (g *generator) names(fl *ast.FieldList, what string) (string, error) {
+	var out []string
+	for _, f := range fl.List {
+		if len(f.Names) == 0 {
+			return "", g.errorf(f.Pos(), "%s: name them", what)
+		}
+		for _, n := range f.Names {
+			out = append(out, n.Name)
+		}
+	}
+	return strings.Join(out, ", "), nil
+}
 
-// SetServices mirrors the real component's port plus the monitor port.
-func (p *{{.Name}}) SetServices(svc cca.Services) error {
-	p.svc = svc
-	if err := svc.RegisterUsesPort("target", "{{.PortType}}"); err != nil {
+// method renders the proxy's forward of m, monitored if m has a directive.
+func (g *generator) method(proxy, provides string, m *ast.Field) error {
+	ft, name, d := m.Type.(*ast.FuncType), m.Names[0].Name, monitorDirective(m)
+	args, err := g.names(ft.Params, name+" parameters")
+	if err != nil {
 		return err
 	}
-	if err := svc.RegisterUsesPort("monitor", "MonitorPort"); err != nil {
-		return err
+	sig, call := strings.TrimPrefix(g.print(ft), "func"), name+"("+args+")"
+	if d == nil {
+		if call = "p.wire()." + call; ft.Results.NumFields() > 0 {
+			call = "return " + call
+		}
+		fmt.Fprintf(&g.body, "\nfunc (p *%s) %s%s { %s }\n", proxy, name, sig, call)
+		return nil
 	}
-	return svc.AddProvidesPort(p, "{{.ProvidesName}}", "{{.PortType}}")
+	record, params, call, ret := lowerFirst(name), []string{}, "p.target."+call, ""
+	if ft.Results.NumFields() > 0 {
+		results, err := g.names(ft.Results, "monitored "+name+" results")
+		if err != nil {
+			return err
+		}
+		call, ret = results+" = "+call, "\n\treturn "+results
+	}
+	for _, kv := range strings.Fields(d.Text)[1:] {
+		key, val, ok := strings.Cut(kv, "=")
+		switch {
+		case !ok:
+			return g.errorf(d.Pos(), "%s: %q is not key=expression", directive, kv)
+		case !token.IsIdentifier(key):
+			return g.errorf(d.Pos(), "%s: key %q is not an identifier", directive, key)
+		case key != "record":
+			x, err := parser.ParseExprFrom(g.fset, "", val, 0)
+			if err != nil {
+				return g.errorf(d.Pos(), "%s: %s: %v", directive, kv, err)
+			}
+			params = append(params, fmt.Sprintf("{Name: %q, Value: %s}", key, g.print(x)))
+		case !token.IsIdentifier(val):
+			return g.errorf(d.Pos(), "%s: record name %q is not an identifier", directive, val)
+		default:
+			record = val
+		}
+	}
+	list := "nil"
+	if len(params) > 0 {
+		list = "[]core.Param{" + strings.Join(params, ", ") + "}"
+	}
+	fmt.Fprintf(&g.body, monitoredMethod, proxy, name, sig, record, list, call, provides, ret)
+	return nil
 }
 
-// wire lazily resolves the proxy's connections.
-func (p *{{.Name}}) wire() {
-	if p.target == nil {
-		p.target = cca.Use[{{.PortInterface}}](p.svc, "target")
-		p.mon = cca.Use[core.MonitorPort](p.svc, "monitor")
-	}
-}
-{{range .Methods}}
-// {{.Name}} forwards to the monitored component.
-func (p *{{$.Name}}) {{.Name}}({{.Signature}}) {{.Results}} {
-	p.wire()
-	name := p.svc.InstanceName() + "::{{lowerFirst .Name}}()"
-	params := []core.Param{
-{{- range .Params}}
-		{Name: "{{.Name}}", Value: {{.Expr}}},
-{{- end}}
-	}
-	p.mon.StartMonitoring(name, params)
-	p.svc.Context().Proc.ChargeCall()
-	{{if .Results}}out := {{end}}p.target.{{.Name}}({{.Args}})
-	p.mon.StopMonitoring(name)
-	p.mon.RecordCall(p.svc.InstanceName(), "{{$.ProvidesName}}", "{{lowerFirst .Name}}")
-	{{- if .Results}}
-	return out
-	{{- end}}
-}
-{{end}}`))
-
-// Generate renders the proxy source for a specification.
-func Generate(s *Spec) (string, error) {
-	if err := s.Validate(); err != nil {
-		return "", err
-	}
-	var sb strings.Builder
-	if err := proxyTemplate.Execute(&sb, s); err != nil {
-		return "", fmt.Errorf("proxygen: rendering: %w", err)
-	}
-	return sb.String(), nil
+func lowerFirst(s string) string {
+	r, n := utf8.DecodeRuneInString(s)
+	return string(unicode.ToLower(r)) + s[n:]
 }

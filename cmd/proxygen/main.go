@@ -1,102 +1,39 @@
-// Command proxygen generates CCA proxy-component source from a port
-// specification — the automation the paper anticipates in Sections 4.2 and
-// 6 ("it is not difficult to envision proxy creation being fully
-// automated... we are currently investigating simple mark-up approaches
-// identifying arguments/parameters which affect performance and need to be
-// extracted and recorded").
+// Command proxygen writes the CCA proxy components for the port interfaces
+// of ports.go into proxies_gen.go, driven by the mark-up the paper's
+// Section 6 anticipates. A monitored port method ends its doc comment with
+// the performance parameters to record, each as name=expression over the
+// arguments (no spaces in an expression):
 //
-// The specification is a JSON file marking up, per forwarded method, the
-// performance-relevant parameters to extract:
+//	//pmm:monitor Q=float64(b.Cells()) mode=float64(dir)
+//	Compute(b *euler.Block, dir euler.Dir, qL, qR *euler.EdgeField)
 //
-//	{
-//	  "package": "myproxies",
-//	  "name": "StatesProxy",
-//	  "portType": "StatesPort",
-//	  "portInterface": "components.StatesPort",
-//	  "providesName": "states",
-//	  "imports": ["repro/internal/components", "repro/internal/euler"],
-//	  "methods": [
-//	    {
-//	      "name": "Compute",
-//	      "signature": "b *euler.Block, dir euler.Dir, qL, qR *euler.EdgeField",
-//	      "args": "b, dir, qL, qR",
-//	      "results": "",
-//	      "params": [
-//	        {"name": "Q", "expr": "float64(b.Cells())"},
-//	        {"name": "mode", "expr": "float64(dir)"}
-//	      ]
-//	    }
-//	  ]
-//	}
+// The call is recorded as "<instance>::compute()"; record=<name> renames
+// it. A bare directive records no parameters, and a monitored method names
+// its results. Other methods only forward, and an interface without a
+// directive gets no proxy. XPort's proxy is XProxy, providing "x".
+// proxygen takes no flags; run it through the package's go:generate line:
 //
-// Usage: proxygen -spec spec.json [-o out.go]
+//	go generate ./internal/components
 package main
 
 import (
-	"encoding/json"
-	"flag"
 	"fmt"
 	"os"
 )
 
+// The port file read and the proxy file written, in the current directory.
+const source, output = "ports.go", "proxies_gen.go"
+
 func main() {
-	spec := flag.String("spec", "", "path to the proxy specification (JSON)")
-	out := flag.String("o", "", "output file (default stdout)")
-	example := flag.Bool("example", false, "print an example specification and exit")
-	flag.Parse()
-
-	if *example {
-		fmt.Print(exampleSpec)
-		return
+	src, err := os.ReadFile(source)
+	if err == nil {
+		src, err = Generate(source, src)
 	}
-	if *spec == "" {
-		fmt.Fprintln(os.Stderr, "proxygen: -spec is required (see -example)")
-		os.Exit(2)
+	if err == nil {
+		err = os.WriteFile(output, src, 0o644)
 	}
-	raw, err := os.ReadFile(*spec)
 	if err != nil {
-		fatal(err)
-	}
-	var s Spec
-	if err := json.Unmarshal(raw, &s); err != nil {
-		fatal(fmt.Errorf("proxygen: parsing %s: %w", *spec, err))
-	}
-	src, err := Generate(&s)
-	if err != nil {
-		fatal(err)
-	}
-	if *out == "" {
-		fmt.Print(src)
-		return
-	}
-	if err := os.WriteFile(*out, []byte(src), 0o644); err != nil {
-		fatal(err)
+		fmt.Fprintln(os.Stderr, "proxygen:", err)
+		os.Exit(1)
 	}
 }
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, err)
-	os.Exit(1)
-}
-
-const exampleSpec = `{
-  "package": "myproxies",
-  "name": "StatesProxy",
-  "portType": "StatesPort",
-  "portInterface": "components.StatesPort",
-  "providesName": "states",
-  "imports": ["repro/internal/components", "repro/internal/euler"],
-  "methods": [
-    {
-      "name": "Compute",
-      "signature": "b *euler.Block, dir euler.Dir, qL, qR *euler.EdgeField",
-      "args": "b, dir, qL, qR",
-      "results": "",
-      "params": [
-        {"name": "Q", "expr": "float64(b.Cells())"},
-        {"name": "mode", "expr": "float64(dir)"}
-      ]
-    }
-  ]
-}
-`

@@ -12,7 +12,10 @@
 //   - a TAU-style measurement library (timers, groups, events, hardware
 //     counters, profile dumps);
 //   - the paper's PMM infrastructure: proxies, the Mastermind, per-invocation
-//     records, call-trace capture;
+//     records, call-trace capture. The proxies are generated (cmd/proxygen)
+//     from the //pmm:monitor directives on internal/components/ports.go's
+//     port methods, the paper's §6 mark-up of the arguments that affect
+//     performance;
 //   - the scientific case study: a structured-AMR simulation of a Mach 1.5
 //     shock hitting an Air/Freon interface, built from States,
 //     EFMFlux/GodunovFlux, RK2, AMRMesh and ShockDriver components;

@@ -7,6 +7,10 @@
 // g_proxy / efm_proxy, icc_proxy) interposed between InviscidFlux/RK2 and
 // the components they monitor.
 //
+// The proxies are generated into proxies_gen.go by cmd/proxygen from the
+// //pmm:monitor directives below, the paper's §6 mark-up of the arguments
+// that affect performance: after editing a port, run go generate.
+//
 // Every component runs inside a framework that RunSCMD built on one rank, so
 // svc.Context() is that rank: the kernels are charged to its processor, the
 // proxies' dispatches to its clock, the mesh's messages to its communicator
@@ -18,6 +22,8 @@ import (
 	"repro/internal/amr"
 	"repro/internal/euler"
 )
+
+//go:generate go run ../../cmd/proxygen
 
 // Port type identifiers used by the assembly's type checking.
 const (
@@ -35,6 +41,7 @@ const (
 // one sweep direction — the paper's States component functionality, with
 // its two (sequential/strided) operating modes.
 type StatesPort interface {
+	//pmm:monitor Q=float64(b.Cells()) mode=float64(dir)
 	Compute(b *euler.Block, dir euler.Dir, qL, qR *euler.EdgeField)
 }
 
@@ -43,7 +50,8 @@ type StatesPort interface {
 // Quality-of-Service choice). It returns the kernel's internal iteration
 // count (zero for non-iterative kernels).
 type FluxPort interface {
-	Compute(qL, qR, flux *euler.EdgeField) int
+	//pmm:monitor Q=float64(qL.NxCells*qL.NyCells) mode=float64(flux.Dir)
+	Compute(qL, qR, flux *euler.EdgeField) (iters int)
 }
 
 // InviscidFluxPort assembles a patch's X and Y interface fluxes by invoking
@@ -67,12 +75,16 @@ type MeshPort interface {
 	// CellSize returns the level's mesh spacing.
 	CellSize(level int) (dx, dy float64)
 	// GhostUpdate fills ghost cells at a level (the MPI-heavy call).
+	//pmm:monitor level=float64(level)
 	GhostUpdate(level int)
-	// Regrid rebuilds the refined levels from fresh flags.
+	// Regrid rebuilds the refined levels; prolongation dominates its cost.
+	//pmm:monitor record=prolong
 	Regrid()
 	// LoadBalance redistributes patches; returns how many moved.
-	LoadBalance() int
+	//pmm:monitor
+	LoadBalance() (moved int)
 	// Restrict projects a fine level onto its parent level.
+	//pmm:monitor level=float64(fineLevel)
 	Restrict(fineLevel int)
 	// GlobalMaxWaveSpeed reduces the CFL wave speed across ranks.
 	GlobalMaxWaveSpeed() float64

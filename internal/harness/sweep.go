@@ -23,20 +23,24 @@ const (
 	KernelEFM     Kernel = "efm"
 )
 
-// proxyName returns the paper's proxy instance label for the kernel.
-func (k Kernel) proxyName() string {
+// sweepWiring is how a sweep reaches a kernel: the kernel's component
+// class, its proxy's class and paper label, and the port both provide.
+type sweepWiring struct{ class, proxyClass, proxy, port string }
+
+// wiring returns the kernel's sweep wiring.
+func (k Kernel) wiring() sweepWiring {
 	switch k {
 	case KernelStates:
-		return "sc_proxy"
+		return sweepWiring{"States", "StatesProxy", "sc_proxy", "states"}
 	case KernelGodunov:
-		return "g_proxy"
+		return sweepWiring{"GodunovFlux", "FluxProxy", "g_proxy", "flux"}
 	default:
-		return "efm_proxy"
+		return sweepWiring{"EFMFlux", "FluxProxy", "efm_proxy", "flux"}
 	}
 }
 
 // RecordName returns the monitored method name the sweep produces.
-func (k Kernel) RecordName() string { return k.proxyName() + "::compute()" }
+func (k Kernel) RecordName() string { return k.wiring().proxy + "::compute()" }
 
 // SweepConfig drives the Fig. 4–8 measurement campaign: the kernel is
 // invoked through its proxy on arrays of increasing size, alternating the
@@ -232,54 +236,28 @@ func RunSweep(cfg SweepConfig) (*SweepResult, error) {
 
 // sweepScript assembles just the kernel, its proxy and the PMM components.
 func sweepScript(k Kernel) string {
-	switch k {
-	case KernelStates:
-		return `
+	w := k.wiring()
+	return fmt.Sprintf(`
 instantiate TauMeasurement tau0
 instantiate Mastermind mastermind0
-instantiate States states0
-instantiate StatesProxy sc_proxy
+instantiate %[1]s %[3]s0
+instantiate %[2]s %[4]s
 connect mastermind0 measurement tau0 measurement
-connect sc_proxy target states0 states
-connect sc_proxy monitor mastermind0 monitor
-`
-	case KernelGodunov:
-		return `
-instantiate TauMeasurement tau0
-instantiate Mastermind mastermind0
-instantiate GodunovFlux flux0
-instantiate FluxProxy g_proxy
-connect mastermind0 measurement tau0 measurement
-connect g_proxy target flux0 flux
-connect g_proxy monitor mastermind0 monitor
-`
-	default:
-		return `
-instantiate TauMeasurement tau0
-instantiate Mastermind mastermind0
-instantiate EFMFlux flux0
-instantiate FluxProxy efm_proxy
-connect mastermind0 measurement tau0 measurement
-connect efm_proxy target flux0 flux
-connect efm_proxy monitor mastermind0 monitor
-`
-	}
+connect %[4]s target %[3]s0 %[3]s
+connect %[4]s monitor mastermind0 monitor
+`, w.class, w.proxyClass, w.port, w.proxy)
 }
 
-// sweepPorts resolves the proxy's provides port for direct invocation.
+// sweepPorts resolves the proxy's provides port (the other result is nil).
 func sweepPorts(f *cca.Framework, k Kernel) (components.StatesPort, components.FluxPort, error) {
-	if k == KernelStates {
-		p, err := f.LookupProvides("sc_proxy", "states")
-		if err != nil {
-			return nil, nil, err
-		}
-		return p.(components.StatesPort), nil, nil
-	}
-	p, err := f.LookupProvides(k.proxyName(), "flux")
+	w := k.wiring()
+	p, err := f.LookupProvides(w.proxy, w.port)
 	if err != nil {
 		return nil, nil, err
 	}
-	return nil, p.(components.FluxPort), nil
+	sp, _ := p.(components.StatesPort)
+	fp, _ := p.(components.FluxPort)
+	return sp, fp, nil
 }
 
 // AllSeries returns every sample regardless of mode (the paper's
