@@ -155,16 +155,15 @@ connect icc_proxy monitor mon0 monitor
 `); err != nil {
 			return err
 		}
-		port := func(inst, name string) cca.Port {
-			p, err := f.LookupProvides(inst, name)
+		var ports []cca.Port
+		for _, ip := range [][2]string{{"sc_proxy", "states"}, {"g_proxy", "flux"}, {"icc_proxy", "mesh"}} {
+			p, err := f.LookupProvides(ip[0], ip[1])
 			if err != nil {
-				t.Fatal(err)
+				return err
 			}
-			return p
+			ports = append(ports, p)
 		}
-		sp := port("sc_proxy", "states").(StatesPort)
-		fp := port("g_proxy", "flux").(FluxPort)
-		mp := port("icc_proxy", "mesh").(MeshPort)
+		sp, fp, mp := ports[0].(StatesPort), ports[1].(FluxPort), ports[2].(MeshPort)
 
 		b := euler.NewBlock(r.Proc, 8, 4, 2)
 		qL := euler.NewEdgeField(r.Proc, 8, 4, euler.Y)
