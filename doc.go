@@ -345,10 +345,16 @@
 // same scenario share one load (singleflight), and an LRU bound (-cache,
 // default 256 scenarios) evicts the coldest entry. A model load never
 // builds rows: the fits need three numbers per row (q, wall_us, l2_dcm),
-// so results.ReadColumnsFile projects those columns straight out of the
+// so a results.ColumnReader projects those columns straight out of the
 // shard bytes — value plus a present bit per row, "first field of that
-// name, int or float only" — in a handful of allocations whatever the
-// row count. Full row decode (results.ReadRowsFile) remains for tooling.
+// name, int or float only". Loads reuse pooled buffers: each takes a
+// scratch from a sync.Pool holding a ColumnReader (file bytes, column
+// arrays) and the multilinear fit's feature vectors, and gives it back
+// when both backends are fitted, so a cold load allocates the models and
+// nothing that grows with the shard. The Columns a reader returns alias
+// it until its next Read; the models copy what they keep.
+// results.ReadColumnsFile is the one-shot form, with a reader of its own.
+// Full row decode (results.ReadRowsFile) remains for tooling.
 // Both are consumers of one parser,
 // the allocation-free field cursor in internal/results/binrow.go, which
 // owns every framing check of the format below; CSV shards answer the

@@ -133,7 +133,7 @@ func appendBinValue(b []byte, v any) []byte {
 // value, trailing bytes, truncation) and allocates nothing — names and
 // string values come back as sub-slices of the shard. Consumers decide
 // what to build from the fields: readBinRows materialises Rows,
-// readBinColumns keeps a few numeric columns.
+// colBuilder.readBin keeps a few numeric columns.
 type binCursor struct {
 	rest   []byte // the shard after the current row
 	body   []byte // the unread part of the current row

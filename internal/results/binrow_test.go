@@ -112,7 +112,7 @@ func TestBinReaderRejectsCorruptShards(t *testing.T) {
 				t.Error("corrupt shard accepted")
 			}
 			// The projection shares the parser, so it fails identically.
-			_, colsErr := readBinColumns(tc.data, []string{"q", "wall_us"})
+			_, colsErr := new(colBuilder).readBin(tc.data, []string{"q", "wall_us"})
 			if colsErr == nil || rowsErr == nil || colsErr.Error() != rowsErr.Error() {
 				t.Errorf("projection error %v, row decode error %v", colsErr, rowsErr)
 			}
@@ -135,7 +135,7 @@ func TestBinLengthPrefixIsCheckedBeforeAnythingIsSizedFromIt(t *testing.T) {
 		read func() error
 	}{
 		{"rows", func() error { _, err := readBinRows(data); return err }},
-		{"columns", func() error { _, err := readBinColumns(data, []string{"q"}); return err }},
+		{"columns", func() error { _, err := new(colBuilder).readBin(data, []string{"q"}); return err }},
 	} {
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)

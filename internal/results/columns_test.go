@@ -2,6 +2,7 @@ package results
 
 import (
 	"bytes"
+	"fmt"
 	"math"
 	"os"
 	"path/filepath"
@@ -209,6 +210,111 @@ func TestProjectionAllocatesAConstantFewTimes(t *testing.T) {
 	}
 }
 
+func TestColumnReaderForgetsThePreviousShard(t *testing.T) {
+	// One reader through shards that grow, shrink, switch format, change
+	// the requested names and fail halfway: every answer is a fresh
+	// reader's, error text included.
+	dir := t.TempDir()
+	corrupt := filepath.Join(dir, "corrupt.bin")
+	data, err := os.ReadFile(writeShard(t, ".bin", sweepRows(96)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(corrupt, data[:len(data)-3], 0o644); err != nil {
+		t.Fatal(err)
+	}
+	empty := filepath.Join(dir, "empty.csv")
+	if err := os.WriteFile(empty, nil, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	three := []string{"q", "wall_us", "l2_dcm"}
+	var r ColumnReader
+	for i, tc := range []struct {
+		path  string
+		names []string
+	}{
+		{writeShard(t, ".bin", sweepRows(4608)), three},
+		{writeShard(t, ".csv", binTestRows()), []string{"label", "q"}},
+		{writeShard(t, ".bin", sweepRows(12)), three},
+		{corrupt, three},
+		{filepath.Join(dir, "missing.bin"), three},
+		{writeShard(t, ".bin", sweepRows(1152)), []string{"l2_dcm", "mode", "wall_us", "rank", "q"}},
+		{empty, three},
+		{writeShard(t, ".csv", sweepRows(96)), three},
+	} {
+		got, gotErr := r.Read(tc.path, tc.names...)
+		want, wantErr := ReadColumnsFile(tc.path, tc.names...)
+		if !sameProjection(got, gotErr, want, wantErr) {
+			t.Errorf("read %d (%s): reused reader gives %+v, %v; a fresh one %+v, %v", i, filepath.Base(tc.path), got, gotErr, want, wantErr)
+		}
+	}
+}
+
+func TestReadFileMatchesOSReadFile(t *testing.T) {
+	// One buffer through files larger and smaller than it, around the
+	// 512-byte floor, and one that is missing.
+	dir := t.TempDir()
+	var buf []byte
+	for _, size := range []int{70_000, 0, 511, 512, 513, 3, 70_001, -1} {
+		path := filepath.Join(dir, fmt.Sprintf("f%d", size))
+		if size >= 0 {
+			data := make([]byte, size)
+			for i := range data {
+				data[i] = byte(i * 7)
+			}
+			if err := os.WriteFile(path, data, 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}
+		want, wantErr := os.ReadFile(path)
+		var err error
+		buf, err = readFile(buf, path)
+		if fmt.Sprint(err) != fmt.Sprint(wantErr) || (err == nil && !bytes.Equal(buf, want)) {
+			t.Errorf("size %d: %d bytes, err %v; os.ReadFile: %d bytes, err %v", size, len(buf), err, len(want), wantErr)
+		}
+	}
+}
+
+// sameProjection reports whether two projections of one shard agree: the
+// same error text, or no error and the same columns.
+func sameProjection(a *Columns, aErr error, b *Columns, bErr error) bool {
+	if aErr != nil || bErr != nil {
+		return aErr != nil && bErr != nil && aErr.Error() == bErr.Error()
+	}
+	return sameColumns(a, b)
+}
+
+// dirtyShard is a projection a builder makes just before the one under
+// test, so the test sees whether anything of it survives into the next.
+type dirtyShard struct {
+	data  []byte
+	bin   bool
+	names []string
+}
+
+// dirtyShards are a binary shard larger than the fuzzers' seeds, a
+// smaller CSV shard over other names, and a binary shard that fails after
+// its columns are half filled.
+func dirtyShards(tb testing.TB) []dirtyShard {
+	var bin, csv bytes.Buffer
+	encodeRows(tb, NewBinEncoder(&bin), sweepRows(96))
+	encodeRows(tb, NewCSVEncoder(&csv), binTestRows())
+	return []dirtyShard{
+		{bin.Bytes(), true, []string{"wall_us", "l2_dcm", "q", "rank", "mode", "q", "label"}},
+		{csv.Bytes(), false, []string{"label"}},
+		{bin.Bytes()[:bin.Len()-3], true, []string{"q", "wall_us"}},
+	}
+}
+
+// dirtyBuilder returns a builder that has just projected one of the
+// shards, picked by key.
+func dirtyBuilder(shards []dirtyShard, key int) *colBuilder {
+	d := shards[key%len(shards)]
+	b := new(colBuilder)
+	_, _ = b.project(d.data, d.bin, d.names) // the truncated shard's error is the point: a half-filled builder
+	return b
+}
+
 func FuzzBinShard(f *testing.F) {
 	encode := func(rows []Row) []byte {
 		var buf bytes.Buffer
@@ -227,12 +333,19 @@ func FuzzBinShard(f *testing.F) {
 		{F("l2_dcm", true), F("q", int64(math.MinInt64)), F("wall_us", math.NaN())},
 	}))
 
+	dirty := dirtyShards(f)
 	names := []string{"q", "wall_us", "l2_dcm", "mode", "q", ""}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		rows, rowsErr := readBinRows(data)
-		cols, colsErr := readBinColumns(data, names)
+		cols, colsErr := new(colBuilder).readBin(data, names)
 		if (rowsErr == nil) != (colsErr == nil) {
 			t.Fatalf("row decode err = %v, projection err = %v", rowsErr, colsErr)
+		}
+		// A reader that has just projected another shard answers as a
+		// fresh one.
+		reused, reusedErr := dirtyBuilder(dirty, len(data)).readBin(data, names)
+		if !sameProjection(reused, reusedErr, cols, colsErr) {
+			t.Fatalf("reused reader: %+v, %v; fresh reader: %+v, %v", reused, reusedErr, cols, colsErr)
 		}
 		if rowsErr != nil {
 			if rowsErr.Error() != colsErr.Error() {
@@ -245,6 +358,42 @@ func FuzzBinShard(f *testing.F) {
 		}
 		if viaRows := ProjectRows(rows, names...); !sameColumns(cols, viaRows) {
 			t.Fatalf("projection %+v, ProjectRows %+v", cols, viaRows)
+		}
+	})
+}
+
+// FuzzCSVColumns feeds ReadCSVRows any bytes: it never panics, and the
+// reader's CSV projection, fresh or reused, is ProjectRows of its rows
+// (which is the specification's), or fails with its error.
+func FuzzCSVColumns(f *testing.F) {
+	for _, rows := range [][]Row{sweepRows(12), binTestRows()} {
+		var buf bytes.Buffer
+		encodeRows(f, NewCSVEncoder(&buf), rows)
+		f.Add(buf.Bytes())
+	}
+	for _, golden := range []string{csvEncoderGolden, csvHeaderGolden, csvShardGolden} {
+		f.Add([]byte(golden))
+	}
+	f.Add([]byte("q,wall_us\n1000,2.5,7\n")) // more cells than the header
+
+	dirty := dirtyShards(f)
+	names := []string{"q", "wall_us", "l2_dcm", "mode", "q", ""}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		rows, rowsErr := ReadCSVRows(bytes.NewReader(data))
+		var want *Columns
+		if rowsErr == nil {
+			want = ProjectRows(rows, names...)
+			if spec := firstFieldByName(rows, names); !sameColumns(want, spec) {
+				t.Fatalf("ProjectRows %+v, want %+v (rows %v)", want, spec, rows)
+			}
+		}
+		fresh, freshErr := new(colBuilder).project(data, false, names)
+		if !sameProjection(fresh, freshErr, want, rowsErr) {
+			t.Fatalf("fresh reader: %+v, %v; rows: %+v, %v", fresh, freshErr, want, rowsErr)
+		}
+		reused, reusedErr := dirtyBuilder(dirty, len(data)).project(data, false, names)
+		if !sameProjection(reused, reusedErr, want, rowsErr) {
+			t.Fatalf("reused reader: %+v, %v; rows: %+v, %v", reused, reusedErr, want, rowsErr)
 		}
 	})
 }

@@ -14,6 +14,13 @@ type dirStringer int
 
 func (dirStringer) String() string { return "X" }
 
+// The CSV bytes the encoder tests pin; FuzzCSVColumns seeds from them.
+const (
+	csvEncoderGolden = "rank,q,mode,wall_us\n0,1000,X,123.456\n2,150000,Y,1.5e-07\n"
+	csvHeaderGolden  = "a,b\n1,2\n"
+	csvShardGolden   = "q,wall_us\n0,0.25\n1000,0.25\n2000,0.25\n"
+)
+
 func TestCSVEncoderByteFormat(t *testing.T) {
 	// The encoder must reproduce the original hand-rolled writers' bytes:
 	// ints via %d, floats via %g, strings and Stringers verbatim.
@@ -28,9 +35,8 @@ func TestCSVEncoderByteFormat(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	want := "rank,q,mode,wall_us\n0,1000,X,123.456\n2,150000,Y,1.5e-07\n"
-	if sb.String() != want {
-		t.Errorf("encoded = %q, want %q", sb.String(), want)
+	if sb.String() != csvEncoderGolden {
+		t.Errorf("encoded = %q, want %q", sb.String(), csvEncoderGolden)
 	}
 }
 
@@ -47,8 +53,8 @@ func TestCSVEncoderExplicitHeader(t *testing.T) {
 	if err := enc.Encode(Row{F("a", 1), F("b", 2)}); err != nil {
 		t.Fatal(err)
 	}
-	if want := "a,b\n1,2\n"; sb.String() != want {
-		t.Errorf("encoded = %q, want %q", sb.String(), want)
+	if sb.String() != csvHeaderGolden {
+		t.Errorf("encoded = %q, want %q", sb.String(), csvHeaderGolden)
 	}
 }
 
@@ -293,8 +299,8 @@ func TestThousandScenarioGridStreams(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if want := "q,wall_us\n0,0.25\n1000,0.25\n2000,0.25\n"; string(data) != want {
-		t.Errorf("shard content = %q, want %q", data, want)
+	if string(data) != csvShardGolden {
+		t.Errorf("shard content = %q, want %q", data, csvShardGolden)
 	}
 }
 

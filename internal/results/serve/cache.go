@@ -3,6 +3,7 @@ package serve
 import (
 	"container/list"
 	"fmt"
+	"slices"
 	"sync"
 	"time"
 
@@ -154,14 +155,39 @@ func (c *modelCache) safeLoad(sc *Scenario) (e *entry, err error) {
 	return c.load(sc)
 }
 
+// loadScratch is the storage one cold load works in: the column reader
+// and the (Q, DCM) feature vectors the multilinear fit reads. Loads take
+// one from loadScratches and put it back, so a load allocates nothing
+// that grows with the shard once the pool holds a scratch as large.
+type loadScratch struct {
+	reader results.ColumnReader
+	flat   []float64   // backs every feature vector
+	feats  [][]float64 // one (Q, DCM) vector per modeled row
+}
+
+// loadScratches pools the scratches of concurrent cold loads.
+var loadScratches = sync.Pool{New: func() any { return new(loadScratch) }}
+
 // loadEntry projects the three model columns out of a scenario's shard
-// (either format) and fits every backend.
+// (either format) and fits every backend, in a pooled scratch. Nothing
+// of the scratch escapes into the entry: the entry keeps the row count,
+// and the models copy what they keep (GroupStats' output and the
+// MultiLin coefficients), so the scratch is free for the next load as
+// soon as this one returns.
 func loadEntry(sc *Scenario) (*entry, error) {
-	cols, err := results.ReadColumnsFile(sc.File, fieldQ, fieldWall, fieldDCM)
+	s := loadScratches.Get().(*loadScratch)
+	defer loadScratches.Put(s)
+	return s.load(sc)
+}
+
+// load is one cold load in s's storage; its Columns last until the
+// scratch's next load.
+func (s *loadScratch) load(sc *Scenario) (*entry, error) {
+	cols, err := s.reader.Read(sc.File, fieldQ, fieldWall, fieldDCM)
 	if err != nil {
 		return nil, err
 	}
-	models, err := buildBackends(sc, cols)
+	models, err := buildBackends(sc, cols, s)
 	if err != nil {
 		return nil, err
 	}
@@ -170,6 +196,19 @@ func loadEntry(sc *Scenario) (*entry, error) {
 		e.backends[i].model = m
 	}
 	return e, nil
+}
+
+// features lays out one (Q, DCM) feature vector per row over the
+// scratch's one backing array.
+func (s *loadScratch) features(q, dcm []float64) [][]float64 {
+	n := len(q)
+	s.flat = slices.Grow(s.flat[:0], 2*n)[:2*n]
+	s.feats = slices.Grow(s.feats[:0], n)[:n]
+	for i := range q {
+		s.feats[i] = s.flat[2*i : 2*i+2 : 2*i+2]
+		s.feats[i][0], s.feats[i][1] = q[i], dcm[i]
+	}
+	return s.feats
 }
 
 // len returns the resident entry count (test hook).

@@ -93,8 +93,8 @@ func backendIndex(name string) (int, bool) {
 // (fieldQ, fieldWall, fieldDCM, in that order). A backend that cannot be
 // built from them (too few distinct Q values, say) is reported, not
 // silently dropped: the scenario is unservable. The models are in
-// backendNames order.
-func buildBackends(sc *Scenario, cols *results.Columns) (models [len(backendNames)]PerformanceModel, err error) {
+// backendNames order. The multilinear fit's feature vectors live in s.
+func buildBackends(sc *Scenario, cols *results.Columns, s *loadScratch) (models [len(backendNames)]PerformanceModel, err error) {
 	q, wall, dcm, hasDCM := modelSeries(cols)
 	if len(q) == 0 {
 		return models, fmt.Errorf("serve: scenario %s has no rows with %q and %q fields", sc.Name, fieldQ, fieldWall)
@@ -103,7 +103,11 @@ func buildBackends(sc *Scenario, cols *results.Columns) (models [len(backendName
 	if len(stats) < 2 {
 		return models, fmt.Errorf("serve: scenario %s has %d distinct %s value(s); need at least 2 to fit", sc.Name, len(stats), fieldQ)
 	}
-	f, err := buildFitted(sc.kernel, q, wall, dcm, hasDCM, stats)
+	var feats [][]float64
+	if hasDCM {
+		feats = s.features(q, dcm)
+	}
+	f, err := buildFitted(sc.kernel, wall, feats, stats)
 	if err != nil {
 		return models, fmt.Errorf("serve: scenario %s: %w", sc.Name, err)
 	}
@@ -144,20 +148,16 @@ type fitted struct {
 	n       int
 }
 
-func buildFitted(kernel string, q, wall, dcm []float64, hasDCM bool, stats []perfmodel.GroupStat) (*fitted, error) {
+// buildFitted fits the component model to stats and, when feats holds a
+// (Q, DCM) vector per row of wall, the multilinear model to those rows.
+// Neither model keeps wall or feats.
+func buildFitted(kernel string, wall []float64, feats [][]float64, stats []perfmodel.GroupStat) (*fitted, error) {
 	c, err := perfmodel.FitComponent(stats, kernel)
 	if err != nil {
 		return nil, err
 	}
-	f := &fitted{Component: c, n: len(q)}
-	if hasDCM && len(q) >= 3 {
-		// One backing array for every (Q, DCM) feature pair.
-		flat := make([]float64, 2*len(q))
-		feats := make([][]float64, len(q))
-		for i := range q {
-			feats[i] = flat[2*i : 2*i+2 : 2*i+2]
-			feats[i][0], feats[i][1] = q[i], dcm[i]
-		}
+	f := &fitted{Component: c, n: len(wall)}
+	if len(feats) >= 3 {
 		if ml, err := perfmodel.MultiLinFit([]string{"Q", "DCM"}, feats, wall); err == nil {
 			f.multi = &ml
 			f.multiR2 = perfmodel.R2Multi(ml, feats, wall)

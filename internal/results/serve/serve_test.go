@@ -398,6 +398,46 @@ func TestConcurrentQueries(t *testing.T) {
 	}
 }
 
+func TestConcurrentMissesShareTheScratchPool(t *testing.T) {
+	// A one-entry cache turns nearly every query into a load, so loads run
+	// at once on scratches the pool passes from one to the next (run under
+	// -race in CI). Every body must be the one a lone query gets.
+	s, _ := newTestService(t, 1)
+	h := s.Handler()
+	var targets []string
+	want := map[string]string{}
+	for _, sc := range s.Catalog().Scenarios() {
+		for _, q := range []string{"1000", "4000"} {
+			target := "/predict?scenario=" + sc.Name + "&measure=mean_us&dcm=700&q=" + q
+			status, body := get(t, h, target)
+			if status != http.StatusOK {
+				t.Fatalf("%s: status %d: %s", target, status, body)
+			}
+			targets = append(targets, target)
+			want[target] = body
+		}
+	}
+	var wg sync.WaitGroup
+	errs := make(chan string, 8*20)
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < 20; i++ {
+				target := targets[(g*7+i)%len(targets)]
+				if _, body := get(t, h, target); body != want[target] {
+					errs <- fmt.Sprintf("%s: %s, alone %s", target, body, want[target])
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+	close(errs)
+	for e := range errs {
+		t.Error(e)
+	}
+}
+
 func TestIndexAndBackendsAgree(t *testing.T) {
 	s, _ := newTestService(t, 0)
 	status, body := get(t, s.Handler(), "/")
