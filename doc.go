@@ -370,19 +370,25 @@
 // byte-identical bodies for every request — CI curls a live instance
 // and diffs against the documented examples.
 //
-// What cannot change is rendered once. The catalog is fixed at Open, so
-// its axis list and each scenario's /scenarios list element are rendered
-// there, and a /scenarios body is assembled from those elements. A
-// resident model's Describe text and coefficients are rendered on the
-// first query that needs them and kept with the cache entry. Every other
-// body is encoded into a pooled buffer (json.Encoder with the same
-// indentation, so the same bytes as MarshalIndent plus a newline) and sent
-// in one write with its Content-Length. TestScenarioListMatchesEncoder and
-// FuzzServeQuery hold the assembled bodies to the encoder's rendering,
-// and TestHotQueryAllocations bounds what a hot query allocates. The
-// fuzz target also holds every answer to a documented status: a NaN or
-// infinite parameter is a 400, and a prediction that is not finite is a
-// 422, never a 500. cmd/resultsd caps request headers at 64 KiB (431
+// What cannot change is rendered once, and what answers most queries is
+// appended by hand. The catalog is fixed at Open, so its axis list and
+// each scenario's /scenarios list element are rendered there, and a
+// /scenarios body is assembled from those elements. A resident model's
+// Describe text and coefficients are rendered on the first query that
+// needs them and kept with the cache entry. /predict and /trend bodies
+// are appended field by field into a pooled buffer, with encoding/json's
+// string escaping (HTML characters, U+2028/U+2029, invalid UTF-8) and
+// float spelling, skipping its reflection and indenting pass; a /trend
+// coefficient that is NaN or infinite falls back to the encoder and its
+// error. /scenario, /, /healthz and error bodies stay on encoding/json
+// (json.Encoder with the same indentation, so the same bytes as
+// MarshalIndent plus a newline). Every body is sent in one write with its
+// Content-Length. TestScenarioListMatchesEncoder, the appender tables in
+// render_test.go and FuzzServeQuery hold the appended bodies to
+// json.MarshalIndent of the same answer, and TestHotQueryAllocations
+// bounds what a hot query allocates. The fuzz target also holds every
+// answer to a documented status: a NaN or infinite parameter is a 400,
+// and a prediction that is not finite is a 422, never a 500. cmd/resultsd caps request headers at 64 KiB (431
 // beyond) and bounds the time to write a reply.
 //
 // Binary row shards are the service's preferred input:

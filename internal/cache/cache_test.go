@@ -264,7 +264,7 @@ func TestAssociativityReducesConflictMisses(t *testing.T) {
 func BenchmarkAccessRangeSequential(b *testing.B) {
 	c := New(XeonL2())
 	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
+	for b.Loop() {
 		c.AccessRange(0, 8192, 8)
 	}
 }
@@ -272,7 +272,7 @@ func BenchmarkAccessRangeSequential(b *testing.B) {
 func BenchmarkAccessRangeStrided(b *testing.B) {
 	c := New(XeonL2())
 	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
+	for b.Loop() {
 		c.AccessRange(0, 8192, 1024)
 	}
 }

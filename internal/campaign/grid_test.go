@@ -316,8 +316,7 @@ func BenchmarkGridScenarios(b *testing.B) {
 		b.Fatalf("%d scenarios, want 10000", len(scs))
 	}
 	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
+	for b.Loop() {
 		if _, err := g.Scenarios(); err != nil {
 			b.Fatal(err)
 		}

@@ -135,7 +135,7 @@ func BenchmarkWorldRun(b *testing.B) {
 				cfg.Sched = mode
 				b.ReportAllocs()
 				var spec SpecStats
-				for i := 0; i < b.N; i++ {
+				for b.Loop() {
 					w := NewWorld(cfg)
 					if err := w.Run(body.run); err != nil {
 						b.Fatal(err)

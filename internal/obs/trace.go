@@ -307,10 +307,14 @@ func (t *Tracer) Export() *TraceFile {
 }
 
 // WriteTrace exports the tracer and writes the JSON document to w.
-func (t *Tracer) WriteTrace(w io.Writer) error {
+func (t *Tracer) WriteTrace(w io.Writer) error { return t.Export().write(w) }
+
+// write renders the document as WriteTrace writes it: indented one space
+// per level, with a trailing newline.
+func (tf *TraceFile) write(w io.Writer) error {
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", " ")
-	return enc.Encode(t.Export())
+	return enc.Encode(tf)
 }
 
 // WriteTraceFile writes the trace to path (the -trace flag of the commands).

@@ -146,6 +146,47 @@ func TestTraceRoundTripValidates(t *testing.T) {
 	}
 }
 
+// FuzzParseTrace: ParseTrace and ValidateTrace never panic, and a trace
+// that parses and validates is a fixed point of writing: WriteTrace's
+// rendering of it parses, validates and renders to the same bytes again.
+func FuzzParseTrace(f *testing.F) {
+	tr := NewTracerWithClock(4, fakeClock(1000))
+	w0 := tr.Track("campaign", "worker 00")
+	w0.Span("job", "sweep/states", 0, 5000, Arg{Name: "status", Value: "run"})
+	tr.Track("mpi", "w1 rank 0").Instant("spec", "conflict", Arg{Name: "op", Value: "MPI_Recv()"}, Arg{Name: "rank", Value: 3})
+	tr.Track("lease", "w<1>").Span("hold", "job\u2028/1", 10, 20, Arg{Name: "completed", Value: true})
+	for i := 0; i < 6; i++ { // overflows w0's ring: the export reports the drop
+		w0.Instant("c", "tick")
+	}
+	var buf bytes.Buffer
+	if err := tr.WriteTrace(&buf); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(buf.Bytes())
+	f.Add([]byte(`{"traceEvents":[{"name":"x","ph":"X","ts":-0,"dur":1e-7,"pid":1,"tid":1,"args":{}}],"displayTimeUnit":"ms"}`))
+	f.Add([]byte(`{"traceEvents":null}`))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		tf, err := ParseTrace(data)
+		if verr := ValidateTrace(tf); err != nil || verr != nil {
+			return
+		}
+		var first, second bytes.Buffer
+		if err := tf.write(&first); err != nil {
+			t.Fatalf("a validated trace does not write: %v", err)
+		}
+		again, err := ParseTrace(first.Bytes())
+		if err != nil {
+			t.Fatalf("the written trace does not parse: %v\n%s", err, first.Bytes())
+		}
+		if err := ValidateTrace(again); err != nil {
+			t.Fatalf("the written trace does not validate: %v\n%s", err, first.Bytes())
+		}
+		if err := again.write(&second); err != nil || !bytes.Equal(first.Bytes(), second.Bytes()) {
+			t.Fatalf("rewriting changed the trace (%v):\n%s\nthen\n%s", err, first.Bytes(), second.Bytes())
+		}
+	})
+}
+
 func TestValidateTraceRejects(t *testing.T) {
 	dur := -1.0
 	cases := []struct {

@@ -20,7 +20,7 @@ import (
 //	                render identically in CSV)
 //	      2 float64 8 bytes, IEEE 754 bits little-endian
 //	      3 string  uvarint length + bytes (fmt.Stringer and any other
-//	                value type are rendered through the CSV formatter
+//	                value type are rendered by CSV's appendValue
 //	                first, so the two formats agree on every byte)
 //	      4 bool    1 byte, 0 or 1
 //
@@ -81,25 +81,26 @@ func (e *BinEncoder) Encode(row Row) error {
 		}
 		e.header = true
 	}
-	body := e.buf[:0]
-	body = binary.AppendUvarint(body, uint64(len(row)))
+	// The body is appended after room for the longest length prefix; the
+	// prefix then goes right before the body, and the row is one Write.
+	const room = binary.MaxVarintLen64
+	b := append(e.buf[:0], make([]byte, room)...)
+	b = binary.AppendUvarint(b, uint64(len(row)))
 	for _, f := range row {
-		body = binary.AppendUvarint(body, uint64(len(f.Name)))
-		body = append(body, f.Name...)
-		body = appendBinValue(body, f.Value)
+		b = binary.AppendUvarint(b, uint64(len(f.Name)))
+		b = append(b, f.Name...)
+		b = appendBinValue(b, f.Value)
 	}
-	e.buf = body
+	e.buf = b
 	var pre [binary.MaxVarintLen64]byte
-	n := binary.PutUvarint(pre[:], uint64(len(body)))
-	if _, err := e.w.Write(pre[:n]); err != nil {
-		return err
-	}
-	_, err := e.w.Write(body)
+	n := binary.PutUvarint(pre[:], uint64(len(b)-room))
+	copy(b[room-n:], pre[:n])
+	_, err := e.w.Write(b[room-n:])
 	return err
 }
 
 // appendBinValue encodes one field value. The type partition mirrors
-// formatValue's: anything that is not an int, float64 or bool is carried
+// appendValue's: anything that is not an int, float64 or bool is carried
 // as the string CSV would have written, so decode+re-encode round-trips
 // between the two formats byte for byte.
 func appendBinValue(b []byte, v any) []byte {
@@ -119,11 +120,12 @@ func appendBinValue(b []byte, v any) []byte {
 			return append(b, 1)
 		}
 		return append(b, 0)
-	default:
-		s := formatValue(v)
+	case string:
 		b = append(b, binTagString)
-		b = binary.AppendUvarint(b, uint64(len(s)))
-		return append(b, s...)
+		b = binary.AppendUvarint(b, uint64(len(x)))
+		return append(b, x...)
+	default:
+		return appendBinValue(b, string(appendValue(nil, v)))
 	}
 }
 

@@ -1,20 +1,18 @@
 package results
 
-import (
-	"io"
-	"strings"
-)
+import "io"
 
 // CSVEncoder writes rows as CSV: a header line derived from the first
 // row's field names, then one line per row. It reproduces the byte format
-// of the repository's original hand-rolled writers (ints as %d, floats as
-// %g), so regenerated figure files stay identical. Values are written
-// verbatim — the encoder targets the numeric telemetry this repository
-// emits and does not quote separators.
+// of the repository's original hand-rolled writers (see appendValue), so
+// regenerated figure files stay identical. Values are written verbatim —
+// the encoder targets the numeric telemetry this repository emits and
+// does not quote separators. Each line is appended into one buffer the
+// encoder keeps from row to row and written with one Write.
 type CSVEncoder struct {
 	w      io.Writer
 	header bool
-	sb     strings.Builder
+	buf    []byte
 }
 
 // NewCSVEncoder returns an encoder writing to w.
@@ -31,15 +29,15 @@ func (e *CSVEncoder) Header(names ...string) error {
 		return nil
 	}
 	e.header = true
-	e.sb.Reset()
+	b := e.buf[:0]
 	for i, n := range names {
 		if i > 0 {
-			e.sb.WriteByte(',')
+			b = append(b, ',')
 		}
-		e.sb.WriteString(n)
+		b = append(b, n...)
 	}
-	e.sb.WriteByte('\n')
-	_, err := io.WriteString(e.w, e.sb.String())
+	e.buf = append(b, '\n')
+	_, err := e.w.Write(e.buf)
 	return err
 }
 
@@ -47,25 +45,25 @@ func (e *CSVEncoder) Header(names ...string) error {
 // Every row should carry the same field names in the same order; the
 // encoder trusts the emitter and does not re-check.
 func (e *CSVEncoder) Encode(row Row) error {
-	e.sb.Reset()
+	b := e.buf[:0]
 	if !e.header {
 		for i, f := range row {
 			if i > 0 {
-				e.sb.WriteByte(',')
+				b = append(b, ',')
 			}
-			e.sb.WriteString(f.Name)
+			b = append(b, f.Name...)
 		}
-		e.sb.WriteByte('\n')
+		b = append(b, '\n')
 		e.header = true
 	}
 	for i, f := range row {
 		if i > 0 {
-			e.sb.WriteByte(',')
+			b = append(b, ',')
 		}
-		e.sb.WriteString(formatValue(f.Value))
+		b = appendValue(b, f.Value)
 	}
-	e.sb.WriteByte('\n')
-	_, err := io.WriteString(e.w, e.sb.String())
+	e.buf = append(b, '\n')
+	_, err := e.w.Write(e.buf)
 	return err
 }
 

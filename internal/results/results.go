@@ -22,6 +22,7 @@ import (
 	"fmt"
 	"math"
 	"sort"
+	"strconv"
 	"sync"
 )
 
@@ -273,21 +274,22 @@ func (t *tee) Close() error {
 	return errors.Join(errs...)
 }
 
-// formatValue renders a field value the way the repository's hand-rolled
-// CSV writers did: ints via %d, floats via %g, strings and Stringers
-// verbatim.
-func formatValue(v any) string {
+// appendValue appends a field value the way the repository's hand-rolled
+// CSV writers rendered it: ints as %d, floats as %g, strings and Stringers
+// verbatim, anything else as fmt.Sprint does. The strconv calls produce
+// fmt's bytes without its interface boxing and intermediate strings.
+func appendValue(b []byte, v any) []byte {
 	switch x := v.(type) {
 	case int:
-		return fmt.Sprintf("%d", x)
+		return strconv.AppendInt(b, int64(x), 10)
 	case int64:
-		return fmt.Sprintf("%d", x)
+		return strconv.AppendInt(b, x, 10)
 	case float64:
-		return fmt.Sprintf("%g", x)
+		return strconv.AppendFloat(b, x, 'g', -1, 64)
 	case string:
-		return x
+		return append(b, x...)
 	case fmt.Stringer:
-		return x.String()
+		return append(b, x.String()...)
 	}
-	return fmt.Sprint(v)
+	return fmt.Append(b, v)
 }

@@ -2,12 +2,14 @@ package results
 
 import (
 	"fmt"
+	"io"
 	"math"
 	"os"
 	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
+	"time"
 )
 
 type dirStringer int
@@ -55,6 +57,63 @@ func TestCSVEncoderExplicitHeader(t *testing.T) {
 	}
 	if sb.String() != csvHeaderGolden {
 		t.Errorf("encoded = %q, want %q", sb.String(), csvHeaderGolden)
+	}
+}
+
+// fmtValue is the fmt rendering appendValue replaced, kept as the
+// reference its bytes are held to.
+func fmtValue(v any) string {
+	switch x := v.(type) {
+	case int:
+		return fmt.Sprintf("%d", x)
+	case int64:
+		return fmt.Sprintf("%d", x)
+	case float64:
+		return fmt.Sprintf("%g", x)
+	case string:
+		return x
+	case fmt.Stringer:
+		return x.String()
+	}
+	return fmt.Sprint(v)
+}
+
+// FuzzCSVValue holds appendValue to the fmt rendering for any int, any
+// float64 bit pattern, any string, a Stringer and the values that take
+// the fmt.Sprint fallback, appended after bytes already in the buffer.
+func FuzzCSVValue(f *testing.F) {
+	for i, x := range []float64{0, math.Copysign(0, -1), 1e-7, 1e21, 123.456, 1.5e-07, 5e-324, math.MaxFloat64, math.Inf(1), math.Inf(-1), math.NaN()} {
+		f.Add(int64(i)*-977, math.Float64bits(x), "")
+	}
+	f.Add(int64(math.MinInt64), uint64(0x7ff8000000000001), "Y")
+	f.Add(int64(math.MaxInt64), uint64(1), "a,b\n\x00\xff")
+	f.Fuzz(func(t *testing.T, i int64, bits uint64, s string) {
+		x := math.Float64frombits(bits)
+		for _, v := range []any{int(i), i, x, s, dirStringer(i), time.Duration(i), i%2 == 0, int32(i), float32(x), []byte(s), nil} {
+			got := string(appendValue([]byte("p,"), v))
+			if want := "p," + fmtValue(v); got != want {
+				t.Fatalf("%T %v: appended %q, fmt renders %q", v, v, got, want)
+			}
+		}
+	})
+}
+
+func TestRowEncodersAllocateNothingPerRow(t *testing.T) {
+	// After the first row each encoder's buffer is grown: ints, floats and
+	// strings are appended into it and the row is written in one call, so
+	// a row of them costs no allocation at all.
+	row := Row{F("rank", 3), F("q", 52345), F("count", int64(1)<<40), F("mode", "Y"), F("wall_us", 12345.678), F("l2_dcm", 9876.0)}
+	for _, enc := range []rowEncoder{NewCSVEncoder(io.Discard), NewBinEncoder(io.Discard)} {
+		if err := enc.Encode(row); err != nil {
+			t.Fatal(err)
+		}
+		if n := testing.AllocsPerRun(100, func() {
+			if err := enc.Encode(row); err != nil {
+				t.Fatal(err)
+			}
+		}); n != 0 {
+			t.Errorf("%T.Encode: %v allocations per row, want 0", enc, n)
+		}
 	}
 }
 
@@ -320,13 +379,11 @@ func BenchmarkCSVShardSink(b *testing.B) {
 	}
 	row := Row{F("rank", 1), F("q", 52345), F("mode", "Y"), F("wall_us", 12345.678), F("l2_dcm", 9876.0)}
 	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
+	for i := 0; b.Loop(); i++ {
 		if err := s.Emit(keys[i%len(keys)], row); err != nil {
 			b.Fatal(err)
 		}
 	}
-	b.StopTimer()
 	if err := s.Flush(); err != nil {
 		b.Fatal(err)
 	}

@@ -23,9 +23,13 @@ type scenariosResponse struct {
 	Scenarios []*Scenario `json:"scenarios"`
 }
 
-// markupStem is a scenario whose tag holds the three characters the
-// encoder escapes for HTML.
-const markupStem = "p2_a&b<c>d_c128kB_cpu1x_quiet_opt_r0"
+// markupTag holds the three characters the encoder escapes for HTML and
+// the line separator it escapes for JavaScript; markupStem is a scenario
+// carrying it, so its name holds them too.
+const (
+	markupTag  = "a&b<c>d\u2028e"
+	markupStem = "p2_" + markupTag + "_c128kB_cpu1x_quiet_opt_r0"
+)
 
 // markupFixture is fixtureDir plus markupStem, a copy of one of its CSV
 // shards.
@@ -46,18 +50,34 @@ func markupFixture(tb testing.TB) string {
 	return dir
 }
 
-// scenariosOracle is the /scenarios body for a raw query, rendered by the
-// encoder in one piece.
-func scenariosOracle(tb testing.TB, s *Service, rawQuery string) string {
+// encoderOracle is the 200 body of a /scenarios, /predict or /trend query
+// rendered by the encoder in one piece: json.MarshalIndent of the value
+// the handler answers with, plus the newline Encoder.Encode prints. A
+// /scenarios list is rendered as the {"count", "scenarios"} object it
+// stands for.
+func encoderOracle(tb testing.TB, s *Service, p, rawQuery string) string {
 	tb.Helper()
-	v, _ := url.ParseQuery(rawQuery) // as Request.URL.Query: malformed pairs are dropped
-	f, err := s.parseFilter(v)
-	if err != nil {
-		tb.Fatal(err)
+	r := httptest.NewRequest(http.MethodGet, "/", nil)
+	r.URL = &url.URL{Path: p, RawQuery: rawQuery}
+	var v any
+	var err error
+	switch p {
+	case "/scenarios":
+		v, err = s.handleScenarios(r)
+		if l, ok := v.(scenarioList); ok {
+			v = scenariosResponse{Count: len(l), Scenarios: l}
+		}
+	case "/predict":
+		v, err = s.handlePredict(r)
+	case "/trend":
+		v, err = s.handleTrend(r)
+	default:
+		tb.Fatalf("no oracle for %s", p)
 	}
-	f.Name = v.Get("name")
-	m := s.catalog.Match(f)
-	data, err := json.MarshalIndent(scenariosResponse{Count: len(m), Scenarios: m}, "", "  ")
+	if err != nil {
+		tb.Fatalf("%s?%s: %v", p, rawQuery, err)
+	}
+	data, err := json.MarshalIndent(v, "", "  ")
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -81,7 +101,7 @@ func TestScenarioListMatchesEncoder(t *testing.T) {
 		{"ranks=2", 4},
 		{"sched=opt", 4},
 		{"tag=loaded", 2},
-		{"tag=" + url.QueryEscape("a&b<c>d"), 1},
+		{"tag=" + url.QueryEscape(markupTag), 1},
 		{"name=p8_base_c128kB_cpu1x_loaded_serial_r0", 1},
 		{"ranks=3", 0},
 	} {
@@ -89,7 +109,7 @@ func TestScenarioListMatchesEncoder(t *testing.T) {
 		if status != http.StatusOK {
 			t.Fatalf("%q: status %d: %s", tc.query, status, body)
 		}
-		want := scenariosOracle(t, s, tc.query)
+		want := encoderOracle(t, s, "/scenarios", tc.query)
 		if body != want {
 			t.Errorf("%q: assembled body differs from the encoder's\n got: %s\nwant: %s", tc.query, body, want)
 		}
@@ -98,8 +118,8 @@ func TestScenarioListMatchesEncoder(t *testing.T) {
 			t.Errorf("%q: count %d (%v), want %d", tc.query, resp.Count, err, tc.count)
 		}
 	}
-	if _, body := get(t, h, "/scenarios"); !strings.Contains(body, `"a\u0026b\u003cc\u003ed"`) {
-		t.Errorf("the markup tag is not HTML-escaped:\n%s", body)
+	if _, body := get(t, h, "/scenarios"); !strings.Contains(body, `"a\u0026b\u003cc\u003ed\u2028e"`) {
+		t.Errorf("the markup tag is not HTML- and JavaScript-escaped:\n%s", body)
 	}
 }
 
@@ -195,7 +215,8 @@ func muxCleanPath(p string) string {
 // FuzzServeQuery sends an arbitrary path and raw query to a service over
 // the fixture catalog. Every answer is a status the API documents, a JSON
 // body ending in a newline whose length Content-Length gives, and a 200
-// /scenarios body is the encoder's rendering of the match.
+// /scenarios, /predict or /trend body, which the service appends by hand,
+// is the encoder's rendering of the same answer.
 func FuzzServeQuery(f *testing.F) {
 	s, err := New(markupFixture(f), Options{Obs: obs.New(obs.Options{})})
 	if err != nil {
@@ -206,7 +227,16 @@ func FuzzServeQuery(f *testing.F) {
 		p, q, _ := strings.Cut(ex.target, "?")
 		f.Add(p, q)
 	}
-	f.Add("/scenarios", "tag="+url.QueryEscape("a&b<c>d")+"&ranks=2")
+	f.Add("/scenarios", "tag="+url.QueryEscape(markupTag)+"&ranks=2")
+	f.Add("/trend", "axis=cache_kb&tag="+url.QueryEscape(markupTag))
+	f.Add("/trend", "axis=ranks&model=queue")
+	// The floats whose spelling the encoder special-cases, an omitted zero
+	// lambda and a present dcm, each echoed in "at".
+	for _, q := range []string{"-0", "1e-7", "1e21", "5e-324"} {
+		f.Add("/predict", "scenario="+url.QueryEscape(markupStem)+"&measure=mean_us&q="+q)
+	}
+	f.Add("/predict", "scenario="+url.QueryEscape(markupStem)+"&measure=throughput_per_s&model=queue&q=3000&lambda=0")
+	f.Add("/predict", "scenario="+url.QueryEscape(markupStem)+"&measure=mean_us&q=3000&lambda=-0&dcm=1e-7")
 	// A prediction that overflows, and parameters that are not finite: each
 	// was a 500, or a panic in the queue's interpolation, before they were
 	// refused.
@@ -238,8 +268,8 @@ func FuzzServeQuery(f *testing.F) {
 		if cl := rec.Header().Get("Content-Length"); cl != strconv.Itoa(len(body)) {
 			t.Fatalf("%s?%s: Content-Length %q for a %d-byte body", esc, rawQuery, cl, len(body))
 		}
-		if esc == "/scenarios" && rec.Code == http.StatusOK {
-			if want := scenariosOracle(t, s, rawQuery); body != want {
+		if (esc == "/scenarios" || esc == "/predict" || esc == "/trend") && rec.Code == http.StatusOK {
+			if want := encoderOracle(t, s, esc, rawQuery); body != want {
 				t.Fatalf("%s?%s: assembled body differs from the encoder's\n got: %s\nwant: %s", esc, rawQuery, body, want)
 			}
 		}

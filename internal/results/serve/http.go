@@ -160,11 +160,13 @@ func (s *Service) wrap(name string, h func(*http.Request) (any, error)) http.Han
 // reads an event's args, so one slice serves them all.
 var okSpanArgs = []obs.Arg{{Name: "status", Value: http.StatusOK}}
 
-// jsonBuffer is a response body and an indenting encoder writing into it.
-// Both keep their storage between requests.
+// jsonBuffer is a response body, an indenting encoder writing into it and
+// the appender preRendered bodies write through. All keep their storage
+// between requests.
 type jsonBuffer struct {
 	bytes.Buffer
 	enc *json.Encoder
+	app jsonAppender
 }
 
 // jsonContentType is every JSON reply's Content-Type header value. net/http
@@ -178,23 +180,32 @@ var jsonBuffers = sync.Pool{New: func() any {
 	return b
 }}
 
-// preRendered is a body assembled from bytes rendered before the request,
-// which writeJSON copies instead of encoding.
-type preRendered interface{ render(*bytes.Buffer) }
+// preRendered is a body that appends its own JSON (see jsonAppender)
+// instead of going through the encoder.
+type preRendered interface{ appendJSON(*jsonAppender) }
 
 // writeJSON renders v indented with a trailing newline — the exact bytes
 // the API document's examples carry, json.MarshalIndent(v, "", "  ") plus
 // "\n", which is what Encoder.Encode prints — and sends them in one write
-// with their Content-Length.
+// with their Content-Length. A preRendered body appends those bytes
+// itself, unless it holds a float the encoder refuses: the encoder then
+// answers with its error, as for every other body.
 func writeJSON(w http.ResponseWriter, status int, v any) {
 	b := jsonBuffers.Get().(*jsonBuffer)
 	defer jsonBuffers.Put(b)
 	b.Reset()
 	if p, ok := v.(preRendered); ok {
-		p.render(&b.Buffer)
-	} else if err := b.enc.Encode(v); err != nil {
-		http.Error(w, err.Error(), http.StatusInternalServerError)
-		return
+		b.app = jsonAppender{b: b.AvailableBuffer()}
+		p.appendJSON(&b.app)
+		if !b.app.refused {
+			b.Write(b.app.b)
+		}
+	}
+	if b.Len() == 0 {
+		if err := b.enc.Encode(v); err != nil {
+			http.Error(w, err.Error(), http.StatusInternalServerError)
+			return
+		}
 	}
 	h := w.Header()
 	h["Content-Type"] = jsonContentType
@@ -304,26 +315,8 @@ func (s *Service) handleMetrics(w http.ResponseWriter, r *http.Request) {
 // scenarioList is a /scenarios body: matching scenarios, catalog metadata
 // only — no shard is decoded. It renders as json.MarshalIndent renders
 // {"count": len, "scenarios": list}, assembled from the elements Open
-// rendered; an empty match is a nil list, so "scenarios" is null.
+// rendered.
 type scenarioList []*Scenario
-
-func (l scenarioList) render(b *bytes.Buffer) {
-	b.WriteString("{\n  \"count\": ")
-	b.Write(strconv.AppendInt(b.AvailableBuffer(), int64(len(l)), 10))
-	if len(l) == 0 {
-		b.WriteString(",\n  \"scenarios\": null\n}\n")
-		return
-	}
-	b.WriteString(",\n  \"scenarios\": [")
-	for i, sc := range l {
-		if i > 0 {
-			b.WriteByte(',')
-		}
-		b.WriteString("\n    ")
-		b.Write(sc.listed)
-	}
-	b.WriteString("\n  ]\n}\n")
-}
 
 func (s *Service) handleScenarios(r *http.Request) (any, error) {
 	v := r.URL.Query()

@@ -240,7 +240,8 @@ func (m *Manager) leasePath(addr string) string {
 // already holds the job's payload, ClaimRun when this worker won the
 // lease (run the job, then Release), and ClaimBusy when another live
 // worker holds it. Stale leases — heartbeat older than TTL — are stolen
-// en passant: renamed aside (one winner) and the vacant slot re-raced.
+// en passant: renamed aside (one winner) and the vacant slot re-raced. A
+// key holding a newline or a tab is an error.
 func (m *Manager) TryClaim(key, hash string) (campaign.ClaimState, error) {
 	state, err := m.tryClaim(key, hash)
 	m.met.claims.Inc()
@@ -261,6 +262,12 @@ func (m *Manager) TryClaim(key, hash string) (campaign.ClaimState, error) {
 //
 //repolint:allow wallclock -- lease staleness and grant times are wall-clock by protocol design (heartbeat age vs TTL); they arbitrate who runs, never what the run produces
 func (m *Manager) tryClaim(key, hash string) (campaign.ClaimState, error) {
+	// Both files are line- and tab-delimited: a newline in the key would
+	// make the live lease read as wreckage that the next claimant steals,
+	// and a tab would tear the audit line.
+	if strings.ContainsAny(key, "\n\t") {
+		return campaign.ClaimBusy, fmt.Errorf("lease: job key %q holds a newline or tab, which lease and audit records cannot carry", key)
+	}
 	addr := m.st.Addr(key, hash)
 	path := m.leasePath(addr)
 	for attempt := 0; attempt < claimAttempts; attempt++ {
@@ -544,8 +551,7 @@ func (m *Manager) appendAudit(key string, elapsed time.Duration, end time.Time) 
 	if err != nil {
 		return fmt.Errorf("lease: audit: %w", err)
 	}
-	line := fmt.Sprintf("%s\t%.3f\t%d\n", key, float64(elapsed)/1e3, end.UnixNano())
-	_, werr := f.WriteString(line)
+	_, werr := f.WriteString(auditLine(key, elapsed, end))
 	if cerr := f.Close(); werr == nil {
 		werr = cerr
 	}
@@ -553,6 +559,11 @@ func (m *Manager) appendAudit(key string, elapsed time.Duration, end time.Time) 
 		return fmt.Errorf("lease: audit: %w", werr)
 	}
 	return nil
+}
+
+// auditLine renders one audit log line; parseAuditLine is its inverse.
+func auditLine(key string, elapsed time.Duration, end time.Time) string {
+	return fmt.Sprintf("%s\t%.3f\t%d\n", key, float64(elapsed)/1e3, end.UnixNano())
 }
 
 // formatLease renders a lease record; one "name\tvalue" line per field.

@@ -5,6 +5,8 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io/fs"
+	"math"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -235,6 +237,28 @@ func TestOpenRejectsBadOwners(t *testing.T) {
 	}
 	if _, err := Open(st, "ok", Options{TTL: 3 * time.Nanosecond}); err == nil {
 		t.Error("Open accepted a TTL too small to heartbeat under")
+	}
+}
+
+// TestClaimRefusesKeysTheRecordsCannotCarry: a newline in a job key splits
+// the lease record, which every other claimant then reads as wreckage and
+// steals while its holder is alive, and a tab splits the holder's audit
+// line. Such a key is refused with an error naming it, and no lease file
+// is left for it.
+func TestClaimRefusesKeysTheRecordsCannotCarry(t *testing.T) {
+	t.Parallel()
+	st := openStore(t)
+	a := openMgr(t, st, "a", Options{})
+	b := openMgr(t, st, "b", Options{})
+	for _, key := range []string{"job/1\nowner\tb", "job/2\tx", "job/3\n"} {
+		for _, m := range []*Manager{a, b} {
+			if s, err := m.TryClaim(key, "h"); err == nil || !strings.Contains(err.Error(), fmt.Sprintf("%q", key)) {
+				t.Errorf("%s: claim of %q = %v, %v; want an error naming the key", m.Owner(), key, s, err)
+			}
+		}
+		if _, err := os.Stat(a.leasePath(st.Addr(key, "h"))); !errors.Is(err, fs.ErrNotExist) {
+			t.Errorf("%q: lease file left behind (%v)", key, err)
+		}
 	}
 }
 
@@ -530,6 +554,53 @@ func FuzzLeaseRecord(f *testing.F) {
 			t.Errorf("parseLease(%q) error %v does not wrap errMalformed", raw, err)
 		case err == nil && r.Owner == "":
 			t.Errorf("parseLease(%q) accepted a record with no owner", raw)
+		}
+	})
+}
+
+// FuzzAuditLine: parseAuditLine either errors or parses any line, and a
+// line written as appendAudit writes it, for a key with no tab or newline
+// (TryClaim refuses the others), reads back with the same key, elapsed
+// time to the nanosecond (for holds under three days) and end time.
+func FuzzAuditLine(f *testing.F) {
+	// Seeds: the lines a real claim and release write, then torn ones.
+	st, err := store.Open(f.TempDir())
+	if err != nil {
+		f.Fatal(err)
+	}
+	m, err := Open(st, "w1", Options{})
+	if err != nil {
+		f.Fatal(err)
+	}
+	defer m.Close()
+	for _, key := range []string{"job/1", "p3/eth/c128kB/r0 \u2028"} {
+		if s, err := m.TryClaim(key, "h"); err != nil || s != campaign.ClaimRun {
+			f.Fatalf("claim = %v, %v", s, err)
+		}
+		if err := m.Release(key, "h", true); err != nil {
+			f.Fatal(err)
+		}
+	}
+	data, err := os.ReadFile(filepath.Join(st.Dir(), dirName, "audit-w1.log"))
+	if err != nil {
+		f.Fatal(err)
+	}
+	for _, line := range strings.SplitAfter(string(data), "\n") {
+		f.Add(line, "job/1", int64(1_500_000), int64(2_000_000))
+	}
+	f.Add("job/2\t1500.000\n", "", int64(0), int64(-1))
+	f.Add("job/3\t1.5\t2e6\n", "a\rb", int64(1)<<52, int64(math.MinInt64))
+	f.Fuzz(func(t *testing.T, line, key string, elapsedNS, endNS int64) {
+		if e, err := parseAuditLine(line); err == nil && (strings.Count(line, "\t") != 2 || !strings.HasSuffix(line, "\n") || e.Key != line[:strings.IndexByte(line, '\t')]) {
+			t.Errorf("parseAuditLine(%q) = %+v, not a key and two timings", line, e)
+		}
+		if strings.ContainsAny(key, "\t\n") || elapsedNS < 0 || elapsedNS >= 1<<48 {
+			return // keys TryClaim refuses; holds of days, past nanosecond resolution in float64 microseconds
+		}
+		w := auditLine(key, time.Duration(elapsedNS), time.Unix(0, endNS))
+		e, err := parseAuditLine(w)
+		if err != nil || e.Key != key || int64(math.Round(e.ElapsedUS*1e3)) != elapsedNS || e.EndUnixNS != endNS {
+			t.Errorf("parseAuditLine(%q) = %+v, %v; want key %q, %d ns elapsed, end %d", w, e, err, key, elapsedNS, endNS)
 		}
 	})
 }
