@@ -53,10 +53,20 @@
 // never move, while the host memory behind a temporary block or edge field
 // is not and is recycled: each rank's sweep loop, RK2 and InviscidFlux
 // build their temporaries on a euler.Scratch — one slab, handed out plane
-// by plane, taken back whole, never cleared — and still call Alloc once per
-// plane, in the same order. Persistent AMR patches own zeroed storage
-// (euler.NewBlock). The internal/euler package comment has the details and
-// the tests that hold "written before read" and "same addresses" true.
+// by plane, taken back whole, never cleared, and the block and edge field
+// headers with it — and still call Alloc once per plane, in the same order.
+// A sweep takes its arena from a pool, so the next sweep in the process
+// reuses the slab. Persistent AMR patches own zeroed storage
+// (euler.NewBlock). The rest of the case study's per-step host bookkeeping
+// lives on the amr.Hierarchy: each level's local patch list and
+// ghost-exchange plan are derived once per structural change (construction,
+// Regrid and LoadBalance bump a generation counter) and never written in
+// place, and the halo receive and pack buffers only grow. mpi's Isend copies
+// its payload before it returns, and returns the communicator's one
+// completed send request. None of this moves a simulated byte: messages,
+// sizes and charges are those of fresh storage. The internal/euler package
+// comment has the details and the tests that hold "written before read" and
+// "same addresses" true.
 //
 // # Campaigns
 //
@@ -157,11 +167,19 @@
 // rollback). On wildcards "opt" pays for 221 rollbacks of 240 speculations
 // and is 2.5x "par"; on collectives its 1 152 speculative completions are
 // all correct and it is still 2x "par" (its parked ranks share one
-// condition variable, so each event wakes them all). So: "par" ties or
-// beats "serial" and wins whenever ranks compute; "opt" wins only when
-// specific-source traffic has compute to overlap, and pure compute gains
-// nothing over the conservative mode (watch SpecStats.Conflicts where
-// AnySource traffic with genuine races is unavoidable). Across-world
+// condition variable, so each event wakes them all). So on these bodies
+// "par" ties or beats "serial" and wins when ranks compute without
+// communicating. On the case study it does not win: DefaultCaseStudy
+// (cmd/pmmcase, 3 ranks, three runs per mode on 2 cores) took 0.91-1.02 s
+// serial, 0.89-0.98 s par and 0.64-0.73 s opt, and par ran on one CPU (user
+// time equal to wall time) where opt used 1.6. The likely cause: a rank
+// that gets the commit token back from Waitsome keeps it through its next
+// compute segment, so its peers cannot finish their own Waitsome until it
+// re-enters MPI. Opt's speculative Waitsome is what overlaps that compute.
+// "opt" wins only when specific-source traffic has compute to overlap, and
+// pure compute gains nothing over the conservative mode (watch
+// SpecStats.Conflicts where AnySource traffic with genuine races is
+// unavoidable). Across-world
 // campaign parallelism (campaign.Config.Workers) is the first lever: whole
 // scenarios are embarrassingly parallel. The two compose multiplicatively
 // (worlds x ranks); prefer campaign workers when the grid has many

@@ -106,10 +106,11 @@ func (h *Hierarchy) LoadBalance() int {
 	// Ship outgoing blocks.
 	for _, mv := range outgoing {
 		b := h.blocks[mv.meta.ID]
-		buf := make([]float64, 0, euler.NVars*len(b.U[0]))
+		buf := h.pack[:0]
 		for v := 0; v < euler.NVars; v++ {
 			buf = append(buf, b.U[v]...)
 		}
+		h.pack = buf
 		h.r.Proc.Advance(float64(8*len(buf)) / packCopyBytesPerUS)
 		comm.Isend(mv.newOwner, tagLB+mv.meta.ID, buf)
 		delete(h.blocks, mv.meta.ID)
@@ -129,5 +130,6 @@ func (h *Hierarchy) LoadBalance() int {
 		h.r.Proc.Advance(float64(8*len(bufs[i])) / packCopyBytesPerUS)
 		h.blocks[mv.meta.ID] = b
 	}
+	h.gen++ // owners and blocks moved: every level's cached lists are stale
 	return moved
 }

@@ -5,7 +5,6 @@ import (
 	"sort"
 
 	"repro/internal/euler"
-	"repro/internal/mpi"
 )
 
 // Message tag bases: ghost exchanges are tagged by level, load-balance
@@ -27,33 +26,31 @@ type copyRegion struct {
 	r            Rect
 }
 
-// GhostExchange fills the ghost cells of every local patch at the level:
-// first by prolongation from the (local) parent patches, then by same-level
-// copies — rank-local directly, remote via nonblocking MPI drained with
-// Waitsome — and finally by physical boundary conditions. This is one of
-// the paper's two AMRMesh methods that account for its MPI_Waitsome time.
-func (h *Hierarchy) GhostExchange(level int) {
-	metas := h.Level(level)
-	if len(metas) == 0 {
-		return
-	}
-	me := h.Rank()
+// exchangePlan is one level's ghost-exchange schedule on one rank. Region
+// lists are derived from replicated metadata in a canonical order, so sender
+// and receiver pack and unpack identically without headers.
+type exchangePlan struct {
+	// local are the copies whose source and destination are both local.
+	local []copyRegion
+	// sends and recvs hold one region list per peer, by ascending peer.
+	sends, recvs []peerRegions
+}
 
-	// 1. Coarse-fine ghost fill from the local parent.
-	if level > 0 {
-		for _, p := range h.LocalPatches(level) {
-			h.prolongGhosts(p)
-		}
-	}
+// peerRegions is the region list exchanged with one peer, and the number of
+// float64 values it packs to.
+type peerRegions struct {
+	peer    int
+	regions []copyRegion
+	size    int
+}
 
-	// 2. Same-level exchange. Region lists are derived from replicated
-	// metadata in a canonical order, so sender and receiver pack and
-	// unpack identically without headers.
-	var local []copyRegion
+// derivePlan builds rank me's exchange plan for one level's metadata.
+func derivePlan(metas []PatchMeta, ghost, me int) exchangePlan {
+	var plan exchangePlan
 	sendTo := map[int][]copyRegion{}
 	recvFrom := map[int][]copyRegion{}
 	for _, d := range metas {
-		gz := d.Rect.Expand(h.cfg.Ghost)
+		gz := d.Rect.Expand(ghost)
 		for _, s := range metas {
 			if s.ID == d.ID {
 				continue
@@ -65,7 +62,7 @@ func (h *Hierarchy) GhostExchange(level int) {
 			cr := copyRegion{srcID: s.ID, dstID: d.ID, r: reg}
 			switch {
 			case s.Owner == me && d.Owner == me:
-				local = append(local, cr)
+				plan.local = append(plan.local, cr)
 			case s.Owner == me:
 				sendTo[d.Owner] = append(sendTo[d.Owner], cr)
 			case d.Owner == me:
@@ -73,57 +70,92 @@ func (h *Hierarchy) GhostExchange(level int) {
 			}
 		}
 	}
-	for _, cr := range local {
+	plan.sends, plan.recvs = byPeer(sendTo), byPeer(recvFrom)
+	return plan
+}
+
+// byPeer returns the map's region lists in ascending peer order.
+func byPeer(m map[int][]copyRegion) []peerRegions {
+	out := make([]peerRegions, 0, len(m))
+	for p, regions := range m {
+		out = append(out, peerRegions{peer: p, regions: regions, size: regionsSize(regions)})
+	}
+	sort.Slice(out, func(i, j int) bool { return out[i].peer < out[j].peer })
+	return out
+}
+
+// GhostExchange fills the ghost cells of every local patch at the level:
+// first by prolongation from the (local) parent patches, then by same-level
+// copies — rank-local directly, remote via nonblocking MPI drained with
+// Waitsome — and finally by physical boundary conditions. This is one of
+// the paper's two AMRMesh methods that account for its MPI_Waitsome time.
+// On a level whose structure has not changed since the last call it
+// allocates nothing of its own: the plan, the patch list and the buffers
+// are the hierarchy's.
+func (h *Hierarchy) GhostExchange(level int) {
+	if len(h.Level(level)) == 0 {
+		return
+	}
+	c := h.cached(level)
+
+	// 1. Coarse-fine ghost fill from the local parent.
+	if level > 0 {
+		for _, p := range c.patches {
+			h.prolongGhosts(p)
+		}
+	}
+
+	// 2. Same-level exchange.
+	for _, cr := range c.plan.local {
 		h.copyLocalRegion(cr)
 	}
-	if len(sendTo) > 0 || len(recvFrom) > 0 {
-		h.exchangeRemote(level, sendTo, recvFrom)
+	if len(c.plan.sends) > 0 || len(c.plan.recvs) > 0 {
+		h.exchangeRemote(level, &c.plan)
 	}
 
 	// 3. Physical boundary conditions override at the domain edge.
 	dom := h.levelDomain(level)
-	for _, p := range h.LocalPatches(level) {
+	for _, p := range c.patches {
 		p.Block.FillBoundary(
 			p.Meta.Rect.I0 == dom.I0, p.Meta.Rect.I1 == dom.I1,
 			p.Meta.Rect.J0 == dom.J0, p.Meta.Rect.J1 == dom.J1)
 	}
 }
 
-// exchangeRemote runs the nonblocking send/receive cycle for one level.
-func (h *Hierarchy) exchangeRemote(level int, sendTo, recvFrom map[int][]copyRegion) {
+// exchangeRemote runs the nonblocking send/receive cycle for one level. Each
+// peer's receive buffer and the one pack buffer are reused from the last
+// call: Isend copies the payload before it returns.
+func (h *Hierarchy) exchangeRemote(level int, plan *exchangePlan) {
 	comm := h.r.Comm
 	tag := tagGhost + level
 
-	recvPeers := sortedPeers(recvFrom)
-	var reqs []*mpi.Request
-	recvBufs := make(map[int][]float64, len(recvPeers))
-	for _, peer := range recvPeers {
-		buf := make([]float64, regionsSize(recvFrom[peer]))
-		recvBufs[peer] = buf
-		reqs = append(reqs, comm.Irecv(peer, tag, buf))
+	reqs := h.reqs[:0]
+	for _, pr := range plan.recvs {
+		h.recvBufs[pr.peer] = grown(h.recvBufs[pr.peer], pr.size)
+		reqs = append(reqs, comm.Irecv(pr.peer, tag, h.recvBufs[pr.peer]))
 	}
-	for _, peer := range sortedPeers(sendTo) {
-		buf := h.packRegions(sendTo[peer])
-		comm.Isend(peer, tag, buf)
+	h.reqs = reqs
+	for _, pr := range plan.sends {
+		h.pack = h.packRegions(pr.regions, grown(h.pack, pr.size)[:0])
+		comm.Isend(pr.peer, tag, h.pack)
 	}
 	for {
 		if comm.Waitsome(reqs) == nil {
 			break
 		}
 	}
-	for _, peer := range recvPeers {
-		h.unpackRegions(recvFrom[peer], recvBufs[peer])
+	for _, pr := range plan.recvs {
+		h.unpackRegions(pr.regions, h.recvBufs[pr.peer])
 	}
 }
 
-// sortedPeers returns the map's keys in ascending order.
-func sortedPeers(m map[int][]copyRegion) []int {
-	out := make([]int, 0, len(m))
-	for p := range m {
-		out = append(out, p)
+// grown returns buf resliced to n values, reallocated only if its capacity
+// is short. The values are not cleared.
+func grown(buf []float64, n int) []float64 {
+	if cap(buf) < n {
+		return make([]float64, n)
 	}
-	sort.Ints(out)
-	return out
+	return buf[:n]
 }
 
 // regionsSize returns the number of float64 values a region list packs to.
@@ -135,10 +167,9 @@ func regionsSize(regions []copyRegion) int {
 	return n
 }
 
-// packRegions serializes the region list from local source patches, in list
-// order, var-major then row-major per region.
-func (h *Hierarchy) packRegions(regions []copyRegion) []float64 {
-	buf := make([]float64, 0, regionsSize(regions))
+// packRegions serializes the region list from local source patches onto
+// buf, in list order, var-major then row-major per region.
+func (h *Hierarchy) packRegions(regions []copyRegion, buf []float64) []float64 {
 	for _, cr := range regions {
 		src, sm, ok := h.blockAndMeta(cr.srcID)
 		if !ok {

@@ -84,12 +84,37 @@ func (c Config) Validate() error {
 // for every level plus the data blocks this rank owns. It is a collective
 // over its rank's world: New, GhostExchange, Regrid, LoadBalance,
 // DensityImage and TotalMass are called on every rank together.
+//
+// What the per-step path derives from the structure (each level's local
+// patch list and ghost-exchange plan) is cached per level and derived again
+// only after the structure changes. Every change — construction, Regrid,
+// LoadBalance — bumps gen, which makes every cache stale. A rebuild
+// allocates new lists and never writes an old one, so a list handed out
+// before a change stays what it was. The exchange's receive and pack
+// buffers and DensityImage's partial image live here too and only grow:
+// they are host memory the simulated machine never sees.
 type Hierarchy struct {
 	cfg    Config
 	r      *mpi.Rank
 	levels [][]PatchMeta
 	blocks map[int]*euler.Block
 	nextID int
+
+	gen    uint64
+	caches []levelCache
+
+	recvBufs [][]float64 // by peer rank
+	pack     []float64
+	reqs     []*mpi.Request
+	image    []float64
+}
+
+// levelCache holds one level's derived lists, valid while gen equals the
+// hierarchy's.
+type levelCache struct {
+	gen     uint64
+	patches []PatchRef
+	plan    exchangePlan
 }
 
 // New builds the hierarchy on rank, collectively with every other rank of
@@ -103,10 +128,12 @@ func New(cfg Config, rank *mpi.Rank) (*Hierarchy, error) {
 		return nil, fmt.Errorf("amr: a hierarchy needs a rank")
 	}
 	h := &Hierarchy{
-		cfg:    cfg,
-		r:      rank,
-		levels: make([][]PatchMeta, cfg.MaxLevels),
-		blocks: make(map[int]*euler.Block),
+		cfg:      cfg,
+		r:        rank,
+		levels:   make([][]PatchMeta, cfg.MaxLevels),
+		blocks:   make(map[int]*euler.Block),
+		caches:   make([]levelCache, cfg.MaxLevels),
+		recvBufs: make([][]float64, rank.Comm.Size()),
 	}
 	// Level-0 tiling with contiguous block distribution over ranks.
 	tilesX := cfg.BaseNx / cfg.TileNx
@@ -130,6 +157,7 @@ func New(cfg Config, rank *mpi.Rank) (*Hierarchy, error) {
 			}
 		}
 	}
+	h.gen++ // level 0 exists: the first generation
 	// Initial refinement cascade: flag from the just-initialized data.
 	for lev := 0; lev < cfg.MaxLevels-1; lev++ {
 		h.GhostExchange(lev)
@@ -165,16 +193,42 @@ type PatchRef struct {
 	Block *euler.Block
 }
 
-// LocalPatches returns this rank's patches at a level, ordered by ID.
+// LocalPatches returns this rank's patches at a level, ordered by ID. The
+// list is the level's cached one, shared by every caller until the next
+// structural change (do not mutate). Its capacity is its length, so an
+// append copies it; a later change builds a new list and leaves this one as
+// it is.
 func (h *Hierarchy) LocalPatches(lev int) []PatchRef {
+	if lev < 0 || lev >= len(h.levels) {
+		return nil
+	}
+	return h.cached(lev).patches
+}
+
+// cached returns a level's derived lists, deriving them again if the
+// structure changed since they were.
+func (h *Hierarchy) cached(lev int) *levelCache {
+	c := &h.caches[lev]
+	if c.gen != h.gen {
+		*c = levelCache{
+			gen:     h.gen,
+			patches: h.localPatches(lev),
+			plan:    derivePlan(h.levels[lev], h.cfg.Ghost, h.Rank()),
+		}
+	}
+	return c
+}
+
+// localPatches builds a level's local patch list afresh, nil if empty.
+func (h *Hierarchy) localPatches(lev int) []PatchRef {
 	var out []PatchRef
-	for _, m := range h.Level(lev) {
+	for _, m := range h.levels[lev] {
 		if m.Owner == h.Rank() {
 			out = append(out, PatchRef{Meta: m, Block: h.blocks[m.ID]})
 		}
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Meta.ID < out[j].Meta.ID })
-	return out
+	return out[:len(out):len(out)]
 }
 
 // CellSize returns the mesh spacing at a level.
@@ -248,13 +302,15 @@ func (h *Hierarchy) DensityImage() (nx, ny int, img []float64) {
 	fine := h.levelDomain(len(h.levels) - 1)
 	nx, ny = fine.Nx(), fine.Ny()
 	img = make([]float64, nx*ny)
+	h.image = grown(h.image, nx*ny)
+	part := h.image
 	scale := 1
 	for l := 0; l < len(h.levels); l++ {
 		scale = 1
 		for k := l; k < len(h.levels)-1; k++ {
 			scale *= h.cfg.Ratio
 		}
-		part := make([]float64, nx*ny)
+		clear(part)
 		for _, p := range h.LocalPatches(l) {
 			for j := 0; j < p.Meta.Rect.Ny(); j++ {
 				for i := 0; i < p.Meta.Rect.Nx(); i++ {

@@ -90,6 +90,7 @@ func (h *Hierarchy) regridLevel(lev int, initFromProblem bool) {
 		delete(h.blocks, om.ID)
 	}
 	h.levels[lev+1] = newMetas
+	h.gen++ // a new level: every level's cached lists are stale
 }
 
 // copyInterior copies region reg (global fine coordinates) from old patch

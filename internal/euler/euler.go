@@ -41,9 +41,9 @@
 // plane is not part of it. Persistent data (AMR patches) gets its own
 // zeroed storage from NewBlock; temporaries (a sweep's block and fields per
 // shape, RK2's stage copies and fluxes, InviscidFlux's face states) are
-// built on a per-rank Scratch, which recycles one slab without clearing it:
-// same addresses, same hits, misses and clocks, no allocation and no memclr
-// per temporary.
+// built on a per-rank Scratch, which recycles one slab without clearing it,
+// and the Block and EdgeField headers over it: same addresses, same hits,
+// misses and clocks, no allocation and no memclr per temporary.
 package euler
 
 import (

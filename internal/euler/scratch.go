@@ -25,12 +25,22 @@ import (
 // kernels every face of the flux field. The poisoned-storage tests hold
 // that to be true.
 //
+// The *Block and *EdgeField headers are recycled too: a Scratch keeps every
+// header it has handed out and hands it out again, rewritten from scratch
+// with the new geometry, planes and addresses, after the next Reset. So
+// Reset's contract covers the header as well as its planes.
+//
 // A Scratch belongs to one rank and is not safe for concurrent use. A nil
-// *Scratch allocates every plane from the Go heap, zeroed: the persistent
-// case NewBlock and NewEdgeField provide.
+// *Scratch allocates every plane and header from the Go heap, zeroed: the
+// persistent case NewBlock and NewEdgeField provide.
 type Scratch struct {
 	slab []float64
 	used int
+	// blocks and fields are every header handed out so far; the first
+	// nBlocks and nFields of them are in use since the last Reset.
+	blocks           []*Block
+	fields           []*EdgeField
+	nBlocks, nFields int
 }
 
 // poisonScratch is PoisonScratchOnReset's switch.
@@ -49,15 +59,15 @@ func PoisonScratchOnReset() (undo func()) {
 // scratchPoisonBits is a signalling NaN with a payload no arithmetic produces.
 const scratchPoisonBits = 0x7ff4_dead_beef_0bad
 
-// Reset takes back every plane handed out so far and makes room for n
-// float64 (BlockFloats and EdgeFieldFloats give a caller its n). Blocks and
-// fields built before the call must no longer be used: their planes will be
-// handed out again.
+// Reset takes back every plane and header handed out so far and makes room
+// for n float64 (BlockFloats and EdgeFieldFloats give a caller its n).
+// Blocks and fields built before the call must no longer be used: their
+// planes and headers will be handed out again.
 func (s *Scratch) Reset(n int) {
 	if n > len(s.slab) {
 		s.slab = make([]float64, n)
 	}
-	s.used = 0
+	s.used, s.nBlocks, s.nFields = 0, 0, 0
 	if poisonScratch.Load() {
 		poison := math.Float64frombits(scratchPoisonBits)
 		for i := range s.slab {
@@ -78,6 +88,31 @@ func (s *Scratch) plane(n int) []float64 {
 	return s.slab[lo:hi:hi]
 }
 
+// block returns the next block header: one handed out before the last Reset
+// while any is left, else a new one.
+func (s *Scratch) block() *Block {
+	if s == nil {
+		return new(Block)
+	}
+	if s.nBlocks == len(s.blocks) {
+		s.blocks = append(s.blocks, new(Block))
+	}
+	s.nBlocks++
+	return s.blocks[s.nBlocks-1]
+}
+
+// field is block for edge field headers.
+func (s *Scratch) field() *EdgeField {
+	if s == nil {
+		return new(EdgeField)
+	}
+	if s.nFields == len(s.fields) {
+		s.fields = append(s.fields, new(EdgeField))
+	}
+	s.nFields++
+	return s.fields[s.nFields-1]
+}
+
 // BlockFloats returns the float64 count of a block's planes.
 func BlockFloats(nx, ny, ng int) int { return NVars * (nx + 2*ng) * (ny + 2*ng) }
 
@@ -93,7 +128,8 @@ func (s *Scratch) Block(proc *platform.Proc, nx, ny, ng int) *Block {
 	if nx <= 0 || ny <= 0 || ng < 0 {
 		panic(fmt.Sprintf("euler: invalid block geometry %dx%d ghost %d", nx, ny, ng))
 	}
-	b := &Block{Nx: nx, Ny: ny, Ng: ng, Stride: nx + 2*ng, rows: ny + 2*ng}
+	b := s.block()
+	*b = Block{Nx: nx, Ny: ny, Ng: ng, Stride: nx + 2*ng, rows: ny + 2*ng}
 	n := b.Stride * b.rows
 	for v := 0; v < NVars; v++ {
 		b.U[v] = s.plane(n)
@@ -108,7 +144,8 @@ func (s *Scratch) EdgeField(proc *platform.Proc, nx, ny int, dir Dir) *EdgeField
 	if nx <= 0 || ny <= 0 {
 		panic(fmt.Sprintf("euler: invalid edge field geometry %dx%d", nx, ny))
 	}
-	e := &EdgeField{Dir: dir, NxCells: nx, NyCells: ny}
+	e := s.field()
+	*e = EdgeField{Dir: dir, NxCells: nx, NyCells: ny}
 	n := e.Len()
 	for v := 0; v < NVars; v++ {
 		e.Q[v] = s.plane(n)

@@ -20,23 +20,49 @@ func shapeFloats(nx, ny int) int {
 // TestScratchKeepsVirtualAddresses is the property that makes recycled host
 // storage invisible to the cache model: built through a Scratch or through
 // NewBlock/NewEdgeField, every plane gets the same virtual address, and the
-// processor's heap cursor ends in the same place.
+// processor's heap cursor ends in the same place. The headers are recycled
+// too: after a Reset the Scratch hands out the headers of the use before,
+// each rewritten with the new geometry, and no two blocks or fields built
+// between two Resets share one.
 func TestScratchKeepsVirtualAddresses(t *testing.T) {
 	got, want := testProc(), testProc()
 	var s Scratch
-	for _, shape := range scratchShapes {
+	var prevBlock *Block
+	var prevFields map[*EdgeField]bool
+	for n, shape := range scratchShapes {
 		nx, ny := shape[0], shape[1]
 		s.Reset(shapeFloats(nx, ny))
-		if a, b := s.Block(got, nx, ny, 2).addr, NewBlock(want, nx, ny, 2).addr; a != b {
-			t.Fatalf("%dx%d block planes at %#x, fresh ones at %#x", nx, ny, a, b)
+		b := s.Block(got, nx, ny, 2)
+		if n > 0 && b != prevBlock {
+			t.Errorf("%dx%d: Reset did not hand the block header out again", nx, ny)
 		}
+		prevBlock = b
+		if b.Nx != nx || b.Ny != ny || b.Ng != 2 || b.Stride != nx+4 || len(b.U[NVars-1]) != (nx+4)*(ny+4) {
+			t.Fatalf("%dx%d: recycled block header reads %dx%d ghost %d stride %d", nx, ny, b.Nx, b.Ny, b.Ng, b.Stride)
+		}
+		if a, f := b.addr, NewBlock(want, nx, ny, 2).addr; a != f {
+			t.Fatalf("%dx%d block planes at %#x, fresh ones at %#x", nx, ny, a, f)
+		}
+		fields := map[*EdgeField]bool{}
 		for _, dir := range []Dir{X, Y} {
 			for i := 0; i < 3; i++ {
-				if a, b := s.EdgeField(got, nx, ny, dir).addr, NewEdgeField(want, nx, ny, dir).addr; a != b {
-					t.Fatalf("%dx%d %v field planes at %#x, fresh ones at %#x", nx, ny, dir, a, b)
+				e := s.EdgeField(got, nx, ny, dir)
+				if fields[e] {
+					t.Fatalf("%dx%d: two fields built after one Reset share a header", nx, ny)
+				}
+				if n > 0 && !prevFields[e] {
+					t.Errorf("%dx%d: a field header was not handed out again after Reset", nx, ny)
+				}
+				fields[e] = true
+				if e.Dir != dir || e.NxCells != nx || e.NyCells != ny || len(e.Q[NVars-1]) != faceCount(nx, ny, dir) {
+					t.Fatalf("%dx%d %v: recycled field header reads %v %dx%d", nx, ny, dir, e.Dir, e.NxCells, e.NyCells)
+				}
+				if a, f := e.addr, NewEdgeField(want, nx, ny, dir).addr; a != f {
+					t.Fatalf("%dx%d %v field planes at %#x, fresh ones at %#x", nx, ny, dir, a, f)
 				}
 			}
 		}
+		prevFields = fields
 	}
 	if g, w := got.Checkpoint().NextAddr, want.Checkpoint().NextAddr; g != w {
 		t.Errorf("heap cursor at %#x after the scratch sequence, %#x after the fresh one", g, w)

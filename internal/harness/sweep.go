@@ -5,6 +5,7 @@ import (
 	"io"
 	"math"
 	"sort"
+	"sync"
 
 	"repro/internal/cca"
 	"repro/internal/components"
@@ -120,6 +121,11 @@ func blockShape(q int, a float64) (nx, ny int) {
 	return nx, ny
 }
 
+// sweepScratches pools the ranks' scratch arenas across sweeps. An arena
+// grows to a sweep's largest shape (13-16 MB at the benchmark's sizes), and
+// the next sweep in the process takes it back instead of clearing a new one.
+var sweepScratches = sync.Pool{New: func() any { return new(euler.Scratch) }}
+
 // RunSweep measures the kernel through the full PMM stack (component,
 // proxy, Mastermind, TAU) on every rank. Patch contents vary per rank and
 // repetition — a randomized shock/interface crossing — so data-dependent
@@ -147,8 +153,8 @@ func RunSweep(cfg SweepConfig) (*SweepResult, error) {
 		rng := proc.RNG()
 		problem := euler.DefaultShockInterface()
 		dirs := [2]euler.Dir{euler.X, euler.Y}
-		// One block and six edge fields per shape, on this rank's scratch
-		// storage: sized once for the largest shape, recycled per shape.
+		// One block and six edge fields per shape, on a pooled scratch
+		// arena: sized for the largest shape, recycled per shape.
 		shapeFloats := func(nx, ny int) int {
 			return euler.BlockFloats(nx, ny, 2) + 3*euler.EdgeFieldFloats(nx, ny)
 		}
@@ -160,7 +166,8 @@ func RunSweep(cfg SweepConfig) (*SweepResult, error) {
 				}
 			}
 		}
-		var scratch euler.Scratch
+		scratch := sweepScratches.Get().(*euler.Scratch)
+		defer sweepScratches.Put(scratch)
 		for _, q := range cfg.Sizes {
 			for _, aspect := range sweepAspects {
 				nx, ny := blockShape(q, aspect)

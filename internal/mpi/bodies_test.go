@@ -156,7 +156,8 @@ func BenchmarkWorldRun(b *testing.B) {
 // per communication body and scheduler, so that a per-event cost that was
 // removed cannot come back unnoticed: a closure per MPI entry or per blocking
 // call, three vectors per TAU start/stop pair, a reallocated mailbox per
-// match, a cache directory cleared per rank at construction (64 kB x 16) or
+// match, a request per Isend (the ghost worlds made 5,575 allocations
+// serial and 5,876 opt), a cache directory cleared per rank at construction (64 kB x 16) or
 // copied per speculation (the optimistic wildcard world allocated 17.9 MB).
 // Ceilings are about a quarter above the measured values, and each is below
 // what the same world allocated before those costs were removed; a cell is
@@ -170,9 +171,9 @@ func TestWorldRunAllocationBudget(t *testing.T) {
 		ceiling map[SchedulerMode]budget
 	}{
 		{"ghost", ghostBody, map[SchedulerMode]budget{
-			Serial: {7000, 1500 << 10}, ConservativeParallel: {7000, 1500 << 10}, OptimisticParallel: {7500, 3500 << 10}}},
+			Serial: {5000, 1300 << 10}, ConservativeParallel: {5000, 1300 << 10}, OptimisticParallel: {5400, 3300 << 10}}},
 		{"wildcard", wildcardBody, map[SchedulerMode]budget{
-			Serial: {1600, 400 << 10}, ConservativeParallel: {1600, 400 << 10}, OptimisticParallel: {4000, 2000 << 10}}},
+			Serial: {1500, 285 << 10}, ConservativeParallel: {1500, 285 << 10}, OptimisticParallel: {3900, 1000 << 10}}},
 		{"coll", collBody, map[SchedulerMode]budget{
 			Serial: {3600, 300 << 10}, ConservativeParallel: {3600, 300 << 10}, OptimisticParallel: {4500, 1500 << 10}}},
 	}

@@ -32,6 +32,9 @@ type Comm struct {
 	rank  int   // this rank's position within group
 	group []int // world ranks of the members
 	r     *Rank
+	// sent is the request every Isend returns: a send is complete when
+	// posted, and nothing writes a send request once it exists.
+	sent Request
 }
 
 // Rank returns the caller's rank within this communicator.
@@ -186,13 +189,18 @@ func (c *Comm) Recv(src, tag int, buf []float64) int {
 }
 
 // Isend starts a nonblocking send. The returned request is immediately
-// complete (eager buffering), matching how the paper's ghost-cell update
-// posts all sends before waiting on receives.
+// complete (eager buffering: data is copied before Isend returns, so the
+// caller may reuse it at once), matching how the paper's ghost-cell update
+// posts all sends before waiting on receives. Every Isend on a
+// communicator returns the same completed request.
 func (c *Comm) Isend(dst, tag int, data []float64) *Request {
 	c.checkPeer(dst)
 	defer c.enter("MPI_Isend()").exit()
 	c.postSend(dst, tag, data)
-	return &Request{comm: c, done: true}
+	if c.sent.comm == nil {
+		c.sent = Request{comm: c, done: true}
+	}
+	return &c.sent
 }
 
 // Irecv posts a nonblocking receive into buf. Complete it with Wait,
@@ -209,10 +217,6 @@ func (c *Comm) Irecv(src, tag int, buf []float64) *Request {
 // waitLocked completes one request, blocking if necessary.
 func (c *Comm) waitLocked(op string, req *Request) {
 	if req.done || req.canceled {
-		return
-	}
-	if !req.isRecv {
-		req.done = true
 		return
 	}
 	w := c.world
@@ -238,10 +242,7 @@ func pendingRecvs(reqs []*Request) int {
 // Wait blocks until the request completes.
 func (c *Comm) Wait(req *Request) {
 	defer c.enter("MPI_Wait()").exit()
-	if req.done || req.canceled || !req.isRecv {
-		if !req.isRecv {
-			req.done = true
-		}
+	if req.done || req.canceled {
 		return
 	}
 	w := c.world
@@ -259,22 +260,12 @@ func (c *Comm) Wait(req *Request) {
 func (c *Comm) Waitall(reqs []*Request) {
 	defer c.enter("MPI_Waitall()").exit()
 	if pendingRecvs(reqs) == 0 {
-		// Only sends (already complete at posting) and settled requests:
-		// nothing touches the shared message space.
-		for _, r := range reqs {
-			if !r.done && !r.canceled && !r.isRecv {
-				r.done = true
-			}
-		}
+		// Only sends (complete at posting) and settled requests: nothing
+		// touches the shared message space.
 		return
 	}
 	w := c.world
 	if w.opt {
-		for _, r := range reqs {
-			if !r.done && !r.canceled && !r.isRecv {
-				r.done = true
-			}
-		}
 		c.optCompleteRecvs("MPI_Waitall()", reqs)
 		return
 	}
@@ -294,25 +285,10 @@ func (c *Comm) Waitall(reqs []*Request) {
 func (c *Comm) Waitsome(reqs []*Request) []int {
 	defer c.enter("MPI_Waitsome()").exit()
 
-	// Complete any finished sends without blocking — a rank-local fast
-	// path: send requests are complete at posting and never consult the
-	// shared message space.
-	var out []int
-	pendingRecv := 0
-	for i, r := range reqs {
-		if r.done || r.canceled {
-			continue
-		}
-		if !r.isRecv {
-			r.done = true
-			out = append(out, i)
-			continue
-		}
-		pendingRecv++
-	}
-	if len(out) > 0 {
-		return out
-	}
+	// Send requests are complete at posting and canceled receives never
+	// complete, so only open receives can be completed here; with none the
+	// call returns without touching the shared message space.
+	pendingRecv := pendingRecvs(reqs)
 	if pendingRecv == 0 {
 		return nil
 	}
@@ -327,6 +303,7 @@ func (c *Comm) Waitsome(reqs []*Request) []int {
 	if w.aborted {
 		panic(abortPanic{})
 	}
+	var out []int
 	for i, r := range reqs {
 		if !r.isRecv || r.done || r.canceled {
 			continue
