@@ -13,6 +13,11 @@
 //	fig10 composite-model dual graph + assembly optimization -> fig10.dot fig10.txt
 //	trend coefficient-vs-cache-size grid study (Section 6)   -> trend.csv trend.txt
 //
+// Each fig*_model.txt ends with its sweep's cache-aware model T(Q, DCM),
+// the other half of the Section 6 study: the trend grid moves the cache,
+// the cache-aware fit reads the misses one cache recorded. Every sweep
+// study runs here; cmd/pmmcase runs the case study alone.
+//
 // The whole regeneration is submitted as one campaign: the case study, the
 // kernel sweeps and the cache-size grid scenarios are independent
 // simulated-machine jobs, and the figure jobs that fit and render their
@@ -67,18 +72,18 @@ import (
 // options is one invocation's flags, resolved: by the time resolveFlags
 // returns them every value a run could reject has been checked.
 type options struct {
-	fig, outDir, rowfmt             string
-	procs, reps, workers, trendReps int
-	seed                            int64
-	cache                           string // "off" or the store directory
-	trendAxis                       harness.TrendAxis
-	trendValues                     []float64
-	trendDim                        campaign.Dimension
-	sched                           mpi.SchedulerMode
-	rankCap                         int
-	distrib                         bool
-	owner                           string
-	ttl                             time.Duration
+	fig, outDir, rowfmt  string
+	procs, reps, workers int
+	seed                 int64
+	cache                string // "off" or the store directory
+	trendAxis            harness.TrendAxis
+	trendValues          []float64
+	trendDim             campaign.Dimension
+	sched                mpi.SchedulerMode
+	rankCap              int
+	distrib              bool
+	owner                string
+	ttl                  time.Duration
 
 	obs obs.Outputs
 
@@ -126,7 +131,6 @@ func resolveFlags(args []string) (*options, error) {
 	fs.StringVar(&o.cache, "cache", "auto", `checkpoint store directory ("auto" = <out>/.cache, "off" disables)`)
 	fs.StringVar(&axis, "axis", "cache_kb", "trend grid axis for -fig trend: cache_kb | cpu_clock")
 	fs.StringVar(&trValues, "trendvalues", "", "comma-separated -axis values for -fig trend (cache sizes in kB, or CPU clock scales); empty = the axis's defaults")
-	fs.IntVar(&o.trendReps, "trendreps", 2, "seed replications per trend grid point")
 	fs.StringVar(&rankmode, "rankmode", "serial", "rank scheduler: serial | par (conservative) | opt (optimistic/Time Warp); par<N> or opt<N> runs at most N ranks at once. Output is bit-identical under every value; each checkpoints separately")
 	fs.BoolVar(&o.distrib, "distributed", false, "partition the job set with other -distributed processes sharing the same -cache store via lease files (no coordinator); requires a store")
 	fs.StringVar(&o.owner, "owner", "", "stable worker identity for -distributed lease and audit files (default: host-pid)")
@@ -172,9 +176,6 @@ func resolveFlags(args []string) (*options, error) {
 	}
 	if o.reps < 1 {
 		return nil, fmt.Errorf("-reps %d: want at least 1", o.reps)
-	}
-	if o.trendReps < 1 {
-		return nil, fmt.Errorf("-trendreps %d: want at least 1", o.trendReps)
 	}
 	g := &generator{o}
 	// Of what Validate checks, -procs is all the flags set on the case-study
@@ -358,11 +359,7 @@ func (g *generator) jobs() ([]campaign.Job, error) {
 	} {
 		n, k := fk.n, fk.k
 		add(n, []string{sweepKey(k)}, func(deps map[string]any) error {
-			m, err := harness.FitModels(sweepOf(deps, k))
-			if err != nil {
-				return err
-			}
-			return g.figModel(m, "fig"+n)
+			return g.figModel(sweepOf(deps, k), "fig"+n)
 		})
 	}
 	add("9", []string{"case"}, func(deps map[string]any) error {
@@ -399,17 +396,19 @@ func (g *generator) sweepConfig(k harness.Kernel) harness.SweepConfig {
 	return cfg
 }
 
-// trendJobs builds the Section 6 grid study: one streaming scenario job
-// per (axis value, replication) — each emits its rows into the shard sink
-// and keeps only the fitted model — plus the trend job that consumes every
-// grid point and renders the coefficient-vs-axis report.
+// trendJobs builds the Section 6 grid study: one streaming States scenario
+// job per axis value — each emits its rows into the shard sink and keeps
+// only the fitted model — plus the trend job that consumes every grid
+// point and renders the coefficient-vs-axis report. The flux segment puts
+// the kernel in every key, so resultsd fits those shards in the paper's
+// form, as trend.csv does. One replication suffices: a kernel sweep's rows
+// do not depend on its seed.
 func (g *generator) trendJobs() ([]campaign.Job, error) {
 	base := g.sweepConfig(harness.KernelStates)
 	jobs, err := harness.StreamJobs(base, campaign.Grid{
-		Base:         base.World,
-		Axes:         []campaign.Dimension{g.trendDim},
-		Replications: g.trendReps,
-		BaseSeed:     g.seed,
+		Base:     base.World,
+		Axes:     []campaign.Dimension{g.trendDim, campaign.FluxAxis(string(harness.KernelStates))},
+		BaseSeed: g.seed,
 	})
 	if err != nil {
 		return nil, err
@@ -457,14 +456,31 @@ func (g *generator) write(name string, fn func(io.Writer) error) error {
 	return os.WriteFile(filepath.Join(g.outDir, name), buf.Bytes(), 0o644)
 }
 
-func (g *generator) figModel(m *harness.ComponentModel, name string) error {
+// figModel renders one kernel sweep's Fig. 6/7/8 series and its model
+// report. The report ends with the sweep's cache-aware fit T(Q, DCM), the
+// Section 6 outlook's use of "the cache information collected during
+// these tests".
+func (g *generator) figModel(sw *harness.SweepResult, name string) error {
+	m, err := harness.FitModels(sw)
+	if err != nil {
+		return err
+	}
 	if err := g.write(name+".csv", func(f io.Writer) error {
 		return harness.WriteMeanSigmaCSV(f, m)
 	}); err != nil {
 		return err
 	}
 	return g.write(name+"_model.txt", func(f io.Writer) error {
-		return harness.WriteModelReport(f, m)
+		if err := harness.WriteModelReport(f, m); err != nil {
+			return err
+		}
+		ml, r2Aware, r2Plain, err := harness.CacheAwareFit(sw.Rows())
+		if err != nil {
+			return err
+		}
+		fmt.Fprintf(f, "cache-aware model (%d kB): T = %s\n", sw.Config.World.Cache.SizeBytes/1024, ml)
+		_, err = fmt.Fprintf(f, "  R2 with DCM folded in: %.4f   (Q-only linear: %.4f)\n", r2Aware, r2Plain)
+		return err
 	})
 }
 

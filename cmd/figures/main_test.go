@@ -1,15 +1,20 @@
 package main
 
 import (
+	"encoding/csv"
+	"encoding/json"
 	"io"
 	"io/fs"
+	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"reflect"
+	"strconv"
 	"strings"
 	"testing"
 
 	"repro/internal/obs"
+	"repro/internal/results/serve"
 	"repro/internal/results/store"
 )
 
@@ -34,11 +39,10 @@ func TestResolveFlags(t *testing.T) {
 		{"rankmode", []string{"-rankmode", "warp"}, "-rankmode:"},
 		{"procs", []string{"-fig", "3", "-procs", "0"}, "-procs: mpi: invalid world config: Procs 0"},
 		{"reps", []string{"-reps", "0"}, "-reps 0"},
-		{"trendreps", []string{"-trendreps", "-1"}, "-trendreps -1"},
-		{"trendvalues no cache", []string{"-fig", "trend", "-trendvalues", "0"}, `scenario "p3/base/c0kB/r0"`},
+		{"trendvalues no cache", []string{"-fig", "trend", "-trendvalues", "0"}, `scenario "p3/base/c0kB/states/r0"`},
 		{"trendvalues impossible cache", []string{"-fig", "trend", "-trendvalues", "100"}, "set count 200 not a power of two"},
-		{"trendvalues bad clock", []string{"-fig", "trend", "-axis", "cpu_clock", "-trendvalues", "NaN,-1"}, `scenario "p3/base/c512kB/cpuNaNx/r0": mpi: invalid world config: CPU.ClockGHz NaN`},
-		{"trendvalues no clock", []string{"-fig", "trend", "-axis", "cpu_clock", "-trendvalues", "0"}, `scenario "p3/base/c512kB/cpu0x/r0": mpi: invalid world config: CPU.ClockGHz 0`},
+		{"trendvalues bad clock", []string{"-fig", "trend", "-axis", "cpu_clock", "-trendvalues", "NaN,-1"}, `scenario "p3/base/c512kB/cpuNaNx/states/r0": mpi: invalid world config: CPU.ClockGHz NaN`},
+		{"trendvalues no clock", []string{"-fig", "trend", "-axis", "cpu_clock", "-trendvalues", "0"}, `scenario "p3/base/c512kB/cpu0x/states/r0": mpi: invalid world config: CPU.ClockGHz 0`},
 		{"accepted", []string{"-fig", "trend", "-axis", "cpu_clock", "-trendvalues", "1,2", "-rankmode", "par8", "-rowformat", "both", "-distributed", "-cache", "shared-store"}, ""},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
@@ -183,5 +187,71 @@ func TestWarmStoreMatchesCold(t *testing.T) {
 	}
 	if !strings.Contains(string(dump), "campaign_jobs_cached_total 1\n") {
 		t.Errorf("warm run did not take the sweep from the store:\n%s", dump)
+	}
+}
+
+// TestServedTrendMatchesTrendCSV: resultsd over a trend run's rows/ serves
+// the coefficients trend.csv reports, bit for bit. Every shard key names
+// its kernel, so the served mean model is the paper's power law the figure
+// fits, and one replication per cache size leaves nothing to average.
+func TestServedTrendMatchesTrendCSV(t *testing.T) {
+	out := t.TempDir()
+	o, err := resolveFlags([]string{"-fig", "trend", "-reps", "1", "-procs", "1",
+		"-trendvalues", "128,1024", "-cache", "off", "-out", out})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := run(o, io.Discard); err != nil {
+		t.Fatal(err)
+	}
+	f, err := os.Open(filepath.Join(out, "trend.csv"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	records, err := csv.NewReader(f).ReadAll()
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := map[string]float64{} // "<cache_kb> <coeff>" -> value
+	for _, rec := range records[1:] {
+		v, err := strconv.ParseFloat(rec[4], 64)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want[rec[1]+" "+rec[3]] = v
+	}
+
+	svc, err := serve.New(filepath.Join(out, "rows"), serve.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec := httptest.NewRecorder()
+	svc.Handler().ServeHTTP(rec, httptest.NewRequest("GET", "/trend?axis=cache_kb", nil))
+	var got struct {
+		Series []struct {
+			Model, Coefficient string
+			Points             []struct{ X, Value float64 }
+		}
+	}
+	if err := json.Unmarshal(rec.Body.Bytes(), &got); err != nil {
+		t.Fatalf("status %d: %v", rec.Code, err)
+	}
+	n := 0
+	for _, ts := range got.Series {
+		if ts.Model != "mean" {
+			continue
+		}
+		for _, p := range ts.Points {
+			key := strconv.FormatFloat(p.X, 'g', -1, 64) + " " + ts.Coefficient
+			w, ok := want[key]
+			if !ok || p.Value != w {
+				t.Errorf("/trend mean %s = %v; trend.csv has %v (present %v)", key, p.Value, w, ok)
+			}
+			n++
+		}
+	}
+	if n != len(want) {
+		t.Errorf("/trend served %d mean points, trend.csv has %d values", n, len(want))
 	}
 }

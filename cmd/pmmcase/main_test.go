@@ -43,9 +43,11 @@ func TestFailedRunKeepsItsEvidence(t *testing.T) {
 }
 
 // TestBadFlagStartsNothing: a value no run can use is rejected with the
-// other flags, before a profile file exists.
+// other flags, before a profile file exists. A negative size is such a
+// value: only 0 means the default.
 func TestBadFlagStartsNothing(t *testing.T) {
-	for _, bad := range [][]string{{"-flux", "nope"}, {"-procs", "0"}, {"-procs", "-3"}, {"-axis", "ranks"}, {"-rankmode", "warp"}, {"-distributed"}} {
+	for _, bad := range [][]string{{"-flux", "nope"}, {"-procs", "0"}, {"-procs", "-3"}, {"-rankmode", "warp"},
+		{"-steps", "-3"}, {"-nx", "-5"}, {"-ny", "-1"}} {
 		dir := t.TempDir()
 		if _, err := resolveFlags(append(bad, "-cpuprofile", filepath.Join(dir, "x.prof"))); err == nil {
 			t.Errorf("resolveFlags accepted %v", bad)
@@ -53,5 +55,8 @@ func TestBadFlagStartsNothing(t *testing.T) {
 		if entries, _ := os.ReadDir(dir); len(entries) != 0 {
 			t.Errorf("resolveFlags %v created %s", bad, entries[0].Name())
 		}
+	}
+	if _, err := resolveFlags([]string{"-steps", "0", "-nx", "0", "-ny", "0"}); err != nil {
+		t.Errorf("0, the default size, rejected: %v", err)
 	}
 }

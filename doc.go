@@ -35,7 +35,7 @@
 //
 //	go run ./cmd/pmmcase -procs 1 -nx 48 -ny 12 -steps 6 -records  # smallest end-to-end run: profile + records
 //	go run ./cmd/figures -fig 1 -out figs   # one figure's subgraph; 1, 2, 3 and 9 are the case study
-//	go run ./cmd/pmmcase -models            # Eqs. 1-2: sweep, fit, paper vs measured (series: figures -fig 6..8)
+//	go run ./cmd/figures -fig 6 -out figs   # Eqs. 1-2: sweep, fit, paper vs measured, cache-aware fit (7, 8: the fluxes)
 //	go run ./cmd/figures -fig 10 -out figs  # composite model; flux choice with and without the QoS floor
 //	go run ./examples/campaign && go run ./cmd/resultsd -dir campaign-out  # a grid campaign, then served
 //
@@ -269,9 +269,14 @@
 //     one table in internal/harness (TrendCacheKB, TrendCPUClock): a row
 //     names the axis, builds the grid Dimension that sweeps it and reads
 //     it back off a scenario, so "cmd/figures -fig trend [-axis cpu_clock]
-//     [-trendvalues 1,2,4]" and "cmd/pmmcase -report [-axis cpu_clock]"
-//     accept exactly the table's names and reject anything else before
-//     they run.
+//     [-trendvalues 1,2,4]" accepts exactly the table's names and rejects
+//     anything else before it runs. Its grid is the axis times
+//     FluxAxis("states") with one replication: a kernel sweep's rows do
+//     not depend on the seed (a harness test pins it), and the flux
+//     segment names the kernel in every key, so resultsd's /trend over
+//     the run's rows/ serves trend.csv's coefficients bit for bit. Each
+//     model figure (fig6..8_model.txt) ends with its sweep's cache-aware
+//     fit T = c0 + c1*Q + c2*DCM (harness.CacheAwareFit).
 //
 // # Distributed campaigns
 //
@@ -313,8 +318,7 @@
 //     caching (acregmin/acregmax) delays cross-host visibility of fresh
 //     checkpoints — generous TTLs and ClaimBackoffs absorb both.
 //
-// "cmd/figures -distributed -owner <id> -cache <shared dir>" and
-// "cmd/pmmcase -distributed -owner <id> -cache <shared dir>" run this
+// "cmd/figures -distributed -owner <id> -cache <shared dir>" runs this
 // mode from the command line; hosts x campaign workers x parallel ranks
 // compose multiplicatively.
 //

@@ -1,12 +1,9 @@
 package harness
 
 import (
-	"context"
 	"fmt"
-	"io"
 	"slices"
 
-	"repro/internal/campaign"
 	"repro/internal/perfmodel"
 	"repro/internal/results"
 )
@@ -20,40 +17,11 @@ import (
 // where the cache information collected during these tests will be
 // employed."
 //
-// Two instruments:
-//
-//   - RunCacheStudy refits a kernel's model under different cache sizes and
-//     shows the coefficients moving while the functional form stays put;
-//   - CacheAwareFit folds the recorded PAPI_L2_DCM deltas into a
-//     multivariate model T(Q, DCM), which explains the mode split a
-//     Q-only model has to average over.
-
-// RunCacheStudy refits the kernel under each cache size (in kB), one
-// stream job per size on cc's workers; the points come back in cacheKBs
-// order. Every other parameter of the base sweep is kept — the seed
-// included, which is why the scenarios are built here and not expanded
-// from a Grid with a CacheAxis: expansion derives a seed per scenario key.
-func RunCacheStudy(ctx context.Context, cc campaign.Config, base SweepConfig, cacheKBs []int) ([]GridPoint, error) {
-	jobs := make([]campaign.Job, len(cacheKBs))
-	for i, kb := range cacheKBs {
-		w := base.World
-		w.Cache.SizeBytes = kb * 1024
-		jobs[i] = StreamJob(base, campaign.Scenario{Key: fmt.Sprintf("cache/%dkB", kb), World: w})
-	}
-	return runStreamJobs(ctx, cc, jobs)
-}
-
-// WriteCacheStudy prints the per-cache-size model comparison.
-func WriteCacheStudy(w io.Writer, kernel Kernel, pts []GridPoint) error {
-	if _, err := fmt.Fprintf(w, "cache-size study for %s (functional form fixed, coefficients move):\n",
-		kernel.RecordName()); err != nil {
-		return err
-	}
-	for _, p := range pts {
-		fmt.Fprintf(w, "  %5d kB: T = %s\n", p.Scenario.World.Cache.SizeBytes/1024, p.Model.Mean)
-	}
-	return nil
-}
+// The coefficients' move with cache size is the trend grid's (trend.go,
+// over StreamSweepGrid and campaign.CacheAxis). CacheAwareFit is the other
+// instrument: it folds the recorded PAPI_L2_DCM deltas into a
+// multivariate model T(Q, DCM), which explains the mode split a Q-only
+// model has to average over.
 
 // CacheAwareFit regresses wall time on both the array size and the
 // invocation's recorded cache misses: T = c0 + c1*Q + c2*DCM, over sweep

@@ -3,7 +3,6 @@ package harness
 import (
 	"context"
 	"reflect"
-	"strings"
 	"testing"
 
 	"repro/internal/campaign"
@@ -20,38 +19,49 @@ func tinySweep(k Kernel) SweepConfig {
 	return cfg
 }
 
-// TestCampaignWorkerCountInvariance is the engine's core guarantee: a
-// campaign's results are byte-identical whether it runs on one worker or
-// many, because every job owns a self-contained simulated machine seeded
-// from its config, never from scheduling.
-func TestCampaignWorkerCountInvariance(t *testing.T) {
+// TestSweepRowsIgnoreSeed pins the invariant the single-replica trend grid
+// stands on: a kernel sweep's rows are a function of its shape and machine,
+// never of its seed. Every kernel, at two cache sizes, runs under two
+// replications — two scenario keys, two derived seeds — and both must give
+// the same rows. The seed matters only where noise enters (the case
+// study's network, TestCaseStudySeedSensitivity).
+func TestSweepRowsIgnoreSeed(t *testing.T) {
 	t.Parallel()
 	base := tinySweep(KernelStates)
-	kbs := []int{128, 512}
-
-	serial, err := RunCacheStudy(context.Background(), campaign.Config{Workers: 1}, base, kbs)
+	scs, err := campaign.Grid{
+		Base:         base.World,
+		Axes:         []campaign.Dimension{campaign.CacheAxis(128, 1024), campaign.FluxAxis("states", "godunov", "efm")},
+		Replications: 2,
+		BaseSeed:     1,
+	}.Scenarios()
 	if err != nil {
 		t.Fatal(err)
 	}
-	parallel, err := RunCacheStudy(context.Background(), campaign.Config{Workers: 4}, base, kbs)
+	jobs := make([]campaign.Job, len(scs))
+	for i, sc := range scs {
+		cfg, err := scenarioSweepConfig(base, sc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		jobs[i] = SweepJob(sc.Key, cfg)
+	}
+	res, err := campaign.Run(context.Background(), campaign.Config{}, jobs)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(serial, parallel) {
-		t.Error("cache study differs between 1 and 4 workers")
-	}
-	var s1, s4 strings.Builder
-	if err := WriteCacheStudy(&s1, KernelStates, serial); err != nil {
-		t.Fatal(err)
-	}
-	if err := WriteCacheStudy(&s4, KernelStates, parallel); err != nil {
-		t.Fatal(err)
-	}
-	if s1.String() != s4.String() {
-		t.Errorf("cache study report not byte-identical:\n%s\nvs\n%s", s1.String(), s4.String())
-	}
-	if serial[0].Scenario.Key != "cache/128kB" || serial[1].Scenario.Key != "cache/512kB" {
-		t.Errorf("points out of submission order: %s, %s", serial[0].Scenario.Key, serial[1].Scenario.Key)
+	// Replications are the innermost dimension: r0 and r1 are neighbours.
+	for i := 0; i < len(scs); i += 2 {
+		r0, r1 := scs[i], scs[i+1]
+		if r0.World.Seed == r1.World.Seed {
+			t.Fatalf("%s and %s share seed %d", r0.Key, r1.Key, r0.World.Seed)
+		}
+		rows0 := res[i].Value.(*SweepResult).Rows()
+		rows1 := res[i+1].Value.(*SweepResult).Rows()
+		if !reflect.DeepEqual(rows0, rows1) {
+			t.Errorf("%s (seed %d) and %s (seed %d) measured different rows: "+
+				"figures' one-replica trend grid and the per-key seeding assume a sweep's rows ignore the seed",
+				r0.Key, r0.World.Seed, r1.Key, r1.World.Seed)
+		}
 	}
 }
 
@@ -121,9 +131,9 @@ func TestStreamSweepGridWorkerCountInvariance(t *testing.T) {
 		}
 	}
 	// Replications derive distinct, deterministic seeds from the base seed
-	// and the scenario key. (Sweep timings themselves are shape-driven and
-	// seed-invariant; the seed matters where noise enters, e.g. the
-	// network — see TestCaseStudySeedSensitivity.)
+	// and the scenario key. (Sweep rows themselves ignore the seed — see
+	// TestSweepRowsIgnoreSeed; the seed matters where noise enters, e.g.
+	// the network — see TestCaseStudySeedSensitivity.)
 	if one[0].Scenario.World.Seed == one[1].Scenario.World.Seed {
 		t.Error("replications share a seed")
 	}

@@ -13,6 +13,7 @@ import (
 	"testing"
 
 	"repro/internal/campaign"
+	"repro/internal/perfmodel"
 	"repro/internal/results"
 	"repro/internal/results/store"
 )
@@ -235,11 +236,18 @@ func runGridJobs(t *testing.T, base SweepConfig, grid campaign.Grid, st campaign
 		}
 	}
 	var events []campaign.Event
-	pts, err := runStreamJobs(ctx, campaign.Config{
+	res, err := campaign.Run(ctx, campaign.Config{
 		Workers: 1, Store: st, Sink: sink,
 		OnProgress: func(e campaign.Event) { events = append(events, e) },
 	}, jobs)
-	return pts, events, err
+	if err != nil {
+		return nil, events, err
+	}
+	pts := make([]GridPoint, len(res))
+	for i, r := range res {
+		pts[i] = r.Value.(GridPoint)
+	}
+	return pts, events, nil
 }
 
 // cachedCount counts the jobs a campaign satisfied from its store.
@@ -344,13 +352,30 @@ func TestStreamGridInterruptResumeByteIdentical(t *testing.T) {
 // TestStreamSweepGridEmitsRowsAndTrend checks the streaming grid's
 // contract: points carry fitted models (no buffered sweeps), every
 // scenario's rows land in the sink, and the trend report fits each
-// coefficient against cache size.
+// coefficient against cache size. Across the cache axis the functional
+// form stays put while the coefficients move (the Section 6 claim): the
+// smaller cache makes States more expensive.
 func TestStreamSweepGridEmitsRowsAndTrend(t *testing.T) {
 	t.Parallel()
-	base := tinySweep(KernelStates)
+	wider := fastSweep(KernelStates)
+	wider.Sizes = LogSizes(4_000, 100_000, 4)
+	for _, tc := range []struct {
+		base SweepConfig
+		kbs  []int
+	}{
+		{tinySweep(KernelStates), []int{128, 512}},
+		{wider, []int{128, 1024}},
+	} {
+		t.Run(fmt.Sprintf("%dkB-%dkB", tc.kbs[0], tc.kbs[1]), func(t *testing.T) {
+			checkStreamGridTrend(t, tc.base, tc.kbs)
+		})
+	}
+}
+
+func checkStreamGridTrend(t *testing.T, base SweepConfig, kbs []int) {
 	grid := campaign.Grid{
 		Base:     base.World,
-		Axes:     []campaign.Dimension{campaign.CacheAxis(128, 512)},
+		Axes:     []campaign.Dimension{campaign.CacheAxis(kbs...)},
 		BaseSeed: 1,
 	}
 	sink := results.NewMemorySink()
@@ -363,7 +388,10 @@ func TestStreamSweepGridEmitsRowsAndTrend(t *testing.T) {
 	}
 	for _, p := range pts {
 		if p.Model == nil || p.Kernel != KernelStates {
-			t.Errorf("%s: incomplete point %+v", p.Scenario.Key, p)
+			t.Fatalf("%s: incomplete point %+v", p.Scenario.Key, p)
+		}
+		if _, ok := p.Model.Mean.(perfmodel.PowerLaw); !ok {
+			t.Errorf("%s: mean model is %T, want the power law", p.Scenario.Key, p.Model.Mean)
 		}
 		rows := sink.Rows(p.Scenario.Key)
 		if len(rows) == 0 {
@@ -372,6 +400,11 @@ func TestStreamSweepGridEmitsRowsAndTrend(t *testing.T) {
 		if _, ok := rows[0][4].Float(); rows[0][4].Name != "l2_dcm" || !ok {
 			t.Errorf("%s: unexpected row shape %v", p.Scenario.Key, rows[0])
 		}
+	}
+	const q = 80_000
+	if small, big := pts[0].Model.Mean.Predict(q), pts[1].Model.Mean.Predict(q); small <= big {
+		t.Errorf("%d kB model (%.0f us) should exceed %d kB model (%.0f us) at Q=%d",
+			kbs[0], small, kbs[1], big, q)
 	}
 
 	reports, err := BuildTrends(pts, TrendCacheKB)

@@ -68,12 +68,6 @@ func StreamSweepGrid(ctx context.Context, cc campaign.Config, base SweepConfig, 
 	if err != nil {
 		return nil, err
 	}
-	return runStreamJobs(ctx, cc, jobs)
-}
-
-// runStreamJobs runs stream jobs as one campaign and collects their
-// GridPoints in submission order.
-func runStreamJobs(ctx context.Context, cc campaign.Config, jobs []campaign.Job) ([]GridPoint, error) {
 	res, err := campaign.Run(ctx, cc, jobs)
 	if err != nil {
 		return nil, err
