@@ -107,7 +107,7 @@ func TestCheckpointPayloadBytesDeterministic(t *testing.T) {
 	}
 }
 
-var update = flag.Bool("update", false, "rewrite testdata/payload_schema.txt from the payload types")
+var update = flag.Bool("update", false, "rewrite testdata/payload_schema.txt and testdata/readers_golden.txt")
 
 // TestPayloadSchemaPinnedToVersion fails when a checkpoint payload type
 // changes while checkpointVersion does not. Gob matches fields by name,
