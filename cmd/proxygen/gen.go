@@ -22,14 +22,18 @@ import (
 const directive = "//pmm:monitor"
 
 // proxyHead renders a proxy's type, constructor, SetServices and wire:
-// %[1]s is the port interface, %[2]s the proxy, %[3]q its provides name.
+// %[1]s is the port interface, %[2]s the proxy, %[3]q its provides name,
+// %[4]d its number of monitored methods and %[5]s the statements that open
+// their records.
 const proxyHead = `
 // %[2]s is the generated proxy component for %[1]s (paper §4.2).
-// Its monitored methods report to the Mastermind; the others only forward.
+// Its monitored methods report to their record objects, opened in wire;
+// the others only forward.
 type %[2]s struct {
 	svc    cca.Services
 	target %[1]s
 	mon    core.MonitorPort
+	recs   [%[4]d]*core.Record // one per monitored method
 }
 
 var _ %[1]s = (*%[2]s)(nil)
@@ -50,35 +54,40 @@ func (p *%[2]s) SetServices(svc cca.Services) error {
 	return svc.AddProvidesPort(p, %[3]q, Type%[1]s)
 }
 
-// wire resolves the proxy's connections on first use; it returns the target.
+// wire resolves the proxy's connections and opens its records on first
+// use; it returns the target.
 func (p *%[2]s) wire() %[1]s {
 	if p.target == nil {
 		p.target = cca.Use[%[1]s](p.svc, "target")
 		p.mon = cca.Use[core.MonitorPort](p.svc, "monitor")
-	}
+%[5]s	}
 	return p.target
 }
 `
 
 // monitoredMethod renders a monitored forward from the proxy, method,
-// signature, record name, parameters, forward, provides name and return.
-// The parameters are evaluated before StartMonitoring starts the timers:
-// proxy work stays outside the measured region (paper §5).
+// signature, record index, parameter values, forward, provides name,
+// record name and return. The parameters are evaluated before Start starts
+// the timers: proxy work stays outside the measured region (paper §5).
 const monitoredMethod = `
 func (p *%[1]s) %[2]s%[3]s {
 	p.wire()
-	name := p.svc.InstanceName() + "::%[4]s()"
-	p.mon.StartMonitoring(name, %[5]s)
+	p.recs[%[4]d].Start(%[5]s)
 	p.svc.Context().Proc.ChargeCall()
 	%[6]s
-	p.mon.StopMonitoring(name)
-	p.mon.RecordCall(p.svc.InstanceName(), %[7]q, %[4]q)%[8]s
+	p.recs[%[4]d].Stop()
+	p.mon.RecordCall(p.svc.InstanceName(), %[7]q, %[8]q)%[9]s
 }
 `
 
 type generator struct {
 	fset *token.FileSet
 	body bytes.Buffer
+	// The proxy being rendered: its number of monitored methods so far, the
+	// statements opening their records, and its methods, which are
+	// rendered before its head.
+	nrec           int
+	opens, methods strings.Builder
 }
 
 func (g *generator) errorf(pos token.Pos, format string, args ...any) error {
@@ -150,7 +159,9 @@ func (g *generator) proxy(ts *ast.TypeSpec) error {
 	if !ok || stem == "" || ts.TypeParams != nil {
 		return g.errorf(ts.Pos(), "monitored interface %s is not a non-generic <X>Port", ts.Name.Name)
 	}
-	fmt.Fprintf(&g.body, proxyHead, ts.Name.Name, stem+"Proxy", lowerFirst(stem))
+	g.nrec = 0
+	g.opens.Reset()
+	g.methods.Reset()
 	for _, m := range it.Methods.List {
 		if len(m.Names) == 0 {
 			return g.errorf(m.Pos(), "embedded interface in monitored %s: list its methods", ts.Name.Name)
@@ -159,6 +170,8 @@ func (g *generator) proxy(ts *ast.TypeSpec) error {
 			return err
 		}
 	}
+	fmt.Fprintf(&g.body, proxyHead, ts.Name.Name, stem+"Proxy", lowerFirst(stem), g.nrec, g.opens.String())
+	g.body.WriteString(g.methods.String())
 	return nil
 }
 
@@ -188,10 +201,11 @@ func (g *generator) method(proxy, provides string, m *ast.Field) error {
 		if call = "p.wire()." + call; ft.Results.NumFields() > 0 {
 			call = "return " + call
 		}
-		fmt.Fprintf(&g.body, "\nfunc (p *%s) %s%s { %s }\n", proxy, name, sig, call)
+		fmt.Fprintf(&g.methods, "\nfunc (p *%s) %s%s { %s }\n", proxy, name, sig, call)
 		return nil
 	}
-	record, params, call, ret := lowerFirst(name), []string{}, "p.target."+call, ""
+	record, call, ret := lowerFirst(name), "p.target."+call, ""
+	var keys, values []string
 	if ft.Results.NumFields() > 0 {
 		results, err := g.names(ft.Results, "monitored "+name+" results")
 		if err != nil {
@@ -211,18 +225,17 @@ func (g *generator) method(proxy, provides string, m *ast.Field) error {
 			if err != nil {
 				return g.errorf(d.Pos(), "%s: %s: %v", directive, kv, err)
 			}
-			params = append(params, fmt.Sprintf("{Name: %q, Value: %s}", key, g.print(x)))
+			keys, values = append(keys, strconv.Quote(key)), append(values, g.print(x))
 		case !token.IsIdentifier(val):
 			return g.errorf(d.Pos(), "%s: record name %q is not an identifier", directive, val)
 		default:
 			record = val
 		}
 	}
-	list := "nil"
-	if len(params) > 0 {
-		list = "[]core.Param{" + strings.Join(params, ", ") + "}"
-	}
-	fmt.Fprintf(&g.body, monitoredMethod, proxy, name, sig, record, list, call, provides, ret)
+	fmt.Fprintf(&g.opens, "\t\tp.recs[%d] = p.mon.Monitor(%s)\n", g.nrec,
+		strings.Join(append([]string{`p.svc.InstanceName() + "::` + record + `()"`}, keys...), ", "))
+	fmt.Fprintf(&g.methods, monitoredMethod, proxy, name, sig, g.nrec, strings.Join(values, ", "), call, provides, record, ret)
+	g.nrec++
 	return nil
 }
 

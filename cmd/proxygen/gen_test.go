@@ -110,7 +110,10 @@ type SolverPort interface {
 `)
 	wants(t, src,
 		"func (p *SolverProxy) Evaluate(n int) (iters int) {",
-		"iters = p.target.Evaluate(n)\n\tp.mon.StopMonitoring(name)",
+		"recs   [2]*core.Record",
+		"p.recs[0].Start(float64(n))\n",
+		"iters = p.target.Evaluate(n)\n\tp.recs[0].Stop()",
+		`p.recs[1] = p.mon.Monitor(p.svc.InstanceName() + "::split()")`,
 		"\treturn iters\n}",
 		"lo, hi = p.target.Split()",
 		"\treturn lo, hi\n}",
@@ -127,7 +130,8 @@ type SinkPort interface {
 `)
 	wants(t, src,
 		"func (p *SinkProxy) Flush() {",
-		"p.mon.StartMonitoring(name, nil)\n\tp.svc.Context().Proc.ChargeCall()\n\tp.target.Flush()",
+		`p.recs[0] = p.mon.Monitor(p.svc.InstanceName() + "::flush()")`,
+		"p.recs[0].Start()\n\tp.svc.Context().Proc.ChargeCall()\n\tp.target.Flush()",
 	)
 	// No redundant trailing return in a method without results.
 	if strings.Contains(src, "return\n") {
@@ -148,11 +152,12 @@ type MeshPort interface {
 }
 `)
 	wants(t, src,
-		`name := p.svc.InstanceName() + "::ghostUpdate()"`,
+		`p.recs[0] = p.mon.Monitor(p.svc.InstanceName()+"::ghostUpdate()", "level")`,
+		`p.recs[0].Start(float64(level))`,
 		`p.mon.RecordCall(p.svc.InstanceName(), "mesh", "ghostUpdate")`,
-		`name := p.svc.InstanceName() + "::prolong()"`,
+		`p.recs[1] = p.mon.Monitor(p.svc.InstanceName() + "::prolong()")`,
+		"p.recs[1].Start()\n",
 		`p.mon.RecordCall(p.svc.InstanceName(), "mesh", "prolong")`,
-		`[]core.Param{{Name: "level", Value: float64(level)}}`,
 	)
 }
 

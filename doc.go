@@ -11,11 +11,15 @@
 //     deterministic virtual clocks;
 //   - a TAU-style measurement library (timers, groups, events, hardware
 //     counters, profile dumps);
-//   - the paper's PMM infrastructure: proxies, the Mastermind, per-invocation
-//     records, call-trace capture. The proxies are generated (cmd/proxygen)
+//   - the paper's PMM infrastructure: proxies, the Mastermind, its record
+//     objects, call-trace capture. The proxies are generated (cmd/proxygen)
 //     from the //pmm:monitor directives on internal/components/ports.go's
 //     port methods, the paper's §6 mark-up of the arguments that affect
-//     performance;
+//     performance. A proxy opens one record per monitored method when it
+//     wires and brackets each call with that record's Start and Stop; a
+//     record keeps its invocations as columns (one per parameter, wall,
+//     MPI and compute time, one per metric delta), so a monitored call
+//     builds no name and no row;
 //   - the scientific case study: a structured-AMR simulation of a Mach 1.5
 //     shock hitting an Air/Freon interface, built from States,
 //     EFMFlux/GodunovFlux, RK2, AMRMesh and ShockDriver components;

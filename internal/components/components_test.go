@@ -150,26 +150,28 @@ func TestCaseStudyRunsAndRecords(t *testing.T) {
 func TestStatesRecordsCarryQAndMode(t *testing.T) {
 	apps, _ := runApp(t, smallAppConfig(), 3)
 	rec := apps[0].Core().Record("sc_proxy::compute()")
-	if rec == nil || len(rec.Invocations) == 0 {
+	if rec == nil || rec.Len() == 0 {
 		t.Fatal("no sc_proxy records")
 	}
+	q, mode := rec.Param("Q"), rec.Param("mode")
+	if len(q) != rec.Len() || len(mode) != rec.Len() {
+		t.Fatalf("Q and mode columns hold %d and %d of %d invocations", len(q), len(mode), rec.Len())
+	}
 	seenX, seenY := false, false
-	for _, inv := range rec.Invocations {
-		q, ok := inv.Param("Q")
-		if !ok || q <= 0 {
-			t.Fatalf("invocation without positive Q: %+v", inv)
+	for i := range rec.Len() {
+		if q[i] <= 0 {
+			t.Fatalf("invocation %d without positive Q: %g", i, q[i])
 		}
-		mode, _ := inv.Param("mode")
-		if mode == 0 {
+		if mode[i] == 0 {
 			seenX = true
 		} else {
 			seenY = true
 		}
-		if inv.WallUS <= 0 {
-			t.Errorf("non-positive wall time %g", inv.WallUS)
+		if rec.WallUS[i] <= 0 {
+			t.Errorf("non-positive wall time %g", rec.WallUS[i])
 		}
-		if inv.MPIUS != 0 {
-			t.Errorf("States invoked MPI (%g us); it must be compute-only", inv.MPIUS)
+		if rec.MPIUS[i] != 0 {
+			t.Errorf("States invoked MPI (%g us); it must be compute-only", rec.MPIUS[i])
 		}
 	}
 	if !seenX || !seenY {
@@ -180,22 +182,22 @@ func TestStatesRecordsCarryQAndMode(t *testing.T) {
 func TestGhostUpdateRecordsHaveMPITimeAndLevels(t *testing.T) {
 	apps, _ := runApp(t, smallAppConfig(), 3)
 	rec := apps[0].Core().Record("icc_proxy::ghostUpdate()")
-	if rec == nil || len(rec.Invocations) == 0 {
+	if rec == nil || rec.Len() == 0 {
 		t.Fatal("no ghostUpdate records")
+	}
+	level := rec.Param("level")
+	if len(level) != rec.Len() {
+		t.Fatal("ghostUpdate record without level parameter")
 	}
 	levels := map[float64]bool{}
 	anyMPI := false
-	for _, inv := range rec.Invocations {
-		lvl, ok := inv.Param("level")
-		if !ok {
-			t.Fatal("ghostUpdate record without level parameter")
-		}
+	for i, lvl := range level {
 		levels[lvl] = true
-		if inv.MPIUS > 0 {
+		if rec.MPIUS[i] > 0 {
 			anyMPI = true
 		}
-		if inv.MPIUS > inv.WallUS+1e-9 {
-			t.Errorf("MPI time %g exceeds wall %g", inv.MPIUS, inv.WallUS)
+		if rec.MPIUS[i] > rec.WallUS[i]+1e-9 {
+			t.Errorf("MPI time %g exceeds wall %g", rec.MPIUS[i], rec.WallUS[i])
 		}
 	}
 	if len(levels) < 2 {
@@ -256,10 +258,10 @@ func TestEFMAssemblyRunsAndIsCheaper(t *testing.T) {
 	}
 	meanUS := func(rec *core.Record) float64 {
 		var s float64
-		for _, inv := range rec.Invocations {
-			s += inv.WallUS
+		for _, v := range rec.WallUS {
+			s += v
 		}
-		return s / float64(len(rec.Invocations))
+		return s / float64(rec.Len())
 	}
 	g, e := meanUS(recG), meanUS(recE)
 	if g <= e {
@@ -369,11 +371,11 @@ func TestLoadBalanceHappensOnce(t *testing.T) {
 	cfg.Driver.LoadBalanceThreshold = 1.01 // trigger at the first chance
 	apps, _ := runApp(t, cfg, 3)
 	rec := apps[0].Core().Record("icc_proxy::loadBalance()")
-	if rec == nil {
+	if rec == nil || rec.Len() == 0 {
 		t.Skip("no load balance triggered on this configuration")
 	}
-	if len(rec.Invocations) != 1 {
-		t.Errorf("load balance ran %d times, want 1 (MaxLoadBalances)", len(rec.Invocations))
+	if rec.Len() != 1 {
+		t.Errorf("load balance ran %d times, want 1 (MaxLoadBalances)", rec.Len())
 	}
 }
 

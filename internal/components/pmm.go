@@ -8,7 +8,8 @@ import (
 // TauMeasurement is the TAU component (paper §4.1): it exposes the rank's
 // TAU measurement library through the generic MeasurementPort.
 type TauMeasurement struct {
-	svc cca.Services
+	svc     cca.Services
+	metrics []float64 // QueryMetrics' result, overwritten by each query
 }
 
 // NewTauMeasurement constructs the component.
@@ -42,7 +43,10 @@ func (t *TauMeasurement) TriggerEvent(name string, value float64) {
 func (t *TauMeasurement) MetricNames() []string { return t.svc.Context().Prof.MetricNames() }
 
 // QueryMetrics implements core.MeasurementPort.
-func (t *TauMeasurement) QueryMetrics() []float64 { return t.svc.Context().Prof.Snapshot() }
+func (t *TauMeasurement) QueryMetrics() []float64 {
+	t.metrics = t.svc.Context().Prof.Snapshot(t.metrics)
+	return t.metrics
+}
 
 // GroupInclusive implements core.MeasurementPort.
 func (t *TauMeasurement) GroupInclusive(group string) float64 {
@@ -79,13 +83,10 @@ func (m *Mastermind) Core() *core.Mastermind {
 
 var _ core.MonitorPort = (*Mastermind)(nil)
 
-// StartMonitoring implements core.MonitorPort.
-func (m *Mastermind) StartMonitoring(method string, params []core.Param) {
-	m.Core().StartMonitoring(method, params)
+// Monitor implements core.MonitorPort.
+func (m *Mastermind) Monitor(method string, params ...string) *core.Record {
+	return m.Core().Monitor(method, params...)
 }
-
-// StopMonitoring implements core.MonitorPort.
-func (m *Mastermind) StopMonitoring(method string) { m.Core().StopMonitoring(method) }
 
 // RecordCall implements core.MonitorPort.
 func (m *Mastermind) RecordCall(caller, callee, method string) {

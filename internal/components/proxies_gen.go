@@ -10,11 +10,13 @@ import (
 )
 
 // StatesProxy is the generated proxy component for StatesPort (paper §4.2).
-// Its monitored methods report to the Mastermind; the others only forward.
+// Its monitored methods report to their record objects, opened in wire;
+// the others only forward.
 type StatesProxy struct {
 	svc    cca.Services
 	target StatesPort
 	mon    core.MonitorPort
+	recs   [1]*core.Record // one per monitored method
 }
 
 var _ StatesPort = (*StatesProxy)(nil)
@@ -35,31 +37,34 @@ func (p *StatesProxy) SetServices(svc cca.Services) error {
 	return svc.AddProvidesPort(p, "states", TypeStatesPort)
 }
 
-// wire resolves the proxy's connections on first use; it returns the target.
+// wire resolves the proxy's connections and opens its records on first
+// use; it returns the target.
 func (p *StatesProxy) wire() StatesPort {
 	if p.target == nil {
 		p.target = cca.Use[StatesPort](p.svc, "target")
 		p.mon = cca.Use[core.MonitorPort](p.svc, "monitor")
+		p.recs[0] = p.mon.Monitor(p.svc.InstanceName()+"::compute()", "Q", "mode")
 	}
 	return p.target
 }
 
 func (p *StatesProxy) Compute(b *euler.Block, dir euler.Dir, qL, qR *euler.EdgeField) {
 	p.wire()
-	name := p.svc.InstanceName() + "::compute()"
-	p.mon.StartMonitoring(name, []core.Param{{Name: "Q", Value: float64(b.Cells())}, {Name: "mode", Value: float64(dir)}})
+	p.recs[0].Start(float64(b.Cells()), float64(dir))
 	p.svc.Context().Proc.ChargeCall()
 	p.target.Compute(b, dir, qL, qR)
-	p.mon.StopMonitoring(name)
+	p.recs[0].Stop()
 	p.mon.RecordCall(p.svc.InstanceName(), "states", "compute")
 }
 
 // FluxProxy is the generated proxy component for FluxPort (paper §4.2).
-// Its monitored methods report to the Mastermind; the others only forward.
+// Its monitored methods report to their record objects, opened in wire;
+// the others only forward.
 type FluxProxy struct {
 	svc    cca.Services
 	target FluxPort
 	mon    core.MonitorPort
+	recs   [1]*core.Record // one per monitored method
 }
 
 var _ FluxPort = (*FluxProxy)(nil)
@@ -80,32 +85,35 @@ func (p *FluxProxy) SetServices(svc cca.Services) error {
 	return svc.AddProvidesPort(p, "flux", TypeFluxPort)
 }
 
-// wire resolves the proxy's connections on first use; it returns the target.
+// wire resolves the proxy's connections and opens its records on first
+// use; it returns the target.
 func (p *FluxProxy) wire() FluxPort {
 	if p.target == nil {
 		p.target = cca.Use[FluxPort](p.svc, "target")
 		p.mon = cca.Use[core.MonitorPort](p.svc, "monitor")
+		p.recs[0] = p.mon.Monitor(p.svc.InstanceName()+"::compute()", "Q", "mode")
 	}
 	return p.target
 }
 
 func (p *FluxProxy) Compute(qL, qR, flux *euler.EdgeField) (iters int) {
 	p.wire()
-	name := p.svc.InstanceName() + "::compute()"
-	p.mon.StartMonitoring(name, []core.Param{{Name: "Q", Value: float64(qL.NxCells * qL.NyCells)}, {Name: "mode", Value: float64(flux.Dir)}})
+	p.recs[0].Start(float64(qL.NxCells*qL.NyCells), float64(flux.Dir))
 	p.svc.Context().Proc.ChargeCall()
 	iters = p.target.Compute(qL, qR, flux)
-	p.mon.StopMonitoring(name)
+	p.recs[0].Stop()
 	p.mon.RecordCall(p.svc.InstanceName(), "flux", "compute")
 	return iters
 }
 
 // MeshProxy is the generated proxy component for MeshPort (paper §4.2).
-// Its monitored methods report to the Mastermind; the others only forward.
+// Its monitored methods report to their record objects, opened in wire;
+// the others only forward.
 type MeshProxy struct {
 	svc    cca.Services
 	target MeshPort
 	mon    core.MonitorPort
+	recs   [4]*core.Record // one per monitored method
 }
 
 var _ MeshPort = (*MeshProxy)(nil)
@@ -126,11 +134,16 @@ func (p *MeshProxy) SetServices(svc cca.Services) error {
 	return svc.AddProvidesPort(p, "mesh", TypeMeshPort)
 }
 
-// wire resolves the proxy's connections on first use; it returns the target.
+// wire resolves the proxy's connections and opens its records on first
+// use; it returns the target.
 func (p *MeshProxy) wire() MeshPort {
 	if p.target == nil {
 		p.target = cca.Use[MeshPort](p.svc, "target")
 		p.mon = cca.Use[core.MonitorPort](p.svc, "monitor")
+		p.recs[0] = p.mon.Monitor(p.svc.InstanceName()+"::ghostUpdate()", "level")
+		p.recs[1] = p.mon.Monitor(p.svc.InstanceName() + "::prolong()")
+		p.recs[2] = p.mon.Monitor(p.svc.InstanceName() + "::loadBalance()")
+		p.recs[3] = p.mon.Monitor(p.svc.InstanceName()+"::restrict()", "level")
 	}
 	return p.target
 }
@@ -149,42 +162,38 @@ func (p *MeshProxy) CellSize(level int) (dx, dy float64) { return p.wire().CellS
 
 func (p *MeshProxy) GhostUpdate(level int) {
 	p.wire()
-	name := p.svc.InstanceName() + "::ghostUpdate()"
-	p.mon.StartMonitoring(name, []core.Param{{Name: "level", Value: float64(level)}})
+	p.recs[0].Start(float64(level))
 	p.svc.Context().Proc.ChargeCall()
 	p.target.GhostUpdate(level)
-	p.mon.StopMonitoring(name)
+	p.recs[0].Stop()
 	p.mon.RecordCall(p.svc.InstanceName(), "mesh", "ghostUpdate")
 }
 
 func (p *MeshProxy) Regrid() {
 	p.wire()
-	name := p.svc.InstanceName() + "::prolong()"
-	p.mon.StartMonitoring(name, nil)
+	p.recs[1].Start()
 	p.svc.Context().Proc.ChargeCall()
 	p.target.Regrid()
-	p.mon.StopMonitoring(name)
+	p.recs[1].Stop()
 	p.mon.RecordCall(p.svc.InstanceName(), "mesh", "prolong")
 }
 
 func (p *MeshProxy) LoadBalance() (moved int) {
 	p.wire()
-	name := p.svc.InstanceName() + "::loadBalance()"
-	p.mon.StartMonitoring(name, nil)
+	p.recs[2].Start()
 	p.svc.Context().Proc.ChargeCall()
 	moved = p.target.LoadBalance()
-	p.mon.StopMonitoring(name)
+	p.recs[2].Stop()
 	p.mon.RecordCall(p.svc.InstanceName(), "mesh", "loadBalance")
 	return moved
 }
 
 func (p *MeshProxy) Restrict(fineLevel int) {
 	p.wire()
-	name := p.svc.InstanceName() + "::restrict()"
-	p.mon.StartMonitoring(name, []core.Param{{Name: "level", Value: float64(fineLevel)}})
+	p.recs[3].Start(float64(fineLevel))
 	p.svc.Context().Proc.ChargeCall()
 	p.target.Restrict(fineLevel)
-	p.mon.StopMonitoring(name)
+	p.recs[3].Stop()
 	p.mon.RecordCall(p.svc.InstanceName(), "mesh", "restrict")
 }
 

@@ -47,22 +47,52 @@ func (s *callStream) take() []string {
 	return out
 }
 
-// streamMonitor is a core.MonitorPort that logs instead of measuring.
-type streamMonitor struct{ s *callStream }
+// streamMonitor is a core.MonitorPort whose records are a real
+// core.Mastermind's, over a streamMeas, and which logs the call edges.
+type streamMonitor struct {
+	*core.Mastermind
+	s *callStream
+}
+
+func newStreamMonitor(s *callStream) *streamMonitor {
+	meas := &streamMeas{s: s}
+	meas.mm = core.NewMastermind(meas)
+	return &streamMonitor{meas.mm, s}
+}
 
 func (m *streamMonitor) SetServices(svc cca.Services) error {
 	return svc.AddProvidesPort(m, "monitor", TypeMonitorPort)
 }
 
-func (m *streamMonitor) StartMonitoring(method string, params []core.Param) {
-	m.s.add("start %s %v", method, params)
-}
-
-func (m *streamMonitor) StopMonitoring(method string) { m.s.add("stop %s", method) }
-
 func (m *streamMonitor) RecordCall(caller, callee, method string) {
 	m.s.add("record %s %s %s", caller, callee, method)
 }
+
+// streamMeas is a core.MeasurementPort that logs its timers: a record's
+// Start shows as the start of its timer, with the parameter values the
+// record stored before starting it, and its Stop as the stop. It measures
+// nothing.
+type streamMeas struct {
+	s  *callStream
+	mm *core.Mastermind
+}
+
+func (m *streamMeas) StartTimer(name, _ string) {
+	rec := m.mm.Record(name)
+	params := make([]core.Param, len(rec.ParamNames))
+	for i, n := range rec.ParamNames {
+		params[i] = core.Param{Name: n, Value: rec.Params[i][len(rec.Params[i])-1]}
+	}
+	m.s.add("start %s %v", name, params)
+}
+
+func (m *streamMeas) StopTimer(name string)         { m.s.add("stop %s", name) }
+func (m *streamMeas) SetGroupEnabled(string, bool)  {}
+func (m *streamMeas) TriggerEvent(string, float64)  {}
+func (m *streamMeas) MetricNames() []string         { return []string{"WALL_CLOCK"} }
+func (m *streamMeas) QueryMetrics() []float64       { return []float64{0} }
+func (m *streamMeas) GroupInclusive(string) float64 { return 0 }
+func (m *streamMeas) Now() float64                  { return 0 }
 
 // Fake targets: each logs the forwarded call and returns a value the test
 // can recognise.
@@ -120,10 +150,10 @@ func (c *fakeMesh) GlobalMaxWaveSpeed() float64 { c.s.add("forward GlobalMaxWave
 func (c *fakeMesh) Imbalance() float64          { c.s.add("forward Imbalance()"); return 1.25 }
 
 // TestProxyMonitoringStream pins the proxy protocol method by method. A
-// monitored method hands its marked-up parameters to StartMonitoring,
-// charges one call, forwards, then stops and records the call edge, in that
-// order; an unmonitored one only forwards; both return what the target
-// returned.
+// monitored method hands its marked-up parameters to its record's Start,
+// which stores them and starts the timer, charges one call, forwards, then
+// stops the record and records the call edge, in that order; an
+// unmonitored one only forwards; both return what the target returned.
 func TestProxyMonitoringStream(t *testing.T) {
 	onOneRank(t, func(f *cca.Framework, r *mpi.Rank) error {
 		s := &callStream{proc: r.Proc}
@@ -131,7 +161,7 @@ func TestProxyMonitoringStream(t *testing.T) {
 		r.Proc.ChargeCall()
 		s.call = r.Proc.Now() - t0
 
-		f.RegisterClass("StreamMonitor", func() cca.Component { return &streamMonitor{s} })
+		f.RegisterClass("StreamMonitor", func() cca.Component { return newStreamMonitor(s) })
 		f.RegisterClass("FakeStates", func() cca.Component { return &fakeStates{s} })
 		f.RegisterClass("FakeFlux", func() cca.Component { return &fakeFlux{s} })
 		f.RegisterClass("FakeMesh", func() cca.Component { return &fakeMesh{s} })
@@ -240,6 +270,62 @@ connect icc_proxy monitor mon0 monitor
 			if got != c.result {
 				t.Errorf("%s.%s returned %q, want %q", c.port, c.method, got, c.result)
 			}
+		}
+		return nil
+	})
+}
+
+// nopStates is a StatesPort that does nothing, so a call through its proxy
+// measures the monitor alone.
+type nopStates struct{}
+
+func (c *nopStates) SetServices(svc cca.Services) error {
+	return svc.AddProvidesPort(c, "states", TypeStatesPort)
+}
+
+func (c *nopStates) Compute(*euler.Block, euler.Dir, *euler.EdgeField, *euler.EdgeField) {}
+
+// TestMonitoredCallAllocatesNothing: once its proxy has wired, a monitored
+// call through the real TauMeasurement and Mastermind builds no name, no
+// parameter list and no snapshot. Only the record's columns grow, by
+// doubling, which amortizes to less than one allocation per call.
+func TestMonitoredCallAllocatesNothing(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector instruments allocations")
+	}
+	onOneRank(t, func(f *cca.Framework, r *mpi.Rank) error {
+		mm := &Mastermind{}
+		f.RegisterClass("TauMeasurement", NewTauMeasurement)
+		f.RegisterClass("Mastermind", func() cca.Component { return mm })
+		f.RegisterClass("NopStates", func() cca.Component { return &nopStates{} })
+		f.RegisterClass("StatesProxy", NewStatesProxy)
+		if err := f.RunScript(`
+instantiate TauMeasurement tau0
+instantiate Mastermind mastermind0
+instantiate NopStates states0
+instantiate StatesProxy sc_proxy
+connect mastermind0 measurement tau0 measurement
+connect sc_proxy target states0 states
+connect sc_proxy monitor mastermind0 monitor
+`); err != nil {
+			return err
+		}
+		p, err := f.LookupProvides("sc_proxy", "states")
+		if err != nil {
+			return err
+		}
+		sp := p.(StatesPort)
+		b := euler.NewBlock(r.Proc, 8, 4, 2)
+		qL := euler.NewEdgeField(r.Proc, 8, 4, euler.X)
+		qR := euler.NewEdgeField(r.Proc, 8, 4, euler.X)
+		call := func() { sp.Compute(b, euler.X, qL, qR) }
+		call()
+		const runs = 1000
+		if n := testing.AllocsPerRun(runs, call); n != 0 {
+			t.Errorf("a monitored call allocates %v times", n)
+		}
+		if n := mm.Core().Record("sc_proxy::compute()").Len(); n != runs+2 {
+			t.Errorf("the record holds %d invocations, want %d", n, runs+2)
 		}
 		return nil
 	})

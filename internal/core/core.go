@@ -5,19 +5,21 @@
 //
 //   - MeasurementPort, the generic performance-component interface the TAU
 //     component provides (timing, events, control, query);
-//   - MonitorPort, the port proxies use to start/stop monitoring around each
-//     forwarded method invocation;
+//   - MonitorPort, the port a proxy opens its record objects on, one per
+//     monitored method, and reports the call trace to;
 //
-// — and the Mastermind, which owns a record object per monitored method,
-// snapshots the (cumulative) TAU measurements before and after every
-// invocation, stores per-invocation rows of {parameters, wall time, MPI
-// time, compute time, hardware-metric deltas}, captures the caller/callee
-// trace, and dumps everything for model construction.
+// — and the Mastermind, which owns the record objects and the call trace.
+// A record snapshots the (cumulative) TAU measurements around every
+// invocation and stores {parameters, wall, MPI and compute time, metric
+// deltas} as columns whose schema is fixed when the record opens.
 package core
 
 import (
 	"fmt"
 	"io"
+	"maps"
+	"slices"
+	"strconv"
 )
 
 // MeasurementPort is the generic performance-measurement interface of the
@@ -36,7 +38,8 @@ type MeasurementPort interface {
 	// MetricNames lists the measured metrics; index 0 is wall-clock.
 	MetricNames() []string
 	// QueryMetrics returns the current cumulative value of every metric
-	// (the TAU_GET_FUNCTION_VALUES-style query the Mastermind uses).
+	// (the TAU_GET_FUNCTION_VALUES-style query the Mastermind uses). The
+	// result may be overwritten by the next query.
 	QueryMetrics() []float64
 	// GroupInclusive returns the summed inclusive wall-clock microseconds
 	// of all completed timers in a group; the Mastermind's "MPI time" is
@@ -46,103 +49,131 @@ type MeasurementPort interface {
 	Now() float64
 }
 
-// MonitorPort is what a proxy holds: it notifies the Mastermind immediately
-// before forwarding a method invocation and immediately after it returns
-// (paper §4.2). Parameters that influence the method's performance (array
-// sizes, mode flags) are extracted by the proxy and passed along.
+// MonitorPort is what a proxy holds (paper §4.2). The proxy opens one record
+// object per monitored method, brackets every forwarded invocation with the
+// record's Start and Stop, and reports the call edge.
 type MonitorPort interface {
-	// StartMonitoring opens an invocation record for the named method
-	// (e.g. "sc_proxy::compute()"). Parameter extraction happens before
-	// any timers start, so it is not charged to the component.
-	StartMonitoring(method string, params []Param)
-	// StopMonitoring closes the invocation and stores its measurements.
-	StopMonitoring(method string)
+	// Monitor returns the record object of the named method (e.g.
+	// "sc_proxy::compute()"), opening it with the named parameters on the
+	// first call for that method.
+	Monitor(method string, params ...string) *Record
 	// RecordCall notes one caller→callee invocation for the application
 	// call trace (the edge weights of the Fig. 10 dual).
 	RecordCall(caller, callee, method string)
 }
 
-// Param is one performance-relevant input parameter of an invocation.
-type Param struct {
-	Name  string
-	Value float64
-}
-
-// Invocation is one row of a record object: the parameters passed in and
-// the measurement deltas across the forwarded call.
-type Invocation struct {
-	Params []Param
-	// WallUS is the total execution time of the method call.
-	WallUS float64
-	// MPIUS is the total inclusive time spent in MPI during the call.
-	MPIUS float64
-	// ComputeUS is WallUS - MPIUS: the cache-sensitive computation time.
-	ComputeUS float64
-	// MetricDeltas holds the change of each hardware metric (indexed as
-	// MeasurementPort.MetricNames, entry 0 = wall clock again).
-	MetricDeltas []float64
-}
-
-// Param returns the named parameter's value.
-func (inv *Invocation) Param(name string) (float64, bool) {
-	for _, p := range inv.Params {
-		if p.Name == name {
-			return p.Value, true
-		}
-	}
-	return 0, false
-}
-
-// Record stores every invocation of a single monitored method, as the
-// paper's record objects do.
+// Record is the record object of one monitored method (paper §4.3): one row
+// per forwarded invocation, stored as columns. Row i of every column is
+// invocation i.
 type Record struct {
 	// Method is the monitored method's timer name, e.g. "g_proxy::compute()".
 	Method string
 	// MetricNames mirrors the measurement component's metric list.
 	MetricNames []string
-	// Invocations holds one row per forwarded call.
-	Invocations []Invocation
+	// ParamNames names the method's performance parameters.
+	ParamNames []string
+	// Params holds one column per entry of ParamNames.
+	Params [][]float64
+	// WallUS, MPIUS and ComputeUS hold each call's total execution time,
+	// its inclusive time in MPI, and their difference: the cache-sensitive
+	// computation time.
+	WallUS, MPIUS, ComputeUS []float64
+	// Deltas holds one column per metric (indexed as MetricNames, entry 0 =
+	// wall clock again): the metric's change across each call.
+	Deltas [][]float64
+
+	m    *Mastermind
+	open bool
+	// before is Start's snapshot: the clock, the MPI time, then every metric.
+	before []float64
+}
+
+// Len returns the number of recorded invocations.
+func (r *Record) Len() int { return len(r.WallUS) }
+
+// Param returns the named parameter's column, or nil.
+func (r *Record) Param(name string) []float64 {
+	if i := slices.Index(r.ParamNames, name); i >= 0 {
+		return r.Params[i]
+	}
+	return nil
+}
+
+// Start opens an invocation with the values of the record's parameters
+// (array sizes, mode flags), evaluated by the caller before any timer
+// starts, so parameter extraction is not charged to the component. It
+// stores them, starts the method's TAU timer and snapshots the cumulative
+// counters. Starting an open record panics.
+func (r *Record) Start(values ...float64) {
+	if r.open {
+		panic(fmt.Sprintf("core: %s started again before it stopped", r.Method))
+	}
+	if len(values) != len(r.Params) {
+		panic(fmt.Sprintf("core: %s started with %d parameters, want %d", r.Method, len(values), len(r.Params)))
+	}
+	r.open = true
+	if r.Len() == 0 {
+		r.m.started = append(r.m.started, r)
+	}
+	for i, v := range values {
+		r.Params[i] = append(r.Params[i], v)
+	}
+	meas := r.m.meas
+	meas.StartTimer(r.Method, "PROXY")
+	r.before[0], r.before[1] = meas.Now(), meas.GroupInclusive("MPI")
+	copy(r.before[2:], meas.QueryMetrics())
+}
+
+// Stop closes the open invocation: it snapshots the counters again, stores
+// the differences as the invocation's row, and stops the TAU timer.
+// Stopping a record that is not open panics.
+func (r *Record) Stop() {
+	if !r.open {
+		panic(fmt.Sprintf("core: %s stopped without a start", r.Method))
+	}
+	r.open = false
+	meas := r.m.meas
+	wall, mpi := meas.Now()-r.before[0], meas.GroupInclusive("MPI")-r.before[1]
+	for i, v := range meas.QueryMetrics() {
+		r.Deltas[i] = append(r.Deltas[i], v-r.before[2+i])
+	}
+	meas.StopTimer(r.Method)
+	r.WallUS = append(r.WallUS, wall)
+	r.MPIUS = append(r.MPIUS, mpi)
+	r.ComputeUS = append(r.ComputeUS, wall-mpi)
 }
 
 // WriteCSV dumps the record rows (what the paper's record objects write to
-// file when destroyed).
+// file when destroyed), one Write per line.
 func (r *Record) WriteCSV(w io.Writer) error {
-	// Header: union of parameter names in first-seen order.
-	var pnames []string
-	seen := map[string]bool{}
-	for i := range r.Invocations {
-		for _, p := range r.Invocations[i].Params {
-			if !seen[p.Name] {
-				seen[p.Name] = true
-				pnames = append(pnames, p.Name)
-			}
-		}
+	b := []byte("method,invocation")
+	for _, n := range r.ParamNames {
+		b = append(append(b, ','), n...)
 	}
-	if _, err := fmt.Fprintf(w, "method,invocation"); err != nil {
-		return err
-	}
-	for _, n := range pnames {
-		fmt.Fprintf(w, ",%s", n)
-	}
-	fmt.Fprintf(w, ",wall_us,mpi_us,compute_us")
+	b = append(b, ",wall_us,mpi_us,compute_us"...)
 	for _, m := range r.MetricNames {
-		fmt.Fprintf(w, ",d_%s", m)
+		b = append(append(b, ",d_"...), m...)
 	}
-	fmt.Fprintln(w)
-	for i := range r.Invocations {
-		inv := &r.Invocations[i]
-		fmt.Fprintf(w, "%s,%d", r.Method, i)
-		for _, n := range pnames {
-			v, _ := inv.Param(n)
-			fmt.Fprintf(w, ",%g", v)
+	for i := range r.Len() {
+		if _, err := w.Write(append(b, '\n')); err != nil {
+			return err
 		}
-		fmt.Fprintf(w, ",%g,%g,%g", inv.WallUS, inv.MPIUS, inv.ComputeUS)
-		for _, d := range inv.MetricDeltas {
-			fmt.Fprintf(w, ",%g", d)
+		b = strconv.AppendInt(append(append(b[:0], r.Method...), ','), int64(i), 10)
+		for _, col := range r.Params {
+			b = appendG(b, col[i])
 		}
-		fmt.Fprintln(w)
+		b = appendG(appendG(appendG(b, r.WallUS[i]), r.MPIUS[i]), r.ComputeUS[i])
+		for _, col := range r.Deltas {
+			b = appendG(b, col[i])
+		}
 	}
-	return nil
+	_, err := w.Write(append(b, '\n'))
+	return err
+}
+
+// appendG appends ",v" with v formatted as fmt's %g does.
+func appendG(b []byte, v float64) []byte {
+	return strconv.AppendFloat(append(b, ','), v, 'g', -1, 64)
 }
 
 // CallEdge is one caller→callee relationship in the recorded call trace.
@@ -150,84 +181,59 @@ type CallEdge struct {
 	Caller, Callee, Method string
 }
 
-// openInvocation holds the before-call snapshot.
-type openInvocation struct {
-	params  []Param
-	wall0   float64
-	mpi0    float64
-	metric0 []float64
-}
-
 // Mastermind gathers, stores and reports measurement data (paper §4.3).
 // One Mastermind serves every proxy of a rank's assembly. TAU measurements
 // are cumulative, so each invocation is measured by differencing snapshots
 // taken immediately before and after the forwarded call.
 type Mastermind struct {
-	meas    MeasurementPort
-	records map[string]*Record
-	order   []string
-	open    map[string]*openInvocation
-	edges   map[CallEdge]int
+	meas MeasurementPort
+	// opened holds every record in opening order, started those with an
+	// invocation in order of their first Start.
+	opened, started []*Record
+	edges           map[CallEdge]int
 }
 
 // NewMastermind builds a Mastermind on top of a measurement component.
 func NewMastermind(meas MeasurementPort) *Mastermind {
-	return &Mastermind{
-		meas:    meas,
-		records: make(map[string]*Record),
-		open:    make(map[string]*openInvocation),
-		edges:   make(map[CallEdge]int),
-	}
+	return &Mastermind{meas: meas, edges: make(map[CallEdge]int)}
 }
 
 var _ MonitorPort = (*Mastermind)(nil)
 
-// StartMonitoring implements MonitorPort: parameters are stored first (no
-// timer running), then the method's TAU timer starts and the cumulative
-// counters are snapshotted.
-func (m *Mastermind) StartMonitoring(method string, params []Param) {
-	if m.open[method] != nil {
-		panic(fmt.Sprintf("core: StartMonitoring(%q) re-entered", method))
+// Monitor implements MonitorPort.
+func (m *Mastermind) Monitor(method string, params ...string) *Record {
+	if r := m.Record(method); r != nil {
+		return r
 	}
-	if _, ok := m.records[method]; !ok {
-		m.records[method] = &Record{Method: method, MetricNames: m.meas.MetricNames()}
-		m.order = append(m.order, method)
+	names := m.meas.MetricNames()
+	r := &Record{
+		Method: method, MetricNames: names, ParamNames: slices.Clone(params),
+		Params: make([][]float64, len(params)), Deltas: make([][]float64, len(names)),
+		m: m, before: make([]float64, 2+len(names)),
 	}
-	cp := make([]Param, len(params))
-	copy(cp, params)
-	m.meas.StartTimer(method, "PROXY")
-	m.open[method] = &openInvocation{
-		params:  cp,
-		wall0:   m.meas.Now(),
-		mpi0:    m.meas.GroupInclusive("MPI"),
-		metric0: m.meas.QueryMetrics(),
-	}
+	m.opened = append(m.opened, r)
+	return r
 }
 
-// StopMonitoring implements MonitorPort: it snapshots the counters again,
-// stores the difference as one invocation, and stops the TAU timer.
-func (m *Mastermind) StopMonitoring(method string) {
-	o := m.open[method]
-	if o == nil {
-		panic(fmt.Sprintf("core: StopMonitoring(%q) without StartMonitoring", method))
+// StartMonitoring starts the named method's record, opening it with the
+// parameters' names on first use: a by-name wrapper that only
+// bench/probes.go calls. Proxies hold their records.
+func (m *Mastermind) StartMonitoring(method string, params []Param) {
+	names, values := make([]string, len(params)), make([]float64, len(params))
+	for i, p := range params {
+		names[i], values[i] = p.Name, p.Value
 	}
-	delete(m.open, method)
-	wall := m.meas.Now() - o.wall0
-	mpi := m.meas.GroupInclusive("MPI") - o.mpi0
-	metric1 := m.meas.QueryMetrics()
-	deltas := make([]float64, len(metric1))
-	for i := range metric1 {
-		deltas[i] = metric1[i] - o.metric0[i]
-	}
-	m.meas.StopTimer(method)
-	rec := m.records[method]
-	rec.Invocations = append(rec.Invocations, Invocation{
-		Params:       o.params,
-		WallUS:       wall,
-		MPIUS:        mpi,
-		ComputeUS:    wall - mpi,
-		MetricDeltas: deltas,
-	})
+	m.Monitor(method, names...).Start(values...)
+}
+
+// StopMonitoring stops the named method's record (for bench/probes.go).
+func (m *Mastermind) StopMonitoring(method string) { m.Monitor(method).Stop() }
+
+// Param is one performance-relevant input parameter of an invocation, as
+// StartMonitoring takes it.
+type Param struct {
+	Name  string
+	Value float64
 }
 
 // RecordCall implements MonitorPort's call-trace capture.
@@ -235,23 +241,21 @@ func (m *Mastermind) RecordCall(caller, callee, method string) {
 	m.edges[CallEdge{Caller: caller, Callee: callee, Method: method}]++
 }
 
-// Record returns the record object for a method, or nil.
-func (m *Mastermind) Record(method string) *Record { return m.records[method] }
-
-// Records returns every record in first-monitored order.
-func (m *Mastermind) Records() []*Record {
-	out := make([]*Record, 0, len(m.order))
-	for _, name := range m.order {
-		out = append(out, m.records[name])
+// Record returns the record object for a method, or nil if none is open.
+func (m *Mastermind) Record(method string) *Record {
+	for _, r := range m.opened {
+		if r.Method == method {
+			return r
+		}
 	}
-	return out
+	return nil
+}
+
+// Records returns every record with at least one invocation, in order of
+// each record's first Start.
+func (m *Mastermind) Records() []*Record {
+	return slices.DeleteFunc(slices.Clone(m.started), func(r *Record) bool { return r.Len() == 0 })
 }
 
 // Edges returns a copy of the recorded call trace with invocation counts.
-func (m *Mastermind) Edges() map[CallEdge]int {
-	out := make(map[CallEdge]int, len(m.edges))
-	for e, n := range m.edges {
-		out[e] = n
-	}
-	return out
-}
+func (m *Mastermind) Edges() map[CallEdge]int { return maps.Clone(m.edges) }

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"errors"
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -34,34 +36,36 @@ func (f *fakeMeas) Now() float64 { return f.now }
 func TestMastermindRecordsInvocation(t *testing.T) {
 	meas := newFakeMeas()
 	mm := NewMastermind(meas)
-	mm.StartMonitoring("sc_proxy::compute()", []Param{{Name: "Q", Value: 4096}, {Name: "mode", Value: 1}})
+	rec := mm.Monitor("sc_proxy::compute()", "Q", "mode")
+	rec.Start(4096, 1)
 	meas.now += 250
 	meas.mpi += 40
 	meas.flops += 1e6
-	mm.StopMonitoring("sc_proxy::compute()")
+	rec.Stop()
 
-	rec := mm.Record("sc_proxy::compute()")
-	if rec == nil || len(rec.Invocations) != 1 {
-		t.Fatalf("record missing or wrong count: %+v", rec)
+	if got := mm.Record("sc_proxy::compute()"); got != rec || rec.Len() != 1 {
+		t.Fatalf("record missing or wrong count: %+v", got)
 	}
-	inv := rec.Invocations[0]
-	if inv.WallUS != 250 {
-		t.Errorf("wall = %g, want 250", inv.WallUS)
+	if rec.WallUS[0] != 250 {
+		t.Errorf("wall = %g, want 250", rec.WallUS[0])
 	}
-	if inv.MPIUS != 40 {
-		t.Errorf("mpi = %g, want 40", inv.MPIUS)
+	if rec.MPIUS[0] != 40 {
+		t.Errorf("mpi = %g, want 40", rec.MPIUS[0])
 	}
-	if inv.ComputeUS != 210 {
-		t.Errorf("compute = %g, want 210", inv.ComputeUS)
+	if rec.ComputeUS[0] != 210 {
+		t.Errorf("compute = %g, want 210", rec.ComputeUS[0])
 	}
-	if q, ok := inv.Param("Q"); !ok || q != 4096 {
-		t.Errorf("Q param = %g/%v", q, ok)
+	if q := rec.Param("Q"); len(q) != 1 || q[0] != 4096 {
+		t.Errorf("Q column = %v", q)
 	}
-	if inv.MetricDeltas[1] != 1e6 {
-		t.Errorf("FP_OPS delta = %g, want 1e6", inv.MetricDeltas[1])
+	if rec.Deltas[1][0] != 1e6 {
+		t.Errorf("FP_OPS delta = %g, want 1e6", rec.Deltas[1][0])
 	}
-	if _, ok := inv.Param("nonexistent"); ok {
+	if rec.Param("nonexistent") != nil {
 		t.Error("unknown param reported present")
+	}
+	if mm.Monitor("sc_proxy::compute()") != rec {
+		t.Error("a second Monitor of the method opened a second record")
 	}
 }
 
@@ -70,23 +74,26 @@ func TestMastermindCumulativeSnapshots(t *testing.T) {
 	// counters are cumulative.
 	meas := newFakeMeas()
 	mm := NewMastermind(meas)
+	rec := mm.Monitor("m()", "Q")
 	for i, d := range []float64{100, 300} {
-		mm.StartMonitoring("m()", []Param{{Name: "Q", Value: float64(i)}})
+		rec.Start(float64(i))
 		meas.now += d
-		mm.StopMonitoring("m()")
+		rec.Stop()
 	}
-	rec := mm.Record("m()")
-	if rec.Invocations[0].WallUS != 100 || rec.Invocations[1].WallUS != 300 {
-		t.Errorf("walls = %g/%g, want 100/300",
-			rec.Invocations[0].WallUS, rec.Invocations[1].WallUS)
+	if rec.WallUS[0] != 100 || rec.WallUS[1] != 300 {
+		t.Errorf("walls = %g/%g, want 100/300", rec.WallUS[0], rec.WallUS[1])
 	}
 }
 
 func TestMastermindTimerBracketsInvocation(t *testing.T) {
 	meas := newFakeMeas()
 	mm := NewMastermind(meas)
-	mm.StartMonitoring("x()", nil)
-	mm.StopMonitoring("x()")
+	rec := mm.Monitor("x()")
+	if len(meas.started) != 0 {
+		t.Errorf("opening a record started timers %v", meas.started)
+	}
+	rec.Start()
+	rec.Stop()
 	if len(meas.started) != 1 || meas.started[0] != "x()" {
 		t.Errorf("started timers = %v", meas.started)
 	}
@@ -96,24 +103,24 @@ func TestMastermindTimerBracketsInvocation(t *testing.T) {
 }
 
 func TestMastermindReentryPanics(t *testing.T) {
-	mm := NewMastermind(newFakeMeas())
-	mm.StartMonitoring("a()", nil)
+	rec := NewMastermind(newFakeMeas()).Monitor("a()")
+	rec.Start()
 	defer func() {
 		if recover() == nil {
-			t.Fatal("re-entrant StartMonitoring did not panic")
+			t.Fatal("re-entrant Start did not panic")
 		}
 	}()
-	mm.StartMonitoring("a()", nil)
+	rec.Start()
 }
 
 func TestMastermindStopWithoutStartPanics(t *testing.T) {
-	mm := NewMastermind(newFakeMeas())
+	rec := NewMastermind(newFakeMeas()).Monitor("never()")
 	defer func() {
 		if recover() == nil {
-			t.Fatal("StopMonitoring without start did not panic")
+			t.Fatal("Stop without start did not panic")
 		}
 	}()
-	mm.StopMonitoring("never()")
+	rec.Stop()
 }
 
 func TestNestedMonitoringAttributesMPIInclusively(t *testing.T) {
@@ -121,34 +128,36 @@ func TestNestedMonitoringAttributesMPIInclusively(t *testing.T) {
 	// outer record's MPI time includes the inner's (inclusive semantics).
 	meas := newFakeMeas()
 	mm := NewMastermind(meas)
-	mm.StartMonitoring("outer()", nil)
+	outer, inner := mm.Monitor("outer()"), mm.Monitor("inner()")
+	outer.Start()
 	meas.now += 10
-	mm.StartMonitoring("inner()", nil)
+	inner.Start()
 	meas.now += 50
 	meas.mpi += 30
-	mm.StopMonitoring("inner()")
+	inner.Stop()
 	meas.now += 5
-	mm.StopMonitoring("outer()")
-	outer := mm.Record("outer()").Invocations[0]
-	inner := mm.Record("inner()").Invocations[0]
-	if inner.MPIUS != 30 || inner.WallUS != 50 {
+	outer.Stop()
+	if inner.MPIUS[0] != 30 || inner.WallUS[0] != 50 {
 		t.Errorf("inner = %+v", inner)
 	}
-	if outer.MPIUS != 30 || outer.WallUS != 65 {
+	if outer.MPIUS[0] != 30 || outer.WallUS[0] != 65 {
 		t.Errorf("outer = %+v", outer)
 	}
 }
 
 func TestRecordsOrderAndWriteCSV(t *testing.T) {
+	// Records list in order of first Start, not of opening, and a record
+	// never started is not listed.
 	meas := newFakeMeas()
 	mm := NewMastermind(meas)
-	mm.StartMonitoring("b()", []Param{{Name: "Q", Value: 7}})
+	a, idle, b := mm.Monitor("a()"), mm.Monitor("idle()"), mm.Monitor("b()", "Q")
+	b.Start(7)
 	meas.now += 3
-	mm.StopMonitoring("b()")
-	mm.StartMonitoring("a()", nil)
-	mm.StopMonitoring("a()")
+	b.Stop()
+	a.Start()
+	a.Stop()
 	recs := mm.Records()
-	if len(recs) != 2 || recs[0].Method != "b()" || recs[1].Method != "a()" {
+	if len(recs) != 2 || recs[0] != b || recs[1] != a || idle.Len() != 0 {
 		t.Fatalf("records order wrong: %v", recs)
 	}
 	var sb strings.Builder
@@ -157,12 +166,76 @@ func TestRecordsOrderAndWriteCSV(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	out := sb.String()
-	for _, want := range []string{"method,invocation", "b(),0", ",Q", "wall_us", "d_PAPI_FP_OPS"} {
-		if !strings.Contains(out, want) {
-			t.Errorf("CSV missing %q:\n%s", want, out)
+	const want = "method,invocation,Q,wall_us,mpi_us,compute_us,d_WALL_CLOCK,d_PAPI_FP_OPS\n" +
+		"b(),0,7,3,0,3,3,0\n" +
+		"method,invocation,wall_us,mpi_us,compute_us,d_WALL_CLOCK,d_PAPI_FP_OPS\n" +
+		"a(),0,0,0,0,0,0\n"
+	if sb.String() != want {
+		t.Errorf("CSV:\n%s\nwant:\n%s", sb.String(), want)
+	}
+}
+
+// failAfter accepts n bytes, then fails every write, counting those.
+type failAfter struct{ n, failed int }
+
+var errFull = errors.New("disk full")
+
+func (w *failAfter) Write(p []byte) (int, error) {
+	if len(p) > w.n {
+		n := w.n
+		w.n = 0
+		w.failed++
+		return n, errFull
+	}
+	w.n -= len(p)
+	return len(p), nil
+}
+
+// TestWriteCSVReturnsWriteErrors: however far a failing writer gets,
+// WriteCSV returns its error at the first failed write and writes nothing
+// after it.
+func TestWriteCSVReturnsWriteErrors(t *testing.T) {
+	meas := newFakeMeas()
+	rec := NewMastermind(meas).Monitor("m()", "Q", "mode")
+	for i := range 3 {
+		rec.Start(float64(i), 1)
+		meas.now += 1.5
+		rec.Stop()
+	}
+	var sb strings.Builder
+	if err := rec.WriteCSV(&sb); err != nil {
+		t.Fatal(err)
+	}
+	for n := range sb.Len() {
+		w := &failAfter{n: n}
+		if err := rec.WriteCSV(w); !errors.Is(err, errFull) || w.failed != 1 {
+			t.Errorf("writer failing after %d of %d bytes: error %v after %d failed writes, want %v after 1",
+				n, sb.Len(), err, w.failed, errFull)
 		}
 	}
+}
+
+// TestByNameWrappers: StartMonitoring and StopMonitoring open the record by
+// name and fill the same columns as Start and Stop.
+func TestByNameWrappers(t *testing.T) {
+	meas := newFakeMeas()
+	mm := NewMastermind(meas)
+	for i := range 2 {
+		mm.StartMonitoring("p()", []Param{{Name: "Q", Value: float64(10 + i)}})
+		meas.now += 2
+		mm.StopMonitoring("p()")
+	}
+	rec := mm.Record("p()")
+	if rec == nil || !reflect.DeepEqual(rec.ParamNames, []string{"Q"}) ||
+		!reflect.DeepEqual(rec.Param("Q"), []float64{10, 11}) || !reflect.DeepEqual(rec.WallUS, []float64{2, 2}) {
+		t.Errorf("record = %+v", rec)
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("StopMonitoring of a method never started did not panic")
+		}
+	}()
+	mm.StopMonitoring("never()")
 }
 
 func TestCallTrace(t *testing.T) {

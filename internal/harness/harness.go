@@ -172,16 +172,11 @@ func (r *CaseStudyResult) GhostCommSeries() []GhostCommPoint {
 			continue
 		}
 		perLevel := map[int]int{}
-		for i := range rec.Invocations {
-			inv := &rec.Invocations[i]
-			lvl, ok := inv.Param("level")
-			if !ok {
-				continue
-			}
+		for i, lvl := range rec.Param("level") {
 			l := int(lvl)
 			out = append(out, GhostCommPoint{
 				Rank: rank, Level: l, Invocation: perLevel[l],
-				MPIUS: inv.MPIUS, WallUS: inv.WallUS,
+				MPIUS: rec.MPIUS[i], WallUS: rec.WallUS[i],
 			})
 			perLevel[l]++
 		}

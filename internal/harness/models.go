@@ -85,7 +85,7 @@ func WriteMeanSigmaCSV(w io.Writer, cm *ComponentModel) error {
 
 // BuildDual constructs the Fig. 10 composite-model dual from a case-study
 // call trace and the fitted component models. Q values come from the mean
-// recorded array sizes.
+// recorded array sizes on rank 0.
 func BuildDual(res *CaseStudyResult, models map[Kernel]*ComponentModel) *assembly.Dual {
 	d := assembly.NewDual()
 	for _, e := range res.Edges {
@@ -97,8 +97,10 @@ func BuildDual(res *CaseStudyResult, models map[Kernel]*ComponentModel) *assembl
 			return
 		}
 		v := *d.Vertex(vertex)
-		v.Compute = cm.Mean
-		v.Q = meanRecordedQ(res, k.RecordName())
+		v.Compute, v.Q = cm.Mean, 1
+		if rec := res.Record(0, k.RecordName()); rec != nil && len(rec.Param("Q")) > 0 {
+			v.Q = mean(rec.Param("Q"))
+		}
 		d.AddVertex(v)
 	}
 	attach("sc_proxy", KernelStates)
@@ -107,14 +109,9 @@ func BuildDual(res *CaseStudyResult, models map[Kernel]*ComponentModel) *assembl
 	// The mesh vertex carries a communication model: mean ghost-update MPI
 	// time as a constant (its workload parameter is the level, not Q).
 	if v := d.Vertex("icc_proxy"); v != nil {
-		if rec := res.Record(0, "icc_proxy::ghostUpdate()"); rec != nil && len(rec.Invocations) > 0 {
-			var mpi float64
-			for i := range rec.Invocations {
-				mpi += rec.Invocations[i].MPIUS
-			}
-			mpi /= float64(len(rec.Invocations))
+		if rec := res.Record(0, "icc_proxy::ghostUpdate()"); rec != nil && rec.Len() > 0 {
 			nv := *v
-			nv.Comm = perfmodel.Poly{Coeffs: []float64{mpi}}
+			nv.Comm = perfmodel.Poly{Coeffs: []float64{mean(rec.MPIUS)}}
 			nv.Q = 1
 			d.AddVertex(nv)
 		}
@@ -122,25 +119,13 @@ func BuildDual(res *CaseStudyResult, models map[Kernel]*ComponentModel) *assembl
 	return d
 }
 
-// meanRecordedQ averages the Q parameter over a method's invocations on
-// rank 0.
-func meanRecordedQ(res *CaseStudyResult, method string) float64 {
-	rec := res.Record(0, method)
-	if rec == nil || len(rec.Invocations) == 0 {
-		return 1
-	}
+// mean averages a non-empty record column, summing in invocation order.
+func mean(col []float64) float64 {
 	var sum float64
-	n := 0
-	for i := range rec.Invocations {
-		if q, ok := rec.Invocations[i].Param("Q"); ok {
-			sum += q
-			n++
-		}
+	for _, v := range col {
+		sum += v
 	}
-	if n == 0 {
-		return 1
-	}
-	return sum / float64(n)
+	return sum / float64(len(col))
 }
 
 // FluxSlot builds the paper's implementation-choice slot: GodunovFlux

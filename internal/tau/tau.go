@@ -193,16 +193,6 @@ func sized(v []float64, n int) []float64 {
 	return v[:n]
 }
 
-// readMetrics samples every metric source into v, which is reused when it
-// has the capacity (nil gives a fresh vector).
-func (p *Profile) readMetrics(v []float64) []float64 {
-	v = sized(v, len(p.metricSources))
-	for i, src := range p.metricSources {
-		v[i] = src()
-	}
-	return v
-}
-
 // Timer returns the timer with the given name, creating it in the given
 // group on first use. Reusing a name with a different group panics: timer
 // names are global identities in TAU.
@@ -245,7 +235,7 @@ func (p *Profile) Start(name, group string) {
 	}
 	f := &p.stack[n]
 	f.t = t
-	f.start = p.readMetrics(f.start)
+	f.start = p.Snapshot(f.start)
 	f.child = sized(f.child, len(f.start))
 	clear(f.child)
 }
@@ -265,7 +255,7 @@ func (p *Profile) Stop(name string) {
 		panic(fmt.Sprintf("tau: Stop(%q) does not match running timer %q", name, top.t.name))
 	}
 	p.stack = p.stack[:len(p.stack)-1]
-	p.stopBuf = p.readMetrics(p.stopBuf)
+	p.stopBuf = p.Snapshot(p.stopBuf)
 	cur := p.stopBuf
 	t := top.t
 	t.depth--
@@ -410,8 +400,15 @@ func (p *Profile) CounterValue(name string) (float64, bool) {
 }
 
 // Snapshot returns the current value of every metric, in metric order
-// (the paper's TAU_GET_FUNCTION_VALUES-style query).
-func (p *Profile) Snapshot() []float64 { return p.readMetrics(nil) }
+// (the paper's TAU_GET_FUNCTION_VALUES-style query), in dst when it has
+// the capacity (nil gives a fresh vector).
+func (p *Profile) Snapshot(dst []float64) []float64 {
+	dst = sized(dst, len(p.metricSources))
+	for i, src := range p.metricSources {
+		dst[i] = src()
+	}
+	return dst
+}
 
 // GroupInclusive returns the summed inclusive time (metric 0, microseconds)
 // of all completed invocations of timers in the given group. The paper's

@@ -241,7 +241,7 @@ func TestMetricsVector(t *testing.T) {
 	if _, ok := p.CounterValue("NO_SUCH"); ok {
 		t.Error("unknown counter should report !ok")
 	}
-	if snap := p.Snapshot(); len(snap) != 2 {
+	if snap := p.Snapshot(nil); len(snap) != 2 {
 		t.Errorf("Snapshot len = %d, want 2", len(snap))
 	}
 }
