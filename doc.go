@@ -59,18 +59,21 @@
 // build their temporaries on a euler.Scratch — one slab, handed out plane
 // by plane, taken back whole, never cleared, and the block and edge field
 // headers with it — and still call Alloc once per plane, in the same order.
-// A sweep takes its arena from a pool, so the next sweep in the process
-// reuses the slab. Persistent AMR patches own zeroed storage
+// A sweep takes its arena from a free list, so the next sweep in the
+// process reuses the slab. Persistent AMR patches own zeroed storage
 // (euler.NewBlock). The rest of the case study's per-step host bookkeeping
 // lives on the amr.Hierarchy: each level's local patch list and
 // ghost-exchange plan are derived once per structural change (construction,
 // Regrid and LoadBalance bump a generation counter) and never written in
 // place, and the halo receive and pack buffers only grow. mpi's Isend copies
-// its payload before it returns, and returns the communicator's one
-// completed send request. None of this moves a simulated byte: messages,
-// sizes and charges are those of fresh storage. The internal/euler package
-// comment has the details and the tests that hold "written before read" and
-// "same addresses" true.
+// its payload before it returns, into a message the world recycles once its
+// receive has read it for the last time (under the optimistic scheduler,
+// once the committed receive's event is reclaimed, with the event itself),
+// and returns the communicator's one completed send request. None of this
+// moves a simulated byte: messages, sizes and charges are those of fresh
+// storage. The internal/euler package comment has the details and the tests
+// that hold "written before read" and "same addresses" true; the mpi
+// Poison tests refill every released message with NaNs.
 //
 // # Campaigns
 //
@@ -156,13 +159,16 @@
 // "bench -workload comm_p16 -trace 1" (seed 1); the serial column, taken
 // once serial had become the one-slot conservative scheduler, is the median
 // of three "go test -bench WorldRun -benchtime 20x" runs, in which par read
-// 60, 8.5, 0.55 and 1.6 ms:
+// 60, 8.5, 0.55 and 1.6 ms. The allocation counts are newer than the
+// timings: "bench -trace 1"'s allocs_per_run once messages and optimistic
+// events were recycled within a world (ghost read 5 570 serial and par and
+// 5 870 opt before any recycling):
 //
 //	          serial            par               opt
 //	compute   120 ms            74 ms             73 ms
-//	ghost     8.9 ms   5 570    9.2 ms   5 570    7.7 ms   5 870
-//	wildcard  0.71 ms  1 210    0.42 ms  1 210    1.03 ms  3 140
-//	coll      1.55 ms  2 860    1.16 ms  2 860    2.26 ms  3 610
+//	ghost     8.9 ms   1 079    9.2 ms   1 079    7.7 ms   1 256
+//	wildcard  0.71 ms    997    0.42 ms    997    1.03 ms  1 011
+//	coll      1.55 ms  2 861    1.16 ms  2 861    2.26 ms  3 117
 //
 // The compute body is real kernel work and scales with cores under both
 // parallel modes; about half of the ghost row is the body's own

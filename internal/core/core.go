@@ -112,8 +112,12 @@ func (r *Record) Start(values ...float64) {
 		panic(fmt.Sprintf("core: %s started with %d parameters, want %d", r.Method, len(values), len(r.Params)))
 	}
 	r.open = true
-	if r.Len() == 0 {
+	n := r.Len()
+	if n == 0 {
 		r.m.started = append(r.m.started, r)
+	}
+	if n == cap(r.WallUS) {
+		r.grow(max(2*n, 16))
 	}
 	for i, v := range values {
 		r.Params[i] = append(r.Params[i], v)
@@ -122,6 +126,22 @@ func (r *Record) Start(values ...float64) {
 	meas.StartTimer(r.Method, "PROXY")
 	r.before[0], r.before[1] = meas.Now(), meas.GroupInclusive("MPI")
 	copy(r.before[2:], meas.QueryMetrics())
+}
+
+// grow gives every column of the record room for n rows at once, so that
+// the columns share one capacity, cap(r.WallUS), and a row's appends never
+// reallocate. Each column growing by its own append (about 1.25x a step
+// past 256 rows) would allocate several times its final bytes; doubled
+// together, the columns allocate under twice theirs.
+func (r *Record) grow(n int) {
+	grown := func(col []float64) []float64 { return append(make([]float64, 0, n), col...) }
+	for i := range r.Params {
+		r.Params[i] = grown(r.Params[i])
+	}
+	for i := range r.Deltas {
+		r.Deltas[i] = grown(r.Deltas[i])
+	}
+	r.WallUS, r.MPIUS, r.ComputeUS = grown(r.WallUS), grown(r.MPIUS), grown(r.ComputeUS)
 }
 
 // Stop closes the open invocation: it snapshots the counters again, stores

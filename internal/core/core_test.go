@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 )
@@ -249,5 +250,50 @@ func TestCallTrace(t *testing.T) {
 	}
 	if len(edges) != 2 || edges[CallEdge{Caller: "inviscidflux0", Callee: "sc_proxy", Method: "compute"}] != 1 {
 		t.Errorf("edges = %v", edges)
+	}
+}
+
+// quietMeas is a MeasurementPort that allocates nothing per call, so that
+// what a test counts is the record's own allocations.
+type quietMeas struct{ metrics [2]float64 }
+
+func (q *quietMeas) StartTimer(string, string)     {}
+func (q *quietMeas) StopTimer(string)              {}
+func (q *quietMeas) SetGroupEnabled(string, bool)  {}
+func (q *quietMeas) TriggerEvent(string, float64)  {}
+func (q *quietMeas) MetricNames() []string         { return []string{"WALL_CLOCK", "PAPI_FP_OPS"} }
+func (q *quietMeas) QueryMetrics() []float64       { q.metrics[0]++; return q.metrics[:] }
+func (q *quietMeas) GroupInclusive(string) float64 { return 0 }
+func (q *quietMeas) Now() float64                  { return q.metrics[0] }
+
+// TestRecordColumnsGrowTogether pins what a record's columns cost: rows
+// appended call by call allocate under twice the bytes the columns end up
+// holding, because every column doubles at once, and the room left over is
+// under the rows held. Grown each by its own append, the columns allocated
+// several times their final bytes. Not parallel: TotalAlloc counts every
+// goroutine's allocations.
+func TestRecordColumnsGrowTogether(t *testing.T) {
+	const calls = 5000
+	rec := NewMastermind(&quietMeas{}).Monitor("g_proxy::compute()", "Q", "mode")
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := range calls {
+		rec.Start(float64(i), 1)
+		rec.Stop()
+	}
+	runtime.ReadMemStats(&after)
+	cols := append(append([][]float64{rec.WallUS, rec.MPIUS, rec.ComputeUS}, rec.Params...), rec.Deltas...)
+	room := cap(rec.WallUS)
+	for _, col := range cols {
+		if len(col) != calls || cap(col) != room {
+			t.Fatalf("a column holds %d rows with room for %d, the record %d rows with room for %d", len(col), cap(col), calls, room)
+		}
+	}
+	if room >= 2*calls {
+		t.Errorf("%d rows have room for %d", calls, room)
+	}
+	final := uint64(8 * room * len(cols))
+	if got := after.TotalAlloc - before.TotalAlloc; got > 2*final {
+		t.Errorf("%d calls allocate %d bytes, columns of %d: more than twice", calls, got, final)
 	}
 }

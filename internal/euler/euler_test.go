@@ -449,3 +449,32 @@ func TestEdgeFieldLayoutStrides(t *testing.T) {
 		t.Error("Y faces must stride one row per step along the sweep")
 	}
 }
+
+// TestFluxKernelsAllocateNothing: a warm flux call allocates nothing on the
+// host, in either direction — the per-column iteration counts faceFluxes
+// keeps live on the flux field, not in a slice per call.
+func TestFluxKernelsAllocateNothing(t *testing.T) {
+	proc := testProc()
+	const nx, ny = 24, 10
+	b := NewBlock(proc, nx, ny, 2)
+	pr := DefaultShockInterface()
+	pr.InitBlock(b, 0, 0, pr.Lx/nx, pr.Ly/ny)
+	b.FillBoundary(true, true, true, true)
+	for _, dir := range []Dir{X, Y} {
+		qL, qR := NewEdgeField(proc, nx, ny, dir), NewEdgeField(proc, nx, ny, dir)
+		flux := NewEdgeField(proc, nx, ny, dir)
+		States(proc, b, dir, qL, qR)
+		for _, k := range []struct {
+			name string
+			call func()
+		}{
+			{"GodunovFlux", func() { GodunovFlux(proc, qL, qR, flux) }},
+			{"EFMFlux", func() { EFMFlux(proc, qL, qR, flux) }},
+		} {
+			k.call()
+			if n := testing.AllocsPerRun(20, k.call); n != 0 {
+				t.Errorf("%s %v: a warm call allocates %v times", k.name, dir, n)
+			}
+		}
+	}
+}

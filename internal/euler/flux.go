@@ -66,7 +66,12 @@ func faceFluxes(qL, qR, flux *EdgeField, face func(ul, ur Cons) (Cons, int)) int
 	if flux.Dir == X {
 		row++
 	}
-	iters := make([]int, row) // of the face last stored in each column
+	// The iteration count of the face last stored in each column: every
+	// entry is stored in the first row before any is read.
+	if cap(flux.iters) < row {
+		flux.iters = make([]int, row)
+	}
+	iters := flux.iters[:row]
 	total := 0
 	for k, n := 0, flux.Len(); k < n; {
 		i := k % row

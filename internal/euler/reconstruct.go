@@ -17,6 +17,9 @@ type EdgeField struct {
 	Q [NVars][]float64
 	// addr holds per-plane virtual base addresses for cache accounting.
 	addr [NVars]uint64
+	// iters is the flux kernels' per-column iteration counts (faceFluxes),
+	// kept across calls and across a Scratch's reuse of the header.
+	iters []int
 }
 
 // NewEdgeField allocates the face storage for a block of nx-by-ny cells on

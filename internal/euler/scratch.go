@@ -145,7 +145,7 @@ func (s *Scratch) EdgeField(proc *platform.Proc, nx, ny int, dir Dir) *EdgeField
 		panic(fmt.Sprintf("euler: invalid edge field geometry %dx%d", nx, ny))
 	}
 	e := s.field()
-	*e = EdgeField{Dir: dir, NxCells: nx, NyCells: ny}
+	*e = EdgeField{Dir: dir, NxCells: nx, NyCells: ny, iters: e.iters}
 	n := e.Len()
 	for v := 0; v < NVars; v++ {
 		e.Q[v] = s.plane(n)

@@ -70,6 +70,22 @@ func withSched(cfg SweepConfig, mode mpi.SchedulerMode) SweepConfig {
 
 func TestGoldenGridParallelEquivalence(t *testing.T) {
 	t.Parallel()
+	goldenGridParallelEquivalence(t)
+}
+
+// TestPoisonedMessagesParallelEquivalence runs both ParallelEquivalence
+// checks with every released mpi message poisoned, so that a scheduler
+// reading a recycled message after its last use shows as a difference.
+// Not parallel: the hook is process-wide.
+func TestPoisonedMessagesParallelEquivalence(t *testing.T) {
+	t.Cleanup(mpi.PoisonReleasedMessages())
+	t.Run("GoldenGrid", goldenGridParallelEquivalence)
+	t.Run("CaseStudy", caseStudyParallelEquivalence)
+}
+
+// goldenGridParallelEquivalence holds every scheduler's sweeps, fitted
+// models and trend bytes over the golden grid to the serial ones.
+func goldenGridParallelEquivalence(t *testing.T) {
 	base, grid := goldenTrendGrid(t)
 	scs, err := grid.Scenarios()
 	if err != nil {
@@ -174,6 +190,10 @@ func TestShardDirIdenticalAcrossSchedulers(t *testing.T) {
 // ghost-communication series byte for byte.
 func TestCaseStudyParallelEquivalence(t *testing.T) {
 	t.Parallel()
+	caseStudyParallelEquivalence(t)
+}
+
+func caseStudyParallelEquivalence(t *testing.T) {
 	cfg := DefaultCaseStudy()
 	cfg.App.Mesh.BaseNx, cfg.App.Mesh.BaseNy = 48, 12
 	cfg.App.Mesh.TileNx, cfg.App.Mesh.TileNy = 12, 6

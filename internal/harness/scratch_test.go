@@ -22,12 +22,13 @@ func benchSweep(k Kernel) SweepConfig {
 
 // TestPoisonedScratchSweepAndCaseStudy is the harness end of euler's
 // TestPoisonedScratchMatchesFreshStorage: with every scratch arena refilled
-// with signalling NaNs on each Reset, a sweep's rows and the case study's
-// FUNCTION SUMMARY under every rank scheduler are what they are without —
-// no temporary block or edge field is read before it is written, on any
-// rank, whichever goroutine runs it. Not parallel: the hook is process-wide,
-// and poisoning other tests' arenas, harmless as it must be, would make
-// their failures harder to read.
+// with signalling NaNs on each Reset, and every released mpi message
+// overwritten with them, a sweep's rows and the case study's FUNCTION
+// SUMMARY under every rank scheduler are what they are without — no
+// temporary block or edge field is read before it is written, and no
+// message after its last use, on any rank, whichever goroutine runs it. Not
+// parallel: the hooks are process-wide, and poisoning other tests' storage,
+// harmless as it must be, would make their failures harder to read.
 func TestPoisonedScratchSweepAndCaseStudy(t *testing.T) {
 	sweep := benchSweep(KernelGodunov)
 	sweep.Sizes = LogSizes(1_000, 12_000, 3)
@@ -57,15 +58,16 @@ func TestPoisonedScratchSweepAndCaseStudy(t *testing.T) {
 		return res.Rows(), profiles
 	}
 	rows, profiles := run()
-	undo := euler.PoisonScratchOnReset()
+	undoScratch, undoMessages := euler.PoisonScratchOnReset(), mpi.PoisonReleasedMessages()
 	poisonedRows, poisonedProfiles := run()
-	undo()
+	undoScratch()
+	undoMessages()
 	if !reflect.DeepEqual(rows, poisonedRows) {
 		t.Error("sweep rows differ over poisoned scratch storage")
 	}
 	for mode, want := range profiles {
 		if got := poisonedProfiles[mode]; got != want {
-			t.Errorf("%v: FUNCTION SUMMARY differs over poisoned scratch storage:\n%s\nwant:\n%s", mode, got, want)
+			t.Errorf("%v: FUNCTION SUMMARY differs over poisoned scratch storage and messages:\n%s\nwant:\n%s", mode, got, want)
 		}
 		if want != profiles[mpi.Serial] {
 			t.Errorf("%v: FUNCTION SUMMARY differs from serial", mode)
@@ -94,9 +96,11 @@ func allocatedBy(t *testing.T, budget uint64, f func() error) uint64 {
 // TestSweepAllocationBudget pins what one sweep of the benchmark's shape may
 // allocate. The planes of its largest shape take 16.2 MB, once; allocating
 // a block and six edge fields afresh per shape took 117.6 MB. A sweep after
-// the first takes that arena from the pool and may allocate 1 MB; each
-// sweep cleared an arena of its own before the pool (16.3 MB). Not
-// parallel: TotalAlloc counts every goroutine's allocations.
+// the first takes that arena back and may allocate 1 MB, with a garbage
+// collection between the two: each sweep cleared an arena of its own before
+// they were kept (16.3 MB), and a sync.Pool dropped the kept one at every
+// collection. Not parallel: TotalAlloc counts every goroutine's
+// allocations.
 func TestSweepAllocationBudget(t *testing.T) {
 	const budget, warmBudget = 24 << 20, 1 << 20
 	sweep := func() error {
@@ -109,19 +113,7 @@ func TestSweepAllocationBudget(t *testing.T) {
 		t.Errorf("one sweep allocates %d bytes, budget %d", got, budget)
 	}
 
-	if raceEnabled {
-		t.Skip("sync.Pool drops items at random under the race detector")
-	}
-	// The pool keeps a put arena in the putting P's private slot, which a
-	// Get on another P does not see: one P, so the sweeps measure reuse and
-	// not the scheduler's migrations. A collection before the warm-up sweep
-	// leaves the heap far from the next one, so the pool is not flushed
-	// while the measured sweeps run.
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	runtime.GC()
-	if err := sweep(); err != nil {
-		t.Fatal(err)
-	}
 	warm := allocatedBy(t, warmBudget, sweep)
 	t.Logf("a sweep after the first allocates %.2f MB", float64(warm)/(1<<20))
 	if warm > warmBudget {
@@ -133,10 +125,11 @@ func TestSweepAllocationBudget(t *testing.T) {
 // allocated about 327 MB when RK2 cloned every patch and built two edge
 // fields per patch and stage, and InviscidFlux four more, 45.0 MB when
 // every scratch header, exchange plan, halo buffer and local patch list was
-// allocated per use, and 27.5 MB when every monitored call built its
-// record's name, parameter list, snapshots and row afresh (22.8 MB since).
+// allocated per use, 27.5 MB when every monitored call built its record's
+// name, parameter list, snapshots and row afresh, and 22.8 MB when every
+// message, record column step and flux call allocated (17.3 MB since).
 func TestCaseStudyAllocationBudget(t *testing.T) {
-	const budget = 29 << 20
+	const budget = 22 << 20
 	got := allocatedBy(t, budget, func() error {
 		_, err := RunCaseStudy(DefaultCaseStudy())
 		return err

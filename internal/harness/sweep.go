@@ -122,10 +122,39 @@ func blockShape(q int, a float64) (nx, ny int) {
 	return nx, ny
 }
 
-// sweepScratches pools the ranks' scratch arenas across sweeps. An arena
+// sweepScratches keeps the ranks' scratch arenas across sweeps. An arena
 // grows to a sweep's largest shape (13-16 MB at the benchmark's sizes), and
 // the next sweep in the process takes it back instead of clearing a new one.
-var sweepScratches = sync.Pool{New: func() any { return new(euler.Scratch) }}
+// It is a free list, not a sync.Pool, which a garbage collection empties:
+// a sweep after one cleared a new arena. The list holds at most as many
+// arenas as ranks have swept at once.
+var sweepScratches scratchList
+
+// scratchList is a mutex-guarded free list of scratch arenas.
+type scratchList struct {
+	mu   sync.Mutex
+	free []*euler.Scratch
+}
+
+// get takes an arena off the list, or makes an empty one.
+func (l *scratchList) get() *euler.Scratch {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	n := len(l.free)
+	if n == 0 {
+		return new(euler.Scratch)
+	}
+	s := l.free[n-1]
+	l.free = l.free[:n-1]
+	return s
+}
+
+// put returns an arena to the list.
+func (l *scratchList) put(s *euler.Scratch) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	l.free = append(l.free, s)
+}
 
 // RunSweep measures the kernel through the full PMM stack (component,
 // proxy, Mastermind, TAU) on every rank. Patch contents vary per rank and
@@ -155,7 +184,7 @@ func RunSweep(cfg SweepConfig) (*SweepResult, error) {
 		rng := proc.RNG()
 		problem := euler.DefaultShockInterface()
 		dirs := [2]euler.Dir{euler.X, euler.Y}
-		// One block and six edge fields per shape, on a pooled scratch
+		// One block and six edge fields per shape, on a kept scratch
 		// arena: sized for the largest shape, recycled per shape.
 		shapeFloats := func(nx, ny int) int {
 			return euler.BlockFloats(nx, ny, 2) + 3*euler.EdgeFieldFloats(nx, ny)
@@ -168,8 +197,8 @@ func RunSweep(cfg SweepConfig) (*SweepResult, error) {
 				}
 			}
 		}
-		scratch := sweepScratches.Get().(*euler.Scratch)
-		defer sweepScratches.Put(scratch)
+		scratch := sweepScratches.get()
+		defer sweepScratches.put(scratch)
 		for _, q := range cfg.Sizes {
 			for _, aspect := range sweepAspects {
 				nx, ny := blockShape(q, aspect)

@@ -119,15 +119,12 @@ func (r *Request) Count() int { return r.n }
 // clock and RNG, so the message is the same whichever rank holds the token
 // when it is computed.
 func (c *Comm) postSend(dst, tag int, data []float64) {
-	cp := make([]float64, len(data))
-	copy(cp, data)
 	arrive := c.r.Proc.Now() + c.world.cfg.Net.PointToPoint(bytesOf(len(data)), c.r.Proc.RNG())
-	m := &message{src: c.rank, tag: tag, data: cp, arrive: arrive}
 	key := mailKey{comm: c.id, dst: c.group[dst]}
 	if c.world.opt {
-		c.optPostSend(key, m)
+		c.optPostSend(key, tag, data, arrive)
 	} else {
-		c.r.pending = append(c.r.pending, pendingSend{key: key, msg: m})
+		c.r.pending = append(c.r.pending, pendingSend{key: key, msg: c.r.newMessage(c.rank, tag, data, arrive)})
 	}
 	c.r.Prof.TriggerEvent("Message size sent", float64(bytesOf(len(data))))
 }
@@ -226,6 +223,7 @@ func (c *Comm) waitLocked(op string, req *Request) {
 	}
 	m := w.matchLocked(mailKey{comm: req.comm.id, dst: c.r.rank}, req.src, req.tag)
 	req.comm.consumeLocked(m, req)
+	w.releaseLocked(m)
 }
 
 // pendingRecvs counts the posted receives in reqs that are still open.
@@ -311,6 +309,7 @@ func (c *Comm) Waitsome(reqs []*Request) []int {
 		key := mailKey{comm: r.comm.id, dst: r.comm.group[r.comm.rank]}
 		if m := w.matchLocked(key, r.src, r.tag); m != nil {
 			r.comm.consumeLocked(m, r)
+			w.releaseLocked(m)
 			out = append(out, i)
 		}
 	}

@@ -315,11 +315,15 @@ type specUndo struct {
 // snapshot itself touches only rank-local state).
 func (r *Rank) specCheckpointLocked(slots []recvSlot) *specUndo {
 	u := &r.undo
-	u.proc, u.events = r.Proc.Checkpoint(), r.Prof.CheckpointEvents()
-	u.reqs, u.taken, u.contrib = u.reqs[:0], u.taken[:0], nil
+	u.proc = r.Proc.Checkpoint()
+	r.Prof.CheckpointEvents(&u.events)
+	u.taken, u.contrib = u.taken[:0], nil
+	// The entries, and their buffer copies' storage, are those of earlier
+	// speculations wherever there were as many.
+	u.reqs = slices.Grow(u.reqs[:0], len(slots))[:len(slots)]
 	for i := range slots {
-		q := slots[i].req
-		u.reqs = append(u.reqs, reqUndo{req: q, done: q.done, n: q.n, buf: append([]float64(nil), q.buf...)})
+		q, ru := slots[i].req, &u.reqs[i]
+		*ru = reqUndo{req: q, done: q.done, n: q.n, buf: append(ru.buf[:0], q.buf...)}
 	}
 	return u
 }
@@ -347,23 +351,71 @@ func (r *Rank) rollbackLocked(u *specUndo) {
 	u.taken = u.taken[:0]
 }
 
-// newEvent carves an event from the rank's slab: every MPI call records one,
-// and an allocation per 64 of them is cheaper than one each.
+// newEvent starts the event of the rank's next MPI call: every call records
+// one. Every slot of a stream's spare capacity, past its end, holds a free
+// event, and the first of them, where appendLocked will put the new event,
+// is the one used. The rank first reclaims its committed events into that
+// spare capacity (reclaimLocked); when none is left, the stream grows and
+// its new spare slots are filled with fresh events, one allocation for
+// all of them. A reused event keeps its slot storage. Caller holds w.mu.
 func (r *Rank) newEvent(init specEvent) *specEvent {
-	if len(r.evSlab) == 0 {
-		r.evSlab = make([]specEvent, 64)
+	o := r.world.o
+	o.reclaimLocked(r)
+	s := o.streams[r.rank]
+	if len(s) == cap(s) {
+		s = slices.Grow(s, 16)
+		spare := s[len(s):cap(s)]
+		evs := make([]specEvent, len(spare))
+		for i := range spare {
+			spare[i] = &evs[i]
+		}
+		o.streams[r.rank] = s
 	}
-	ev := &r.evSlab[0]
-	r.evSlab = r.evSlab[1:]
+	ev := s[:len(s)+1][len(s)]
+	slots := ev.slots[:0]
 	*ev = init
+	ev.slots = slots
 	return ev
+}
+
+// reclaimLocked recycles the events of rank r's stream that the automaton
+// has committed. Called as r starts an MPI call, it is the point where
+// nothing reads them any more: the automaton is past them, and r has
+// returned from the calls that read their outcome after parking (ev.state,
+// the slots' got and truth). A committed receive's truths are the messages
+// it matched, which by then have left the published view and the
+// mailboxes, and whose sends committed before them: they are released. The
+// stream is rotated so that its uncommitted tail comes first and the
+// committed events follow it, past the new end, as spare capacity for
+// newEvent: the stream stops growing once it holds its peak of events. The
+// rotation moves the stream's length in pointers, which the speculation
+// window bounds.
+func (o *optState) reclaimLocked(r *Rank) {
+	s, p := o.streams[r.rank], o.pos[r.rank]
+	if p == 0 {
+		return
+	}
+	for _, ev := range s[:p] {
+		for i := range ev.slots {
+			if m := ev.slots[i].truth; m != nil {
+				o.w.releaseLocked(m)
+			}
+		}
+	}
+	slices.Reverse(s[:p])
+	slices.Reverse(s[p:])
+	slices.Reverse(s)
+	o.streams[r.rank] = s[:len(s)-p]
+	o.pos[r.rank] = 0
 }
 
 // recvEvent starts the event of a receive-completing call, with one slot per
 // pending receive of reqs, in posting order.
 func (c *Comm) recvEvent(kind evKind, op string, reqs []*Request) *specEvent {
 	ev := c.r.newEvent(specEvent{kind: kind, rank: c.r.rank, op: op, comm: c, clock: c.r.Proc.Now()})
-	ev.slots = ev.one[:0]
+	if ev.slots == nil {
+		ev.slots = ev.one[:0]
+	}
 	for i, q := range reqs {
 		if q.isRecv && !q.done && !q.canceled {
 			ev.slots = append(ev.slots, recvSlot{key: mailKey{comm: q.comm.id, dst: c.r.rank},
@@ -372,6 +424,23 @@ func (c *Comm) recvEvent(kind evKind, op string, reqs []*Request) *specEvent {
 		}
 	}
 	return ev
+}
+
+// specInstant records a speculation event of rank's operation op on its
+// trace lane. The argument is boxed inside the branch, so an unobserved world
+// allocates nothing for it.
+func (w *World) specInstant(rank int, name, op string) {
+	if trk := w.rankTrack(rank); trk != nil {
+		trk.Instant("spec", name, obs.Arg{Name: "op", Value: op})
+	}
+}
+
+// rollbackInstant records a rollback of rank and the virtual time it
+// re-executes, as specInstant does.
+func (w *World) rollbackInstant(rank int, reexecUS float64) {
+	if trk := w.rankTrack(rank); trk != nil {
+		trk.Instant("spec", "rollback", obs.Arg{Name: "reexec_us", Value: reexecUS})
+	}
 }
 
 // ---------------------------------------------------------------------------
@@ -626,7 +695,6 @@ func (o *optState) consumeSegmentLocked(r int) bool {
 			o.cur = -1
 			return progressed
 		}
-		o.streams[r][o.pos[r]] = nil // release committed events for GC
 		o.pos[r]++
 		o.stats.CommittedOps++
 		progressed = true
@@ -747,7 +815,7 @@ func (o *optState) processCollLocked(ev *specEvent) bool {
 			break
 		}
 		o.stats.Conflicts++
-		o.w.rankTrack(ev.rank).Instant("spec", "conflict", obs.Arg{Name: "op", Value: ev.op})
+		o.w.specInstant(ev.rank, "conflict", ev.op)
 		ev.collLeave = cs.lastLeave
 		if cs.lastResult != nil {
 			ev.collRes = cs.lastResult[c.rank]
@@ -812,7 +880,7 @@ func (o *optState) processRecvLocked(ev *specEvent) bool {
 		default:
 			ev.conflicted = true
 			o.stats.Conflicts++
-			o.w.rankTrack(ev.rank).Instant("spec", "conflict", obs.Arg{Name: "op", Value: ev.op})
+			o.w.specInstant(ev.rank, "conflict", ev.op)
 			s.truth = m
 		}
 		o.pubRemoveLocked(s.key, m)
@@ -883,7 +951,7 @@ func (o *optState) processWaitsomeLocked(ev *specEvent) bool {
 	}
 	if conflict {
 		o.stats.Conflicts++
-		o.w.rankTrack(ev.rank).Instant("spec", "conflict", obs.Arg{Name: "op", Value: ev.op})
+		o.w.specInstant(ev.rank, "conflict", ev.op)
 		ev.state = esConflict
 	} else {
 		ev.state = esResolved
@@ -898,14 +966,23 @@ func (o *optState) processWaitsomeLocked(ev *specEvent) bool {
 // the send for the committed-order replay. Sends never block (beyond the
 // speculation window) and never conflict: arrival time and noise use only
 // the sender's clock and RNG, which are exact at every operation boundary.
-func (c *Comm) optPostSend(key mailKey, m *message) {
+// The message is taken under the world lock, so it can be one released
+// since the rank's last call.
+func (c *Comm) optPostSend(key mailKey, tag int, data []float64, arrive float64) {
 	w := c.world
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	o := w.o
+	w.refillLocked(c.r, 1)
+	m := c.r.newMessage(c.rank, tag, data, arrive)
 	ev := c.r.newEvent(specEvent{kind: evSend, rank: c.r.rank, op: "MPI_Send()", comm: c, clock: c.r.Proc.Now(), sendKey: key, msg: m})
 	o.appendLocked(c.r.rank, ev)
-	o.pub[key] = append(o.pub[key], m)
+	box := o.pub[key]
+	if box == nil {
+		// Room for a run-ahead's worth at once, not growth 1, 2, 4, ...
+		box = make([]*message, 0, 16)
+	}
+	o.pub[key] = append(box, m)
 	o.stats.PublishedSends++
 	w.cond.Broadcast() // a parked receiver may now have a published match
 }
@@ -932,7 +1009,7 @@ func (c *Comm) optCompleteRecvs(op string, reqs []*Request) {
 	if ev.wild {
 		undo = c.r.specCheckpointLocked(ev.slots)
 		o.stats.SpeculatedOps++
-		w.rankTrack(rank).Instant("spec", "speculate", obs.Arg{Name: "op", Value: op})
+		w.specInstant(rank, "speculate", op)
 	}
 
 	for i := range ev.slots {
@@ -970,7 +1047,7 @@ func (c *Comm) optCompleteRecvs(op string, reqs []*Request) {
 	c.r.rollbackLocked(undo)
 	o.stats.Rollbacks++
 	o.stats.ReexecutedUS += reexec
-	w.rankTrack(rank).Instant("spec", "rollback", obs.Arg{Name: "reexec_us", Value: reexec})
+	w.rollbackInstant(rank, reexec)
 	for i := range ev.slots {
 		s := &ev.slots[i]
 		s.truth.taken = true
@@ -1016,7 +1093,7 @@ func (c *Comm) optWaitsome(reqs []*Request) []int {
 	if !fast {
 		undo = c.r.specCheckpointLocked(ev.slots)
 		o.stats.SpeculatedOps++
-		w.rankTrack(rank).Instant("spec", "speculate", obs.Arg{Name: "op", Value: "MPI_Waitsome()"})
+		w.specInstant(rank, "speculate", "MPI_Waitsome()")
 	}
 	for i := range ev.slots {
 		s := &ev.slots[i]
@@ -1050,7 +1127,7 @@ func (c *Comm) optWaitsome(reqs []*Request) []int {
 	c.r.rollbackLocked(undo)
 	o.stats.Rollbacks++
 	o.stats.ReexecutedUS += reexec
-	w.rankTrack(rank).Instant("spec", "rollback", obs.Arg{Name: "reexec_us", Value: reexec})
+	w.rollbackInstant(rank, reexec)
 	out = out[:0]
 	for i := range ev.slots {
 		s := &ev.slots[i]
@@ -1114,7 +1191,7 @@ func (c *Comm) optCollective(kind collKind, data []float64, root int, op Op) ([]
 	undo := c.r.specCheckpointLocked(nil)
 	undo.contrib = ev.collSpecContrib
 	o.stats.SpeculatedOps++
-	w.rankTrack(rank).Instant("spec", "speculate", obs.Arg{Name: "op", Value: ev.op})
+	w.specInstant(rank, "speculate", ev.op)
 	c.r.Proc.SyncTo(ev.collLeave)
 	w.optParkLocked(rank, blockDesc{op: ev.op, comm: c.id, ev: ev, slot: slotVerdict})
 	if ev.state == esConflict {
@@ -1123,7 +1200,7 @@ func (c *Comm) optCollective(kind collKind, data []float64, root int, op Op) ([]
 		o.stats.Rollbacks++
 		o.stats.SpecCollRollbacks++
 		o.stats.ReexecutedUS += reexec
-		w.rankTrack(rank).Instant("spec", "rollback", obs.Arg{Name: "reexec_us", Value: reexec})
+		w.rollbackInstant(rank, reexec)
 		// Re-execute from the committed truth: the contribution set in the
 		// undo log re-derives the exact result (only the cost draw could
 		// mismatch); the committed leave time replaces the predicted one.
@@ -1194,7 +1271,6 @@ func (o *optState) specCollCompleteLocked(c *Comm, mir *specCollMirror) {
 	mir.gen++
 	mir.arrived = 0
 	mir.contrib = nil
-	mir.events = nil
 	if mismatch || kind == collDup || kind == collCreate {
 		return
 	}

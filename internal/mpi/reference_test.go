@@ -134,6 +134,23 @@ func TestSchedulerReferenceDigests(t *testing.T) {
 		}
 		return
 	}
+	checkReferenceDigests(t)
+}
+
+// TestPoisonedMessagesMatchReference is TestSchedulerReferenceDigests with
+// every released message poisoned: a message read after its last use, by
+// any scheduler, leaves signalling NaNs in some digest. The reference bodies
+// at 16 ranks are among the cases, so every body's final state is checked
+// under every scheduler. Not parallel: the hook is process-wide.
+func TestPoisonedMessagesMatchReference(t *testing.T) {
+	t.Cleanup(PoisonReleasedMessages())
+	checkReferenceDigests(t)
+}
+
+// checkReferenceDigests holds every scheduler configuration of every
+// reference case to its checked-in digest, one parallel subtest per case.
+func checkReferenceDigests(t *testing.T) {
+	cases := referenceCases()
 	want := readReference(t)
 	if len(want) != len(cases) {
 		t.Errorf("%s has %d digests, the reference set %d cases", referenceFile, len(want), len(cases))

@@ -239,6 +239,72 @@ type message struct {
 	taken bool
 }
 
+// A message is host memory the world recycles: once nothing can read it
+// again, its header and payload go back to the world's free list
+// (releaseLocked), and a sender refills its own list from there under the
+// world lock (refillLocked), so that a conservative rank running ahead
+// without the lock takes its next message from a list no other rank
+// touches. Under the conservative scheduler a message's last reader is the
+// receive that consumes it; under the optimistic one, the rank reclaiming
+// the committed receive event that matched it (optState.reclaimLocked).
+
+// poisonMessages is PoisonReleasedMessages' switch.
+var poisonMessages atomic.Bool
+
+// PoisonReleasedMessages is a test hook: until the returned function is
+// called, every released message has its payload and arrival time
+// overwritten with signalling NaNs, so a reader that touches a message
+// after its last use reads wrong bytes instead of quietly reading the old
+// ones. Results must not depend on it; nothing but tests may call it.
+func PoisonReleasedMessages() (undo func()) {
+	poisonMessages.Store(true)
+	return func() { poisonMessages.Store(false) }
+}
+
+// messagePoisonBits is a signalling NaN with a payload no arithmetic produces.
+const messagePoisonBits = 0x7ff4_dead_beef_0bad
+
+// newMessage returns the rank's next outgoing message, taken from its free
+// list when that holds one and carved from its slab of 16 otherwise.
+// Owner-rank access only.
+func (r *Rank) newMessage(src, tag int, data []float64, arrive float64) *message {
+	var m *message
+	if n := len(r.msgs); n > 0 {
+		m, r.msgs = r.msgs[n-1], r.msgs[:n-1]
+	} else {
+		if len(r.msgSlab) == 0 {
+			r.msgSlab = make([]message, 16)
+		}
+		m, r.msgSlab = &r.msgSlab[0], r.msgSlab[1:]
+	}
+	*m = message{src: src, tag: tag, data: append(m.data[:0], data...), arrive: arrive}
+	return m
+}
+
+// releaseLocked returns a message nothing reads any more to the world's
+// free list. Caller holds w.mu.
+func (w *World) releaseLocked(m *message) {
+	if poisonMessages.Load() {
+		poison := math.Float64frombits(messagePoisonBits)
+		for i := range m.data {
+			m.data[i] = poison
+		}
+		m.arrive = poison
+	}
+	w.freeMsgs = append(w.freeMsgs, m)
+}
+
+// refillLocked tops rank r's free list up to n messages from the world's.
+// Caller holds w.mu.
+func (w *World) refillLocked(r *Rank, n int) {
+	k := min(n-len(r.msgs), len(w.freeMsgs))
+	if k <= 0 {
+		return
+	}
+	r.msgs = append(r.msgs, w.freeMsgs[len(w.freeMsgs)-k:]...)
+	w.freeMsgs = w.freeMsgs[:len(w.freeMsgs)-k]
+}
+
 // pendingSend is a send buffered during conservative run-ahead: the
 // message is fully computed (payload copy, arrival time from the sender's
 // clock and RNG) but not yet visible to receivers. It lands in the world
@@ -351,6 +417,7 @@ type World struct {
 
 	mailboxes map[mailKey][]*message
 	seq       uint64
+	freeMsgs  []*message // released messages, for refillLocked
 
 	colls      map[int]*collState
 	nextCommID int
@@ -404,8 +471,11 @@ type Rank struct {
 	rank  int
 
 	// pending buffers sends during conservative run-ahead (owner-rank access
-	// only; flushed under the world lock at the rank's commit turns).
+	// only; flushed under the world lock at the rank's commit turns). msgs
+	// is the rank's free list of messages, refilled under the world lock.
 	pending []pendingSend
+	msgs    []*message
+	msgSlab []message
 
 	// lastOpEnd is the tracer clock when this rank's previous MPI entry
 	// point returned (owner-rank access only; meaningful only when the
@@ -415,11 +485,10 @@ type Rank struct {
 
 	// Optimistic-scheduler storage kept per rank, not allocated per call: a
 	// blocking receive's request and one-element request list, the undo log
-	// of the rank's open speculation, the slab events are carved from.
+	// of the rank's open speculation.
 	recvReq Request
 	oneReq  [1]*Request
 	undo    specUndo
-	evSlab  []specEvent
 
 	// Comm is the rank's MPI_COMM_WORLD analog.
 	Comm *Comm
@@ -681,12 +750,14 @@ func (w *World) awaitTurnLocked(rank int) bool {
 }
 
 // flushSendsLocked commits the rank's buffered sends to the world
-// mailboxes in program order. Caller must hold w.mu and the commit token.
+// mailboxes in program order, and tops the rank's free list of messages up
+// to as many as it just sent. Caller must hold w.mu and the commit token.
 func (w *World) flushSendsLocked(rank int) {
 	r := w.ranks[rank]
 	for _, ps := range r.pending {
 		w.enqueueLocked(ps.key, ps.msg)
 	}
+	w.refillLocked(r, len(r.pending))
 	r.pending = r.pending[:0]
 }
 

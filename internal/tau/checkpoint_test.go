@@ -11,7 +11,8 @@ func TestRestoreEventsRewindsStatsAndRemovesNewEvents(t *testing.T) {
 	p.TriggerEvent("bytes sent", 100)
 	p.TriggerEvent("bytes sent", 300)
 	before := p.Event("bytes sent")
-	cp := p.CheckpointEvents()
+	var cp EventsCheckpoint
+	p.CheckpointEvents(&cp)
 
 	p.TriggerEvent("bytes sent", 900)
 	p.TriggerEvent("bytes received", 64)
@@ -45,7 +46,8 @@ func TestRestoreEventsRejectsForeignCheckpoint(t *testing.T) {
 	q := NewProfile(func() float64 { return clock })
 	p.TriggerEvent("a", 1)
 	q.TriggerEvent("b", 1)
-	cp := p.CheckpointEvents()
+	var cp EventsCheckpoint
+	p.CheckpointEvents(&cp)
 	defer func() {
 		if recover() == nil {
 			t.Fatal("expected panic restoring a foreign checkpoint")

@@ -330,16 +330,17 @@ type EventsCheckpoint struct {
 	events []Event // value copies, in creation order
 }
 
-// CheckpointEvents captures the statistics of every atomic event for a later
-// RestoreEvents. Events are small (a name and five numbers), so the snapshot
-// costs one value copy per distinct event name — cheap enough to take around
-// speculative regions that may trigger events and need undoing.
-func (p *Profile) CheckpointEvents() EventsCheckpoint {
-	cp := EventsCheckpoint{events: make([]Event, len(p.eventOrder))}
-	for i, e := range p.eventOrder {
-		cp.events[i] = *e
+// CheckpointEvents captures the statistics of every atomic event into cp
+// for a later RestoreEvents. Events are small (a name and five numbers), so
+// the snapshot costs one value copy per distinct event name — cheap enough
+// to take around speculative regions that may trigger events and need
+// undoing. It reuses cp's storage: a caller that checkpoints into one
+// EventsCheckpoint allocates only when the profile has gained events.
+func (p *Profile) CheckpointEvents(cp *EventsCheckpoint) {
+	cp.events = cp.events[:0]
+	for _, e := range p.eventOrder {
+		cp.events = append(cp.events, *e)
 	}
-	return cp
 }
 
 // RestoreEvents rewinds every atomic event to a previously captured
