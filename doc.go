@@ -44,7 +44,7 @@
 //	go run ./examples/campaign && go run ./cmd/resultsd -dir campaign-out  # a grid campaign, then served
 //
 // examples/campaign is what no command line spells — a custom Dimension
-// literal, a scheduler-twin check, an in-process results service and two
+// literal, a distinct-measurement count, an in-process results service and two
 // in-process lease workers — and examples/adaptive is the Section 6 online
 // implementation switch; go test runs both.
 //
@@ -194,12 +194,12 @@
 // scenarios are embarrassingly parallel. The two compose multiplicatively
 // (worlds x ranks); prefer campaign workers when the grid has many
 // scenarios, and add parallel ranks ("-rankmode par", or "-rankmode opt8"
-// to cap concurrency at 8 ranks, on cmd/figures and cmd/pmmcase — the same
-// token scenario keys and resultsd's "sched=" carry — or a
-// campaign.SchedAxis grid dimension) when individual worlds are large or
-// few. The SchedAxis grid dimension is seed-inert — scenarios differing only in scheduler share a derived
-// seed — so a grid can sweep serial vs the parallel modes and verify
-// their equivalence at scale (see examples/campaign).
+// to cap concurrency at 8 ranks, on cmd/figures and cmd/pmmcase; the
+// Sched and MaxParallelRanks of a campaign.Grid's Base world) when
+// individual worlds are large or few. The scheduler is how a world runs,
+// not a grid coordinate: no scenario key or seed names it, and
+// scheduler equivalence at grid scale is checked by running one grid under
+// each Base scheduler (TestSchedGridEquivalenceAtScale).
 //
 // # Grids and dimensions
 //
@@ -213,13 +213,13 @@
 //     RankAxis (world
 //     size), CacheAxis (per-rank cache kB), CPUClockAxis (a scale on the
 //     CPU model's clock — the Section 6 "parameterized by processor
-//     speed" knob; cache and clock are the two machine axes), SchedAxis (the
-//     rank scheduler, seed-inert) and the app-level FluxAxis
-//     (godunov/efm/states), which the harness maps onto the measured
-//     kernel through the scenario's coordinate;
+//     speed" knob; cache and clock are the two machine axes) and the
+//     app-level FluxAxis (godunov/efm/states), which the harness maps onto
+//     the measured kernel through the scenario's coordinate;
 //   - every other axis is a Dimension literal at its one use — a name,
 //     keys and Apply hooks — with no library change (see
-//     examples/campaign, which sweeps network load noise);
+//     examples/campaign, whose "memlat" axis scales CPU.MissCycles, the
+//     main-memory latency every cache miss pays);
 //   - expansion (Grid.Scenarios) is deterministic, derives each
 //     scenario's seed via campaign.DeriveSeed(base, key) so replications
 //     draw independent streams, and rejects duplicate axis names or value
@@ -303,7 +303,7 @@
 //     exclusively (the record is written to a temp file and link(2)ed
 //     into place, so it appears atomically and fully written); a held
 //     lease is rewritten with a fresh heartbeat timestamp every
-//     lease.Options.Heartbeat; the claim is released — audit line first,
+//     lease.Options.TTL/4; the claim is released — audit line first,
 //     then lease removal — after the job's checkpoint is stored, at which
 //     point the payload answers every later claim with "done";
 //   - jobs claimed by another live process are deferred, not blocked on:
@@ -356,12 +356,11 @@
 //     matching a filter.
 //
 // The query grammar mirrors the scenario-key grammar: a key like
-// "p4_base_c256kB_cpu1.5x_opt_r0" parses into coordinates on the
-// ranks, cache_kb, cpu_clock and rep axes, a scheduler, and free tags
-// (any unrecognized token — "base" above, or a custom axis's key), so
-// /scenario and /trend accept selectors by name ("name="), by
-// scheduler ("sched=serial|par|opt|par4"), by tag ("tag=base") and by
-// numeric axis value ("cache_kb=256", "ranks=4", ...). /predict takes scenario, measure
+// "p4_base_c256kB_cpu1.5x_states_r0" parses into coordinates on the
+// ranks, cache_kb, cpu_clock and rep axes and free tags (any other token
+// — "base" and "states" above, or a custom axis's key), so
+// /scenario and /trend accept selectors by name ("name="), by tag
+// ("tag=states") and by numeric axis value ("cache_kb=256", "ranks=4", ...). /predict takes scenario, measure
 // (mean_us, sigma_us, throughput, response_us, utilization), model
 // (fitted — the default — or queue), and the evaluation point: q,
 // optional lambda (arrival rate, 1/s) and dcm (L2 data-cache misses).

@@ -5,22 +5,18 @@
 //
 // A Grid is a list of first-class axes (Dimension values) crossed with
 // seed replications. Here the grid sweeps the cache-size axis against the
-// CPU clock axis, plus a custom user-defined dimension — network load
-// noise — to show that adding a machine parameter to the sweep space is
-// one Dimension literal, not a library change. Each scenario streams its
-// telemetry rows into a sink (a CSV-shard sink teed with an on-the-fly
-// aggregator) and checkpoints its fitted model into a content-addressed
-// store, then drops its raw sweep: memory stays bounded as the grid grows,
-// and re-running the example resumes from the store, executing zero
-// completed scenarios while producing identical output.
-//
-// The grid also sweeps the rank scheduler (SchedAxis: serial,
-// conservative parallel, optimistic parallel). That axis is seed-inert —
-// paired scenarios share a derived seed — so the example verifies, from
-// the streamed aggregates alone, that every parallel scenario reproduced
-// its serial twin exactly: rank-level parallelism inside a world composes
-// with the campaign's across-world parallelism without changing one bit
-// of output.
+// CPU clock axis, plus a custom user-defined dimension — main-memory
+// latency — to show that adding a machine parameter to the sweep space is
+// one Dimension literal, not a library change. The flux axis names the
+// measured kernel in every key, so resultsd fits it in the paper's form.
+// A kernel sweep's rows ignore the seed, so each grid runs one
+// replication, and every one of its scenarios is a distinct measurement.
+// Each scenario streams its telemetry rows into a sink (a CSV-shard sink
+// teed with an on-the-fly aggregator) and checkpoints its fitted model
+// into a content-addressed store, then drops its raw sweep: memory stays
+// bounded as the grid grows, and re-running the example resumes from the
+// store, executing zero completed scenarios while producing identical
+// output.
 //
 // The example closes with the distributed layer: two coordinator-free
 // workers (harness.DistributedConfig: a lease manager per worker over one
@@ -84,27 +80,22 @@ func run(w io.Writer, outDir string) error {
 
 	// A custom axis: nobody had to touch the campaign package for this.
 	// Each value names itself (the key token lands in scenario keys and
-	// shard file names) and mutates the scenario's machine.
-	noise := campaign.Dimension{Name: "load", Values: []campaign.DimValue{
-		{Key: "quiet", Value: 0.0, Apply: func(w *mpi.WorldConfig) { w.Net.NoiseSigma = 0 }},
-		{Key: "loaded", Value: 0.7, Apply: func(w *mpi.WorldConfig) { w.Net.NoiseSigma = 0.7 }},
+	// shard file names) and mutates the scenario's machine: a slower main
+	// memory charges every cache miss more cycles.
+	memory := campaign.Dimension{Name: "memlat", Values: []campaign.DimValue{
+		{Key: "lat1x", Value: 1.0},
+		{Key: "lat2x", Value: 2.0, Apply: func(w *mpi.WorldConfig) { w.CPU.MissCycles *= 2 }},
 	}}
 
-	// The scheduler axis sweeps all three modes.
 	g := campaign.Grid{
 		Base: base.World,
 		Axes: []campaign.Dimension{
 			campaign.CacheAxis(128, 512),
 			campaign.CPUClockAxis(1, 2),
-			noise,
-			campaign.SchedAxis(
-				campaign.SchedChoice{Mode: mpi.Serial},
-				campaign.SchedChoice{Mode: mpi.ConservativeParallel},
-				campaign.SchedChoice{Mode: mpi.OptimisticParallel},
-			),
+			memory,
+			campaign.FluxAxis("states"),
 		},
-		Replications: 2,
-		BaseSeed:     1,
+		BaseSeed: 1,
 	}
 	scs, err := g.Scenarios()
 	if err != nil {
@@ -164,32 +155,15 @@ func run(w io.Writer, outDir string) error {
 		}
 	}
 
-	// Scheduler equivalence at scale: the sched axis is seed-inert, so a
-	// "/par/" or "/opt/" scenario is the same experiment as its "/serial/"
-	// twin and must have streamed identical telemetry.
-	pairs, mismatches := 0, 0
+	// Every axis moves the machine, so no two scenarios measure the same
+	// thing: each wall_us aggregate is distinct.
+	distinct := map[results.Stat]bool{}
 	for _, key := range agg.Keys() {
-		if !strings.Contains(key, "/serial/") {
-			continue
-		}
-		s1, ok1 := agg.Stat(key, "wall_us")
-		if !ok1 {
-			return fmt.Errorf("scenario %s missing from aggregates", key)
-		}
-		for _, mode := range []string{"/par/", "/opt/"} {
-			twin := strings.Replace(key, "/serial/", mode, 1)
-			s2, ok2 := agg.Stat(twin, "wall_us")
-			if !ok2 {
-				return fmt.Errorf("scheduler twin %s missing from aggregates", twin)
-			}
-			pairs++
-			if s1 != s2 {
-				mismatches++
-				fmt.Fprintf(w, "  MISMATCH %s: serial %+v != %s %+v\n", key, s1, twin, s2)
-			}
+		if s, ok := agg.Stat(key, "wall_us"); ok {
+			distinct[s] = true
 		}
 	}
-	fmt.Fprintf(w, "\nscheduler equivalence: %d serial-vs-parallel scenario pairs, %d mismatches\n", pairs, mismatches)
+	fmt.Fprintf(w, "\n%d distinct measurements of %d scenarios\n", len(distinct), len(scs))
 
 	// The cross-scenario trends: the same grid points fit against either
 	// machine axis. The functional form stays a power law while the
@@ -221,10 +195,9 @@ func run(w io.Writer, outDir string) error {
 	// by the other, so both workers end with the complete result set.
 	fmt.Fprintln(w, "\ndistributed: two coordinator-free workers, one shared store")
 	dg := campaign.Grid{
-		Base:         base.World,
-		Axes:         []campaign.Dimension{campaign.CacheAxis(128, 256, 512, 1024)},
-		Replications: 2,
-		BaseSeed:     7,
+		Base:     base.World,
+		Axes:     []campaign.Dimension{campaign.CacheAxis(128, 256, 512, 1024), campaign.FluxAxis("states")},
+		BaseSeed: 7,
 	}
 	dstore := filepath.Join(outDir, ".cache-distributed")
 	var wg sync.WaitGroup

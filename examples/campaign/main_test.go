@@ -10,8 +10,8 @@ import (
 )
 
 // TestRun executes the whole example in a scratch directory and pins the
-// lines that state its guarantees — grid size, scheduler twins, lease
-// audit — and the files cmd/resultsd and CI's serve job feed on. Elapsed
+// lines that state its guarantees — grid size, distinct measurements,
+// lease audit — and the files cmd/resultsd and CI's serve job feed on. Elapsed
 // times and settle order are host timing and are not asserted.
 func TestRun(t *testing.T) {
 	dir := filepath.Join(t.TempDir(), "campaign-out")
@@ -20,9 +20,9 @@ func TestRun(t *testing.T) {
 		t.Fatalf("run: %v\n%s", err, out.String())
 	}
 	for _, want := range []string{
-		"campaign: 48 scenarios on ",
-		"scheduler equivalence: 32 serial-vs-parallel scenario pairs, 0 mismatches",
-		"audit: 8 scenarios executed, 0 duplicates; both workers' trend reports byte-identical",
+		"campaign: 8 scenarios on ",
+		"8 distinct measurements of 8 scenarios",
+		"audit: 4 scenarios executed, 0 duplicates; both workers' trend reports byte-identical",
 	} {
 		if !strings.Contains(out.String(), want) {
 			t.Errorf("output lacks %q", want)
@@ -48,8 +48,8 @@ func TestRun(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if len(shards) != 48 {
-			t.Errorf("%d %s shards under rows/, want one per scenario (48)", len(shards), ext)
+		if len(shards) != 8 {
+			t.Errorf("%d %s shards under rows/, want one per scenario (8)", len(shards), ext)
 		}
 	}
 }

@@ -13,7 +13,9 @@ import (
 // a cross-cutting edit through grid expansion, scenario keys, seed
 // derivation and checkpoint hashing. The constructors below are the axes
 // some command, example or benchmark sweeps (ranks, cache size, flux, CPU
-// model, scheduler); anything else is a Dimension literal at its one use.
+// model); anything else is a Dimension literal at its one use. The rank
+// scheduler is not an axis: it changes how a world runs, never what it
+// simulates, so it is set on the grid's Base world.
 
 // Canonical axis names. Grid expansion and the harness's scenario-to-config
 // mapping recognize these; user-defined dimensions may use any other name.
@@ -23,7 +25,6 @@ const (
 	AxisCache = "cache"
 	AxisFlux  = "flux"
 	AxisCPU   = "cpu"
-	AxisSched = "sched"
 )
 
 // DimValue is one value along a Dimension.
@@ -36,7 +37,7 @@ type DimValue struct {
 	// Value is the payload carried onto the scenario's coordinate. The
 	// machine axes carry numbers (int kB for the cache, float64 clock scale
 	// for the CPU), which Scenario.Num reads back for cross-scenario trend
-	// fits; SchedChoice is decoded by the scheduler axis's consumers.
+	// fits.
 	Value any
 	// Apply mutates the scenario's machine. Nil for app-level axes whose
 	// consumers read the coordinate instead (flux).
@@ -50,14 +51,6 @@ type Dimension struct {
 	Name string
 	// Values is the ordered sweep list.
 	Values []DimValue
-	// SeedInert marks an axis whose values change how the experiment
-	// executes, not what it simulates (the scheduler axis): the axis still
-	// contributes a key segment — scenarios stay uniquely keyed and
-	// checkpointed — but is excluded from seed derivation, so scenarios
-	// differing only on this axis share a seed and must produce identical
-	// results. That is what lets a grid verify scheduler equivalence at
-	// scale.
-	SeedInert bool
 }
 
 // Coord locates a scenario along one axis: the axis name, the value's key
@@ -118,38 +111,6 @@ func CPUClockAxis(scales ...float64) Dimension {
 		d.Values = append(d.Values, DimValue{
 			Key: fmt.Sprintf("cpu%gx", s), Value: s,
 			Apply: func(w *mpi.WorldConfig) { w.CPU.ClockGHz *= s },
-		})
-	}
-	return d
-}
-
-// SchedChoice is one value of the scheduler axis: a scheduler mode plus
-// its parallel-rank cap.
-type SchedChoice struct {
-	Mode mpi.SchedulerMode
-	// MaxParallelRanks caps concurrent ranks under the parallel schedulers
-	// (conservative and optimistic); zero means no cap. The serial
-	// scheduler is a cap of one whatever this holds.
-	MaxParallelRanks int
-}
-
-// SchedAxis sweeps the rank scheduler (serial, conservative parallel,
-// optimistic parallel). Keys are mpi.FormatSched tokens ("serial", "par",
-// "opt8"). The axis is seed-inert: scenarios differing only in scheduler
-// share a derived seed, because the scheduler is proven not to change
-// results — sweeping it lets a grid verify that equivalence at scale while
-// keeping distinct scenario keys (and so distinct checkpoint entries and
-// telemetry shards) per mode.
-func SchedAxis(choices ...SchedChoice) Dimension {
-	d := Dimension{Name: AxisSched, SeedInert: true}
-	for _, c := range choices {
-		c := c
-		d.Values = append(d.Values, DimValue{
-			Key: mpi.FormatSched(c.Mode, c.MaxParallelRanks), Value: c,
-			Apply: func(w *mpi.WorldConfig) {
-				w.Sched = c.Mode
-				w.MaxParallelRanks = c.MaxParallelRanks
-			},
 		})
 	}
 	return d

@@ -8,7 +8,7 @@ import (
 )
 
 // Grid is a scenario specification: the cross product of first-class axes
-// (Dimension values — ranks, cache size, CPU model, flux, scheduler, or any
+// (Dimension values — ranks, cache size, CPU model, flux, or any
 // user-defined machine or application parameter) times seed
 // replications. Expanding a Grid yields one Scenario (and hence one
 // campaign job) per combination, each with a deterministic per-scenario
@@ -177,10 +177,7 @@ func validate(axes []Dimension) error {
 // value's key token becomes one segment of the scenario key
 // ("p3/base/c512kB/cpu2x/efm/r0"); unswept axes other than the implicit
 // rank/net/cache defaults contribute nothing, keeping existing grids' keys
-// — and hence their derived seeds — stable.
-// Seed-inert axes (SchedAxis) keep their key segment but are excluded from
-// seed derivation, so scenarios differing only on such an axis share a
-// seed and must produce identical results. It returns an error for
+// — and hence their derived seeds — stable. It returns an error for
 // duplicate axis names, duplicate value keys within an axis (either would
 // silently alias scenario keys), or a scenario whose expanded world fails
 // mpi validation — a bad clock or scheduler config surfaces here with the
@@ -198,23 +195,16 @@ func (g Grid) Scenarios() ([]Scenario, error) {
 	if base == 0 {
 		base = g.Base.Seed
 	}
-	seedInert := false
-	for _, d := range axes {
-		if d.SeedInert {
-			seedInert = true
-		}
-	}
 	total := reps
 	for _, d := range axes {
 		total *= len(d.Values)
 	}
 	out := make([]Scenario, 0, total)
 	idx := make([]int, len(axes))
-	var sb, seedSB strings.Builder
+	var sb strings.Builder
 	for {
 		for rep := 0; rep < reps; rep++ {
 			sb.Reset()
-			seedSB.Reset()
 			w := g.Base
 			coords := make([]Coord, len(axes))
 			for ai, d := range axes {
@@ -223,12 +213,6 @@ func (g Grid) Scenarios() ([]Scenario, error) {
 					sb.WriteByte('/')
 				}
 				sb.WriteString(v.Key)
-				if !d.SeedInert {
-					if seedSB.Len() > 0 {
-						seedSB.WriteByte('/')
-					}
-					seedSB.WriteString(v.Key)
-				}
 				coords[ai] = Coord{Axis: d.Name, Key: v.Key, Value: v.Value}
 				if v.Apply != nil {
 					v.Apply(&w)
@@ -236,12 +220,7 @@ func (g Grid) Scenarios() ([]Scenario, error) {
 			}
 			fmt.Fprintf(&sb, "/r%d", rep)
 			key := sb.String()
-			seedKey := key
-			if seedInert {
-				fmt.Fprintf(&seedSB, "/r%d", rep)
-				seedKey = seedSB.String()
-			}
-			w.Seed = DeriveSeed(base, seedKey)
+			w.Seed = DeriveSeed(base, key)
 			if err := w.Validate(); err != nil {
 				return nil, fmt.Errorf("campaign: scenario %q: %w", key, err)
 			}

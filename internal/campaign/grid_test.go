@@ -2,6 +2,7 @@ package campaign
 
 import (
 	"fmt"
+	"strings"
 	"testing"
 
 	"repro/internal/mpi"
@@ -319,6 +320,29 @@ func BenchmarkGridScenarios(b *testing.B) {
 	for b.Loop() {
 		if _, err := g.Scenarios(); err != nil {
 			b.Fatal(err)
+		}
+	}
+}
+
+// TestScenariosRejectsInvalidWorld: an invalid clock or scheduler config is
+// rejected at expansion with the offending scenario key, instead of a late
+// NewWorld panic inside a campaign worker.
+func TestScenariosRejectsInvalidWorld(t *testing.T) {
+	t.Parallel()
+	base := mpi.DefaultConfig()
+	base.MaxParallelRanks = -1
+	if _, err := (Grid{Base: base}).Scenarios(); err == nil ||
+		!strings.Contains(err.Error(), "MaxParallelRanks -1") {
+		t.Errorf("negative MaxParallelRanks accepted: %v", err)
+	}
+
+	for _, scale := range []float64{-2, 0} {
+		_, err := Grid{Base: mpi.DefaultConfig(), Axes: []Dimension{CPUClockAxis(scale)}}.Scenarios()
+		if err == nil || !strings.Contains(err.Error(), "CPU.ClockGHz") {
+			t.Errorf("clock scale %g accepted: %v", scale, err)
+		}
+		if err != nil && !strings.Contains(err.Error(), fmt.Sprintf("scenario \"p3/base/c512kB/cpu%gx/r0\"", scale)) {
+			t.Errorf("error does not name the scenario: %v", err)
 		}
 	}
 }

@@ -173,7 +173,7 @@ func TestDistributedCrashRecoveryMatchesGolden(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	opts := lease.Options{TTL: 150 * time.Millisecond, Heartbeat: 25 * time.Millisecond}
+	opts := lease.Options{TTL: 150 * time.Millisecond}
 	crashed, err := lease.Open(st, "crashed", opts)
 	if err != nil {
 		t.Fatal(err)

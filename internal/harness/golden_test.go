@@ -127,21 +127,25 @@ func TestCPUAxisHashesDistinct(t *testing.T) {
 		t.Error("a custom coordinate leaves the stream job's hash unchanged")
 	}
 
-	// A seed-inert axis: same seed (the results must be identical), but
-	// separate checkpoint entries per scheduler.
-	scs, err = campaign.Grid{
-		Base: base.World,
-		Axes: []campaign.Dimension{campaign.SchedAxis(
-			campaign.SchedChoice{Mode: mpi.Serial}, campaign.SchedChoice{Mode: mpi.ConservativeParallel})},
-	}.Scenarios()
-	if err != nil {
-		t.Fatal(err)
+	// The scheduler is how a world runs, not a grid coordinate: one grid
+	// under two Base schedulers keeps its keys and seeds, but each
+	// scheduler has its own checkpoint entries.
+	par := base.World
+	par.Sched = mpi.ConservativeParallel
+	var hashes [2]string
+	for i, w := range []mpi.WorldConfig{base.World, par} {
+		scs, err := campaign.Grid{Base: w}.Scenarios()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if scs[0].Key != plain.Key || scs[0].World.Seed != plain.World.Seed {
+			t.Errorf("scheduler %v: scenario %q seed %d, want %q seed %d",
+				w.Sched, scs[0].Key, scs[0].World.Seed, plain.Key, plain.World.Seed)
+		}
+		hashes[i] = StreamJob(base, scs[0]).Hash
 	}
-	if scs[0].World.Seed != scs[1].World.Seed {
-		t.Error("scenarios differing only on the sched axis derive different seeds")
-	}
-	if StreamJob(base, scs[0]).Hash == StreamJob(base, scs[1]).Hash {
-		t.Error("scenarios differing only on the sched axis share a checkpoint hash")
+	if hashes[0] == hashes[1] {
+		t.Error("one grid under two schedulers shares a checkpoint hash")
 	}
 }
 
@@ -182,7 +186,6 @@ func TestHashedConfigsArePlainValues(t *testing.T) {
 			campaign.CacheAxis(128),
 			campaign.FluxAxis("efm"),
 			campaign.CPUClockAxis(2),
-			campaign.SchedAxis(campaign.SchedChoice{Mode: mpi.OptimisticParallel, MaxParallelRanks: 2}),
 		},
 	} {
 		scs, err := campaign.Grid{Base: base, Axes: axes}.Scenarios()

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"context"
 	"encoding/gob"
-	"fmt"
 	"reflect"
 	"strings"
 	"testing"
@@ -253,61 +252,53 @@ func caseStudyParallelEquivalence(t *testing.T) {
 	}
 }
 
-// TestSchedGridEquivalenceAtScale exercises the campaign-level check the
-// SchedAxis exists for: one grid sweeping serial vs parallel (seed-inert,
-// so paired scenarios share seeds) crossed with a machine axis; paired
-// scenarios must fit identical models.
+// TestSchedGridEquivalenceAtScale runs one grid (a machine axis crossed
+// with replications) under each scheduler as its Base: every scheduler
+// expands the same keys and seeds, streams the same rows and fits the same
+// models.
 func TestSchedGridEquivalenceAtScale(t *testing.T) {
 	t.Parallel()
 	base := DefaultSweep(KernelStates)
 	base.World.Procs = 2
 	base.Sizes = base.Sizes[:3]
 	base.Reps = 2
-	g := campaign.Grid{
-		Base: base.World,
-		Axes: []campaign.Dimension{
-			campaign.CacheAxis(128, 512),
-			campaign.SchedAxis(campaign.SchedChoice{Mode: mpi.Serial},
-				campaign.SchedChoice{Mode: mpi.ConservativeParallel},
-				campaign.SchedChoice{Mode: mpi.OptimisticParallel}),
-		},
-		Replications: 2,
-	}
-	sink := results.NewMemorySink()
-	points, err := StreamSweepGrid(context.Background(), campaign.Config{Sink: sink}, base, g)
-	if err != nil {
-		t.Fatal(err)
-	}
-	byExperiment := map[string][]GridPoint{}
-	for _, p := range points {
-		sched := p.Scenario.Label(campaign.AxisSched)
-		exp := strings.Replace(p.Scenario.Key, "/"+sched, "", 1)
-		byExperiment[exp] = append(byExperiment[exp], p)
-	}
-	if len(byExperiment) != len(points)/3 {
-		t.Fatalf("pairing failed: %d experiments from %d points", len(byExperiment), len(points))
-	}
-	for exp, group := range byExperiment {
-		if len(group) != 3 {
-			t.Fatalf("experiment %s has %d scheduler variants, want 3", exp, len(group))
+	var ref []GridPoint
+	var refSink *results.MemorySink
+	for _, mode := range []mpi.SchedulerMode{mpi.Serial, mpi.ConservativeParallel, mpi.OptimisticParallel} {
+		g := campaign.Grid{
+			Base:         base.World,
+			Axes:         []campaign.Dimension{campaign.CacheAxis(128, 512)},
+			Replications: 2,
 		}
-		rows := sink.Rows(group[0].Scenario.Key)
-		if len(rows) == 0 {
-			t.Errorf("experiment %s: no rows streamed", exp)
+		g.Base.Sched = mode
+		sink := results.NewMemorySink()
+		points, err := StreamSweepGrid(context.Background(), campaign.Config{Sink: sink}, base, g)
+		if err != nil {
+			t.Fatal(err)
 		}
-		for _, p := range group[1:] {
-			if group[0].Scenario.World.Seed != p.Scenario.World.Seed {
-				t.Errorf("experiment %s: seeds differ across the seed-inert sched axis", exp)
+		if ref == nil {
+			ref, refSink = points, sink
+			continue
+		}
+		if len(points) != len(ref) {
+			t.Fatalf("%v: %d grid points, want %d", mode, len(points), len(ref))
+		}
+		for i, p := range points {
+			r := ref[i]
+			if p.Scenario.Key != r.Scenario.Key || p.Scenario.World.Seed != r.Scenario.World.Seed {
+				t.Errorf("%v: scenario %q seed %d, want %q seed %d",
+					mode, p.Scenario.Key, p.Scenario.World.Seed, r.Scenario.Key, r.Scenario.World.Seed)
+			}
+			rows := refSink.Rows(r.Scenario.Key)
+			if len(rows) == 0 {
+				t.Errorf("%s: no rows streamed", r.Scenario.Key)
 			}
 			if !reflect.DeepEqual(rows, sink.Rows(p.Scenario.Key)) {
-				t.Errorf("experiment %s: streamed rows differ between schedulers", exp)
+				t.Errorf("%s: streamed rows differ under %v", p.Scenario.Key, mode)
 			}
-			if !reflect.DeepEqual(group[0].Model, p.Model) {
-				t.Errorf("experiment %s: fitted models differ between schedulers", exp)
+			if !reflect.DeepEqual(r.Model, p.Model) {
+				t.Errorf("%s: fitted model differs under %v", p.Scenario.Key, mode)
 			}
 		}
-	}
-	if testing.Verbose() {
-		fmt.Printf("verified %d scheduler-equivalent experiment pairs\n", len(byExperiment))
 	}
 }

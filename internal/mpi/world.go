@@ -108,9 +108,8 @@ func (m SchedulerMode) String() string {
 
 // FormatSched renders a scheduler choice — a mode and its parallel-rank
 // cap, 0 = no cap — as its stable token: "serial", "par", "par4", "opt",
-// "opt8". It is the scheduler segment of scenario keys, the -rankmode flag
-// value and resultsd's ?sched= selector. The serial scheduler's cap is
-// always one, so it never reaches the token.
+// "opt8", the spelling of the -rankmode flag. ParseSched reads it back.
+// The serial scheduler's cap is always one, so it never reaches the token.
 func FormatSched(mode SchedulerMode, maxRanks int) string {
 	tok := mode.String()
 	if mode != Serial && maxRanks > 0 {

@@ -99,7 +99,7 @@ func TestScenarioListMatchesEncoder(t *testing.T) {
 	}{
 		{"", 6},
 		{"ranks=2", 4},
-		{"sched=opt", 4},
+		{"tag=opt", 4},
 		{"tag=loaded", 2},
 		{"tag=" + url.QueryEscape(markupTag), 1},
 		{"name=p8_base_c128kB_cpu1x_loaded_serial_r0", 1},

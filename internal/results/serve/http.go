@@ -37,7 +37,7 @@ type Service struct {
 	reg     *obs.Registry
 	track   *obs.Track
 	// The parameters the scenario-selecting endpoints accept: their own,
-	// then "sched", repeatable "tag" and one per catalog axis ("ranks",
+	// then repeatable "tag" and one per catalog axis ("ranks",
 	// "cache_kb", ...).
 	scenarioParams []string
 	trendParams    []string
@@ -68,7 +68,7 @@ func New(dir string, opts Options) (*Service, error) {
 		errors:   reg.Counter("resultsd_http_errors_total"),
 		queryUS:  reg.Histogram("resultsd_query_us", obs.LatencyBucketsUS),
 	}
-	filter := append([]string{"sched", "tag"}, catalog.Axes()...)
+	filter := append([]string{"tag"}, catalog.Axes()...)
 	s.scenarioParams = append([]string{"name"}, filter...)
 	s.trendParams = append([]string{"axis", "model"}, filter...)
 	return s, nil
@@ -252,7 +252,7 @@ func floatParam(v url.Values, name string) (float64, bool, error) {
 
 // parseFilter builds a Filter from query parameters.
 func (s *Service) parseFilter(v url.Values) (Filter, error) {
-	f := Filter{Sched: v.Get("sched"), Tags: v["tag"]}
+	f := Filter{Tags: v["tag"]}
 	for _, axis := range s.catalog.Axes() {
 		val, ok, err := floatParam(v, axis)
 		if err != nil {
@@ -358,7 +358,7 @@ func (s *Service) handleScenario(r *http.Request) (any, error) {
 		return nil, err
 	}
 	if len(v) == 0 {
-		return nil, errBadRequest("at least one selector required (name, sched, tag, or an axis: %v); use /scenarios to browse", s.catalog.Axes())
+		return nil, errBadRequest("at least one selector required (name, tag, or an axis: %v); use /scenarios to browse", s.catalog.Axes())
 	}
 	f, err := s.parseFilter(v)
 	if err != nil {

@@ -53,10 +53,9 @@ type Coord struct {
 // Scenario is one servable grid scenario discovered in the rows
 // directory. Name is the shard stem (the campaign scenario key with "/"
 // sanitized to "_" and the sink's hash suffix stripped); Coords holds the
-// numeric axis values recovered from the key's tokens; Sched is the
-// scheduler token when present; Tags collects the remaining tokens
-// (user-defined axis keys such as "quiet"/"loaded") for exact-match
-// lookup.
+// numeric axis values recovered from the key's tokens; Tags collects the
+// remaining tokens (kernel names and user-defined axis keys such as
+// "states" or "lat2x") for exact-match lookup.
 type Scenario struct {
 	Name string `json:"name"`
 	// File is the shard path on disk; it is serving detail, not part of
@@ -65,7 +64,6 @@ type Scenario struct {
 	File   string   `json:"-"`
 	Format string   `json:"format"`
 	Coords []Coord  `json:"coords"`
-	Sched  string   `json:"sched,omitempty"`
 	Tags   []string `json:"tags,omitempty"`
 	// kernel is the one tag that names a kernel perfmodel fits the paper's
 	// model forms for, or "" when no tag or more than one does.
@@ -116,10 +114,6 @@ var coordTokens = []struct {
 	{"cpu_clock", regexp.MustCompile(`^cpu(\d+(?:\.\d+)?)x$`), 'g'},
 	{"rep", regexp.MustCompile(`^r(\d+)$`), 'f'},
 }
-
-// reSched matches the tokens mpi.FormatSched produces: "serial", "par" and
-// "opt", the last two with an optional cap N >= 1 short enough for an int.
-var reSched = regexp.MustCompile(`^(serial|(par|opt)([1-9]\d{0,17})?)$`)
 
 // Open scans a campaign rows directory into a catalog. dir may be the
 // rows directory itself or a campaign output directory containing a
@@ -226,8 +220,6 @@ func parseScenario(stem string) *Scenario {
 	for _, tok := range strings.Split(stem, "_") {
 		if axis, v, ok := parseCoord(tok); ok {
 			sc.Coords = append(sc.Coords, Coord{Axis: axis, Value: v})
-		} else if reSched.MatchString(tok) {
-			sc.Sched = tok
 		} else {
 			sc.Tags = append(sc.Tags, tok)
 		}
@@ -280,8 +272,6 @@ type Filter struct {
 	Name string
 	// Coords matches numeric coordinates exactly, axis by axis.
 	Coords []Coord
-	// Sched matches the scheduler token exactly.
-	Sched string
 	// Tags must all be present.
 	Tags []string
 }
@@ -291,9 +281,6 @@ func (c *Catalog) Match(f Filter) []*Scenario {
 	var out []*Scenario
 	for _, sc := range c.scenarios {
 		if f.Name != "" && sc.Name != f.Name {
-			continue
-		}
-		if f.Sched != "" && sc.Sched != f.Sched {
 			continue
 		}
 		ok := true

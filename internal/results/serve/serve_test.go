@@ -104,8 +104,8 @@ func TestCatalogParsesScenarioNames(t *testing.T) {
 			t.Errorf("%s = %v (ok=%v), want %v", want.Axis, v, ok, want.Value)
 		}
 	}
-	if sc.Sched != "opt" || !sc.HasTag("quiet") || !sc.HasTag("base") {
-		t.Errorf("sched=%q tags=%v", sc.Sched, sc.Tags)
+	if !slices.Equal(sc.Tags, []string{"base", "quiet", "opt"}) {
+		t.Errorf("tags = %v", sc.Tags)
 	}
 	// The dual-format scenario serves its binary shard.
 	dual, ok := c.Lookup("p4_base_c128kB_cpu1x_loaded_par_r0")
@@ -120,31 +120,52 @@ func TestCatalogParsesScenarioNames(t *testing.T) {
 	}
 }
 
-// TestParseScenarioSchedTokens holds the catalog to the grammar
-// mpi.FormatSched renders: a capped choice is "par4"/"opt8", no dash, and
-// no other spelling is a scheduler.
+// TestParseScenarioSchedTokens: a scheduler token in a stem (rows written
+// when the scheduler was a grid axis, "par4"/"opt8" for a capped choice) is
+// a tag like any other token, so such a directory still serves and
+// ?tag=opt selects its scenarios.
 func TestParseScenarioSchedTokens(t *testing.T) {
 	for _, tc := range []struct {
-		stem, sched string
-		tags        []string
+		stem string
+		tags []string
 	}{
-		{"p2_base_serial_r0", "serial", []string{"base"}},
-		{"p2_base_par_r0", "par", []string{"base"}},
-		{"p2_base_opt_r0", "opt", []string{"base"}},
-		{"p4_base_par4_r0", "par4", []string{"base"}},
-		{"p16_base_opt8_r1", "opt8", []string{"base"}},
-		{"p2_base_opt-w64-1024_r0", "", []string{"base", "opt-w64-1024"}},
-		{"p2_base_opt2-w8-128_r0", "", []string{"base", "opt2-w8-128"}},
-		{"p2_par0_r0", "", []string{"par0"}},
-		{"p2_opt08_r0", "", []string{"opt08"}},
-		{"p2_serial4_r0", "", []string{"serial4"}},
-		{"p2_parallel_optimal_r0", "", []string{"parallel", "optimal"}},
-		{"p2_opt-fast_r0", "", []string{"opt-fast"}},
+		{"p2_base_serial_r0", []string{"base", "serial"}},
+		{"p2_base_par_r0", []string{"base", "par"}},
+		{"p4_base_par4_r0", []string{"base", "par4"}},
+		{"p16_base_opt8_r1", []string{"base", "opt8"}},
+		{"p2_base_opt2-w8-128_r0", []string{"base", "opt2-w8-128"}},
+		{"p2_parallel_optimal_r0", []string{"parallel", "optimal"}},
 	} {
-		sc := parseScenario(tc.stem)
-		if sc.Sched != tc.sched || !slices.Equal(sc.Tags, tc.tags) {
-			t.Errorf("%s: sched=%q tags=%v, want sched=%q tags=%v", tc.stem, sc.Sched, sc.Tags, tc.sched, tc.tags)
+		if sc := parseScenario(tc.stem); !slices.Equal(sc.Tags, tc.tags) {
+			t.Errorf("%s: tags=%v, want %v", tc.stem, sc.Tags, tc.tags)
 		}
+	}
+
+	dir := t.TempDir()
+	for _, stem := range []string{"p2_base_c128kB_opt_r0", "p4_base_c128kB_par4_r0"} {
+		data := "q,wall_us\n1000,10\n2000,20\n4000,40\n"
+		if err := os.WriteFile(filepath.Join(dir, stem+".csv"), []byte(data), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	s, err := New(dir, Options{Obs: obs.New(obs.Options{})})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct{ query, want string }{
+		{"tag=opt", "p2_base_c128kB_opt_r0"},
+		{"tag=par4", "p4_base_c128kB_par4_r0"},
+	} {
+		status, body := get(t, s.Handler(), "/scenarios?"+tc.query)
+		var resp scenariosResponse
+		if err := json.Unmarshal([]byte(body), &resp); status != http.StatusOK || err != nil ||
+			resp.Count != 1 || resp.Scenarios[0].Name != tc.want {
+			t.Errorf("/scenarios?%s: %d %s, want only %s", tc.query, status, body, tc.want)
+		}
+	}
+	if status, body := get(t, s.Handler(), "/scenarios?sched=opt"); status != http.StatusBadRequest ||
+		!strings.Contains(body, "unknown parameter") {
+		t.Errorf("/scenarios?sched=opt: %d %s, want 400 unknown parameter", status, body)
 	}
 }
 
@@ -192,9 +213,9 @@ func TestHandlersGolden(t *testing.T) {
 		{"predict_queue_capacity", "/predict?scenario=p8_base_c128kB_cpu1x_loaded_serial_r0&measure=throughput_per_s&model=queue&q=8000", http.StatusOK},
 		{"predict_multi", "/predict?scenario=p4_base_c128kB_cpu1x_loaded_par_r0&measure=mean_us&q=3000&dcm=500", http.StatusOK},
 		{"scenario_by_coord", "/scenario?cache_kb=512", http.StatusOK},
-		{"scenarios_by_sched", "/scenarios?sched=opt", http.StatusOK},
-		{"trend_cache", "/trend?axis=cache_kb&sched=opt", http.StatusOK},
-		{"trend_queue", "/trend?axis=cache_kb&model=queue&sched=opt", http.StatusOK},
+		{"scenarios_by_tag", "/scenarios?tag=opt", http.StatusOK},
+		{"trend_cache", "/trend?axis=cache_kb&tag=opt", http.StatusOK},
+		{"trend_queue", "/trend?axis=cache_kb&model=queue&tag=opt", http.StatusOK},
 		{"healthz", "/healthz", http.StatusOK},
 		{"err_unknown_param", "/predict?scenario=x&measure=mean_us&q=1&bogus=1", http.StatusBadRequest},
 		{"err_unknown_scenario", "/predict?scenario=nope&measure=mean_us&q=1", http.StatusNotFound},
@@ -271,7 +292,7 @@ func TestResponsesByteIdenticalAcrossInstances(t *testing.T) {
 	targets := []string{
 		"/",
 		"/predict?scenario=p2_base_c256kB_cpu1x_quiet_opt_r0&measure=mean_us&q=5000",
-		"/trend?axis=cache_kb&sched=opt",
+		"/trend?axis=cache_kb&tag=opt",
 		"/scenario?name=p8_base_c128kB_cpu1x_loaded_serial_r0",
 	}
 	for _, target := range targets {
@@ -597,8 +618,7 @@ func TestOpenRejectsEmptyDir(t *testing.T) {
 
 // checkTokens holds parseScenario to its contract on any stem: every
 // "_"-separated token is accounted for exactly once, as a coordinate that
-// spells back to that token, a tag, or a scheduler token mpi.ParseSched
-// accepts (the last one wins Sched). No token reads as a wrong number.
+// spells back to that token or as a tag. No token reads as a wrong number.
 func checkTokens(t *testing.T, stem string, sc *Scenario) {
 	t.Helper()
 	left := map[string]int{}
@@ -623,19 +643,10 @@ func checkTokens(t *testing.T, stem string, sc *Scenario) {
 	for _, tag := range sc.Tags {
 		take(tag, "tag")
 	}
-	last := ""
-	for _, tok := range strings.Split(stem, "_") {
-		if left[tok] == 0 {
-			continue
+	for tok, n := range left {
+		if n != 0 {
+			t.Errorf("%q: token %q is neither a coordinate nor a tag", stem, tok)
 		}
-		left[tok]--
-		if _, _, err := mpi.ParseSched(tok); err != nil {
-			t.Errorf("%q: token %q is neither a coordinate, a tag nor a scheduler", stem, tok)
-		}
-		last = tok
-	}
-	if sc.Sched != last {
-		t.Errorf("%q: sched = %q, want %q", stem, sc.Sched, last)
 	}
 	var kernels []string
 	for _, tag := range sc.Tags {
@@ -653,10 +664,11 @@ func checkTokens(t *testing.T, stem string, sc *Scenario) {
 }
 
 // FuzzParseScenario drives the catalog's scenario-name parser two ways.
-// A stem built from the campaign axis constructors and mpi.FormatSched,
-// named by the shard sink, parses back to the coordinates and scheduler
-// that built it whenever %g prints the clock scale without an exponent,
-// and to the kernel its flux key names. Any stem, built or arbitrary,
+// A stem built from the campaign axis constructors plus an mpi.FormatSched
+// token (as rows written when the scheduler was a grid axis carry), named
+// by the shard sink, parses back to the coordinates that built it whenever
+// %g prints the clock scale without an exponent, keeps the scheduler token
+// as a tag, and reads as the kernel its flux key names. Any stem, built or arbitrary,
 // satisfies checkTokens (which holds the kernel to the one tag naming a
 // known kernel, or none), and nothing panics.
 func FuzzParseScenario(f *testing.F) {
@@ -697,8 +709,8 @@ func FuzzParseScenario(f *testing.F) {
 		}
 		if strings.Trim(fmt.Sprintf("%g", scale), "0123456789.") == "" {
 			want := []Coord{{"cache_kb", float64(kb)}, {"cpu_clock", scale}, {"ranks", float64(procs)}, {"rep", float64(rep)}}
-			if !slices.Equal(sc.Coords, want) || sc.Sched != sched {
-				t.Errorf("%s -> %q: coords %v sched %q, want %v and %q", key, stem, sc.Coords, sc.Sched, want, sched)
+			if !slices.Equal(sc.Coords, want) || !sc.HasTag(sched) {
+				t.Errorf("%s -> %q: coords %v tags %v, want %v and tag %q", key, stem, sc.Coords, sc.Tags, want, sched)
 			}
 		}
 		checkTokens(t, raw, parseScenario(raw))

@@ -18,7 +18,7 @@
 //
 //	claim    exclusive link of a fresh record; at most one winner per slot
 //	run      the winner executes the job and saves its checkpoint
-//	beat     a background goroutine rewrites held leases every Heartbeat
+//	beat     a background goroutine rewrites held leases every TTL/4
 //	release  audit line appended, lease file removed; the stored payload
 //	         now answers every later claim with "done"
 //	steal    a lease whose heartbeat is older than TTL belongs to a dead
@@ -76,10 +76,9 @@ const claimAttempts = 4
 type Options struct {
 	// TTL is the heartbeat age beyond which other workers may steal the
 	// lease. Zero means DefaultTTL. Choose it far above the expected clock
-	// skew and filesystem attribute-cache delay between hosts.
+	// skew and filesystem attribute-cache delay between hosts. Held leases
+	// are renewed every TTL/4.
 	TTL time.Duration
-	// Heartbeat is the renewal interval for held leases. Zero means TTL/4.
-	Heartbeat time.Duration
 }
 
 // Manager claims, renews and releases job leases for one worker process.
@@ -140,20 +139,16 @@ func Open(st *store.Store, owner string, opts Options) (*Manager, error) {
 	if err := validOwner(owner); err != nil {
 		return nil, err
 	}
-	if opts.TTL < 0 || opts.Heartbeat < 0 {
-		return nil, fmt.Errorf("lease: negative TTL or Heartbeat")
+	if opts.TTL < 0 {
+		return nil, fmt.Errorf("lease: negative TTL")
 	}
 	if opts.TTL == 0 {
 		opts.TTL = DefaultTTL
 	}
-	if opts.Heartbeat == 0 {
-		opts.Heartbeat = opts.TTL / 4
-	}
-	// A heartbeat that cannot outpace expiry breaks the protocol's
-	// exactly-once property quietly: every live lease would go stale
-	// between renewals and get stolen. Reject the configuration instead.
-	if opts.Heartbeat <= 0 || opts.Heartbeat >= opts.TTL {
-		return nil, fmt.Errorf("lease: Heartbeat (%v) must be positive and below TTL (%v)", opts.Heartbeat, opts.TTL)
+	// A TTL under 4ns leaves no heartbeat interval: every live lease would
+	// go stale unrenewed and get stolen, quietly breaking exactly-once.
+	if opts.TTL/4 <= 0 {
+		return nil, fmt.Errorf("lease: TTL (%v) too small to heartbeat under", opts.TTL)
 	}
 	dir := filepath.Join(st.Dir(), dirName)
 	if err := os.MkdirAll(dir, 0o755); err != nil {
@@ -450,10 +445,10 @@ func (m *Manager) countLost(washeld bool) {
 	m.mu.Unlock()
 }
 
-// heartbeat renews every held lease each Heartbeat interval until Close.
+// heartbeat renews every held lease each TTL/4 until Close.
 func (m *Manager) heartbeat() {
 	defer close(m.done)
-	t := time.NewTicker(m.opts.Heartbeat)
+	t := time.NewTicker(m.opts.TTL / 4)
 	defer t.Stop()
 	for {
 		select {
