@@ -7,7 +7,9 @@
 //
 //   - a CCA component framework in the style of CCAFFEINE (ports, services,
 //     assembly scripts, SCMD parallel execution);
-//   - an MPI-1 subset running P simulated ranks over goroutines with
+//   - the MPI-1 subset the case study calls (point-to-point with Waitsome,
+//     Barrier, Allreduce, Bcast, Allgather, Comm_dup over world-spanning
+//     communicators), running P simulated ranks over goroutines with
 //     deterministic virtual clocks;
 //   - a TAU-style measurement library (timers, groups, events, hardware
 //     counters, profile dumps);
@@ -69,7 +71,10 @@
 // its payload before it returns, into a message the world recycles once its
 // receive has read it for the last time (under the optimistic scheduler,
 // once the committed receive's event is reclaimed, with the event itself),
-// and returns the communicator's one completed send request. None of this
+// and returns the communicator's one completed send request. A collective
+// reads its members' contributions in place, since each member stays in
+// the call until the last arrival has computed the results, and copies
+// only Bcast's payload, which outlives the call. None of this
 // moves a simulated byte: messages, sizes and charges are those of fresh
 // storage. The internal/euler package comment has the details and the tests
 // that hold "written before read" and "same addresses" true; the mpi
@@ -129,9 +134,8 @@
 //     stay bit-identical to Serial. Collectives speculate too: a rank
 //     whose peers have all published their contributions computes the
 //     collective result itself — running ahead without a verdict when the
-//     completion is provably exact (no network noise, or a
-//     full-membership collective whose cost-noise draw index is pinned by
-//     the commit order), and otherwise parking on a checkpointed
+//     completion is provably exact (no network noise, or a cost-noise
+//     draw whose index the commit order pins), and otherwise parking on a checkpointed
 //     tentative result that the commit replay confirms or rolls back.
 //     Speculation depth is bounded by a fixed 4096-event window: a rank
 //     whose recorded stream runs that far past the commit frontier parks
@@ -150,8 +154,9 @@
 // produce identical profiles, virtual clocks, message orders and
 // rendered CSV/report bytes (see TestGoldenGridParallelEquivalence,
 // TestPropertySchedulerEquivalence and the forced-conflict rollback
-// tests). The scheduler is part of a job's checkpoint hash like every
-// other config field, so each mode checkpoints separately.
+// tests). The scheduler is the one world field a job's checkpoint hash
+// leaves out: every mode measures the same bytes, so a store filled under
+// one mode serves the others.
 //
 // When does parallel-rank pay off? Measured, not argued: one 16-rank world
 // per body of internal/mpi's BenchmarkWorldRun, host milliseconds and heap
@@ -162,13 +167,14 @@
 // 60, 8.5, 0.55 and 1.6 ms. The allocation counts are newer than the
 // timings: "bench -trace 1"'s allocs_per_run once messages and optimistic
 // events were recycled within a world (ghost read 5 570 serial and par and
-// 5 870 opt before any recycling):
+// 5 870 opt before any recycling) and collectives read their contributions
+// in place (coll read 2 861 serial and par and 3 117 opt before):
 //
 //	          serial            par               opt
 //	compute   120 ms            74 ms             73 ms
-//	ghost     8.9 ms   1 079    9.2 ms   1 079    7.7 ms   1 256
-//	wildcard  0.71 ms    997    0.42 ms    997    1.03 ms  1 011
-//	coll      1.55 ms  2 861    1.16 ms  2 861    2.26 ms  3 117
+//	ghost     8.9 ms   1 041    9.2 ms   1 041    7.7 ms   1 301
+//	wildcard  0.71 ms    995    0.42 ms    995    1.03 ms  1 004
+//	coll      1.55 ms  1 725    1.16 ms  1 725    2.26 ms  2 949
 //
 // The compute body is real kernel work and scales with cores under both
 // parallel modes; about half of the ghost row is the body's own

@@ -96,14 +96,18 @@ func itself[M measurement](m M) (any, error) { return m, nil }
 // SweepJob wraps RunSweep as a checkpointable campaign job under the given
 // key, emitting the sweep's telemetry rows to the campaign sink.
 func SweepJob(key string, cfg SweepConfig) campaign.Job {
-	return measureJob(key, jobHash("sweep", cfg),
+	hashed := cfg
+	hashed.World = serialWorld(cfg.World)
+	return measureJob(key, jobHash("sweep", hashed),
 		func() (*SweepResult, error) { return RunSweep(cfg) }, itself[*SweepResult])
 }
 
 // CaseStudyJob wraps RunCaseStudy as a checkpointable campaign job under
 // the given key, emitting the FUNCTION SUMMARY rows to the campaign sink.
 func CaseStudyJob(key string, cfg CaseStudyConfig) campaign.Job {
-	return measureJob(key, jobHash("case", cfg),
+	hashed := cfg
+	hashed.World = serialWorld(cfg.World)
+	return measureJob(key, jobHash("case", hashed),
 		func() (*CaseStudyResult, error) { return RunCaseStudy(cfg) }, itself[*CaseStudyResult])
 }
 

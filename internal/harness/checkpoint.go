@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/gob"
 
+	"repro/internal/mpi"
 	"repro/internal/results/store"
 )
 
@@ -29,6 +30,14 @@ func jobHash(kind string, cfgs ...any) string {
 	parts = append(parts, checkpointVersion, kind)
 	parts = append(parts, cfgs...)
 	return store.Hash(parts...)
+}
+
+// serialWorld is the world a job hash names: the scheduler is how a world
+// runs, and every scheduler measures the same bytes, so a store filled
+// under one serves them all. Hashing the serial choice keeps the hashes
+// and stored entries of serial runs valid.
+func serialWorld(w mpi.WorldConfig) mpi.WorldConfig {
+	return w.WithScheduler(mpi.Serial, 0)
 }
 
 // encodeGob marshals a checkpoint payload.

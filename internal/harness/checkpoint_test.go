@@ -13,6 +13,7 @@ import (
 	"testing"
 
 	"repro/internal/campaign"
+	"repro/internal/mpi"
 	"repro/internal/perfmodel"
 	"repro/internal/results"
 	"repro/internal/results/store"
@@ -589,5 +590,48 @@ func TestStaleStoreEntriesAreInert(t *testing.T) {
 	}
 	if st.asked[staleHash] {
 		t.Error("the stale entry's hash was looked up")
+	}
+}
+
+// TestStoreServesEveryScheduler: the scheduler is not in a job's hash, so
+// a store filled by a serial run serves the same grid under the parallel
+// and optimistic schedulers, every job from the store, with the same rows
+// and models.
+func TestStoreServesEveryScheduler(t *testing.T) {
+	t.Parallel()
+	base := tinySweep(KernelStates)
+	disk, err := store.Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	var wantPts []GridPoint
+	var wantRows map[string]string
+	for _, mode := range []mpi.SchedulerMode{mpi.Serial, mpi.ConservativeParallel, mpi.OptimisticParallel} {
+		b := base
+		b.World = b.World.WithScheduler(mode, 0)
+		grid := campaign.Grid{Base: b.World, Axes: []campaign.Dimension{campaign.CacheAxis(128, 512)}, BaseSeed: 1}
+		sink := results.NewMemorySink()
+		pts, events, err := runGridJobs(t, b, grid, disk, sink, false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if mode == mpi.Serial {
+			if n := cachedCount(events); n != 0 {
+				t.Fatalf("the serial run over an empty store replayed %d job(s)", n)
+			}
+			wantPts, wantRows = pts, sinkRows(sink)
+			continue
+		}
+		if n := cachedCount(events); n != len(wantPts) {
+			t.Errorf("%v: %d of %d jobs served from the serial run's store", mode, n, len(wantPts))
+		}
+		if !reflect.DeepEqual(sinkRows(sink), wantRows) {
+			t.Errorf("%v: rows differ from the serial run's", mode)
+		}
+		for i, p := range pts {
+			if p.Scenario.Key != wantPts[i].Scenario.Key || !reflect.DeepEqual(p.Model, wantPts[i].Model) {
+				t.Errorf("%v: grid point %d (%s) differs from the serial run's", mode, i, p.Scenario.Key)
+			}
+		}
 	}
 }

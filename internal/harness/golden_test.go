@@ -80,8 +80,10 @@ func TestGridStabilityGolden(t *testing.T) {
 }
 
 // TestCPUAxisHashesDistinct is the fingerprint's distinctness contract:
-// every field a job's result or execution depends on moves its checkpoint
-// hash, so a store never answers one experiment with another's payload.
+// every field a job's result depends on moves its checkpoint hash, so a
+// store never answers one experiment with another's payload. The
+// scheduler is not one of them: every scheduler measures the same bytes,
+// so it leaves the hash, and a store filled under one serves them all.
 func TestCPUAxisHashesDistinct(t *testing.T) {
 	t.Parallel()
 	base := DefaultSweep(KernelStates)
@@ -97,8 +99,6 @@ func TestCPUAxisHashesDistinct(t *testing.T) {
 		flip func(*mpi.WorldConfig)
 	}{
 		{"CPU.ClockGHz", func(w *mpi.WorldConfig) { w.CPU.ClockGHz *= 2 }},
-		{"Sched", func(w *mpi.WorldConfig) { w.Sched = mpi.ConservativeParallel }},
-		{"MaxParallelRanks", func(w *mpi.WorldConfig) { w.MaxParallelRanks = 4 }},
 		{"Cache.SizeBytes", func(w *mpi.WorldConfig) { w.Cache.SizeBytes *= 2 }},
 		{"Seed", func(w *mpi.WorldConfig) { w.Seed++ }},
 	} {
@@ -115,6 +115,30 @@ func TestCPUAxisHashesDistinct(t *testing.T) {
 			t.Errorf("flipping %s leaves the sweep job's hash unchanged", tc.name)
 		}
 	}
+	for _, tc := range []struct {
+		name string
+		flip func(*mpi.WorldConfig)
+	}{
+		{"Sched", func(w *mpi.WorldConfig) { w.Sched = mpi.ConservativeParallel }},
+		{"MaxParallelRanks", func(w *mpi.WorldConfig) { w.MaxParallelRanks = 4 }},
+	} {
+		sc := plain
+		tc.flip(&sc.World)
+		if StreamJob(base, sc).Hash != ref {
+			t.Errorf("flipping %s moves the stream job's hash", tc.name)
+		}
+		b, b0 := base, base
+		b.World, b0.World = sc.World, plain.World
+		if SweepJob("k", b).Hash != SweepJob("k", b0).Hash {
+			t.Errorf("flipping %s moves the sweep job's hash", tc.name)
+		}
+		cs := DefaultCaseStudy()
+		c := cs
+		tc.flip(&c.World)
+		if CaseStudyJob("k", c).Hash != CaseStudyJob("k", cs).Hash {
+			t.Errorf("flipping %s moves the case study job's hash", tc.name)
+		}
+	}
 	efm := base
 	efm.Kernel = KernelEFM
 	if StreamJob(efm, plain).Hash == ref {
@@ -128,8 +152,8 @@ func TestCPUAxisHashesDistinct(t *testing.T) {
 	}
 
 	// The scheduler is how a world runs, not a grid coordinate: one grid
-	// under two Base schedulers keeps its keys and seeds, but each
-	// scheduler has its own checkpoint entries.
+	// under two Base schedulers keeps its keys, seeds and checkpoint
+	// entries.
 	par := base.World
 	par.Sched = mpi.ConservativeParallel
 	var hashes [2]string
@@ -144,8 +168,8 @@ func TestCPUAxisHashesDistinct(t *testing.T) {
 		}
 		hashes[i] = StreamJob(base, scs[0]).Hash
 	}
-	if hashes[0] == hashes[1] {
-		t.Error("one grid under two schedulers shares a checkpoint hash")
+	if hashes[0] != hashes[1] {
+		t.Error("one grid under two schedulers has two checkpoint hashes")
 	}
 }
 

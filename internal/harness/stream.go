@@ -27,7 +27,9 @@ type GridPoint struct {
 // the sweep, emit its rows to the campaign sink, fit the model, return
 // only the GridPoint. The store keeps the sweep, and a hit refits it.
 func StreamJob(base SweepConfig, sc campaign.Scenario) campaign.Job {
-	return measureJob(sc.Key, jobHash("gridpoint", base, sc),
+	hashedBase, hashedSc := base, sc
+	hashedBase.World, hashedSc.World = serialWorld(base.World), serialWorld(sc.World)
+	return measureJob(sc.Key, jobHash("gridpoint", hashedBase, hashedSc),
 		func() (*SweepResult, error) {
 			cfg, err := scenarioSweepConfig(base, sc)
 			if err != nil {

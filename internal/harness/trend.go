@@ -3,6 +3,7 @@ package harness
 import (
 	"fmt"
 	"io"
+	"math"
 	"sort"
 	"strings"
 
@@ -113,10 +114,14 @@ type TrendFit struct {
 	Coeff string
 	// Model predicts the coefficient from the axis value. It is the
 	// AIC-best of a linear and (when the values admit one) a power-law
-	// candidate.
+	// candidate, or the points' mean when Constant.
 	Model perfmodel.Model
-	// R2 is the fit's coefficient of determination over the trend points.
+	// R2 is the fit's coefficient of determination over the trend points;
+	// zero when Constant, where it would measure only rounding noise.
 	R2 float64
+	// Constant reports that the coefficient does not move along the axis:
+	// its points agree to a relative 1e-9.
+	Constant bool
 }
 
 // TrendReport is one kernel's coefficient-vs-axis analysis.
@@ -225,15 +230,30 @@ func buildTrend(kernel Kernel, axis TrendAxis, points []GridPoint) (*TrendReport
 		for i, p := range report.Points {
 			y[i] = p.Coeffs[ci]
 		}
-		best, err := trendForm(x, y)
-		if err != nil {
-			return nil, fmt.Errorf("harness: trend: %s coefficient %s: %w", kernel, name, err)
+		fit := TrendFit{Coeff: name}
+		if mean, ok := constantSeries(y); ok {
+			fit.Model, fit.Constant = perfmodel.Poly{Coeffs: []float64{mean}}, true
+		} else {
+			best, err := trendForm(x, y)
+			if err != nil {
+				return nil, fmt.Errorf("harness: trend: %s coefficient %s: %w", kernel, name, err)
+			}
+			fit.Model, fit.R2 = best, perfmodel.R2(best, x, y)
 		}
-		report.Fits = append(report.Fits, TrendFit{
-			Coeff: name, Model: best, R2: perfmodel.R2(best, x, y),
-		})
+		report.Fits = append(report.Fits, fit)
 	}
 	return report, nil
+}
+
+// constantSeries returns the mean of ys and whether they agree to a
+// relative 1e-9, so that a coefficient the axis does not move fits as a
+// constant, not as a curve through its rounding noise.
+func constantSeries(ys []float64) (float64, bool) {
+	lo, hi, sum := ys[0], ys[0], 0.0
+	for _, v := range ys {
+		lo, hi, sum = min(lo, v), max(hi, v), sum+v
+	}
+	return sum / float64(len(ys)), hi-lo <= 1e-9*max(math.Abs(lo), math.Abs(hi))
 }
 
 // trendModelString renders a trend fit with the axis variable letter — the
@@ -284,6 +304,10 @@ func WriteTrendReport(w io.Writer, reports []*TrendReport) error {
 			return err
 		}
 		for _, f := range r.Fits {
+			if f.Constant {
+				fmt.Fprintf(w, "  %-4s(%s) = %.6g (constant)\n", f.Coeff, r.Axis.Var, f.Model.Predict(0))
+				continue
+			}
 			fmt.Fprintf(w, "  %-4s(%s) = %-40s [R2=%.4f]\n", f.Coeff, r.Axis.Var, trendModelString(f.Model, r.Axis), f.R2)
 		}
 		fmt.Fprintf(w, "  %8s %4s", r.Axis.Col, "n")

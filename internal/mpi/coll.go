@@ -2,6 +2,7 @@ package mpi
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
 	"repro/internal/netmodel"
@@ -14,8 +15,6 @@ type Op int
 const (
 	OpSum Op = iota
 	OpMax
-	OpMin
-	OpProd
 )
 
 // apply combines two values under the operator.
@@ -28,13 +27,6 @@ func (o Op) apply(a, b float64) float64 {
 			return a
 		}
 		return b
-	case OpMin:
-		if a < b {
-			return a
-		}
-		return b
-	case OpProd:
-		return a * b
 	default:
 		panic(fmt.Sprintf("mpi: unknown reduction op %d", int(o)))
 	}
@@ -44,24 +36,20 @@ type collKind int
 
 const (
 	collBarrier collKind = iota
-	collReduce
 	collAllreduce
 	collBcast
 	collAllgather
 	collDup
-	collCreate
 )
 
 // collOps names each collective's MPI entry point (constants, so that
 // describing a blocked collective builds no string).
 var collOps = [...]string{
 	collBarrier:   "MPI_Barrier()",
-	collReduce:    "MPI_Reduce()",
 	collAllreduce: "MPI_Allreduce()",
 	collBcast:     "MPI_Bcast()",
 	collAllgather: "MPI_Allgather()",
 	collDup:       "MPI_Comm_dup()",
-	collCreate:    "MPI_Comm_create()",
 }
 
 func (k collKind) String() string {
@@ -70,10 +58,6 @@ func (k collKind) String() string {
 
 func (k collKind) netKind() netmodel.CollectiveKind {
 	switch k {
-	case collBarrier, collDup, collCreate:
-		return netmodel.Barrier
-	case collReduce:
-		return netmodel.Reduce
 	case collAllreduce:
 		return netmodel.Allreduce
 	case collBcast:
@@ -84,7 +68,7 @@ func (k collKind) netKind() netmodel.CollectiveKind {
 	return netmodel.Barrier
 }
 
-// collState is the per-communicator rendezvous for in-flight collectives.
+// collState is a communicator's rendezvous for its in-flight collective.
 // At most one collective per communicator is in flight at a time (MPI
 // requires all ranks to issue collectives in the same order).
 type collState struct {
@@ -94,11 +78,38 @@ type collState struct {
 	op      Op
 	root    int
 	tmax    float64
+	// contrib holds each member's contribution by rank. A conservative
+	// member's is its caller's slice, read in place: the member stays
+	// inside its call until the last arrival has computed the result.
 	contrib [][]float64
 
 	lastLeave  float64
-	lastResult [][]float64 // per-rank results of the completed collective
-	lastID     int         // new communicator id for Dup/Create
+	lastResult []float64 // every member's result of the completed collective
+	lastID     int       // new communicator id for Dup
+}
+
+// join records the arrival of c's rank, at virtual time clock, at the
+// communicator's in-flight generation, opening one when none is: the one
+// rendezvous step behind the conservative path, the optimistic commit
+// replay and its speculative mirror. It reports whether the membership is
+// now complete. An arrival that names another collective than the one in
+// flight is a program error: it still counts, and err says what differs.
+func (cs *collState) join(c *Comm, kind collKind, op Op, root int, clock float64, data []float64) (full bool, err error) {
+	if cs.arrived == 0 {
+		cs.kind, cs.op, cs.root, cs.tmax = kind, op, root, 0
+		if cs.contrib == nil {
+			cs.contrib = make([][]float64, c.Size())
+		}
+	} else if cs.kind != kind || cs.root != root {
+		err = fmt.Errorf("mpi: collective mismatch on comm %d: rank %d issued %v(root=%d) while %v(root=%d) in flight",
+			c.id, c.r.rank, kind, root, cs.kind, cs.root)
+	}
+	cs.arrived++
+	if clock > cs.tmax {
+		cs.tmax = clock
+	}
+	cs.contrib[c.r.rank] = data
+	return cs.arrived == len(cs.contrib), err
 }
 
 // collective routes the all-ranks rendezvous through the scheduler: under
@@ -117,8 +128,8 @@ func (c *Comm) collective(kind collKind, data []float64, root int, op Op) ([]flo
 
 // collectiveLocked runs the all-ranks rendezvous: the caller contributes
 // data, blocks until every member of the communicator has arrived, and
-// leaves at tmax + network cost with its per-rank result. The last arriver
-// computes results for everyone. Caller must hold the world lock.
+// leaves at tmax + network cost with the collective's result. The last
+// arriver computes it for everyone. Caller must hold the world lock.
 func (c *Comm) collectiveLocked(kind collKind, data []float64, root int, op Op) ([]float64, int) {
 	w := c.world
 	cs := w.colls[c.id]
@@ -126,27 +137,12 @@ func (c *Comm) collectiveLocked(kind collKind, data []float64, root int, op Op) 
 		cs = &collState{}
 		w.colls[c.id] = cs
 	}
-	if cs.arrived == 0 {
-		cs.kind = kind
-		cs.op = op
-		cs.root = root
-		cs.tmax = 0
-		cs.contrib = make([][]float64, len(c.group))
-	} else if cs.kind != kind || cs.root != root {
-		panic(fmt.Sprintf("mpi: collective mismatch on comm %d: rank %d issued %v(root=%d) while %v(root=%d) in flight",
-			c.id, c.rank, kind, root, cs.kind, cs.root))
-	}
 	myGen := cs.gen
-	cs.arrived++
-	if t := c.r.Proc.Now(); t > cs.tmax {
-		cs.tmax = t
+	full, err := cs.join(c, kind, op, root, c.r.Proc.Now(), data)
+	if err != nil {
+		panic(err)
 	}
-	if data != nil {
-		cp := make([]float64, len(data))
-		copy(cp, data)
-		cs.contrib[c.rank] = cp
-	}
-	if cs.arrived == len(c.group) {
+	if full {
 		c.completeCollectiveLocked(cs)
 	} else {
 		w.blockOn(c.r.rank, blockDesc{op: collOps[kind], comm: c.id, cs: cs, gen: myGen})
@@ -155,42 +151,30 @@ func (c *Comm) collectiveLocked(kind collKind, data []float64, root int, op Op) 
 		}
 	}
 	c.r.Proc.SyncTo(cs.lastLeave)
-	var res []float64
-	if cs.lastResult != nil {
-		res = cs.lastResult[c.rank]
-	}
-	return res, cs.lastID
+	return cs.lastResult, cs.lastID
 }
 
-// collResults computes the per-rank results of a completed data collective
-// from its contribution set, plus the byte count the network model charges
-// — the pure half of completeCollectiveLocked, shared with the optimistic
-// scheduler's speculative completion path. Dup and Create are not data
-// collectives: they allocate a communicator id (order-sensitive shared
-// state) and return empty results here.
-func collResults(kind collKind, op Op, root, groupLen int, contrib [][]float64) ([][]float64, int) {
-	var bytes int
-	results := make([][]float64, groupLen)
+// collResult computes the result every member of a completed collective
+// receives from its contribution set, plus the byte count the network
+// model charges — the pure half of completeCollectiveLocked, shared with
+// the optimistic scheduler's speculative completion path. The result
+// aliases no contribution, so the contributors may reuse their buffers
+// once the collective returns. Barrier and Dup carry no data (Dup
+// allocates a communicator id, order-sensitive shared state) and have a
+// nil result.
+func collResult(kind collKind, op Op, root int, contrib [][]float64) ([]float64, int) {
 	switch kind {
-	case collBarrier, collDup, collCreate:
-		// no data
-	case collAllreduce, collReduce:
+	case collBarrier, collDup:
+		return nil, 0
+	case collAllreduce:
 		acc := reduceContrib(contrib, op)
-		bytes = bytesOf(len(acc))
-		for i := range results {
-			if kind == collAllreduce || i == root {
-				results[i] = acc
-			}
-		}
+		return acc, bytesOf(len(acc))
 	case collBcast:
 		src := contrib[root]
 		if src == nil {
 			panic("mpi: Bcast root contributed no data")
 		}
-		bytes = bytesOf(len(src))
-		for i := range results {
-			results[i] = src
-		}
+		return slices.Clone(src), bytesOf(len(src))
 	case collAllgather:
 		var total []float64
 		for i, part := range contrib {
@@ -199,29 +183,26 @@ func collResults(kind collKind, op Op, root, groupLen int, contrib [][]float64) 
 			}
 			total = append(total, part...)
 		}
-		bytes = bytesOf(len(contrib[0]))
-		for i := range results {
-			results[i] = total
-		}
-	default:
-		panic(fmt.Sprintf("mpi: unknown collective kind %d", int(kind)))
+		return total, bytesOf(len(contrib[0]))
 	}
-	return results, bytes
+	panic(fmt.Sprintf("mpi: unknown collective kind %d", int(kind)))
 }
 
 // completeCollectiveLocked is run by the last arriving rank: it computes
-// every member's result, costs the collective, and releases the others.
+// the result, costs the collective, and releases the others.
+// The contribution table is cleared, so no caller's buffer outlives the
+// call that lent it.
 func (c *Comm) completeCollectiveLocked(cs *collState) {
 	w := c.world
-	p := len(c.group)
-	results, bytes := collResults(cs.kind, cs.op, cs.root, p, cs.contrib)
-	if cs.kind == collDup || cs.kind == collCreate {
+	result, bytes := collResult(cs.kind, cs.op, cs.root, cs.contrib)
+	clear(cs.contrib)
+	if cs.kind == collDup {
 		cs.lastID = w.nextCommID
 		w.nextCommID++
 	}
-	cost := w.cfg.Net.Collective(cs.kind.netKind(), p, bytes, w.rng)
+	cost := w.cfg.Net.Collective(cs.kind.netKind(), len(cs.contrib), bytes, w.rng)
 	cs.lastLeave = cs.tmax + cost
-	cs.lastResult = results
+	cs.lastResult = result
 	cs.arrived = 0
 	cs.gen++
 	// Parked members are promoted at the next scheduling point (when this
@@ -230,8 +211,8 @@ func (c *Comm) completeCollectiveLocked(cs *collState) {
 	// time.
 }
 
-// reduceContrib folds the contributions elementwise under op. All
-// contributions must have equal length.
+// reduceContrib folds the contributions elementwise under op into a new
+// slice. All contributions must have equal length.
 func reduceContrib(contrib [][]float64, op Op) []float64 {
 	var acc []float64
 	for i, part := range contrib {
@@ -269,30 +250,16 @@ func (c *Comm) Allreduce(op Op, data []float64) []float64 {
 	return out
 }
 
-// Reduce reduces data elementwise to root. It returns the result on root
-// and nil elsewhere.
-func (c *Comm) Reduce(op Op, root int, data []float64) []float64 {
-	c.checkPeer(root)
-	defer c.enter("MPI_Reduce()").exit()
-	res, _ := c.collective(collReduce, data, root, op)
-	if res == nil {
-		return nil
-	}
-	out := make([]float64, len(res))
-	copy(out, res)
-	return out
-}
-
 // Bcast broadcasts root's buf into every rank's buf (in place).
 func (c *Comm) Bcast(root int, buf []float64) {
 	c.checkPeer(root)
 	defer c.enter("MPI_Bcast()").exit()
 	var contrib []float64
-	if c.rank == root {
+	if c.r.rank == root {
 		contrib = buf
 	}
 	res, _ := c.collective(collBcast, contrib, root, OpSum)
-	if c.rank != root {
+	if c.r.rank != root {
 		if len(res) != len(buf) {
 			panic(fmt.Sprintf("mpi: Bcast buffer length %d != root payload %d", len(buf), len(res)))
 		}
@@ -310,38 +277,11 @@ func (c *Comm) Allgather(data []float64) []float64 {
 	return out
 }
 
-// Dup duplicates the communicator: a collective returning a new Comm with
-// the same group but a private message space.
+// Dup duplicates the communicator: a collective returning a new Comm over
+// the same ranks but with a private message space.
 func (c *Comm) Dup() *Comm {
 	w := c.world
 	defer c.enter("MPI_Comm_dup()").exit()
 	_, id := c.collective(collDup, nil, 0, OpSum)
-	return &Comm{world: w, id: id, rank: c.rank, group: c.group, r: c.r}
-}
-
-// CommCreate creates a sub-communicator over the given member ranks (ranks
-// of c, sorted ascending). Every rank of c must call it with the same
-// group; members receive the new Comm, non-members nil.
-func (c *Comm) CommCreate(group []int) *Comm {
-	for i, g := range group {
-		c.checkPeer(g)
-		if i > 0 && group[i-1] >= g {
-			panic("mpi: CommCreate group must be sorted and duplicate-free")
-		}
-	}
-	w := c.world
-	defer c.enter("MPI_Comm_create()").exit()
-	_, id := c.collective(collCreate, nil, 0, OpSum)
-	myNew := -1
-	worldGroup := make([]int, len(group))
-	for i, g := range group {
-		worldGroup[i] = c.group[g]
-		if g == c.rank {
-			myNew = i
-		}
-	}
-	if myNew < 0 {
-		return nil
-	}
-	return &Comm{world: w, id: id, rank: myNew, group: worldGroup, r: c.r}
+	return &Comm{world: w, id: id, r: c.r}
 }

@@ -14,12 +14,13 @@ const (
 	AnyTag = -2
 )
 
-// Comm is a communicator: an ordered group of ranks with a private message
-// space. Comm methods must be called by the owning rank's goroutine inside
-// World.Run.
+// Comm is a communicator: every rank of the world, with a private message
+// space (MPI_COMM_WORLD or a Dup of it), so a rank's position in it is its
+// world rank. Comm methods must be called by the owning rank's goroutine
+// inside World.Run.
 //
 // Entry points fall in two classes. Rank-local operations (Send, Isend,
-// Irecv, Cancel, Wtime, ErrhandlerSet) touch only the calling rank's clock,
+// Irecv, Wtime, ErrhandlerSet) touch only the calling rank's clock,
 // profile and request objects, so under the conservative scheduler they run
 // without any synchronization — this is the run-ahead that buys wall-clock
 // parallelism (sends buffer their fully computed message for the rank's
@@ -29,8 +30,6 @@ const (
 type Comm struct {
 	world *World
 	id    int
-	rank  int   // this rank's position within group
-	group []int // world ranks of the members
 	r     *Rank
 	// sent is the request every Isend returns: a send is complete when
 	// posted, and nothing writes a send request once it exists.
@@ -38,15 +37,15 @@ type Comm struct {
 }
 
 // Rank returns the caller's rank within this communicator.
-func (c *Comm) Rank() int { return c.rank }
+func (c *Comm) Rank() int { return c.r.rank }
 
 // Size returns the number of ranks in this communicator.
-func (c *Comm) Size() int { return len(c.group) }
+func (c *Comm) Size() int { return c.world.cfg.Procs }
 
 // checkPeer validates a peer rank within the communicator.
 func (c *Comm) checkPeer(peer int) {
-	if peer < 0 || peer >= len(c.group) {
-		panic(fmt.Sprintf("mpi: rank %d out of range for communicator of size %d", peer, len(c.group)))
+	if peer < 0 || peer >= c.Size() {
+		panic(fmt.Sprintf("mpi: rank %d out of range for communicator of size %d", peer, c.Size()))
 	}
 }
 
@@ -99,18 +98,8 @@ type Request struct {
 	src, tag int
 	buf      []float64
 	done     bool
-	canceled bool
 	n        int
 }
-
-// Done reports whether the request has completed.
-func (r *Request) Done() bool { return r.done }
-
-// Canceled reports whether the request was canceled.
-func (r *Request) Canceled() bool { return r.canceled }
-
-// Count returns the number of float64 values received (0 for sends).
-func (r *Request) Count() int { return r.n }
 
 // postSend computes the virtual arrival time and delivers the message: the
 // optimistic scheduler publishes it at once; the conservative scheduler
@@ -120,11 +109,11 @@ func (r *Request) Count() int { return r.n }
 // when it is computed.
 func (c *Comm) postSend(dst, tag int, data []float64) {
 	arrive := c.r.Proc.Now() + c.world.cfg.Net.PointToPoint(bytesOf(len(data)), c.r.Proc.RNG())
-	key := mailKey{comm: c.id, dst: c.group[dst]}
+	key := mailKey{comm: c.id, dst: dst}
 	if c.world.opt {
 		c.optPostSend(key, tag, data, arrive)
 	} else {
-		c.r.pending = append(c.r.pending, pendingSend{key: key, msg: c.r.newMessage(c.rank, tag, data, arrive)})
+		c.r.pending = append(c.r.pending, pendingSend{key: key, msg: c.r.newMessage(c.r.rank, tag, data, arrive)})
 	}
 	c.r.Prof.TriggerEvent("Message size sent", float64(bytesOf(len(data))))
 }
@@ -213,7 +202,7 @@ func (c *Comm) Irecv(src, tag int, buf []float64) *Request {
 
 // waitLocked completes one request, blocking if necessary.
 func (c *Comm) waitLocked(op string, req *Request) {
-	if req.done || req.canceled {
+	if req.done {
 		return
 	}
 	w := c.world
@@ -230,7 +219,7 @@ func (c *Comm) waitLocked(op string, req *Request) {
 func pendingRecvs(reqs []*Request) int {
 	n := 0
 	for _, r := range reqs {
-		if r.isRecv && !r.done && !r.canceled {
+		if r.isRecv && !r.done {
 			n++
 		}
 	}
@@ -240,7 +229,7 @@ func pendingRecvs(reqs []*Request) int {
 // Wait blocks until the request completes.
 func (c *Comm) Wait(req *Request) {
 	defer c.enter("MPI_Wait()").exit()
-	if req.done || req.canceled {
+	if req.done {
 		return
 	}
 	w := c.world
@@ -283,9 +272,9 @@ func (c *Comm) Waitall(reqs []*Request) {
 func (c *Comm) Waitsome(reqs []*Request) []int {
 	defer c.enter("MPI_Waitsome()").exit()
 
-	// Send requests are complete at posting and canceled receives never
-	// complete, so only open receives can be completed here; with none the
-	// call returns without touching the shared message space.
+	// Send requests are complete at posting, so only open receives can be
+	// completed here; with none the call returns without touching the
+	// shared message space.
 	pendingRecv := pendingRecvs(reqs)
 	if pendingRecv == 0 {
 		return nil
@@ -303,10 +292,10 @@ func (c *Comm) Waitsome(reqs []*Request) []int {
 	}
 	var out []int
 	for i, r := range reqs {
-		if !r.isRecv || r.done || r.canceled {
+		if !r.isRecv || r.done {
 			continue
 		}
-		key := mailKey{comm: r.comm.id, dst: r.comm.group[r.comm.rank]}
+		key := mailKey{comm: r.comm.id, dst: c.r.rank}
 		if m := w.matchLocked(key, r.src, r.tag); m != nil {
 			r.comm.consumeLocked(m, r)
 			w.releaseLocked(m)
@@ -314,16 +303,6 @@ func (c *Comm) Waitsome(reqs []*Request) []int {
 		}
 	}
 	return out
-}
-
-// Cancel cancels a pending receive request that has not yet been matched.
-// Canceling a completed request is a no-op, as in MPI. Rank-local: the
-// request belongs to the calling rank.
-func (c *Comm) Cancel(req *Request) {
-	defer c.enter("MPI_Cancel()").exit()
-	if !req.done {
-		req.canceled = true
-	}
 }
 
 // Wtime returns the rank's virtual time in seconds (MPI_Wtime semantics).

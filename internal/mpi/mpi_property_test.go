@@ -328,11 +328,10 @@ func TestManySmallMessagesStress(t *testing.T) {
 }
 
 func TestReduceAllOpsAgainstFold(t *testing.T) {
-	ops := []Op{OpSum, OpMax, OpMin, OpProd}
+	ops := []Op{OpSum, OpMax}
 	folds := []func(a, b float64) float64{
 		func(a, b float64) float64 { return a + b },
-		math.Max, math.Min,
-		func(a, b float64) float64 { return a * b },
+		math.Max,
 	}
 	in := [][]float64{{2, -1}, {5, 3}, {-4, 0.5}}
 	for k, op := range ops {

@@ -35,12 +35,12 @@ package mpi
 // published: the last arriver computes the results — a pure function of
 // the contribution set — and a cost draw from a mirror of the shared
 // collective-cost RNG. When the draw's commit-order index is provably
-// pinned (no draw at all under zero noise, or a full-membership
-// communicator with every other communicator speculatively quiescent)
-// every member runs ahead without waiting for the commit automaton;
-// otherwise the draw is a provisional guess and members park under an
-// undo log holding the contribution set, which the commit replay either
-// validates (bitwise-equal leave time) or rolls back exactly.
+// pinned (no draw at all under zero noise, or every other communicator
+// speculatively quiescent) every member runs ahead without waiting for
+// the commit automaton; otherwise the draw is a provisional guess and
+// members park under an undo log holding the contribution set, which the
+// commit replay either validates (bitwise-equal leave time) or rolls back
+// exactly.
 
 import (
 	"fmt"
@@ -248,15 +248,10 @@ type optState struct {
 // published (speculative) arrival order — the same rendezvous collState
 // runs for the committed order, but advanced as arrivals are recorded
 // rather than replayed, so its generation counter is always at or ahead
-// of the committed one.
+// of the committed one. Its contribution table is handed to the
+// generation's events and undo logs, so each generation gets a new one.
 type specCollMirror struct {
-	gen      uint64
-	arrived  int
-	kind     collKind
-	op       Op
-	root     int
-	tmax     float64
-	contrib  [][]float64
+	collState
 	events   []*specEvent
 	mismatch bool
 }
@@ -417,7 +412,7 @@ func (c *Comm) recvEvent(kind evKind, op string, reqs []*Request) *specEvent {
 		ev.slots = ev.one[:0]
 	}
 	for i, q := range reqs {
-		if q.isRecv && !q.done && !q.canceled {
+		if q.isRecv && !q.done {
 			ev.slots = append(ev.slots, recvSlot{key: mailKey{comm: q.comm.id, dst: c.r.rank},
 				src: q.src, tag: q.tag, bufLen: len(q.buf), req: q, idx: i})
 			ev.wild = ev.wild || q.src == AnySource
@@ -754,9 +749,9 @@ func (o *optState) processLocked(ev *specEvent) bool {
 	panic(fmt.Sprintf("mpi: unknown speculative event kind %d", int(ev.kind)))
 }
 
-// processCollLocked replays a collective join for the committed order: it
-// mirrors collectiveLocked exactly, with the event's recorded entry clock
-// and contribution standing in for the rank's live state.
+// processCollLocked replays a collective join for the committed order:
+// collectiveLocked's join, with the event's recorded entry clock and
+// contribution standing in for the rank's live state.
 func (o *optState) processCollLocked(ev *specEvent) bool {
 	w := o.w
 	c := ev.comm
@@ -766,26 +761,13 @@ func (o *optState) processCollLocked(ev *specEvent) bool {
 		w.colls[c.id] = cs
 	}
 	if !ev.collJoined {
-		if cs.arrived == 0 {
-			cs.kind = ev.collKind
-			cs.op = ev.collOp
-			cs.root = ev.collRoot
-			cs.tmax = 0
-			cs.contrib = make([][]float64, len(c.group))
-		} else if cs.kind != ev.collKind || cs.root != ev.collRoot {
-			panic(fmt.Sprintf("mpi: collective mismatch on comm %d: rank %d issued %v(root=%d) while %v(root=%d) in flight",
-				c.id, c.rank, ev.collKind, ev.collRoot, cs.kind, cs.root))
-		}
 		ev.collGen = cs.gen
-		cs.arrived++
-		if ev.clock > cs.tmax {
-			cs.tmax = ev.clock
-		}
-		if ev.contrib != nil {
-			cs.contrib[c.rank] = ev.contrib
+		full, err := cs.join(c, ev.collKind, ev.collOp, ev.collRoot, ev.clock, ev.contrib)
+		if err != nil {
+			panic(err)
 		}
 		ev.collJoined = true
-		if cs.arrived == len(c.group) {
+		if full {
 			c.completeCollectiveLocked(cs)
 			o.noteCommitDrawLocked()
 		}
@@ -816,18 +798,10 @@ func (o *optState) processCollLocked(ev *specEvent) bool {
 		}
 		o.stats.Conflicts++
 		o.w.specInstant(ev.rank, "conflict", ev.op)
-		ev.collLeave = cs.lastLeave
-		if cs.lastResult != nil {
-			ev.collRes = cs.lastResult[c.rank]
-		}
-		ev.collID = cs.lastID
+		ev.collLeave, ev.collRes, ev.collID = cs.lastLeave, cs.lastResult, cs.lastID
 		ev.state = esConflict
 	default:
-		ev.collLeave = cs.lastLeave
-		if cs.lastResult != nil {
-			ev.collRes = cs.lastResult[c.rank]
-		}
-		ev.collID = cs.lastID
+		ev.collLeave, ev.collRes, ev.collID = cs.lastLeave, cs.lastResult, cs.lastID
 		ev.state = esResolved
 	}
 	return true
@@ -835,7 +809,7 @@ func (o *optState) processCollLocked(ev *specEvent) bool {
 
 // noteCommitDrawLocked records a committed collective completion's cost
 // draw and advances the speculative mirror RNG past completions it never
-// drew for (Dup/Create and other unspeculated generations), keeping
+// drew for (Dup and other unspeculated generations), keeping
 // specRng aligned with the committed w.rng stream.
 func (o *optState) noteCommitDrawLocked() {
 	if o.w.cfg.Net.NoiseSigma <= 0 {
@@ -974,7 +948,7 @@ func (c *Comm) optPostSend(key mailKey, tag int, data []float64, arrive float64)
 	defer w.mu.Unlock()
 	o := w.o
 	w.refillLocked(c.r, 1)
-	m := c.r.newMessage(c.rank, tag, data, arrive)
+	m := c.r.newMessage(c.r.rank, tag, data, arrive)
 	ev := c.r.newEvent(specEvent{kind: evSend, rank: c.r.rank, op: "MPI_Send()", comm: c, clock: c.r.Proc.Now(), sendKey: key, msg: m})
 	o.appendLocked(c.r.rank, ev)
 	box := o.pub[key]
@@ -1156,6 +1130,8 @@ func (c *Comm) optCollective(kind collKind, data []float64, root int, op Op) ([]
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	o := w.o
+	// The rank runs ahead of the commit replay that reads its
+	// contribution, so the event keeps a copy.
 	var contrib []float64
 	if data != nil {
 		contrib = make([]float64, len(data))
@@ -1204,9 +1180,7 @@ func (c *Comm) optCollective(kind collKind, data []float64, root int, op Op) ([]
 		// Re-execute from the committed truth: the contribution set in the
 		// undo log re-derives the exact result (only the cost draw could
 		// mismatch); the committed leave time replaces the predicted one.
-		if res, _ := collResults(ev.collKind, ev.collOp, ev.collRoot, len(c.group), undo.contrib); res[c.rank] != nil {
-			ev.collRes = res[c.rank]
-		}
+		ev.collRes, _ = collResult(ev.collKind, ev.collOp, ev.collRoot, undo.contrib)
 		ev.state = esResolved
 		c.r.Proc.SyncTo(ev.collLeave)
 	}
@@ -1223,24 +1197,14 @@ func (o *optState) specCollArriveLocked(c *Comm, ev *specEvent) {
 		o.mirror[c.id] = mir
 	}
 	if mir.arrived == 0 {
-		mir.kind, mir.op, mir.root = ev.collKind, ev.collOp, ev.collRoot
-		mir.tmax = 0
-		mir.contrib = make([][]float64, len(c.group))
 		mir.events = mir.events[:0]
 		mir.mismatch = false
-	} else if mir.kind != ev.collKind || mir.root != ev.collRoot {
-		// A program error; the commit replay raises the canonical panic.
-		mir.mismatch = true
 	}
-	mir.arrived++
-	if ev.clock > mir.tmax {
-		mir.tmax = ev.clock
-	}
-	if ev.contrib != nil {
-		mir.contrib[c.rank] = ev.contrib
-	}
+	full, err := mir.join(c, ev.collKind, ev.collOp, ev.collRoot, ev.clock, ev.contrib)
+	// A mismatch is a program error; the commit replay raises the panic.
+	mir.mismatch = mir.mismatch || err != nil
 	mir.events = append(mir.events, ev)
-	if mir.arrived == len(c.group) {
+	if full {
 		o.specCollCompleteLocked(c, mir)
 	}
 }
@@ -1251,14 +1215,14 @@ func (o *optState) specCollArriveLocked(c *Comm, ev *specEvent) {
 // the contribution set, and the leave time adds a cost draw from the
 // mirror RNG. The completion is provably exact — members run ahead of the
 // commit automaton — when the cost consumes no draw (NoiseSigma <= 0) or
-// when the draw's commit-order index is pinned: a full-membership
-// communicator (whose evColl events block every rank's stream behind this
-// generation), every other communicator speculatively quiescent, and
+// when the draw's commit-order index is pinned: every other communicator
+// speculatively quiescent (every communicator spans the world, so this
+// generation's evColl events block every rank's stream behind it), and
 // every speculated-but-uncommitted completion an earlier generation of
 // this same communicator (the draw-count equality). Otherwise the draw is
-// a provisional guess and members park for the commit verdict. Dup and
-// Create allocate a communicator id — order-sensitive shared state — and
-// stay strictly commit-ordered.
+// a provisional guess and members park for the commit verdict. Dup
+// allocates a communicator id — order-sensitive shared state — and stays
+// strictly commit-ordered.
 func (o *optState) specCollCompleteLocked(c *Comm, mir *specCollMirror) {
 	w := o.w
 	kind, op, root, tmax := mir.kind, mir.op, mir.root, mir.tmax
@@ -1271,12 +1235,12 @@ func (o *optState) specCollCompleteLocked(c *Comm, mir *specCollMirror) {
 	mir.gen++
 	mir.arrived = 0
 	mir.contrib = nil
-	if mismatch || kind == collDup || kind == collCreate {
+	if mismatch || kind == collDup {
 		return
 	}
 	exact := true
 	if w.cfg.Net.NoiseSigma > 0 {
-		exact = len(c.group) == w.cfg.Procs && o.specDraws == o.commitDraws+genAhead
+		exact = o.specDraws == o.commitDraws+genAhead
 		if exact {
 			// Order-independent boolean fold over the mirror: exact only if
 			// every other communicator is speculatively quiescent.
@@ -1295,8 +1259,8 @@ func (o *optState) specCollCompleteLocked(c *Comm, mir *specCollMirror) {
 			}
 		}
 	}
-	results, bytes := collResults(kind, op, root, len(c.group), contrib)
-	cost := w.cfg.Net.Collective(kind.netKind(), len(c.group), bytes, o.specRng)
+	result, bytes := collResult(kind, op, root, contrib)
+	cost := w.cfg.Net.Collective(kind.netKind(), len(contrib), bytes, o.specRng)
 	if w.cfg.Net.NoiseSigma > 0 {
 		o.specDraws++
 	}
@@ -1304,7 +1268,7 @@ func (o *optState) specCollCompleteLocked(c *Comm, mir *specCollMirror) {
 	for _, mev := range events {
 		mev.collRunAhead = exact
 		mev.collLeave = leave
-		mev.collRes = results[mev.comm.rank]
+		mev.collRes = result
 		mev.collSpecContrib = contrib
 		mev.collSpec = true
 	}

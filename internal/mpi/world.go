@@ -1,8 +1,10 @@
 // Package mpi implements the MPI-1 subset that CCAFFEINE's SCMD (Single
 // Component Multiple Data) execution model relies on, running over
 // goroutines inside one process: blocking and nonblocking point-to-point
-// (including MPI_Waitsome, the paper's hottest MPI call), collectives,
-// and communicator duplication/creation.
+// (including MPI_Waitsome, the paper's hottest MPI call), the collectives
+// Barrier, Allreduce, Bcast and Allgather, and communicator duplication:
+// the calls the case study, the benchmark and the scheduler tests make.
+// Every communicator spans the world.
 //
 // Each simulated rank owns a platform.Proc (virtual clock, cache, RNG) and
 // a tau.Profile; every MPI entry point is wrapped in a TAU timer of group
@@ -346,7 +348,7 @@ func (w *World) holdsLocked(r int) bool {
 		return d.cs.gen > d.gen
 	case d.reqs != nil:
 		for _, q := range d.reqs {
-			if q.isRecv && !q.done && !q.canceled && w.hasMatchLocked(mailKey{q.comm.id, r}, q.src, q.tag) {
+			if q.isRecv && !q.done && w.hasMatchLocked(mailKey{q.comm.id, r}, q.src, q.tag) {
 				return true
 			}
 		}
@@ -527,17 +529,13 @@ func NewWorld(cfg WorldConfig) *World {
 		w.slots = 1
 	}
 	w.cond = sync.NewCond(&w.mu)
-	group := make([]int, cfg.Procs)
-	for i := range group {
-		group[i] = i
-	}
 	for i := 0; i < cfg.Procs; i++ {
 		proc := platform.NewProc(i, cfg.CPU, cfg.Cache, cfg.Seed)
 		prof := tau.NewProfile(proc.Now)
 		prof.RegisterMetric("PAPI_L2_DCM", func() float64 { return float64(proc.Counters().L2DCM) })
 		prof.RegisterMetric("PAPI_FP_OPS", func() float64 { return float64(proc.Counters().FPOps) })
 		r := &Rank{world: w, rank: i, Proc: proc, Prof: prof}
-		r.Comm = &Comm{world: w, id: 0, rank: i, group: group, r: r}
+		r.Comm = &Comm{world: w, id: 0, r: r}
 		w.ranks = append(w.ranks, r)
 		w.status[i] = stReady
 	}

@@ -69,15 +69,11 @@ const (
 	// Barrier is a pure synchronization; costed as a dissemination
 	// barrier: ceil(log2 P) latency-only rounds.
 	Barrier CollectiveKind = iota
-	// Reduce and Allreduce move a fixed-size buffer up (and for Allreduce
-	// back down) a binomial tree.
-	Reduce
+	// Allreduce moves a fixed-size buffer up and back down a binomial tree.
 	Allreduce
 	// Bcast moves the buffer down a binomial tree.
 	Bcast
-	// Gather and Allgather aggregate per-rank contributions; the payload
-	// grows with P.
-	Gather
+	// Allgather aggregates per-rank contributions; the payload grows with P.
 	Allgather
 )
 
@@ -94,16 +90,14 @@ func (m Model) Collective(kind CollectiveKind, p, bytes int, rng *rand.Rand) flo
 	rounds := float64(ceilLog2(p))
 	var base float64
 	switch kind {
-	case Barrier:
-		base = rounds * m.LatencyUS
-	case Reduce, Bcast:
+	case Bcast:
 		base = rounds * (m.LatencyUS + float64(bytes)/m.BytesPerUS)
 	case Allreduce:
 		base = 2 * rounds * (m.LatencyUS + float64(bytes)/m.BytesPerUS)
-	case Gather, Allgather:
+	case Allgather:
 		// Ring-style: P-1 steps each moving one contribution.
 		base = float64(p-1) * (m.LatencyUS + float64(bytes)/m.BytesPerUS)
-	default:
+	default: // Barrier
 		base = rounds * m.LatencyUS
 	}
 	return base * m.noise(rng)

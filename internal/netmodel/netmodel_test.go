@@ -97,9 +97,6 @@ func TestCollectiveShapes(t *testing.T) {
 	if got := m.Collective(Barrier, 4, 0, nil); got != 20 {
 		t.Errorf("Barrier(4) = %g, want 20", got)
 	}
-	if got := m.Collective(Reduce, 4, 1000, nil); got != 40 {
-		t.Errorf("Reduce(4,1000) = %g, want 40", got)
-	}
 	if got := m.Collective(Allreduce, 4, 1000, nil); got != 80 {
 		t.Errorf("Allreduce(4,1000) = %g, want 80", got)
 	}
@@ -139,7 +136,7 @@ func TestPropertyMonotoneInSize(t *testing.T) {
 // Property: collective cost is monotone in P for every kind.
 func TestPropertyCollectiveMonotoneInP(t *testing.T) {
 	m := FastEthernet()
-	kinds := []CollectiveKind{Barrier, Reduce, Allreduce, Bcast, Gather, Allgather}
+	kinds := []CollectiveKind{Barrier, Allreduce, Bcast, Allgather}
 	for _, k := range kinds {
 		prev := 0.0
 		for p := 1; p <= 64; p *= 2 {
