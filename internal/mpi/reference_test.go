@@ -2,10 +2,8 @@ package mpi
 
 import (
 	"bufio"
-	"bytes"
 	"crypto/sha256"
 	"encoding/binary"
-	"encoding/gob"
 	"encoding/hex"
 	"flag"
 	"fmt"
@@ -13,19 +11,11 @@ import (
 	"os"
 	"strings"
 	"testing"
-
-	"repro/internal/tau"
 )
 
 var update = flag.Bool("update", false, "rewrite testdata/sched_reference.txt from the serial scheduler")
 
 const referenceFile = "testdata/sched_reference.txt"
-
-// gob numbers types process-wide in the order it first meets them, and the
-// numbers are part of the encoded bytes. Encoding a profile before any test
-// runs makes tau's wire types the first gob types of this test binary, so a
-// profile's gob bytes — and the digests below — do not depend on test order.
-var _ = gob.NewEncoder(new(bytes.Buffer)).Encode(tau.NewProfile(func() float64 { return 0 }))
 
 // referenceScheds are the scheduler configurations held to the reference
 // digests, as FormatSched tokens.
@@ -73,7 +63,7 @@ func referenceCases() []referenceCase {
 }
 
 // digest hashes everything assertTracesEqual compares: clock bits,
-// counters, gob'd TAU profiles and receive logs, rank by rank.
+// counters, rendered TAU profiles and receive logs, rank by rank.
 func (tr worldTrace) digest() string {
 	h := sha256.New()
 	for r := range tr.clocks {
@@ -125,7 +115,7 @@ func TestSchedulerReferenceDigests(t *testing.T) {
 	cases := referenceCases()
 	if *update {
 		var sb strings.Builder
-		sb.WriteString("# body seed procs sha256(clock bits, counters, gob'd TAU profiles, receive logs)\n")
+		sb.WriteString("# body seed procs sha256(clock bits, counters, TAU timers (name, group, calls, incl and excl bits), receive logs)\n")
 		for _, c := range cases {
 			fmt.Fprintf(&sb, "%s %s\n", c.key(), runTraced(t, c.cfg, c.run).digest())
 		}

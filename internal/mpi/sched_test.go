@@ -2,7 +2,6 @@ package mpi
 
 import (
 	"bytes"
-	"encoding/gob"
 	"fmt"
 	"math"
 	"math/rand"
@@ -10,6 +9,8 @@ import (
 	"strings"
 	"sync/atomic"
 	"testing"
+
+	"repro/internal/tau"
 )
 
 // parConfig returns testConfig with the conservative parallel scheduler.
@@ -27,7 +28,7 @@ func optConfig(p int) WorldConfig {
 }
 
 // worldTrace is everything a scheduler-equivalence test compares: the
-// per-rank final clocks and counters, the gob-serialized TAU profiles
+// per-rank final clocks and counters, the rendered TAU profiles
 // (bit-for-bit), and an application-level receive log.
 type worldTrace struct {
 	clocks   []float64
@@ -57,13 +58,21 @@ func traceWorld(t *testing.T, w *World, body func(r *Rank, log *[]string)) world
 	for _, r := range w.Ranks() {
 		tr.clocks = append(tr.clocks, r.Proc.Now())
 		tr.counters = append(tr.counters, fmt.Sprintf("%+v", r.Proc.Counters()))
-		var buf bytes.Buffer
-		if err := gob.NewEncoder(&buf).Encode(r.Prof); err != nil {
-			t.Fatal(err)
-		}
-		tr.profiles = append(tr.profiles, buf.Bytes())
+		tr.profiles = append(tr.profiles, renderProfile(r.Prof))
 	}
 	return tr
+}
+
+// renderProfile writes a finished profile's timers in registration order:
+// name, group, calls, and the float bits of inclusive and exclusive wall
+// time, one timer a line.
+func renderProfile(p *tau.Profile) []byte {
+	var buf bytes.Buffer
+	for _, tm := range p.Timers() {
+		fmt.Fprintf(&buf, "%s\t%s\t%d\t%016x\t%016x\n", tm.Name(), tm.Group(), tm.Calls(),
+			math.Float64bits(tm.Inclusive()), math.Float64bits(tm.Exclusive()))
+	}
+	return buf.Bytes()
 }
 
 // assertTracesEqual compares a serial and a parallel trace bit for bit.
@@ -77,7 +86,7 @@ func assertTracesEqual(t *testing.T, serial, par worldTrace) {
 			t.Errorf("rank %d: counters %s (serial) != %s (parallel)", r, serial.counters[r], par.counters[r])
 		}
 		if !bytes.Equal(serial.profiles[r], par.profiles[r]) {
-			t.Errorf("rank %d: serialized TAU profile differs between schedulers", r)
+			t.Errorf("rank %d: rendered TAU profile differs between schedulers", r)
 		}
 		if fmt.Sprint(serial.log[r]) != fmt.Sprint(par.log[r]) {
 			t.Errorf("rank %d: receive log differs:\nserial:   %v\nparallel: %v", r, serial.log[r], par.log[r])
