@@ -131,7 +131,7 @@ func resolveFlags(args []string) (*options, error) {
 	fs.StringVar(&o.cache, "cache", "auto", `checkpoint store directory ("auto" = <out>/.cache, "off" disables)`)
 	fs.StringVar(&axis, "axis", "cache_kb", "trend grid axis for -fig trend: cache_kb | cpu_clock")
 	fs.StringVar(&trValues, "trendvalues", "", "comma-separated -axis values for -fig trend (cache sizes in kB, or CPU clock scales); empty = the axis's defaults")
-	fs.StringVar(&rankmode, "rankmode", "serial", "rank scheduler: serial | par (conservative) | opt (optimistic/Time Warp); par<N> or opt<N> runs at most N ranks at once. Output is bit-identical under every value; each checkpoints separately")
+	fs.StringVar(&rankmode, "rankmode", "serial", "rank scheduler: serial | par (conservative) | opt (optimistic/Time Warp); par<N> or opt<N> runs at most N ranks at once. Output is bit-identical under every value, and a store filled under one serves them all")
 	fs.BoolVar(&o.distrib, "distributed", false, "partition the job set with other -distributed processes sharing the same -cache store via lease files (no coordinator); requires a store")
 	fs.StringVar(&o.owner, "owner", "", "stable worker identity for -distributed lease and audit files (default: host-pid)")
 	fs.DurationVar(&o.ttl, "leasettl", 0, "lease heartbeat expiry for -distributed; a crashed worker's jobs are stolen after this (0 = 30s default)")

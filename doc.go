@@ -11,8 +11,8 @@
 //     Barrier, Allreduce, Bcast, Allgather, Comm_dup over world-spanning
 //     communicators), running P simulated ranks over goroutines with
 //     deterministic virtual clocks;
-//   - a TAU-style measurement library (timers, groups, events, hardware
-//     counters, profile dumps);
+//   - a TAU-style measurement library (wall-clock timers, groups, hardware
+//     counter queries, the Fig. 3 FUNCTION SUMMARY);
 //   - the paper's PMM infrastructure: proxies, the Mastermind, its record
 //     objects, call-trace capture. The proxies are generated (cmd/proxygen)
 //     from the //pmm:monitor directives on internal/components/ports.go's

@@ -93,7 +93,6 @@ func (a *AdaptiveFlux) Compute(qL, qR, flux *euler.EdgeField) int {
 	}
 	if a.violations >= win {
 		a.switched = true
-		ctx.Prof.TriggerEvent("AdaptiveFlux switch", q)
 	}
 	return iters
 }

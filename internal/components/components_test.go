@@ -10,6 +10,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/euler"
 	"repro/internal/mpi"
+	"repro/internal/tau"
 )
 
 // smallAppConfig is a fast 3-rank case study for tests.
@@ -134,15 +135,15 @@ func TestCaseStudyRunsAndRecords(t *testing.T) {
 		"MPI_Allreduce()", "MPI_Finalize()", "sc_proxy::compute()",
 	} {
 		tm := prof.Lookup(name)
-		if tm == nil || tm.Calls() == 0 {
+		if tm == nil || tm.Calls == 0 {
 			t.Errorf("profile missing timer %q", name)
 		}
 	}
 	// main must be the top inclusive timer.
 	main := prof.Lookup("int main(int, char **)")
-	for _, tm := range prof.Timers() {
-		if tm.Inclusive() > main.Inclusive()+1e-9 {
-			t.Errorf("timer %s (%g us) exceeds main (%g us)", tm.Name(), tm.Inclusive(), main.Inclusive())
+	for _, tm := range timers(t, prof) {
+		if tm.InclUS > main.InclUS+1e-9 {
+			t.Errorf("timer %s (%g us) exceeds main (%g us)", tm.Name, tm.InclUS, main.InclUS)
 		}
 	}
 }
@@ -225,6 +226,16 @@ func TestCallTraceCapturesWiring(t *testing.T) {
 	}
 }
 
+// timers copies a finished profile's timers.
+func timers(t *testing.T, p *tau.Profile) []tau.Timer {
+	t.Helper()
+	tab, err := p.Timers()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return tab
+}
+
 func TestWaitsomeDominatesMPI(t *testing.T) {
 	// The Fig. 3 shape: MPI_Waitsome is the largest MPI row.
 	_, w := runApp(t, smallAppConfig(), 3)
@@ -233,13 +244,13 @@ func TestWaitsomeDominatesMPI(t *testing.T) {
 	if ws == nil {
 		t.Fatal("no MPI_Waitsome timer")
 	}
-	for _, tm := range prof.Timers() {
-		if tm.Group() != "MPI" || tm.Name() == "MPI_Waitsome()" ||
-			tm.Name() == "MPI_Init()" || tm.Name() == "MPI_Finalize()" {
+	for _, tm := range timers(t, prof) {
+		if tm.Group != "MPI" || tm.Name == "MPI_Waitsome()" ||
+			tm.Name == "MPI_Init()" || tm.Name == "MPI_Finalize()" {
 			continue
 		}
-		if tm.Inclusive() > ws.Inclusive() {
-			t.Errorf("%s (%g us) exceeds MPI_Waitsome (%g us)", tm.Name(), tm.Inclusive(), ws.Inclusive())
+		if tm.InclUS > ws.InclUS {
+			t.Errorf("%s (%g us) exceeds MPI_Waitsome (%g us)", tm.Name, tm.InclUS, ws.InclUS)
 		}
 	}
 }

@@ -29,16 +29,6 @@ func (t *TauMeasurement) StartTimer(name, group string) { t.svc.Context().Prof.S
 // StopTimer implements core.MeasurementPort.
 func (t *TauMeasurement) StopTimer(name string) { t.svc.Context().Prof.Stop(name) }
 
-// SetGroupEnabled implements core.MeasurementPort.
-func (t *TauMeasurement) SetGroupEnabled(group string, enabled bool) {
-	t.svc.Context().Prof.SetGroupEnabled(group, enabled)
-}
-
-// TriggerEvent implements core.MeasurementPort.
-func (t *TauMeasurement) TriggerEvent(name string, value float64) {
-	t.svc.Context().Prof.TriggerEvent(name, value)
-}
-
 // MetricNames implements core.MeasurementPort.
 func (t *TauMeasurement) MetricNames() []string { return t.svc.Context().Prof.MetricNames() }
 

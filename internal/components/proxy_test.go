@@ -87,8 +87,6 @@ func (m *streamMeas) StartTimer(name, _ string) {
 }
 
 func (m *streamMeas) StopTimer(name string)         { m.s.add("stop %s", name) }
-func (m *streamMeas) SetGroupEnabled(string, bool)  {}
-func (m *streamMeas) TriggerEvent(string, float64)  {}
 func (m *streamMeas) MetricNames() []string         { return []string{"WALL_CLOCK"} }
 func (m *streamMeas) QueryMetrics() []float64       { return []float64{0} }
 func (m *streamMeas) GroupInclusive(string) float64 { return 0 }

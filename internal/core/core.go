@@ -4,7 +4,7 @@
 // built from —
 //
 //   - MeasurementPort, the generic performance-component interface the TAU
-//     component provides (timing, events, control, query);
+//     component provides (timing and query);
 //   - MonitorPort, the port a proxy opens its record objects on, one per
 //     monitored method, and reports the call trace to;
 //
@@ -22,19 +22,13 @@ import (
 	"strconv"
 )
 
-// MeasurementPort is the generic performance-measurement interface of the
-// paper's §4.1 TAU component: timing, atomic events, timer-group control
-// and measurement query.
+// MeasurementPort is the part of the paper's §4.1 TAU component interface
+// that the Mastermind calls: timing and measurement query.
 type MeasurementPort interface {
 	// StartTimer starts (creating if needed) the named timer in a group.
 	StartTimer(name, group string)
 	// StopTimer stops the named timer (must be the innermost running one).
 	StopTimer(name string)
-	// SetGroupEnabled enables or disables all timers of a group at
-	// runtime (e.g. the MPI group).
-	SetGroupEnabled(group string, enabled bool)
-	// TriggerEvent records an occurrence of a named atomic event.
-	TriggerEvent(name string, value float64)
 	// MetricNames lists the measured metrics; index 0 is wall-clock.
 	MetricNames() []string
 	// QueryMetrics returns the current cumulative value of every metric

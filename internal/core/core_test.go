@@ -15,17 +15,14 @@ type fakeMeas struct {
 	flops   float64
 	started []string
 	stopped []string
-	events  map[string]float64
 }
 
-func newFakeMeas() *fakeMeas { return &fakeMeas{events: map[string]float64{}} }
+func newFakeMeas() *fakeMeas { return &fakeMeas{} }
 
-func (f *fakeMeas) StartTimer(name, group string)    { f.started = append(f.started, name) }
-func (f *fakeMeas) StopTimer(name string)            { f.stopped = append(f.stopped, name) }
-func (f *fakeMeas) SetGroupEnabled(string, bool)     {}
-func (f *fakeMeas) TriggerEvent(n string, v float64) { f.events[n] += v }
-func (f *fakeMeas) MetricNames() []string            { return []string{"WALL_CLOCK", "PAPI_FP_OPS"} }
-func (f *fakeMeas) QueryMetrics() []float64          { return []float64{f.now, f.flops} }
+func (f *fakeMeas) StartTimer(name, group string) { f.started = append(f.started, name) }
+func (f *fakeMeas) StopTimer(name string)         { f.stopped = append(f.stopped, name) }
+func (f *fakeMeas) MetricNames() []string         { return []string{"WALL_CLOCK", "PAPI_FP_OPS"} }
+func (f *fakeMeas) QueryMetrics() []float64       { return []float64{f.now, f.flops} }
 func (f *fakeMeas) GroupInclusive(group string) float64 {
 	if group == "MPI" {
 		return f.mpi
@@ -259,8 +256,6 @@ type quietMeas struct{ metrics [2]float64 }
 
 func (q *quietMeas) StartTimer(string, string)     {}
 func (q *quietMeas) StopTimer(string)              {}
-func (q *quietMeas) SetGroupEnabled(string, bool)  {}
-func (q *quietMeas) TriggerEvent(string, float64)  {}
 func (q *quietMeas) MetricNames() []string         { return []string{"WALL_CLOCK", "PAPI_FP_OPS"} }
 func (q *quietMeas) QueryMetrics() []float64       { q.metrics[0]++; return q.metrics[:] }
 func (q *quietMeas) GroupInclusive(string) float64 { return 0 }

@@ -13,7 +13,7 @@ import (
 // for its measurement (a *SweepResult or a *CaseStudyResult), so a
 // campaign.Config with a Store resumes interrupted runs without
 // re-executing finished jobs. Payloads round-trip exactly — gob writes
-// float64 bits verbatim and tau.Profile implements GobEncoder — and hold
+// float64 bits verbatim, and a profile is plain tau.Timer values — and hold
 // no map and no interface, so one measurement always encodes to the same
 // bytes and no concrete type needs registering with gob.
 
@@ -22,7 +22,7 @@ import (
 // or a payload type changes (testdata/payload_schema.txt pins the payload
 // types to it), so stale store entries stop matching and the store
 // refills.
-const checkpointVersion = "harness-ckpt-v6"
+const checkpointVersion = "harness-ckpt-v7"
 
 // jobHash fingerprints a job kind plus its full configuration.
 func jobHash(kind string, cfgs ...any) string {

@@ -15,7 +15,8 @@ import (
 // TestServedFitMatchesFitModels pins the one-fitter contract: resultsd,
 // serving a sweep's rows from either shard format under the key the
 // figures command uses, fits the same mean and sigma models FitModels does,
-// coefficient for coefficient and bit for bit.
+// and the same cache-aware model T = c0 + c1·Q + c2·DCM that CacheAwareFit
+// writes to fig*_model.txt, coefficient for coefficient and bit for bit.
 func TestServedFitMatchesFitModels(t *testing.T) {
 	t.Parallel()
 	_, sweeps, models := sharedFixtures(t)
@@ -70,6 +71,20 @@ func TestServedFitMatchesFitModels(t *testing.T) {
 			got := map[string][]serve.Coefficient{}
 			for _, c := range body.Scenarios[0].Backends[0].Coefficients {
 				got[c.Model] = append(got[c.Model], c)
+			}
+			ml, _, _, err := CacheAwareFit(sweeps[k].Rows())
+			if err != nil {
+				t.Fatal(err)
+			}
+			multi := got["multi"]
+			if want := append([]string{"c0"}, ml.Names...); len(multi) != len(want) {
+				t.Errorf("%s %s multi: served %v, CacheAwareFit %s", format, k, multi, ml)
+			} else {
+				for i, c := range multi {
+					if c.Name != want[i] || math.Float64bits(c.Value) != math.Float64bits(ml.Coeffs[i]) {
+						t.Errorf("%s %s multi %s = %v served, CacheAwareFit %s = %v", format, k, c.Name, c.Value, want[i], ml.Coeffs[i])
+					}
+				}
 			}
 			for _, part := range []struct {
 				model string

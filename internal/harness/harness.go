@@ -54,8 +54,9 @@ func DefaultCaseStudy() CaseStudyConfig {
 // CaseStudyResult collects everything the figures need from one run.
 type CaseStudyResult struct {
 	Config CaseStudyConfig
-	// Profiles holds one TAU profile per rank.
-	Profiles []*tau.Profile
+	// Profiles holds each rank's TAU timers, in registration order, copied
+	// when the run ends.
+	Profiles [][]tau.Timer
 	// Records holds each rank's Mastermind records (nil if unmonitored).
 	Records [][]*core.Record
 	// Edges is rank 0's recorded call trace, one weighted edge per
@@ -118,13 +119,19 @@ func RunCaseStudy(cfg CaseStudyConfig) (*CaseStudyResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	res.Profiles = w.Profiles()
+	for _, p := range w.Profiles() {
+		timers, err := p.Timers()
+		if err != nil {
+			return nil, err
+		}
+		res.Profiles = append(res.Profiles, timers)
+	}
 	return res, nil
 }
 
 // MeanSummary computes the cross-rank FUNCTION SUMMARY rows (Fig. 3).
 func (r *CaseStudyResult) MeanSummary() []tau.SummaryRow {
-	return tau.MeanSummary(r.Profiles)
+	return tau.MeanSummary(r.Profiles...)
 }
 
 // WriteProfile writes the Fig. 3 table.

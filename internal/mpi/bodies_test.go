@@ -172,7 +172,9 @@ func BenchmarkWorldRun(b *testing.B) {
 // start in one of them does not fail the test. An opt world's messages and events are recycled only
 // once the commit automaton is past them, so its count grows with how far
 // ranks run ahead: ghost opt read 1,153 allocations at GOMAXPROCS 1 and up
-// to 1,255 at 4 and 16 on 2 cores.
+// to 1,255 at 4 and 16 on 2 cores. With TAU timers reading only the clock
+// and opt's payloads cut from shared chunks, ghost reads 785 serial and
+// 813 opt at GOMAXPROCS 1, 844-848 opt at 2 and 4.
 func TestWorldRunAllocationBudget(t *testing.T) {
 	type budget struct{ allocs, bytes uint64 }
 	bodies := []struct {

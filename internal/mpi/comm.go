@@ -115,7 +115,6 @@ func (c *Comm) postSend(dst, tag int, data []float64) {
 	} else {
 		c.r.pending = append(c.r.pending, pendingSend{key: key, msg: c.r.newMessage(c.r.rank, tag, data, arrive)})
 	}
-	c.r.Prof.TriggerEvent("Message size sent", float64(bytesOf(len(data))))
 }
 
 // consume completes a matched receive: the receiver's clock advances to the
@@ -132,7 +131,6 @@ func (c *Comm) consumeLocked(m *message, req *Request) {
 	c.r.Proc.Advance(copyUS)
 	req.n = n
 	req.done = true
-	c.r.Prof.TriggerEvent("Message size received", float64(bytesOf(n)))
 }
 
 // copyBytesPerUS is the memory-copy bandwidth used for landing received

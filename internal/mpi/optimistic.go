@@ -17,7 +17,7 @@ package mpi
 // scheduling points the serial scheduler would take. Speculative outcomes
 // that match the committed truth resolve; mismatches mark the event
 // conflicted, and the owning rank rolls back (processor clock and counters,
-// RNG stream, TAU events, request state) and re-executes from the committed
+// RNG stream, request state) and re-executes from the committed
 // truth before its MPI call returns.
 //
 // Because every MPI operation returns only exact serial-equal results, rank
@@ -49,7 +49,6 @@ import (
 
 	"repro/internal/obs"
 	"repro/internal/platform"
-	"repro/internal/tau"
 )
 
 // specWindow caps how many recorded events a rank's stream may run ahead of
@@ -241,6 +240,9 @@ type optState struct {
 	specDraws   uint64
 	commitDraws uint64
 
+	// payloads is the rest of the chunk carveLocked cuts payloads from.
+	payloads []float64
+
 	stats SpecStats
 }
 
@@ -289,16 +291,15 @@ type reqUndo struct {
 
 // specUndo is the undo log one speculative operation records before
 // tentatively consuming anything: processor state (clock, counters, RNG
-// position), TAU events, request state and the published messages it marked
+// position), request state and the published messages it marked
 // taken — and no copy of the cache directory: package mpi never accesses the
 // cache, and a speculating rank stays parked inside its MPI call until the
 // verdict, so no line can move before a rollback (which checks exactly that).
 // A rank has one speculation open at a time: the log lives on the Rank.
 type specUndo struct {
-	proc   platform.ProcState
-	events tau.EventsCheckpoint
-	reqs   []reqUndo
-	taken  []*message
+	proc  platform.ProcState
+	reqs  []reqUndo
+	taken []*message
 	// contrib is the contribution set a speculative collective consumed,
 	// recorded so a conflicting commit-order replay re-derives the exact
 	// result from the same inputs instead of trusting speculative state.
@@ -311,7 +312,6 @@ type specUndo struct {
 func (r *Rank) specCheckpointLocked(slots []recvSlot) *specUndo {
 	u := &r.undo
 	u.proc = r.Proc.Checkpoint()
-	r.Prof.CheckpointEvents(&u.events)
 	u.taken, u.contrib = u.taken[:0], nil
 	// The entries, and their buffer copies' storage, are those of earlier
 	// speculations wherever there were as many.
@@ -324,7 +324,7 @@ func (r *Rank) specCheckpointLocked(slots []recvSlot) *specUndo {
 }
 
 // rollbackLocked rewinds the rank to the undo log's checkpoint: virtual
-// clock, counters, RNG stream position, TAU events, request state;
+// clock, counters, RNG stream position, request state;
 // tentatively taken messages return to the published pool. The cache
 // directory needs no rewinding while the region accessed nothing, which the
 // cache's counters prove; one that did is a bug, and panics here.
@@ -334,7 +334,6 @@ func (r *Rank) rollbackLocked(u *specUndo) {
 			r.rank, u.proc.CacheStats, got))
 	}
 	r.Proc.Restore(u.proc)
-	r.Prof.RestoreEvents(u.events)
 	for _, ru := range u.reqs {
 		ru.req.done = ru.done
 		ru.req.n = ru.n
@@ -959,6 +958,28 @@ func (c *Comm) optPostSend(key mailKey, tag int, data []float64, arrive float64)
 	o.pub[key] = append(box, m)
 	o.stats.PublishedSends++
 	w.cond.Broadcast() // a parked receiver may now have a published match
+}
+
+// payloadChunk is the size, in floats, of the chunks carveLocked cuts
+// message payloads from.
+const payloadChunk = 1024
+
+// carveLocked returns empty storage for an n-float message payload. Ranks
+// publish sends well ahead of the commit frontier behind which messages are
+// recycled, so an optimistic world holds two to three times the live
+// messages of a serial one; cutting their payloads from shared chunks pays
+// for many with one allocation, and a payload longer than a chunk gets its
+// own. Caller holds w.mu.
+func (o *optState) carveLocked(n int) []float64 {
+	if n > payloadChunk {
+		return make([]float64, 0, n)
+	}
+	if len(o.payloads) < n {
+		o.payloads = make([]float64, payloadChunk)
+	}
+	buf := o.payloads[:0:n]
+	o.payloads = o.payloads[n:]
+	return buf
 }
 
 // optCompleteRecvs completes the pending receives in reqs in posting order:

@@ -73,8 +73,8 @@ func TestOptimisticForcedConflict(t *testing.T) {
 }
 
 // TestRollbackRestoresRankState drives a rank's undo log directly: after a
-// checkpoint, the rank advances its clock, charges FLOPs, draws from its RNG,
-// triggers TAU events and completes a request; rollback must rewind every one
+// checkpoint, the rank advances its clock, charges FLOPs, draws from its RNG
+// and completes a request; rollback must rewind every one
 // of those exactly, and re-execution must reproduce the discarded RNG draws
 // bit for bit. The region does not touch the cache — no speculative region
 // can, the rank is parked inside its MPI call — so the directory and its
@@ -88,7 +88,6 @@ func TestRollbackRestoresRankState(t *testing.T) {
 	r.Proc.Advance(7)
 	base := r.Proc.Alloc(4096)
 	r.Proc.ChargeStream(base, 64, 8)
-	r.Prof.TriggerEvent("Message size received", 80)
 	for i := 0; i < 5; i++ {
 		r.Proc.RNG().Float64()
 	}
@@ -97,19 +96,16 @@ func TestRollbackRestoresRankState(t *testing.T) {
 	undo := r.specCheckpointLocked([]recvSlot{{req: req}})
 	wantClock := r.Proc.Now()
 	wantCounters := r.Proc.Counters()
-	wantEvent := *r.Prof.Event("Message size received")
 	taken := &message{src: 0, tag: 1, taken: true}
 	undo.taken = append(undo.taken, taken)
 
-	// Speculative damage: clock, FLOPs, RNG, TAU events, request.
+	// Speculative damage: clock, FLOPs, RNG, request.
 	r.Proc.Advance(123.5)
 	r.Proc.ChargeFlops(999)
 	var speculativeDraws []float64
 	for i := 0; i < 4; i++ {
 		speculativeDraws = append(speculativeDraws, r.Proc.RNG().NormFloat64())
 	}
-	r.Prof.TriggerEvent("Message size received", 640)
-	r.Prof.TriggerEvent("Message size sent", 8)
 	req.done = true
 	req.n = 3
 	copy(req.buf, []float64{9, 9, 9})
@@ -124,12 +120,6 @@ func TestRollbackRestoresRankState(t *testing.T) {
 	}
 	if !r.Proc.Cache().Resident(base) {
 		t.Error("a line resident at the checkpoint is gone after rollback")
-	}
-	if e := *r.Prof.Event("Message size received"); e != wantEvent {
-		t.Errorf("TAU event not rewound: got %+v, want %+v", e, wantEvent)
-	}
-	if r.Prof.Event("Message size sent") != nil {
-		t.Error("TAU event created during speculation must be removed")
 	}
 	if req.done || req.n != 0 || req.buf[0] != 1 || req.buf[2] != 3 {
 		t.Errorf("request not restored: %+v buf=%v", req, req.buf)

@@ -58,7 +58,7 @@ func traceWorld(t *testing.T, w *World, body func(r *Rank, log *[]string)) world
 	for _, r := range w.Ranks() {
 		tr.clocks = append(tr.clocks, r.Proc.Now())
 		tr.counters = append(tr.counters, fmt.Sprintf("%+v", r.Proc.Counters()))
-		tr.profiles = append(tr.profiles, renderProfile(r.Prof))
+		tr.profiles = append(tr.profiles, renderProfile(t, r.Prof))
 	}
 	return tr
 }
@@ -66,11 +66,16 @@ func traceWorld(t *testing.T, w *World, body func(r *Rank, log *[]string)) world
 // renderProfile writes a finished profile's timers in registration order:
 // name, group, calls, and the float bits of inclusive and exclusive wall
 // time, one timer a line.
-func renderProfile(p *tau.Profile) []byte {
+func renderProfile(t *testing.T, p *tau.Profile) []byte {
+	t.Helper()
+	timers, err := p.Timers()
+	if err != nil {
+		t.Fatal(err)
+	}
 	var buf bytes.Buffer
-	for _, tm := range p.Timers() {
-		fmt.Fprintf(&buf, "%s\t%s\t%d\t%016x\t%016x\n", tm.Name(), tm.Group(), tm.Calls(),
-			math.Float64bits(tm.Inclusive()), math.Float64bits(tm.Exclusive()))
+	for _, tm := range timers {
+		fmt.Fprintf(&buf, "%s\t%s\t%d\t%016x\t%016x\n", tm.Name, tm.Group, tm.Calls,
+			math.Float64bits(tm.InclUS), math.Float64bits(tm.ExclUS))
 	}
 	return buf.Bytes()
 }

@@ -266,7 +266,8 @@ func PoisonReleasedMessages() (undo func()) {
 const messagePoisonBits = 0x7ff4_dead_beef_0bad
 
 // newMessage returns the rank's next outgoing message, taken from its free
-// list when that holds one and carved from its slab of 16 otherwise.
+// list when that holds one and carved from its slab of 16 otherwise; an
+// optimistic world also carves payload storage (optState.carveLocked).
 // Owner-rank access only.
 func (r *Rank) newMessage(src, tag int, data []float64, arrive float64) *message {
 	var m *message
@@ -278,7 +279,11 @@ func (r *Rank) newMessage(src, tag int, data []float64, arrive float64) *message
 		}
 		m, r.msgSlab = &r.msgSlab[0], r.msgSlab[1:]
 	}
-	*m = message{src: src, tag: tag, data: append(m.data[:0], data...), arrive: arrive}
+	buf := m.data[:0]
+	if cap(buf) < len(data) && r.world.opt {
+		buf = r.world.o.carveLocked(len(data)) // an optimistic send holds w.mu
+	}
+	*m = message{src: src, tag: tag, data: append(buf, data...), arrive: arrive}
 	return m
 }
 

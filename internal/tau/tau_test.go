@@ -1,7 +1,10 @@
 package tau
 
 import (
+	"bytes"
+	"encoding/gob"
 	"math"
+	"reflect"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -17,6 +20,16 @@ func newProfile() (*Profile, *fakeClock) {
 	return NewProfile(c.now), c
 }
 
+// table copies a finished profile's timers.
+func table(t *testing.T, p *Profile) []Timer {
+	t.Helper()
+	tab, err := p.Timers()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return tab
+}
+
 func TestBasicStartStop(t *testing.T) {
 	p, c := newProfile()
 	p.Start("main()", "APP")
@@ -26,13 +39,13 @@ func TestBasicStartStop(t *testing.T) {
 	if tm == nil {
 		t.Fatal("timer not created")
 	}
-	if tm.Inclusive() != 100 || tm.Exclusive() != 100 {
-		t.Errorf("incl/excl = %g/%g, want 100/100", tm.Inclusive(), tm.Exclusive())
+	if tm.InclUS != 100 || tm.ExclUS != 100 {
+		t.Errorf("incl/excl = %g/%g, want 100/100", tm.InclUS, tm.ExclUS)
 	}
-	if tm.Calls() != 1 {
-		t.Errorf("calls = %d, want 1", tm.Calls())
+	if tm.Calls != 1 {
+		t.Errorf("calls = %d, want 1", tm.Calls)
 	}
-	if got := tm.MicrosPerCall(); got != 100 {
+	if got := MeanSummary(table(t, p))[0].MicrosPerCall; got != 100 {
 		t.Errorf("us/call = %g, want 100", got)
 	}
 }
@@ -48,14 +61,14 @@ func TestNestedExclusive(t *testing.T) {
 	p.Stop("outer")
 
 	outer, inner := p.Lookup("outer"), p.Lookup("inner")
-	if outer.Inclusive() != 45 {
-		t.Errorf("outer inclusive = %g, want 45", outer.Inclusive())
+	if outer.InclUS != 45 {
+		t.Errorf("outer inclusive = %g, want 45", outer.InclUS)
 	}
-	if outer.Exclusive() != 15 {
-		t.Errorf("outer exclusive = %g, want 15", outer.Exclusive())
+	if outer.ExclUS != 15 {
+		t.Errorf("outer exclusive = %g, want 15", outer.ExclUS)
 	}
-	if inner.Inclusive() != 30 || inner.Exclusive() != 30 {
-		t.Errorf("inner incl/excl = %g/%g, want 30/30", inner.Inclusive(), inner.Exclusive())
+	if inner.InclUS != 30 || inner.ExclUS != 30 {
+		t.Errorf("inner incl/excl = %g/%g, want 30/30", inner.InclUS, inner.ExclUS)
 	}
 }
 
@@ -69,14 +82,14 @@ func TestRecursiveTimerCountsOutermostInclusive(t *testing.T) {
 	c.tick(10)
 	p.Stop("rec")
 	tm := p.Lookup("rec")
-	if tm.Inclusive() != 40 {
-		t.Errorf("recursive inclusive = %g, want 40 (outermost only)", tm.Inclusive())
+	if tm.InclUS != 40 {
+		t.Errorf("recursive inclusive = %g, want 40 (outermost only)", tm.InclUS)
 	}
-	if tm.Exclusive() != 40 {
-		t.Errorf("recursive exclusive = %g, want 40 (all self time)", tm.Exclusive())
+	if tm.ExclUS != 40 {
+		t.Errorf("recursive exclusive = %g, want 40 (all self time)", tm.ExclUS)
 	}
-	if tm.Calls() != 2 {
-		t.Errorf("calls = %d, want 2", tm.Calls())
+	if tm.Calls != 2 {
+		t.Errorf("calls = %d, want 2", tm.Calls)
 	}
 }
 
@@ -88,8 +101,8 @@ func TestMultipleInvocationsAccumulate(t *testing.T) {
 		p.Stop("f")
 	}
 	tm := p.Lookup("f")
-	if tm.Inclusive() != 100 || tm.Calls() != 4 {
-		t.Errorf("incl=%g calls=%d, want 100/4", tm.Inclusive(), tm.Calls())
+	if tm.InclUS != 100 || tm.Calls != 4 {
+		t.Errorf("incl=%g calls=%d, want 100/4", tm.InclUS, tm.Calls)
 	}
 }
 
@@ -117,21 +130,18 @@ func TestStopEmptyStackPanics(t *testing.T) {
 
 func TestTimerGroupConflictPanics(t *testing.T) {
 	p, _ := newProfile()
-	p.Timer("t", "A")
+	p.timer("t", "A")
 	defer func() {
 		if recover() == nil {
 			t.Fatal("re-creating timer in different group did not panic")
 		}
 	}()
-	p.Timer("t", "B")
+	p.timer("t", "B")
 }
 
 func TestGroupDisable(t *testing.T) {
 	p, c := newProfile()
 	p.SetGroupEnabled("MPI", false)
-	if p.GroupEnabled("MPI") {
-		t.Fatal("group should be disabled")
-	}
 	p.Start("MPI_Send()", "MPI")
 	c.tick(50)
 	p.Stop("MPI_Send()")
@@ -139,15 +149,15 @@ func TestGroupDisable(t *testing.T) {
 	if tm == nil {
 		t.Fatal("disabled Start should still register the timer identity")
 	}
-	if tm.Calls() != 0 || tm.Inclusive() != 0 {
-		t.Errorf("disabled timer accumulated calls=%d incl=%g", tm.Calls(), tm.Inclusive())
+	if tm.Calls != 0 || tm.InclUS != 0 {
+		t.Errorf("disabled timer accumulated calls=%d incl=%g", tm.Calls, tm.InclUS)
 	}
 	p.SetGroupEnabled("MPI", true)
 	p.Start("MPI_Send()", "MPI")
 	c.tick(7)
 	p.Stop("MPI_Send()")
-	if tm.Inclusive() != 7 || tm.Calls() != 1 {
-		t.Errorf("re-enabled timer incl=%g calls=%d, want 7/1", tm.Inclusive(), tm.Calls())
+	if tm.InclUS != 7 || tm.Calls != 1 {
+		t.Errorf("re-enabled timer incl=%g calls=%d, want 7/1", tm.InclUS, tm.Calls)
 	}
 }
 
@@ -176,99 +186,9 @@ func TestGroupInclusiveSumsMPITime(t *testing.T) {
 	if got := p.GroupInclusive("MPI"); got != 25 {
 		t.Errorf("GroupInclusive(MPI) = %g, want 25", got)
 	}
-	if got := p.GroupCalls("MPI"); got != 2 {
-		t.Errorf("GroupCalls(MPI) = %d, want 2", got)
-	}
 	if got := p.GroupInclusive("APP"); got != 35 {
 		t.Errorf("GroupInclusive(APP) = %g, want 35", got)
 	}
-}
-
-func TestEvents(t *testing.T) {
-	p, _ := newProfile()
-	for _, v := range []float64{4, 1, 7, 4} {
-		p.TriggerEvent("message size", v)
-	}
-	e := p.Event("message size")
-	if e == nil {
-		t.Fatal("event not recorded")
-	}
-	if e.Count() != 4 || e.Min() != 1 || e.Max() != 7 || e.Mean() != 4 {
-		t.Errorf("event stats count=%d min=%g max=%g mean=%g", e.Count(), e.Min(), e.Max(), e.Mean())
-	}
-	want := math.Sqrt((16+1+49+16)/4.0 - 16)
-	if math.Abs(e.StdDev()-want) > 1e-12 {
-		t.Errorf("stddev = %g, want %g", e.StdDev(), want)
-	}
-	if len(p.Events()) != 1 {
-		t.Errorf("Events() len = %d, want 1", len(p.Events()))
-	}
-}
-
-func TestEmptyEventAccessors(t *testing.T) {
-	e := &Event{name: "x"}
-	if e.Min() != 0 || e.Max() != 0 || e.Mean() != 0 || e.StdDev() != 0 {
-		t.Error("empty event accessors should all be 0")
-	}
-}
-
-func TestMetricsVector(t *testing.T) {
-	c := &fakeClock{}
-	var flops float64
-	p := NewProfile(c.now)
-	p.RegisterMetric("PAPI_FP_OPS", func() float64 { return flops })
-	p.Start("k", "APP")
-	c.tick(10)
-	flops += 500
-	p.Start("sub", "APP")
-	c.tick(5)
-	flops += 100
-	p.Stop("sub")
-	p.Stop("k")
-	k := p.Lookup("k")
-	if got := k.InclusiveMetric(1); got != 600 {
-		t.Errorf("k inclusive FP_OPS = %g, want 600", got)
-	}
-	if got := k.ExclusiveMetric(1); got != 500 {
-		t.Errorf("k exclusive FP_OPS = %g, want 500", got)
-	}
-	if names := p.MetricNames(); len(names) != 2 || names[0] != WallClock || names[1] != "PAPI_FP_OPS" {
-		t.Errorf("MetricNames = %v", names)
-	}
-	if v, ok := p.CounterValue("PAPI_FP_OPS"); !ok || v != 600 {
-		t.Errorf("CounterValue = %g,%v want 600,true", v, ok)
-	}
-	if _, ok := p.CounterValue("NO_SUCH"); ok {
-		t.Error("unknown counter should report !ok")
-	}
-	if snap := p.Snapshot(nil); len(snap) != 2 {
-		t.Errorf("Snapshot len = %d, want 2", len(snap))
-	}
-}
-
-func TestRegisterMetricAfterTimersPanics(t *testing.T) {
-	p, _ := newProfile()
-	p.Timer("t", "APP")
-	defer func() {
-		if recover() == nil {
-			t.Fatal("RegisterMetric after timer creation did not panic")
-		}
-	}()
-	p.RegisterMetric("late", func() float64 { return 0 })
-}
-
-func TestRunningAndDepth(t *testing.T) {
-	p, _ := newProfile()
-	if p.Running() != "" || p.Depth() != 0 {
-		t.Error("fresh profile should have empty stack")
-	}
-	p.Start("a", "APP")
-	p.Start("b", "APP")
-	if p.Running() != "b" || p.Depth() != 2 {
-		t.Errorf("Running=%q Depth=%d, want b/2", p.Running(), p.Depth())
-	}
-	p.Stop("b")
-	p.Stop("a")
 }
 
 func TestSummaryOrderingAndPercent(t *testing.T) {
@@ -282,7 +202,7 @@ func TestSummaryOrderingAndPercent(t *testing.T) {
 	c.tick(30)
 	p.Stop("cold")
 	p.Stop("main")
-	rows := p.Summary()
+	rows := MeanSummary(table(t, p))
 	if len(rows) != 3 {
 		t.Fatalf("summary rows = %d, want 3", len(rows))
 	}
@@ -301,14 +221,14 @@ func TestSummaryOrderingAndPercent(t *testing.T) {
 }
 
 func TestMeanSummaryAveragesAcrossRanks(t *testing.T) {
-	mk := func(d float64) *Profile {
+	mk := func(d float64) []Timer {
 		p, c := newProfile()
 		p.Start("work", "APP")
 		c.tick(d)
 		p.Stop("work")
-		return p
+		return table(t, p)
 	}
-	rows := MeanSummary([]*Profile{mk(100), mk(200), mk(300)})
+	rows := MeanSummary(mk(100), mk(200), mk(300))
 	if len(rows) != 1 {
 		t.Fatalf("rows = %d, want 1", len(rows))
 	}
@@ -326,7 +246,7 @@ func TestMeanSummaryDisjointTimers(t *testing.T) {
 	c1.tick(90)
 	p1.Stop("only-rank0")
 	p2, _ := newProfile()
-	rows := MeanSummary([]*Profile{p1, p2})
+	rows := MeanSummary(table(t, p1), table(t, p2))
 	if len(rows) != 1 {
 		t.Fatalf("rows = %d, want 1", len(rows))
 	}
@@ -339,8 +259,8 @@ func TestMeanSummaryDisjointTimers(t *testing.T) {
 }
 
 func TestMeanSummaryEmpty(t *testing.T) {
-	if rows := MeanSummary(nil); rows != nil {
-		t.Errorf("MeanSummary(nil) = %v, want nil", rows)
+	if rows := MeanSummary(); rows != nil {
+		t.Errorf("MeanSummary() = %v, want nil", rows)
 	}
 }
 
@@ -353,7 +273,7 @@ func TestWriteFunctionSummaryFormat(t *testing.T) {
 	p.Stop("MPI_Waitsome()")
 	p.Stop("int main(int, char **)")
 	var sb strings.Builder
-	if err := WriteFunctionSummary(&sb, "mean", p.Summary()); err != nil {
+	if err := WriteFunctionSummary(&sb, "mean", MeanSummary(table(t, p))); err != nil {
 		t.Fatal(err)
 	}
 	out := sb.String()
@@ -430,48 +350,25 @@ func TestPropertyExclusivePartition(t *testing.T) {
 		total := c.t
 		p.Stop("root")
 		var exclSum float64
-		for _, tm := range p.Timers() {
-			exclSum += tm.Exclusive()
+		for _, tm := range table(t, p) {
+			exclSum += tm.ExclUS
 		}
 		root := p.Lookup("root")
-		return math.Abs(root.Inclusive()-total) < 1e-9 && math.Abs(exclSum-total) < 1e-9
+		return math.Abs(root.InclUS-total) < 1e-9 && math.Abs(exclSum-total) < 1e-9
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 80}); err != nil {
 		t.Error(err)
 	}
 }
 
-// Property: event mean always lies within [min, max].
-func TestPropertyEventMeanBounded(t *testing.T) {
-	f := func(vals []float64) bool {
-		if len(vals) == 0 {
-			return true
-		}
-		p, _ := newProfile()
-		for _, v := range vals {
-			if math.IsNaN(v) || math.IsInf(v, 0) || math.Abs(v) > 1e150 {
-				return true // avoid float64 overflow in sum of squares
-			}
-			p.TriggerEvent("e", v)
-		}
-		e := p.Event("e")
-		return e.Mean() >= e.Min()-1e-9*math.Abs(e.Min()) &&
-			e.Mean() <= e.Max()+1e-9*math.Abs(e.Max())
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
-		t.Error(err)
-	}
-}
-
 // TestStartStopAllocatesNothingWarm: once the timers exist and the stack has
 // reached its depth, a Start/Stop pair — nested, and re-entering a running
-// timer — reuses the frame vectors a previous Stop left in the stack's
-// backing array and the profile's stop buffer. Every MPI entry point of every
-// simulated rank pays this pair, so an allocation that comes back here is
-// three per MPI call. The reused vectors must still account exactly.
+// timer — pushes over the frame a previous Stop left in the stack's backing
+// array. Every MPI entry point of every simulated rank pays this pair, so an
+// allocation that comes back here is one per MPI call. The reused frames
+// must still account exactly.
 func TestStartStopAllocatesNothingWarm(t *testing.T) {
 	p, c := newProfile()
-	p.RegisterMetric("PAPI_FP_OPS", func() float64 { return 2 * c.t })
 	pair := func() {
 		p.Start("outer", "APP")
 		c.tick(1)
@@ -487,13 +384,85 @@ func TestStartStopAllocatesNothingWarm(t *testing.T) {
 	if n := testing.AllocsPerRun(100, pair); n != 0 {
 		t.Errorf("warmed nested Start/Stop allocates %v times per run, want 0", n)
 	}
-	runs := float64(p.Lookup("MPI_Recv()").Calls())
+	runs := float64(p.Lookup("MPI_Recv()").Calls)
 	outer, recv := p.Lookup("outer"), p.Lookup("MPI_Recv()")
-	if outer.Inclusive() != 7*runs || outer.Exclusive() != 5*runs || recv.Inclusive() != 6*runs || recv.Exclusive() != 2*runs {
+	if outer.InclUS != 7*runs || outer.ExclUS != 5*runs || recv.InclUS != 6*runs || recv.ExclUS != 2*runs {
 		t.Errorf("after %v runs: outer incl/excl %g/%g, recv %g/%g; want 7/5 and 6/2 per run",
-			runs, outer.Inclusive(), outer.Exclusive(), recv.Inclusive(), recv.Exclusive())
+			runs, outer.InclUS, outer.ExclUS, recv.InclUS, recv.ExclUS)
 	}
-	if got := recv.ExclusiveMetric(1); got != 4*runs {
-		t.Errorf("recv exclusive PAPI_FP_OPS = %g, want %g", got, 4*runs)
+}
+
+// TestStartStopReadsNoMetricSource: timers read the clock alone, so warm
+// Start/Stop pairs never call a registered metric source, while the query
+// interface still reads it.
+func TestStartStopReadsNoMetricSource(t *testing.T) {
+	p, c := newProfile()
+	p.Start("warm", "APP")
+	p.Stop("warm")
+	reads := 0
+	p.RegisterMetric("PAPI_FP_OPS", func() float64 { reads++; return 2 * c.t })
+	for i := 0; i < 10; i++ {
+		p.Start("warm", "APP")
+		c.tick(3)
+		p.Start("inner", "APP")
+		c.tick(1)
+		p.Stop("inner")
+		p.Stop("warm")
+	}
+	if reads != 0 {
+		t.Errorf("Start/Stop read the metric source %d times, want 0", reads)
+	}
+	if got := p.Lookup("warm").InclUS; got != 40 {
+		t.Errorf("warm inclusive = %g, want 40", got)
+	}
+	if names := p.MetricNames(); len(names) != 2 || names[0] != WallClock || names[1] != "PAPI_FP_OPS" {
+		t.Errorf("MetricNames = %v", names)
+	}
+	if snap := p.Snapshot(nil); len(snap) != 2 || snap[0] != 40 || snap[1] != 80 || reads != 1 {
+		t.Errorf("Snapshot = %v after %d source reads, want [40 80] after 1", snap, reads)
+	}
+}
+
+// TestTimersRejectsRunningTimers: a running timer has no final value, so a
+// profile with one cannot be copied.
+func TestTimersRejectsRunningTimers(t *testing.T) {
+	p, _ := newProfile()
+	p.Start("main()", "APP")
+	if _, err := p.Timers(); err == nil {
+		t.Error("copying a profile with a running timer succeeded")
+	}
+	p.Stop("main()")
+	if _, err := p.Timers(); err != nil {
+		t.Errorf("copying a finished profile: %v", err)
+	}
+}
+
+// TestProfileGobRoundTripPreservesSummary: a profile's timer tables are
+// plain data, so gob round-trips them with no codec of their own and the
+// summary of the decoded tables is the live one bit for bit.
+func TestProfileGobRoundTripPreservesSummary(t *testing.T) {
+	p, c := newProfile()
+	p.Start("main()", "APP")
+	c.tick(1000)
+	p.Start("MPI_Send()", "MPI")
+	c.tick(250)
+	p.Stop("MPI_Send()")
+	c.tick(10)
+	p.Stop("main()")
+	in := [][]Timer{table(t, p), table(t, p)}
+
+	var buf bytes.Buffer
+	if err := gob.NewEncoder(&buf).Encode(in); err != nil {
+		t.Fatal(err)
+	}
+	var out [][]Timer
+	if err := gob.NewDecoder(&buf).Decode(&out); err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(out, in) {
+		t.Errorf("tables drifted through gob:\n got %+v\nwant %+v", out, in)
+	}
+	if got, want := MeanSummary(out...), MeanSummary(in...); !reflect.DeepEqual(got, want) {
+		t.Errorf("summary drifted through gob:\n got %+v\nwant %+v", got, want)
 	}
 }
