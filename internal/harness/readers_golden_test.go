@@ -6,17 +6,23 @@ import (
 	"io"
 	"math"
 	"os"
+	"slices"
 	"strings"
 	"testing"
 
+	"repro/internal/cca"
+	"repro/internal/components"
+	"repro/internal/core"
+	"repro/internal/mpi"
 	"repro/internal/results"
 )
 
 // TestRecordReadersGolden pins the bytes every reader of the Mastermind's
-// records writes: rank 0's record tables (pmmcase -records), Fig. 9's
-// ghost-update series, Fig. 10's dual and the bits of its cost, and a
-// sweep's Fig. 4 scatter and row shard. Each is kept as a SHA-256 in
-// testdata/readers_golden.txt; -update rewrites it.
+// records writes: every rank's record tables (pmmcase -records writes rank
+// 0's) and call trace, Fig. 9's ghost-update series, Fig. 10's dual and the
+// bits of its cost, and a sweep's Fig. 4 scatter and row shard. Each table
+// is kept as a SHA-256 in testdata/readers_golden.txt, each trace as one
+// line per edge; -update rewrites it.
 func TestRecordReadersGolden(t *testing.T) {
 	t.Parallel()
 	res, _, _ := sharedFixtures(t)
@@ -28,8 +34,18 @@ func TestRecordReadersGolden(t *testing.T) {
 		}
 		fmt.Fprintf(&got, "%s\t%x\n", name, h.Sum(nil))
 	}
-	for _, rec := range res.Records[0] {
-		digest("record "+rec.Method, rec.WriteCSV)
+	for rank, recs := range res.Records {
+		for _, rec := range recs {
+			digest(fmt.Sprintf("record %d %s", rank, rec.Method), rec.WriteCSV)
+		}
+	}
+	for rank, trace := range rankTraces(t, fastCaseStudy()) {
+		var lines []string
+		for e, n := range trace {
+			lines = append(lines, fmt.Sprintf("trace %d\t%s %s %s\t%d\n", rank, e.Caller, e.Callee, e.Method, n))
+		}
+		slices.Sort(lines)
+		got.WriteString(strings.Join(lines, ""))
 	}
 	digest("fig9", res.WriteGhostCommCSV)
 
@@ -70,4 +86,24 @@ func TestRecordReadersGolden(t *testing.T) {
 	if got.String() != string(want) {
 		t.Errorf("record readers' bytes moved\n got:\n%s\nwant:\n%s", got.String(), want)
 	}
+}
+
+// rankTraces runs cfg's case study and returns each rank's call trace.
+func rankTraces(t *testing.T, cfg CaseStudyConfig) []map[core.CallEdge]int {
+	traces := make([]map[core.CallEdge]int, cfg.World.Procs)
+	err := cca.RunSCMD(mpi.NewWorld(cfg.World), func(f *cca.Framework, r *mpi.Rank) error {
+		app, err := components.BuildApp(f, cfg.App)
+		if err != nil {
+			return err
+		}
+		if err := app.Go(); err != nil {
+			return err
+		}
+		traces[r.Rank()] = app.Core().Edges()
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return traces
 }
