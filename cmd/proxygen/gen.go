@@ -24,7 +24,7 @@ const directive = "//pmm:monitor"
 // proxyHead renders a proxy's type, constructor, SetServices and wire:
 // %[1]s is the port interface, %[2]s the proxy, %[3]q its provides name,
 // %[4]d its number of monitored methods and %[5]s the statements that open
-// their records.
+// their records on the monitor port mon.
 const proxyHead = `
 // %[2]s is the generated proxy component for %[1]s (paper §4.2).
 // Its monitored methods report to their record objects, opened in wire;
@@ -32,7 +32,6 @@ const proxyHead = `
 type %[2]s struct {
 	svc    cca.Services
 	target %[1]s
-	mon    core.MonitorPort
 	recs   [%[4]d]*core.Record // one per monitored method
 }
 
@@ -59,24 +58,23 @@ func (p *%[2]s) SetServices(svc cca.Services) error {
 func (p *%[2]s) wire() %[1]s {
 	if p.target == nil {
 		p.target = cca.Use[%[1]s](p.svc, "target")
-		p.mon = cca.Use[core.MonitorPort](p.svc, "monitor")
+		mon := cca.Use[core.MonitorPort](p.svc, "monitor")
 %[5]s	}
 	return p.target
 }
 `
 
 // monitoredMethod renders a monitored forward from the proxy, method,
-// signature, record index, parameter values, forward, provides name,
-// record name and return. The parameters are evaluated before Start starts
-// the timers: proxy work stays outside the measured region (paper §5).
+// signature, record index, parameter values, forward and return. The
+// parameters are evaluated before Start starts the timers: proxy work
+// stays outside the measured region (paper §5).
 const monitoredMethod = `
 func (p *%[1]s) %[2]s%[3]s {
 	p.wire()
 	p.recs[%[4]d].Start(%[5]s)
 	p.svc.Context().Proc.ChargeCall()
 	%[6]s
-	p.recs[%[4]d].Stop()
-	p.mon.RecordCall(p.svc.InstanceName(), %[7]q, %[8]q)%[9]s
+	p.recs[%[4]d].Stop()%[7]s
 }
 `
 
@@ -232,9 +230,9 @@ func (g *generator) method(proxy, provides string, m *ast.Field) error {
 			record = val
 		}
 	}
-	fmt.Fprintf(&g.opens, "\t\tp.recs[%d] = p.mon.Monitor(%s)\n", g.nrec,
-		strings.Join(append([]string{`p.svc.InstanceName() + "::` + record + `()"`}, keys...), ", "))
-	fmt.Fprintf(&g.methods, monitoredMethod, proxy, name, sig, g.nrec, strings.Join(values, ", "), call, provides, record, ret)
+	edge := fmt.Sprintf("core.CallEdge{Caller: p.svc.InstanceName(), Callee: %q, Method: %q}", provides, record)
+	fmt.Fprintf(&g.opens, "\t\tp.recs[%d] = mon.Monitor(%s)\n", g.nrec, strings.Join(append([]string{edge}, keys...), ", "))
+	fmt.Fprintf(&g.methods, monitoredMethod, proxy, name, sig, g.nrec, strings.Join(values, ", "), call, ret)
 	g.nrec++
 	return nil
 }

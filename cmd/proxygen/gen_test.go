@@ -113,7 +113,7 @@ type SolverPort interface {
 		"recs   [2]*core.Record",
 		"p.recs[0].Start(float64(n))\n",
 		"iters = p.target.Evaluate(n)\n\tp.recs[0].Stop()",
-		`p.recs[1] = p.mon.Monitor(p.svc.InstanceName() + "::split()")`,
+		`p.recs[1] = mon.Monitor(core.CallEdge{Caller: p.svc.InstanceName(), Callee: "solver", Method: "split"})`,
 		"\treturn iters\n}",
 		"lo, hi = p.target.Split()",
 		"\treturn lo, hi\n}",
@@ -130,7 +130,7 @@ type SinkPort interface {
 `)
 	wants(t, src,
 		"func (p *SinkProxy) Flush() {",
-		`p.recs[0] = p.mon.Monitor(p.svc.InstanceName() + "::flush()")`,
+		`p.recs[0] = mon.Monitor(core.CallEdge{Caller: p.svc.InstanceName(), Callee: "sink", Method: "flush"})`,
 		"p.recs[0].Start()\n\tp.svc.Context().Proc.ChargeCall()\n\tp.target.Flush()",
 	)
 	// No redundant trailing return in a method without results.
@@ -152,12 +152,10 @@ type MeshPort interface {
 }
 `)
 	wants(t, src,
-		`p.recs[0] = p.mon.Monitor(p.svc.InstanceName()+"::ghostUpdate()", "level")`,
+		`p.recs[0] = mon.Monitor(core.CallEdge{Caller: p.svc.InstanceName(), Callee: "mesh", Method: "ghostUpdate"}, "level")`,
 		`p.recs[0].Start(float64(level))`,
-		`p.mon.RecordCall(p.svc.InstanceName(), "mesh", "ghostUpdate")`,
-		`p.recs[1] = p.mon.Monitor(p.svc.InstanceName() + "::prolong()")`,
+		`p.recs[1] = mon.Monitor(core.CallEdge{Caller: p.svc.InstanceName(), Callee: "mesh", Method: "prolong"})`,
 		"p.recs[1].Start()\n",
-		`p.mon.RecordCall(p.svc.InstanceName(), "mesh", "prolong")`,
 	)
 }
 

@@ -13,7 +13,7 @@
 //	/metrics   obs registry text exposition (cache hits/misses, latencies)
 //	/scenarios catalog listing, metadata only — no shard is decoded
 //	/scenario  full detail for matching scenarios: fitted coefficients per
-//	           backend (selectors: name, sched, tag, or any axis value)
+//	           backend (selectors: name, tag, or any axis value)
 //	/predict   evaluate one measure at a point: scenario, measure, q,
 //	           optional model (fitted|queue), lambda, dcm
 //	/trend     one coefficient-vs-axis curve per fitted parameter across

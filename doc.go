@@ -18,10 +18,13 @@
 //     from the //pmm:monitor directives on internal/components/ports.go's
 //     port methods, the paper's §6 mark-up of the arguments that affect
 //     performance. A proxy opens one record per monitored method when it
-//     wires and brackets each call with that record's Start and Stop; a
-//     record keeps its invocations as columns (one per parameter, wall,
-//     MPI and compute time, one per metric delta), so a monitored call
-//     builds no name and no row;
+//     wires, named by its call edge (proxy, provided port, method), and
+//     brackets each call with that record's Start and Stop; a record keeps
+//     its invocations as columns (one per parameter, MPI time, one per
+//     metric delta, metric 0's being the wall time), so a monitored call
+//     builds no name and no row. Compute time (wall minus MPI) is derived
+//     where a record is written, and the call trace is read off the
+//     records (core.Trace: each edge weighted by its record's length);
 //   - the scientific case study: a structured-AMR simulation of a Mach 1.5
 //     shock hitting an Air/Freon interface, built from States,
 //     EFMFlux/GodunovFlux, RK2, AMRMesh and ShockDriver components;
@@ -255,9 +258,8 @@
 //   - sinks are concurrency-safe and deterministic (rows keep per-key
 //     order): results.NewCSVShardSink writes one CSV file per key,
 //     results.NewBinShardSink writes the same rows in the length-prefixed
-//     binary shard format (see "Results service" below), results.NewAggSink
-//     keeps running mean/min/max/stddev per (key, field) and drops the
-//     rows, results.NewMemorySink buffers for tests, results.NewTee fans
+//     binary shard format (see "Results service" below),
+//     results.NewMemorySink buffers for tests, results.NewTee fans
 //     out to several sinks at once; results.ReadRowsFile decodes either shard format
 //     back into rows, results.ReadColumnsFile into a few numeric columns;
 //   - the store keeps what the simulator measured and nothing derived

@@ -12,7 +12,7 @@
 // A kernel sweep's rows ignore the seed, so each grid runs one
 // replication, and every one of its scenarios is a distinct measurement.
 // Each scenario streams its telemetry rows into a sink (a CSV-shard sink
-// teed with an on-the-fly aggregator) and checkpoints its fitted model
+// teed with its binary sibling) and checkpoints its fitted model
 // into a content-addressed store, then drops its raw sweep: memory stays
 // bounded as the grid grows, and re-running the example resumes from the
 // store, executing zero completed scenarios while producing identical
@@ -50,6 +50,7 @@ import (
 	"repro/internal/harness"
 	"repro/internal/mpi"
 	"repro/internal/obs"
+	"repro/internal/perfmodel"
 	"repro/internal/results"
 	"repro/internal/results/serve"
 	"repro/internal/results/store"
@@ -103,10 +104,10 @@ func run(w io.Writer, outDir string) error {
 	}
 	fmt.Fprintf(w, "campaign: %d scenarios on %d workers\n", len(scs), runtime.NumCPU())
 
-	// Streamed results: one CSV shard per scenario — teed with its compact
+	// Streamed results: one CSV shard per scenario, teed with its compact
 	// binary sibling (same rows, same stems, ".bin" extension; the format
-	// resultsd prefers) — plus running aggregates, checkpointed under a
-	// cache directory for cheap re-runs.
+	// resultsd prefers), checkpointed under a cache directory for cheap
+	// re-runs.
 	shards, err := results.NewCSVShardSink(filepath.Join(outDir, "rows"))
 	if err != nil {
 		return err
@@ -115,14 +116,13 @@ func run(w io.Writer, outDir string) error {
 	if err != nil {
 		return err
 	}
-	agg := results.NewAggSink()
 	st, err := store.Open(filepath.Join(outDir, ".cache"))
 	if err != nil {
 		return err
 	}
 	cc := campaign.Config{
 		Store: st,
-		Sink:  results.NewTee(shards, binShards, agg),
+		Sink:  results.NewTee(shards, binShards),
 		OnProgress: func(e campaign.Event) {
 			status := "ok"
 			if e.Cached {
@@ -146,22 +146,12 @@ func run(w io.Writer, outDir string) error {
 		return err
 	}
 
-	// The streamed aggregates: per-scenario wall-time statistics computed
-	// on the fly, no raw rows retained.
-	fmt.Fprintln(w, "\nstreamed wall_us aggregates (per scenario):")
-	for _, key := range agg.Keys() {
-		if s, ok := agg.Stat(key, "wall_us"); ok {
-			fmt.Fprintf(w, "  %-40s n=%4d  mean=%10.2f  sd=%10.2f\n", key, s.N, s.Mean, s.StdDev)
-		}
-	}
-
 	// Every axis moves the machine, so no two scenarios measure the same
-	// thing: each wall_us aggregate is distinct.
-	distinct := map[results.Stat]bool{}
-	for _, key := range agg.Keys() {
-		if s, ok := agg.Stat(key, "wall_us"); ok {
-			distinct[s] = true
-		}
+	// thing: each grid point's fitted mean model is distinct.
+	distinct := map[string]bool{}
+	for _, p := range pts {
+		_, coeffs := perfmodel.Coefficients(p.Model.Mean)
+		distinct[fmt.Sprint(coeffs)] = true
 	}
 	fmt.Fprintf(w, "\n%d distinct measurements of %d scenarios\n", len(distinct), len(scs))
 

@@ -158,7 +158,7 @@ func TestStatesRecordsCarryQAndMode(t *testing.T) {
 	if len(q) != rec.Len() || len(mode) != rec.Len() {
 		t.Fatalf("Q and mode columns hold %d and %d of %d invocations", len(q), len(mode), rec.Len())
 	}
-	seenX, seenY := false, false
+	seenX, seenY, wall := false, false, rec.WallUS()
 	for i := range rec.Len() {
 		if q[i] <= 0 {
 			t.Fatalf("invocation %d without positive Q: %g", i, q[i])
@@ -168,8 +168,8 @@ func TestStatesRecordsCarryQAndMode(t *testing.T) {
 		} else {
 			seenY = true
 		}
-		if rec.WallUS[i] <= 0 {
-			t.Errorf("non-positive wall time %g", rec.WallUS[i])
+		if wall[i] <= 0 {
+			t.Errorf("non-positive wall time %g", wall[i])
 		}
 		if rec.MPIUS[i] != 0 {
 			t.Errorf("States invoked MPI (%g us); it must be compute-only", rec.MPIUS[i])
@@ -197,8 +197,8 @@ func TestGhostUpdateRecordsHaveMPITimeAndLevels(t *testing.T) {
 		if rec.MPIUS[i] > 0 {
 			anyMPI = true
 		}
-		if rec.MPIUS[i] > rec.WallUS[i]+1e-9 {
-			t.Errorf("MPI time %g exceeds wall %g", rec.MPIUS[i], rec.WallUS[i])
+		if rec.MPIUS[i] > rec.WallUS()[i]+1e-9 {
+			t.Errorf("MPI time %g exceeds wall %g", rec.MPIUS[i], rec.WallUS()[i])
 		}
 	}
 	if len(levels) < 2 {
@@ -211,15 +211,15 @@ func TestGhostUpdateRecordsHaveMPITimeAndLevels(t *testing.T) {
 
 func TestCallTraceCapturesWiring(t *testing.T) {
 	apps, _ := runApp(t, smallAppConfig(), 3)
-	edges := apps[0].Core().Edges()
+	edges := core.Trace(apps[0].Records())
 	if len(edges) < 3 {
 		t.Fatalf("call trace too small: %v", edges)
 	}
 	found := map[string]bool{}
 	for e := range edges {
-		found[e.Caller+"->"+e.Method] = true
+		found[e.Caller+"->"+e.Callee+"."+e.Method] = true
 	}
-	for _, want := range []string{"sc_proxy->compute", "g_proxy->compute", "icc_proxy->ghostUpdate"} {
+	for _, want := range []string{"sc_proxy->states.compute", "g_proxy->flux.compute", "icc_proxy->mesh.ghostUpdate"} {
 		if !found[want] {
 			t.Errorf("call trace missing %s (have %v)", want, found)
 		}
@@ -269,7 +269,7 @@ func TestEFMAssemblyRunsAndIsCheaper(t *testing.T) {
 	}
 	meanUS := func(rec *core.Record) float64 {
 		var s float64
-		for _, v := range rec.WallUS {
+		for _, v := range rec.WallUS() {
 			s += v
 		}
 		return s / float64(rec.Len())

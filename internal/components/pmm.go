@@ -43,9 +43,6 @@ func (t *TauMeasurement) GroupInclusive(group string) float64 {
 	return t.svc.Context().Prof.GroupInclusive(group)
 }
 
-// Now implements core.MeasurementPort.
-func (t *TauMeasurement) Now() float64 { return t.svc.Context().Proc.Now() }
-
 // Mastermind is the CCA wrapper of core.Mastermind: it provides the
 // MonitorPort the proxies use and consumes the MeasurementPort.
 type Mastermind struct {
@@ -74,11 +71,6 @@ func (m *Mastermind) Core() *core.Mastermind {
 var _ core.MonitorPort = (*Mastermind)(nil)
 
 // Monitor implements core.MonitorPort.
-func (m *Mastermind) Monitor(method string, params ...string) *core.Record {
-	return m.Core().Monitor(method, params...)
-}
-
-// RecordCall implements core.MonitorPort.
-func (m *Mastermind) RecordCall(caller, callee, method string) {
-	m.Core().RecordCall(caller, callee, method)
+func (m *Mastermind) Monitor(edge core.CallEdge, params ...string) *core.Record {
+	return m.Core().Monitor(edge, params...)
 }

@@ -15,7 +15,6 @@ import (
 type StatesProxy struct {
 	svc    cca.Services
 	target StatesPort
-	mon    core.MonitorPort
 	recs   [1]*core.Record // one per monitored method
 }
 
@@ -42,8 +41,8 @@ func (p *StatesProxy) SetServices(svc cca.Services) error {
 func (p *StatesProxy) wire() StatesPort {
 	if p.target == nil {
 		p.target = cca.Use[StatesPort](p.svc, "target")
-		p.mon = cca.Use[core.MonitorPort](p.svc, "monitor")
-		p.recs[0] = p.mon.Monitor(p.svc.InstanceName()+"::compute()", "Q", "mode")
+		mon := cca.Use[core.MonitorPort](p.svc, "monitor")
+		p.recs[0] = mon.Monitor(core.CallEdge{Caller: p.svc.InstanceName(), Callee: "states", Method: "compute"}, "Q", "mode")
 	}
 	return p.target
 }
@@ -54,7 +53,6 @@ func (p *StatesProxy) Compute(b *euler.Block, dir euler.Dir, qL, qR *euler.EdgeF
 	p.svc.Context().Proc.ChargeCall()
 	p.target.Compute(b, dir, qL, qR)
 	p.recs[0].Stop()
-	p.mon.RecordCall(p.svc.InstanceName(), "states", "compute")
 }
 
 // FluxProxy is the generated proxy component for FluxPort (paper §4.2).
@@ -63,7 +61,6 @@ func (p *StatesProxy) Compute(b *euler.Block, dir euler.Dir, qL, qR *euler.EdgeF
 type FluxProxy struct {
 	svc    cca.Services
 	target FluxPort
-	mon    core.MonitorPort
 	recs   [1]*core.Record // one per monitored method
 }
 
@@ -90,8 +87,8 @@ func (p *FluxProxy) SetServices(svc cca.Services) error {
 func (p *FluxProxy) wire() FluxPort {
 	if p.target == nil {
 		p.target = cca.Use[FluxPort](p.svc, "target")
-		p.mon = cca.Use[core.MonitorPort](p.svc, "monitor")
-		p.recs[0] = p.mon.Monitor(p.svc.InstanceName()+"::compute()", "Q", "mode")
+		mon := cca.Use[core.MonitorPort](p.svc, "monitor")
+		p.recs[0] = mon.Monitor(core.CallEdge{Caller: p.svc.InstanceName(), Callee: "flux", Method: "compute"}, "Q", "mode")
 	}
 	return p.target
 }
@@ -102,7 +99,6 @@ func (p *FluxProxy) Compute(qL, qR, flux *euler.EdgeField) (iters int) {
 	p.svc.Context().Proc.ChargeCall()
 	iters = p.target.Compute(qL, qR, flux)
 	p.recs[0].Stop()
-	p.mon.RecordCall(p.svc.InstanceName(), "flux", "compute")
 	return iters
 }
 
@@ -112,7 +108,6 @@ func (p *FluxProxy) Compute(qL, qR, flux *euler.EdgeField) (iters int) {
 type MeshProxy struct {
 	svc    cca.Services
 	target MeshPort
-	mon    core.MonitorPort
 	recs   [4]*core.Record // one per monitored method
 }
 
@@ -139,11 +134,11 @@ func (p *MeshProxy) SetServices(svc cca.Services) error {
 func (p *MeshProxy) wire() MeshPort {
 	if p.target == nil {
 		p.target = cca.Use[MeshPort](p.svc, "target")
-		p.mon = cca.Use[core.MonitorPort](p.svc, "monitor")
-		p.recs[0] = p.mon.Monitor(p.svc.InstanceName()+"::ghostUpdate()", "level")
-		p.recs[1] = p.mon.Monitor(p.svc.InstanceName() + "::prolong()")
-		p.recs[2] = p.mon.Monitor(p.svc.InstanceName() + "::loadBalance()")
-		p.recs[3] = p.mon.Monitor(p.svc.InstanceName()+"::restrict()", "level")
+		mon := cca.Use[core.MonitorPort](p.svc, "monitor")
+		p.recs[0] = mon.Monitor(core.CallEdge{Caller: p.svc.InstanceName(), Callee: "mesh", Method: "ghostUpdate"}, "level")
+		p.recs[1] = mon.Monitor(core.CallEdge{Caller: p.svc.InstanceName(), Callee: "mesh", Method: "prolong"})
+		p.recs[2] = mon.Monitor(core.CallEdge{Caller: p.svc.InstanceName(), Callee: "mesh", Method: "loadBalance"})
+		p.recs[3] = mon.Monitor(core.CallEdge{Caller: p.svc.InstanceName(), Callee: "mesh", Method: "restrict"}, "level")
 	}
 	return p.target
 }
@@ -166,7 +161,6 @@ func (p *MeshProxy) GhostUpdate(level int) {
 	p.svc.Context().Proc.ChargeCall()
 	p.target.GhostUpdate(level)
 	p.recs[0].Stop()
-	p.mon.RecordCall(p.svc.InstanceName(), "mesh", "ghostUpdate")
 }
 
 func (p *MeshProxy) Regrid() {
@@ -175,7 +169,6 @@ func (p *MeshProxy) Regrid() {
 	p.svc.Context().Proc.ChargeCall()
 	p.target.Regrid()
 	p.recs[1].Stop()
-	p.mon.RecordCall(p.svc.InstanceName(), "mesh", "prolong")
 }
 
 func (p *MeshProxy) LoadBalance() (moved int) {
@@ -184,7 +177,6 @@ func (p *MeshProxy) LoadBalance() (moved int) {
 	p.svc.Context().Proc.ChargeCall()
 	moved = p.target.LoadBalance()
 	p.recs[2].Stop()
-	p.mon.RecordCall(p.svc.InstanceName(), "mesh", "loadBalance")
 	return moved
 }
 
@@ -194,7 +186,6 @@ func (p *MeshProxy) Restrict(fineLevel int) {
 	p.svc.Context().Proc.ChargeCall()
 	p.target.Restrict(fineLevel)
 	p.recs[3].Stop()
-	p.mon.RecordCall(p.svc.InstanceName(), "mesh", "restrict")
 }
 
 func (p *MeshProxy) GlobalMaxWaveSpeed() float64 { return p.wire().GlobalMaxWaveSpeed() }

@@ -48,24 +48,17 @@ func (s *callStream) take() []string {
 }
 
 // streamMonitor is a core.MonitorPort whose records are a real
-// core.Mastermind's, over a streamMeas, and which logs the call edges.
-type streamMonitor struct {
-	*core.Mastermind
-	s *callStream
-}
+// core.Mastermind's, over a streamMeas.
+type streamMonitor struct{ *core.Mastermind }
 
 func newStreamMonitor(s *callStream) *streamMonitor {
 	meas := &streamMeas{s: s}
 	meas.mm = core.NewMastermind(meas)
-	return &streamMonitor{meas.mm, s}
+	return &streamMonitor{meas.mm}
 }
 
 func (m *streamMonitor) SetServices(svc cca.Services) error {
 	return svc.AddProvidesPort(m, "monitor", TypeMonitorPort)
-}
-
-func (m *streamMonitor) RecordCall(caller, callee, method string) {
-	m.s.add("record %s %s %s", caller, callee, method)
 }
 
 // streamMeas is a core.MeasurementPort that logs its timers: a record's
@@ -90,7 +83,6 @@ func (m *streamMeas) StopTimer(name string)         { m.s.add("stop %s", name) }
 func (m *streamMeas) MetricNames() []string         { return []string{"WALL_CLOCK"} }
 func (m *streamMeas) QueryMetrics() []float64       { return []float64{0} }
 func (m *streamMeas) GroupInclusive(string) float64 { return 0 }
-func (m *streamMeas) Now() float64                  { return 0 }
 
 // Fake targets: each logs the forwarded call and returns a value the test
 // can recognise.
@@ -150,8 +142,9 @@ func (c *fakeMesh) Imbalance() float64          { c.s.add("forward Imbalance()")
 // TestProxyMonitoringStream pins the proxy protocol method by method. A
 // monitored method hands its marked-up parameters to its record's Start,
 // which stores them and starts the timer, charges one call, forwards, then
-// stops the record and records the call edge, in that order; an
-// unmonitored one only forwards; both return what the target returned.
+// stops the record, in that order; its record was opened with the call
+// edge, proxy to provided port, that names it. An unmonitored method only
+// forwards; both return what the target returned.
 func TestProxyMonitoringStream(t *testing.T) {
 	onOneRank(t, func(f *cca.Framework, r *mpi.Rank) error {
 		s := &callStream{proc: r.Proc}
@@ -159,7 +152,8 @@ func TestProxyMonitoringStream(t *testing.T) {
 		r.Proc.ChargeCall()
 		s.call = r.Proc.Now() - t0
 
-		f.RegisterClass("StreamMonitor", func() cca.Component { return newStreamMonitor(s) })
+		mon := newStreamMonitor(s)
+		f.RegisterClass("StreamMonitor", func() cca.Component { return mon })
 		f.RegisterClass("FakeStates", func() cca.Component { return &fakeStates{s} })
 		f.RegisterClass("FakeFlux", func() cca.Component { return &fakeFlux{s} })
 		f.RegisterClass("FakeMesh", func() cca.Component { return &fakeMesh{s} })
@@ -199,20 +193,25 @@ connect icc_proxy monitor mon0 monitor
 		fl := euler.NewEdgeField(r.Proc, 8, 4, euler.Y)
 		s.take()
 
-		monitored := func(inst, callee, record, params, forward string) []string {
+		// A call's stream, and for a monitored one the edge of its record.
+		type stream struct {
+			events []string
+			edge   core.CallEdge
+		}
+		monitored := func(inst, callee, record, params, forward string) stream {
 			name := inst + "::" + record + "()"
-			return []string{
+			return stream{[]string{
 				"start " + name + " " + params,
 				"charge",
 				"forward " + forward,
 				"stop " + name,
-				"record " + inst + " " + callee + " " + record,
-			}
+			}, core.CallEdge{Caller: inst, Callee: callee, Method: record}}
 		}
+		forwarded := func(forward string) stream { return stream{events: []string{"forward " + forward}} }
 		cases := []struct {
 			port, method string
 			call         func() string // invokes the method once; its results, printed
-			want         []string
+			want         stream
 			result       string
 		}{
 			{"StatesPort", "Compute", func() string { sp.Compute(b, euler.Y, qL, qR); return "" },
@@ -228,21 +227,21 @@ connect icc_proxy monitor mon0 monitor
 			{"MeshPort", "LoadBalance", func() string { return fmt.Sprint(mp.LoadBalance()) },
 				monitored("icc_proxy", "mesh", "loadBalance", "[]", "LoadBalance()"), "4"},
 			{"MeshPort", "Initialize", func() string { return fmt.Sprint(mp.Initialize() == errFakeInit) },
-				[]string{"forward Initialize()"}, "true"},
+				forwarded("Initialize()"), "true"},
 			{"MeshPort", "NumLevels", func() string { return fmt.Sprint(mp.NumLevels()) },
-				[]string{"forward NumLevels()"}, "3"},
+				forwarded("NumLevels()"), "3"},
 			{"MeshPort", "Ratio", func() string { return fmt.Sprint(mp.Ratio()) },
-				[]string{"forward Ratio()"}, "2"},
+				forwarded("Ratio()"), "2"},
 			{"MeshPort", "LevelPatchCount", func() string { return fmt.Sprint(mp.LevelPatchCount(1)) },
-				[]string{"forward LevelPatchCount(1)"}, "11"},
+				forwarded("LevelPatchCount(1)"), "11"},
 			{"MeshPort", "LocalPatches", func() string { return fmt.Sprint(len(mp.LocalPatches(2))) },
-				[]string{"forward LocalPatches(2)"}, "2"},
+				forwarded("LocalPatches(2)"), "2"},
 			{"MeshPort", "CellSize", func() string { return fmt.Sprint(mp.CellSize(1)) },
-				[]string{"forward CellSize(1)"}, "0.25 0.5"},
+				forwarded("CellSize(1)"), "0.25 0.5"},
 			{"MeshPort", "GlobalMaxWaveSpeed", func() string { return fmt.Sprint(mp.GlobalMaxWaveSpeed()) },
-				[]string{"forward GlobalMaxWaveSpeed()"}, "7.5"},
+				forwarded("GlobalMaxWaveSpeed()"), "7.5"},
 			{"MeshPort", "Imbalance", func() string { return fmt.Sprint(mp.Imbalance()) },
-				[]string{"forward Imbalance()"}, "1.25"},
+				forwarded("Imbalance()"), "1.25"},
 		}
 
 		// Every method of every proxied port is exercised.
@@ -262,8 +261,13 @@ connect icc_proxy monitor mon0 monitor
 
 		for _, c := range cases {
 			got := c.call()
-			if events := s.take(); !reflect.DeepEqual(events, c.want) {
-				t.Errorf("%s.%s stream:\n got %q\nwant %q", c.port, c.method, events, c.want)
+			if events := s.take(); !reflect.DeepEqual(events, c.want.events) {
+				t.Errorf("%s.%s stream:\n got %q\nwant %q", c.port, c.method, events, c.want.events)
+			}
+			if e := c.want.edge; e != (core.CallEdge{}) {
+				if rec := mon.Record(e.Caller + "::" + e.Method + "()"); rec == nil || rec.Edge != e {
+					t.Errorf("%s.%s: its record %+v was not opened with edge %+v", c.port, c.method, rec, e)
+				}
 			}
 			if got != c.result {
 				t.Errorf("%s.%s returned %q, want %q", c.port, c.method, got, c.result)

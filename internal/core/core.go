@@ -6,18 +6,20 @@
 //   - MeasurementPort, the generic performance-component interface the TAU
 //     component provides (timing and query);
 //   - MonitorPort, the port a proxy opens its record objects on, one per
-//     monitored method, and reports the call trace to;
+//     monitored method, each named by its call edge;
 //
-// — and the Mastermind, which owns the record objects and the call trace.
-// A record snapshots the (cumulative) TAU measurements around every
-// invocation and stores {parameters, wall, MPI and compute time, metric
-// deltas} as columns whose schema is fixed when the record opens.
+// — and the Mastermind, which owns the record objects. A record snapshots
+// the (cumulative) TAU measurements around every invocation and stores
+// {parameters, MPI time, metric deltas} as columns whose schema is fixed
+// when the record opens. Metric 0 is the wall clock, so its delta is the
+// call's wall time; compute time is wall minus MPI, derived where it is
+// written. The call trace is read off the records: each edge weighted by
+// its record's invocations.
 package core
 
 import (
 	"fmt"
 	"io"
-	"maps"
 	"slices"
 	"strconv"
 )
@@ -29,7 +31,8 @@ type MeasurementPort interface {
 	StartTimer(name, group string)
 	// StopTimer stops the named timer (must be the innermost running one).
 	StopTimer(name string)
-	// MetricNames lists the measured metrics; index 0 is wall-clock.
+	// MetricNames lists the measured metrics; index 0 is wall-clock, in
+	// microseconds, so a record's metric-0 delta is a call's wall time.
 	MetricNames() []string
 	// QueryMetrics returns the current cumulative value of every metric
 	// (the TAU_GET_FUNCTION_VALUES-style query the Mastermind uses). The
@@ -39,21 +42,17 @@ type MeasurementPort interface {
 	// of all completed timers in a group; the Mastermind's "MPI time" is
 	// GroupInclusive("MPI").
 	GroupInclusive(group string) float64
-	// Now returns the current time in microseconds.
-	Now() float64
 }
 
 // MonitorPort is what a proxy holds (paper §4.2). The proxy opens one record
-// object per monitored method, brackets every forwarded invocation with the
-// record's Start and Stop, and reports the call edge.
+// object per monitored method, naming the method by its call edge, and
+// brackets every forwarded invocation with the record's Start and Stop.
 type MonitorPort interface {
-	// Monitor returns the record object of the named method (e.g.
-	// "sc_proxy::compute()"), opening it with the named parameters on the
-	// first call for that method.
-	Monitor(method string, params ...string) *Record
-	// RecordCall notes one caller→callee invocation for the application
-	// call trace (the edge weights of the Fig. 10 dual).
-	RecordCall(caller, callee, method string)
+	// Monitor returns the record object of the edge's method, named
+	// caller::method() (e.g. "sc_proxy::compute()"), opening it with the
+	// named parameters on the first call for that method. The record's
+	// invocations are the edge's weight in the call trace.
+	Monitor(edge CallEdge, params ...string) *Record
 }
 
 // Record is the record object of one monitored method (paper §4.3): one row
@@ -62,28 +61,33 @@ type MonitorPort interface {
 type Record struct {
 	// Method is the monitored method's timer name, e.g. "g_proxy::compute()".
 	Method string
+	// Edge is the call edge the record measures, or zero for a record
+	// opened by name.
+	Edge CallEdge
 	// MetricNames mirrors the measurement component's metric list.
 	MetricNames []string
 	// ParamNames names the method's performance parameters.
 	ParamNames []string
 	// Params holds one column per entry of ParamNames.
 	Params [][]float64
-	// WallUS, MPIUS and ComputeUS hold each call's total execution time,
-	// its inclusive time in MPI, and their difference: the cache-sensitive
-	// computation time.
-	WallUS, MPIUS, ComputeUS []float64
-	// Deltas holds one column per metric (indexed as MetricNames, entry 0 =
-	// wall clock again): the metric's change across each call.
+	// MPIUS holds each call's inclusive time in MPI.
+	MPIUS []float64
+	// Deltas holds one column per metric (indexed as MetricNames): the
+	// metric's change across each call.
 	Deltas [][]float64
 
 	m    *Mastermind
 	open bool
-	// before is Start's snapshot: the clock, the MPI time, then every metric.
+	// before is Start's snapshot: the MPI time, then every metric.
 	before []float64
 }
 
 // Len returns the number of recorded invocations.
-func (r *Record) Len() int { return len(r.WallUS) }
+func (r *Record) Len() int { return len(r.MPIUS) }
+
+// WallUS returns each call's total execution time: the wall clock's
+// (metric 0's) delta column.
+func (r *Record) WallUS() []float64 { return r.Deltas[0] }
 
 // Param returns the named parameter's column, or nil.
 func (r *Record) Param(name string) []float64 {
@@ -110,7 +114,7 @@ func (r *Record) Start(values ...float64) {
 	if n == 0 {
 		r.m.started = append(r.m.started, r)
 	}
-	if n == cap(r.WallUS) {
+	if n == cap(r.MPIUS) {
 		r.grow(max(2*n, 16))
 	}
 	for i, v := range values {
@@ -118,12 +122,12 @@ func (r *Record) Start(values ...float64) {
 	}
 	meas := r.m.meas
 	meas.StartTimer(r.Method, "PROXY")
-	r.before[0], r.before[1] = meas.Now(), meas.GroupInclusive("MPI")
-	copy(r.before[2:], meas.QueryMetrics())
+	r.before[0] = meas.GroupInclusive("MPI")
+	copy(r.before[1:], meas.QueryMetrics())
 }
 
 // grow gives every column of the record room for n rows at once, so that
-// the columns share one capacity, cap(r.WallUS), and a row's appends never
+// the columns share one capacity, cap(r.MPIUS), and a row's appends never
 // reallocate. Each column growing by its own append (about 1.25x a step
 // past 256 rows) would allocate several times its final bytes; doubled
 // together, the columns allocate under twice theirs.
@@ -135,7 +139,7 @@ func (r *Record) grow(n int) {
 	for i := range r.Deltas {
 		r.Deltas[i] = grown(r.Deltas[i])
 	}
-	r.WallUS, r.MPIUS, r.ComputeUS = grown(r.WallUS), grown(r.MPIUS), grown(r.ComputeUS)
+	r.MPIUS = grown(r.MPIUS)
 }
 
 // Stop closes the open invocation: it snapshots the counters again, stores
@@ -147,18 +151,18 @@ func (r *Record) Stop() {
 	}
 	r.open = false
 	meas := r.m.meas
-	wall, mpi := meas.Now()-r.before[0], meas.GroupInclusive("MPI")-r.before[1]
+	mpi := meas.GroupInclusive("MPI") - r.before[0]
 	for i, v := range meas.QueryMetrics() {
-		r.Deltas[i] = append(r.Deltas[i], v-r.before[2+i])
+		r.Deltas[i] = append(r.Deltas[i], v-r.before[1+i])
 	}
 	meas.StopTimer(r.Method)
-	r.WallUS = append(r.WallUS, wall)
 	r.MPIUS = append(r.MPIUS, mpi)
-	r.ComputeUS = append(r.ComputeUS, wall-mpi)
 }
 
 // WriteCSV dumps the record rows (what the paper's record objects write to
-// file when destroyed), one Write per line.
+// file when destroyed), one Write per line. Its compute_us column is each
+// call's wall time minus its MPI time: the cache-sensitive computation
+// time.
 func (r *Record) WriteCSV(w io.Writer) error {
 	b := []byte("method,invocation")
 	for _, n := range r.ParamNames {
@@ -176,7 +180,8 @@ func (r *Record) WriteCSV(w io.Writer) error {
 		for _, col := range r.Params {
 			b = appendG(b, col[i])
 		}
-		b = appendG(appendG(appendG(b, r.WallUS[i]), r.MPIUS[i]), r.ComputeUS[i])
+		wall, mpi := r.WallUS()[i], r.MPIUS[i]
+		b = appendG(appendG(appendG(b, wall), mpi), wall-mpi)
 		for _, col := range r.Deltas {
 			b = appendG(b, col[i])
 		}
@@ -195,6 +200,19 @@ type CallEdge struct {
 	Caller, Callee, Method string
 }
 
+// Trace returns the call trace of the records that carry an edge (the
+// edge weights of the Fig. 10 dual): each edge with its record's number of
+// invocations.
+func Trace(recs []*Record) map[CallEdge]int {
+	trace := map[CallEdge]int{}
+	for _, r := range recs {
+		if r.Edge != (CallEdge{}) {
+			trace[r.Edge] += r.Len()
+		}
+	}
+	return trace
+}
+
 // Mastermind gathers, stores and reports measurement data (paper §4.3).
 // One Mastermind serves every proxy of a rank's assembly. TAU measurements
 // are cumulative, so each invocation is measured by differencing snapshots
@@ -204,55 +222,55 @@ type Mastermind struct {
 	// opened holds every record in opening order, started those with an
 	// invocation in order of their first Start.
 	opened, started []*Record
-	edges           map[CallEdge]int
 }
 
 // NewMastermind builds a Mastermind on top of a measurement component.
 func NewMastermind(meas MeasurementPort) *Mastermind {
-	return &Mastermind{meas: meas, edges: make(map[CallEdge]int)}
+	return &Mastermind{meas: meas}
 }
 
 var _ MonitorPort = (*Mastermind)(nil)
 
 // Monitor implements MonitorPort.
-func (m *Mastermind) Monitor(method string, params ...string) *Record {
+func (m *Mastermind) Monitor(edge CallEdge, params ...string) *Record {
+	return m.openRecord(edge.Caller+"::"+edge.Method+"()", edge, params)
+}
+
+// openRecord returns the named method's record, opening it with the edge
+// and the parameters' names if none is open.
+func (m *Mastermind) openRecord(method string, edge CallEdge, params []string) *Record {
 	if r := m.Record(method); r != nil {
 		return r
 	}
 	names := m.meas.MetricNames()
 	r := &Record{
-		Method: method, MetricNames: names, ParamNames: slices.Clone(params),
+		Method: method, Edge: edge, MetricNames: names, ParamNames: slices.Clone(params),
 		Params: make([][]float64, len(params)), Deltas: make([][]float64, len(names)),
-		m: m, before: make([]float64, 2+len(names)),
+		m: m, before: make([]float64, 1+len(names)),
 	}
 	m.opened = append(m.opened, r)
 	return r
 }
 
 // StartMonitoring starts the named method's record, opening it with the
-// parameters' names on first use: a by-name wrapper that only
+// parameters' names and no edge on first use: a by-name wrapper that only
 // bench/probes.go calls. Proxies hold their records.
 func (m *Mastermind) StartMonitoring(method string, params []Param) {
 	names, values := make([]string, len(params)), make([]float64, len(params))
 	for i, p := range params {
 		names[i], values[i] = p.Name, p.Value
 	}
-	m.Monitor(method, names...).Start(values...)
+	m.openRecord(method, CallEdge{}, names).Start(values...)
 }
 
 // StopMonitoring stops the named method's record (for bench/probes.go).
-func (m *Mastermind) StopMonitoring(method string) { m.Monitor(method).Stop() }
+func (m *Mastermind) StopMonitoring(method string) { m.openRecord(method, CallEdge{}, nil).Stop() }
 
 // Param is one performance-relevant input parameter of an invocation, as
 // StartMonitoring takes it.
 type Param struct {
 	Name  string
 	Value float64
-}
-
-// RecordCall implements MonitorPort's call-trace capture.
-func (m *Mastermind) RecordCall(caller, callee, method string) {
-	m.edges[CallEdge{Caller: caller, Callee: callee, Method: method}]++
 }
 
 // Record returns the record object for a method, or nil if none is open.
@@ -270,6 +288,3 @@ func (m *Mastermind) Record(method string) *Record {
 func (m *Mastermind) Records() []*Record {
 	return slices.DeleteFunc(slices.Clone(m.started), func(r *Record) bool { return r.Len() == 0 })
 }
-
-// Edges returns a copy of the recorded call trace with invocation counts.
-func (m *Mastermind) Edges() map[CallEdge]int { return maps.Clone(m.edges) }

@@ -29,29 +29,37 @@ func (f *fakeMeas) GroupInclusive(group string) float64 {
 	}
 	return 0
 }
-func (f *fakeMeas) Now() float64 { return f.now }
+
+// edge is the call edge whose record is named p::method().
+func edge(method string) CallEdge { return CallEdge{Caller: "p", Callee: "port", Method: method} }
 
 func TestMastermindRecordsInvocation(t *testing.T) {
 	meas := newFakeMeas()
 	mm := NewMastermind(meas)
-	rec := mm.Monitor("sc_proxy::compute()", "Q", "mode")
+	sc := CallEdge{Caller: "sc_proxy", Callee: "states", Method: "compute"}
+	rec := mm.Monitor(sc, "Q", "mode")
 	rec.Start(4096, 1)
 	meas.now += 250
 	meas.mpi += 40
 	meas.flops += 1e6
 	rec.Stop()
 
-	if got := mm.Record("sc_proxy::compute()"); got != rec || rec.Len() != 1 {
-		t.Fatalf("record missing or wrong count: %+v", got)
+	if got := mm.Record("sc_proxy::compute()"); got != rec || rec.Len() != 1 || rec.Edge != sc {
+		t.Fatalf("record missing, wrong count or wrong edge: %+v", got)
 	}
-	if rec.WallUS[0] != 250 {
-		t.Errorf("wall = %g, want 250", rec.WallUS[0])
+	if rec.WallUS()[0] != 250 {
+		t.Errorf("wall = %g, want 250", rec.WallUS()[0])
 	}
 	if rec.MPIUS[0] != 40 {
 		t.Errorf("mpi = %g, want 40", rec.MPIUS[0])
 	}
-	if rec.ComputeUS[0] != 210 {
-		t.Errorf("compute = %g, want 210", rec.ComputeUS[0])
+	// Compute time is wall minus MPI, written as the compute_us column.
+	var sb strings.Builder
+	if err := rec.WriteCSV(&sb); err != nil {
+		t.Fatal(err)
+	}
+	if want := "sc_proxy::compute(),0,4096,1,250,40,210,250,1e+06\n"; !strings.HasSuffix(sb.String(), want) {
+		t.Errorf("CSV %q, want a row %q", sb.String(), want)
 	}
 	if q := rec.Param("Q"); len(q) != 1 || q[0] != 4096 {
 		t.Errorf("Q column = %v", q)
@@ -62,7 +70,7 @@ func TestMastermindRecordsInvocation(t *testing.T) {
 	if rec.Param("nonexistent") != nil {
 		t.Error("unknown param reported present")
 	}
-	if mm.Monitor("sc_proxy::compute()") != rec {
+	if mm.Monitor(sc) != rec {
 		t.Error("a second Monitor of the method opened a second record")
 	}
 }
@@ -72,36 +80,36 @@ func TestMastermindCumulativeSnapshots(t *testing.T) {
 	// counters are cumulative.
 	meas := newFakeMeas()
 	mm := NewMastermind(meas)
-	rec := mm.Monitor("m()", "Q")
+	rec := mm.Monitor(edge("m"), "Q")
 	for i, d := range []float64{100, 300} {
 		rec.Start(float64(i))
 		meas.now += d
 		rec.Stop()
 	}
-	if rec.WallUS[0] != 100 || rec.WallUS[1] != 300 {
-		t.Errorf("walls = %g/%g, want 100/300", rec.WallUS[0], rec.WallUS[1])
+	if wall := rec.WallUS(); wall[0] != 100 || wall[1] != 300 {
+		t.Errorf("walls = %g/%g, want 100/300", wall[0], wall[1])
 	}
 }
 
 func TestMastermindTimerBracketsInvocation(t *testing.T) {
 	meas := newFakeMeas()
 	mm := NewMastermind(meas)
-	rec := mm.Monitor("x()")
+	rec := mm.Monitor(edge("x"))
 	if len(meas.started) != 0 {
 		t.Errorf("opening a record started timers %v", meas.started)
 	}
 	rec.Start()
 	rec.Stop()
-	if len(meas.started) != 1 || meas.started[0] != "x()" {
+	if len(meas.started) != 1 || meas.started[0] != "p::x()" {
 		t.Errorf("started timers = %v", meas.started)
 	}
-	if len(meas.stopped) != 1 || meas.stopped[0] != "x()" {
+	if len(meas.stopped) != 1 || meas.stopped[0] != "p::x()" {
 		t.Errorf("stopped timers = %v", meas.stopped)
 	}
 }
 
 func TestMastermindReentryPanics(t *testing.T) {
-	rec := NewMastermind(newFakeMeas()).Monitor("a()")
+	rec := NewMastermind(newFakeMeas()).Monitor(edge("a"))
 	rec.Start()
 	defer func() {
 		if recover() == nil {
@@ -112,7 +120,7 @@ func TestMastermindReentryPanics(t *testing.T) {
 }
 
 func TestMastermindStopWithoutStartPanics(t *testing.T) {
-	rec := NewMastermind(newFakeMeas()).Monitor("never()")
+	rec := NewMastermind(newFakeMeas()).Monitor(edge("never"))
 	defer func() {
 		if recover() == nil {
 			t.Fatal("Stop without start did not panic")
@@ -126,7 +134,7 @@ func TestNestedMonitoringAttributesMPIInclusively(t *testing.T) {
 	// outer record's MPI time includes the inner's (inclusive semantics).
 	meas := newFakeMeas()
 	mm := NewMastermind(meas)
-	outer, inner := mm.Monitor("outer()"), mm.Monitor("inner()")
+	outer, inner := mm.Monitor(edge("outer")), mm.Monitor(edge("inner"))
 	outer.Start()
 	meas.now += 10
 	inner.Start()
@@ -135,10 +143,10 @@ func TestNestedMonitoringAttributesMPIInclusively(t *testing.T) {
 	inner.Stop()
 	meas.now += 5
 	outer.Stop()
-	if inner.MPIUS[0] != 30 || inner.WallUS[0] != 50 {
+	if inner.MPIUS[0] != 30 || inner.WallUS()[0] != 50 {
 		t.Errorf("inner = %+v", inner)
 	}
-	if outer.MPIUS[0] != 30 || outer.WallUS[0] != 65 {
+	if outer.MPIUS[0] != 30 || outer.WallUS()[0] != 65 {
 		t.Errorf("outer = %+v", outer)
 	}
 }
@@ -148,7 +156,7 @@ func TestRecordsOrderAndWriteCSV(t *testing.T) {
 	// never started is not listed.
 	meas := newFakeMeas()
 	mm := NewMastermind(meas)
-	a, idle, b := mm.Monitor("a()"), mm.Monitor("idle()"), mm.Monitor("b()", "Q")
+	a, idle, b := mm.Monitor(edge("a")), mm.Monitor(edge("idle")), mm.Monitor(edge("b"), "Q")
 	b.Start(7)
 	meas.now += 3
 	b.Stop()
@@ -165,9 +173,9 @@ func TestRecordsOrderAndWriteCSV(t *testing.T) {
 		}
 	}
 	const want = "method,invocation,Q,wall_us,mpi_us,compute_us,d_WALL_CLOCK,d_PAPI_FP_OPS\n" +
-		"b(),0,7,3,0,3,3,0\n" +
+		"p::b(),0,7,3,0,3,3,0\n" +
 		"method,invocation,wall_us,mpi_us,compute_us,d_WALL_CLOCK,d_PAPI_FP_OPS\n" +
-		"a(),0,0,0,0,0,0\n"
+		"p::a(),0,0,0,0,0,0\n"
 	if sb.String() != want {
 		t.Errorf("CSV:\n%s\nwant:\n%s", sb.String(), want)
 	}
@@ -194,7 +202,7 @@ func (w *failAfter) Write(p []byte) (int, error) {
 // after it.
 func TestWriteCSVReturnsWriteErrors(t *testing.T) {
 	meas := newFakeMeas()
-	rec := NewMastermind(meas).Monitor("m()", "Q", "mode")
+	rec := NewMastermind(meas).Monitor(edge("m"), "Q", "mode")
 	for i := range 3 {
 		rec.Start(float64(i), 1)
 		meas.now += 1.5
@@ -225,7 +233,8 @@ func TestByNameWrappers(t *testing.T) {
 	}
 	rec := mm.Record("p()")
 	if rec == nil || !reflect.DeepEqual(rec.ParamNames, []string{"Q"}) ||
-		!reflect.DeepEqual(rec.Param("Q"), []float64{10, 11}) || !reflect.DeepEqual(rec.WallUS, []float64{2, 2}) {
+		!reflect.DeepEqual(rec.Param("Q"), []float64{10, 11}) || !reflect.DeepEqual(rec.WallUS(), []float64{2, 2}) ||
+		rec.Edge != (CallEdge{}) {
 		t.Errorf("record = %+v", rec)
 	}
 	defer func() {
@@ -236,17 +245,26 @@ func TestByNameWrappers(t *testing.T) {
 	mm.StopMonitoring("never()")
 }
 
+// TestCallTrace: the trace is read off the records that carry an edge, each
+// weighted by its invocations; a record opened by name or never started
+// adds no edge.
 func TestCallTrace(t *testing.T) {
 	mm := NewMastermind(newFakeMeas())
-	mm.RecordCall("rk20", "icc_proxy", "ghostUpdate")
-	mm.RecordCall("rk20", "icc_proxy", "ghostUpdate")
-	mm.RecordCall("inviscidflux0", "sc_proxy", "compute")
-	edges := mm.Edges()
-	if edges[CallEdge{Caller: "rk20", Callee: "icc_proxy", Method: "ghostUpdate"}] != 2 {
-		t.Errorf("edges = %v", edges)
+	ghost := CallEdge{Caller: "icc_proxy", Callee: "mesh", Method: "ghostUpdate"}
+	flux := CallEdge{Caller: "g_proxy", Callee: "flux", Method: "compute"}
+	mm.Monitor(CallEdge{Caller: "sc_proxy", Callee: "states", Method: "compute"})
+	for _, e := range []CallEdge{ghost, ghost, flux} {
+		rec := mm.Monitor(e, "level")
+		rec.Start(1)
+		rec.Stop()
 	}
-	if len(edges) != 2 || edges[CallEdge{Caller: "inviscidflux0", Callee: "sc_proxy", Method: "compute"}] != 1 {
-		t.Errorf("edges = %v", edges)
+	mm.StartMonitoring("probe()", nil)
+	mm.StopMonitoring("probe()")
+	if rec := mm.Record("icc_proxy::ghostUpdate()"); rec == nil || rec.Edge != ghost {
+		t.Errorf("the ghost edge's record is %+v", rec)
+	}
+	if got, want := Trace(mm.Records()), map[CallEdge]int{ghost: 2, flux: 1}; !reflect.DeepEqual(got, want) {
+		t.Errorf("trace = %v, want %v", got, want)
 	}
 }
 
@@ -259,7 +277,6 @@ func (q *quietMeas) StopTimer(string)              {}
 func (q *quietMeas) MetricNames() []string         { return []string{"WALL_CLOCK", "PAPI_FP_OPS"} }
 func (q *quietMeas) QueryMetrics() []float64       { q.metrics[0]++; return q.metrics[:] }
 func (q *quietMeas) GroupInclusive(string) float64 { return 0 }
-func (q *quietMeas) Now() float64                  { return q.metrics[0] }
 
 // TestRecordColumnsGrowTogether pins what a record's columns cost: rows
 // appended call by call allocate under twice the bytes the columns end up
@@ -269,7 +286,7 @@ func (q *quietMeas) Now() float64                  { return q.metrics[0] }
 // goroutine's allocations.
 func TestRecordColumnsGrowTogether(t *testing.T) {
 	const calls = 5000
-	rec := NewMastermind(&quietMeas{}).Monitor("g_proxy::compute()", "Q", "mode")
+	rec := NewMastermind(&quietMeas{}).Monitor(CallEdge{Caller: "g_proxy", Callee: "flux", Method: "compute"}, "Q", "mode")
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
 	for i := range calls {
@@ -277,8 +294,8 @@ func TestRecordColumnsGrowTogether(t *testing.T) {
 		rec.Stop()
 	}
 	runtime.ReadMemStats(&after)
-	cols := append(append([][]float64{rec.WallUS, rec.MPIUS, rec.ComputeUS}, rec.Params...), rec.Deltas...)
-	room := cap(rec.WallUS)
+	cols := append(append([][]float64{rec.MPIUS}, rec.Params...), rec.Deltas...)
+	room := cap(rec.MPIUS)
 	for _, col := range cols {
 		if len(col) != calls || cap(col) != room {
 			t.Fatalf("a column holds %d rows with room for %d, the record %d rows with room for %d", len(col), cap(col), calls, room)

@@ -22,7 +22,7 @@ import (
 // or a payload type changes (testdata/payload_schema.txt pins the payload
 // types to it), so stale store entries stop matching and the store
 // refills.
-const checkpointVersion = "harness-ckpt-v7"
+const checkpointVersion = "harness-ckpt-v8"
 
 // jobHash fingerprints a job kind plus its full configuration.
 func jobHash(kind string, cfgs ...any) string {

@@ -11,7 +11,6 @@ import (
 	"strings"
 
 	"repro/internal/amr"
-	"repro/internal/assembly"
 	"repro/internal/cca"
 	"repro/internal/components"
 	"repro/internal/core"
@@ -31,13 +30,16 @@ type CaseStudyConfig struct {
 
 // DefaultCaseStudy returns the calibrated configuration whose profile
 // reproduces the Fig. 3 shape. Two calibrations depart from the raw
-// platform defaults, both documented in EXPERIMENTS.md:
+// platform defaults:
 //
 //   - MPI_Init/Finalize are scaled down in proportion to the shorter
 //     virtual run (the paper's 0.66 s Init was ~0.6% of its 112 s main;
-//     the same share is kept here), and
-//   - the interconnect is the loaded-cluster model, putting the
-//     MPI_Waitsome share near the paper's ~25%.
+//     the same share is kept here: 25 ms of Init and 6 ms of Finalize),
+//     and
+//   - the interconnect is the loaded-cluster model (72 us latency, 9.5
+//     bytes/us), which gives MPI_Waitsome 35.8% of main against the
+//     paper's 24.3%; TestFig3ShapeWaitsomeShare holds it between 12% and
+//     45%.
 func DefaultCaseStudy() CaseStudyConfig {
 	app := components.DefaultAppConfig()
 	app.Mesh.BaseNx, app.Mesh.BaseNy = 96, 24
@@ -57,13 +59,9 @@ type CaseStudyResult struct {
 	// Profiles holds each rank's TAU timers, in registration order, copied
 	// when the run ends.
 	Profiles [][]tau.Timer
-	// Records holds each rank's Mastermind records (nil if unmonitored).
+	// Records holds each rank's Mastermind records (nil if unmonitored);
+	// core.Trace reads a rank's call trace off them.
 	Records [][]*core.Record
-	// Edges is rank 0's recorded call trace, one weighted edge per
-	// caller→callee method in caller, callee, method order (a slice, not
-	// the Mastermind's map, so a checkpoint encodes to the same bytes every
-	// time).
-	Edges []assembly.Edge
 	// ImageNx, ImageNy, Image hold the final density field at finest
 	// resolution (Fig. 1).
 	ImageNx, ImageNy int
@@ -102,9 +100,6 @@ func RunCaseStudy(cfg CaseStudyConfig) (*CaseStudyResult, error) {
 		res.Records[r.Rank()] = app.Records()
 		if r.Rank() == 0 {
 			res.ImageNx, res.ImageNy, res.Image = nx, ny, img
-			if app.Core() != nil {
-				res.Edges = assembly.FromTrace(app.Core().Edges()).Edges()
-			}
 			res.Stats = app.Mesh.Hierarchy().Stats()
 			res.StepsTaken = app.Driver.StepsTaken
 			res.SimTime = app.Driver.SimTime
@@ -178,12 +173,12 @@ func (r *CaseStudyResult) GhostCommSeries() []GhostCommPoint {
 		if rec == nil {
 			continue
 		}
-		perLevel := map[int]int{}
+		perLevel, wall := map[int]int{}, rec.WallUS()
 		for i, lvl := range rec.Param("level") {
 			l := int(lvl)
 			out = append(out, GhostCommPoint{
 				Rank: rank, Level: l, Invocation: perLevel[l],
-				MPIUS: rec.MPIUS[i], WallUS: rec.WallUS[i],
+				MPIUS: rec.MPIUS[i], WallUS: wall[i],
 			})
 			perLevel[l]++
 		}

@@ -10,6 +10,7 @@ import (
 
 	"repro/internal/assembly"
 	"repro/internal/campaign"
+	"repro/internal/core"
 	"repro/internal/euler"
 	"repro/internal/perfmodel"
 )
@@ -86,7 +87,7 @@ func TestRunCaseStudyProducesAllArtifacts(t *testing.T) {
 	if !strings.Contains(res.AssemblyDOT, "sc_proxy") {
 		t.Error("assembly DOT missing proxies")
 	}
-	if len(res.Edges) == 0 {
+	if len(core.Trace(res.Records[0])) == 0 {
 		t.Error("no call trace")
 	}
 	if res.StepsTaken != 6 {

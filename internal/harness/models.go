@@ -5,6 +5,7 @@ import (
 	"io"
 
 	"repro/internal/assembly"
+	"repro/internal/core"
 	"repro/internal/perfmodel"
 	"repro/internal/results"
 )
@@ -83,14 +84,11 @@ func WriteMeanSigmaCSV(w io.Writer, cm *ComponentModel) error {
 	return nil
 }
 
-// BuildDual constructs the Fig. 10 composite-model dual from a case-study
-// call trace and the fitted component models. Q values come from the mean
-// recorded array sizes on rank 0.
+// BuildDual constructs the Fig. 10 composite-model dual from rank 0's call
+// trace, read off its records, and the fitted component models. Q values
+// come from the mean recorded array sizes on rank 0.
 func BuildDual(res *CaseStudyResult, models map[Kernel]*ComponentModel) *assembly.Dual {
-	d := assembly.NewDual()
-	for _, e := range res.Edges {
-		d.AddEdge(e.From, e.To, e.Method, e.Calls)
-	}
+	d := assembly.FromTrace(core.Trace(res.Records[0]))
 	attach := func(vertex string, k Kernel) {
 		cm, ok := models[k]
 		if !ok || d.Vertex(vertex) == nil {

@@ -10,10 +10,7 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/cca"
-	"repro/internal/components"
 	"repro/internal/core"
-	"repro/internal/mpi"
 	"repro/internal/results"
 )
 
@@ -39,9 +36,9 @@ func TestRecordReadersGolden(t *testing.T) {
 			digest(fmt.Sprintf("record %d %s", rank, rec.Method), rec.WriteCSV)
 		}
 	}
-	for rank, trace := range rankTraces(t, fastCaseStudy()) {
+	for rank, recs := range res.Records {
 		var lines []string
-		for e, n := range trace {
+		for e, n := range core.Trace(recs) {
 			lines = append(lines, fmt.Sprintf("trace %d\t%s %s %s\t%d\n", rank, e.Caller, e.Callee, e.Method, n))
 		}
 		slices.Sort(lines)
@@ -86,24 +83,4 @@ func TestRecordReadersGolden(t *testing.T) {
 	if got.String() != string(want) {
 		t.Errorf("record readers' bytes moved\n got:\n%s\nwant:\n%s", got.String(), want)
 	}
-}
-
-// rankTraces runs cfg's case study and returns each rank's call trace.
-func rankTraces(t *testing.T, cfg CaseStudyConfig) []map[core.CallEdge]int {
-	traces := make([]map[core.CallEdge]int, cfg.World.Procs)
-	err := cca.RunSCMD(mpi.NewWorld(cfg.World), func(f *cca.Framework, r *mpi.Rank) error {
-		app, err := components.BuildApp(f, cfg.App)
-		if err != nil {
-			return err
-		}
-		if err := app.Go(); err != nil {
-			return err
-		}
-		traces[r.Rank()] = app.Core().Edges()
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return traces
 }

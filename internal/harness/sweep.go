@@ -246,10 +246,11 @@ func RunSweep(cfg SweepConfig) (*SweepResult, error) {
 		if i := slices.Index(rec.MetricNames, "PAPI_L2_DCM"); i >= 0 {
 			misses = rec.Deltas[i]
 		}
+		wall := rec.WallUS()
 		pts := make([]SweepPoint, rec.Len())
 		for i := range pts {
 			pts[i] = SweepPoint{
-				Rank: r.Rank(), Q: int(q[i]), Mode: euler.Dir(int(mode[i])), WallUS: rec.WallUS[i],
+				Rank: r.Rank(), Q: int(q[i]), Mode: euler.Dir(int(mode[i])), WallUS: wall[i],
 			}
 			if misses != nil {
 				pts[i].Misses = misses[i]

@@ -166,15 +166,17 @@ func BenchmarkWorldRun(b *testing.B) {
 // (1,250 of wildcard opt's allocations), or a copy of each collective
 // contribution with a table per generation and a result list per
 // completion (coll made 2,861 allocations and 201 kB serial and par).
-// Ceilings are about a quarter above the measured values, and each is
-// below what the same world allocated before those costs were removed; a
-// cell is the cheapest of three worlds, so a GC cycle or a late goroutine
-// start in one of them does not fail the test. An opt world's messages and events are recycled only
-// once the commit automaton is past them, so its count grows with how far
-// ranks run ahead: ghost opt read 1,153 allocations at GOMAXPROCS 1 and up
-// to 1,255 at 4 and 16 on 2 cores. With TAU timers reading only the clock
-// and opt's payloads cut from shared chunks, ghost reads 785 serial and
-// 813 opt at GOMAXPROCS 1, 844-848 opt at 2 and 4.
+// Ceilings are about a quarter above the highest of three runs at
+// GOMAXPROCS 1, 2 and 4 on 2 cores, and each is below what the same world
+// allocated before those costs were removed; a cell is the cheapest of
+// three worlds, so a GC cycle or a late goroutine start in one of them
+// does not fail the test. An opt world's messages and events are recycled
+// only once the commit automaton is past them, so its count grows with
+// how far ranks run ahead. The readings, with TAU timers reading only the
+// clock and opt's payloads cut from shared chunks: ghost 785-799
+// allocations and 193 kB serial and par, opt 813-853 and up to 475 kB;
+// wildcard 803-814 and 218 kB, opt 580-584 and 413 kB; coll 1,581 and
+// 130 kB, opt 2,805 and 270 kB.
 func TestWorldRunAllocationBudget(t *testing.T) {
 	type budget struct{ allocs, bytes uint64 }
 	bodies := []struct {
@@ -183,11 +185,11 @@ func TestWorldRunAllocationBudget(t *testing.T) {
 		ceiling map[SchedulerMode]budget
 	}{
 		{"ghost", ghostBody, map[SchedulerMode]budget{
-			Serial: {1350, 260 << 10}, ConservativeParallel: {1350, 260 << 10}, OptimisticParallel: {1550, 600 << 10}}},
+			Serial: {1000, 250 << 10}, ConservativeParallel: {1000, 250 << 10}, OptimisticParallel: {1075, 600 << 10}}},
 		{"wildcard", wildcardBody, map[SchedulerMode]budget{
-			Serial: {1250, 285 << 10}, ConservativeParallel: {1250, 285 << 10}, OptimisticParallel: {1300, 540 << 10}}},
+			Serial: {1025, 275 << 10}, ConservativeParallel: {1025, 275 << 10}, OptimisticParallel: {740, 520 << 10}}},
 		{"coll", collBody, map[SchedulerMode]budget{
-			Serial: {2200, 175 << 10}, ConservativeParallel: {2200, 175 << 10}, OptimisticParallel: {3900, 450 << 10}}},
+			Serial: {2000, 165 << 10}, ConservativeParallel: {2000, 165 << 10}, OptimisticParallel: {3500, 340 << 10}}},
 	}
 	for _, body := range bodies {
 		got := map[SchedulerMode]budget{}

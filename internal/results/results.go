@@ -11,16 +11,14 @@
 // never changes what any key's consumer sees.
 //
 // Implementations: MemorySink buffers rows per key (tests, small studies);
-// AggSink folds rows into on-the-fly mean/min/max/stddev statistics per
-// key and never retains them; CSVShardSink writes one CSV shard file per
-// key; Tee fans rows out to several sinks at once. The checkpoint store
+// CSVShardSink writes one CSV shard file per key; Tee fans rows out to
+// several sinks at once. The checkpoint store
 // that complements this package lives in results/store.
 package results
 
 import (
 	"errors"
 	"fmt"
-	"math"
 	"sort"
 	"strconv"
 	"sync"
@@ -110,122 +108,6 @@ func (s *MemorySink) Rows(key string) []Row {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.rows[key]
-}
-
-// Stat is a running aggregate of one numeric field under one key.
-type Stat struct {
-	N            int
-	Mean, StdDev float64
-	Min, Max     float64
-}
-
-// aggAcc accumulates one field's moments with Welford's online update:
-// the naive sumSq/n - mean^2 form cancels catastrophically when the
-// values are large and the spread is small (exactly what microsecond
-// telemetry looks like late in a long virtual run).
-type aggAcc struct {
-	n        int
-	mean, m2 float64
-	min, max float64
-}
-
-func (a *aggAcc) add(v float64) {
-	if a.n == 0 || v < a.min {
-		a.min = v
-	}
-	if a.n == 0 || v > a.max {
-		a.max = v
-	}
-	a.n++
-	d := v - a.mean
-	a.mean += d / float64(a.n)
-	a.m2 += d * (v - a.mean)
-}
-
-func (a *aggAcc) stat() Stat {
-	return Stat{
-		N: a.n, Mean: a.mean,
-		StdDev: math.Sqrt(a.m2 / float64(a.n)),
-		Min:    a.min, Max: a.max,
-	}
-}
-
-// aggGroup is one key's accumulators, field order preserved.
-type aggGroup struct {
-	fields map[string]*aggAcc
-	order  []string
-}
-
-// AggSink aggregates numeric fields on the fly: per key it keeps running
-// count/mean/stddev/min/max for every numeric field and discards the rows
-// themselves, so memory is bounded by the number of distinct (key, field)
-// pairs, not by the number of emitted rows. Non-numeric fields are ignored.
-type AggSink struct {
-	mu     sync.Mutex
-	groups map[string]*aggGroup
-}
-
-// NewAggSink returns an empty aggregating sink.
-func NewAggSink() *AggSink {
-	return &AggSink{groups: map[string]*aggGroup{}}
-}
-
-// Emit implements Sink.
-func (s *AggSink) Emit(key string, row Row) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	g := s.groups[key]
-	if g == nil {
-		g = &aggGroup{fields: map[string]*aggAcc{}}
-		s.groups[key] = g
-	}
-	for _, f := range row {
-		v, ok := f.Float()
-		if !ok {
-			continue
-		}
-		acc := g.fields[f.Name]
-		if acc == nil {
-			acc = &aggAcc{}
-			g.fields[f.Name] = acc
-			g.order = append(g.order, f.Name)
-		}
-		acc.add(v)
-	}
-	return nil
-}
-
-// Flush implements Sink (no-op).
-func (s *AggSink) Flush() error { return nil }
-
-// Close implements Sink (no-op; the aggregates stay readable).
-func (s *AggSink) Close() error { return nil }
-
-// Keys returns the aggregated keys, sorted.
-func (s *AggSink) Keys() []string {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	keys := make([]string, 0, len(s.groups))
-	for k := range s.groups {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	return keys
-}
-
-// Stat returns the running aggregate of one field under one key.
-func (s *AggSink) Stat(key, field string) (Stat, bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	g := s.groups[key]
-	if g == nil {
-		return Stat{}, false
-	}
-	acc := g.fields[field]
-	if acc == nil {
-		return Stat{}, false
-	}
-	return acc.stat(), true
 }
 
 // tee fans every call out to all wrapped sinks.

@@ -151,45 +151,8 @@ func TestMemorySinkConcurrentPerKeyOrder(t *testing.T) {
 	}
 }
 
-func TestAggSinkMatchesDirectStatistics(t *testing.T) {
-	s := NewAggSink()
-	vals := []float64{3, 1, 4, 1, 5, 9, 2.5, 6}
-	for i, v := range vals {
-		if err := s.Emit("k", Row{F("wall_us", v), F("rep", i), F("label", "skip-me")}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	st, ok := s.Stat("k", "wall_us")
-	if !ok {
-		t.Fatal("no wall_us stat")
-	}
-	var sum, sumSq float64
-	mn, mx := vals[0], vals[0]
-	for _, v := range vals {
-		sum += v
-		sumSq += v * v
-		mn = math.Min(mn, v)
-		mx = math.Max(mx, v)
-	}
-	mean := sum / float64(len(vals))
-	sd := math.Sqrt(sumSq/float64(len(vals)) - mean*mean)
-	if st.N != len(vals) || st.Min != mn || st.Max != mx {
-		t.Errorf("stat = %+v", st)
-	}
-	if math.Abs(st.Mean-mean) > 1e-12 || math.Abs(st.StdDev-sd) > 1e-12 {
-		t.Errorf("mean/sd = %g/%g, want %g/%g", st.Mean, st.StdDev, mean, sd)
-	}
-	// Non-numeric fields are ignored; every numeric one is aggregated.
-	if st, ok := s.Stat("k", "rep"); !ok || st.N != len(vals) {
-		t.Errorf("rep stat = %+v, %v", st, ok)
-	}
-	if _, ok := s.Stat("k", "label"); ok {
-		t.Error("string field aggregated")
-	}
-}
-
 func TestTeeFansOut(t *testing.T) {
-	a, b := NewMemorySink(), NewAggSink()
+	a, b := NewMemorySink(), NewMemorySink()
 	tee := NewTee(a, b)
 	if err := tee.Emit("k", Row{F("v", 2.0)}); err != nil {
 		t.Fatal(err)
@@ -200,11 +163,10 @@ func TestTeeFansOut(t *testing.T) {
 	if err := tee.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if len(a.Rows("k")) != 1 {
-		t.Error("memory sink missed the row")
-	}
-	if st, ok := b.Stat("k", "v"); !ok || st.N != 1 || st.Mean != 2 {
-		t.Errorf("agg sink missed the row: %+v", st)
+	for i, s := range []*MemorySink{a, b} {
+		if rows := s.Rows("k"); len(rows) != 1 || rows[0][0].Value != 2.0 {
+			t.Errorf("sink %d holds %v, want the one row", i, rows)
+		}
 	}
 }
 
