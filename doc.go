@@ -246,6 +246,31 @@
 // See examples/campaign for a grid study and cmd/figures for the full
 // figure-regeneration graph.
 //
+// # How a sweep is priced
+//
+// A kernel charges the simulated machine by patch shape, never by field
+// data, so a single-rank sweep issues the same charges in the same order
+// on every machine and at every seed. harness.StreamJobs groups the grid
+// scenarios that run one such program (the sweep config with cache, CPU,
+// seed and scheduler set aside, one rank). In each campaign.Run the first
+// member to run measures live while its platform.Proc records a
+// platform.Trace: one 24-byte event per charge (ChargeStreamHinted,
+// ChargeFlops, ChargeCall, AdvanceCycles, Advance, SyncTo), plus a mark
+// before and after every monitored call. A member that runs after the
+// recording is priced from it: the trace is replayed on a fresh Proc of
+// the member's own machine, so the same accesses walk that cache and every
+// clock advance rounds as it would live, and each invocation's wall time
+// and PAPI_L2_DCM delta is read between its marks, as core.Record
+// differences its snapshots. Pricing skips the kernels' arithmetic, and
+// costs about 0.7 of a live sweep; TestRepricedSweepMatchesLive holds it to
+// the live sweep bit for bit at every trend-axis point. A member that
+// starts while the recording runs measures live rather than wait, and one
+// served from the store does neither. The recording lives in the Run's
+// campaign.Shared state, and its buffer goes back to a process-wide free
+// list when the Run ends. Keys, hashes, payloads and rows are those of a
+// live sweep. Multi-rank sweeps and case studies stay live: there a
+// message's arrival depends on another rank's clock.
+//
 // # Results and checkpointing
 //
 // Campaign jobs do not have to buffer whole results in memory: they stream

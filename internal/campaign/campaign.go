@@ -200,6 +200,51 @@ func Emit(ctx context.Context, key string, row results.Row) error {
 	return nil
 }
 
+// sharedKey carries a Run's shared values through job contexts.
+type sharedKey struct{}
+
+// runShared holds the values the jobs of one Run share (Shared).
+type runShared struct {
+	mu       sync.Mutex
+	values   map[any]any
+	releases []func()
+}
+
+// Shared returns the value that the jobs of the current Run share under
+// key, calling mk for the first job that asks. The release mk returns, when
+// not nil, runs after every job of the Run has settled, in the reverse
+// order of the values' making. No value outlives its Run, so a job list
+// run twice shares nothing between the runs. ok is false when ctx is not a
+// Run's job context (a Run or Decode hook called directly). mk runs under
+// the Run's lock, so it must not call Shared.
+func Shared(ctx context.Context, key any, mk func() (v any, release func())) (v any, ok bool) {
+	s, ok := ctx.Value(sharedKey{}).(*runShared)
+	if !ok {
+		return nil, false
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if v, ok := s.values[key]; ok {
+		return v, true
+	}
+	v, release := mk()
+	if s.values == nil {
+		s.values = map[any]any{}
+	}
+	s.values[key] = v
+	if release != nil {
+		s.releases = append(s.releases, release)
+	}
+	return v, true
+}
+
+// release runs the shared values' releases, last made first.
+func (s *runShared) release() {
+	for i := len(s.releases) - 1; i >= 0; i-- {
+		s.releases[i]()
+	}
+}
+
 // ErrDependency marks a job skipped because a prerequisite failed.
 var ErrDependency = errors.New("campaign: dependency failed")
 
@@ -271,6 +316,8 @@ func Run(ctx context.Context, cfg Config, jobs []Job) ([]Result, error) {
 	if cfg.Sink != nil {
 		ctx = withSink(ctx, cfg.Sink)
 	}
+	shared := new(runShared)
+	ctx = context.WithValue(ctx, sharedKey{}, shared)
 
 	// Observability (when globally enabled) records one trace track per
 	// worker plus lifecycle counters. It is strictly write-only: nothing
@@ -332,6 +379,7 @@ func Run(ctx context.Context, cfg Config, jobs []Job) ([]Result, error) {
 		run.mu.Unlock()
 		<-dispatchDone
 	}
+	shared.release()
 
 	var errs []error
 	for i := range results {

@@ -212,3 +212,77 @@ func TestDeriveSeedStableAndDistinct(t *testing.T) {
 		}
 	}
 }
+
+// TestSharedLivesOneRun: the jobs of one Run, on any worker count, share
+// one value per key, made once; the value's release runs once, after
+// every job has settled; the next Run of the same job list makes a new
+// value; and a hook called outside a Run shares nothing.
+func TestSharedLivesOneRun(t *testing.T) {
+	t.Parallel()
+	type counter struct {
+		mu      sync.Mutex
+		uses    int
+		settled bool
+	}
+	var (
+		mu               sync.Mutex
+		made, released   []*counter
+		releasedTooEarly bool
+	)
+	key := new(int)
+	use := func(ctx context.Context) (*counter, bool) {
+		v, ok := Shared(ctx, key, func() (any, func()) {
+			c := new(counter)
+			mu.Lock()
+			made = append(made, c)
+			mu.Unlock()
+			return c, func() {
+				c.mu.Lock()
+				releasedTooEarly = releasedTooEarly || !c.settled
+				c.mu.Unlock()
+				mu.Lock()
+				released = append(released, c)
+				mu.Unlock()
+			}
+		})
+		if !ok {
+			return nil, false
+		}
+		c := v.(*counter)
+		c.mu.Lock()
+		c.uses++
+		c.settled = c.uses == 8
+		c.mu.Unlock()
+		return c, true
+	}
+	var jobs []Job
+	for i := 0; i < 8; i++ {
+		jobs = append(jobs, Job{Key: fmt.Sprintf("j%d", i), Run: func(ctx context.Context, _ map[string]any) (any, error) {
+			c, ok := use(ctx)
+			if !ok {
+				return nil, errors.New("no shared value inside a Run")
+			}
+			return c, nil
+		}})
+	}
+	for run, workers := range []int{1, 4} {
+		res, err := Run(context.Background(), Config{Workers: workers}, jobs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, r := range res {
+			if r.Value != made[run] {
+				t.Errorf("run %d: %s saw another value", run, r.Key)
+			}
+		}
+		if len(made) != run+1 || len(released) != run+1 || released[run] != made[run] || made[run].uses != 8 {
+			t.Fatalf("after run %d: %d made, %d released", run, len(made), len(released))
+		}
+	}
+	if releasedTooEarly {
+		t.Error("a value was released before its Run's jobs settled")
+	}
+	if _, ok := use(context.Background()); ok {
+		t.Error("Shared answered outside a Run")
+	}
+}

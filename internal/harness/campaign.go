@@ -45,7 +45,7 @@ func emitRows(ctx context.Context, key string, rows []results.Row) error {
 // derivation over a stored measurement is a plain cache miss; a replay
 // that fails partway is wrapped with campaign.ErrReplay, failing the job
 // rather than re-running it into rows already replayed.
-func measureJob[M measurement](key, hash string, measure func() (M, error), value func(M) (any, error)) campaign.Job {
+func measureJob[M measurement](key, hash string, measure func(context.Context) (M, error), value func(M) (any, error)) campaign.Job {
 	// measured hands the measurement from Run to Encode (the campaign
 	// calls them in turn on one worker) without making it the job's value.
 	var measured M
@@ -73,7 +73,7 @@ func measureJob[M measurement](key, hash string, measure func() (M, error), valu
 			return v, nil
 		},
 		Run: func(ctx context.Context, _ map[string]any) (any, error) {
-			m, err := measure()
+			m, err := measure(ctx)
 			if err != nil {
 				return nil, err
 			}
@@ -99,7 +99,7 @@ func SweepJob(key string, cfg SweepConfig) campaign.Job {
 	hashed := cfg
 	hashed.World = serialWorld(cfg.World)
 	return measureJob(key, jobHash("sweep", hashed),
-		func() (*SweepResult, error) { return RunSweep(cfg) }, itself[*SweepResult])
+		func(context.Context) (*SweepResult, error) { return RunSweep(cfg) }, itself[*SweepResult])
 }
 
 // CaseStudyJob wraps RunCaseStudy as a checkpointable campaign job under
@@ -108,7 +108,7 @@ func CaseStudyJob(key string, cfg CaseStudyConfig) campaign.Job {
 	hashed := cfg
 	hashed.World = serialWorld(cfg.World)
 	return measureJob(key, jobHash("case", hashed),
-		func() (*CaseStudyResult, error) { return RunCaseStudy(cfg) }, itself[*CaseStudyResult])
+		func(context.Context) (*CaseStudyResult, error) { return RunCaseStudy(cfg) }, itself[*CaseStudyResult])
 }
 
 // scenarioSweepConfig specializes the base sweep to one grid scenario: the

@@ -25,11 +25,12 @@ import (
 const checkpointVersion = "harness-ckpt-v8"
 
 // jobHash fingerprints a job kind plus its full configuration.
-func jobHash(kind string, cfgs ...any) string {
-	parts := make([]any, 0, len(cfgs)+2)
-	parts = append(parts, checkpointVersion, kind)
-	parts = append(parts, cfgs...)
-	return store.Hash(parts...)
+func jobHash(kind string, cfgs ...any) string { return jobHasher(kind).Hash(cfgs...) }
+
+// jobHasher is jobHash with the leading configurations rendered once:
+// jobHasher(kind, a).Hash(b) equals jobHash(kind, a, b).
+func jobHasher(kind string, cfgs ...any) store.Hasher {
+	return store.NewHasher(append([]any{checkpointVersion, kind}, cfgs...)...)
 }
 
 // serialWorld is the world a job hash names: the scheduler is how a world

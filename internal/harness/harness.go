@@ -38,8 +38,8 @@ type CaseStudyConfig struct {
 //     and
 //   - the interconnect is the loaded-cluster model (72 us latency, 9.5
 //     bytes/us), which gives MPI_Waitsome 35.8% of main against the
-//     paper's 24.3%; TestFig3ShapeWaitsomeShare holds it between 12% and
-//     45%.
+//     paper's 24.3%; TestFig3ShapeWaitsomeShare holds it between 32.8%
+//     and 38.8%.
 func DefaultCaseStudy() CaseStudyConfig {
 	app := components.DefaultAppConfig()
 	app.Mesh.BaseNx, app.Mesh.BaseNy = 96, 24

@@ -106,15 +106,16 @@ func TestRunCaseStudyProducesAllArtifacts(t *testing.T) {
 
 func TestFig3ShapeWaitsomeShare(t *testing.T) {
 	t.Parallel()
-	// The headline Fig. 3 claim: about a quarter of the time in
-	// MPI_Waitsome. Accept a generous band around the paper's 24.3%.
+	// The headline Fig. 3 claim: MPI_Waitsome is the largest share of
+	// main (the paper's 24.3%). The calibrated run reads 35.8%; the band
+	// is three points either side of that reading.
 	res, err := RunCaseStudy(DefaultCaseStudy())
 	if err != nil {
 		t.Fatal(err)
 	}
 	ws := res.TimerShare("MPI_Waitsome()")
-	if ws < 0.12 || ws > 0.45 {
-		t.Errorf("MPI_Waitsome share = %.1f%%, want ~25%%", ws*100)
+	if ws < 0.328 || ws > 0.388 {
+		t.Errorf("MPI_Waitsome share = %.1f%%, want 32.8-38.8%% (calibrated 35.8%%)", ws*100)
 	}
 	// Godunov must outweigh States (paper: 12.0%% vs 10.9%%).
 	if g, s := res.TimerShare("g_proxy::compute()"), res.TimerShare("sc_proxy::compute()"); g <= s {

@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/euler"
 	"repro/internal/mpi"
+	"repro/internal/platform"
 )
 
 // benchSweep is one sweep of the benchmark's sweep_cold pass: the sizes of
@@ -99,8 +100,9 @@ func allocatedBy(t *testing.T, budget uint64, f func() error) uint64 {
 // the first takes that arena back and allocates 0.09 MB, with a garbage
 // collection between the two: each sweep cleared an arena of its own before
 // they were kept (16.3 MB), and a sync.Pool dropped the kept one at every
-// collection. Each budget is about a quarter above its reading. Not
-// parallel: TotalAlloc counts every goroutine's allocations.
+// collection. Each budget is about a quarter above its reading. Pricing
+// the recorded sweep on another machine (0.02 MB) is held to the warm
+// budget. Not parallel: TotalAlloc counts every goroutine's allocations.
 func TestSweepAllocationBudget(t *testing.T) {
 	const budget, warmBudget = 20 << 20, 120 << 10
 	sweep := func() error {
@@ -118,6 +120,25 @@ func TestSweepAllocationBudget(t *testing.T) {
 	t.Logf("a sweep after the first allocates %.3f MB", float64(warm)/(1<<20))
 	if warm > warmBudget {
 		t.Errorf("a sweep after the first allocates %d bytes, budget %d", warm, warmBudget)
+	}
+
+	// Pricing a recorded sweep on another machine builds one Proc and the
+	// points, and nothing per charge. A cache directory is 8 bytes a line,
+	// so the machine is the 128 kB one (16 kB) of the benchmark's pair.
+	trace := new(platform.Trace)
+	recorded, err := runSweep(benchSweep(KernelEFM), trace)
+	if err != nil {
+		t.Fatal(err)
+	}
+	at := benchSweep(KernelEFM)
+	at.World.Cache.SizeBytes = 128 << 10
+	priced := allocatedBy(t, warmBudget, func() error {
+		_, err := repriceSweep(at, trace, recorded.Points)
+		return err
+	})
+	t.Logf("pricing a recorded sweep at 128 kB allocates %.3f MB", float64(priced)/(1<<20))
+	if priced > warmBudget {
+		t.Errorf("pricing a recorded sweep allocates %d bytes, budget %d", priced, warmBudget)
 	}
 }
 

@@ -12,6 +12,7 @@ import (
 	"repro/internal/components"
 	"repro/internal/euler"
 	"repro/internal/mpi"
+	"repro/internal/platform"
 	"repro/internal/results"
 )
 
@@ -54,8 +55,10 @@ type SweepConfig struct {
 	Sizes []int
 	// Reps is the number of invocations per size per mode.
 	Reps int
-	// World is the simulated machine (3 ranks give the per-processor
-	// scatter of Fig. 4).
+	// World is the simulated machine. Every rank runs the same program
+	// on the same machine and records bit-identical points, so ranks past
+	// the first repeat rank 0's scatter rather than widen it: the Fig. 4
+	// spread comes from patch aspect and cache state.
 	World mpi.WorldConfig
 }
 
@@ -128,29 +131,29 @@ func blockShape(q int, a float64) (nx, ny int) {
 // It is a free list, not a sync.Pool, which a garbage collection empties:
 // a sweep after one cleared a new arena. The list holds at most as many
 // arenas as ranks have swept at once.
-var sweepScratches scratchList
+var sweepScratches freeList[euler.Scratch]
 
-// scratchList is a mutex-guarded free list of scratch arenas.
-type scratchList struct {
+// freeList is a mutex-guarded free list of reusable buffers.
+type freeList[T any] struct {
 	mu   sync.Mutex
-	free []*euler.Scratch
+	free []*T
 }
 
-// get takes an arena off the list, or makes an empty one.
-func (l *scratchList) get() *euler.Scratch {
+// get takes a buffer off the list, or makes an empty one.
+func (l *freeList[T]) get() *T {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	n := len(l.free)
 	if n == 0 {
-		return new(euler.Scratch)
+		return new(T)
 	}
 	s := l.free[n-1]
 	l.free = l.free[:n-1]
 	return s
 }
 
-// put returns an arena to the list.
-func (l *scratchList) put(s *euler.Scratch) {
+// put returns a buffer to the list.
+func (l *freeList[T]) put(s *T) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	l.free = append(l.free, s)
@@ -161,7 +164,12 @@ func (l *scratchList) put(s *euler.Scratch) {
 // repetition — a randomized shock/interface crossing — but no kernel's
 // charge reads field data: only cache state and patch shape move the
 // timings, so the rows do not depend on the seed (TestSweepRowsIgnoreSeed).
-func RunSweep(cfg SweepConfig) (*SweepResult, error) {
+func RunSweep(cfg SweepConfig) (*SweepResult, error) { return runSweep(cfg, nil) }
+
+// runSweep is RunSweep, recording rank 0's charges into trace when it is
+// not nil, with a mark before and after every monitored call (see
+// repriceSweep).
+func runSweep(cfg SweepConfig, trace *platform.Trace) (*SweepResult, error) {
 	if len(cfg.Sizes) == 0 || cfg.Reps <= 0 {
 		return nil, fmt.Errorf("harness: empty sweep")
 	}
@@ -181,6 +189,10 @@ func RunSweep(cfg SweepConfig) (*SweepResult, error) {
 			return err
 		}
 		proc := r.Proc
+		if trace != nil && r.Rank() == 0 {
+			proc.RecordTo(trace)
+			defer proc.RecordTo(nil)
+		}
 		rng := proc.RNG()
 		problem := euler.DefaultShockInterface()
 		dirs := [2]euler.Dir{euler.X, euler.Y}
@@ -224,14 +236,18 @@ func RunSweep(cfg SweepConfig) (*SweepResult, error) {
 					for _, dir := range dirs {
 						qL, qR, fl := fields[dir][0], fields[dir][1], fields[dir][2]
 						if cfg.Kernel == KernelStates {
+							proc.Mark()
 							statesPort.Compute(b, dir, qL, qR)
+							proc.Mark()
 							continue
 						}
 						// Flux kernels consume reconstructed states: build
 						// them unmonitored, then invoke the monitored flux
 						// proxy.
 						euler.States(proc, b, dir, qL, qR)
+						proc.Mark()
 						fluxPort.Compute(qL, qR, fl)
+						proc.Mark()
 					}
 				}
 			}

@@ -12,6 +12,7 @@ package platform
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 
 	"repro/internal/cache"
@@ -93,6 +94,8 @@ type Proc struct {
 	clock    Time
 	nextAddr uint64
 	fpOps    uint64
+	// trace, while recording, receives every charge (RecordTo).
+	trace *Trace
 }
 
 // countingSource wraps the standard random source and counts how many times
@@ -225,6 +228,13 @@ func (p *Proc) Now() Time { return p.clock }
 // Advance moves the virtual clock forward by d microseconds.
 // Negative advances are a programming error and panic.
 func (p *Proc) Advance(d Time) {
+	if p.trace != nil {
+		p.trace.add(charge{op: opAdvance, arg: math.Float64bits(d)})
+	}
+	p.advance(d)
+}
+
+func (p *Proc) advance(d Time) {
 	if d < 0 {
 		panic(fmt.Sprintf("platform: negative time advance %g on rank %d", d, p.rank))
 	}
@@ -233,12 +243,20 @@ func (p *Proc) Advance(d Time) {
 
 // AdvanceCycles moves the clock forward by a cycle count.
 func (p *Proc) AdvanceCycles(cycles float64) {
-	p.Advance(p.cpu.CyclesToMicros(cycles))
+	if p.trace != nil {
+		p.trace.add(charge{op: opCycles, arg: math.Float64bits(cycles)})
+	}
+	p.advanceCycles(cycles)
 }
+
+func (p *Proc) advanceCycles(cycles float64) { p.advance(p.cpu.CyclesToMicros(cycles)) }
 
 // SyncTo moves the clock forward to t if t is in the future; it never moves
 // the clock backward. It returns the (possibly unchanged) clock value.
 func (p *Proc) SyncTo(t Time) Time {
+	if p.trace != nil {
+		p.trace.add(charge{op: opSyncTo, arg: math.Float64bits(t)})
+	}
 	if t > p.clock {
 		p.clock = t
 	}
@@ -264,8 +282,11 @@ func (p *Proc) ChargeFlops(n int) {
 	if n <= 0 {
 		return
 	}
+	if p.trace != nil {
+		p.trace.add(charge{op: opFlops, n: n})
+	}
 	p.fpOps += uint64(n)
-	p.AdvanceCycles(float64(n) * p.cpu.CyclesPerFlop)
+	p.advanceCycles(float64(n) * p.cpu.CyclesPerFlop)
 }
 
 // ChargeStream simulates a memory access stream of n elements starting at
@@ -284,19 +305,127 @@ func (p *Proc) ChargeStreamHinted(base uint64, n, strideBytes int, overlapped bo
 	if n <= 0 {
 		return 0, 0
 	}
+	if p.trace != nil {
+		p.trace.add(streamCharge(base, n, strideBytes, overlapped))
+	}
 	hits, misses = p.cache.AccessRange(base, n, strideBytes)
 	seq := overlapped || strideBytes <= p.cache.LineBytes()
-	p.AdvanceCycles(p.cpu.StreamCycles(hits, misses, seq))
+	p.advanceCycles(p.cpu.StreamCycles(hits, misses, seq))
 	return hits, misses
 }
 
 // ChargeCall accounts the fixed overhead of one port-mediated method call.
 func (p *Proc) ChargeCall() {
-	p.AdvanceCycles(p.cpu.CallCycles)
+	if p.trace != nil {
+		p.trace.add(charge{op: opCall})
+	}
+	p.advanceCycles(p.cpu.CallCycles)
 }
 
 // Counters returns a snapshot of the PAPI-style event counters.
 func (p *Proc) Counters() Counters {
 	st := p.cache.Stats()
 	return Counters{FPOps: p.fpOps, L2DCA: st.Accesses, L2DCM: st.Misses}
+}
+
+// A Trace is the ordered charges a Proc applied while recording: the
+// program's demand on the machine with the machine's prices left out. Every
+// call that moves the clock or the counters appends one fixed-size event —
+// ChargeStreamHinted (and ChargeStream), ChargeFlops, ChargeCall,
+// AdvanceCycles, Advance and SyncTo — and Mark appends a mark the program
+// places itself. Replay applies the charges to a Proc of another machine:
+// the same accesses walk that machine's cache and the same work is priced
+// by its CPU model, one call at a time, so every clock advance rounds as it
+// would in a live run there. Advance and SyncTo replay the recorded
+// durations and times as they are, so a program whose advances derive from
+// its machine's prices (a message that arrives when its sender's clock
+// says) cannot be priced from a recording. Allocation and random draws are
+// not charges: the recorded addresses already carry the allocator's
+// layout.
+//
+// A Trace keeps its buffer across recordings; the zero value is empty.
+type Trace struct {
+	events []charge
+}
+
+// charge is one recorded event, 24 bytes.
+type charge struct {
+	arg    uint64 // a stream's base address, or a float64's bits
+	n      int    // a stream's element count, or ChargeFlops' n
+	stride int32  // a stream's byte stride
+	op     chargeOp
+	hint   bool // a stream's latency-overlap hint
+}
+
+type chargeOp uint8
+
+const (
+	opStream chargeOp = iota
+	opFlops
+	opCall
+	opCycles
+	opAdvance
+	opSyncTo
+	opMark
+)
+
+// streamCharge records ChargeStreamHinted's arguments. A byte stride beyond
+// 2 GB fits no simulated array, so one that does not fit in 32 bits is a
+// programming error and panics rather than record a different stream.
+func streamCharge(base uint64, n, strideBytes int, overlapped bool) charge {
+	stride := int32(strideBytes)
+	if int(stride) != strideBytes {
+		panic(fmt.Sprintf("platform: stride %d does not fit a trace event", strideBytes))
+	}
+	return charge{op: opStream, arg: base, n: n, stride: stride, hint: overlapped}
+}
+
+func (t *Trace) add(c charge) { t.events = append(t.events, c) }
+
+// Len returns the number of recorded events, marks included.
+func (t *Trace) Len() int { return len(t.events) }
+
+// RecordTo empties t and appends every later charge of p to it, until
+// RecordTo(nil) stops the recording. A Proc records into one trace at a
+// time.
+func (p *Proc) RecordTo(t *Trace) {
+	if t != nil {
+		t.events = t.events[:0]
+	}
+	p.trace = t
+}
+
+// Mark appends a mark to the trace being recorded, and does nothing when
+// none is. Replay calls its mark function at each mark, where the replaying
+// Proc's clock and counters read what the recording Proc's would read on
+// that machine.
+func (p *Proc) Mark() {
+	if p.trace != nil {
+		p.trace.add(charge{op: opMark})
+	}
+}
+
+// Replay applies the trace's charges to p in the order they were recorded,
+// calling mark at each mark. p should be a fresh Proc, or one in the state
+// the recording Proc started from; it may belong to any machine.
+func (t *Trace) Replay(p *Proc, mark func()) {
+	for i := range t.events {
+		c := &t.events[i]
+		switch c.op {
+		case opStream:
+			p.ChargeStreamHinted(c.arg, c.n, int(c.stride), c.hint)
+		case opFlops:
+			p.ChargeFlops(c.n)
+		case opCall:
+			p.ChargeCall()
+		case opCycles:
+			p.AdvanceCycles(math.Float64frombits(c.arg))
+		case opAdvance:
+			p.Advance(math.Float64frombits(c.arg))
+		case opSyncTo:
+			p.SyncTo(math.Float64frombits(c.arg))
+		case opMark:
+			mark()
+		}
+	}
 }

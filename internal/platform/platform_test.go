@@ -220,3 +220,69 @@ func TestStreamCyclesPrefetchDiscount(t *testing.T) {
 		t.Errorf("sequential miss cycles %g should be < strided %g", seq, str)
 	}
 }
+
+// TestTraceReplaysEveryCharge records one call of every charging method,
+// each once however it is built from the others, and replays the trace on
+// a fresh Proc of the same machine and of another: the same machine ends
+// with the recording Proc's exact clock and counters, and marks fire where
+// they were placed.
+func TestTraceReplaysEveryCharge(t *testing.T) {
+	var trace Trace
+	live := newTestProc()
+	base := live.Alloc(1 << 16)
+	charges := func(p *Proc) {
+		p.ChargeStream(base, 512, 8)
+		p.ChargeFlops(1000)
+		p.Mark()
+		p.ChargeStreamHinted(base, 64, 1024, true)
+		p.ChargeCall()
+		p.AdvanceCycles(12.5)
+		p.Advance(0.25)
+		p.SyncTo(100) // an absolute time, which replays as itself
+		p.SyncTo(0)
+		p.Mark()
+		p.ChargeStream(base, 0, 8) // moves nothing, records nothing
+		p.ChargeFlops(0)
+	}
+	live.RecordTo(&trace)
+	charges(live)
+	live.RecordTo(nil)
+	live.ChargeCall() // after the recording
+	if got, want := trace.Len(), 10; got != want {
+		t.Fatalf("trace has %d events, want %d", got, want)
+	}
+
+	plain := newTestProc()
+	charges(plain)
+	replay := func(p *Proc) (marks []Time) {
+		trace.Replay(p, func() { marks = append(marks, p.Now()) })
+		return marks
+	}
+	again := newTestProc()
+	marks := replay(again)
+	if again.Now() != plain.Now() || again.Counters() != plain.Counters() {
+		t.Errorf("replay ends at %g %+v, live at %g %+v", again.Now(), again.Counters(), plain.Now(), plain.Counters())
+	}
+	if len(marks) != 2 || marks[0] <= 0 || marks[1] <= marks[0] {
+		t.Errorf("marks at %v", marks)
+	}
+
+	fast := XeonModel()
+	fast.ClockGHz *= 2
+	other := NewProc(0, fast, cache.Config{SizeBytes: 4096, LineBytes: 64, Assoc: 2}, 1)
+	plainOther := NewProc(0, fast, cache.Config{SizeBytes: 4096, LineBytes: 64, Assoc: 2}, 1)
+	charges(plainOther)
+	replay(other)
+	if other.Now() != plainOther.Now() || other.Counters() != plainOther.Counters() {
+		t.Errorf("replay on another machine ends at %g %+v, live there at %g %+v",
+			other.Now(), other.Counters(), plainOther.Now(), plainOther.Counters())
+	}
+
+	// A new recording starts from an empty trace.
+	live.RecordTo(&trace)
+	live.Mark()
+	live.RecordTo(nil)
+	if trace.Len() != 1 {
+		t.Errorf("a new recording kept %d events", trace.Len()-1)
+	}
+}

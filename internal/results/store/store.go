@@ -202,10 +202,28 @@ func (s *Store) Len() (int, error) {
 // simple reflection walk). Callers should include a format-version salt so
 // stored payloads are invalidated when a config struct or its payload
 // encoding changes.
-func Hash(parts ...any) string {
-	h := sha256.New()
+func Hash(parts ...any) string { return Hasher{}.Hash(parts...) }
+
+// A Hasher is Hash with its first parts rendered once, for callers that
+// fingerprint many configurations sharing them (every scenario of a grid
+// against one base config): NewHasher(a, b).Hash(c) equals Hash(a, b, c).
+type Hasher struct{ prefix []byte }
+
+// NewHasher renders the leading parts.
+func NewHasher(parts ...any) Hasher {
+	var b []byte
 	for _, p := range parts {
-		fmt.Fprintf(h, "%#v\x00", p)
+		b = fmt.Appendf(b, "%#v\x00", p)
 	}
-	return hex.EncodeToString(h.Sum(nil))
+	return Hasher{b}
+}
+
+// Hash fingerprints the leading parts followed by parts.
+func (h Hasher) Hash(parts ...any) string {
+	d := sha256.New()
+	d.Write(h.prefix)
+	for _, p := range parts {
+		fmt.Fprintf(d, "%#v\x00", p)
+	}
+	return hex.EncodeToString(d.Sum(nil))
 }

@@ -217,4 +217,16 @@ func TestHashDeterministicAndSensitive(t *testing.T) {
 	if len(a) != 64 {
 		t.Errorf("hash length %d", len(a))
 	}
+	// A Hasher's rendered prefix gives Hash's digest at every split, and
+	// one Hasher serves many suffixes.
+	h := NewHasher("v1", "sweep")
+	if got := h.Hash(cfg{3, 1}); got != a {
+		t.Errorf("NewHasher(v1, sweep).Hash(cfg) = %s, want %s", got, a)
+	}
+	if got := h.Hash(cfg{3, 2}); got != Hash("v1", "sweep", cfg{3, 2}) {
+		t.Error("a reused Hasher hashes another suffix differently from Hash")
+	}
+	if NewHasher("v1", "sweep", cfg{3, 1}).Hash() != a || NewHasher().Hash("v1", "sweep", cfg{3, 1}) != a {
+		t.Error("a Hasher's split point changes its digest")
+	}
 }
