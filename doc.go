@@ -252,24 +252,42 @@
 // data, so a single-rank sweep issues the same charges in the same order
 // on every machine and at every seed. harness.StreamJobs groups the grid
 // scenarios that run one such program (the sweep config with cache, CPU,
-// seed and scheduler set aside, one rank). In each campaign.Run the first
-// member to run measures live while its platform.Proc records a
-// platform.Trace: one 24-byte event per charge (ChargeStreamHinted,
-// ChargeFlops, ChargeCall, AdvanceCycles, Advance, SyncTo), plus a mark
-// before and after every monitored call. A member that runs after the
-// recording is priced from it: the trace is replayed on a fresh Proc of
-// the member's own machine, so the same accesses walk that cache and every
-// clock advance rounds as it would live, and each invocation's wall time
-// and PAPI_L2_DCM delta is read between its marks, as core.Record
-// differences its snapshots. Pricing skips the kernels' arithmetic, and
-// costs about 0.7 of a live sweep; TestRepricedSweepMatchesLive holds it to
-// the live sweep bit for bit at every trend-axis point. A member that
-// starts while the recording runs measures live rather than wait, and one
-// served from the store does neither. The recording lives in the Run's
-// campaign.Shared state, and its buffer goes back to a process-wide free
-// list when the Run ends. Keys, hashes, payloads and rows are those of a
-// live sweep. Multi-rank sweeps and case studies stay live: there a
-// message's arrival depends on another rank's clock.
+// seed and scheduler set aside, one rank), and in each campaign.Run every
+// member of a group is priced in two steps from one recording:
+//
+//   - The first member to run records the program dry: its
+//     platform.Proc appends every charge to a platform.Trace (one 24-byte
+//     event per ChargeStreamHinted, ChargeFlops, ChargeCall, AdvanceCycles,
+//     Advance or SyncTo, plus a mark before and after every monitored
+//     call) and walks no cache.
+//   - Trace.Walk runs the recording's streams through an empty cache of
+//     the member's geometry and keeps each stream's misses. LRU sets are
+//     independent, so the walk splits by set (cache.Part): each part keeps
+//     the directory of its own contiguous range of sets, walks the lines
+//     that map there on its own goroutine, and the parts' misses sum to
+//     the whole cache's, stream by stream. The split takes as many cores
+//     as GOMAXPROCS less the walks already in flight, and never changes a
+//     count. A walk depends on the streams and the cache alone, so the
+//     Run's members share it through campaign.Shared, keyed by stream
+//     digest and cache geometry, once the two traces' streams compare
+//     equal element by element: Godunov and EFM issue the same streams,
+//     and a CPU clock axis walks once.
+//   - Trace.Price applies the charges in order to a fresh Proc of the
+//     member's machine with those misses, so the PAPI counters move and
+//     every clock advance rounds as in a live run there, and each
+//     invocation's wall time and PAPI_L2_DCM delta is read between its
+//     marks, as core.Record differences its snapshots. A recording's clock
+//     lacks its streams' prices, so Price refuses a trace that holds an
+//     Advance or a SyncTo, which take values off that clock.
+//
+// TestRepricedSweepMatchesLive holds the priced sweep to the live sweep
+// bit for bit at every trend-axis point. A member that finds the recording
+// or its walk in progress waits for it, and does it in its place if it
+// fails; one served from the store does neither. Recordings and walks live
+// in the Run's campaign.Shared state, and their buffers go back to
+// process-wide free lists when the Run ends. Keys, hashes, payloads and
+// rows are those of a live sweep. Multi-rank sweeps and case studies stay
+// live: there a message's arrival depends on another rank's clock.
 //
 // # Results and checkpointing
 //

@@ -103,13 +103,9 @@ func New(cfg Config) *Cache {
 	if err := cfg.Validate(); err != nil {
 		panic(err)
 	}
-	shift := uint(0)
-	for 1<<shift != cfg.LineBytes {
-		shift++
-	}
 	return &Cache{
 		cfg:       cfg,
-		lineShift: shift,
+		lineShift: log2(cfg.LineBytes),
 		setMask:   uint64(cfg.Sets() - 1),
 		assoc:     cfg.Assoc,
 	}
@@ -180,6 +176,9 @@ func (c *Cache) Restore(s State) {
 
 // Flush invalidates every line and leaves the counters untouched.
 func (c *Cache) Flush() { clear(c.tags) }
+
+// Config returns the cache's geometry.
+func (c *Cache) Config() Config { return c.cfg }
 
 // LineBytes returns the line size in bytes.
 func (c *Cache) LineBytes() int { return c.cfg.LineBytes }
@@ -318,6 +317,135 @@ func (c *Cache) walk(addr uint64, n int, stride uint64) (misses uint64) {
 		w[0], w[1], w[2], w[3], w[4], w[5], w[6], w[7] = tag, t0, t1, t2, t3, t4, t5, t6
 	}
 	return misses
+}
+
+// Count adds an access stream's hits and misses to the counters, as
+// AccessRange would, without touching the directory: the counter side of a
+// stream whose lines a split walk (Part) has already walked.
+func (c *Cache) Count(hits, misses uint64) {
+	c.stats.Accesses += hits + misses
+	c.stats.Hits += hits
+	c.stats.Misses += misses
+}
+
+// A Part is one of the parts a cache splits into by set. Part k of P (a
+// power of two no larger than the set count) holds the k-th of P equal,
+// contiguous ranges of sets, and walks only the lines that map there. LRU
+// sets are independent of each other, so those lines hit and miss in the
+// part exactly as in the whole cache, and the parts' misses for a sequence
+// of streams sum, stream by stream, to the misses AccessRange counts on
+// one whole cache: the parts can walk the same streams on different
+// cores, each keeping a directory of only its own sets. A Part is not safe
+// for concurrent use; the zero value is no part until Reset.
+//
+// The ranges are contiguous, not the sets of each residue modulo P: an
+// ascending stream then stays in one part for a run of elements, up to
+// the end of that range's bytes, and each run is walked whole by the loop
+// AccessRange uses, with no test per element. A strided stream of the
+// residue split would change part at nearly every element.
+type Part struct {
+	c Cache // the part's sets, indexed by line as in the whole cache
+	// k and pm are the part's index and P-1; the part of an address is
+	// its range of sets, addr>>rangeShift, modulo P.
+	k, pm      uint64
+	rangeShift uint
+}
+
+// Reset makes p part k of parts of an empty cache of geometry cfg, keeping
+// its directory's storage when that is large enough. Like New it panics on
+// an invalid geometry, and also on a part count that is not a power of two
+// no larger than the set count, or a k outside [0, parts).
+func (p *Part) Reset(cfg Config, k, parts int) {
+	if err := cfg.Validate(); err != nil {
+		panic(err)
+	}
+	sets := cfg.Sets()
+	if parts <= 0 || parts&(parts-1) != 0 || parts > sets || k < 0 || k >= parts {
+		panic(fmt.Sprintf("cache: part %d of %d of a cache with %d sets", k, parts, sets))
+	}
+	shift := log2(cfg.LineBytes)
+	n := sets / parts * cfg.Assoc
+	tags := p.c.tags
+	if cap(tags) >= n {
+		tags = tags[:n]
+		clear(tags)
+	} else {
+		tags = make([]uint64, n)
+	}
+	p.c = Cache{cfg: cfg, lineShift: shift, setMask: uint64(sets/parts - 1), tags: tags, assoc: cfg.Assoc}
+	p.k, p.pm = uint64(k), uint64(parts-1)
+	p.rangeShift = shift + log2(sets/parts)
+}
+
+// Misses walks the lines of an AccessRange(base, n, strideBytes) call that
+// map to p's sets, in the call's order, and returns how many missed.
+func (p *Part) Misses(base uint64, n, strideBytes int) uint64 {
+	if n <= 0 {
+		return 0
+	}
+	c := &p.c
+	end := base + uint64(n-1)*uint64(strideBytes)
+	if strideBytes > 0 && end >= base {
+		if strideBytes <= c.cfg.LineBytes {
+			// AccessRange's line-granular path: every line from the first
+			// to the last, once.
+			first, last := base>>c.lineShift, end>>c.lineShift
+			return p.runs(first<<c.lineShift, int(last-first)+1, uint64(c.cfg.LineBytes))
+		}
+		return p.runs(base, n, uint64(strideBytes))
+	}
+	// Zero and negative strides, and streams that wrap the address space,
+	// are rare: one element at a time.
+	var misses uint64
+	for addr := base; n > 0; n-- {
+		if (addr>>p.rangeShift)&p.pm == p.k && !c.accessLine(addr>>c.lineShift) {
+			misses++
+		}
+		addr += uint64(strideBytes)
+	}
+	return misses
+}
+
+// runs walks the elements in p's sets of an ascending stream that does not
+// wrap the address space: a run per range of sets the stream crosses,
+// each up to the end of its range, skipping the ranges of other parts. A
+// part that is the whole cache walks the stream in one run.
+func (p *Part) runs(addr uint64, n int, stride uint64) (misses uint64) {
+	if p.pm == 0 {
+		return p.c.walk(addr, n, stride)
+	}
+	for n > 0 {
+		r := addr >> p.rangeShift
+		if d := (p.k - r) & p.pm; d != 0 {
+			// The first element at or past the next range of this part. A
+			// range past the top of the address space wraps to below addr
+			// and so skips the rest of the stream.
+			skip := (((r+d)<<p.rangeShift)-addr-1)/stride + 1
+			if skip >= uint64(n) {
+				break
+			}
+			addr += skip * stride
+			n -= int(skip)
+			continue
+		}
+		run := ((addr|(1<<p.rangeShift-1))-addr)/stride + 1
+		if run > uint64(n) {
+			run = uint64(n)
+		}
+		misses += p.c.walk(addr, int(run), stride)
+		addr += run * stride
+		n -= int(run)
+	}
+	return misses
+}
+
+// log2 returns the base-2 logarithm of a power of two.
+func log2(v int) uint {
+	shift := uint(0)
+	for 1<<shift != v {
+		shift++
+	}
+	return shift
 }
 
 // Touch loads the [base, base+bytes) range sequentially, warming the cache.

@@ -100,9 +100,10 @@ func allocatedBy(t *testing.T, budget uint64, f func() error) uint64 {
 // the first takes that arena back and allocates 0.09 MB, with a garbage
 // collection between the two: each sweep cleared an arena of its own before
 // they were kept (16.3 MB), and a sync.Pool dropped the kept one at every
-// collection. Each budget is about a quarter above its reading. Pricing
-// the recorded sweep on another machine (0.02 MB) is held to the warm
-// budget. Not parallel: TotalAlloc counts every goroutine's allocations.
+// collection. Each budget is about a quarter above its reading. Walking
+// and pricing a recording on another machine after a first walk (0.008
+// MB) is held to the warm budget, and the first walk to its own. Not
+// parallel: TotalAlloc counts every goroutine's allocations.
 func TestSweepAllocationBudget(t *testing.T) {
 	const budget, warmBudget = 20 << 20, 120 << 10
 	sweep := func() error {
@@ -122,9 +123,15 @@ func TestSweepAllocationBudget(t *testing.T) {
 		t.Errorf("a sweep after the first allocates %d bytes, budget %d", warm, warmBudget)
 	}
 
-	// Pricing a recorded sweep on another machine builds one Proc and the
-	// points, and nothing per charge. A cache directory is 8 bytes a line,
-	// so the machine is the 128 kB one (16 kB) of the benchmark's pair.
+	// Pricing a recording on another machine walks its streams through that
+	// machine's cache and applies its charges. The first walk makes its
+	// miss counts, 4 bytes a stream (0.67 MB for this EFM recording), and
+	// so does each part of the split after the first, with the parts'
+	// directories, 8 bytes a line of the cache between them, unless an
+	// earlier walk in the process left its parts: at most 900 kB a core. A
+	// walk into a Walk that has walked before, and the pricing, build one
+	// Proc and the points, and nothing per charge or per stream: the warm
+	// budget. The machine is the 128 kB one of the benchmark's pair.
 	trace := new(platform.Trace)
 	recorded, err := runSweep(benchSweep(KernelEFM), trace)
 	if err != nil {
@@ -132,13 +139,26 @@ func TestSweepAllocationBudget(t *testing.T) {
 	}
 	at := benchSweep(KernelEFM)
 	at.World.Cache.SizeBytes = 128 << 10
+	coldBudget := uint64(runtime.GOMAXPROCS(0)) * 900 << 10
+	cold := allocatedBy(t, coldBudget, func() error { return trace.Walk(at.World.Cache, new(platform.Walk)) })
+	t.Logf("a first walk at 128 kB allocates %.3f MB", float64(cold)/(1<<20))
+	if cold > coldBudget {
+		t.Errorf("a first walk allocates %d bytes, budget %d", cold, coldBudget)
+	}
+	w := new(platform.Walk)
+	if err := trace.Walk(at.World.Cache, w); err != nil {
+		t.Fatal(err)
+	}
 	priced := allocatedBy(t, warmBudget, func() error {
-		_, err := repriceSweep(at, trace, recorded.Points)
+		if err := trace.Walk(at.World.Cache, w); err != nil {
+			return err
+		}
+		_, err := priceSweep(at, trace, w, recorded.Points)
 		return err
 	})
-	t.Logf("pricing a recorded sweep at 128 kB allocates %.3f MB", float64(priced)/(1<<20))
+	t.Logf("walking and pricing a recording at 128 kB after a first walk allocates %.3f MB", float64(priced)/(1<<20))
 	if priced > warmBudget {
-		t.Errorf("pricing a recorded sweep allocates %d bytes, budget %d", priced, warmBudget)
+		t.Errorf("walking and pricing a recording allocates %d bytes, budget %d", priced, warmBudget)
 	}
 }
 

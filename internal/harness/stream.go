@@ -73,7 +73,7 @@ func streamJob(h store.Hasher, base SweepConfig, sc campaign.Scenario, group *sw
 // StreamJobs expands a grid into one StreamJob per scenario. Scenarios
 // that run the same single-rank program on different machines form a
 // sweep group (sweepGroup): in each campaign.Run, the first of them to run
-// measures live and records its charges, and the rest are priced from the
+// records the program's charges, and every member is priced from that
 // recording.
 func StreamJobs(base SweepConfig, g campaign.Grid) ([]campaign.Job, error) {
 	jobs, _, err := streamJobs(base, g)
@@ -129,87 +129,184 @@ func programWorld(w mpi.WorldConfig) mpi.WorldConfig {
 }
 
 // sweepGroup is the grid scenarios that run one single-rank sweep program
-// (programWorld). In each campaign.Run, the first member to run measures
-// live and records the charge trace, and every member that runs after the
-// recording is done prices it on its own machine (repriceSweep). A member
-// that starts while the recording runs measures live too, unrecorded: on
-// a second worker that costs one sweep where waiting would cost the rest
-// of the recording plus a pricing. A member served from the store does
-// none of this, so a group whose members all hit records nothing. When the
-// recording member fails, the next member to run records in its place.
-// The trace comes from the process-wide sweepTraces and goes back when the
-// Run ends: no recording outlives its Run.
+// (programWorld). In each campaign.Run, the first member to run records
+// the program dry: its charges, with no cache walked and no point priced.
+// Every member, that one included, is then priced on its own machine from
+// the recording (priceSweep), with a walk of the recording's streams
+// through its own cache (sharedWalk). A member that finds the recording in
+// progress waits for it, and records in its place if it fails. A member
+// served from the store does none of this, so a group whose members all
+// hit records nothing. The trace comes from the process-wide sweepTraces
+// and goes back when the Run ends: no recording outlives its Run.
 type sweepGroup struct {
-	// recorded, priced and live count, over every Run, the members
-	// measured live with a recording, those priced from one and those
-	// measured live while another recorded.
-	recorded, priced, live atomic.Int64
+	// recorded, walked and priced count, over every Run, the recordings
+	// the group's members made, the walks they made and the members
+	// priced.
+	recorded, walked, priced atomic.Int64
 }
 
-// sweepTraces keeps charge-trace buffers across Runs, as sweepScratches
-// keeps arenas: a trace grows to its program's length once per process.
-var sweepTraces freeList[platform.Trace]
+// sweepTraces and sweepWalks keep charge traces and walks (a walk's miss
+// counts) across Runs, as sweepScratches keeps arenas: each grows to its
+// program's size once per process.
+var (
+	sweepTraces freeList[platform.Trace]
+	sweepWalks  freeList[platform.Walk]
+)
 
 // groupRun is one sweep group's state within one campaign.Run.
 type groupRun struct {
-	mu        sync.Mutex
-	recording bool            // a member is recording into trace
-	trace     *platform.Trace // nil until a member records
-	points    []SweepPoint    // the recorded sweep's points; nil until one succeeds
+	recording onceOK
+	trace     *platform.Trace // the recording, once a member has made it
+	digest    uint64          // the recording's StreamDigest
+	points    []SweepPoint    // its points, whose rank, size and mode pricing keeps
 }
 
 // sweep measures one member's sweep within the Run of ctx.
 func (g *sweepGroup) sweep(ctx context.Context, cfg SweepConfig) (*SweepResult, error) {
 	v, ok := campaign.Shared(ctx, g, func() (any, func()) {
-		run := new(groupRun)
-		return run, func() {
-			if run.trace != nil {
-				sweepTraces.put(run.trace)
-			}
-		}
+		run := &groupRun{trace: sweepTraces.get()}
+		return run, func() { sweepTraces.put(run.trace) }
 	})
 	if !ok {
 		return RunSweep(cfg)
 	}
 	run := v.(*groupRun)
-	run.mu.Lock()
-	if run.points != nil {
-		run.mu.Unlock()
-		g.priced.Add(1)
-		return repriceSweep(cfg, run.trace, run.points)
-	}
-	if run.recording {
-		run.mu.Unlock()
-		g.live.Add(1)
-		return RunSweep(cfg)
-	}
-	run.recording = true
-	if run.trace == nil {
-		run.trace = sweepTraces.get()
-	}
-	run.mu.Unlock()
-	g.recorded.Add(1)
-	var res *SweepResult
-	defer func() {
-		// However the sweep ends, a panic included, the next member may
-		// record; a successful one is published for pricing.
-		run.mu.Lock()
-		run.recording = false
-		if res != nil {
-			run.points = res.Points
+	err := run.recording.do(ctx, func() error {
+		res, err := runSweep(cfg, run.trace)
+		if err != nil {
+			return err
 		}
-		run.mu.Unlock()
-	}()
-	res, err := runSweep(cfg, run.trace)
-	return res, err
+		run.digest, run.points = run.trace.StreamDigest(), res.Points
+		g.recorded.Add(1)
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	walk, err := sharedWalk(ctx, run.trace, run.digest, cfg.World.Cache, &g.walked)
+	if err != nil {
+		return nil, err
+	}
+	g.priced.Add(1)
+	return priceSweep(cfg, run.trace, walk, run.points)
 }
 
-// repriceSweep prices a recorded single-rank sweep on cfg's machine: it
-// replays the charges on a fresh Proc of that machine and reads each
-// monitored call's wall time and PAPI_L2_DCM delta between the marks
-// around it, as core.Record differences its snapshots. The points' rank,
-// size and mode are the recording's.
-func repriceSweep(cfg SweepConfig, trace *platform.Trace, recorded []SweepPoint) (*SweepResult, error) {
+// walkKey names the walks of one stream digest on one cache geometry.
+type walkKey struct {
+	digest uint64
+	cache  cache.Config
+}
+
+// walkSet is a Run's walks under one walkKey: one per distinct stream
+// sequence, which a digest alone does not tell apart.
+type walkSet struct {
+	mu    sync.Mutex
+	walks []*walkEntry
+}
+
+// walkEntry is one walk of a Run, and the trace it was first asked for.
+type walkEntry struct {
+	walking onceOK
+	trace   *platform.Trace
+	walk    *platform.Walk
+}
+
+// sharedWalk returns a walk of trace's streams, whose StreamDigest is
+// digest, on cache geometry cfg, shared by every member of the Run of ctx
+// that needs it: a walk asked for by another trace is reused only when the
+// two traces' streams are equal, element by element (SameStreams). Each
+// walk made here counts in walked. A member that finds the walk in progress
+// waits for it, and walks in its place if it fails. Walks go back to
+// sweepWalks when the Run ends.
+func sharedWalk(ctx context.Context, trace *platform.Trace, digest uint64, cfg cache.Config, walked *atomic.Int64) (*platform.Walk, error) {
+	v, ok := campaign.Shared(ctx, walkKey{digest, cfg}, func() (any, func()) {
+		set := new(walkSet)
+		return set, func() {
+			for _, w := range set.walks {
+				sweepWalks.put(w.walk)
+			}
+		}
+	})
+	if !ok {
+		return nil, fmt.Errorf("harness: a shared walk outside a campaign run")
+	}
+	set := v.(*walkSet)
+	set.mu.Lock()
+	var sw *walkEntry
+	for _, w := range set.walks {
+		if w.trace == trace || w.trace.SameStreams(trace) {
+			sw = w
+			break
+		}
+	}
+	if sw == nil {
+		sw = &walkEntry{trace: trace, walk: sweepWalks.get()}
+		set.walks = append(set.walks, sw)
+	}
+	set.mu.Unlock()
+	err := sw.walking.do(ctx, func() error {
+		walked.Add(1)
+		return trace.Walk(cfg, sw.walk)
+	})
+	return sw.walk, err
+}
+
+// onceOK is work that concurrent callers need done once: the first caller
+// does it, a caller that finds it in progress waits for it, and one that
+// finds it failed does it again.
+type onceOK struct {
+	mu   sync.Mutex
+	busy chan struct{} // closed when the work in progress ends; nil when none is
+	done bool
+}
+
+// do returns nil once f has succeeded, in this call or in another, and f's
+// error when this call ran f and it failed. A panic in f propagates to the
+// caller that ran it and leaves the work undone.
+func (o *onceOK) do(ctx context.Context, f func() error) error {
+	for {
+		o.mu.Lock()
+		if o.done {
+			o.mu.Unlock()
+			return nil
+		}
+		if busy := o.busy; busy != nil {
+			o.mu.Unlock()
+			select {
+			case <-busy:
+				continue
+			case <-ctx.Done():
+				return ctx.Err()
+			}
+		}
+		o.busy = make(chan struct{})
+		o.mu.Unlock()
+		return o.run(f)
+	}
+}
+
+// run runs f as the one caller doing the work, and publishes its outcome.
+func (o *onceOK) run(f func() error) error {
+	ok := false
+	defer func() {
+		o.mu.Lock()
+		o.done = ok
+		close(o.busy)
+		o.busy = nil
+		o.mu.Unlock()
+	}()
+	err := f()
+	ok = err == nil
+	return err
+}
+
+// priceSweep prices a recorded single-rank sweep on cfg's machine, from
+// walk, a walk of the recording's streams on cfg's cache: it applies the
+// charges to a fresh Proc of that machine and reads each monitored call's
+// wall time and PAPI_L2_DCM delta between the marks around it, as
+// core.Record differences its snapshots. The points' rank, size and mode
+// are the recording's.
+func priceSweep(cfg SweepConfig, trace *platform.Trace, walk *platform.Walk, recorded []SweepPoint) (*SweepResult, error) {
 	w := cfg.World
 	if err := w.Validate(); err != nil {
 		return nil, err
@@ -218,7 +315,7 @@ func repriceSweep(cfg SweepConfig, trace *platform.Trace, recorded []SweepPoint)
 	pts := slices.Clone(recorded)
 	var wall, misses float64
 	marks := 0
-	trace.Replay(proc, func() {
+	err := trace.Price(proc, walk, func() {
 		now, dcm := proc.Now(), float64(proc.Counters().L2DCM)
 		if i := marks / 2; marks%2 == 0 {
 			wall, misses = now, dcm
@@ -227,6 +324,9 @@ func repriceSweep(cfg SweepConfig, trace *platform.Trace, recorded []SweepPoint)
 		}
 		marks++
 	})
+	if err != nil {
+		return nil, err
+	}
 	if marks != 2*len(pts) {
 		return nil, fmt.Errorf("harness: a sweep trace marks %d calls for %d points", marks/2, len(pts))
 	}

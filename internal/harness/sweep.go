@@ -167,8 +167,9 @@ func (l *freeList[T]) put(s *T) {
 func RunSweep(cfg SweepConfig) (*SweepResult, error) { return runSweep(cfg, nil) }
 
 // runSweep is RunSweep, recording rank 0's charges into trace when it is
-// not nil, with a mark before and after every monitored call (see
-// repriceSweep).
+// not nil, with a mark before and after every monitored call. A recording
+// walks no cache, so rank 0's points then keep only their rank, size and
+// mode: priceSweep prices their times and misses.
 func runSweep(cfg SweepConfig, trace *platform.Trace) (*SweepResult, error) {
 	if len(cfg.Sizes) == 0 || cfg.Reps <= 0 {
 		return nil, fmt.Errorf("harness: empty sweep")

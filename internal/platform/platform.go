@@ -14,6 +14,9 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"runtime"
+	"sync"
+	"sync/atomic"
 
 	"repro/internal/cache"
 )
@@ -67,7 +70,10 @@ func (m CPUModel) StreamCycles(hits, misses uint64, sequential bool) float64 {
 	if sequential {
 		missCost *= m.SeqMissFactor
 	}
-	return float64(hits)*m.HitCycles + float64(misses)*missCost
+	// Each product is rounded on its own, so that no target fuses the sum
+	// into a multiply-add that rounds once: every priced stream's cycles
+	// are the same bits on every architecture.
+	return float64(float64(hits)*m.HitCycles) + float64(float64(misses)*missCost)
 }
 
 // Counters holds the PAPI-style event counts accumulated by a Proc.
@@ -306,7 +312,9 @@ func (p *Proc) ChargeStreamHinted(base uint64, n, strideBytes int, overlapped bo
 		return 0, 0
 	}
 	if p.trace != nil {
+		// A recording walks no cache: pricing walks the streams.
 		p.trace.add(streamCharge(base, n, strideBytes, overlapped))
+		return 0, 0
 	}
 	hits, misses = p.cache.AccessRange(base, n, strideBytes)
 	seq := overlapped || strideBytes <= p.cache.LineBytes()
@@ -328,24 +336,30 @@ func (p *Proc) Counters() Counters {
 	return Counters{FPOps: p.fpOps, L2DCA: st.Accesses, L2DCM: st.Misses}
 }
 
-// A Trace is the ordered charges a Proc applied while recording: the
-// program's demand on the machine with the machine's prices left out. Every
-// call that moves the clock or the counters appends one fixed-size event —
-// ChargeStreamHinted (and ChargeStream), ChargeFlops, ChargeCall,
-// AdvanceCycles, Advance and SyncTo — and Mark appends a mark the program
-// places itself. Replay applies the charges to a Proc of another machine:
-// the same accesses walk that machine's cache and the same work is priced
-// by its CPU model, one call at a time, so every clock advance rounds as it
-// would in a live run there. Advance and SyncTo replay the recorded
-// durations and times as they are, so a program whose advances derive from
-// its machine's prices (a message that arrives when its sender's clock
-// says) cannot be priced from a recording. Allocation and random draws are
-// not charges: the recorded addresses already carry the allocator's
-// layout.
+// A Trace is the ordered charges a Proc received while recording: the
+// program's demand on the machine with the machine's prices left out.
+// Every call that charges the clock or the counters appends one
+// fixed-size event — ChargeStreamHinted (and ChargeStream), ChargeFlops,
+// ChargeCall, AdvanceCycles, Advance and SyncTo — and Mark appends a mark
+// the program places itself. A recording Proc walks no cache, so its clock
+// and counters leave the streams out.
+//
+// A recording is priced on a machine in two steps. Walk runs its streams
+// through an empty cache of that machine's geometry and keeps each
+// stream's misses; Price then applies the charges in order to a Proc of
+// the machine, with those misses, so every clock advance rounds as it
+// would in a live run there. A walk depends on the streams and the cache
+// geometry alone, so every machine with that cache, whatever its CPU, and
+// every trace with the same streams (SameStreams), can share it. Advance
+// and SyncTo take durations and times read off a clock, which a recording
+// leaves without its streams' prices, so a trace that holds either cannot
+// be priced. Allocation and random draws are not charges: the recorded
+// addresses already carry the allocator's layout.
 //
 // A Trace keeps its buffer across recordings; the zero value is empty.
 type Trace struct {
-	events []charge
+	events  []charge
+	streams int // the stream events among them
 }
 
 // charge is one recorded event, 24 bytes.
@@ -370,17 +384,23 @@ const (
 )
 
 // streamCharge records ChargeStreamHinted's arguments. A byte stride beyond
-// 2 GB fits no simulated array, so one that does not fit in 32 bits is a
+// 2 GB fits no simulated array, nor does a stream of more than 2^32
+// elements, whose misses would not fit a walk's count: either is a
 // programming error and panics rather than record a different stream.
 func streamCharge(base uint64, n, strideBytes int, overlapped bool) charge {
 	stride := int32(strideBytes)
-	if int(stride) != strideBytes {
-		panic(fmt.Sprintf("platform: stride %d does not fit a trace event", strideBytes))
+	if int(stride) != strideBytes || uint64(n) > math.MaxUint32 {
+		panic(fmt.Sprintf("platform: a stream of %d elements, %d bytes apart, does not fit a trace event", n, strideBytes))
 	}
 	return charge{op: opStream, arg: base, n: n, stride: stride, hint: overlapped}
 }
 
-func (t *Trace) add(c charge) { t.events = append(t.events, c) }
+func (t *Trace) add(c charge) {
+	if c.op == opStream {
+		t.streams++
+	}
+	t.events = append(t.events, c)
+}
 
 // Len returns the number of recorded events, marks included.
 func (t *Trace) Len() int { return len(t.events) }
@@ -390,42 +410,199 @@ func (t *Trace) Len() int { return len(t.events) }
 // time.
 func (p *Proc) RecordTo(t *Trace) {
 	if t != nil {
-		t.events = t.events[:0]
+		t.events, t.streams = t.events[:0], 0
 	}
 	p.trace = t
 }
 
 // Mark appends a mark to the trace being recorded, and does nothing when
-// none is. Replay calls its mark function at each mark, where the replaying
-// Proc's clock and counters read what the recording Proc's would read on
-// that machine.
+// none is. Price calls its mark function at each mark, where the pricing
+// Proc's clock and counters read what a live Proc's would read on that
+// machine.
 func (p *Proc) Mark() {
 	if p.trace != nil {
 		p.trace.add(charge{op: opMark})
 	}
 }
 
-// Replay applies the trace's charges to p in the order they were recorded,
-// calling mark at each mark. p should be a fresh Proc, or one in the state
-// the recording Proc started from; it may belong to any machine.
-func (t *Trace) Replay(p *Proc, mark func()) {
+// StreamDigest hashes the trace's streams — each one's base, length and
+// stride, in order — which is all of it that a walk reads. Traces with
+// equal digests may still differ: SameStreams decides.
+func (t *Trace) StreamDigest() uint64 {
+	h := uint64(14695981039346656037) // FNV-1a, a word at a time
+	for i := range t.events {
+		if c := &t.events[i]; c.op == opStream {
+			for _, v := range [3]uint64{c.arg, uint64(c.n), uint64(c.stride)} {
+				h = (h ^ v) * 1099511628211
+			}
+		}
+	}
+	return h
+}
+
+// SameStreams reports whether t and u hold the same streams in the same
+// order, so that a walk of one is a walk of the other.
+func (t *Trace) SameStreams(u *Trace) bool {
+	i, j := 0, 0
+	for {
+		for i < len(t.events) && t.events[i].op != opStream {
+			i++
+		}
+		for j < len(u.events) && u.events[j].op != opStream {
+			j++
+		}
+		if i == len(t.events) || j == len(u.events) {
+			return i == len(t.events) && j == len(u.events)
+		}
+		a, b := &t.events[i], &u.events[j]
+		if a.arg != b.arg || a.n != b.n || a.stride != b.stride {
+			return false
+		}
+		i++
+		j++
+	}
+}
+
+// A Walk is a trace's streams walked through an empty cache of one
+// geometry: each stream's misses, in order. A Walk keeps its buffer across
+// walks; the zero value is empty.
+type Walk struct {
+	cfg    cache.Config
+	misses []uint32
+}
+
+// walkPart is one part of a split walk: its share of the cache and the
+// misses of each stream in that share.
+type walkPart struct {
+	cache.Part
+	misses []uint32
+}
+
+// spareParts keeps walk parts, a directory and a miss count per stream
+// each, from one walk to the next: a process makes as many as its walks
+// use at once.
+var spareParts struct {
+	sync.Mutex
+	parts []*walkPart
+}
+
+// walksInFlight counts the walks running in the process, whose parts hold
+// cores.
+var walksInFlight atomic.Int32
+
+// Walk walks the trace's streams, in order, through an empty cache of
+// geometry cfg, and keeps each stream's misses in w. The walk is split by
+// set (cache.Part) into a power-of-two number of parts that run on their
+// own goroutines over the read-only trace: as many as GOMAXPROCS less the
+// walks already in flight allows, at most the set count. The split
+// changes how fast the misses come, never what they are.
+func (t *Trace) Walk(cfg cache.Config, w *Walk) error {
+	if err := cfg.Validate(); err != nil {
+		return err
+	}
+	busy := int(walksInFlight.Add(1)) - 1
+	defer walksInFlight.Add(-1)
+	parts := 1
+	for free := runtime.GOMAXPROCS(0) - busy; parts*2 <= free && parts*2 <= cfg.Sets(); {
+		parts *= 2
+	}
+	t.walk(cfg, w, parts)
+	return nil
+}
+
+// walk is Walk split into parts parts.
+func (t *Trace) walk(cfg cache.Config, w *Walk, parts int) {
+	var room [8]*walkPart
+	ps := room[:0]
+	spareParts.Lock()
+	for k := 0; k < parts; k++ {
+		if n := len(spareParts.parts); n > 0 {
+			ps = append(ps, spareParts.parts[n-1])
+			spareParts.parts = spareParts.parts[:n-1]
+		} else {
+			ps = append(ps, new(walkPart))
+		}
+	}
+	spareParts.Unlock()
+	var wg sync.WaitGroup
+	for k, p := range ps {
+		p.Reset(cfg, k, parts)
+		if k > 0 {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				p.misses = t.walkPart(&p.Part, p.misses)
+			}()
+		}
+	}
+	w.cfg = cfg
+	w.misses = t.walkPart(&ps[0].Part, w.misses)
+	wg.Wait()
+	for _, p := range ps[1:] {
+		for i, m := range p.misses {
+			w.misses[i] += m
+		}
+	}
+	spareParts.Lock()
+	spareParts.parts = append(spareParts.parts, ps...)
+	spareParts.Unlock()
+}
+
+// walkPart stores the misses of each of the trace's streams in part in
+// misses, reusing its storage, and returns it.
+func (t *Trace) walkPart(part *cache.Part, misses []uint32) []uint32 {
+	if cap(misses) < t.streams {
+		misses = make([]uint32, t.streams)
+	}
+	misses = misses[:t.streams]
+	s := 0
+	for i := range t.events {
+		if c := &t.events[i]; c.op == opStream {
+			misses[s] = uint32(part.Misses(c.arg, c.n, int(c.stride)))
+			s++
+		}
+	}
+	return misses
+}
+
+// Price applies the trace's charges to p in the order they were recorded,
+// taking each stream's misses from w, and calls mark at each mark. w must
+// be a walk of this trace's streams (or the same streams of another
+// trace) on p's cache geometry. p should be a fresh Proc; it may belong to
+// any machine with that cache. Its clock and PAPI counters end where a
+// live run's would. A trace that holds an Advance or a SyncTo returns an
+// error.
+func (t *Trace) Price(p *Proc, w *Walk, mark func()) error {
+	if w.cfg != p.cache.Config() {
+		return fmt.Errorf("platform: a walk on cache %+v prices a machine with cache %+v", w.cfg, p.cache.Config())
+	}
+	if len(w.misses) != t.streams {
+		return fmt.Errorf("platform: a walk of %d streams prices a trace of %d", len(w.misses), t.streams)
+	}
+	s := 0
 	for i := range t.events {
 		c := &t.events[i]
 		switch c.op {
 		case opStream:
-			p.ChargeStreamHinted(c.arg, c.n, int(c.stride), c.hint)
+			misses := uint64(w.misses[s])
+			if misses > uint64(c.n) {
+				return fmt.Errorf("platform: the walk counts %d misses for stream %d of %d accesses", misses, s, c.n)
+			}
+			s++
+			p.cache.Count(uint64(c.n)-misses, misses)
+			seq := c.hint || int(c.stride) <= p.cache.LineBytes()
+			p.advanceCycles(p.cpu.StreamCycles(uint64(c.n)-misses, misses, seq))
 		case opFlops:
 			p.ChargeFlops(c.n)
 		case opCall:
 			p.ChargeCall()
 		case opCycles:
 			p.AdvanceCycles(math.Float64frombits(c.arg))
-		case opAdvance:
-			p.Advance(math.Float64frombits(c.arg))
-		case opSyncTo:
-			p.SyncTo(math.Float64frombits(c.arg))
 		case opMark:
 			mark()
+		default:
+			return fmt.Errorf("platform: a trace that recorded an Advance or a SyncTo cannot be priced")
 		}
 	}
+	return nil
 }

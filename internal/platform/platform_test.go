@@ -221,12 +221,27 @@ func TestStreamCyclesPrefetchDiscount(t *testing.T) {
 	}
 }
 
-// TestTraceReplaysEveryCharge records one call of every charging method,
-// each once however it is built from the others, and replays the trace on
-// a fresh Proc of the same machine and of another: the same machine ends
-// with the recording Proc's exact clock and counters, and marks fire where
-// they were placed.
-func TestTraceReplaysEveryCharge(t *testing.T) {
+// priced prices trace on a fresh Proc of cpu and cfg, from a walk split
+// into parts parts, and returns the Proc and the clock at each mark.
+func priced(t *testing.T, trace *Trace, cpu CPUModel, cfg cache.Config, parts int) (*Proc, []Time) {
+	t.Helper()
+	var w Walk
+	trace.walk(cfg, &w, parts)
+	p := NewProc(0, cpu, cfg, 1)
+	var marks []Time
+	if err := trace.Price(p, &w, func() { marks = append(marks, p.Now()) }); err != nil {
+		t.Fatal(err)
+	}
+	return p, marks
+}
+
+// TestTracePricesEveryCharge records one call of every charging method a
+// trace can price, each once however it is built from the others, and
+// prices the trace on a fresh Proc of the same machine and of another,
+// from walks split every way the cache allows: each ends with the exact
+// clock and counters of a live run of the same calls there, and marks fire
+// where they were placed. The recording Proc walks no cache.
+func TestTracePricesEveryCharge(t *testing.T) {
 	var trace Trace
 	live := newTestProc()
 	base := live.Alloc(1 << 16)
@@ -235,11 +250,10 @@ func TestTraceReplaysEveryCharge(t *testing.T) {
 		p.ChargeFlops(1000)
 		p.Mark()
 		p.ChargeStreamHinted(base, 64, 1024, true)
+		p.ChargeStream(base+4096, 200, 296)
 		p.ChargeCall()
 		p.AdvanceCycles(12.5)
-		p.Advance(0.25)
-		p.SyncTo(100) // an absolute time, which replays as itself
-		p.SyncTo(0)
+		p.ChargeStream(base+100, 40, -8)
 		p.Mark()
 		p.ChargeStream(base, 0, 8) // moves nothing, records nothing
 		p.ChargeFlops(0)
@@ -248,34 +262,31 @@ func TestTraceReplaysEveryCharge(t *testing.T) {
 	charges(live)
 	live.RecordTo(nil)
 	live.ChargeCall() // after the recording
-	if got, want := trace.Len(), 10; got != want {
+	if got, want := trace.Len(), 9; got != want {
 		t.Fatalf("trace has %d events, want %d", got, want)
 	}
-
-	plain := newTestProc()
-	charges(plain)
-	replay := func(p *Proc) (marks []Time) {
-		trace.Replay(p, func() { marks = append(marks, p.Now()) })
-		return marks
-	}
-	again := newTestProc()
-	marks := replay(again)
-	if again.Now() != plain.Now() || again.Counters() != plain.Counters() {
-		t.Errorf("replay ends at %g %+v, live at %g %+v", again.Now(), again.Counters(), plain.Now(), plain.Counters())
-	}
-	if len(marks) != 2 || marks[0] <= 0 || marks[1] <= marks[0] {
-		t.Errorf("marks at %v", marks)
+	if st := live.Cache().Stats(); st != (cache.Stats{}) || live.Cache().Resident(base) {
+		t.Errorf("the recording walked its cache: %+v", st)
 	}
 
 	fast := XeonModel()
 	fast.ClockGHz *= 2
-	other := NewProc(0, fast, cache.Config{SizeBytes: 4096, LineBytes: 64, Assoc: 2}, 1)
-	plainOther := NewProc(0, fast, cache.Config{SizeBytes: 4096, LineBytes: 64, Assoc: 2}, 1)
-	charges(plainOther)
-	replay(other)
-	if other.Now() != plainOther.Now() || other.Counters() != plainOther.Counters() {
-		t.Errorf("replay on another machine ends at %g %+v, live there at %g %+v",
-			other.Now(), other.Counters(), plainOther.Now(), plainOther.Counters())
+	for _, m := range []struct {
+		cpu CPUModel
+		cfg cache.Config
+	}{{XeonModel(), cache.XeonL2()}, {fast, cache.Config{SizeBytes: 4096, LineBytes: 64, Assoc: 2}}} {
+		plain := NewProc(0, m.cpu, m.cfg, 1)
+		charges(plain)
+		for parts := 1; parts <= m.cfg.Sets(); parts *= 2 {
+			p, marks := priced(t, &trace, m.cpu, m.cfg, parts)
+			if p.Now() != plain.Now() || p.Counters() != plain.Counters() {
+				t.Errorf("%+v, %d parts: priced at %g %+v, live at %g %+v",
+					m.cfg, parts, p.Now(), p.Counters(), plain.Now(), plain.Counters())
+			}
+			if len(marks) != 2 || marks[0] <= 0 || marks[1] <= marks[0] {
+				t.Errorf("%+v, %d parts: marks at %v", m.cfg, parts, marks)
+			}
+		}
 	}
 
 	// A new recording starts from an empty trace.
@@ -284,5 +295,99 @@ func TestTraceReplaysEveryCharge(t *testing.T) {
 	live.RecordTo(nil)
 	if trace.Len() != 1 {
 		t.Errorf("a new recording kept %d events", trace.Len()-1)
+	}
+}
+
+// TestPriceRefusesClockCharges: Advance and SyncTo record times read off a
+// clock that a recording leaves without its streams' prices, so a trace
+// holding either does not price; nor does a walk of other streams or of
+// another cache.
+func TestPriceRefusesClockCharges(t *testing.T) {
+	for name, charge := range map[string]func(*Proc){
+		"Advance": func(p *Proc) { p.Advance(0.25) },
+		"SyncTo":  func(p *Proc) { p.SyncTo(100) },
+	} {
+		var trace Trace
+		p := newTestProc()
+		p.RecordTo(&trace)
+		p.ChargeStream(1<<20, 64, 8)
+		charge(p)
+		p.RecordTo(nil)
+		var w Walk
+		if err := trace.Walk(cache.XeonL2(), &w); err != nil {
+			t.Fatal(err)
+		}
+		if err := trace.Price(newTestProc(), &w, func() {}); err == nil {
+			t.Errorf("a trace holding %s priced", name)
+		}
+	}
+
+	var one, two Trace
+	p := newTestProc()
+	p.RecordTo(&one)
+	p.ChargeStream(1<<20, 64, 8)
+	p.RecordTo(&two)
+	p.ChargeStream(1<<20, 64, 8)
+	p.ChargeStream(1<<20, 64, 8)
+	p.RecordTo(nil)
+	var w Walk
+	if err := one.Walk(cache.XeonL2(), &w); err != nil {
+		t.Fatal(err)
+	}
+	if err := two.Price(newTestProc(), &w, func() {}); err == nil {
+		t.Error("a walk of one stream priced a trace of two")
+	}
+	other := NewProc(0, XeonModel(), cache.Config{SizeBytes: 4096, LineBytes: 64, Assoc: 2}, 1)
+	if err := one.Price(other, &w, func() {}); err == nil {
+		t.Error("a walk of the testbed cache priced a machine with another")
+	}
+	if err := one.Walk(cache.Config{SizeBytes: 100 << 10, LineBytes: 64, Assoc: 8}, &w); err == nil {
+		t.Error("a walk of a cache with 200 sets succeeded")
+	}
+}
+
+// TestSameStreams: traces with the same streams are the same to a walk,
+// whatever else they hold and whatever their latency hints; a trace that differs in one stream's base,
+// length or stride, or has one stream more, is not, and has another
+// digest.
+func TestSameStreams(t *testing.T) {
+	rec := func(f func(p *Proc)) *Trace {
+		var trace Trace
+		p := newTestProc()
+		p.RecordTo(&trace)
+		f(p)
+		p.RecordTo(nil)
+		return &trace
+	}
+	streams := func(p *Proc, base uint64, n, stride int) {
+		p.ChargeStream(1<<20, 100, 8)
+		p.ChargeStreamHinted(base, n, stride, false)
+		p.ChargeStream(1<<21, 30, 512)
+	}
+	a := rec(func(p *Proc) { streams(p, 1<<22, 64, 296) })
+	b := rec(func(p *Proc) { p.ChargeFlops(10); streams(p, 1<<22, 64, 296); p.Mark(); p.ChargeCall() })
+	hinted := rec(func(p *Proc) {
+		p.ChargeStreamHinted(1<<20, 100, 8, true)
+		p.ChargeStreamHinted(1<<22, 64, 296, true)
+		p.ChargeStreamHinted(1<<21, 30, 512, true)
+	})
+	for _, same := range []*Trace{b, hinted} {
+		if !a.SameStreams(same) || !same.SameStreams(a) || a.StreamDigest() != same.StreamDigest() {
+			t.Error("traces with the same streams, among other charges or with other latency hints, differ")
+		}
+	}
+	for name, other := range map[string]*Trace{
+		"base":   rec(func(p *Proc) { streams(p, 1<<22+64, 64, 296) }),
+		"length": rec(func(p *Proc) { streams(p, 1<<22, 65, 296) }),
+		"stride": rec(func(p *Proc) { streams(p, 1<<22, 64, 304) }),
+		"extra":  rec(func(p *Proc) { streams(p, 1<<22, 64, 296); p.ChargeStream(1<<20, 1, 8) }),
+		"empty":  rec(func(p *Proc) {}),
+	} {
+		if a.SameStreams(other) || other.SameStreams(a) {
+			t.Errorf("a trace with another %s has the same streams", name)
+		}
+		if a.StreamDigest() == other.StreamDigest() {
+			t.Errorf("a trace with another %s has the same digest", name)
+		}
 	}
 }
