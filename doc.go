@@ -60,7 +60,7 @@
 // range per plane from an append-only per-rank heap, and the cache model
 // sees only those. So the addresses are part of the simulated machine and
 // never move, while the host memory behind a temporary block or edge field
-// is not and is recycled: each rank's sweep loop, RK2 and InviscidFlux
+// is not and is recycled: a sweep's recording, RK2 and InviscidFlux
 // build their temporaries on a euler.Scratch — one slab, handed out plane
 // by plane, taken back whole, never cleared, and the block and edge field
 // headers with it — and still call Alloc once per plane, in the same order.
@@ -153,11 +153,12 @@
 //     it never reaches rows/.
 //
 // The determinism guarantee is bit-for-bit, proven by test, not hoped
-// for: for every scenario of the golden grid both parallel schedulers
-// produce identical profiles, virtual clocks, message orders and
-// rendered CSV/report bytes (see TestGoldenGridParallelEquivalence,
+// for: both parallel schedulers produce the case study's profiles, virtual
+// clocks, message orders and rendered bytes, and every mpi reference
+// body's, identically to serial (see TestCaseStudyParallelEquivalence,
 // TestPropertySchedulerEquivalence and the forced-conflict rollback
-// tests). The scheduler is the one world field a job's checkpoint hash
+// tests). A sweep runs no scheduler: it records one rank on a one-rank
+// serial world. The scheduler is the one world field a job's checkpoint hash
 // leaves out: every mode measures the same bytes, so a store filled under
 // one mode serves the others.
 //
@@ -249,44 +250,42 @@
 // # How a sweep is priced
 //
 // A kernel charges the simulated machine by patch shape, never by field
-// data, so a single-rank sweep issues the same charges in the same order
-// on every machine and at every seed. harness.StreamJobs groups the grid
-// scenarios that run one such program (the sweep config with cache, CPU,
-// seed and scheduler set aside, one rank), and in each campaign.Run every
-// member of a group is priced in two steps from one recording:
+// data or by rank, so every rank of a sweep issues the same charges in the
+// same order, on every machine and at every seed. Every sweep (SweepJob,
+// StreamJob, RunSweep) therefore records one rank, prices it on its machine
+// and copies its points to each rank of its world, relabelled. Within a
+// campaign.Run, the sweeps of one program (the sweep config with cache,
+// CPU, seed, scheduler and rank count set aside) share one recording:
 //
-//   - The first member to run records the program dry: its
-//     platform.Proc appends every charge to a platform.Trace (one 24-byte
-//     event per ChargeStreamHinted, ChargeFlops, ChargeCall, AdvanceCycles,
-//     Advance or SyncTo, plus a mark before and after every monitored
-//     call) and walks no cache.
+//   - The first of them to run records rank 0 dry, on a one-rank serial
+//     world: its platform.Proc appends every charge to a platform.Trace
+//     (one 24-byte event per ChargeStreamHinted, ChargeFlops, ChargeCall
+//     or AdvanceCycles, plus a mark before and after every monitored call)
+//     and walks no cache. Advance and SyncTo take values off a clock that
+//     lacks the streams' prices, so a recording Proc panics on either.
 //   - Trace.Walk runs the recording's streams through an empty cache of
-//     the member's geometry and keeps each stream's misses. LRU sets are
-//     independent, so the walk splits by set (cache.Part): each part keeps
-//     the directory of its own contiguous range of sets, walks the lines
-//     that map there on its own goroutine, and the parts' misses sum to
-//     the whole cache's, stream by stream. The split takes as many cores
-//     as GOMAXPROCS less the walks already in flight, and never changes a
-//     count. A walk depends on the streams and the cache alone, so the
-//     Run's members share it through campaign.Shared, keyed by stream
-//     digest and cache geometry, once the two traces' streams compare
-//     equal element by element: Godunov and EFM issue the same streams,
-//     and a CPU clock axis walks once.
+//     the sweep's geometry and keeps each stream's misses. LRU sets are
+//     independent, so the walk splits by set (cache.Part) across as many
+//     cores as GOMAXPROCS less the walks already in flight allows; the
+//     parts' misses sum to the whole cache's, stream by stream. A walk
+//     depends on the streams and the cache alone, so the Run's sweeps
+//     share it through campaign.Shared, keyed by stream digest and cache
+//     geometry, once two traces' streams compare equal element by element:
+//     Godunov and EFM issue the same streams, and a CPU clock axis walks
+//     once.
 //   - Trace.Price applies the charges in order to a fresh Proc of the
-//     member's machine with those misses, so the PAPI counters move and
-//     every clock advance rounds as in a live run there, and each
-//     invocation's wall time and PAPI_L2_DCM delta is read between its
-//     marks, as core.Record differences its snapshots. A recording's clock
-//     lacks its streams' prices, so Price refuses a trace that holds an
-//     Advance or a SyncTo, which take values off that clock.
+//     sweep's machine with those misses, so the PAPI counters move and
+//     every clock advance rounds as in a live run there, and reads each
+//     invocation's wall time and PAPI_L2_DCM delta between its marks.
 //
-// TestRepricedSweepMatchesLive holds the priced sweep to the live sweep
-// bit for bit at every trend-axis point. A member that finds the recording
-// or its walk in progress waits for it, and does it in its place if it
-// fails; one served from the store does neither. Recordings and walks live
-// in the Run's campaign.Shared state, and their buffers go back to
-// process-wide free lists when the Run ends. Keys, hashes, payloads and
-// rows are those of a live sweep. Multi-rank sweeps and case studies stay
+// TestRepricedSweepMatchesLive holds the priced sweep to a live one-rank
+// sweep bit for bit at every trend-axis point, and
+// TestSweepRanksMatchRankZero the copied ranks to a live three-rank sweep.
+// A sweep that finds the recording or its walk in progress waits for it,
+// and does it in its place if it fails; one served from the store does
+// neither. Their buffers go back to process-wide free lists when the Run
+// ends; outside a Run a sweep records, walks and prices on its own. Keys,
+// hashes, payloads and rows are those of a live sweep. Case studies stay
 // live: there a message's arrival depends on another rank's clock.
 //
 // # Results and checkpointing

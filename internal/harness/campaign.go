@@ -93,13 +93,13 @@ func measureJob[M measurement](key, hash string, measure func(context.Context) (
 // itself is the value of a job whose value is its measurement.
 func itself[M measurement](m M) (any, error) { return m, nil }
 
-// SweepJob wraps RunSweep as a checkpointable campaign job under the given
-// key, emitting the sweep's telemetry rows to the campaign sink.
+// SweepJob measures cfg's sweep (measureSweep) as a checkpointable
+// campaign job under the given key, emitting its rows to the campaign sink.
 func SweepJob(key string, cfg SweepConfig) campaign.Job {
 	hashed := cfg
 	hashed.World = serialWorld(cfg.World)
 	return measureJob(key, jobHash("sweep", hashed),
-		func(context.Context) (*SweepResult, error) { return RunSweep(cfg) }, itself[*SweepResult])
+		func(ctx context.Context) (*SweepResult, error) { return measureSweep(ctx, cfg) }, itself[*SweepResult])
 }
 
 // CaseStudyJob wraps RunCaseStudy as a checkpointable campaign job under

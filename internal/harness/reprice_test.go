@@ -6,13 +6,14 @@ import (
 	"fmt"
 	"math"
 	"reflect"
-	"strings"
+	"slices"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	"repro/internal/cache"
 	"repro/internal/campaign"
+	"repro/internal/cca"
 	"repro/internal/mpi"
 	"repro/internal/platform"
 	"repro/internal/results"
@@ -81,8 +82,8 @@ func encodedRows(t *testing.T, res *SweepResult) []byte {
 // TestRepricedSweepMatchesLive is the differential check of pricing: every
 // kernel's sweep, recorded once at one seed and priced at every default
 // point of every trend axis at another seed, equals the live sweep on that
-// machine at that seed, point for point and byte for byte in its encoded
-// rows. Godunov and EFM issue the same streams, so both are priced from
+// machine at that seed (runSweep with no trace, whose Proc walks its
+// cache), point for point and byte for byte in its encoded rows. Godunov and EFM issue the same streams, so both are priced from
 // one walk per point, of Godunov's recording, as a grid shares it.
 func TestRepricedSweepMatchesLive(t *testing.T) {
 	t.Parallel()
@@ -124,7 +125,7 @@ func TestRepricedSweepMatchesLive(t *testing.T) {
 				at := repriceSweepConfig(k)
 				at.World.Seed = 1007
 				pt.apply(&at.World)
-				live, err := RunSweep(at)
+				live, err := runSweep(at, nil)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -143,6 +144,40 @@ func TestRepricedSweepMatchesLive(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestSweepRanksMatchRankZero guards the premise a sweep stands on: every
+// rank of a live multi-rank sweep records rank 0's points, so a sweep
+// simulates rank 0 alone and copies it to every rank. Each kernel's sweep
+// runs live on every rank of a three-rank world and must equal the
+// production sweep, rank 0 priced and relabelled, point for point and
+// byte for byte in its encoded rows. A kernel charge that read the rank,
+// or data that differs by rank, would fail here rather than be copied.
+func TestSweepRanksMatchRankZero(t *testing.T) {
+	t.Parallel()
+	for _, k := range []Kernel{KernelStates, KernelGodunov, KernelEFM} {
+		cfg := tinySweep(k)
+		cfg.World.Procs = 3
+		perRank := make([][]SweepPoint, cfg.World.Procs)
+		err := cca.RunSCMD(mpi.NewWorld(cfg.World), func(f *cca.Framework, r *mpi.Rank) (err error) {
+			perRank[r.Rank()], err = sweepRank(f, r.Proc, cfg, nil)
+			return err
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		live := &SweepResult{Config: cfg, Points: slices.Concat(perRank...)}
+		copied, err := RunSweep(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := sameBits(copied.Points, live.Points); err != nil {
+			t.Errorf("%s: the copied ranks differ from a live three-rank sweep: %v", k, err)
+		}
+		if !bytes.Equal(encodedRows(t, copied), encodedRows(t, live)) {
+			t.Errorf("%s: the copied ranks' rows encode differently from a live three-rank sweep", k)
+		}
 	}
 }
 
@@ -178,100 +213,126 @@ func groupedGrid() (SweepConfig, campaign.Grid) {
 	}
 }
 
-// groupCounts sums what a job list's groups did: recordings made, walks
-// made and members priced.
-func groupCounts(groups []*sweepGroup) (recorded, walked, priced int64) {
-	seen := map[*sweepGroup]bool{}
-	for _, g := range groups {
-		if g != nil && !seen[g] {
-			seen[g] = true
-			recorded += g.recorded.Load()
-			walked += g.walked.Load()
-			priced += g.priced.Load()
-		}
-	}
-	return recorded, walked, priced
+// tally is what one Run's sweeps did: recordings made, walks made and
+// sweeps priced.
+type tally [3]int64
+
+// tallyJob is a job, after the jobs named, that reads the Run's sweep
+// tally into got before the Run releases it.
+func tallyJob(after []string, got *tally) campaign.Job {
+	return campaign.Job{Key: "tally", After: after, Run: func(ctx context.Context, _ map[string]any) (any, error) {
+		v, _ := campaign.Shared(ctx, tallyKey{}, func() (any, func()) { return new(sweepTally), nil })
+		st := v.(*sweepTally)
+		*got = tally{st.recorded.Load(), st.walked.Load(), st.priced.Load()}
+		return nil, nil
+	}}
 }
 
-// TestSweepGroupsFormPerProgram checks the grouping: one group per kernel,
-// with every cache size of that kernel in it.
-func TestSweepGroupsFormPerProgram(t *testing.T) {
-	t.Parallel()
-	base, grid := groupedGrid()
-	jobs, groups, err := streamJobs(base, grid)
+// runTallied runs jobs in one Run on cc, and returns their results and
+// what the Run's sweeps did.
+func runTallied(t *testing.T, cc campaign.Config, jobs []campaign.Job) ([]campaign.Result, tally) {
+	t.Helper()
+	keys := make([]string, len(jobs))
+	for i, j := range jobs {
+		keys[i] = j.Key
+	}
+	var got tally
+	res, err := campaign.Run(context.Background(), cc, append(slices.Clone(jobs), tallyJob(keys, &got)))
 	if err != nil {
 		t.Fatal(err)
 	}
-	byKernel := map[string]*sweepGroup{}
-	for i, g := range groups {
-		parts := strings.Split(jobs[i].Key, "/") // .../c<N>kB/<flux>/r0
-		k := parts[len(parts)-2]
-		if g == nil {
-			t.Fatalf("%s is in no group", jobs[i].Key)
-		}
-		if byKernel[k] == nil {
-			byKernel[k] = g
-		}
-		if byKernel[k] != g {
-			t.Errorf("%s is not in the group of the other %s scenarios", jobs[i].Key, k)
-		}
-	}
-	if len(byKernel) != 2 || byKernel["states"] == byKernel["efm"] {
-		t.Errorf("want one group per kernel, got %v", byKernel)
-	}
+	return res[:len(jobs)], got
+}
 
-	// More than one rank, or a grid with one scenario per program, forms
-	// no group.
-	multi := base
-	multi.World.Procs = 2
-	grid.Base = multi.World
-	if _, groups, err = streamJobs(multi, grid); err != nil {
+// streamJobs is StreamJobs, failing the test on an error.
+func streamJobs(t *testing.T, base SweepConfig, g campaign.Grid) []campaign.Job {
+	t.Helper()
+	jobs, err := StreamJobs(base, g)
+	if err != nil {
 		t.Fatal(err)
 	}
-	for _, g := range groups {
-		if g != nil {
-			t.Fatal("a two-rank sweep joined a group")
+	return jobs
+}
+
+// TestSweepGroupsFormPerProgram: the sweeps of a Run that run one program
+// share its recording, so a grid of two kernels at three cache sizes
+// records twice, walks six times and prices every scenario, on one worker
+// and on two. The rank count is not part of a program: the same grid at
+// three ranks makes the same recordings, walks and prices. A program with
+// one scenario records, walks and prices once.
+func TestSweepGroupsFormPerProgram(t *testing.T) {
+	t.Parallel()
+	base, grid := groupedGrid()
+	multi, multiGrid := base, grid
+	multi.World.Procs = 3
+	multiGrid.Base = multi.World
+	lone := grid
+	lone.Axes = grid.Axes[1:]
+	for _, workers := range []int{1, 2} {
+		cc := campaign.Config{Workers: workers}
+		for _, c := range []struct {
+			name string
+			base SweepConfig
+			grid campaign.Grid
+			want tally
+		}{
+			{"one-rank grid", base, grid, tally{2, 6, 6}},
+			{"three-rank grid", multi, multiGrid, tally{2, 6, 6}},
+			{"one scenario per program", base, lone, tally{2, 2, 2}},
+		} {
+			if _, got := runTallied(t, cc, streamJobs(t, c.base, c.grid)); got != c.want {
+				t.Errorf("%d workers, %s: %d recorded, %d walked and %d priced, want %v",
+					workers, c.name, got[0], got[1], got[2], c.want)
+			}
 		}
 	}
-	grid.Base = base.World
-	grid.Axes = grid.Axes[1:]
-	if _, groups, err = streamJobs(base, grid); err != nil {
+}
+
+// TestSweepGroupSharesFigureSweep: Fig. 4's States sweep and the default
+// trend grid's States scenarios run one program, so one Run of both
+// records States once, walks the 512 kB cache once for the sweep and the
+// grid's 512 kB member, and prices all five; the sweep's rows are that
+// member's.
+func TestSweepGroupSharesFigureSweep(t *testing.T) {
+	t.Parallel()
+	base := tinySweep(KernelStates)
+	base.World.Procs = 3
+	dim, err := TrendCacheKB.Dimension(TrendCacheKB.Defaults)
+	if err != nil {
 		t.Fatal(err)
 	}
-	for _, g := range groups {
-		if g != nil {
-			t.Fatal("a program with one scenario formed a group")
+	grid := campaign.Grid{Base: base.World, Axes: []campaign.Dimension{dim, campaign.FluxAxis("states")}, BaseSeed: 1}
+	jobs := append([]campaign.Job{SweepJob("sweep/states", base)}, streamJobs(t, base, grid)...)
+	for _, workers := range []int{1, 2} {
+		sink := results.NewMemorySink()
+		if _, got := runTallied(t, campaign.Config{Workers: workers, Sink: sink}, jobs); got != (tally{1, 4, 5}) {
+			t.Errorf("%d workers: %d recorded, %d walked and %d priced, want 1, 4 and 5", workers, got[0], got[1], got[2])
+		}
+		sweep, member := sink.Rows("sweep/states"), sink.Rows("p3/base/c512kB/states/r0")
+		if len(sweep) == 0 || !reflect.DeepEqual(sweep, member) {
+			t.Errorf("%d workers: the sweep's %d rows are not the 512 kB member's %d", workers, len(sweep), len(member))
 		}
 	}
 }
 
 // TestSweepGroupWarmStoreRecordsNothing: a cold run over a store records
-// once per group, walks once per group and cache size, and prices every
-// member; run again over the now warm store, every job is served from it,
-// so no kernel runs and nothing is recorded, walked or priced.
+// once per program, walks once per program and cache size, and prices
+// every scenario; run again over the now warm store, every job is served
+// from it, so no kernel runs and nothing is recorded, walked or priced.
 func TestSweepGroupWarmStoreRecordsNothing(t *testing.T) {
 	t.Parallel()
 	base, grid := groupedGrid()
-	jobs, groups, err := streamJobs(base, grid)
-	if err != nil {
-		t.Fatal(err)
-	}
+	jobs := streamJobs(t, base, grid)
 	st, err := store.Open(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
 	cc := campaign.Config{Workers: 1, Store: st}
-	cold, err := campaign.Run(context.Background(), cc, jobs)
-	if err != nil {
-		t.Fatal(err)
+	cold, got := runTallied(t, cc, jobs)
+	if got != (tally{2, 6, 6}) {
+		t.Fatalf("cold run: %d recorded, %d walked and %d priced, want 2, 6 and 6", got[0], got[1], got[2])
 	}
-	if rec, wk, pr := groupCounts(groups); rec != 2 || wk != 6 || pr != 6 {
-		t.Fatalf("cold run: %d recorded, %d walked and %d priced, want 2, 6 and 6", rec, wk, pr)
-	}
-	warm, err := campaign.Run(context.Background(), cc, jobs)
-	if err != nil {
-		t.Fatal(err)
-	}
+	warm, got := runTallied(t, cc, jobs)
 	for i, r := range warm {
 		if !r.Cached {
 			t.Errorf("%s ran over a warm store", r.Key)
@@ -280,30 +341,25 @@ func TestSweepGroupWarmStoreRecordsNothing(t *testing.T) {
 			t.Errorf("%s: the store serves another grid point", r.Key)
 		}
 	}
-	if rec, wk, pr := groupCounts(groups); rec != 2 || wk != 6 || pr != 6 {
-		t.Errorf("warm run: %d recorded, %d walked and %d priced in all, want still 2, 6 and 6", rec, wk, pr)
+	if got != (tally{}) {
+		t.Errorf("warm run: %d recorded, %d walked and %d priced, want none", got[0], got[1], got[2])
 	}
 }
 
 // TestSweepGroupRecordsOncePerRun: one cold job list run twice records
-// once per group and walks once per group and cache size in each run — no
-// recording or walk is kept from one run for the next — and both runs give
-// the same grid points.
+// once per program and walks once per program and cache size in each run
+// — no recording or walk is kept from one run for the next — and both
+// runs give the same grid points.
 func TestSweepGroupRecordsOncePerRun(t *testing.T) {
 	t.Parallel()
 	base, grid := groupedGrid()
-	jobs, groups, err := streamJobs(base, grid)
-	if err != nil {
-		t.Fatal(err)
-	}
+	jobs := streamJobs(t, base, grid)
 	var runs [2][]campaign.Result
 	for i := range runs {
-		if runs[i], err = campaign.Run(context.Background(), campaign.Config{Workers: 1}, jobs); err != nil {
-			t.Fatal(err)
-		}
-		if rec, wk, pr := groupCounts(groups); rec != int64(2*(i+1)) || wk != int64(6*(i+1)) || pr != int64(6*(i+1)) {
-			t.Fatalf("after run %d: %d recorded, %d walked and %d priced, want %d, %d and %d",
-				i+1, rec, wk, pr, 2*(i+1), 6*(i+1), 6*(i+1))
+		var got tally
+		runs[i], got = runTallied(t, campaign.Config{Workers: 1}, jobs)
+		if got != (tally{2, 6, 6}) {
+			t.Fatalf("run %d: %d recorded, %d walked and %d priced, want 2, 6 and 6", i+1, got[0], got[1], got[2])
 		}
 	}
 	if !sameValues(runs[0], runs[1]) {
@@ -324,11 +380,11 @@ func sameValues(a, b []campaign.Result) bool {
 	return true
 }
 
-// TestSweepGroupLiveFailure: the member that records first panics (its
+// TestSweepGroupLiveFailure: the sweep that records first panics (its
 // machine has an impossible cache). The failure is its own job's error;
-// the next member records in its place, on one worker after it and on two
-// workers perhaps while waiting for it, and both other members equal their
-// plain sweeps.
+// the next sweep of the program records in its place, on one worker after
+// it and on two workers perhaps while waiting for it, and both other
+// sweeps equal their plain sweeps.
 func TestSweepGroupLiveFailure(t *testing.T) {
 	t.Parallel()
 	base, grid := groupedGrid()
@@ -351,11 +407,16 @@ func TestSweepGroupLiveFailure(t *testing.T) {
 		want[i+1] = res[0].Value
 	}
 	for _, workers := range []int{1, 2} {
-		g := new(sweepGroup)
 		jobs := make([]campaign.Job, len(members))
+		var good []string
 		for i, sc := range members {
-			jobs[i] = streamJob(gridHasher(base), base, sc, g)
+			jobs[i] = StreamJob(base, sc)
+			if i > 0 {
+				good = append(good, sc.Key)
+			}
 		}
+		var got tally
+		jobs = append(jobs, tallyJob(good, &got))
 		done := make(chan []campaign.Result)
 		go func() {
 			res, _ := campaign.Run(context.Background(), campaign.Config{Workers: workers}, jobs)
@@ -365,27 +426,27 @@ func TestSweepGroupLiveFailure(t *testing.T) {
 		select {
 		case res = <-done:
 		case <-time.After(2 * time.Minute):
-			t.Fatalf("%d workers: a group with a failed live member hangs", workers)
+			t.Fatalf("%d workers: a program with a failed live sweep hangs", workers)
 		}
 		if res[0].Err == nil {
-			t.Errorf("%d workers: the member with an impossible cache succeeded", workers)
+			t.Errorf("%d workers: the sweep with an impossible cache succeeded", workers)
 		}
-		for i, r := range res[1:] {
+		for i, r := range res[1:len(members)] {
 			if r.Err != nil {
-				t.Errorf("%d workers: %s failed with its group: %v", workers, r.Key, r.Err)
+				t.Errorf("%d workers: %s failed with its program: %v", workers, r.Key, r.Err)
 			} else if !reflect.DeepEqual(r.Value, want[i+1]) {
 				t.Errorf("%d workers: %s differs from its plain sweep", workers, r.Key)
 			}
 		}
-		if rec, wk, pr := g.recorded.Load(), g.walked.Load(), g.priced.Load(); rec != 1 || wk != 2 || pr != 2 {
-			t.Errorf("%d workers: %d recorded, %d walked and %d priced, want 1, 2 and 2", workers, rec, wk, pr)
+		if got != (tally{1, 2, 2}) {
+			t.Errorf("%d workers: %d recorded, %d walked and %d priced, want 1, 2 and 2", workers, got[0], got[1], got[2])
 		}
 	}
 }
 
 // TestSweepGroupWorkerCountInvariance: a grid of grouped sweeps writes the
 // same CSV and binary shards, byte for byte, on one worker and on two,
-// whichever member of a group happens to record.
+// whichever sweep of a program happens to record.
 func TestSweepGroupWorkerCountInvariance(t *testing.T) {
 	t.Parallel()
 	base, grid := groupedGrid()
@@ -421,33 +482,30 @@ func TestSweepGroupWorkerCountInvariance(t *testing.T) {
 
 // TestSweepGroupsShareWalks: a walk depends on the streams and the cache
 // alone. Godunov and EFM record the same streams, so over two cache sizes
-// three kernels make three recordings and four walks, and every member is
-// priced; a CPU clock axis walks once per kernel. Every grid point equals
-// its plain sweep's.
+// three kernels make three recordings and four walks, and every scenario
+// is priced; a CPU clock axis walks once per kernel. The counts hold on
+// one worker and on two, and every grid point equals its plain sweep's.
 func TestSweepGroupsShareWalks(t *testing.T) {
 	t.Parallel()
 	base := repriceSweepConfig(KernelStates)
 	base.Reps = 1
 	for _, c := range []struct {
-		name                           string
-		axes                           []campaign.Dimension
-		recorded, walked, pricedPoints int64
+		name string
+		axes []campaign.Dimension
+		want tally
 	}{
-		{"cache", []campaign.Dimension{campaign.CacheAxis(128, 1024), campaign.FluxAxis("states", "godunov", "efm")}, 3, 4, 6},
-		{"clock", []campaign.Dimension{campaign.CPUClockAxis(0.5, 2), campaign.FluxAxis("states", "efm")}, 2, 2, 4},
+		{"cache", []campaign.Dimension{campaign.CacheAxis(128, 1024), campaign.FluxAxis("states", "godunov", "efm")}, tally{3, 4, 6}},
+		{"clock", []campaign.Dimension{campaign.CPUClockAxis(0.5, 2), campaign.FluxAxis("states", "efm")}, tally{2, 2, 4}},
 	} {
 		grid := campaign.Grid{Base: base.World, Axes: c.axes, BaseSeed: 3}
-		jobs, groups, err := streamJobs(base, grid)
-		if err != nil {
-			t.Fatal(err)
-		}
-		res, err := campaign.Run(context.Background(), campaign.Config{Workers: 1}, jobs)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if rec, wk, pr := groupCounts(groups); rec != c.recorded || wk != c.walked || pr != c.pricedPoints {
-			t.Errorf("%s: %d recorded, %d walked and %d priced, want %d, %d and %d",
-				c.name, rec, wk, pr, c.recorded, c.walked, c.pricedPoints)
+		jobs := streamJobs(t, base, grid)
+		var res []campaign.Result
+		for _, workers := range []int{1, 2} {
+			var got tally
+			if res, got = runTallied(t, campaign.Config{Workers: workers}, jobs); got != c.want {
+				t.Errorf("%s, %d workers: %d recorded, %d walked and %d priced, want %v",
+					c.name, workers, got[0], got[1], got[2], c.want)
+			}
 		}
 		scs, err := grid.Scenarios()
 		if err != nil {

@@ -13,13 +13,12 @@ import (
 	"repro/internal/results"
 )
 
-// This file is the tentpole's headline proof at the harness layer: for
-// every scenario of the PR 3 golden grid (the cache-axis trend grid whose
-// keys, seeds and hashes are pinned by grid_stability_golden.tsv), the
-// conservative parallel scheduler produces bit-for-bit the same sweeps,
-// fitted models, profiles, virtual clocks and trend.csv/trend.txt bytes as
-// the serial scheduler. Sizes are reduced to keep the test quick; the grid
-// structure — axes, replications, seeds — is the golden one.
+// This file holds the rank schedulers to the serial one at the harness
+// layer: the case study (profiles, virtual clocks, rendered FUNCTION
+// SUMMARY, Fig. 9 series) and a grid streamed under each scheduler as its
+// Base (keys, seeds, rows and models). A sweep runs no scheduler — it
+// records rank 0 on a one-rank serial world — so its bytes are pinned by
+// TestRecordReadersGolden and bench's sweep_cold goldens instead.
 
 // goldenTrendGrid rebuilds the PR 3 golden "trend" grid over a reduced
 // States sweep.
@@ -38,102 +37,19 @@ func goldenTrendGrid(t *testing.T) (SweepConfig, campaign.Grid) {
 	}
 }
 
-// trendBytes streams the grid (serially, workers=1 is enough: determinism
-// across workers is already covered elsewhere) and renders trend.csv and
-// trend.txt.
-func trendBytes(t *testing.T, base SweepConfig, g campaign.Grid) (csv, txt []byte) {
-	t.Helper()
-	pts, err := StreamSweepGrid(context.Background(), campaign.Config{Workers: 2}, base, g)
-	if err != nil {
-		t.Fatal(err)
-	}
-	reports, err := BuildTrends(pts, TrendCacheKB)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var csvBuf, txtBuf bytes.Buffer
-	if err := WriteTrendCSV(&csvBuf, reports); err != nil {
-		t.Fatal(err)
-	}
-	if err := WriteTrendReport(&txtBuf, reports); err != nil {
-		t.Fatal(err)
-	}
-	return csvBuf.Bytes(), txtBuf.Bytes()
-}
-
 // withSched returns the sweep config under the given scheduler mode.
 func withSched(cfg SweepConfig, mode mpi.SchedulerMode) SweepConfig {
 	cfg.World.Sched = mode
 	return cfg
 }
 
-func TestGoldenGridParallelEquivalence(t *testing.T) {
-	t.Parallel()
-	goldenGridParallelEquivalence(t)
-}
-
-// TestPoisonedMessagesParallelEquivalence runs both ParallelEquivalence
-// checks with every released mpi message poisoned, so that a scheduler
-// reading a recycled message after its last use shows as a difference.
-// Not parallel: the hook is process-wide.
+// TestPoisonedMessagesParallelEquivalence runs the case study's
+// ParallelEquivalence check with every released mpi message poisoned, so
+// that a scheduler reading a recycled message after its last use shows as
+// a difference. Not parallel: the hook is process-wide.
 func TestPoisonedMessagesParallelEquivalence(t *testing.T) {
 	t.Cleanup(mpi.PoisonReleasedMessages())
-	t.Run("GoldenGrid", goldenGridParallelEquivalence)
 	t.Run("CaseStudy", caseStudyParallelEquivalence)
-}
-
-// goldenGridParallelEquivalence holds every scheduler's sweeps, fitted
-// models and trend bytes over the golden grid to the serial ones.
-func goldenGridParallelEquivalence(t *testing.T) {
-	base, grid := goldenTrendGrid(t)
-	scs, err := grid.Scenarios()
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, sc := range scs {
-		cfg := base
-		cfg.World = sc.World
-		serial, err := RunSweep(cfg)
-		if err != nil {
-			t.Fatalf("%s serial: %v", sc.Key, err)
-		}
-		ms, err := FitModels(serial)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, mode := range []mpi.SchedulerMode{mpi.ConservativeParallel, mpi.OptimisticParallel} {
-			par, err := RunSweep(withSched(cfg, mode))
-			if err != nil {
-				t.Fatalf("%s %v: %v", sc.Key, mode, err)
-			}
-			if !reflect.DeepEqual(serial.Points, par.Points) {
-				t.Errorf("%s: sweep points differ between serial and %v", sc.Key, mode)
-				continue
-			}
-			mp, err := FitModels(par)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !reflect.DeepEqual(ms, mp) {
-				t.Errorf("%s: fitted models differ between serial and %v", sc.Key, mode)
-			}
-		}
-	}
-
-	// And the rendered trend artifacts, end to end over the whole grid.
-	csvS, txtS := trendBytes(t, base, grid)
-	for _, mode := range []mpi.SchedulerMode{mpi.ConservativeParallel, mpi.OptimisticParallel} {
-		parBase := withSched(base, mode)
-		parGrid := grid
-		parGrid.Base = parBase.World
-		csvP, txtP := trendBytes(t, parBase, parGrid)
-		if !bytes.Equal(csvS, csvP) {
-			t.Errorf("trend.csv differs between serial and %v:\nserial:\n%s\nparallel:\n%s", mode, csvS, csvP)
-		}
-		if !bytes.Equal(txtS, txtP) {
-			t.Errorf("trend.txt differs between serial and %v:\nserial:\n%s\nparallel:\n%s", mode, txtS, txtP)
-		}
-	}
 }
 
 // TestShardDirIdenticalAcrossSchedulers pins what `diff -r` of two output

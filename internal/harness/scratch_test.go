@@ -83,44 +83,75 @@ func allocatedBy(t *testing.T, budget uint64, f func() error) uint64 {
 	t.Helper()
 	best := ^uint64(0)
 	for i := 0; i < 3 && best > budget; i++ {
-		var before, after runtime.MemStats
-		runtime.ReadMemStats(&before)
-		if err := f(); err != nil {
-			t.Fatal(err)
-		}
-		runtime.ReadMemStats(&after)
-		best = min(best, after.TotalAlloc-before.TotalAlloc)
+		best = min(best, allocatedOnce(t, f))
 	}
 	return best
 }
 
+// allocatedOnce returns the bytes one run of f allocates.
+func allocatedOnce(t *testing.T, f func() error) uint64 {
+	t.Helper()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	if err := f(); err != nil {
+		t.Fatal(err)
+	}
+	runtime.ReadMemStats(&after)
+	return after.TotalAlloc - before.TotalAlloc
+}
+
 // TestSweepAllocationBudget pins what one sweep of the benchmark's shape may
-// allocate. The planes of its largest shape take 16.2 MB, once; allocating
-// a block and six edge fields afresh per shape took 117.6 MB. A sweep after
-// the first takes that arena back and allocates 0.09 MB, with a garbage
-// collection between the two: each sweep cleared an arena of its own before
-// they were kept (16.3 MB), and a sync.Pool dropped the kept one at every
-// collection. Each budget is about a quarter above its reading. Walking
-// and pricing a recording on another machine after a first walk (0.008
-// MB) is held to the warm budget, and the first walk to its own. Not
-// parallel: TotalAlloc counts every goroutine's allocations.
+// allocate. Live, on the differential tests' oracle (runSweep with no
+// trace): the planes of its largest shape take 16.2 MB, once; allocating
+// a block and six edge fields afresh per shape took 117.6 MB. A live sweep
+// after the first takes that arena back and allocates 0.09 MB, with a
+// garbage collection between the two: each sweep cleared an arena of its
+// own before they were kept (16.3 MB), and a sync.Pool dropped the kept
+// one at every collection. The production sweep (RunSweep: record, walk,
+// price) first grows a charge trace and a walk to the sweep's size, read
+// once, since a second attempt would find them kept; after that it
+// allocates no more than a warm live sweep. Each budget is about a
+// quarter above its reading. Walking and pricing a recording on another
+// machine after a first walk (0.008 MB) is held to the warm budget, and
+// the first walk to its own. Not parallel: TotalAlloc counts every
+// goroutine's allocations.
 func TestSweepAllocationBudget(t *testing.T) {
 	const budget, warmBudget = 20 << 20, 120 << 10
-	sweep := func() error {
-		_, err := RunSweep(benchSweep(KernelEFM))
+	live := func() error {
+		_, err := runSweep(benchSweep(KernelEFM), nil)
 		return err
 	}
-	got := allocatedBy(t, budget, sweep)
-	t.Logf("one sweep allocates %.2f MB", float64(got)/(1<<20))
+	got := allocatedBy(t, budget, live)
+	t.Logf("one live sweep allocates %.2f MB", float64(got)/(1<<20))
 	if got > budget {
-		t.Errorf("one sweep allocates %d bytes, budget %d", got, budget)
+		t.Errorf("one live sweep allocates %d bytes, budget %d", got, budget)
 	}
 
 	runtime.GC()
-	warm := allocatedBy(t, warmBudget, sweep)
-	t.Logf("a sweep after the first allocates %.3f MB", float64(warm)/(1<<20))
+	warm := allocatedBy(t, warmBudget, live)
+	t.Logf("a live sweep after the first allocates %.3f MB", float64(warm)/(1<<20))
 	if warm > warmBudget {
-		t.Errorf("a sweep after the first allocates %d bytes, budget %d", warm, warmBudget)
+		t.Errorf("a live sweep after the first allocates %d bytes, budget %d", warm, warmBudget)
+	}
+
+	priced := func() error {
+		_, err := RunSweep(benchSweep(KernelEFM))
+		return err
+	}
+	// The trace and the first walk's miss counts take 22.1 MB, and each
+	// part of the split walk after the first its own counts and directory:
+	// 22.1, 22.8 and 24.2 MB at GOMAXPROCS 1, 2 and 4.
+	pricedBudget := 27<<20 + uint64(runtime.GOMAXPROCS(0))*900<<10
+	first := allocatedOnce(t, priced)
+	t.Logf("a first priced sweep allocates %.2f MB", float64(first)/(1<<20))
+	if first > pricedBudget {
+		t.Errorf("a first priced sweep allocates %d bytes, budget %d", first, pricedBudget)
+	}
+	runtime.GC()
+	warm = allocatedBy(t, warmBudget, priced)
+	t.Logf("a priced sweep after the first allocates %.3f MB", float64(warm)/(1<<20))
+	if warm > warmBudget {
+		t.Errorf("a priced sweep after the first allocates %d bytes, budget %d", warm, warmBudget)
 	}
 
 	// Pricing a recording on another machine walks its streams through that
@@ -149,16 +180,16 @@ func TestSweepAllocationBudget(t *testing.T) {
 	if err := trace.Walk(at.World.Cache, w); err != nil {
 		t.Fatal(err)
 	}
-	priced := allocatedBy(t, warmBudget, func() error {
+	repriced := allocatedBy(t, warmBudget, func() error {
 		if err := trace.Walk(at.World.Cache, w); err != nil {
 			return err
 		}
 		_, err := priceSweep(at, trace, w, recorded.Points)
 		return err
 	})
-	t.Logf("walking and pricing a recording at 128 kB after a first walk allocates %.3f MB", float64(priced)/(1<<20))
-	if priced > warmBudget {
-		t.Errorf("walking and pricing a recording allocates %d bytes, budget %d", priced, warmBudget)
+	t.Logf("walking and pricing a recording at 128 kB after a first walk allocates %.3f MB", float64(repriced)/(1<<20))
+	if repriced > warmBudget {
+		t.Errorf("walking and pricing a recording allocates %d bytes, budget %d", repriced, warmBudget)
 	}
 }
 

@@ -3,13 +3,11 @@ package harness
 import (
 	"context"
 	"fmt"
-	"slices"
 	"sync"
 	"sync/atomic"
 
 	"repro/internal/cache"
 	"repro/internal/campaign"
-	"repro/internal/mpi"
 	"repro/internal/platform"
 	"repro/internal/results/store"
 )
@@ -35,7 +33,7 @@ type GridPoint struct {
 // the sweep, emit its rows to the campaign sink, fit the model, return
 // only the GridPoint. The store keeps the sweep, and a hit refits it.
 func StreamJob(base SweepConfig, sc campaign.Scenario) campaign.Job {
-	return streamJob(gridHasher(base), base, sc, nil)
+	return streamJob(gridHasher(base), base, sc)
 }
 
 // gridHasher is the job hash of base's grid points, base rendered once.
@@ -44,10 +42,8 @@ func gridHasher(base SweepConfig) store.Hasher {
 	return jobHasher("gridpoint", base)
 }
 
-// streamJob is StreamJob, with base's hasher, for a member of group, or
-// for no group when group is nil. A group changes how the sweep is
-// measured, never the job's key, hash, payload or rows.
-func streamJob(h store.Hasher, base SweepConfig, sc campaign.Scenario, group *sweepGroup) campaign.Job {
+// streamJob is StreamJob, with base's hasher.
+func streamJob(h store.Hasher, base SweepConfig, sc campaign.Scenario) campaign.Job {
 	hashedSc := sc
 	hashedSc.World = serialWorld(sc.World)
 	return measureJob(sc.Key, h.Hash(hashedSc),
@@ -56,10 +52,7 @@ func streamJob(h store.Hasher, base SweepConfig, sc campaign.Scenario, group *sw
 			if err != nil {
 				return nil, err
 			}
-			if group == nil {
-				return RunSweep(cfg)
-			}
-			return group.sweep(ctx, cfg)
+			return measureSweep(ctx, cfg)
 		},
 		func(sw *SweepResult) (any, error) {
 			cm, err := FitModels(sw)
@@ -71,124 +64,116 @@ func streamJob(h store.Hasher, base SweepConfig, sc campaign.Scenario, group *sw
 }
 
 // StreamJobs expands a grid into one StreamJob per scenario. Scenarios
-// that run the same single-rank program on different machines form a
-// sweep group (sweepGroup): in each campaign.Run, the first of them to run
-// records the program's charges, and every member is priced from that
-// recording.
+// that run one sweep program on different machines share its recording
+// within a campaign.Run (measureSweep).
 func StreamJobs(base SweepConfig, g campaign.Grid) ([]campaign.Job, error) {
-	jobs, _, err := streamJobs(base, g)
-	return jobs, err
-}
-
-// streamJobs is StreamJobs, also returning each job's group (nil for a job
-// in none).
-func streamJobs(base SweepConfig, g campaign.Grid) ([]campaign.Job, []*sweepGroup, error) {
 	scs, err := g.Scenarios()
 	if err != nil {
-		return nil, nil, err
-	}
-	// A scenario changes only the world and the kernel of the base config
-	// (scenarioSweepConfig), so a program is named by those two.
-	type program struct {
-		kernel Kernel
-		world  mpi.WorldConfig
-	}
-	programs := make([]program, len(scs))
-	members := map[program]int{}
-	for i, sc := range scs {
-		if cfg, err := scenarioSweepConfig(base, sc); err == nil && cfg.World.Procs == 1 {
-			programs[i] = program{cfg.Kernel, programWorld(cfg.World)}
-			members[programs[i]]++
-		}
+		return nil, err
 	}
 	h := gridHasher(base)
-	groups := make([]*sweepGroup, len(scs))
-	byProgram := map[program]*sweepGroup{}
 	jobs := make([]campaign.Job, len(scs))
 	for i, sc := range scs {
-		if p := programs[i]; members[p] > 1 {
-			if byProgram[p] == nil {
-				byProgram[p] = new(sweepGroup)
-			}
-			groups[i] = byProgram[p]
-		}
-		jobs[i] = streamJob(h, base, sc, groups[i])
+		jobs[i] = streamJob(h, base, sc)
 	}
-	return jobs, groups, nil
+	return jobs, nil
 }
 
-// programWorld sets aside what a single-rank sweep's charges do not depend
-// on: the machine (cache and CPU models), the seed and the scheduler.
-// Sweeps that differ only there issue the same charges in the same order —
-// a kernel charges by patch shape and never by field data
-// (TestSweepRowsIgnoreSeed) — so one recording prices them all.
-func programWorld(w mpi.WorldConfig) mpi.WorldConfig {
-	w = serialWorld(w)
-	w.Cache, w.CPU, w.Seed = cache.Config{}, platform.CPUModel{}, 0
-	return w
+// programKey names a sweep program: the sweep config with the machine
+// (cache and CPU models), seed, scheduler and rank count set aside. A
+// kernel charges by patch shape alone (TestSweepRowsIgnoreSeed,
+// TestSweepRanksMatchRankZero), so one recording prices every sweep of a
+// program.
+type programKey string
+
+// programOf returns cfg's program.
+func programOf(cfg SweepConfig) programKey {
+	w := serialWorld(cfg.World)
+	w.Procs, w.Cache, w.CPU, w.Seed = 1, cache.Config{}, platform.CPUModel{}, 0
+	cfg.World = w
+	return programKey(jobHash("program", cfg))
 }
 
-// sweepGroup is the grid scenarios that run one single-rank sweep program
-// (programWorld). In each campaign.Run, the first member to run records
-// the program dry: its charges, with no cache walked and no point priced.
-// Every member, that one included, is then priced on its own machine from
-// the recording (priceSweep), with a walk of the recording's streams
-// through its own cache (sharedWalk). A member that finds the recording in
-// progress waits for it, and records in its place if it fails. A member
-// served from the store does none of this, so a group whose members all
-// hit records nothing. The trace comes from the process-wide sweepTraces
-// and goes back when the Run ends: no recording outlives its Run.
-type sweepGroup struct {
-	// recorded, walked and priced count, over every Run, the recordings
-	// the group's members made, the walks they made and the members
-	// priced.
-	recorded, walked, priced atomic.Int64
+// A recording is rank 0 of a sweep program, recorded dry: its charges,
+// with no cache walked and no point priced.
+type recording struct {
+	recorded onceOK
+	trace    *platform.Trace
+	digest   uint64       // the trace's StreamDigest
+	points   []SweepPoint // rank 0's points, whose size and mode pricing keeps
+}
+
+// record records cfg's rank 0 into r.
+func (r *recording) record(cfg SweepConfig) error {
+	res, err := runSweep(cfg, r.trace)
+	if err != nil {
+		return err
+	}
+	r.digest, r.points = r.trace.StreamDigest(), res.Points
+	return nil
 }
 
 // sweepTraces and sweepWalks keep charge traces and walks (a walk's miss
-// counts) across Runs, as sweepScratches keeps arenas: each grows to its
-// program's size once per process.
+// counts) across sweeps and Runs, as sweepScratches keeps arenas: each
+// grows to its program's size once per process.
 var (
 	sweepTraces freeList[platform.Trace]
 	sweepWalks  freeList[platform.Walk]
 )
 
-// groupRun is one sweep group's state within one campaign.Run.
-type groupRun struct {
-	recording onceOK
-	trace     *platform.Trace // the recording, once a member has made it
-	digest    uint64          // the recording's StreamDigest
-	points    []SweepPoint    // its points, whose rank, size and mode pricing keeps
-}
+// sweepTally counts what the sweeps of one campaign.Run did: the
+// recordings made, the walks made and the sweeps priced.
+type sweepTally struct{ recorded, walked, priced atomic.Int64 }
 
-// sweep measures one member's sweep within the Run of ctx.
-func (g *sweepGroup) sweep(ctx context.Context, cfg SweepConfig) (*SweepResult, error) {
-	v, ok := campaign.Shared(ctx, g, func() (any, func()) {
-		run := &groupRun{trace: sweepTraces.get()}
-		return run, func() { sweepTraces.put(run.trace) }
-	})
+// tallyKey is the campaign.Shared key of a Run's sweepTally.
+type tallyKey struct{}
+
+// measureSweep is the one way a sweep is measured: rank 0 of cfg's
+// program, recorded dry on a one-rank serial world, walked through cfg's
+// cache and priced on cfg's machine (priceSweep), copied to every rank.
+// Within a campaign.Run, the first sweep of a program to run records it
+// for all (one that finds the recording in progress waits for it, and
+// records in its place if it fails), and walks are shared (sharedWalk); a
+// sweep served from the store does none of this. Recordings go back to
+// sweepTraces when the Run ends. Outside a Run, a sweep records, walks
+// and prices on its own.
+func measureSweep(ctx context.Context, cfg SweepConfig) (*SweepResult, error) {
+	v, ok := campaign.Shared(ctx, tallyKey{}, func() (any, func()) { return new(sweepTally), nil })
 	if !ok {
-		return RunSweep(cfg)
+		rec := recording{trace: sweepTraces.get()}
+		defer sweepTraces.put(rec.trace)
+		if err := rec.record(cfg); err != nil {
+			return nil, err
+		}
+		walk := sweepWalks.get()
+		defer sweepWalks.put(walk)
+		if err := rec.trace.Walk(cfg.World.Cache, walk); err != nil {
+			return nil, err
+		}
+		return priceSweep(cfg, rec.trace, walk, rec.points)
 	}
-	run := v.(*groupRun)
-	err := run.recording.do(ctx, func() error {
-		res, err := runSweep(cfg, run.trace)
-		if err != nil {
+	tally := v.(*sweepTally)
+	v, _ = campaign.Shared(ctx, programOf(cfg), func() (any, func()) {
+		rec := &recording{trace: sweepTraces.get()}
+		return rec, func() { sweepTraces.put(rec.trace) }
+	})
+	rec := v.(*recording)
+	err := rec.recorded.do(ctx, func() error {
+		if err := rec.record(cfg); err != nil {
 			return err
 		}
-		run.digest, run.points = run.trace.StreamDigest(), res.Points
-		g.recorded.Add(1)
+		tally.recorded.Add(1)
 		return nil
 	})
 	if err != nil {
 		return nil, err
 	}
-	walk, err := sharedWalk(ctx, run.trace, run.digest, cfg.World.Cache, &g.walked)
+	walk, err := sharedWalk(ctx, rec.trace, rec.digest, cfg.World.Cache, &tally.walked)
 	if err != nil {
 		return nil, err
 	}
-	g.priced.Add(1)
-	return priceSweep(cfg, run.trace, walk, run.points)
+	tally.priced.Add(1)
+	return priceSweep(cfg, rec.trace, walk, rec.points)
 }
 
 // walkKey names the walks of one stream digest on one cache geometry.
@@ -212,10 +197,10 @@ type walkEntry struct {
 }
 
 // sharedWalk returns a walk of trace's streams, whose StreamDigest is
-// digest, on cache geometry cfg, shared by every member of the Run of ctx
+// digest, on cache geometry cfg, shared by every sweep of the Run of ctx
 // that needs it: a walk asked for by another trace is reused only when the
 // two traces' streams are equal, element by element (SameStreams). Each
-// walk made here counts in walked. A member that finds the walk in progress
+// walk made here counts in walked. A sweep that finds the walk in progress
 // waits for it, and walks in its place if it fails. Walks go back to
 // sweepWalks when the Run ends.
 func sharedWalk(ctx context.Context, trace *platform.Trace, digest uint64, cfg cache.Config, walked *atomic.Int64) (*platform.Walk, error) {
@@ -245,8 +230,11 @@ func sharedWalk(ctx context.Context, trace *platform.Trace, digest uint64, cfg c
 	}
 	set.mu.Unlock()
 	err := sw.walking.do(ctx, func() error {
+		if err := trace.Walk(cfg, sw.walk); err != nil {
+			return err
+		}
 		walked.Add(1)
-		return trace.Walk(cfg, sw.walk)
+		return nil
 	})
 	return sw.walk, err
 }
@@ -300,19 +288,20 @@ func (o *onceOK) run(f func() error) error {
 	return err
 }
 
-// priceSweep prices a recorded single-rank sweep on cfg's machine, from
-// walk, a walk of the recording's streams on cfg's cache: it applies the
-// charges to a fresh Proc of that machine and reads each monitored call's
-// wall time and PAPI_L2_DCM delta between the marks around it, as
-// core.Record differences its snapshots. The points' rank, size and mode
-// are the recording's.
+// priceSweep prices rank 0's recorded sweep on cfg's machine, from walk,
+// a walk of the recording's streams on cfg's cache: it applies the charges
+// to a fresh Proc of that machine and reads each monitored call's wall
+// time and PAPI_L2_DCM delta between the marks around it, as core.Record
+// differences its snapshots. The points' size and mode are the
+// recording's, and they come once per rank of cfg's world, in rank order.
 func priceSweep(cfg SweepConfig, trace *platform.Trace, walk *platform.Walk, recorded []SweepPoint) (*SweepResult, error) {
 	w := cfg.World
 	if err := w.Validate(); err != nil {
 		return nil, err
 	}
 	proc := platform.NewProc(0, w.CPU, w.Cache, w.Seed)
-	pts := slices.Clone(recorded)
+	pts := make([]SweepPoint, len(recorded), w.Procs*len(recorded))
+	copy(pts, recorded)
 	var wall, misses float64
 	marks := 0
 	err := trace.Price(proc, walk, func() {
@@ -329,6 +318,12 @@ func priceSweep(cfg SweepConfig, trace *platform.Trace, walk *platform.Walk, rec
 	}
 	if marks != 2*len(pts) {
 		return nil, fmt.Errorf("harness: a sweep trace marks %d calls for %d points", marks/2, len(pts))
+	}
+	for r := 1; r < w.Procs; r++ {
+		for _, p := range pts[:len(recorded)] {
+			p.Rank = r
+			pts = append(pts, p)
+		}
 	}
 	return &SweepResult{Config: cfg, Points: pts}, nil
 }

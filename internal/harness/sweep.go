@@ -1,6 +1,7 @@
 package harness
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"math"
@@ -55,10 +56,11 @@ type SweepConfig struct {
 	Sizes []int
 	// Reps is the number of invocations per size per mode.
 	Reps int
-	// World is the simulated machine. Every rank runs the same program
-	// on the same machine and records bit-identical points, so ranks past
-	// the first repeat rank 0's scatter rather than widen it: the Fig. 4
-	// spread comes from patch aspect and cache state.
+	// World is the simulated machine and its rank count. Every rank runs
+	// the same program on the same machine and records bit-identical
+	// points (TestSweepRanksMatchRankZero), so a sweep simulates rank 0
+	// and copies it to every rank: the Fig. 4 spread comes from patch
+	// aspect and cache state.
 	World mpi.WorldConfig
 }
 
@@ -125,12 +127,12 @@ func blockShape(q int, a float64) (nx, ny int) {
 	return nx, ny
 }
 
-// sweepScratches keeps the ranks' scratch arenas across sweeps. An arena
-// grows to a sweep's largest shape (13-16 MB at the benchmark's sizes), and
-// the next sweep in the process takes it back instead of clearing a new one.
-// It is a free list, not a sync.Pool, which a garbage collection empties:
-// a sweep after one cleared a new arena. The list holds at most as many
-// arenas as ranks have swept at once.
+// sweepScratches keeps the recordings' scratch arenas across sweeps. An
+// arena grows to a sweep's largest shape (13-16 MB at the benchmark's
+// sizes), and the next recording in the process takes it back instead of
+// clearing a new one. It is a free list, not a sync.Pool, which a garbage
+// collection empties: a sweep after one cleared a new arena. The list
+// holds at most as many arenas as recordings have run at once.
 var sweepScratches freeList[euler.Scratch]
 
 // freeList is a mutex-guarded free list of reusable buffers.
@@ -160,129 +162,130 @@ func (l *freeList[T]) put(s *T) {
 }
 
 // RunSweep measures the kernel through the full PMM stack (component,
-// proxy, Mastermind, TAU) on every rank. Patch contents vary per rank and
-// repetition — a randomized shock/interface crossing — but no kernel's
-// charge reads field data: only cache state and patch shape move the
-// timings, so the rows do not depend on the seed (TestSweepRowsIgnoreSeed).
-func RunSweep(cfg SweepConfig) (*SweepResult, error) { return runSweep(cfg, nil) }
+// proxy, Mastermind, TAU), as every sweep is measured (measureSweep).
+// Patch contents vary per repetition — a randomized shock/interface
+// crossing — but no kernel's charge reads field data, so the rows do not
+// depend on the seed (TestSweepRowsIgnoreSeed).
+func RunSweep(cfg SweepConfig) (*SweepResult, error) { return measureSweep(context.Background(), cfg) }
 
-// runSweep is RunSweep, recording rank 0's charges into trace when it is
-// not nil, with a mark before and after every monitored call. A recording
-// walks no cache, so rank 0's points then keep only their rank, size and
-// mode: priceSweep prices their times and misses.
+// runSweep runs rank 0 of cfg's sweep on a one-rank serial world of cfg's
+// machine: live, the differential tests' oracle, when trace is nil, and
+// else recording its charges into trace and walking no cache, so that its
+// points keep only their rank, size and mode for priceSweep to price.
 func runSweep(cfg SweepConfig, trace *platform.Trace) (*SweepResult, error) {
 	if len(cfg.Sizes) == 0 || cfg.Reps <= 0 {
 		return nil, fmt.Errorf("harness: empty sweep")
 	}
-	w := mpi.NewWorld(cfg.World)
-	res := &SweepResult{Config: cfg}
-	perRank := make([][]SweepPoint, cfg.World.Procs)
-
-	err := cca.RunSCMD(w, func(f *cca.Framework, r *mpi.Rank) error {
-		app := &components.App{Framework: f}
-		components.RegisterClasses(f, components.DefaultAppConfig(), app)
-		script := sweepScript(cfg.Kernel)
-		if err := f.RunScript(script); err != nil {
-			return err
-		}
-		statesPort, fluxPort, err := sweepPorts(f, cfg.Kernel)
-		if err != nil {
-			return err
-		}
-		proc := r.Proc
-		if trace != nil && r.Rank() == 0 {
-			proc.RecordTo(trace)
-			defer proc.RecordTo(nil)
-		}
-		rng := proc.RNG()
-		problem := euler.DefaultShockInterface()
-		dirs := [2]euler.Dir{euler.X, euler.Y}
-		// One block and six edge fields per shape, on a kept scratch
-		// arena: sized for the largest shape, recycled per shape.
-		shapeFloats := func(nx, ny int) int {
-			return euler.BlockFloats(nx, ny, 2) + 3*euler.EdgeFieldFloats(nx, ny)
-		}
-		room := 0
-		for _, q := range cfg.Sizes {
-			for _, aspect := range sweepAspects {
-				if n := shapeFloats(blockShape(q, aspect)); n > room {
-					room = n
-				}
-			}
-		}
-		scratch := sweepScratches.get()
-		defer sweepScratches.put(scratch)
-		for _, q := range cfg.Sizes {
-			for _, aspect := range sweepAspects {
-				nx, ny := blockShape(q, aspect)
-				// Buffers are built once per shape and reused across
-				// repetitions, as the application reuses its patch arrays:
-				// only the first invocation sees a cold cache.
-				scratch.Reset(room)
-				b := scratch.Block(proc, nx, ny, 2)
-				var fields [2][3]*euler.EdgeField // by dir: qL, qR, flux
-				for _, dir := range dirs {
-					for i := range fields[dir] {
-						fields[dir][i] = scratch.EdgeField(proc, nx, ny, dir)
-					}
-				}
-				for rep := 0; rep < cfg.Reps; rep++ {
-					// Fresh field contents per repetition: shock and
-					// interface at random positions inside the patch.
-					p := problem
-					p.ShockX = p.Lx * (0.15 + 0.5*rng.Float64())
-					p.InterfaceX = p.ShockX + p.Lx*(0.1+0.3*rng.Float64())
-					p.InitBlock(b, 0, 0, p.Lx/float64(nx), p.Ly/float64(ny))
-					b.FillBoundary(true, true, true, true)
-					for _, dir := range dirs {
-						qL, qR, fl := fields[dir][0], fields[dir][1], fields[dir][2]
-						if cfg.Kernel == KernelStates {
-							proc.Mark()
-							statesPort.Compute(b, dir, qL, qR)
-							proc.Mark()
-							continue
-						}
-						// Flux kernels consume reconstructed states: build
-						// them unmonitored, then invoke the monitored flux
-						// proxy.
-						euler.States(proc, b, dir, qL, qR)
-						proc.Mark()
-						fluxPort.Compute(qL, qR, fl)
-						proc.Mark()
-					}
-				}
-			}
-		}
-		// Harvest the proxy record into sweep points.
-		rec := app.Core().Record(cfg.Kernel.RecordName())
-		if rec == nil {
-			return fmt.Errorf("harness: sweep produced no %s record", cfg.Kernel.RecordName())
-		}
-		q, mode := rec.Param("Q"), rec.Param("mode")
-		var misses []float64
-		if i := slices.Index(rec.MetricNames, "PAPI_L2_DCM"); i >= 0 {
-			misses = rec.Deltas[i]
-		}
-		wall := rec.WallUS()
-		pts := make([]SweepPoint, rec.Len())
-		for i := range pts {
-			pts[i] = SweepPoint{
-				Rank: r.Rank(), Q: int(q[i]), Mode: euler.Dir(int(mode[i])), WallUS: wall[i],
-			}
-			if misses != nil {
-				pts[i].Misses = misses[i]
-			}
-		}
-		perRank[r.Rank()] = pts
-		return nil
+	w := serialWorld(cfg.World)
+	w.Procs = 1
+	var pts []SweepPoint
+	err := cca.RunSCMD(mpi.NewWorld(w), func(f *cca.Framework, r *mpi.Rank) (err error) {
+		pts, err = sweepRank(f, r.Proc, cfg, trace)
+		return err
 	})
 	if err != nil {
 		return nil, err
 	}
-	for _, pts := range perRank {
-		res.Points = append(res.Points, pts...)
+	return &SweepResult{Config: cfg, Points: pts}, nil
+}
+
+// sweepRank runs cfg's sweep program on one rank of a framework and
+// returns the rank's points, recording its charges into trace when it is
+// not nil, with a mark before and after every monitored call.
+func sweepRank(f *cca.Framework, proc *platform.Proc, cfg SweepConfig, trace *platform.Trace) ([]SweepPoint, error) {
+	app := &components.App{Framework: f}
+	components.RegisterClasses(f, components.DefaultAppConfig(), app)
+	if err := f.RunScript(sweepScript(cfg.Kernel)); err != nil {
+		return nil, err
 	}
-	return res, nil
+	statesPort, fluxPort, err := sweepPorts(f, cfg.Kernel)
+	if err != nil {
+		return nil, err
+	}
+	if trace != nil {
+		proc.RecordTo(trace)
+		defer proc.RecordTo(nil)
+	}
+	rng := proc.RNG()
+	problem := euler.DefaultShockInterface()
+	dirs := [2]euler.Dir{euler.X, euler.Y}
+	// One block and six edge fields per shape, on a kept scratch arena:
+	// sized for the largest shape, recycled per shape.
+	shapeFloats := func(nx, ny int) int {
+		return euler.BlockFloats(nx, ny, 2) + 3*euler.EdgeFieldFloats(nx, ny)
+	}
+	room := 0
+	for _, q := range cfg.Sizes {
+		for _, aspect := range sweepAspects {
+			if n := shapeFloats(blockShape(q, aspect)); n > room {
+				room = n
+			}
+		}
+	}
+	scratch := sweepScratches.get()
+	defer sweepScratches.put(scratch)
+	for _, q := range cfg.Sizes {
+		for _, aspect := range sweepAspects {
+			nx, ny := blockShape(q, aspect)
+			// Buffers are built once per shape and reused across
+			// repetitions, as the application reuses its patch arrays:
+			// only the first invocation sees a cold cache.
+			scratch.Reset(room)
+			b := scratch.Block(proc, nx, ny, 2)
+			var fields [2][3]*euler.EdgeField // by dir: qL, qR, flux
+			for _, dir := range dirs {
+				for i := range fields[dir] {
+					fields[dir][i] = scratch.EdgeField(proc, nx, ny, dir)
+				}
+			}
+			for rep := 0; rep < cfg.Reps; rep++ {
+				// Fresh field contents per repetition: shock and
+				// interface at random positions inside the patch.
+				p := problem
+				p.ShockX = p.Lx * (0.15 + 0.5*rng.Float64())
+				p.InterfaceX = p.ShockX + p.Lx*(0.1+0.3*rng.Float64())
+				p.InitBlock(b, 0, 0, p.Lx/float64(nx), p.Ly/float64(ny))
+				b.FillBoundary(true, true, true, true)
+				for _, dir := range dirs {
+					qL, qR, fl := fields[dir][0], fields[dir][1], fields[dir][2]
+					if cfg.Kernel == KernelStates {
+						proc.Mark()
+						statesPort.Compute(b, dir, qL, qR)
+						proc.Mark()
+						continue
+					}
+					// Flux kernels consume reconstructed states: build
+					// them unmonitored, then invoke the monitored flux
+					// proxy.
+					euler.States(proc, b, dir, qL, qR)
+					proc.Mark()
+					fluxPort.Compute(qL, qR, fl)
+					proc.Mark()
+				}
+			}
+		}
+	}
+	// Harvest the proxy record into sweep points.
+	rec := app.Core().Record(cfg.Kernel.RecordName())
+	if rec == nil {
+		return nil, fmt.Errorf("harness: sweep produced no %s record", cfg.Kernel.RecordName())
+	}
+	q, mode := rec.Param("Q"), rec.Param("mode")
+	var misses []float64
+	if i := slices.Index(rec.MetricNames, "PAPI_L2_DCM"); i >= 0 {
+		misses = rec.Deltas[i]
+	}
+	wall := rec.WallUS()
+	pts := make([]SweepPoint, rec.Len())
+	for i := range pts {
+		pts[i] = SweepPoint{
+			Rank: proc.Rank(), Q: int(q[i]), Mode: euler.Dir(int(mode[i])), WallUS: wall[i],
+		}
+		if misses != nil {
+			pts[i].Misses = misses[i]
+		}
+	}
+	return pts, nil
 }
 
 // sweepScript assembles just the kernel, its proxy and the PMM components.

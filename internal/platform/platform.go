@@ -232,10 +232,10 @@ func (p *Proc) RNG() *rand.Rand { return p.rng }
 func (p *Proc) Now() Time { return p.clock }
 
 // Advance moves the virtual clock forward by d microseconds.
-// Negative advances are a programming error and panic.
+// A negative advance, or any on a recording Proc (see Trace), panics.
 func (p *Proc) Advance(d Time) {
 	if p.trace != nil {
-		p.trace.add(charge{op: opAdvance, arg: math.Float64bits(d)})
+		panic(fmt.Sprintf("platform: Advance on recording rank %d: a trace cannot price it", p.rank))
 	}
 	p.advance(d)
 }
@@ -257,11 +257,11 @@ func (p *Proc) AdvanceCycles(cycles float64) {
 
 func (p *Proc) advanceCycles(cycles float64) { p.advance(p.cpu.CyclesToMicros(cycles)) }
 
-// SyncTo moves the clock forward to t if t is in the future; it never moves
-// the clock backward. It returns the (possibly unchanged) clock value.
+// SyncTo moves the clock forward to t if t is in the future, never backward,
+// and returns the clock value; on a recording Proc it panics (see Trace).
 func (p *Proc) SyncTo(t Time) Time {
 	if p.trace != nil {
-		p.trace.add(charge{op: opSyncTo, arg: math.Float64bits(t)})
+		panic(fmt.Sprintf("platform: SyncTo on recording rank %d: a trace cannot price it", p.rank))
 	}
 	if t > p.clock {
 		p.clock = t
@@ -340,9 +340,9 @@ func (p *Proc) Counters() Counters {
 // program's demand on the machine with the machine's prices left out.
 // Every call that charges the clock or the counters appends one
 // fixed-size event — ChargeStreamHinted (and ChargeStream), ChargeFlops,
-// ChargeCall, AdvanceCycles, Advance and SyncTo — and Mark appends a mark
-// the program places itself. A recording Proc walks no cache, so its clock
-// and counters leave the streams out.
+// ChargeCall and AdvanceCycles — and Mark appends a mark the program
+// places itself. A recording Proc walks no cache, so its clock and
+// counters leave the streams out.
 //
 // A recording is priced on a machine in two steps. Walk runs its streams
 // through an empty cache of that machine's geometry and keeps each
@@ -352,8 +352,8 @@ func (p *Proc) Counters() Counters {
 // geometry alone, so every machine with that cache, whatever its CPU, and
 // every trace with the same streams (SameStreams), can share it. Advance
 // and SyncTo take durations and times read off a clock, which a recording
-// leaves without its streams' prices, so a trace that holds either cannot
-// be priced. Allocation and random draws are not charges: the recorded
+// leaves without its streams' prices, so a recording Proc panics on
+// either. Allocation and random draws are not charges: the recorded
 // addresses already carry the allocator's layout.
 //
 // A Trace keeps its buffer across recordings; the zero value is empty.
@@ -378,8 +378,6 @@ const (
 	opFlops
 	opCall
 	opCycles
-	opAdvance
-	opSyncTo
 	opMark
 )
 
@@ -570,8 +568,7 @@ func (t *Trace) walkPart(part *cache.Part, misses []uint32) []uint32 {
 // be a walk of this trace's streams (or the same streams of another
 // trace) on p's cache geometry. p should be a fresh Proc; it may belong to
 // any machine with that cache. Its clock and PAPI counters end where a
-// live run's would. A trace that holds an Advance or a SyncTo returns an
-// error.
+// live run's would.
 func (t *Trace) Price(p *Proc, w *Walk, mark func()) error {
 	if w.cfg != p.cache.Config() {
 		return fmt.Errorf("platform: a walk on cache %+v prices a machine with cache %+v", w.cfg, p.cache.Config())
@@ -600,8 +597,6 @@ func (t *Trace) Price(p *Proc, w *Walk, mark func()) error {
 			p.AdvanceCycles(math.Float64frombits(c.arg))
 		case opMark:
 			mark()
-		default:
-			return fmt.Errorf("platform: a trace that recorded an Advance or a SyncTo cannot be priced")
 		}
 	}
 	return nil

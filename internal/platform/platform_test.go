@@ -1,6 +1,8 @@
 package platform
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -298,10 +300,11 @@ func TestTracePricesEveryCharge(t *testing.T) {
 	}
 }
 
-// TestPriceRefusesClockCharges: Advance and SyncTo record times read off a
-// clock that a recording leaves without its streams' prices, so a trace
-// holding either does not price; nor does a walk of other streams or of
-// another cache.
+// TestPriceRefusesClockCharges: Advance and SyncTo take times read off a
+// clock that a recording leaves without its streams' prices, so a
+// recording Proc refuses them with a panic that names the call, and
+// records nothing for them; a Proc that is not recording takes them. Nor
+// does a trace price from a walk of other streams or of another cache.
 func TestPriceRefusesClockCharges(t *testing.T) {
 	for name, charge := range map[string]func(*Proc){
 		"Advance": func(p *Proc) { p.Advance(0.25) },
@@ -311,14 +314,21 @@ func TestPriceRefusesClockCharges(t *testing.T) {
 		p := newTestProc()
 		p.RecordTo(&trace)
 		p.ChargeStream(1<<20, 64, 8)
-		charge(p)
+		func() {
+			defer func() {
+				if msg := fmt.Sprint(recover()); !strings.Contains(msg, name) {
+					t.Errorf("%s on a recording Proc: panic %q, want one naming the call", name, msg)
+				}
+			}()
+			charge(p)
+		}()
 		p.RecordTo(nil)
-		var w Walk
-		if err := trace.Walk(cache.XeonL2(), &w); err != nil {
-			t.Fatal(err)
+		if trace.Len() != 1 || p.Now() != 0 {
+			t.Errorf("a refused %s left %d events and the clock at %g, want 1 and 0", name, trace.Len(), p.Now())
 		}
-		if err := trace.Price(newTestProc(), &w, func() {}); err == nil {
-			t.Errorf("a trace holding %s priced", name)
+		charge(p)
+		if p.Now() == 0 {
+			t.Errorf("%s after the recording did not move the clock", name)
 		}
 	}
 
