@@ -252,16 +252,17 @@
 // A kernel charges the simulated machine by patch shape, never by field
 // data or by rank, so every rank of a sweep issues the same charges in the
 // same order, on every machine and at every seed. Every sweep (SweepJob,
-// StreamJob, RunSweep) therefore records one rank, prices it on its machine
-// and copies its points to each rank of its world, relabelled. Within a
-// campaign.Run, the sweeps of one program (the sweep config with cache,
-// CPU, seed, scheduler and rank count set aside) share one recording:
+// StreamJob, RunSweep) therefore records one rank of its program — its
+// kernel, sizes and repetitions on one fixed machine — prices it on its
+// own machine and copies its points to each rank of its world, relabelled.
+// Every sweep runs as a job of a campaign.Run (RunSweep runs a Run of one
+// job), and the Run's sweeps of one program share one recording:
 //
 //   - The first of them to run records rank 0 dry, on a one-rank serial
-//     world: its platform.Proc appends every charge to a platform.Trace
-//     (one 24-byte event per ChargeStreamHinted, ChargeFlops, ChargeCall
-//     or AdvanceCycles, plus a mark before and after every monitored call)
-//     and walks no cache. Advance and SyncTo take values off a clock that
+//     world of mpi.DefaultConfig at seed 0: its platform.Proc appends
+//     every charge to a platform.Trace (one 24-byte event per
+//     ChargeStreamHinted, ChargeFlops, ChargeCall or AdvanceCycles, plus a
+//     mark before and after every monitored call) and walks no cache. Advance and SyncTo take values off a clock that
 //     lacks the streams' prices, so a recording Proc panics on either.
 //   - Trace.Walk runs the recording's streams through an empty cache of
 //     the sweep's geometry and keeps each stream's misses. LRU sets are
@@ -281,10 +282,11 @@
 // TestRepricedSweepMatchesLive holds the priced sweep to a live one-rank
 // sweep bit for bit at every trend-axis point, and
 // TestSweepRanksMatchRankZero the copied ranks to a live three-rank sweep.
-// A sweep that finds the recording or its walk in progress waits for it,
-// and does it in its place if it fails; one served from the store does
-// neither. Their buffers go back to process-wide free lists when the Run
-// ends; outside a Run a sweep records, walks and prices on its own. Keys,
+// A recording or a walk is made once per Run, deterministic in its key: a
+// sweep that finds it in progress waits and takes its outcome, an error
+// included. A sweep's own machine is checked by its walk and price, so an
+// impossible one fails alone; one served from the store does nothing.
+// Buffers go back to process-wide free lists when the Run ends. Keys,
 // hashes, payloads and rows are those of a live sweep. Case studies stay
 // live: there a message's arrival depends on another rank's clock.
 //

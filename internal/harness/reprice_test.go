@@ -7,9 +7,9 @@ import (
 	"math"
 	"reflect"
 	"slices"
+	"strings"
 	"sync/atomic"
 	"testing"
-	"time"
 
 	"repro/internal/cache"
 	"repro/internal/campaign"
@@ -29,11 +29,12 @@ func repriceSweepConfig(k Kernel) SweepConfig {
 	return cfg
 }
 
-// record records cfg's charges into a fresh trace.
+// record records cfg's program, on the fixed machine a sweep records it
+// on, into a fresh trace.
 func record(t *testing.T, cfg SweepConfig) (*SweepResult, *platform.Trace) {
 	t.Helper()
 	trace := new(platform.Trace)
-	res, err := runSweep(cfg, trace)
+	res, err := runSweep(program(cfg), trace)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -79,21 +80,23 @@ func encodedRows(t *testing.T, res *SweepResult) []byte {
 	return buf.Bytes()
 }
 
-// TestRepricedSweepMatchesLive is the differential check of pricing: every
-// kernel's sweep, recorded once at one seed and priced at every default
-// point of every trend axis at another seed, equals the live sweep on that
-// machine at that seed (runSweep with no trace, whose Proc walks its
-// cache), point for point and byte for byte in its encoded rows. Godunov and EFM issue the same streams, so both are priced from
-// one walk per point, of Godunov's recording, as a grid shares it.
+// TestRepricedSweepMatchesLive is the differential check of pricing, and
+// of the premise that a program's charges read no machine: every kernel's
+// program, recorded once on the fixed machine a sweep records it on and
+// priced at every default point of every trend axis at another seed,
+// equals the live sweep on that machine at that seed (runSweep with no
+// trace, whose Proc walks its cache), point for point and byte for byte in
+// its encoded rows. A kernel charge that read the machine (the cache size,
+// the clock) would record the fixed machine's charge and fail here.
+// Godunov and EFM issue the same streams, so both are priced from one walk
+// per point, of Godunov's recording, as a grid shares it.
 func TestRepricedSweepMatchesLive(t *testing.T) {
 	t.Parallel()
 	kernels := []Kernel{KernelStates, KernelGodunov, KernelEFM}
 	recorded := map[Kernel]*SweepResult{}
 	traces := map[Kernel]*platform.Trace{}
 	for _, k := range kernels {
-		cfg := repriceSweepConfig(k)
-		cfg.World.Seed = 7
-		recorded[k], traces[k] = record(t, cfg)
+		recorded[k], traces[k] = record(t, repriceSweepConfig(k))
 	}
 	if !traces[KernelGodunov].SameStreams(traces[KernelEFM]) {
 		t.Fatal("Godunov and EFM record different streams")
@@ -221,8 +224,10 @@ type tally [3]int64
 // tally into got before the Run releases it.
 func tallyJob(after []string, got *tally) campaign.Job {
 	return campaign.Job{Key: "tally", After: after, Run: func(ctx context.Context, _ map[string]any) (any, error) {
-		v, _ := campaign.Shared(ctx, tallyKey{}, func() (any, func()) { return new(sweepTally), nil })
-		st := v.(*sweepTally)
+		st, err := shareOnce(ctx, tallyKey{}, newTally, nil)
+		if err != nil {
+			return nil, err
+		}
 		*got = tally{st.recorded.Load(), st.walked.Load(), st.priced.Load()}
 		return nil, nil
 	}}
@@ -380,66 +385,67 @@ func sameValues(a, b []campaign.Result) bool {
 	return true
 }
 
-// TestSweepGroupLiveFailure: the sweep that records first panics (its
-// machine has an impossible cache). The failure is its own job's error;
-// the next sweep of the program records in its place, on one worker after
-// it and on two workers perhaps while waiting for it, and both other
-// sweeps equal their plain sweeps.
+// TestSweepGroupLiveFailure: a sweep whose machine has an impossible
+// cache (200 sets: not a power of two) shares its program's recording,
+// which is made on a fixed machine and succeeds, and fails in its own
+// walk, with an error that names its cache geometry. Its siblings take the
+// recording and walk and price as if it were not there: each equals its
+// plain sweep. That holds with the bad sweep first and last, on one worker
+// and on two: one recording, two walks and two sweeps priced.
 func TestSweepGroupLiveFailure(t *testing.T) {
 	t.Parallel()
 	base, grid := groupedGrid()
 	grid.Axes = grid.Axes[:1]
-	scs, err := grid.Scenarios()
+	good, err := grid.Scenarios()
 	if err != nil {
 		t.Fatal(err)
 	}
-	bad := scs[0]
+	bad := good[0]
 	bad.Key = "c100kB/r0"
-	bad.World.Cache.SizeBytes = 100 << 10 // 200 sets: not a power of two
-	members := append([]campaign.Scenario{bad}, scs[1:]...)
+	bad.World.Cache.SizeBytes = 100 << 10
+	good = good[1:]
 
-	want := make([]any, len(members))
-	for i, sc := range members[1:] {
+	want := map[string]any{}
+	var goodKeys []string
+	for _, sc := range good {
 		res, err := campaign.Run(context.Background(), campaign.Config{}, []campaign.Job{StreamJob(base, sc)})
 		if err != nil {
 			t.Fatal(err)
 		}
-		want[i+1] = res[0].Value
+		want[sc.Key] = res[0].Value
+		goodKeys = append(goodKeys, sc.Key)
 	}
-	for _, workers := range []int{1, 2} {
-		jobs := make([]campaign.Job, len(members))
-		var good []string
-		for i, sc := range members {
-			jobs[i] = StreamJob(base, sc)
-			if i > 0 {
-				good = append(good, sc.Key)
+	for _, order := range []struct {
+		name    string
+		members []campaign.Scenario
+	}{
+		{"first", append([]campaign.Scenario{bad}, good...)},
+		{"last", append(slices.Clone(good), bad)},
+	} {
+		for _, workers := range []int{1, 2} {
+			jobs := make([]campaign.Job, len(order.members))
+			for i, sc := range order.members {
+				jobs[i] = StreamJob(base, sc)
 			}
-		}
-		var got tally
-		jobs = append(jobs, tallyJob(good, &got))
-		done := make(chan []campaign.Result)
-		go func() {
+			var got tally
+			jobs = append(jobs, tallyJob(goodKeys, &got))
 			res, _ := campaign.Run(context.Background(), campaign.Config{Workers: workers}, jobs)
-			done <- res
-		}()
-		var res []campaign.Result
-		select {
-		case res = <-done:
-		case <-time.After(2 * time.Minute):
-			t.Fatalf("%d workers: a program with a failed live sweep hangs", workers)
-		}
-		if res[0].Err == nil {
-			t.Errorf("%d workers: the sweep with an impossible cache succeeded", workers)
-		}
-		for i, r := range res[1:len(members)] {
-			if r.Err != nil {
-				t.Errorf("%d workers: %s failed with its program: %v", workers, r.Key, r.Err)
-			} else if !reflect.DeepEqual(r.Value, want[i+1]) {
-				t.Errorf("%d workers: %s differs from its plain sweep", workers, r.Key)
+			for _, r := range res[:len(order.members)] {
+				switch {
+				case r.Key == bad.Key && r.Err == nil:
+					t.Errorf("bad %s, %d workers: the sweep with an impossible cache succeeded", order.name, workers)
+				case r.Key == bad.Key && !strings.Contains(r.Err.Error(), "SizeBytes:102400"):
+					t.Errorf("bad %s, %d workers: the error does not name the cache geometry: %v", order.name, workers, r.Err)
+				case r.Key != bad.Key && r.Err != nil:
+					t.Errorf("bad %s, %d workers: %s failed with its program: %v", order.name, workers, r.Key, r.Err)
+				case r.Key != bad.Key && !reflect.DeepEqual(r.Value, want[r.Key]):
+					t.Errorf("bad %s, %d workers: %s differs from its plain sweep", order.name, workers, r.Key)
+				}
 			}
-		}
-		if got != (tally{1, 2, 2}) {
-			t.Errorf("%d workers: %d recorded, %d walked and %d priced, want 1, 2 and 2", workers, got[0], got[1], got[2])
+			if got != (tally{1, 2, 2}) {
+				t.Errorf("bad %s, %d workers: %d recorded, %d walked and %d priced, want 1, 2 and 2",
+					order.name, workers, got[0], got[1], got[2])
+			}
 		}
 	}
 }
@@ -523,12 +529,12 @@ func TestSweepGroupsShareWalks(t *testing.T) {
 	}
 }
 
-// TestSharedWalkComparesStreams: a Run's walks are found by stream digest
-// and cache, but a digest does not tell streams apart, so a trace reuses a
-// walk only when its streams equal, element by element, those of the trace
-// the walk was made for. Here every trace claims one digest: a trace with
-// the same streams among other charges shares the first walk, and one
-// whose streams differ in a single stride gets a walk of its own.
+// TestSharedWalkComparesStreams: a Run shares one walk per stream digest
+// and cache, but a digest does not tell streams apart, so a trace takes
+// the shared walk only when its streams equal, element by element, those
+// of the trace the walk was made of. Here three traces claim one digest: a
+// trace with the same streams among other charges shares the first walk,
+// and one whose streams differ in a single stride walks on its own.
 func TestSharedWalkComparesStreams(t *testing.T) {
 	t.Parallel()
 	rec := func(stride int, extra bool) *platform.Trace {
@@ -566,48 +572,34 @@ func TestSharedWalkComparesStreams(t *testing.T) {
 	}
 }
 
-// TestOnceOKTakesOverFailedWork: work that fails, by an error or a panic,
-// is left undone for the next caller, who does it again; once it has
-// succeeded nobody runs it, and a caller that finds it in progress waits
-// for the outcome, or for its context.
-func TestOnceOKTakesOverFailedWork(t *testing.T) {
+// TestShareOncePanicFailsEveryJob: a shared value whose maker panics is
+// made once, and every job that asks for it takes the panic as its error,
+// on one worker and on two; the Run returns all of them, and ends without
+// releasing the value or making it again.
+func TestShareOncePanicFailsEveryJob(t *testing.T) {
 	t.Parallel()
-	var o onceOK
-	ctx := context.Background()
-	runs := 0
-	if err := o.do(ctx, func() error { runs++; return fmt.Errorf("boom") }); err == nil {
-		t.Fatal("a failed run returned nil")
-	}
-	func() {
-		defer func() {
-			if recover() == nil {
-				t.Error("a panic in the work did not reach its caller")
+	for _, workers := range []int{1, 2} {
+		var made atomic.Int64
+		jobs := make([]campaign.Job, 3)
+		for i := range jobs {
+			jobs[i] = campaign.Job{Key: fmt.Sprint("j", i), Run: func(ctx context.Context, _ map[string]any) (any, error) {
+				return shareOnce(ctx, "boom", func() (int, error) {
+					made.Add(1)
+					panic("boom")
+				}, func(int) { t.Error("a value that was never made was released") })
+			}}
+		}
+		res, err := campaign.Run(context.Background(), campaign.Config{Workers: workers}, jobs)
+		if err == nil {
+			t.Fatalf("%d workers: a Run whose shared value panics succeeded", workers)
+		}
+		for _, r := range res {
+			if r.Err == nil || !strings.Contains(r.Err.Error(), "panic: boom") {
+				t.Errorf("%d workers: %s returned %v, want the maker's panic", workers, r.Key, r.Err)
 			}
-		}()
-		o.do(ctx, func() error { runs++; panic("boom") })
-	}()
-
-	started, release := make(chan struct{}), make(chan struct{})
-	done := make(chan error)
-	go func() {
-		done <- o.do(ctx, func() error { runs++; close(started); <-release; return nil })
-	}()
-	<-started
-	canceled, cancel := context.WithCancel(ctx)
-	cancel()
-	if err := o.do(canceled, func() error { runs++; return nil }); err != context.Canceled {
-		t.Errorf("a caller waiting with a canceled context returned %v", err)
-	}
-	waiter := make(chan error)
-	go func() { waiter <- o.do(ctx, func() error { runs++; return nil }) }()
-	close(release)
-	if err := <-done; err != nil {
-		t.Fatal(err)
-	}
-	if err := <-waiter; err != nil {
-		t.Errorf("the waiting caller returned %v", err)
-	}
-	if err := o.do(ctx, func() error { runs++; return nil }); err != nil || runs != 3 {
-		t.Errorf("after the work succeeded: err %v, %d runs, want nil and 3", err, runs)
+		}
+		if made.Load() != 1 {
+			t.Errorf("%d workers: the maker ran %d times, want once", workers, made.Load())
+		}
 	}
 }

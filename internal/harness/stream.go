@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/cache"
 	"repro/internal/campaign"
+	"repro/internal/mpi"
 	"repro/internal/platform"
 	"repro/internal/results/store"
 )
@@ -15,9 +16,9 @@ import (
 // This file is the grid path. It never buffers a scenario's SweepResult:
 // StreamSweepGrid emits each sweep's telemetry rows into the campaign sink
 // and keeps only a GridPoint — the scenario coordinates and the fitted
-// model — per scenario. A thousand-scenario grid therefore streams through
-// a CSV-shard sink with memory bounded by the scenarios in flight, not by
-// the grid size.
+// model — per scenario. Rows and results take memory by the scenarios in
+// flight, not by the grid size, but each program's recording (21-43 MB at
+// the default sizes) is held until the Run ends (measureSweep).
 
 // GridPoint is one scenario's distilled outcome in a streaming grid run:
 // the coordinates, the kernel that was measured (after the flux dimension
@@ -79,38 +80,26 @@ func StreamJobs(base SweepConfig, g campaign.Grid) ([]campaign.Job, error) {
 	return jobs, nil
 }
 
-// programKey names a sweep program: the sweep config with the machine
-// (cache and CPU models), seed, scheduler and rank count set aside. A
-// kernel charges by patch shape alone (TestSweepRowsIgnoreSeed,
+// program is what cfg records: its kernel, sizes and repetitions on one
+// fixed machine, a one-rank serial world of mpi.DefaultConfig at seed 0.
+// A kernel charges by patch shape alone (TestRepricedSweepMatchesLive,
 // TestSweepRanksMatchRankZero), so one recording prices every sweep of a
-// program.
+// program on the sweep's own machine, and fails only for the whole program.
+func program(cfg SweepConfig) SweepConfig {
+	w := mpi.DefaultConfig()
+	w.Procs, w.Seed = 1, 0
+	return SweepConfig{Kernel: cfg.Kernel, Sizes: cfg.Sizes, Reps: cfg.Reps, World: w}
+}
+
+// programKey is the campaign.Shared key of a program's recording.
 type programKey string
 
-// programOf returns cfg's program.
-func programOf(cfg SweepConfig) programKey {
-	w := serialWorld(cfg.World)
-	w.Procs, w.Cache, w.CPU, w.Seed = 1, cache.Config{}, platform.CPUModel{}, 0
-	cfg.World = w
-	return programKey(jobHash("program", cfg))
-}
-
-// A recording is rank 0 of a sweep program, recorded dry: its charges,
-// with no cache walked and no point priced.
+// A recording is rank 0 of a program, recorded dry: its charges, with no
+// cache walked and no point priced.
 type recording struct {
-	recorded onceOK
-	trace    *platform.Trace
-	digest   uint64       // the trace's StreamDigest
-	points   []SweepPoint // rank 0's points, whose size and mode pricing keeps
-}
-
-// record records cfg's rank 0 into r.
-func (r *recording) record(cfg SweepConfig) error {
-	res, err := runSweep(cfg, r.trace)
-	if err != nil {
-		return err
-	}
-	r.digest, r.points = r.trace.StreamDigest(), res.Points
-	return nil
+	trace  *platform.Trace
+	digest uint64       // the trace's StreamDigest
+	points []SweepPoint // rank 0's points, whose size and mode pricing keeps
 }
 
 // sweepTraces and sweepWalks keep charge traces and walks (a walk's miss
@@ -128,43 +117,58 @@ type sweepTally struct{ recorded, walked, priced atomic.Int64 }
 // tallyKey is the campaign.Shared key of a Run's sweepTally.
 type tallyKey struct{}
 
-// measureSweep is the one way a sweep is measured: rank 0 of cfg's
-// program, recorded dry on a one-rank serial world, walked through cfg's
-// cache and priced on cfg's machine (priceSweep), copied to every rank.
-// Within a campaign.Run, the first sweep of a program to run records it
-// for all (one that finds the recording in progress waits for it, and
-// records in its place if it fails), and walks are shared (sharedWalk); a
-// sweep served from the store does none of this. Recordings go back to
-// sweepTraces when the Run ends. Outside a Run, a sweep records, walks
-// and prices on its own.
-func measureSweep(ctx context.Context, cfg SweepConfig) (*SweepResult, error) {
-	v, ok := campaign.Shared(ctx, tallyKey{}, func() (any, func()) { return new(sweepTally), nil })
-	if !ok {
-		rec := recording{trace: sweepTraces.get()}
-		defer sweepTraces.put(rec.trace)
-		if err := rec.record(cfg); err != nil {
-			return nil, err
+// newTally makes a Run's sweepTally.
+func newTally() (*sweepTally, error) { return new(sweepTally), nil }
+
+// shareOnce returns the value the jobs of ctx's Run share under key, made
+// once by mk (sync.OnceValues): the first job to ask makes it, and the
+// others wait for it and take its outcome, an error or a panic included,
+// so mk's outcome must be deterministic in key. When the Run ends, a value
+// made without error goes to release, when release is not nil.
+func shareOnce[T any](ctx context.Context, key any, mk func() (T, error), release func(T)) (T, error) {
+	v, ok := campaign.Shared(ctx, key, func() (any, func()) {
+		var made *T
+		get := sync.OnceValues(func() (T, error) {
+			v, err := mk()
+			if err == nil {
+				made = &v
+			}
+			return v, err
+		})
+		return get, func() {
+			if made != nil && release != nil {
+				release(*made)
+			}
 		}
-		walk := sweepWalks.get()
-		defer sweepWalks.put(walk)
-		if err := rec.trace.Walk(cfg.World.Cache, walk); err != nil {
-			return nil, err
-		}
-		return priceSweep(cfg, rec.trace, walk, rec.points)
-	}
-	tally := v.(*sweepTally)
-	v, _ = campaign.Shared(ctx, programOf(cfg), func() (any, func()) {
-		rec := &recording{trace: sweepTraces.get()}
-		return rec, func() { sweepTraces.put(rec.trace) }
 	})
-	rec := v.(*recording)
-	err := rec.recorded.do(ctx, func() error {
-		if err := rec.record(cfg); err != nil {
-			return err
+	if !ok {
+		var zero T
+		return zero, fmt.Errorf("harness: a sweep outside a campaign run")
+	}
+	return v.(func() (T, error))()
+}
+
+// measureSweep is the one way a sweep is measured, as a job of a
+// campaign.Run: rank 0 of cfg's program, recorded dry, walked through
+// cfg's cache (sharedWalk) and priced on cfg's machine (priceSweep), copied
+// to every rank. The sweeps of a Run share one recording per program
+// (shareOnce); one served from the store records nothing. Recordings go
+// back to sweepTraces when the Run ends.
+func measureSweep(ctx context.Context, cfg SweepConfig) (*SweepResult, error) {
+	tally, err := shareOnce(ctx, tallyKey{}, newTally, nil)
+	if err != nil {
+		return nil, err
+	}
+	prog := program(cfg)
+	rec, err := shareOnce(ctx, programKey(jobHash("program", prog)), func() (*recording, error) {
+		trace := sweepTraces.get()
+		res, err := runSweep(prog, trace)
+		if err != nil {
+			return nil, err
 		}
 		tally.recorded.Add(1)
-		return nil
-	})
+		return &recording{trace, trace.StreamDigest(), res.Points}, nil
+	}, func(rec *recording) { sweepTraces.put(rec.trace) })
 	if err != nil {
 		return nil, err
 	}
@@ -176,116 +180,40 @@ func measureSweep(ctx context.Context, cfg SweepConfig) (*SweepResult, error) {
 	return priceSweep(cfg, rec.trace, walk, rec.points)
 }
 
-// walkKey names the walks of one stream digest on one cache geometry.
+// walkKey names the walk of one stream digest on one cache geometry.
 type walkKey struct {
 	digest uint64
 	cache  cache.Config
 }
 
-// walkSet is a Run's walks under one walkKey: one per distinct stream
-// sequence, which a digest alone does not tell apart.
-type walkSet struct {
-	mu    sync.Mutex
-	walks []*walkEntry
-}
-
-// walkEntry is one walk of a Run, and the trace it was first asked for.
-type walkEntry struct {
-	walking onceOK
-	trace   *platform.Trace
-	walk    *platform.Walk
+// A keyedWalk is a Run's walk under a walkKey, and the trace it walked.
+type keyedWalk struct {
+	trace *platform.Trace
+	walk  *platform.Walk
 }
 
 // sharedWalk returns a walk of trace's streams, whose StreamDigest is
-// digest, on cache geometry cfg, shared by every sweep of the Run of ctx
-// that needs it: a walk asked for by another trace is reused only when the
-// two traces' streams are equal, element by element (SameStreams). Each
-// walk made here counts in walked. A sweep that finds the walk in progress
-// waits for it, and walks in its place if it fails. Walks go back to
-// sweepWalks when the Run ends.
+// digest, on cache geometry cfg. The sweeps of ctx's Run share one walk
+// per digest and geometry (shareOnce), but a digest does not tell streams
+// apart: a trace whose streams differ from those of the trace the shared
+// walk was made of (SameStreams) walks on its own. Each walk made here
+// counts in walked. Shared walks go back to sweepWalks when the Run ends.
 func sharedWalk(ctx context.Context, trace *platform.Trace, digest uint64, cfg cache.Config, walked *atomic.Int64) (*platform.Walk, error) {
-	v, ok := campaign.Shared(ctx, walkKey{digest, cfg}, func() (any, func()) {
-		set := new(walkSet)
-		return set, func() {
-			for _, w := range set.walks {
-				sweepWalks.put(w.walk)
-			}
-		}
-	})
-	if !ok {
-		return nil, fmt.Errorf("harness: a shared walk outside a campaign run")
-	}
-	set := v.(*walkSet)
-	set.mu.Lock()
-	var sw *walkEntry
-	for _, w := range set.walks {
-		if w.trace == trace || w.trace.SameStreams(trace) {
-			sw = w
-			break
-		}
-	}
-	if sw == nil {
-		sw = &walkEntry{trace: trace, walk: sweepWalks.get()}
-		set.walks = append(set.walks, sw)
-	}
-	set.mu.Unlock()
-	err := sw.walking.do(ctx, func() error {
-		if err := trace.Walk(cfg, sw.walk); err != nil {
-			return err
+	walk := func(w *platform.Walk) (*platform.Walk, error) {
+		if err := trace.Walk(cfg, w); err != nil {
+			return nil, fmt.Errorf("harness: cache %+v: %w", cfg, err)
 		}
 		walked.Add(1)
-		return nil
-	})
-	return sw.walk, err
-}
-
-// onceOK is work that concurrent callers need done once: the first caller
-// does it, a caller that finds it in progress waits for it, and one that
-// finds it failed does it again.
-type onceOK struct {
-	mu   sync.Mutex
-	busy chan struct{} // closed when the work in progress ends; nil when none is
-	done bool
-}
-
-// do returns nil once f has succeeded, in this call or in another, and f's
-// error when this call ran f and it failed. A panic in f propagates to the
-// caller that ran it and leaves the work undone.
-func (o *onceOK) do(ctx context.Context, f func() error) error {
-	for {
-		o.mu.Lock()
-		if o.done {
-			o.mu.Unlock()
-			return nil
-		}
-		if busy := o.busy; busy != nil {
-			o.mu.Unlock()
-			select {
-			case <-busy:
-				continue
-			case <-ctx.Done():
-				return ctx.Err()
-			}
-		}
-		o.busy = make(chan struct{})
-		o.mu.Unlock()
-		return o.run(f)
+		return w, nil
 	}
-}
-
-// run runs f as the one caller doing the work, and publishes its outcome.
-func (o *onceOK) run(f func() error) error {
-	ok := false
-	defer func() {
-		o.mu.Lock()
-		o.done = ok
-		close(o.busy)
-		o.busy = nil
-		o.mu.Unlock()
-	}()
-	err := f()
-	ok = err == nil
-	return err
+	kw, err := shareOnce(ctx, walkKey{digest, cfg}, func() (keyedWalk, error) {
+		w, err := walk(sweepWalks.get())
+		return keyedWalk{trace, w}, err
+	}, func(kw keyedWalk) { sweepWalks.put(kw.walk) })
+	if err != nil || kw.trace == trace || kw.trace.SameStreams(trace) {
+		return kw.walk, err
+	}
+	return walk(new(platform.Walk))
 }
 
 // priceSweep prices rank 0's recorded sweep on cfg's machine, from walk,

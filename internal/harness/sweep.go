@@ -9,6 +9,7 @@ import (
 	"sort"
 	"sync"
 
+	"repro/internal/campaign"
 	"repro/internal/cca"
 	"repro/internal/components"
 	"repro/internal/euler"
@@ -162,11 +163,18 @@ func (l *freeList[T]) put(s *T) {
 }
 
 // RunSweep measures the kernel through the full PMM stack (component,
-// proxy, Mastermind, TAU), as every sweep is measured (measureSweep).
-// Patch contents vary per repetition — a randomized shock/interface
-// crossing — but no kernel's charge reads field data, so the rows do not
-// depend on the seed (TestSweepRowsIgnoreSeed).
-func RunSweep(cfg SweepConfig) (*SweepResult, error) { return measureSweep(context.Background(), cfg) }
+// proxy, Mastermind, TAU): it runs cfg's SweepJob in a campaign.Run of its
+// own, on one worker, as every sweep is measured (measureSweep). Patch
+// contents vary per repetition — a randomized shock/interface crossing —
+// but no kernel's charge reads field data, so the rows do not depend on
+// the seed (TestSweepRowsIgnoreSeed).
+func RunSweep(cfg SweepConfig) (*SweepResult, error) {
+	res, err := campaign.Run(context.Background(), campaign.Config{Workers: 1}, []campaign.Job{SweepJob("sweep", cfg)})
+	if err != nil {
+		return nil, err
+	}
+	return res[0].Value.(*SweepResult), nil
+}
 
 // runSweep runs rank 0 of cfg's sweep on a one-rank serial world of cfg's
 // machine: live, the differential tests' oracle, when trace is nil, and
