@@ -300,7 +300,8 @@
 //   - a Row is an ordered list of named, typed fields; jobs emit rows
 //     under their campaign key via campaign.Emit;
 //   - sinks are concurrency-safe and deterministic (rows keep per-key
-//     order): results.NewCSVShardSink writes one CSV file per key,
+//     order): results.NewCSVShardSink writes one CSV file per key (as
+//     <file>.part until the sink's Close renames it, so no torn shard),
 //     results.NewBinShardSink writes the same rows in the length-prefixed
 //     binary shard format (see "Results service" below),
 //     results.NewMemorySink buffers for tests, results.NewTee fans

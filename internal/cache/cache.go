@@ -8,16 +8,15 @@
 // the paper's testbed (dual 2.8 GHz Pentium Xeon, 512 kB L2, 64 B lines).
 //
 // The simulator is the hottest code in the repository (every simulated
-// memory access of every kernel goes through AccessRange), and it is
-// optimised under one rule: no simulated statistic may move. The
-// implementation it replaced — one directory lookup per element, a separate
-// valid bit per way, memmove for the LRU shift — is kept, verbatim, in
-// reference_test.go, and differential_test.go drives both with seeded random
-// traces over many geometries (and a fuzz target with free-form ones),
-// requiring identical per-call results, counters, directory contents and
-// residency after every call. The reference lives in a test file so that it
-// can never be selected at run time: there is one cache model, and a slower
-// copy of it that only judges.
+// memory access of every kernel goes through AccessRange, Part.Misses or
+// Count), and it is optimised under one rule: no simulated statistic may
+// move. The implementation it replaced is kept, verbatim, in
+// reference_test.go. differential_test.go drives both with seeded random
+// traces over many geometries (and a fuzz target with free-form ones) —
+// AccessRange, Checkpoint/Restore, RestoreStats and a helper that reads
+// residency off the tags, against the reference's own calls — requiring
+// identical per-call results, counters, tags and residency after every
+// call. A test file holds the reference, so run time can never select it.
 package cache
 
 import "fmt"
@@ -114,8 +113,8 @@ func New(cfg Config) *Cache {
 // ways returns the number of directory entries (sets x associativity).
 func (c *Cache) ways() int { return int(c.setMask+1) * c.assoc }
 
-// ensureDirectory allocates the empty directory at the first access. Access
-// and AccessRange call it once per call, so that walk and accessLine — the
+// ensureDirectory allocates the empty directory at the first access.
+// AccessRange calls it once per call, so that walk and accessLine — the
 // per-line code — never check.
 func (c *Cache) ensureDirectory() {
 	if c.tags == nil {
@@ -125,9 +124,6 @@ func (c *Cache) ensureDirectory() {
 
 // Stats returns the cumulative counters.
 func (c *Cache) Stats() Stats { return c.stats }
-
-// ResetStats zeroes the counters without disturbing cache contents.
-func (c *Cache) ResetStats() { c.stats = Stats{} }
 
 // RestoreStats rewinds the counters to a previously captured Stats value
 // without disturbing cache contents. Rollback paths use it to undo the
@@ -148,7 +144,8 @@ type State struct {
 // touched yet). It is for regions that access memory: a caller that knows
 // its region performs no accesses should checkpoint Stats alone and check
 // on the way back that they did not move — package mpi's speculation
-// checkpoints do exactly that, and never call Checkpoint.
+// checkpoints do exactly that, and never call Checkpoint. Outside tests,
+// Checkpoint and Restore serve only bench's cache.checkpoint.us probe.
 func (c *Cache) Checkpoint() State {
 	s := State{ways: c.ways(), stats: c.stats}
 	if c.tags != nil {
@@ -173,9 +170,6 @@ func (c *Cache) Restore(s State) {
 	}
 	c.stats = s.stats
 }
-
-// Flush invalidates every line and leaves the counters untouched.
-func (c *Cache) Flush() { clear(c.tags) }
 
 // Config returns the cache's geometry.
 func (c *Cache) Config() Config { return c.cfg }
@@ -203,19 +197,6 @@ func (c *Cache) accessLine(line uint64) bool {
 	// Miss: evict LRU (last way), shift, insert at MRU.
 	copy(ways[1:], ways[:len(ways)-1])
 	ways[0] = tag
-	return false
-}
-
-// Access simulates a single data access at the given virtual byte address
-// and reports whether it hit.
-func (c *Cache) Access(addr uint64) bool {
-	c.ensureDirectory()
-	c.stats.Accesses++
-	if c.accessLine(addr >> c.lineShift) {
-		c.stats.Hits++
-		return true
-	}
-	c.stats.Misses++
 	return false
 }
 
@@ -446,30 +427,4 @@ func log2(v int) uint {
 		shift++
 	}
 	return shift
-}
-
-// Touch loads the [base, base+bytes) range sequentially, warming the cache.
-// It is the write-allocate analog of initializing an array.
-func (c *Cache) Touch(base uint64, bytes int) {
-	if bytes <= 0 {
-		return
-	}
-	n := (bytes + c.cfg.LineBytes - 1) / c.cfg.LineBytes
-	c.AccessRange(base, n, c.cfg.LineBytes)
-}
-
-// Resident reports whether the line containing addr is currently cached,
-// without affecting LRU order or counters.
-func (c *Cache) Resident(addr uint64) bool {
-	if c.tags == nil {
-		return false
-	}
-	line := addr >> c.lineShift
-	set := int(line&c.setMask) * c.assoc
-	for _, t := range c.tags[set : set+c.assoc] {
-		if t == line+1 {
-			return true
-		}
-	}
-	return false
 }

@@ -16,17 +16,17 @@ func TestCheckpointRestoresLinesAndStats(t *testing.T) {
 
 	// Evict everything with a conflicting sweep, then restore.
 	c.AccessRange(1<<20, 256, 64)
-	if c.Resident(0) {
+	if resident(c, 0) {
 		t.Fatal("line 0 should have been evicted by the sweep")
 	}
 	c.Restore(cp)
 	if c.Stats() != wantStats {
 		t.Errorf("stats: got %+v, want %+v", c.Stats(), wantStats)
 	}
-	if !c.Resident(0) || !c.Resident(31*64) {
+	if !resident(c, 0) || !resident(c, 31*64) {
 		t.Error("restored cache lost lines resident at checkpoint")
 	}
-	if c.Resident(1 << 20) {
+	if resident(c, 1<<20) {
 		t.Error("restored cache kept a line accessed after checkpoint")
 	}
 
@@ -65,12 +65,12 @@ func TestNewAllocatesNoDirectory(t *testing.T) {
 	}
 	cp := c.Checkpoint()
 	c.AccessRange(0, 64, 64)
-	if !c.Resident(0) {
+	if !resident(c, 0) {
 		t.Fatal("line 0 should be resident after the sweep")
 	}
 	c.Restore(cp)
-	if c.Resident(0) || c.Stats() != (Stats{}) {
-		t.Errorf("restore to an untouched checkpoint left line 0 resident=%v, stats %+v", c.Resident(0), c.Stats())
+	if resident(c, 0) || c.Stats() != (Stats{}) {
+		t.Errorf("restore to an untouched checkpoint left line 0 resident=%v, stats %+v", resident(c, 0), c.Stats())
 	}
 	if h, m := c.AccessRange(0, 1, 64); h != 0 || m != 1 {
 		t.Errorf("access after restore: %d hits %d misses, want a miss", h, m)

@@ -3,6 +3,7 @@ package cache
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -24,7 +25,10 @@ var diffGeometries = []Config{
 }
 
 // lockstep drives a Cache and the reference implementation with the same
-// calls and fails the test on the first observable difference.
+// operations and fails the test on the first observable difference. The
+// reference's single-access, Touch, Flush and ResetStats calls are matched
+// here by the calls production makes: AccessRange, Restore of an untouched
+// cache's Checkpoint, and RestoreStats.
 type lockstep struct {
 	t       testing.TB
 	cfg     Config
@@ -54,9 +58,10 @@ func (l *lockstep) touch(base uint64, n, stride int) {
 // check compares, after every call: the counters; the whole directory, way
 // by way (the reference's valid ways must hold the same lines in the same
 // LRU order, its invalid ways must be empty here), which decides the
-// residency of every line there is; and Resident itself for each line the
-// call addressed. Every 32nd step, and at the end of a trace through
-// checkAll, Resident is also asked about every line touched since the start.
+// residency of every line there is; and residency itself (the reference's
+// Resident against resident's reading of the tags) for each line the call
+// addressed. Every 32nd step, and at the end of a trace through checkAll,
+// residency is also compared for every line touched since the start.
 func (l *lockstep) check(op string) {
 	l.step++
 	if g, w := l.got.Stats(), l.want.Stats(); g != w {
@@ -92,7 +97,7 @@ func (l *lockstep) checkAll(op string) {
 
 func (l *lockstep) checkResident(op string, line uint64) {
 	addr := line * uint64(l.cfg.LineBytes)
-	if g, w := l.got.Resident(addr), l.want.Resident(addr); g != w {
+	if g, w := resident(l.got, addr), l.want.Resident(addr); g != w {
 		l.t.Fatalf("%+v step %d %s: line %#x resident=%v, reference %v", l.cfg, l.step, op, line, g, w)
 	}
 }
@@ -109,24 +114,50 @@ func (l *lockstep) accessRange(base uint64, n, stride int) {
 	l.check(op)
 }
 
+// access is the reference's single access against a one-element stream.
 func (l *lockstep) access(addr uint64) {
 	l.t.Helper()
 	l.touch(addr, 1, 0)
 	op := fmt.Sprintf("Access(%#x)", addr)
-	if g, w := l.got.Access(addr), l.want.Access(addr); g != w {
+	gh, _ := l.got.AccessRange(addr, 1, 0)
+	if g, w := gh == 1, l.want.Access(addr); g != w {
 		l.t.Fatalf("%+v step %d %s = %v, reference %v", l.cfg, l.step+1, op, g, w)
 	}
 	l.check(op)
 }
 
+// touchBytes is the reference's Touch against a line-strided stream over
+// the same lines.
 func (l *lockstep) touchBytes(base uint64, bytes int) {
 	l.t.Helper()
 	if bytes > 0 {
-		l.touch(base, (bytes+l.cfg.LineBytes-1)/l.cfg.LineBytes, l.cfg.LineBytes)
+		n := (bytes + l.cfg.LineBytes - 1) / l.cfg.LineBytes
+		l.touch(base, n, l.cfg.LineBytes)
+		l.got.AccessRange(base, n, l.cfg.LineBytes)
 	}
-	l.got.Touch(base, bytes)
 	l.want.Touch(base, bytes)
 	l.check(fmt.Sprintf("Touch(%#x, %d)", base, bytes))
+}
+
+// flush is the reference's Flush against restoring the directory of an
+// untouched cache, with the counters put back as they were.
+func (l *lockstep) flush(op string) {
+	st := l.got.Stats()
+	l.got.Restore(New(l.cfg).Checkpoint())
+	l.got.RestoreStats(st)
+	l.want.Flush()
+	l.check(op)
+}
+
+// resident reports whether the line containing addr is in c's directory,
+// without touching its LRU order or counters.
+func resident(c *Cache, addr uint64) bool {
+	if c.tags == nil {
+		return false
+	}
+	line := addr >> c.lineShift
+	set := int(line&c.setMask) * c.assoc
+	return slices.Contains(c.tags[set:set+c.assoc], line+1)
 }
 
 // randomStream draws one AccessRange call from the classes the fast path
@@ -194,9 +225,7 @@ func runRandomTrace(t testing.TB, cfg Config, seed int64, steps int) *lockstep {
 	l.got.Restore(gotCP)
 	l.want.Restore(wantCP)
 	l.check("Restore on an untouched cache")
-	l.got.Flush()
-	l.want.Flush()
-	l.check("Flush on an untouched cache")
+	l.flush("Flush on an untouched cache")
 	stats := l.got.Stats()
 	for i := 0; i < steps; i++ {
 		switch k := rng.Intn(40); {
@@ -207,9 +236,7 @@ func runRandomTrace(t testing.TB, cfg Config, seed int64, steps int) *lockstep {
 		case k < 33:
 			l.touchBytes(uint64(rng.Int63n(int64(4*cfg.SizeBytes))), rng.Intn(cfg.SizeBytes)-8)
 		case k < 34:
-			l.got.Flush()
-			l.want.Flush()
-			l.check("Flush")
+			l.flush("Flush")
 		case k < 36:
 			gotCP, wantCP = l.got.Checkpoint(), l.want.Checkpoint()
 			l.check("Checkpoint")
@@ -220,7 +247,7 @@ func runRandomTrace(t testing.TB, cfg Config, seed int64, steps int) *lockstep {
 		case k < 39:
 			stats = l.got.Stats()
 			if rng.Intn(4) == 0 {
-				l.got.ResetStats()
+				l.got.RestoreStats(Stats{})
 				l.want.ResetStats()
 			}
 			l.check("Stats/ResetStats")

@@ -187,8 +187,8 @@ func (c *Comm) Isend(dst, tag int, data []float64) *Request {
 	return &c.sent
 }
 
-// Irecv posts a nonblocking receive into buf. Complete it with Wait,
-// Waitall or Waitsome. Posting is rank-local; only completion touches the
+// Irecv posts a nonblocking receive into buf. Complete it with Waitall
+// or Waitsome. Posting is rank-local; only completion touches the
 // shared message space.
 func (c *Comm) Irecv(src, tag int, buf []float64) *Request {
 	if src != AnySource {
@@ -224,24 +224,8 @@ func pendingRecvs(reqs []*Request) int {
 	return n
 }
 
-// Wait blocks until the request completes.
-func (c *Comm) Wait(req *Request) {
-	defer c.enter("MPI_Wait()").exit()
-	if req.done {
-		return
-	}
-	w := c.world
-	if w.opt {
-		c.r.oneReq[0] = req
-		c.optCompleteRecvs("MPI_Wait()", c.r.oneReq[:])
-		return
-	}
-	w.lockShared(c.r.rank)
-	defer w.mu.Unlock()
-	c.waitLocked("MPI_Wait()", req)
-}
-
-// Waitall blocks until every request completes.
+// Waitall blocks until every request completes. It stays for the paper's
+// Waitsome-vs-Waitall ablation (TestWaitPolicyCostsTheSame).
 func (c *Comm) Waitall(reqs []*Request) {
 	defer c.enter("MPI_Waitall()").exit()
 	if pendingRecvs(reqs) == 0 {

@@ -821,7 +821,7 @@ func (o *optState) noteCommitDrawLocked() {
 	}
 }
 
-// processRecvLocked validates a recorded receive (Recv/Wait/Waitall): it
+// processRecvLocked validates a recorded receive (Recv/Waitall): it
 // performs the authoritative committed-order matches slot by slot,
 // replaying the serial clock progression, and compares them against the
 // rank's speculative picks. A wildcard mismatch marks the event conflicted
@@ -983,7 +983,7 @@ func (o *optState) carveLocked(n int) []float64 {
 }
 
 // optCompleteRecvs completes the pending receives in reqs in posting order:
-// the shared path behind Recv, Wait and Waitall. Specific-source slots
+// the shared path behind Recv and Waitall. Specific-source slots
 // complete on publication (the conflict-free fast path); if any slot is
 // AnySource the whole operation speculates under an undo log and parks for
 // the automaton's verdict before returning.

@@ -2,6 +2,7 @@ package mpi
 
 import (
 	"fmt"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -93,6 +94,7 @@ func TestRollbackRestoresRankState(t *testing.T) {
 	}
 
 	req := &Request{comm: r.Comm, isRecv: true, src: 0, tag: 1, buf: []float64{1, 2, 3}}
+	wantCache := r.Proc.Cache().Checkpoint()
 	undo := r.specCheckpointLocked([]recvSlot{{req: req}})
 	wantClock := r.Proc.Now()
 	wantCounters := r.Proc.Counters()
@@ -118,8 +120,8 @@ func TestRollbackRestoresRankState(t *testing.T) {
 	if r.Proc.Counters() != wantCounters {
 		t.Errorf("counters: got %+v, want %+v", r.Proc.Counters(), wantCounters)
 	}
-	if !r.Proc.Cache().Resident(base) {
-		t.Error("a line resident at the checkpoint is gone after rollback")
+	if !reflect.DeepEqual(r.Proc.Cache().Checkpoint(), wantCache) {
+		t.Error("rollback left the cache directory other than at the checkpoint")
 	}
 	if req.done || req.n != 0 || req.buf[0] != 1 || req.buf[2] != 3 {
 		t.Errorf("request not restored: %+v buf=%v", req, req.buf)

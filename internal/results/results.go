@@ -56,7 +56,9 @@ func (f Field) Float() (float64, bool) {
 // concurrently from many goroutines; rows emitted under one key must come
 // from one goroutine at a time if their relative order matters (which is
 // how campaign jobs behave: one job, one key). Flush forces buffered data
-// out; Close flushes and releases resources, after which Emit fails.
+// out; Close flushes and releases resources, after which Emit fails. A
+// shard sink's Flush fills its temp files, and only its Close publishes
+// the shards, so a reader of a shard directory waits for Close.
 type Sink interface {
 	Emit(key string, row Row) error
 	Flush() error

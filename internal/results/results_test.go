@@ -293,6 +293,58 @@ func TestShardEvictionReopensInAppendMode(t *testing.T) {
 	}
 }
 
+// TestUnclosedShardSinkPublishesNothing: a sink that emits and flushes but
+// is never closed, as when a campaign is killed, leaves no file at any
+// ShardPath, evicted shards included, so a reader of the directory cannot
+// take a torn shard for a whole one. Close then publishes every shard and
+// leaves nothing else in the directory.
+func TestUnclosedShardSinkPublishesNothing(t *testing.T) {
+	csvSink, err := NewCSVShardSink(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	binSink, err := NewBinShardSink(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, s := range []*shardSink{csvSink.shardSink, binSink.shardSink} {
+		s.maxOpen = 2
+		const keys, rounds = 5, 3
+		for r := 0; r < rounds; r++ {
+			for k := 0; k < keys; k++ {
+				if err := s.Emit(fmt.Sprintf("key%d", k), Row{F("round", r), F("k", k)}); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		if err := s.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		var want []string
+		for _, key := range s.Keys() {
+			path := s.ShardPath(key)
+			if _, err := os.Stat(path); err == nil {
+				t.Errorf("%s exists before Close", path)
+			}
+			want = append(want, filepath.Base(path))
+		}
+		if err := s.Close(); err != nil {
+			t.Fatal(err)
+		}
+		entries, err := os.ReadDir(s.Dir())
+		if err != nil {
+			t.Fatal(err)
+		}
+		var got []string
+		for _, e := range entries {
+			got = append(got, e.Name())
+		}
+		if strings.Join(got, " ") != strings.Join(want, " ") {
+			t.Errorf("%s after Close holds %v, want %v", s.Dir(), got, want)
+		}
+	}
+}
+
 func TestThousandScenarioGridStreams(t *testing.T) {
 	// The acceptance shape for the streaming subsystem: a 1000-scenario
 	// grid's keys stream through a shard sink, one file per scenario, with

@@ -13,10 +13,11 @@ import (
 )
 
 // This file is the shared per-key shard machinery behind CSVShardSink and
-// BinShardSink: lazy file creation, an FD cap with oldest-first eviction
-// and transparent append reopen, and per-shard write locks so encoding
-// never happens under the sink-wide lock. The two sinks differ only in
-// their row encoder and file extension.
+// BinShardSink: lazy file creation under a temp name, an FD cap with
+// oldest-first eviction and transparent append reopen, per-shard write
+// locks so encoding never happens under the sink-wide lock, and the rename
+// that publishes every shard at Close. The two sinks differ only in their
+// row encoder and file extension.
 
 // rowEncoder is one shard file's row writer. HeaderDone/SetHeaderDone
 // carry the "file preamble already written" state across evictions, so an
@@ -31,7 +32,7 @@ type rowEncoder interface {
 
 // shard is one key's shard file, open or evicted.
 type shard struct {
-	path string
+	path string // the published name; rows go to path+partExt until Close
 	// mu serializes writes and eviction on this shard, so encode I/O does
 	// not happen under the sink-wide lock. Lock order: shardSink.mu
 	// before shard.mu, always.
@@ -46,6 +47,10 @@ type shard struct {
 	bw  *bufio.Writer
 	enc rowEncoder
 }
+
+// partExt marks a shard that is still being written. It is neither ".csv"
+// nor ".bin", so no reader of a rows directory takes it for a shard.
+const partExt = ".part"
 
 // DefaultMaxOpenShards bounds how many shard files a shard sink keeps
 // open at once. Shards beyond the bound are flushed, closed (oldest
@@ -63,6 +68,7 @@ type shardSink struct {
 	maxOpen int
 	mu      sync.Mutex
 	shards  map[string]*shard
+	created []*shard // shards in the order their files were created
 	open    []*shard // open shards, oldest first
 	closed  bool
 }
@@ -147,12 +153,15 @@ func (s *shardSink) openLocked(sh *shard) error {
 	var f *os.File
 	var err error
 	if sh.created {
-		f, err = os.OpenFile(sh.path, os.O_WRONLY|os.O_APPEND, 0o644)
+		f, err = os.OpenFile(sh.path+partExt, os.O_WRONLY|os.O_APPEND, 0o644)
 	} else {
-		f, err = os.Create(sh.path)
+		f, err = os.Create(sh.path + partExt)
 	}
 	if err != nil {
 		return err
+	}
+	if !sh.created {
+		s.created = append(s.created, sh)
 	}
 	sh.created = true
 	sh.f = f
@@ -186,7 +195,8 @@ func (s *shardSink) evictLocked(sh *shard) error {
 	return err
 }
 
-// Flush implements Sink: every open shard's buffer is forced to disk.
+// Flush implements Sink: every open shard's buffer is forced into its temp
+// file. Nothing is published until Close.
 func (s *shardSink) Flush() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -201,7 +211,9 @@ func (s *shardSink) Flush() error {
 	return firstErr
 }
 
-// Close implements Sink: flushes and closes every open shard file.
+// Close implements Sink: flushes and closes every open shard file, then
+// publishes every shard the sink created, evicted ones included, by
+// renaming its temp file to ShardPath.
 func (s *shardSink) Close() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -212,6 +224,12 @@ func (s *shardSink) Close() error {
 			firstErr = err
 		}
 	}
+	for _, sh := range s.created {
+		if err := os.Rename(sh.path+partExt, sh.path); err != nil && firstErr == nil {
+			firstErr = err
+		}
+	}
+	s.created = nil
 	return firstErr
 }
 
@@ -228,13 +246,15 @@ func (s *shardSink) Keys() []string {
 }
 
 // CSVShardSink writes one CSV shard file per key under a directory.
-// Shards are created lazily on the key's first row (truncating any
-// previous file of the same name, so re-running a campaign rewrites its
-// shards from scratch) and buffered; at most DefaultMaxOpenShards files
-// are open at a time, so both memory and file descriptors stay bounded by
-// the keys emitting concurrently, not by the grid size or row count. Emit
-// is safe for concurrent use; rows within one key keep their emission
-// order.
+// Shards are created lazily on the key's first row, under a temp name
+// (ShardPath plus ".part", which no reader takes for a shard), and
+// buffered; Flush fills the temp files, and Close renames each onto
+// ShardPath, replacing any previous file of that name, so re-running a
+// campaign rewrites its shards from scratch and a run that never closes
+// its sink publishes no shard. At most DefaultMaxOpenShards files are open
+// at a time, so both memory and file descriptors stay bounded by the keys
+// emitting concurrently, not by the grid size or row count. Emit is safe
+// for concurrent use; rows within one key keep their emission order.
 type CSVShardSink struct {
 	*shardSink
 }
@@ -251,10 +271,11 @@ func NewCSVShardSink(dir string) (*CSVShardSink, error) {
 // BinShardSink writes one binary row shard (see BinEncoder for the
 // format) per key under a directory — the compact sibling of
 // CSVShardSink for serving and replay: same key-to-file-name mapping
-// (with a ".bin" extension), same FD cap and eviction behavior, same
-// concurrency contract. A campaign that tees a CSVShardSink and a
-// BinShardSink over the same directory produces byte-deterministic
-// sibling shards carrying identical logical rows in both formats.
+// (with a ".bin" extension), same temp files published at Close, same FD
+// cap and eviction behavior, same concurrency contract. A campaign that
+// tees a CSVShardSink and a BinShardSink over the same directory produces
+// byte-deterministic sibling shards carrying identical logical rows in
+// both formats.
 type BinShardSink struct {
 	*shardSink
 }
